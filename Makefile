@@ -22,7 +22,7 @@ check:
 	$(MAKE) linkcheck
 	$(MAKE) flagcheck
 	$(MAKE) benchguard
-	$(GO) test -run 'Fuzz' ./internal/transport ./internal/peer ./internal/wal ./internal/ship ./internal/obs
+	$(GO) test -run 'Fuzz' ./internal/transport ./internal/peer ./internal/replica ./internal/djoin ./internal/wal ./internal/ship ./internal/obs
 	$(GO) test -race -run 'TestReplica|TestRecover' ./internal/replica ./internal/sim ./internal/store ./internal/wal
 	$(GO) test -race -run 'TestShip|TestPusher' ./internal/ship
 	$(GO) test -race ./...
@@ -38,6 +38,7 @@ flagcheck:
 
 # benchguard pins the hot-path allocation contracts under -benchmem: a
 # nil span threaded through a hot path, a probe-request binary
+# encode+decode round trip, a load-probe (LoadReq then LoadResp) binary
 # encode+decode round trip, a segment point read (bloom check +
 # sparse-index probe + record walk, hit and miss), and the log-shipping
 # entry-apply path (CRC walk + decode + idempotent store re-apply) must
@@ -53,6 +54,11 @@ benchguard:
 		echo "probe codec round trip allocates:"; echo "$$out"; exit 1; \
 	fi; \
 	echo "benchguard: probe codec round trip holds 0 allocs/op"
+	@out=$$($(GO) test -run '^$$' -bench BenchmarkCodecLoad -benchmem ./internal/replica); \
+	if ! echo "$$out" | grep -q '0 allocs/op'; then \
+		echo "load-probe codec round trip allocates:"; echo "$$out"; exit 1; \
+	fi; \
+	echo "benchguard: load-probe codec round trip holds 0 allocs/op"
 	@out=$$($(GO) test -run '^$$' -bench 'BenchmarkSegmentProbe' -benchmem ./internal/wal); \
 	if [ $$(echo "$$out" | grep -c '0 allocs/op') -lt 2 ]; then \
 		echo "segment probe hot path allocates:"; echo "$$out"; exit 1; \

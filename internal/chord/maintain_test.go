@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"log"
 	"os"
+	"sort"
 	"testing"
 	"time"
 )
@@ -39,7 +40,11 @@ func TestMaintainerConvergesRing(t *testing.T) {
 	}
 	deadline := time.Now().Add(10 * time.Second)
 	for {
-		if _, err := VerifyRing(nodes); err == nil {
+		_, err := VerifyRing(nodes)
+		if err == nil {
+			err = successorListsConverged(nodes)
+		}
+		if err == nil {
 			break
 		} else if time.Now().After(deadline) {
 			t.Fatalf("ring did not converge under background maintenance: %v", err)
@@ -57,6 +62,35 @@ func TestMaintainerConvergesRing(t *testing.T) {
 			t.Fatalf("Lookup(%08x) = %s, want %s", id, got, want)
 		}
 	}
+}
+
+// successorListsConverged checks every node's successor list against
+// the sorted ring: each entry must be the true successor of the entry
+// before it. VerifyRing checks only successor and predecessor pointers,
+// but lookups also shortcut through the successor list, which stabilize
+// refreshes one round after the successor pointer settles.
+func successorListsConverged(nodes []*Node) error {
+	sorted := make([]*Node, len(nodes))
+	copy(sorted, nodes)
+	sort.Slice(sorted, func(i, j int) bool { return sorted[i].ID() < sorted[j].ID() })
+	next := make(map[ID]ID, len(sorted))
+	for i, nd := range sorted {
+		next[nd.ID()] = sorted[(i+1)%len(sorted)].ID()
+	}
+	for _, nd := range nodes {
+		prev := nd.ID()
+		for _, s := range nd.SuccessorList() {
+			if s.IsZero() {
+				break
+			}
+			if s.ID != next[prev] {
+				return fmt.Errorf("node %s successor list %v: %s follows %s, want %s",
+					nd.Ref(), nd.SuccessorList(), s, FmtID(prev), FmtID(next[prev]))
+			}
+			prev = s.ID
+		}
+	}
+	return nil
 }
 
 // TestMaintainerStopTerminates verifies Stop halts all three loops.

@@ -1,12 +1,11 @@
 package transport
 
 import (
-	"bytes"
 	"encoding/binary"
-	"encoding/gob"
 	"fmt"
 	"math"
 	"reflect"
+	"sort"
 
 	"p2prange/internal/chord"
 	"p2prange/internal/trace"
@@ -16,12 +15,11 @@ import (
 // and response as a length-prefixed binary message instead of a gob
 // stream: a uvarint frame length, then a small header (kind, correlation
 // id, flags, optional trace context / error / span fragments), a uvarint
-// message tag, and a tag-specific payload. Hot message types (chord
-// routing RPCs, bucket probes, descriptor stores) register hand-rolled
-// encoders keyed by tag; everything else — handoff, anti-entropy
-// digests, auxiliary protocols — rides inside a frame as a gob blob
-// (tagGobBlob), so no protocol is cut off by the codec. The frame layout
-// is documented in docs/ARCHITECTURE.md ("Wire protocol").
+// message tag, and a tag-specific payload. Every message type the
+// protocols send registers a hand-rolled encoder/decoder pair keyed by
+// tag; a body type without one is an encode error, never a fallback
+// encoding. The frame layout is documented in docs/ARCHITECTURE.md
+// ("Wire protocol").
 
 // MaxFrame bounds one request frame on the wire. A length prefix above
 // it is a protocol error, not an allocation: readers reject the frame
@@ -32,9 +30,9 @@ const MaxFrame = 16 << 20
 // MaxRespFrame bounds one response frame. Responses are read only from
 // servers the caller chose to dial, so the trust model is asymmetric:
 // the limit exists to catch corruption, not hostile peers, and is large
-// enough for bulk payloads (FetchDataResp gob blobs carrying whole
-// tuple sets) that the legacy gob path carried without any limit.
-// Transfers beyond it must use CodecGob.
+// enough for bulk payloads (FetchDataResp frames carrying whole tuple
+// sets) that the legacy gob path carried without any limit. Transfers
+// beyond it must use CodecGob.
 const MaxRespFrame = 1 << 30
 
 // preallocLimit caps slice capacity preallocated from a wire-declared
@@ -69,12 +67,13 @@ const (
 	flagSpans = 1 << 2 // response carries remote span fragments
 )
 
-// Message tags. Tag 0 is a nil body (error-only responses); tagGobBlob
-// wraps any RegisterType'd value in a self-contained gob stream. Tags are
-// wire protocol: never renumber an existing one, only append.
+// Message tags. Tag 0 is a nil body (error-only responses). Tag 1 once
+// wrapped unregistered types in a self-contained gob stream; it is
+// reserved forever and decodes as ErrBadFrame. Tags are wire protocol:
+// never renumber an existing one, only append.
 const (
-	tagNil     uint64 = 0
-	tagGobBlob uint64 = 1
+	tagNil      uint64 = 0
+	tagReserved uint64 = 1
 
 	// chord routing RPCs (registered below).
 	tagSuccessorReq        uint64 = 8
@@ -92,12 +91,17 @@ const (
 	// (internal/peer registers its codecs there).
 	TagPeerBase uint64 = 32
 
-	// TagReplicaBase is the first tag reserved for the replica protocol.
+	// TagReplicaBase is the first tag reserved for the replica protocol
+	// (internal/replica registers its codecs there).
 	TagReplicaBase uint64 = 48
 
 	// TagShipBase is the first tag reserved for the log-shipping protocol
 	// (internal/ship registers its codecs there).
 	TagShipBase uint64 = 64
+
+	// TagDjoinBase is the first tag reserved for the distributed-join
+	// protocol (internal/djoin registers its codecs there).
+	TagDjoinBase uint64 = 80
 )
 
 // EncodeFunc appends v's payload encoding to b and returns the extended
@@ -132,10 +136,10 @@ var (
 // RegisterCodec installs a binary encoder/decoder for one concrete
 // message type under a fixed tag, valid in the given frame direction
 // (DirRequest, DirResponse, or DirBoth). Both ends of the wire must
-// register the same tag for the same type (packages do so in init, like
-// RegisterType for gob). Unregistered types still travel as gob blobs.
+// register the same tag for the same type (packages do so in init).
+// Sending a body type with no codec fails to encode.
 func RegisterCodec(tag uint64, prototype any, dir byte, enc EncodeFunc, dec DecodeFunc) {
-	if tag <= tagGobBlob {
+	if tag <= tagReserved {
 		panic(fmt.Sprintf("transport: codec tag %d is reserved", tag))
 	}
 	if dir&DirBoth == 0 {
@@ -150,7 +154,7 @@ func RegisterCodec(tag uint64, prototype any, dir byte, enc EncodeFunc, dec Deco
 	}
 	codecByTag[tag] = codecEntry{enc: enc, dec: dec, dir: dir}
 	codecByType[t] = tag
-	gob.Register(prototype) // the gob fallback path must still carry it
+	RegisterType(prototype) // the legacy gob connection path must still carry it
 }
 
 // --- append primitives (encoding side) ---
@@ -182,6 +186,17 @@ func AppendBool(b []byte, v bool) []byte {
 // AppendFloat64 appends the IEEE-754 bits, little-endian.
 func AppendFloat64(b []byte, f float64) []byte {
 	return binary.LittleEndian.AppendUint64(b, math.Float64bits(f))
+}
+
+// SortedIDs returns m's keys in ascending order. Codecs encode maps in
+// key order, so equal maps always encode to equal bytes.
+func SortedIDs[V any](m map[uint32]V) []uint32 {
+	ids := make([]uint32, 0, len(m))
+	for id := range m {
+		ids = append(ids, id)
+	}
+	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
+	return ids
 }
 
 // --- Cursor (decoding side) ---
@@ -289,7 +304,9 @@ func (c *Cursor) Bytes() []byte {
 }
 
 // String reads a length-prefixed string, interned so repeated values
-// (relation names, addresses) are decoded without allocating.
+// (relation names, addresses) are decoded without allocating. Bulk data
+// (tuple values, descriptor keys, join keys) must use BulkString, so it
+// cannot fill the bounded interner.
 func (c *Cursor) String() string {
 	b := c.Bytes()
 	if c.Err != nil || len(b) == 0 {
@@ -299,6 +316,28 @@ func (c *Cursor) String() string {
 		return string(b)
 	}
 	return c.in.intern(b)
+}
+
+// BulkString reads a length-prefixed string without interning it.
+func (c *Cursor) BulkString() string {
+	b := c.Bytes()
+	if c.Err != nil || len(b) == 0 {
+		return ""
+	}
+	return string(b)
+}
+
+// Count reads a wire-declared element count and checks it against the
+// remaining payload at one byte per element, so a count the frame
+// cannot hold latches ErrBadFrame before a decoder allocates for it.
+// Decoders still size their first allocation with PreallocHint.
+func (c *Cursor) Count() uint64 {
+	n := c.Uvarint()
+	if c.Err == nil && n > uint64(c.Len()) {
+		c.Err = fmt.Errorf("%w: count %d exceeds the %d bytes left", ErrBadFrame, n, c.Len())
+		return 0
+	}
+	return n
 }
 
 // Bool reads one byte as a boolean.
@@ -349,7 +388,7 @@ type frame struct {
 }
 
 // appendFrame appends the frame's encoding (without the outer length
-// prefix) to b. Unregistered body types fall back to a gob blob.
+// prefix) to b. A body type with no registered codec is an error.
 func appendFrame(b []byte, f *frame) ([]byte, error) {
 	b = append(b, f.kind)
 	b = AppendUvarint(b, f.id)
@@ -381,17 +420,12 @@ func appendFrame(b []byte, f *frame) ([]byte, error) {
 	if f.body == nil {
 		return AppendUvarint(b, tagNil), nil
 	}
-	if tag, ok := codecByType[reflect.TypeOf(f.body)]; ok {
-		b = AppendUvarint(b, tag)
-		return codecByTag[tag].enc(b, f.body), nil
+	tag, ok := codecByType[reflect.TypeOf(f.body)]
+	if !ok {
+		return nil, fmt.Errorf("transport: no binary codec for %T", f.body)
 	}
-	b = AppendUvarint(b, tagGobBlob)
-	var blob bytes.Buffer
-	if err := gob.NewEncoder(&blob).Encode(&f.body); err != nil {
-		return nil, fmt.Errorf("transport: gob fallback for %T: %w", f.body, err)
-	}
-	b = AppendUvarint(b, uint64(blob.Len()))
-	return append(b, blob.Bytes()...), nil
+	b = AppendUvarint(b, tag)
+	return codecByTag[tag].enc(b, f.body), nil
 }
 
 // parseFrame decodes one frame from c (the payload after the outer
@@ -426,9 +460,9 @@ func parseFrame(c *Cursor) (frame, error) {
 		f.err = c.String()
 	}
 	if flags&flagSpans != 0 {
-		n := c.Uvarint()
-		if n > uint64(c.Len()) { // each span needs ≥1 byte
-			return f, fmt.Errorf("%w: span count %d", ErrBadFrame, n)
+		n := c.Count()
+		if c.Err != nil {
+			return f, c.Err
 		}
 		f.spans = make([]trace.Wire, 0, PreallocHint(n))
 		for i := uint64(0); i < n && c.Err == nil; i++ {
@@ -445,14 +479,8 @@ func parseFrame(c *Cursor) (frame, error) {
 	}
 	switch tag {
 	case tagNil:
-	case tagGobBlob:
-		blob := c.Bytes()
-		if c.Err != nil {
-			return f, c.Err
-		}
-		if err := gob.NewDecoder(bytes.NewReader(blob)).Decode(&f.body); err != nil {
-			return f, fmt.Errorf("%w: gob blob: %v", ErrBadFrame, err)
-		}
+	case tagReserved:
+		return f, fmt.Errorf("%w: reserved tag %d", ErrBadFrame, tag)
 	default:
 		entry, ok := codecByTag[tag]
 		if !ok {
@@ -510,12 +538,9 @@ func parseWire(c *Cursor, depth int) (trace.Wire, error) {
 	w.SpanID = c.Uvarint()
 	w.Name = c.String()
 	w.DurUS = c.Varint()
-	n := c.Uvarint()
+	n := c.Count()
 	if c.Err != nil {
 		return w, c.Err
-	}
-	if n > uint64(c.Len()) { // each item needs ≥3 bytes
-		return w, fmt.Errorf("%w: span item count %d", ErrBadFrame, n)
 	}
 	for i := uint64(0); i < n; i++ {
 		var it trace.WireItem
@@ -605,12 +630,9 @@ func init() {
 			return b
 		},
 		func(c *Cursor) (any, error) {
-			n := c.Uvarint()
+			n := c.Count()
 			if c.Err != nil {
 				return nil, c.Err
-			}
-			if n > uint64(c.Len()) { // each ref needs ≥2 bytes
-				return nil, fmt.Errorf("%w: ref count %d", ErrBadFrame, n)
 			}
 			var resp RefsResp
 			if n > 0 {

@@ -7,8 +7,10 @@
 // deterministic zero-latency fabric internal/sim uses for the paper-scale
 // simulations (Figs. 6-12); unreachable addresses return ErrUnknownAddr,
 // modeling crashed peers. The TCP transport (TCPServer/TCPCaller) runs the
-// same protocols over gob-encoded connections for live clusters
-// (cmd/peerd); request/response types register once via RegisterType.
+// same protocols for live clusters (cmd/peerd) over multiplexed
+// connections in a binary frame format: every message type registers a
+// codec once via RegisterCodec. A legacy gob-per-call connection path,
+// negotiated per address, remains for peers that do not speak it.
 //
 // Resilience wraps composably around either transport:
 //

@@ -511,9 +511,9 @@ func (s *TCPServer) serveBinary(conn net.Conn, br *bufio.Reader) {
 		// queue it caps both the goroutines and the memory one stalled
 		// connection can pin before being torn down.
 		if werr := gw.writeFrame(&out, respWriteTimeout); errors.Is(werr, errEncode) {
-			// Encoding failed (e.g. an unregistered aux type hit a gob
-			// error): still answer, as an error frame, so the caller is
-			// not left waiting for a correlation id that never comes.
+			// Encoding failed (e.g. an aux type with no binary codec):
+			// still answer, as an error frame, so the caller is not left
+			// waiting for a correlation id that never comes.
 			ef := frame{kind: kindResponse, id: t.id, err: werr.Error()}
 			gw.writeFrame(&ef, respWriteTimeout)
 		}

@@ -21,7 +21,7 @@ import (
 // sampleFrames builds a deterministic corpus: every registered codec's
 // zero-value prototype in each frame direction its tag is valid for,
 // plus frames exercising each optional field (trace context, error
-// string, spans, gob-blob body, nil body).
+// string, spans, nil body).
 func sampleFrames(t testing.TB) [][]byte {
 	var frames []frame
 	for typ, tag := range codecByType {
@@ -39,7 +39,7 @@ func sampleFrames(t testing.TB) [][]byte {
 		frame{kind: kindResponse, id: 8, err: "handler exploded"},
 		frame{kind: kindRequest, id: 9,
 			tc:   &trace.Context{TraceID: 0xfeed, SpanID: 0xbeef, Sampled: true, Caller: "10.0.0.1:4000"},
-			body: echoReq{Msg: "traced"}}, // unregistered type -> gob blob
+			body: echoReq{Msg: "traced"}},
 		frame{kind: kindResponse, id: 10, spans: []trace.Wire{{
 			TraceID: 1, Parent: 2, SpanID: 3, Name: "serve", DurUS: 42,
 			Items: []trace.WireItem{{Kind: "event", Detail: "hit"}},
@@ -92,7 +92,6 @@ func FuzzFrameParse(f *testing.F) {
 		f.Add(full[:cut]) // truncated frames
 	}
 	f.Add([]byte{kindRequest, 0x01, flagSpans, 0xff, 0xff, 0xff, 0xff, 0x0f}) // absurd span count
-	f.Add(binary.AppendUvarint([]byte{kindRequest, 0x01, 0x00}, tagGobBlob))  // gob blob, no length
 	f.Fuzz(func(t *testing.T, payload []byte) {
 		if len(payload) > 1<<16 {
 			return
@@ -116,6 +115,30 @@ func FuzzFrameParse(f *testing.F) {
 			t.Errorf("frame changed across a round trip:\nfirst:  %+v\nsecond: %+v", fr, fr2)
 		}
 	})
+}
+
+// TestFrameRejectsReservedTag pins that tag 1, which once carried a gob
+// blob, decodes as ErrBadFrame in both frame directions, with or
+// without bytes behind it.
+func TestFrameRejectsReservedTag(t *testing.T) {
+	for _, kind := range []byte{kindRequest, kindResponse} {
+		payload := binary.AppendUvarint([]byte{kind, 0x01, 0x00}, tagReserved)
+		for _, p := range [][]byte{payload, append(payload, 0x03, 'a', 'b', 'c')} {
+			if _, err := parseFrame(NewCursor(p)); !errors.Is(err, ErrBadFrame) {
+				t.Errorf("kind %d: reserved tag parsed with err = %v, want ErrBadFrame", kind, err)
+			}
+		}
+	}
+}
+
+// TestFrameWithoutCodecFailsToEncode pins that a body type with no
+// registered codec is an encode error, not a frame on the wire.
+func TestFrameWithoutCodecFailsToEncode(t *testing.T) {
+	type uncoded struct{ N int }
+	f := frame{kind: kindRequest, id: 1, body: uncoded{N: 1}}
+	if b, err := appendFrame(nil, &f); err == nil {
+		t.Errorf("uncoded body encoded to %d bytes, want an error", len(b))
+	}
 }
 
 // TestReadFramePayloadGuards pins the length-prefix defenses: a declared
@@ -179,9 +202,9 @@ func TestFrameRejectsWrongDirectionTag(t *testing.T) {
 
 // TestLargeResponseRidesBinaryPath pins the asymmetric frame limit: a
 // response far beyond MaxFrame (the request cap) must still cross the
-// multiplexed binary connection, because bulk payloads like
-// FetchDataResp rode the gob path without any size limit before the
-// binary codec existed.
+// multiplexed binary connection through its codec, because bulk
+// payloads like FetchDataResp rode the gob path without any size limit
+// before the binary codec existed.
 func TestLargeResponseRidesBinaryPath(t *testing.T) {
 	big := string(bytes.Repeat([]byte{'x'}, MaxFrame+(1<<20)))
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
@@ -542,5 +565,17 @@ func TestMuxHandlerPanicBecomesError(t *testing.T) {
 	}
 	if _, err := caller.Call(srv.Addr(), echoReq{Msg: "ok"}); err != nil {
 		t.Fatalf("call after handler panic: %v (connection should survive)", err)
+	}
+}
+
+// TestMissingCodecsListsUncodedTypes pins the completeness gate's
+// primitive: a type registered for gob but given no binary codec is
+// listed, and the chord RPCs (all coded) are not.
+func TestMissingCodecsListsUncodedTypes(t *testing.T) {
+	type uncodedMsg struct{ N int }
+	RegisterType(uncodedMsg{})
+	missing := MissingCodecs()
+	if len(missing) != 1 || missing[0] != reflect.TypeOf(uncodedMsg{}).String() {
+		t.Errorf("MissingCodecs() = %v, want just the uncoded test type", missing)
 	}
 }

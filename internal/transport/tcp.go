@@ -6,6 +6,8 @@ import (
 	"errors"
 	"io"
 	"net"
+	"reflect"
+	"sort"
 	"sync"
 	"time"
 
@@ -14,8 +16,31 @@ import (
 
 // RegisterType registers a request or response type for gob transfer.
 // Every concrete type sent through the TCP transport must be registered by
-// both ends (the peer and chord packages register theirs in init).
-func RegisterType(v any) { gob.Register(v) }
+// both ends (the peer and chord packages register theirs in init). The
+// binary protocol additionally needs a codec for it (RegisterCodec);
+// MissingCodecs lists the registered types that lack one.
+func RegisterType(v any) {
+	gob.Register(v)
+	registered[reflect.TypeOf(v)] = struct{}{}
+}
+
+// registered records every RegisterType'd type. Registration happens in
+// package init, so the map needs no lock.
+var registered = map[reflect.Type]struct{}{}
+
+// MissingCodecs returns the sorted names of RegisterType'd types that
+// have no binary codec. Sending one over the binary protocol fails to
+// encode, so a non-empty result is a bug in the protocol package.
+func MissingCodecs() []string {
+	var out []string
+	for t := range registered {
+		if _, ok := codecByType[t]; !ok {
+			out = append(out, t.String())
+		}
+	}
+	sort.Strings(out)
+	return out
+}
 
 // envelope frames one request or response on the wire. TC carries the
 // caller's trace context on requests (nil when unsampled, so untraced

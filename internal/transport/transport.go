@@ -27,8 +27,8 @@ var (
 )
 
 // Caller issues a request to the node at addr and returns its response.
-// Requests and responses are plain values; over TCP they must be
-// gob-encodable and registered with RegisterType.
+// Requests and responses are plain values; over TCP each concrete type
+// needs a binary codec registered with RegisterCodec.
 type Caller interface {
 	Call(addr string, req any) (any, error)
 }

@@ -14,9 +14,19 @@ import (
 type echoReq struct{ Msg string }
 type echoResp struct{ Msg string }
 
+// Test-only tags for the echo messages, far above every protocol range.
+const (
+	tagEchoReq  uint64 = 1000
+	tagEchoResp uint64 = 1001
+)
+
 func init() {
-	RegisterType(echoReq{})
-	RegisterType(echoResp{})
+	RegisterCodec(tagEchoReq, echoReq{}, DirRequest,
+		func(b []byte, v any) []byte { return AppendString(b, v.(echoReq).Msg) },
+		func(c *Cursor) (any, error) { return echoReq{Msg: c.BulkString()}, c.Err })
+	RegisterCodec(tagEchoResp, echoResp{}, DirResponse,
+		func(b []byte, v any) []byte { return AppendString(b, v.(echoResp).Msg) },
+		func(c *Cursor) (any, error) { return echoResp{Msg: c.BulkString()}, c.Err })
 }
 
 func echoHandler(req any) (any, error) {

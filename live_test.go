@@ -1,16 +1,24 @@
 package p2prange
 
 import (
+	"reflect"
 	"testing"
 	"time"
 
 	"p2prange/internal/chord"
+	"p2prange/internal/metrics"
 	"p2prange/internal/relation"
 )
 
 // liveRing starts n real TCP peers on loopback with fast stabilization
 // and waits for convergence.
 func liveRing(t *testing.T, n int) []*LivePeer {
+	return liveRingWith(t, n, nil)
+}
+
+// liveRingWith is liveRing with a hook that adjusts the shared config
+// (replication, load awareness) before any peer starts.
+func liveRingWith(t *testing.T, n int, adjust func(*LiveConfig)) []*LivePeer {
 	t.Helper()
 	cfg := LiveConfig{
 		K: 4, L: 3, SchemeSeed: 77,
@@ -21,6 +29,9 @@ func liveRing(t *testing.T, n int) []*LivePeer {
 			FixFingersEvery:       5 * time.Millisecond,
 			CheckPredecessorEvery: 50 * time.Millisecond,
 		},
+	}
+	if adjust != nil {
+		adjust(&cfg)
 	}
 	boot, err := StartPeer("127.0.0.1:0", "", cfg)
 	if err != nil {
@@ -47,43 +58,75 @@ func liveRing(t *testing.T, n int) []*LivePeer {
 	return peers
 }
 
+// TestLiveLookupAndFetch runs a lookup and a fetch over real TCP and
+// checks the fetched tuples themselves against SelectRange, so a wire
+// codec that garbles a value's kind, integer or string fails here. The
+// replicated, load-aware case also sends LoadReq/LoadResp over TCP for
+// every probe and checks the selection used their answers.
 func TestLiveLookupAndFetch(t *testing.T) {
-	peers := liveRing(t, 5)
+	cases := []struct {
+		name   string
+		adjust func(*LiveConfig)
+	}{
+		{"plain", nil},
+		{"replicated-load-aware", func(c *LiveConfig) { c.Replicas, c.LoadAware = 2, true }},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			peers := liveRingWith(t, 5, tc.adjust)
+			loadAware := tc.adjust != nil
+			selections := metrics.Default.Counter("replica.selections")
+			fallbacks := metrics.Default.Counter("replica.fallbacks")
+			selBefore, fbBefore := selections.Value(), fallbacks.Value()
 
-	rels, err := relation.GenerateMedical(relation.MedicalConfig{
-		Patients: 100, Physicians: 5, Diagnoses: 100, Seed: 1,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	holder := peers[2]
-	rg, _ := NewRange(30, 50)
-	if err := holder.AddPartition(rels["Patient"], "age", rg); err != nil {
-		t.Fatal(err)
-	}
-	if err := holder.Publish(holder.Descriptor("Patient", "age", rg)); err != nil {
-		t.Fatal(err)
-	}
+			rels, err := relation.GenerateMedical(relation.MedicalConfig{
+				Patients: 100, Physicians: 5, Diagnoses: 100, Seed: 1,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			holder := peers[2]
+			rg, _ := NewRange(30, 50)
+			if err := holder.AddPartition(rels["Patient"], "age", rg); err != nil {
+				t.Fatal(err)
+			}
+			if err := holder.Publish(holder.Descriptor("Patient", "age", rg)); err != nil {
+				t.Fatal(err)
+			}
 
-	querier := peers[4]
-	similar, _ := NewRange(30, 49)
-	m, found, err := querier.Lookup("Patient", "age", similar, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !found {
-		t.Fatal("similar range not found over TCP")
-	}
-	if m.Partition.Holder != holder.Addr() {
-		t.Errorf("holder = %s, want %s", m.Partition.Holder, holder.Addr())
-	}
-	data, err := querier.Fetch(m)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, _ := rels["Patient"].SelectRange("age", rg)
-	if data.Len() != want.Len() {
-		t.Errorf("fetched %d tuples, want %d", data.Len(), want.Len())
+			querier := peers[4]
+			similar, _ := NewRange(30, 49)
+			m, found, err := querier.Lookup("Patient", "age", similar, false)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !found {
+				t.Fatal("similar range not found over TCP")
+			}
+			if m.Partition.Holder != holder.Addr() {
+				t.Errorf("holder = %s, want %s", m.Partition.Holder, holder.Addr())
+			}
+			data, err := querier.Fetch(m)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, _ := rels["Patient"].SelectRange("age", rg)
+			if data.Schema.Name != want.Schema.Name {
+				t.Errorf("fetched relation %q, want %q", data.Schema.Name, want.Schema.Name)
+			}
+			if data.Len() == 0 || !reflect.DeepEqual(data.Tuples, want.Tuples) {
+				t.Errorf("fetched tuples differ from SelectRange:\ngot  %v\nwant %v", data.Tuples, want.Tuples)
+			}
+
+			if loadAware {
+				if fallbacks.Value() != fbBefore {
+					t.Errorf("%d load-aware probe(s) fell back to the owner path", fallbacks.Value()-fbBefore)
+				}
+				if selections.Value() == selBefore {
+					t.Error("no probe was routed by a LoadResp")
+				}
+			}
+		})
 	}
 }
 
