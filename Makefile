@@ -8,17 +8,21 @@ build:
 test:
 	$(GO) test ./...
 
-# check is the pre-merge gate: formatting, static analysis, doc links,
-# doc flag tables, the allocation guards, the wire-codec and WAL-record
-# fuzz seed corpora, a quick race pass over the replica subsystem and
-# the crash-recovery suite (the most concurrent code in the repo), then
-# the full suite under the race detector.
+# check is the pre-merge gate: formatting, static analysis (the
+# perfbench benchmark module too: it is its own Go module, so the root's
+# vet does not see it, and a root API change that breaks it must fail
+# here, not on the next benchmark run), doc links, doc flag tables, the
+# allocation guards, the wire-codec and WAL-record fuzz seed corpora, a
+# quick race pass over the replica subsystem and the crash-recovery
+# suite (the most concurrent code in the repo), then the full suite
+# under the race detector.
 check:
 	@unformatted=$$(gofmt -l .); \
 	if [ -n "$$unformatted" ]; then \
 		echo "gofmt needed on:"; echo "$$unformatted"; exit 1; \
 	fi
 	$(GO) vet ./...
+	cd perfbench && $(GO) vet ./...
 	$(MAKE) linkcheck
 	$(MAKE) flagcheck
 	$(MAKE) benchguard

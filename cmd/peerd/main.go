@@ -80,7 +80,6 @@ func main() {
 		sigCache   = flag.Int("sigcache", 256, "signature-cache capacity (ranges); 0 disables")
 		workers    = flag.Int("hashworkers", 0, "goroutines signing large ranges; <=1 is serial")
 		debugAddr  = flag.String("debug-addr", "", "serve /debug/vars (expvar) and /debug/pprof on this address (empty disables)")
-		codec      = flag.String("codec", transport.CodecBinary, "outgoing wire protocol: binary (negotiated, falls back per address) | gob")
 
 		replicas     = flag.Int("replicas", 0, "successor copies per stored descriptor; 0 disables replication")
 		loadAware    = flag.Bool("load-aware", false, "route probes to the least-loaded live replica (needs -replicas)")
@@ -112,9 +111,6 @@ func main() {
 	if err != nil {
 		log.Fatalf("peerd: %v", err)
 	}
-	if *codec != transport.CodecBinary && *codec != transport.CodecGob {
-		log.Fatalf("peerd: unknown -codec %q (want binary or gob)", *codec)
-	}
 	cfg := p2prange.LiveConfig{
 		Family:           fam,
 		K:                *k,
@@ -126,7 +122,6 @@ func main() {
 		DisableRerouting: *noReroute,
 		SigCache:         *sigCache,
 		HashWorkers:      *workers,
-		Codec:            *codec,
 		Replicas:         *replicas,
 		LoadAware:        *loadAware,
 		HotReplicas:      *hotReplicas,

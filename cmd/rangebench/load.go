@@ -2,10 +2,9 @@
 // in-process, publishes a descriptor population, and drives lookups at a
 // target arrival rate regardless of completions (open loop, so queueing
 // delay shows up as latency instead of silently throttling the
-// generator). The ramp runs each codec through rising qps stages and the
+// generator). The ramp runs the ring through rising qps stages and the
 // report records sustained qps, latency percentiles, and the error
-// budget per stage, plus the binary/gob ratio the wire-codec work is
-// judged by.
+// budget per stage.
 package main
 
 import (
@@ -23,26 +22,24 @@ import (
 	"p2prange"
 	"p2prange/internal/chord"
 	"p2prange/internal/rangeset"
-	"p2prange/internal/transport"
 )
 
 // loadOptions carries the -load* flag values.
 type loadOptions struct {
 	qps      int
 	duration time.Duration
-	codec    string // both | binary | gob
 	peers    int
 	out      string
 	seed     int64
 	profile  string
 	slo      time.Duration // p99 budget a stage must meet to count as sustained
-	flight   bool          // run the flight-recorder overhead A/B instead of the codec ramp
+	flight   bool          // run the flight-recorder overhead A/B instead of the ramp
 }
 
 // sloErrorBudget is the error-rate ceiling for a stage to pass the SLO.
 const sloErrorBudget = 0.005
 
-// loadStage is one measured ramp stage of one codec run.
+// loadStage is one measured ramp stage.
 type loadStage struct {
 	TargetQPS    float64 `json:"target_qps"`
 	Issued       int64   `json:"issued"`
@@ -56,42 +53,38 @@ type loadStage struct {
 	PassedSLO    bool    `json:"passed_slo"`
 }
 
-// loadCodecReport is the full ramp of one codec. SustainedSLOQPS is the
-// headline number: the highest completed rate among stages whose p99
-// stayed within the SLO and whose error rate stayed within budget —
-// i.e. the load the codec sustains while still healthy, not the rate it
-// degrades to after collapse (at deep overload every transport converges
-// to whatever the saturated CPU drains, so raw completion rate alone
-// cannot distinguish them).
-type loadCodecReport struct {
-	Codec           string      `json:"codec"`
+// loadRampReport is the full ramp. SustainedSLOQPS is the headline
+// number: the highest completed rate among stages whose p99 stayed
+// within the SLO and whose error rate stayed within budget — i.e. the
+// load the ring sustains while still healthy, not the rate it degrades
+// to after collapse (at deep overload any configuration converges to
+// whatever the saturated CPU drains, so raw completion rate alone cannot
+// tell two apart).
+type loadRampReport struct {
 	Stages          []loadStage `json:"stages"`
 	SustainedSLOQPS float64     `json:"sustained_slo_qps"`
 }
 
 // loadReport is the BENCH_load.json document.
 type loadReport struct {
-	Peers           int                        `json:"peers"`
-	TargetQPS       int                        `json:"target_qps"`
-	StageDuration   string                     `json:"stage_duration"`
-	Partitions      int                        `json:"partitions"`
-	SLOP99          string                     `json:"slo_p99"`
-	SLOErrorBudget  float64                    `json:"slo_error_budget"`
-	Codecs          map[string]loadCodecReport `json:"codecs"`
-	SpeedupQPS      float64                    `json:"speedup_sustained_qps,omitempty"`
-	SpeedupAtP99    string                     `json:"speedup_note,omitempty"`
-	GeneratedBy     string                     `json:"generated_by"`
-	DurationSeconds float64                    `json:"duration_seconds"`
+	Peers           int            `json:"peers"`
+	TargetQPS       int            `json:"target_qps"`
+	StageDuration   string         `json:"stage_duration"`
+	Partitions      int            `json:"partitions"`
+	SLOP99          string         `json:"slo_p99"`
+	SLOErrorBudget  float64        `json:"slo_error_budget"`
+	Ramp            loadRampReport `json:"ramp"`
+	GeneratedBy     string         `json:"generated_by"`
+	DurationSeconds float64        `json:"duration_seconds"`
 }
 
 // rampFractions are the arrival-rate ramp: each stage targets this
 // fraction of -load-qps for -load-duration. The grid is fine enough to
-// bracket each codec's SLO ceiling instead of stepping over it.
+// bracket the SLO ceiling instead of stepping over it.
 var rampFractions = []float64{0.0625, 0.125, 0.25, 0.375, 0.5, 0.625, 0.75, 0.875, 1.0}
 
 // warmupFraction and warmupDuration shape the discarded warm-up stage
-// that absorbs one-time costs (dials, protocol negotiation, goroutine
-// stack growth) before the first measured stage.
+// that absorbs one-time costs (dials, hellos, goroutine stack growth) before the first measured stage.
 const (
 	warmupFraction = 0.0625
 	warmupDuration = time.Second
@@ -104,14 +97,6 @@ const loadPartitions = 45
 func runLoad(opt loadOptions) error {
 	if opt.flight {
 		return runLoadFlight(opt)
-	}
-	codecs := []string{transport.CodecBinary, transport.CodecGob}
-	switch opt.codec {
-	case "both":
-	case transport.CodecBinary, transport.CodecGob:
-		codecs = []string{opt.codec}
-	default:
-		return fmt.Errorf("unknown -load-codec %q (want both, binary, or gob)", opt.codec)
 	}
 	if opt.profile != "" {
 		pf, err := os.Create(opt.profile)
@@ -134,47 +119,27 @@ func runLoad(opt loadOptions) error {
 		Partitions:     loadPartitions,
 		SLOP99:         opt.slo.String(),
 		SLOErrorBudget: sloErrorBudget,
-		Codecs:         make(map[string]loadCodecReport, len(codecs)),
 		GeneratedBy:    "rangebench -load",
 	}
-	for i, codec := range codecs {
-		if i > 0 {
-			// Let the previous ring's teardown finish and collect its
-			// heap so the next codec starts from the same baseline.
-			runtime.GC()
-			time.Sleep(300 * time.Millisecond)
-		}
-		fmt.Printf("load: %s ring (%d peers) ...\n", codec, opt.peers)
-		cr, err := runLoadCodec(codec, opt)
-		if err != nil {
-			return fmt.Errorf("%s ring: %w", codec, err)
-		}
-		report.Codecs[codec] = cr
-		for _, st := range cr.Stages {
-			verdict := "FAIL slo"
-			if st.PassedSLO {
-				verdict = "ok"
-			}
-			fmt.Printf("load: %-6s target %6.0f qps -> sustained %7.1f qps  p50=%s p95=%s p99=%s  errs=%d/%d  [%s]\n",
-				codec, st.TargetQPS, st.SustainedQPS,
-				time.Duration(st.P50US)*time.Microsecond,
-				time.Duration(st.P95US)*time.Microsecond,
-				time.Duration(st.P99US)*time.Microsecond,
-				st.Errors, st.Issued, verdict)
-		}
-		fmt.Printf("load: %-6s sustains %.1f qps within p99<=%s\n", codec, cr.SustainedSLOQPS, opt.slo)
+	fmt.Printf("load: ring (%d peers) ...\n", opt.peers)
+	ramp, err := runLoadRamp(opt)
+	if err != nil {
+		return err
 	}
-	if b, okB := report.Codecs[transport.CodecBinary]; okB {
-		if g, okG := report.Codecs[transport.CodecGob]; okG {
-			if g.SustainedSLOQPS > 0 {
-				report.SpeedupQPS = b.SustainedSLOQPS / g.SustainedSLOQPS
-				report.SpeedupAtP99 = fmt.Sprintf(
-					"binary sustains %.1f qps vs gob %.1f qps at equal p99 budget (<=%s, error rate <=%.1f%%)",
-					b.SustainedSLOQPS, g.SustainedSLOQPS, opt.slo, 100*sloErrorBudget)
-				fmt.Printf("load: binary/gob sustained-qps ratio %.2fx at p99<=%s\n", report.SpeedupQPS, opt.slo)
-			}
+	report.Ramp = ramp
+	for _, st := range ramp.Stages {
+		verdict := "FAIL slo"
+		if st.PassedSLO {
+			verdict = "ok"
 		}
+		fmt.Printf("load: target %6.0f qps -> sustained %7.1f qps  p50=%s p95=%s p99=%s  errs=%d/%d  [%s]\n",
+			st.TargetQPS, st.SustainedQPS,
+			time.Duration(st.P50US)*time.Microsecond,
+			time.Duration(st.P95US)*time.Microsecond,
+			time.Duration(st.P99US)*time.Microsecond,
+			st.Errors, st.Issued, verdict)
 	}
+	fmt.Printf("load: sustains %.1f qps within p99<=%s\n", ramp.SustainedSLOQPS, opt.slo)
 	report.DurationSeconds = time.Since(start).Seconds()
 	if err := mergeReport(opt.out, report); err != nil {
 		return err
@@ -218,14 +183,14 @@ func mergeReport(path string, doc any) error {
 	return f.Close()
 }
 
-// runLoadCodec builds a fresh ring speaking one codec, seeds it, and
-// runs the qps ramp against it. A warm-up burst is run and discarded
+// runLoadRamp builds a fresh ring, seeds it, and runs the qps ramp
+// against it. A warm-up burst is run and discarded
 // first, and the heap is collected between stages so one stage's
 // garbage (deep overload leaves a lot) is not billed to the next.
-func runLoadCodec(codec string, opt loadOptions) (loadCodecReport, error) {
-	cr := loadCodecReport{Codec: codec}
-	// The codec ramp measures the shipped default, recorder included.
-	peers, err := startLoadRing(codec, opt.peers, false)
+func runLoadRamp(opt loadOptions) (loadRampReport, error) {
+	var cr loadRampReport
+	// The ramp measures the shipped default, recorder included.
+	peers, err := startLoadRing(opt.peers, false)
 	if err != nil {
 		return cr, err
 	}
@@ -291,7 +256,7 @@ type flightOverheadReport struct {
 // runLoadFlight measures the flight recorder's cost: two rings differing
 // only in LiveConfig.FlightOff run the same open-loop stage, and the
 // sustained-qps delta is the recorder's overhead. Recorded into the
-// report file without disturbing the codec-ramp keys.
+// report file without disturbing the ramp keys.
 func runLoadFlight(opt loadOptions) error {
 	qps := float64(opt.qps) * 0.5 // mid-ramp: loaded but not collapsing
 	var sustained [2]float64
@@ -300,7 +265,7 @@ func runLoadFlight(opt loadOptions) error {
 	for variant, off := range []bool{true, false} {
 		name := map[bool]string{true: "flight-off", false: "flight-on"}[off]
 		fmt.Printf("load: %s ring (%d peers) ...\n", name, opt.peers)
-		peers, err := startLoadRing(transport.CodecBinary, opt.peers, off)
+		peers, err := startLoadRing(opt.peers, off)
 		if err != nil {
 			return fmt.Errorf("%s ring: %w", name, err)
 		}
@@ -360,11 +325,10 @@ func runLoadFlight(opt loadOptions) error {
 
 // startLoadRing launches n live TCP peers on loopback and waits for the
 // ring to stabilize.
-func startLoadRing(codec string, n int, flightOff bool) ([]*p2prange.LivePeer, error) {
+func startLoadRing(n int, flightOff bool) ([]*p2prange.LivePeer, error) {
 	cfg := p2prange.LiveConfig{
 		K: 4, L: 3, SchemeSeed: 77,
 		Measure:   p2prange.MatchContainment,
-		Codec:     codec,
 		FlightOff: flightOff,
 		Stabilize: chord.MaintainerConfig{
 			StabilizeEvery:        20 * time.Millisecond,

@@ -41,7 +41,6 @@ func main() {
 		loadQPS      = flag.Int("load-qps", 48000, "load harness: full-rate target arrival rate (approached through a fractional ramp)")
 		loadDuration = flag.Duration("load-duration", 2*time.Second, "load harness: duration of each ramp stage")
 		loadSLO      = flag.Duration("load-slo", 25*time.Millisecond, "load harness: p99 latency budget a stage must meet to count as sustained")
-		loadCodec    = flag.String("load-codec", "both", "load harness: wire protocol(s) to measure: both | binary | gob")
 		loadPeers    = flag.Int("load-peers", 3, "load harness: ring size (live TCP peers on loopback)")
 		loadOut      = flag.String("load-out", "BENCH_load.json", "load harness: JSON report path")
 		loadProfile  = flag.String("load-cpuprofile", "", "load harness: write a CPU profile of the run to this file")
@@ -62,7 +61,6 @@ func main() {
 		err := runLoad(loadOptions{
 			qps:      *loadQPS,
 			duration: *loadDuration,
-			codec:    *loadCodec,
 			peers:    *loadPeers,
 			out:      *loadOut,
 			seed:     *seed,

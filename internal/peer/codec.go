@@ -12,10 +12,8 @@ import (
 // allocations steady-state — benchmarked by BenchmarkCodecProbe and
 // enforced by `make benchguard`) plus thin boxed wrappers registered
 // with the transport's tag registry. Bulk messages (FetchDataResp's
-// tuple sets, handoff buckets) have codecs too: a per-frame gob stream
-// re-sends and re-compiles its type descriptors on every message, which
-// costs more than the data itself. Tuple strings decode uninterned so
-// bulk data cannot fill the per-connection interner.
+// tuple sets, handoff buckets) have codecs too. Tuple strings decode
+// uninterned so bulk data cannot fill the per-connection interner.
 const (
 	tagFindBestReq       = transport.TagPeerBase + 0
 	tagFindBestResp      = transport.TagPeerBase + 1

@@ -71,8 +71,8 @@ type (
 	}
 )
 
-// wireRelation is the gob-friendly form of relation.Relation (schemas
-// travel by name; every peer knows the global schema).
+// wireRelation is the wire form of relation.Relation (schemas travel by
+// name; every peer knows the global schema).
 type wireRelation struct {
 	Relation string
 	Tuples   []relation.Tuple

@@ -60,7 +60,7 @@ func remoteBudget() *atomic.Int64 {
 	return b
 }
 
-// Wire is a span subtree in transferable form, gob/JSON-encodable with
+// Wire is a span subtree in transferable form, JSON-encodable with
 // no interface-typed fields. IDs ride along so the grafting side can
 // correlate fragments with the spans that caused them.
 type Wire struct {

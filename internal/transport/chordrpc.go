@@ -9,7 +9,7 @@ import (
 )
 
 // Chord protocol messages. The same message types travel over both
-// transports; gob registration happens in init.
+// transports; init declares them with RegisterType.
 type (
 	// SuccessorReq asks a node for its successor.
 	SuccessorReq struct{}

@@ -11,9 +11,8 @@ import (
 	"p2prange/internal/trace"
 )
 
-// Binary wire codec. The TCP transport's hot path frames every request
-// and response as a length-prefixed binary message instead of a gob
-// stream: a uvarint frame length, then a small header (kind, correlation
+// Binary wire codec. The TCP transport frames every request and
+// response as a length-prefixed binary message: a uvarint frame length, then a small header (kind, correlation
 // id, flags, optional trace context / error / span fragments), a uvarint
 // message tag, and a tag-specific payload. Every message type the
 // protocols send registers a hand-rolled encoder/decoder pair keyed by
@@ -31,8 +30,8 @@ const MaxFrame = 16 << 20
 // servers the caller chose to dial, so the trust model is asymmetric:
 // the limit exists to catch corruption, not hostile peers, and is large
 // enough for bulk payloads (FetchDataResp frames carrying whole tuple
-// sets) that the legacy gob path carried without any limit. Transfers
-// beyond it must use CodecGob.
+// sets). A response that would exceed it is sent as an error frame
+// instead; there is no other path.
 const MaxRespFrame = 1 << 30
 
 // preallocLimit caps slice capacity preallocated from a wire-declared
@@ -154,7 +153,6 @@ func RegisterCodec(tag uint64, prototype any, dir byte, enc EncodeFunc, dec Deco
 	}
 	codecByTag[tag] = codecEntry{enc: enc, dec: dec, dir: dir}
 	codecByType[t] = tag
-	RegisterType(prototype) // the legacy gob connection path must still carry it
 }
 
 // --- append primitives (encoding side) ---

@@ -7,10 +7,9 @@
 // deterministic zero-latency fabric internal/sim uses for the paper-scale
 // simulations (Figs. 6-12); unreachable addresses return ErrUnknownAddr,
 // modeling crashed peers. The TCP transport (TCPServer/TCPCaller) runs the
-// same protocols for live clusters (cmd/peerd) over multiplexed
-// connections in a binary frame format: every message type registers a
-// codec once via RegisterCodec. A legacy gob-per-call connection path,
-// negotiated per address, remains for peers that do not speak it.
+// same protocols for live clusters (cmd/peerd) over one multiplexed
+// connection per address in a binary frame format, opened by a 5-byte
+// hello: every message type registers a codec once via RegisterCodec.
 //
 // Resilience wraps composably around either transport:
 //

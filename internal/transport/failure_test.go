@@ -146,10 +146,10 @@ func TestFaultCallerSetDown(t *testing.T) {
 	}
 }
 
-// TestTCPConcurrentCallsNotSerialized proves the per-address pool lets
-// calls to one address overlap: with a 100ms handler, four concurrent
-// calls through a size-4 pool must take far less than the 400ms a
-// single-connection client needs.
+// TestTCPConcurrentCallsNotSerialized proves the multiplexed connection
+// lets calls to one address overlap: with a 100ms handler, four
+// concurrent calls must take far less than the 400ms a client that
+// waits for each round trip needs.
 func TestTCPConcurrentCallsNotSerialized(t *testing.T) {
 	const delay = 100 * time.Millisecond
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
@@ -182,7 +182,7 @@ func TestTCPConcurrentCallsNotSerialized(t *testing.T) {
 		t.Fatalf("%d concurrent calls failed", failed.Load())
 	}
 	if elapsed >= 3*delay {
-		t.Errorf("4 concurrent calls took %v; they serialized behind one connection", elapsed)
+		t.Errorf("4 concurrent calls took %v; they serialized behind each other", elapsed)
 	}
 }
 
@@ -252,7 +252,7 @@ func TestTCPServerClosedMidCallError(t *testing.T) {
 	}
 }
 
-// TestTCPRedialAfterReset proves a pooled connection invalidated by a
+// TestTCPRedialAfterReset proves a multiplexed connection killed by a
 // failure re-dials transparently once the server is back on the same
 // address.
 func TestTCPRedialAfterReset(t *testing.T) {
@@ -286,10 +286,10 @@ func TestTCPRedialAfterReset(t *testing.T) {
 	}
 }
 
-// TestRemoteErrorSurvivesGob pins that a handler-side error crosses the
-// TCP/gob transport as a RemoteError with its message intact, and is not
+// TestRemoteErrorSurvivesTCP pins that a handler-side error crosses the
+// TCP transport as a RemoteError with its message intact, and is not
 // mistaken for a transport failure.
-func TestRemoteErrorSurvivesGob(t *testing.T) {
+func TestRemoteErrorSurvivesTCP(t *testing.T) {
 	srv, caller := startTCP(t)
 	_, err := caller.Call(srv.Addr(), echoReq{Msg: "boom"})
 	var remote *RemoteError

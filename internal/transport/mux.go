@@ -19,25 +19,19 @@ import (
 // frames to in-flight calls. Requests pipeline — a slow response does
 // not block the requests queued behind it, because the server handles
 // each request in its own goroutine and responses return in completion
-// order. This replaces round-trip-per-connection-slot pooling on the
-// binary codec path; the gob protocol keeps the old pool.
+// order.
 
-// binaryMagic is the client hello / server ack that negotiates the
-// binary protocol. The first byte (0xB1) can never start a legal gob
-// stream (gob message lengths start with a byte < 0x80 or >= 0xF8), so
-// a server can tell the two protocols apart from the first byte, and a
-// legacy gob server drops a binary hello immediately — which the client
-// detects and falls back to gob for that address.
+// binaryMagic is the client hello and the server's ack: the protocol
+// check. A server closes a connection whose first five bytes are not
+// the hello, before any handler runs; a client whose hello is dropped
+// or answered with anything else fails the call with ErrNetwork.
 var binaryMagic = [5]byte{0xB1, 'p', '2', 'r', 1}
 
-// Codec selector values for TCPCaller.Codec.
-const (
-	// CodecBinary negotiates the framed binary protocol per address,
-	// falling back to gob when the remote does not speak it. The default.
-	CodecBinary = "binary"
-	// CodecGob forces the legacy gob-per-call protocol.
-	CodecGob = "gob"
-)
+// CodecBinary names the one TCP wire protocol.
+//
+// Deprecated: there is no protocol to select. It remains only as the
+// accepted non-empty value of p2prange.LiveConfig.Codec.
+const CodecBinary = "binary"
 
 // prefixRoom reserves space at the head of a write buffer for the
 // uvarint frame-length prefix.
@@ -402,65 +396,61 @@ func (m *muxConn) roundTrip(env envelope, timeout time.Duration) (envelope, erro
 }
 
 // mux returns a live multiplexed connection to addr, dialing and
-// negotiating on first use. fallback is true when the remote does not
-// speak the binary protocol and the caller should use gob instead.
-func (c *TCPCaller) mux(addr string) (m *muxConn, fallback bool, err error) {
+// exchanging the hello on first use.
+func (c *TCPCaller) mux(addr string) (*muxConn, error) {
 	c.mu.Lock()
 	if c.closed {
 		c.mu.Unlock()
-		return nil, false, ErrCallerClosed
+		return nil, ErrCallerClosed
 	}
 	if existing := c.muxes[addr]; existing != nil && !existing.isDead() {
 		c.mu.Unlock()
-		return existing, false, nil
+		return existing, nil
 	}
 	c.mu.Unlock()
 
 	conn, derr := net.DialTimeout("tcp", addr, c.DialTimeout)
 	if derr != nil {
-		return nil, false, netErrf("transport: dial %s: %w", addr, derr)
+		return nil, netErrf("transport: dial %s: %w", addr, derr)
 	}
 	if c.DialTimeout > 0 {
 		conn.SetDeadline(time.Now().Add(c.DialTimeout))
 	}
 	if _, werr := conn.Write(binaryMagic[:]); werr != nil {
 		conn.Close()
-		return nil, false, netErrf("transport: hello to %s: %w", addr, werr)
+		return nil, netErrf("transport: hello to %s: %w", addr, werr)
 	}
-	var ack [5]byte
+	var ack [len(binaryMagic)]byte
 	if _, rerr := io.ReadFull(conn, ack[:]); rerr != nil || ack != binaryMagic {
+		// A dropped, wrong or late ack (a peer that does not speak this
+		// protocol, one restarting mid-handshake, or a wedged one) fails
+		// this call; the next call dials afresh.
 		conn.Close()
-		if rerr != nil && isTimeout(rerr) {
-			// A deadline expiry is a slow or wedged peer, not evidence of
-			// a gob-only one: fail the call and leave negotiation open so
-			// a binary-capable peer is not latched onto gob by one hiccup.
-			return nil, false, netErrf("transport: hello ack from %s: %w", addr, rerr)
+		if rerr == nil {
+			rerr = fmt.Errorf("%w: bad hello ack %x", ErrBadFrame, ack)
 		}
-		// The remote read our hello and dropped (or garbled) the
-		// connection: that is what a binary hello looks like to a legacy
-		// gob decoder. Fall back for this address.
-		return nil, true, nil
+		return nil, netErrf("transport: hello ack from %s: %w", addr, rerr)
 	}
 	conn.SetDeadline(time.Time{})
 
-	m = newMuxConn(c, addr, conn)
+	m := newMuxConn(c, addr, conn)
 	c.mu.Lock()
 	if c.closed {
 		c.mu.Unlock()
 		m.fail(ErrCallerClosed)
-		return nil, false, ErrCallerClosed
+		return nil, ErrCallerClosed
 	}
 	if existing := c.muxes[addr]; existing != nil && !existing.isDead() {
 		c.mu.Unlock()
 		m.fail(netErrf("transport: duplicate connection to %s", addr))
-		return existing, false, nil
+		return existing, nil
 	}
 	if c.muxes == nil {
 		c.muxes = make(map[string]*muxConn)
 	}
 	c.muxes[addr] = m
 	c.mu.Unlock()
-	return m, false, nil
+	return m, nil
 }
 
 // --- server side ---

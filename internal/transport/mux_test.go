@@ -6,6 +6,7 @@ import (
 	"encoding/binary"
 	"encoding/gob"
 	"errors"
+	"io"
 	"net"
 	"reflect"
 	"sync"
@@ -202,9 +203,8 @@ func TestFrameRejectsWrongDirectionTag(t *testing.T) {
 
 // TestLargeResponseRidesBinaryPath pins the asymmetric frame limit: a
 // response far beyond MaxFrame (the request cap) must still cross the
-// multiplexed binary connection through its codec, because bulk
-// payloads like FetchDataResp rode the gob path without any size limit
-// before the binary codec existed.
+// multiplexed connection through its codec, because bulk payloads like
+// FetchDataResp have no other way onto the wire.
 func TestLargeResponseRidesBinaryPath(t *testing.T) {
 	big := string(bytes.Repeat([]byte{'x'}, MaxFrame+(1<<20)))
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
@@ -229,7 +229,7 @@ func TestLargeResponseRidesBinaryPath(t *testing.T) {
 	nmux := len(caller.muxes)
 	caller.mu.Unlock()
 	if nmux != 1 {
-		t.Errorf("large response used %d mux connections, want 1 (no gob fallback)", nmux)
+		t.Errorf("large response used %d mux connections, want 1", nmux)
 	}
 }
 
@@ -257,12 +257,11 @@ func TestGroupWriterFlushDeadline(t *testing.T) {
 	}
 }
 
-// --- negotiation ---
+// --- hello ---
 
-// legacyGobServer emulates a pre-binary-codec peer: a raw listener that
-// speaks only the sequential gob protocol and drops any connection whose
-// stream does not decode (which is what a binary hello looks like to it).
-func legacyGobServer(t *testing.T) (addr string, stop func()) {
+// helloServer listens on loopback and hands every accepted connection to
+// serve, closing it afterwards.
+func helloServer(t *testing.T, serve func(net.Conn)) (addr string, stop func()) {
 	t.Helper()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -278,66 +277,97 @@ func legacyGobServer(t *testing.T) (addr string, stop func()) {
 				return
 			}
 			wg.Add(1)
-			go func(conn net.Conn) {
+			go func() {
 				defer wg.Done()
 				defer conn.Close()
-				dec := gob.NewDecoder(conn)
-				enc := gob.NewEncoder(conn)
-				for {
-					var req envelope
-					if err := dec.Decode(&req); err != nil {
-						return // a binary hello lands here
-					}
-					resp, herr := echoHandler(req.Body)
-					out := envelope{Body: resp}
-					if herr != nil {
-						out.Err = herr.Error()
-					}
-					if err := enc.Encode(out); err != nil {
-						return
-					}
-				}
-			}(conn)
+				serve(conn)
+			}()
 		}
 	}()
 	return ln.Addr().String(), func() { ln.Close(); wg.Wait() }
 }
 
-// TestBinaryFallsBackToLegacyGobServer checks protocol negotiation from
-// the client side: a default (binary) caller hitting a gob-only server
-// must detect the dropped hello, mark the address, and complete every
-// call over gob — including calls after the first.
-func TestBinaryFallsBackToLegacyGobServer(t *testing.T) {
-	addr, stop := legacyGobServer(t)
-	defer stop()
-	caller := NewTCPCaller()
-	defer caller.Close()
-	for i := 0; i < 3; i++ {
-		resp, err := caller.Call(addr, echoReq{Msg: "legacy"})
+// TestHelloIsTheProtocolCheck covers both ends of the hello. A caller
+// whose hello is dropped or answered wrongly fails the call with a
+// retryable error and keeps no connection; a server sent anything but
+// the hello (here, the start of a gob stream) closes the connection
+// without running its handler.
+func TestHelloIsTheProtocolCheck(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		reply []byte // written after reading the hello; nil drops the connection
+	}{
+		{"dropped", nil},
+		{"wrong-ack", []byte{0xB1, 'p', '2', 'r', 0}},
+	} {
+		t.Run("client/"+tc.name, func(t *testing.T) {
+			addr, stop := helloServer(t, func(conn net.Conn) {
+				var hello [len(binaryMagic)]byte
+				if _, err := io.ReadFull(conn, hello[:]); err != nil {
+					return
+				}
+				if tc.reply != nil {
+					conn.Write(tc.reply)
+				}
+			})
+			defer stop()
+			caller := NewTCPCaller()
+			defer caller.Close()
+			for i := 0; i < 2; i++ {
+				_, err := caller.Call(addr, echoReq{Msg: "hello?"})
+				if err == nil {
+					t.Fatalf("call %d succeeded without a valid hello ack", i)
+				}
+				if !Retryable(err) {
+					t.Errorf("call %d: %v is not retryable", i, err)
+				}
+			}
+			caller.mu.Lock()
+			nmux := len(caller.muxes)
+			caller.mu.Unlock()
+			if nmux != 0 {
+				t.Errorf("%d mux connections kept after a failed hello, want 0", nmux)
+			}
+		})
+	}
+
+	t.Run("server/non-hello", func(t *testing.T) {
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
 		if err != nil {
-			t.Fatalf("call %d over fallback: %v", i, err)
+			t.Fatal(err)
 		}
-		if resp.(echoResp).Msg != "legacy" {
-			t.Errorf("call %d resp = %v", i, resp)
+		var handled atomic.Int32
+		srv := ServeTCP(ln, func(req any) (any, error) {
+			handled.Add(1)
+			return echoHandler(req)
+		})
+		defer srv.Close()
+		conn, err := net.Dial("tcp", srv.Addr())
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	caller.mu.Lock()
-	_, fellBack := caller.gobAddrs[addr]
-	nmux := len(caller.muxes)
-	caller.mu.Unlock()
-	if !fellBack {
-		t.Error("address not marked as gob after a dropped hello")
-	}
-	if nmux != 0 {
-		t.Errorf("%d mux connections live after fallback, want 0", nmux)
-	}
+		defer conn.Close()
+		var stream bytes.Buffer
+		if err := gob.NewEncoder(&stream).Encode(echoReq{Msg: "legacy"}); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := conn.Write(stream.Bytes()); err != nil {
+			t.Fatal(err)
+		}
+		conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+		if n, err := conn.Read(make([]byte, 16)); err != io.EOF {
+			t.Fatalf("server answered a non-hello stream: read %d bytes, err %v; want EOF", n, err)
+		}
+		if n := handled.Load(); n != 0 {
+			t.Errorf("handler ran %d times for a connection without a hello", n)
+		}
+	})
 }
 
 // TestHandshakeTimeoutDoesNotLatchGob hits a server that accepts but
-// never answers the hello: the call must fail with an error — a wedged
-// peer is not evidence of a gob-only one — and the address must NOT be
-// latched onto the gob fallback, so a binary-capable peer recovering
-// from a hiccup keeps multiplexing.
+// never answers the hello: the call must fail within the dial timeout
+// with a retryable error, so a retry layer can try again once the peer
+// recovers.
 func TestHandshakeTimeoutDoesNotLatchGob(t *testing.T) {
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -368,78 +398,12 @@ func TestHandshakeTimeoutDoesNotLatchGob(t *testing.T) {
 	caller := NewTCPCaller()
 	caller.DialTimeout = 100 * time.Millisecond
 	defer caller.Close()
-	addr := ln.Addr().String()
-	if _, err := caller.Call(addr, echoReq{Msg: "hello?"}); err == nil {
+	_, err = caller.Call(ln.Addr().String(), echoReq{Msg: "hello?"})
+	if err == nil {
 		t.Fatal("call against a mute server succeeded")
 	}
-	caller.mu.Lock()
-	_, latched := caller.gobAddrs[addr]
-	caller.mu.Unlock()
-	if latched {
-		t.Error("handshake timeout latched the address onto gob")
-	}
-}
-
-// TestGobLatchAgesOut pre-latches an address as gob with a stamp older
-// than gobReprobeAfter, then calls a binary-capable server: the caller
-// must re-probe, succeed over the multiplexed path, and drop the latch.
-func TestGobLatchAgesOut(t *testing.T) {
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv := ServeTCP(ln, echoHandler)
-	defer srv.Close()
-	caller := NewTCPCaller()
-	defer caller.Close()
-	addr := srv.Addr()
-	caller.mu.Lock()
-	caller.gobAddrs[addr] = time.Now().Add(-gobReprobeAfter - time.Minute)
-	caller.mu.Unlock()
-
-	resp, err := caller.Call(addr, echoReq{Msg: "again"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if resp.(echoResp).Msg != "again" {
-		t.Errorf("resp = %v", resp)
-	}
-	caller.mu.Lock()
-	_, stillLatched := caller.gobAddrs[addr]
-	nmux := len(caller.muxes)
-	caller.mu.Unlock()
-	if stillLatched {
-		t.Error("expired gob latch survived a successful binary re-probe")
-	}
-	if nmux != 1 {
-		t.Errorf("re-probe used %d mux connections, want 1", nmux)
-	}
-}
-
-// TestForcedGobCodec checks the escape hatch: Codec=CodecGob must never
-// even attempt binary negotiation against a modern server.
-func TestForcedGobCodec(t *testing.T) {
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv := ServeTCP(ln, echoHandler)
-	defer srv.Close()
-	caller := NewTCPCaller()
-	caller.Codec = CodecGob
-	defer caller.Close()
-	resp, err := caller.Call(srv.Addr(), echoReq{Msg: "forced"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if resp.(echoResp).Msg != "forced" {
-		t.Errorf("resp = %v", resp)
-	}
-	caller.mu.Lock()
-	nmux := len(caller.muxes)
-	caller.mu.Unlock()
-	if nmux != 0 {
-		t.Errorf("forced gob caller opened %d mux connections", nmux)
+	if !Retryable(err) {
+		t.Errorf("handshake timeout %v is not retryable", err)
 	}
 }
 
@@ -569,7 +533,7 @@ func TestMuxHandlerPanicBecomesError(t *testing.T) {
 }
 
 // TestMissingCodecsListsUncodedTypes pins the completeness gate's
-// primitive: a type registered for gob but given no binary codec is
+// primitive: a type declared with RegisterType but given no binary codec is
 // listed, and the chord RPCs (all coded) are not.
 func TestMissingCodecsListsUncodedTypes(t *testing.T) {
 	type uncodedMsg struct{ N int }

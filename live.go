@@ -77,11 +77,11 @@ type LiveConfig struct {
 	// HashWorkers parallelizes signing across the k*l hash functions for
 	// large ranges; 0 or 1 keeps signing serial.
 	HashWorkers int
-	// Codec selects the TCP wire protocol for outgoing calls:
-	// transport.CodecBinary (the default, with per-address fallback when a
-	// remote only speaks gob) or transport.CodecGob to force the legacy
-	// protocol. The server side always answers whichever protocol the
-	// client opens with.
+	// Codec names the TCP wire protocol. There is one, so the only
+	// accepted values are "" and transport.CodecBinary; StartPeer
+	// rejects anything else with ErrUnknownCodec.
+	//
+	// Deprecated: leave it empty.
 	Codec string
 	// DataDir, when set, makes the partition store durable: a write-ahead
 	// log in that directory records every mutation, acknowledged writes
@@ -188,10 +188,17 @@ type LivePeer struct {
 	base map[string]*relation.Relation // local base relations for SQL fallback
 }
 
+// ErrUnknownCodec is StartPeer's error for a LiveConfig.Codec other than
+// "" or transport.CodecBinary.
+var ErrUnknownCodec = errors.New("p2prange: unknown LiveConfig.Codec (the only wire protocol is binary)")
+
 // StartPeer launches a live peer listening on listenAddr (host:port; the
 // OS picks a port for ":0"). If bootstrap is non-empty the peer joins the
 // ring that peer belongs to; otherwise it starts a new one-node ring.
 func StartPeer(listenAddr, bootstrap string, cfg LiveConfig) (*LivePeer, error) {
+	if cfg.Codec != "" && cfg.Codec != transport.CodecBinary {
+		return nil, fmt.Errorf("%w: %q", ErrUnknownCodec, cfg.Codec)
+	}
 	cfg = cfg.withDefaults()
 	ln, err := net.Listen("tcp", listenAddr)
 	if err != nil {
@@ -206,7 +213,6 @@ func StartPeer(listenAddr, bootstrap string, cfg LiveConfig) (*LivePeer, error) 
 	}
 	stats := &metrics.RouteStats{}
 	tcp := transport.NewTCPCaller()
-	tcp.Codec = cfg.Codec
 	caller := transport.Caller(tcp)
 	var fault *transport.FaultCaller
 	if cfg.Fault != nil {

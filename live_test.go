@@ -1,6 +1,7 @@
 package p2prange
 
 import (
+	"errors"
 	"reflect"
 	"testing"
 	"time"
@@ -8,6 +9,7 @@ import (
 	"p2prange/internal/chord"
 	"p2prange/internal/metrics"
 	"p2prange/internal/relation"
+	"p2prange/internal/transport"
 )
 
 // liveRing starts n real TCP peers on loopback with fast stabilization
@@ -236,4 +238,24 @@ func TestSingletonPeerIsStable(t *testing.T) {
 	if st := boot.Status(); !st.Stable {
 		t.Errorf("singleton /status not ready: %+v", st)
 	}
+}
+
+// TestStartPeerRejectsUnknownCodec pins LiveConfig.Codec validation:
+// there is one wire protocol, so any name but "" or "binary" — the old
+// "gob" included — is an error instead of silently running binary.
+func TestStartPeerRejectsUnknownCodec(t *testing.T) {
+	for _, codec := range []string{"gob", "bogus"} {
+		p, err := StartPeer("127.0.0.1:0", "", LiveConfig{Codec: codec})
+		if !errors.Is(err, ErrUnknownCodec) {
+			if p != nil {
+				p.Close()
+			}
+			t.Errorf("Codec %q: StartPeer err = %v, want ErrUnknownCodec", codec, err)
+		}
+	}
+	p, err := StartPeer("127.0.0.1:0", "", LiveConfig{Codec: transport.CodecBinary})
+	if err != nil {
+		t.Fatalf("Codec %q rejected: %v", transport.CodecBinary, err)
+	}
+	p.Close()
 }
