@@ -11,11 +11,13 @@ test:
 # check is the pre-merge gate: formatting, static analysis (the
 # perfbench benchmark module too: it is its own Go module, so the root's
 # vet does not see it, and a root API change that breaks it must fail
-# here, not on the next benchmark run), doc links, doc flag tables, the
-# allocation guards, the wire-codec and WAL-record fuzz seed corpora, a
-# quick race pass over the replica subsystem and the crash-recovery
-# suite (the most concurrent code in the repo), then the full suite
-# under the race detector.
+# here, not on the next benchmark run), the perfbench self-test (it folds
+# the span names of traced lookups and drives live peers, so a runtime
+# change to the traced tree, which vet cannot see, fails here too), doc
+# links, doc flag tables, the allocation guards, the wire-codec and
+# WAL-record fuzz seed corpora, a quick race pass over the replica
+# subsystem and the crash-recovery suite (the most concurrent code in
+# the repo), then the full suite under the race detector.
 check:
 	@unformatted=$$(gofmt -l .); \
 	if [ -n "$$unformatted" ]; then \
@@ -23,6 +25,7 @@ check:
 	fi
 	$(GO) vet ./...
 	cd perfbench && $(GO) vet ./...
+	cd perfbench && $(GO) test ./...
 	$(MAKE) linkcheck
 	$(MAKE) flagcheck
 	$(MAKE) benchguard
@@ -41,7 +44,8 @@ flagcheck:
 	$(GO) run ./tools/checkflags
 
 # benchguard pins the hot-path allocation contracts under -benchmem: a
-# nil span threaded through a hot path, a probe-request binary
+# nil span threaded through a hot path, a probe-request (one-probe
+# FindBestBatchReq, decoded into a reused destination) binary
 # encode+decode round trip, a load-probe (LoadReq then LoadResp) binary
 # encode+decode round trip, a segment point read (bloom check +
 # sparse-index probe + record walk, hit and miss), and the log-shipping

@@ -202,7 +202,7 @@ func BenchmarkStoreFindBest(b *testing.B) {
 	q := rangeset.Range{Lo: 400, Hi: 600}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		s.FindBest(7, "R", "a", q, store.MatchContainment)
+		s.FindBest(7, "R", "a", q, store.MatchContainment, nil)
 	}
 }
 
@@ -281,7 +281,7 @@ func BenchmarkLookupProtocol(b *testing.B) {
 	for i := 0; i < 500; i++ {
 		lo := rng.Int63n(1000)
 		q := rangeset.Range{Lo: lo, Hi: min64(lo+rng.Int63n(300), 1000)}
-		if _, err := c.Peers[i%64].Lookup("R", "a", q, true); err != nil {
+		if _, err := c.Peers[i%64].Lookup("R", "a", q, true, nil); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -289,7 +289,7 @@ func BenchmarkLookupProtocol(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		lo := rng.Int63n(1000)
 		q := rangeset.Range{Lo: lo, Hi: min64(lo+rng.Int63n(300), 1000)}
-		if _, err := c.Peers[i%64].Lookup("R", "a", q, false); err != nil {
+		if _, err := c.Peers[i%64].Lookup("R", "a", q, false, nil); err != nil {
 			b.Fatal(err)
 		}
 	}

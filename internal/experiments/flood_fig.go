@@ -92,7 +92,7 @@ func BaselineFlood(p Params) (*Table, error) {
 	for i := 0; i < queries; i++ {
 		q := gen.Next()
 		origin := cluster.RandomPeer(rng)
-		lr, err := origin.Lookup("R", "a", q, true)
+		lr, err := origin.Lookup("R", "a", q, true, nil)
 		if err != nil {
 			return nil, err
 		}

@@ -9,13 +9,17 @@ import (
 
 // Binary codecs for the partition protocol. Encoders and decoders come
 // in unboxed form (concrete types in and out; the probe path is zero
-// allocations steady-state — benchmarked by BenchmarkCodecProbe and
-// enforced by `make benchguard`) plus thin boxed wrappers registered
-// with the transport's tag registry. Bulk messages (FetchDataResp's
-// tuple sets, handoff buckets) have codecs too. Tuple strings decode
-// uninterned so bulk data cannot fill the per-connection interner.
+// allocations steady-state when decoding into a reused FindBestBatchReq
+// — benchmarked by BenchmarkCodecProbe and enforced by `make
+// benchguard`) plus thin boxed wrappers registered with the transport's
+// tag registry. Bulk messages (FetchDataResp's tuple sets, handoff
+// buckets) have codecs too. Tuple strings decode uninterned so bulk data
+// cannot fill the per-connection interner.
+//
+// TagPeerBase+0 once carried the single-probe FindBestReq. It stays
+// reserved, so a peer that still sends one gets an unknown-tag error
+// rather than a request misread as some newer message.
 const (
-	tagFindBestReq       = transport.TagPeerBase + 0
 	tagFindBestResp      = transport.TagPeerBase + 1
 	tagStoreReq          = transport.TagPeerBase + 2
 	tagStoreResp         = transport.TagPeerBase + 3
@@ -28,9 +32,11 @@ const (
 	tagTransferArcResp   = transport.TagPeerBase + 10
 )
 
-// FindBestBatchReq probes several buckets owned by one peer in a single
-// round trip: all identifier probes of one lookup that resolve to the
-// same owner coalesce into one of these. Results align with IDs.
+// FindBestBatchReq asks one peer for its best match in each of the
+// buckets IDs, in a single round trip: the probes of one lookup that
+// resolve to the same owner coalesce into one of these (a load-aware
+// probe travels alone). It never carries more than l IDs; results align
+// with IDs.
 type FindBestBatchReq struct {
 	Relation  string
 	Attribute string
@@ -71,24 +77,6 @@ func parsePartition(c *transport.Cursor) store.Partition {
 		Holder:    c.String(),
 		Version:   c.Uvarint(),
 		Origin:    c.String(),
-	}
-}
-
-func appendFindBestReq(b []byte, r *FindBestReq) []byte {
-	b = transport.AppendUvarint(b, uint64(r.ID))
-	b = transport.AppendString(b, r.Relation)
-	b = transport.AppendString(b, r.Attribute)
-	b = appendRange(b, r.Range)
-	return transport.AppendUvarint(b, uint64(r.Measure))
-}
-
-func parseFindBestReq(c *transport.Cursor) FindBestReq {
-	return FindBestReq{
-		ID:        uint32(c.Uvarint()),
-		Relation:  c.String(),
-		Attribute: c.String(),
-		Range:     parseRange(c),
-		Measure:   store.Measure(c.Uvarint()),
 	}
 }
 
@@ -153,24 +141,25 @@ func appendBatchReq(b []byte, r *FindBestBatchReq) []byte {
 	return b
 }
 
-func parseBatchReq(c *transport.Cursor) (FindBestBatchReq, error) {
-	r := FindBestBatchReq{
-		Relation:  c.String(),
-		Attribute: c.String(),
-		Range:     parseRange(c),
-		Measure:   store.Measure(c.Uvarint()),
-	}
+// parseBatchReq decodes into r, reusing the capacity of r.IDs, so a
+// caller that keeps r across frames decodes without allocating.
+func parseBatchReq(c *transport.Cursor, r *FindBestBatchReq) error {
+	r.Relation = c.String()
+	r.Attribute = c.String()
+	r.Range = parseRange(c)
+	r.Measure = store.Measure(c.Uvarint())
+	r.IDs = r.IDs[:0]
 	n := c.Count()
 	if c.Err != nil {
-		return r, c.Err
+		return c.Err
 	}
-	if n > 0 {
+	if n > uint64(cap(r.IDs)) {
 		r.IDs = make([]uint32, 0, transport.PreallocHint(n))
 	}
 	for i := uint64(0); i < n && c.Err == nil; i++ {
 		r.IDs = append(r.IDs, uint32(c.Uvarint()))
 	}
-	return r, c.Err
+	return c.Err
 }
 
 func appendBatchResp(b []byte, r *FindBestBatchResp) []byte {
@@ -327,9 +316,6 @@ func parseBuckets(c *transport.Cursor) map[uint32][]store.Partition {
 }
 
 func init() {
-	transport.RegisterCodec(tagFindBestReq, FindBestReq{}, transport.DirRequest,
-		func(b []byte, v any) []byte { r := v.(FindBestReq); return appendFindBestReq(b, &r) },
-		func(c *transport.Cursor) (any, error) { return parseFindBestReq(c), c.Err })
 	transport.RegisterCodec(tagFindBestResp, FindBestResp{}, transport.DirResponse,
 		func(b []byte, v any) []byte { r := v.(FindBestResp); return appendFindBestResp(b, &r) },
 		func(c *transport.Cursor) (any, error) { return parseFindBestResp(c), c.Err })
@@ -344,7 +330,11 @@ func init() {
 		func(c *transport.Cursor) (any, error) { return parseFetchDataReq(c), c.Err })
 	transport.RegisterCodec(tagFindBestBatchReq, FindBestBatchReq{}, transport.DirRequest,
 		func(b []byte, v any) []byte { r := v.(FindBestBatchReq); return appendBatchReq(b, &r) },
-		func(c *transport.Cursor) (any, error) { return parseBatchReq(c) })
+		func(c *transport.Cursor) (any, error) {
+			var r FindBestBatchReq
+			err := parseBatchReq(c, &r)
+			return r, err
+		})
 	transport.RegisterCodec(tagFindBestBatchResp, FindBestBatchResp{}, transport.DirResponse,
 		func(b []byte, v any) []byte { r := v.(FindBestBatchResp); return appendBatchResp(b, &r) },
 		func(c *transport.Cursor) (any, error) { return parseBatchResp(c) })

@@ -25,15 +25,6 @@ var codecPartition = store.Partition{
 // through encode → decode → DeepEqual, including the compact encodings
 // (Found=false responses are a single byte; empty batches carry no ids).
 func TestUnboxedCodecRoundTrips(t *testing.T) {
-	t.Run("FindBestReq", func(t *testing.T) {
-		in := FindBestReq{ID: 12345, Relation: "Patient", Attribute: "age",
-			Range: rangeset.Range{Lo: 10, Hi: 19}, Measure: store.MatchContainment}
-		c := transport.NewCursor(appendFindBestReq(nil, &in))
-		out := parseFindBestReq(c)
-		if c.Err != nil || !reflect.DeepEqual(in, out) {
-			t.Errorf("round trip: got %+v err %v, want %+v", out, c.Err, in)
-		}
-	})
 	t.Run("FindBestRespFound", func(t *testing.T) {
 		in := FindBestResp{Found: true, Match: store.Match{Partition: codecPartition, Score: 0.625}}
 		c := transport.NewCursor(appendFindBestResp(nil, &in))
@@ -74,14 +65,31 @@ func TestUnboxedCodecRoundTrips(t *testing.T) {
 		in := FindBestBatchReq{Relation: "Patient", Attribute: "age",
 			Range: rangeset.Range{Lo: 4, Hi: 13}, Measure: store.MatchJaccard,
 			IDs: []uint32{0, 1, 1 << 31, 4294967295}}
-		out, err := parseBatchReq(transport.NewCursor(appendBatchReq(nil, &in)))
+		out, err := decodeBatchReq(appendBatchReq(nil, &in))
 		if err != nil || !reflect.DeepEqual(in, out) {
 			t.Errorf("round trip: got %+v err %v, want %+v", out, err, in)
 		}
 	})
+	t.Run("BatchReqReusesDestination", func(t *testing.T) {
+		// A destination kept across frames takes every field of the new
+		// frame, and its IDs shrink and grow within the old backing array.
+		dst := FindBestBatchReq{Relation: "old", IDs: make([]uint32, 5, 8)}
+		backing := &dst.IDs[:1][0]
+		for _, in := range []FindBestBatchReq{
+			{Relation: "Patient", Attribute: "age", Range: rangeset.Range{Lo: 1, Hi: 2}, IDs: []uint32{7, 8}},
+			{Relation: "Doctor", Attribute: "id", Measure: store.MatchContainment, IDs: []uint32{1, 2, 3, 4, 5, 6, 7, 8}},
+		} {
+			if err := parseBatchReq(transport.NewCursor(appendBatchReq(nil, &in)), &dst); err != nil || !reflect.DeepEqual(in, dst) {
+				t.Errorf("round trip: got %+v err %v, want %+v", dst, err, in)
+			}
+			if &dst.IDs[:1][0] != backing {
+				t.Error("decode reallocated IDs despite spare capacity")
+			}
+		}
+	})
 	t.Run("BatchReqEmpty", func(t *testing.T) {
 		in := FindBestBatchReq{Relation: "r", Attribute: "a"}
-		out, err := parseBatchReq(transport.NewCursor(appendBatchReq(nil, &in)))
+		out, err := decodeBatchReq(appendBatchReq(nil, &in))
 		if err != nil || !reflect.DeepEqual(in, out) {
 			t.Errorf("round trip: got %+v err %v, want %+v", out, err, in)
 		}
@@ -106,7 +114,7 @@ func TestBatchParseGuards(t *testing.T) {
 	req := appendBatchReq(nil, &FindBestBatchReq{Relation: "r", Attribute: "a"})
 	req[len(req)-1] = 0xff // rewrite id count to an overlong varint prefix
 	req = append(req, 0xff, 0xff, 0xff, 0xff, 0x0f)
-	if _, err := parseBatchReq(transport.NewCursor(req)); err == nil {
+	if _, err := decodeBatchReq(req); err == nil {
 		t.Error("batch req with absurd id count parsed")
 	}
 
@@ -116,13 +124,22 @@ func TestBatchParseGuards(t *testing.T) {
 	}
 }
 
+// decodeBatchReq decodes one batch request into a fresh destination.
+func decodeBatchReq(b []byte) (FindBestBatchReq, error) {
+	var r FindBestBatchReq
+	err := parseBatchReq(transport.NewCursor(b), &r)
+	return r, err
+}
+
 // FuzzFindBestReqParse throws arbitrary bytes at the probe-request
-// parser: anything that decodes cleanly must re-encode to an equivalent
-// request; anything else must latch an error without panicking.
+// parser — FindBestBatchReq's, the one message every probe travels in:
+// anything that decodes cleanly must re-encode to an equivalent request;
+// anything else must latch an error without panicking.
 func FuzzFindBestReqParse(f *testing.F) {
-	seed := FindBestReq{ID: 99, Relation: "Patient", Attribute: "age",
-		Range: rangeset.Range{Lo: 2, Hi: 11}, Measure: store.MatchContainment}
-	payload := appendFindBestReq(nil, &seed)
+	seed := FindBestBatchReq{Relation: "Patient", Attribute: "age",
+		Range: rangeset.Range{Lo: 2, Hi: 11}, Measure: store.MatchContainment,
+		IDs: []uint32{99, 1 << 31}}
+	payload := appendBatchReq(nil, &seed)
 	f.Add(payload)
 	for cut := 0; cut < len(payload); cut++ {
 		f.Add(payload[:cut])
@@ -131,16 +148,13 @@ func FuzzFindBestReqParse(f *testing.F) {
 		if len(data) > 1<<12 {
 			return
 		}
-		c := transport.NewCursor(data)
-		req := parseFindBestReq(c)
-		if c.Err != nil {
+		req, err := decodeBatchReq(data)
+		if err != nil {
 			return
 		}
-		again := appendFindBestReq(nil, &req)
-		c2 := transport.NewCursor(again)
-		req2 := parseFindBestReq(c2)
-		if c2.Err != nil {
-			t.Fatalf("re-encoded request failed to parse: %v", c2.Err)
+		req2, err := decodeBatchReq(appendBatchReq(nil, &req))
+		if err != nil {
+			t.Fatalf("re-encoded request failed to parse: %v", err)
 		}
 		if !reflect.DeepEqual(req, req2) {
 			t.Errorf("request changed across a round trip:\nfirst:  %+v\nsecond: %+v", req, req2)
@@ -149,24 +163,26 @@ func FuzzFindBestReqParse(f *testing.F) {
 }
 
 // BenchmarkCodecProbe measures the steady-state encode+decode cost of
-// one probe request — the innermost per-probe operation on the query
-// path. `make benchguard` asserts this stays at 0 allocs/op: the buffer
-// and cursor are reused, and the interner absorbs the string fields.
+// one probe request — a one-probe FindBestBatchReq, the message every
+// probe of a load-aware lookup travels in. `make benchguard` asserts
+// this stays at 0 allocs/op: the buffer, cursor and destination request
+// are reused, and the interner absorbs the string fields.
 func BenchmarkCodecProbe(b *testing.B) {
-	req := FindBestReq{ID: 77, Relation: "Patient", Attribute: "age",
-		Range: rangeset.Range{Lo: 40, Hi: 49}, Measure: store.MatchContainment}
-	buf := appendFindBestReq(nil, &req)
+	req := FindBestBatchReq{Relation: "Patient", Attribute: "age",
+		Range: rangeset.Range{Lo: 40, Hi: 49}, Measure: store.MatchContainment,
+		IDs: []uint32{77}}
+	buf := appendBatchReq(nil, &req)
 	cur := transport.NewCursor(buf)
-	if got := parseFindBestReq(cur); cur.Err != nil || !reflect.DeepEqual(req, got) {
-		b.Fatalf("round trip broken before measuring: %+v err %v", got, cur.Err)
+	var out FindBestBatchReq
+	if err := parseBatchReq(cur, &out); err != nil || !reflect.DeepEqual(req, out) {
+		b.Fatalf("round trip broken before measuring: %+v err %v", out, err)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		buf = appendFindBestReq(buf[:0], &req)
+		buf = appendBatchReq(buf[:0], &req)
 		cur.Reset(buf)
-		out := parseFindBestReq(cur)
-		if cur.Err != nil || out.ID != req.ID {
+		if err := parseBatchReq(cur, &out); err != nil || out.IDs[0] != req.IDs[0] {
 			b.Fatal("round trip broken")
 		}
 	}

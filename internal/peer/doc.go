@@ -8,7 +8,9 @@
 // internal/minhash signature pipeline), routes to the chord owner of
 // each, asks every owner for its bucket's best match under the configured
 // measure (Sec. 5.2: Jaccard or containment), and returns the overall
-// best. "If none of the match is exact, also store the computed partition
+// best. It is the one implementation of the protocol: every probe
+// travels in a FindBestBatchReq, one per distinct owner, or one per probe
+// under load-aware replica selection. "If none of the match is exact, also store the computed partition
 // at the peers holding the computed identifiers" — the cache=true path.
 // Publish is the data-side half: a peer holding a materialized partition
 // registers its descriptor under the same l identifiers.
@@ -33,10 +35,11 @@
 //
 // # Observability
 //
-// Every Lookup/Publish/Fetch has a *Traced variant threading an
-// internal/trace Span: the signature-cache outcome, one child span per
-// probe with its chord hops and detours, and store/fallback decisions. A
-// nil span costs nothing. The package feeds the peer.* family of the
+// Lookup, Publish and FetchData take an internal/trace Span that records
+// the signature-cache outcome, one child span per probe with its chord
+// hops and detours, one per batch round trip with the grafted serve span
+// and the per-probe matches, and store/fallback decisions. A nil span
+// traces nothing and costs nothing. The package feeds the peer.* family of the
 // internal/metrics Default registry (lookups, probes, stores, publishes,
 // fetches, fallbacks, the partitions gauge, and the lookup_us latency
 // histogram); see docs/OBSERVABILITY.md.

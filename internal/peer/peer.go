@@ -35,15 +35,8 @@ var (
 
 // Partition protocol messages.
 type (
-	// FindBestReq asks the peer owning bucket ID for its best match.
-	FindBestReq struct {
-		ID        uint32
-		Relation  string
-		Attribute string
-		Range     rangeset.Range
-		Measure   store.Measure
-	}
-	// FindBestResp returns the bucket's best candidate, if any.
+	// FindBestResp returns one bucket's best candidate, if any: the
+	// element of a FindBestBatchResp.
 	FindBestResp struct {
 		Match store.Match
 		Found bool
@@ -80,7 +73,7 @@ type wireRelation struct {
 
 func init() {
 	for _, v := range []any{
-		FindBestReq{}, FindBestResp{}, StoreReq{}, StoreResp{},
+		FindBestResp{}, StoreReq{}, StoreResp{},
 		FetchDataReq{}, FetchDataResp{},
 	} {
 		transport.RegisterType(v)
@@ -289,9 +282,9 @@ func (p *Peer) Handle(req any) (any, error) {
 // HandleTraced is the transport.TracedHandler face of the peer: when the
 // caller's context is sampled and the request is part of the traced
 // protocol, the work runs under a serving-side span named for this peer
-// ("serve FindBest @addr" with a "from" event naming the caller), and the
-// finished subtree is returned as a fragment for the transport to
-// piggyback home. Chord routing RPCs stay untraced — routing is
+// ("serve FindBestBatch @addr" with a "from" event naming the caller),
+// and the finished subtree is returned as a fragment for the transport
+// to piggyback home. Chord routing RPCs stay untraced — routing is
 // iterative, so every hop is already visible on the querying side.
 func (p *Peer) HandleTraced(tc trace.Context, req any) (any, []trace.Wire, error) {
 	if resp, handled, err := transport.DispatchChord(p.node, req); handled {
@@ -333,8 +326,6 @@ func (p *Peer) HandleTraced(tc trace.Context, req any) (any, []trace.Wire, error
 // arc transfer, aux protocols) serve without a span.
 func serveKind(req any) string {
 	switch req.(type) {
-	case FindBestReq:
-		return "FindBest"
 	case FindBestBatchReq:
 		return "FindBestBatch"
 	case StoreReq:
@@ -353,17 +344,12 @@ func serveKind(req any) string {
 // with the outcome.
 func (p *Peer) handle(req any, sp *trace.Span) (any, error) {
 	switch r := req.(type) {
-	case FindBestReq:
-		fb := p.findBest(r.ID, r.Relation, r.Attribute, r.Range, r.Measure, sp)
-		if sp.On() {
-			if fb.Found {
-				sp.Eventf("best", "%s score=%.3f", fb.Match.Partition.Range, fb.Match.Score)
-			} else {
-				sp.Event("best", "none")
-			}
-		}
-		return fb, nil
 	case FindBestBatchReq:
+		// A batch carries the probes of one lookup, so never more than l:
+		// refuse a larger one before sizing anything by its count.
+		if l := p.cfg.Scheme.L(); len(r.IDs) > l {
+			return nil, fmt.Errorf("peer: batch of %d probes exceeds l=%d", len(r.IDs), l)
+		}
 		if sp.On() {
 			sp.Eventf("batch", "%d probe(s)", len(r.IDs))
 		}
@@ -447,9 +433,8 @@ func (p *Peer) handle(req any, sp *trace.Span) (any, error) {
 	}
 }
 
-// findBest serves one bucket probe: load accounting, hot-bucket hit
-// tracking, and the store search. Shared by the single-probe and batch
-// handlers so both paths count load identically. sp (may be nil) gains a
+// findBest serves one bucket probe of a batch: load accounting,
+// hot-bucket hit tracking, and the store search. sp (may be nil) gains a
 // seg.read child span when the probe falls through to the segment tier.
 func (p *Peer) findBest(id uint32, rel, attribute string, q rangeset.Range, measure store.Measure, sp *trace.Span) FindBestResp {
 	p.served.Add(1)
@@ -459,9 +444,9 @@ func (p *Peer) findBest(id uint32, rel, attribute string, q rangeset.Range, meas
 	var m store.Match
 	var ok bool
 	if p.cfg.UsePeerIndex {
-		m, ok = p.store.FindBestAnywhereTraced(rel, attribute, q, measure, sp)
+		m, ok = p.store.FindBestAnywhere(rel, attribute, q, measure, sp)
 	} else {
-		m, ok = p.store.FindBestTraced(id, rel, attribute, q, measure, sp)
+		m, ok = p.store.FindBest(id, rel, attribute, q, measure, sp)
 	}
 	return FindBestResp{Match: m, Found: ok}
 }
@@ -563,18 +548,20 @@ func checkRange(q rangeset.Range) error {
 
 // Lookup runs the paper's query-side protocol for a range selection on
 // relation.attribute: hash to l identifiers, route to each owner, collect
-// best matches, and return the overall best. When store is true and no
+// best matches, and return the overall best. When cache is true and no
 // exact match (score 1) exists, the query range is also recorded at the l
 // owners — "If none of the match is exact, also store the computed
 // partition at the peers holding the computed identifiers."
-func (p *Peer) Lookup(rel, attribute string, q rangeset.Range, cache bool) (LookupResult, error) {
-	return p.LookupTraced(rel, attribute, q, cache, nil)
-}
-
-// LookupTraced is Lookup recording the signature-cache outcome, one child
-// span per probe (with its chord hops and detours), and store decisions
-// on sp. A nil sp traces nothing and allocates nothing extra.
-func (p *Peer) LookupTraced(rel, attribute string, q rangeset.Range, cache bool, sp *trace.Span) (LookupResult, error) {
+//
+// Probes bound for the same owner share one FindBestBatchReq round trip;
+// with load-aware routing every probe is its own batch, sent to the
+// least-loaded member of its bucket's replica set. sp (which may be nil)
+// records the signature-cache outcome, one child span per probe holding
+// its chord routing, one child span per batch round trip carrying the
+// remote serve span and the per-probe outcomes, and the store decision.
+// Traced or not, the wire protocol is the same, so the flight recorder's
+// always-sampled root changes no RPC count.
+func (p *Peer) Lookup(rel, attribute string, q rangeset.Range, cache bool, sp *trace.Span) (LookupResult, error) {
 	metLookups.Inc()
 	start := time.Now()
 	var res LookupResult
@@ -594,16 +581,8 @@ func (p *Peer) LookupTraced(rel, attribute string, q rangeset.Range, cache bool,
 			sp.Event("sig", "no signature pipeline")
 		}
 	}
-	// Lookups without load-aware routing coalesce the probes bound for
-	// each owner into one batch round trip — traced or not, so the flight
-	// recorder's always-sampled root costs no extra RPCs and an explicit
-	// -trace shows the batch protocol actually on the wire (the TCP≡memory
-	// golden test pins the traced batch tree). Load-aware routing probes
-	// replica-set members individually by design.
-	if !(p.replica != nil && p.cfg.LoadAware) && len(ids) > 1 {
-		return p.lookupBatched(rel, attribute, q, cache, ids, start, sp)
-	}
 	owners := make([]chord.Ref, len(ids))
+	res.Hops = make([]int, 0, len(ids))
 	for i, id := range ids {
 		metProbes.Inc()
 		var ps *trace.Span
@@ -611,50 +590,47 @@ func (p *Peer) LookupTraced(rel, attribute string, q rangeset.Range, cache bool,
 			ps = sp.Child(fmt.Sprintf("probe %d/%d id=%08x", i+1, len(ids), id))
 		}
 		owner, hops, err := p.node.LookupTraced(id, ps)
+		ps.End()
 		if err != nil {
-			ps.End()
 			return res, fmt.Errorf("peer: route to bucket %08x: %w", id, err)
 		}
 		res.Hops = append(res.Hops, hops)
-
-		req := FindBestReq{
-			ID: id, Relation: rel, Attribute: attribute, Range: q, Measure: p.cfg.Measure,
-		}
-		var resp any
-		if p.replica != nil && p.cfg.LoadAware {
-			// Load-aware selection: probe the least-loaded live member of
-			// the bucket's replica set. owners[i] stays the resolved owner
-			// — a later StoreReq must land there, not at a replica.
-			_, resp, _ = p.replica.ProbeBest(id, owner, func(to chord.Ref) (any, error) {
-				return p.callCtx(to, req, ps)
-			}, ps)
-		}
-		if resp == nil {
-			var err error
-			owner, resp, err = p.callOwner(id, owner, req, ps)
-			if err != nil {
-				ps.End()
-				return res, err
-			}
-		}
 		owners[i] = owner
-		fb, ok := resp.(FindBestResp)
-		if !ok {
-			ps.End()
-			return res, transport.BadRequest(resp)
-		}
-		if fb.Found && (!res.Found || fb.Match.Score > res.Match.Score) {
-			res.Match = fb.Match
-			res.Found = true
-		}
-		if ps.On() {
-			if fb.Found {
-				ps.Eventf("match", "%s score=%.3f", fb.Match.Partition.Range, fb.Match.Score)
-			} else {
-				ps.Event("match", "none")
+	}
+	// Lay the probes out batch by batch: order lists probe indices with
+	// each owner's probes contiguous, owners in first-seen order, and
+	// batchIDs holds their identifiers in the same order, so every batch
+	// is a subslice of both.
+	loadAware := p.replica != nil && p.cfg.LoadAware
+	order := make([]int, 0, len(ids))
+	for i := range ids {
+		if loadAware {
+			order = append(order, i)
+		} else if !ownerSeen(owners[:i], owners[i]) {
+			for j := i; j < len(ids); j++ {
+				if owners[j].ID == owners[i].ID {
+					order = append(order, j)
+				}
 			}
-			ps.End()
 		}
+	}
+	batchIDs := make([]uint32, len(order))
+	for k, i := range order {
+		batchIDs[k] = ids[i]
+	}
+	for lo := 0; lo < len(order); {
+		hi := lo + 1
+		for !loadAware && hi < len(order) && owners[order[hi]].ID == owners[order[lo]].ID {
+			hi++
+		}
+		req := FindBestBatchReq{
+			Relation: rel, Attribute: attribute, Range: q, Measure: p.cfg.Measure,
+			IDs: batchIDs[lo:hi],
+		}
+		if err := p.probeBatch(req, order[lo:hi], owners, loadAware, &res, sp); err != nil {
+			return res, err
+		}
+		lo = hi
 	}
 	exact := res.Found && res.Match.Partition.Range == q
 	if cache && !exact {
@@ -681,146 +657,92 @@ func (p *Peer) LookupTraced(rel, attribute string, q rangeset.Range, cache bool,
 	return res, nil
 }
 
-// lookupBatched is the coalescing fast path of LookupTraced: it resolves
-// every identifier's owner first, then issues one FindBestBatchReq per
-// distinct owner instead of one FindBestReq per identifier — probes that
-// hash into the same successor arc share a round trip. Any batch failure
-// (an unreachable owner, or a remote that predates the batch protocol)
-// degrades to the per-probe path with its usual owner failover, so the
-// result is identical to the unbatched protocol. With sp on, each probe's
-// routing lands on its own child span and each batch round trip gets a
-// child carrying the remote serve span and the per-probe outcomes — so a
-// traced lookup shows the wire protocol as it actually ran, and the
-// flight recorder's always-sampled root changes no RPC count.
-func (p *Peer) lookupBatched(rel, attribute string, q rangeset.Range, cache bool, ids []uint32, start time.Time, sp *trace.Span) (LookupResult, error) {
-	var res LookupResult
-	owners := make([]chord.Ref, len(ids))
-	groups := make(map[uint32][]int, len(ids)) // owner ID -> probe indices
-	order := make([]chord.Ref, 0, len(ids))    // distinct owners, first-seen order
-	for i, id := range ids {
-		metProbes.Inc()
-		var ps *trace.Span
-		if sp.On() {
-			ps = sp.Child(fmt.Sprintf("probe %d/%d id=%08x", i+1, len(ids), id))
+// ownerSeen reports whether owner is among seen.
+func ownerSeen(seen []chord.Ref, owner chord.Ref) bool {
+	for _, o := range seen {
+		if o.ID == owner.ID {
+			return true
 		}
-		owner, hops, err := p.node.LookupTraced(id, ps)
+	}
+	return false
+}
+
+// probeBatch sends one batch of a lookup's probes — identifiers req.IDs
+// of probes idx, all owned by owners[idx[0]] — as a single round trip
+// under a "batch" child span of sp, and merges the answers into res.
+// With loadAware the batch (then one probe) goes to the replica-set
+// member replica.ProbeBest picks. If the round trip fails, or no replica
+// answers, each probe falls back to its own owner call, where callOwner
+// re-resolves a dead owner; owners[i] then records the owner that
+// answered, so the store-on-miss phase lands at owners, never replicas.
+func (p *Peer) probeBatch(req FindBestBatchReq, idx []int, owners []chord.Ref, loadAware bool, res *LookupResult, sp *trace.Span) error {
+	owner := owners[idx[0]]
+	metBatches.Inc()
+	var bs *trace.Span
+	if sp.On() {
+		bs = sp.Child(fmt.Sprintf("batch @%s: %d probe(s)", owner.Addr, len(idx)))
+	}
+	defer bs.End()
+	var resp any
+	var err error
+	if loadAware {
+		_, resp, _ = p.replica.ProbeBest(req.IDs[0], owner, func(to chord.Ref) (any, error) {
+			return p.callCtx(to.Addr, req, bs)
+		}, bs)
+	} else {
+		resp, err = p.callCtx(owner.Addr, req, bs)
+	}
+	if br, ok := resp.(FindBestBatchResp); err == nil && ok && len(br.Results) == len(idx) {
+		for j, i := range idx {
+			res.merge(i, br.Results[j], bs)
+		}
+		return nil
+	}
+	// A nil response with no error is ProbeBest finding no live replica,
+	// which it has already recorded on bs.
+	if bs.On() {
 		if err != nil {
-			ps.End()
-			return res, fmt.Errorf("peer: route to bucket %08x: %w", id, err)
-		}
-		if ps.On() {
-			ps.End()
-		}
-		res.Hops = append(res.Hops, hops)
-		owners[i] = owner
-		if _, seen := groups[owner.ID]; !seen {
-			order = append(order, owner)
-		}
-		groups[owner.ID] = append(groups[owner.ID], i)
-	}
-	merge := func(fb FindBestResp) {
-		if fb.Found && (!res.Found || fb.Match.Score > res.Match.Score) {
-			res.Match = fb.Match
-			res.Found = true
+			bs.Eventf("fallback", "batch failed (%v), probing individually", err)
+		} else if resp != nil {
+			bs.Event("fallback", "unexpected batch response, probing individually")
 		}
 	}
-	for _, owner := range order {
-		idxs := groups[owner.ID]
-		batch := FindBestBatchReq{
-			Relation: rel, Attribute: attribute, Range: q, Measure: p.cfg.Measure,
-			IDs: make([]uint32, len(idxs)),
+	for j, i := range idx {
+		one := req
+		one.IDs = req.IDs[j : j+1]
+		answered, r, err := p.callOwner(one.IDs[0], owners[i], one, bs)
+		if err != nil {
+			return err
 		}
-		for j, i := range idxs {
-			batch.IDs[j] = ids[i]
+		owners[i] = answered
+		br, ok := r.(FindBestBatchResp)
+		if !ok || len(br.Results) != 1 {
+			return transport.BadRequest(r)
 		}
-		metBatches.Inc()
-		var bs *trace.Span
-		if sp.On() {
-			bs = sp.Child(fmt.Sprintf("batch @%s: %d probe(s)", owner.Addr, len(idxs)))
-		}
-		resp, err := p.callCtx(owner, batch, bs)
-		br, ok := resp.(FindBestBatchResp)
-		if err == nil && ok && len(br.Results) == len(idxs) {
-			for j, i := range idxs {
-				merge(br.Results[j])
-				if bs.On() {
-					if fb := br.Results[j]; fb.Found {
-						bs.Eventf("match", "probe %d: %s score=%.3f", i+1, fb.Match.Partition.Range, fb.Match.Score)
-					} else {
-						bs.Eventf("match", "probe %d: none", i+1)
-					}
-				}
-			}
-			bs.End()
-			continue
-		}
-		// Fall back probe by probe; callOwner re-resolves a dead owner.
-		if bs.On() {
-			if err != nil {
-				bs.Eventf("fallback", "batch failed (%v), probing individually", err)
-			} else {
-				bs.Event("fallback", "unexpected batch response, probing individually")
-			}
-		}
-		for _, i := range idxs {
-			req := FindBestReq{
-				ID: ids[i], Relation: rel, Attribute: attribute, Range: q, Measure: p.cfg.Measure,
-			}
-			newOwner, r2, err2 := p.callOwner(ids[i], owners[i], req, bs)
-			if err2 != nil {
-				bs.End()
-				return res, err2
-			}
-			owners[i] = newOwner
-			fb, ok := r2.(FindBestResp)
-			if !ok {
-				bs.End()
-				return res, transport.BadRequest(r2)
-			}
-			merge(fb)
-			if bs.On() {
-				if fb.Found {
-					bs.Eventf("match", "probe %d: %s score=%.3f", i+1, fb.Match.Partition.Range, fb.Match.Score)
-				} else {
-					bs.Eventf("match", "probe %d: none", i+1)
-				}
-			}
-		}
-		bs.End()
+		res.merge(i, br.Results[0], bs)
 	}
-	exact := res.Found && res.Match.Partition.Range == q
-	if cache && !exact {
-		for i, id := range ids {
-			metStores.Inc()
-			_, _, err := p.callOwner(id, owners[i], StoreReq{
-				ID: id,
-				Partition: store.Partition{
-					Relation: rel, Attribute: attribute, Range: q, Holder: p.Addr(),
-				},
-			}, sp)
-			if err != nil {
-				return res, err
-			}
-		}
-		res.Stored = true
-		if sp.On() {
-			sp.Eventf("store", "descriptor cached at %d owner(s)", len(ids))
-		}
-	} else if sp.On() && cache {
-		sp.Event("store", "skipped (exact match)")
+	return nil
+}
+
+// merge folds probe i's answer into the running best, noting it on sp.
+func (res *LookupResult) merge(i int, fb FindBestResp, sp *trace.Span) {
+	if fb.Found && (!res.Found || fb.Match.Score > res.Match.Score) {
+		res.Match = fb.Match
+		res.Found = true
 	}
-	metLookupUS.Observe(uint64(time.Since(start).Microseconds()))
-	return res, nil
+	if sp.On() {
+		if fb.Found {
+			sp.Eventf("match", "probe %d: %s score=%.3f", i+1, fb.Match.Partition.Range, fb.Match.Score)
+		} else {
+			sp.Eventf("match", "probe %d: none", i+1)
+		}
+	}
 }
 
 // Publish stores a partition descriptor (held by this peer) under its l
-// identifiers, routing to each owner. It returns the chord hop counts.
-func (p *Peer) Publish(part store.Partition) ([]int, error) {
-	return p.PublishTraced(part, nil)
-}
-
-// PublishTraced is Publish recording each bucket resolution on sp.
-func (p *Peer) PublishTraced(part store.Partition, sp *trace.Span) ([]int, error) {
+// identifiers, routing to each owner, and records each bucket resolution
+// on sp (which may be nil). It returns the chord hop counts.
+func (p *Peer) Publish(part store.Partition, sp *trace.Span) ([]int, error) {
 	metPublishes.Inc()
 	if part.Holder == "" {
 		part.Holder = p.Addr()
@@ -853,29 +775,32 @@ func (p *Peer) PublishTraced(part store.Partition, sp *trace.Span) ([]int, error
 
 // call routes a request to a ref, short-circuiting to the local handler.
 func (p *Peer) call(to chord.Ref, req any) (any, error) {
-	if to.ID == p.node.ID() {
-		return p.Handle(req)
-	}
-	return p.caller.Call(to.Addr, req)
+	return p.callCtx(to.Addr, req, nil)
 }
 
-// callCtx is call with trace propagation: the request carries sp's
-// context and any remote serve spans returned with the response are
-// grafted under sp. The local short-circuit runs HandleTraced directly,
-// so a peer probing itself produces the same serve span a remote peer
-// would — tree shapes match across transports. With tracing off it is
-// exactly call.
-func (p *Peer) callCtx(to chord.Ref, req any, sp *trace.Span) (any, error) {
+// callCtx sends a request to the peer at addr, short-circuiting to the
+// local handler when addr is this peer. With sp on, the request carries
+// sp's context and any serve spans returned with the response are
+// grafted under sp; the local short-circuit runs HandleTraced directly,
+// so a peer calling itself produces the same serve span a remote peer
+// would — tree shapes match across transports.
+func (p *Peer) callCtx(addr string, req any, sp *trace.Span) (any, error) {
+	local := addr == p.Addr()
 	if !sp.On() {
-		return p.call(to, req)
+		if local {
+			return p.Handle(req)
+		}
+		return p.caller.Call(addr, req)
 	}
 	tc := sp.Context(p.Addr())
-	if to.ID == p.node.ID() {
-		resp, spans, err := p.HandleTraced(tc, req)
-		sp.GraftAll(spans)
-		return resp, err
+	var resp any
+	var spans []trace.Wire
+	var err error
+	if local {
+		resp, spans, err = p.HandleTraced(tc, req)
+	} else {
+		resp, spans, err = transport.CallCtx(p.caller, addr, tc, req)
 	}
-	resp, spans, err := transport.CallCtx(p.caller, to.Addr, tc, req)
 	sp.GraftAll(spans)
 	return resp, err
 }
@@ -888,7 +813,7 @@ func (p *Peer) callCtx(to chord.Ref, req any, sp *trace.Span) (any, error) {
 // enabled — already holds a copy of its descriptors. Returns the ref that
 // actually answered; the re-resolution is recorded on sp.
 func (p *Peer) callOwner(id uint32, owner chord.Ref, req any, sp *trace.Span) (chord.Ref, any, error) {
-	resp, err := p.callCtx(owner, req, sp)
+	resp, err := p.callCtx(owner.Addr, req, sp)
 	if err == nil || !p.node.FaultTolerant() || !transport.Retryable(err) {
 		return owner, resp, err
 	}
@@ -900,7 +825,7 @@ func (p *Peer) callOwner(id uint32, owner chord.Ref, req any, sp *trace.Span) (c
 	if lerr != nil || next.ID == owner.ID {
 		return owner, nil, err
 	}
-	resp, err = p.callCtx(next, req, sp)
+	resp, err = p.callCtx(next.Addr, req, sp)
 	return next, resp, err
 }
 
@@ -936,40 +861,19 @@ func (p *Peer) PartitionCount() int {
 	return len(p.data)
 }
 
-// FetchData retrieves the tuples of a matched partition from its holder.
-func (p *Peer) FetchData(m store.Match) (*relation.Relation, error) {
-	return p.FetchDataTraced(m, nil)
-}
-
-// FetchDataTraced is FetchData with the holder's serve span grafted
-// under sp, attributing the data transfer to the peer that performed it.
-func (p *Peer) FetchDataTraced(m store.Match, sp *trace.Span) (*relation.Relation, error) {
+// FetchData retrieves the tuples of a matched partition from its holder,
+// grafting the holder's serve span under sp (which may be nil) so the
+// data transfer is attributed to the peer that performed it.
+func (p *Peer) FetchData(m store.Match, sp *trace.Span) (*relation.Relation, error) {
 	metFetches.Inc()
 	if p.cfg.Schema == nil {
 		return nil, errors.New("peer: no schema configured")
 	}
-	req := FetchDataReq{
+	resp, err := p.callCtx(m.Partition.Holder, FetchDataReq{
 		Relation:  m.Partition.Relation,
 		Attribute: m.Partition.Attribute,
 		Range:     m.Partition.Range,
-	}
-	var resp any
-	var err error
-	switch {
-	case !sp.On() && m.Partition.Holder == p.Addr():
-		resp, err = p.Handle(req)
-	case !sp.On():
-		resp, err = p.caller.Call(m.Partition.Holder, req)
-	default:
-		tc := sp.Context(p.Addr())
-		var spans []trace.Wire
-		if m.Partition.Holder == p.Addr() {
-			resp, spans, err = p.HandleTraced(tc, req)
-		} else {
-			resp, spans, err = transport.CallCtx(p.caller, m.Partition.Holder, tc, req)
-		}
-		sp.GraftAll(spans)
-	}
+	}, sp)
 	if err != nil {
 		return nil, err
 	}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"reflect"
 	"sync"
 	"testing"
 
@@ -54,7 +55,7 @@ func testCluster(t testing.TB, n int, cfg Config) ([]*Peer, *transport.Memory) {
 func TestLookupEmptySystem(t *testing.T) {
 	peers, _ := testCluster(t, 8, Config{})
 	q := rangeset.Range{Lo: 30, Hi: 50}
-	lr, err := peers[0].Lookup("R", "a", q, true)
+	lr, err := peers[0].Lookup("R", "a", q, true, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,7 +70,7 @@ func TestLookupEmptySystem(t *testing.T) {
 	}
 	// The descriptor is now stored at its identifier owners; an exact
 	// repeat finds it from any origin peer.
-	lr2, err := peers[5].Lookup("R", "a", q, true)
+	lr2, err := peers[5].Lookup("R", "a", q, true, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,7 +88,7 @@ func TestLookupEmptySystem(t *testing.T) {
 func TestLookupNoCache(t *testing.T) {
 	peers, _ := testCluster(t, 4, Config{})
 	q := rangeset.Range{Lo: 5, Hi: 9}
-	if _, err := peers[0].Lookup("R", "a", q, false); err != nil {
+	if _, err := peers[0].Lookup("R", "a", q, false, nil); err != nil {
 		t.Fatal(err)
 	}
 	total := 0
@@ -101,10 +102,10 @@ func TestLookupNoCache(t *testing.T) {
 
 func TestSimilarRangeMatches(t *testing.T) {
 	peers, _ := testCluster(t, 8, Config{Measure: store.MatchContainment})
-	if _, err := peers[0].Lookup("R", "a", rangeset.Range{Lo: 30, Hi: 50}, true); err != nil {
+	if _, err := peers[0].Lookup("R", "a", rangeset.Range{Lo: 30, Hi: 50}, true, nil); err != nil {
 		t.Fatal(err)
 	}
-	lr, err := peers[3].Lookup("R", "a", rangeset.Range{Lo: 30, Hi: 49}, false)
+	lr, err := peers[3].Lookup("R", "a", rangeset.Range{Lo: 30, Hi: 49}, false, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,17 +120,17 @@ func TestSimilarRangeMatches(t *testing.T) {
 func TestLookupIsolatesRelations(t *testing.T) {
 	peers, _ := testCluster(t, 4, Config{})
 	q := rangeset.Range{Lo: 0, Hi: 10}
-	if _, err := peers[0].Lookup("R", "a", q, true); err != nil {
+	if _, err := peers[0].Lookup("R", "a", q, true, nil); err != nil {
 		t.Fatal(err)
 	}
-	lr, err := peers[0].Lookup("S", "a", q, false)
+	lr, err := peers[0].Lookup("S", "a", q, false, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if lr.Found {
 		t.Error("match leaked across relations")
 	}
-	lr, err = peers[0].Lookup("R", "b", q, false)
+	lr, err = peers[0].Lookup("R", "b", q, false, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -157,19 +158,19 @@ func TestPublishAndFetchData(t *testing.T) {
 	if holder.PartitionCount() != 1 {
 		t.Errorf("PartitionCount = %d", holder.PartitionCount())
 	}
-	if _, err := holder.Publish(store.Partition{Relation: "Patient", Attribute: "age", Range: rg}); err != nil {
+	if _, err := holder.Publish(store.Partition{Relation: "Patient", Attribute: "age", Range: rg}, nil); err != nil {
 		t.Fatal(err)
 	}
 	// Another peer finds and fetches it.
 	querier := peers[5]
-	lr, err := querier.Lookup("Patient", "age", rg, false)
+	lr, err := querier.Lookup("Patient", "age", rg, false, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !lr.Found || lr.Match.Partition.Holder != holder.Addr() {
 		t.Fatalf("lookup = %+v", lr)
 	}
-	data, err := querier.FetchData(lr.Match)
+	data, err := querier.FetchData(lr.Match, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -179,7 +180,7 @@ func TestPublishAndFetchData(t *testing.T) {
 	// Fetch of a vanished partition errors cleanly.
 	ghost := lr.Match
 	ghost.Partition.Range = rangeset.Range{Lo: 1, Hi: 2}
-	if _, err := querier.FetchData(ghost); err == nil {
+	if _, err := querier.FetchData(ghost, nil); err == nil {
 		t.Error("fetch of unheld partition succeeded")
 	}
 }
@@ -188,10 +189,10 @@ func TestPeerIndexFindsOtherBuckets(t *testing.T) {
 	// With one peer, the peer-wide index sees every bucket; a query that
 	// shares no LSH bucket with the stored range still finds it.
 	peers, _ := testCluster(t, 1, Config{UsePeerIndex: true, Measure: store.MatchContainment})
-	if _, err := peers[0].Lookup("R", "a", rangeset.Range{Lo: 0, Hi: 400}, true); err != nil {
+	if _, err := peers[0].Lookup("R", "a", rangeset.Range{Lo: 0, Hi: 400}, true, nil); err != nil {
 		t.Fatal(err)
 	}
-	lr, err := peers[0].Lookup("R", "a", rangeset.Range{Lo: 100, Hi: 120}, false)
+	lr, err := peers[0].Lookup("R", "a", rangeset.Range{Lo: 100, Hi: 120}, false, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -216,7 +217,7 @@ func TestNewRequiresScheme(t *testing.T) {
 func TestHandoffAndReclaim(t *testing.T) {
 	peers, _ := testCluster(t, 6, Config{})
 	q := rangeset.Range{Lo: 10, Hi: 90}
-	if _, err := peers[0].Lookup("R", "a", q, true); err != nil {
+	if _, err := peers[0].Lookup("R", "a", q, true, nil); err != nil {
 		t.Fatal(err)
 	}
 	// Find a peer that holds descriptors and hand everything to another.
@@ -249,7 +250,7 @@ func TestHandoffAndReclaim(t *testing.T) {
 
 func TestHandoffFailureRestoresBuckets(t *testing.T) {
 	peers, net := testCluster(t, 4, Config{})
-	if _, err := peers[0].Lookup("R", "a", rangeset.Range{Lo: 0, Hi: 50}, true); err != nil {
+	if _, err := peers[0].Lookup("R", "a", rangeset.Range{Lo: 0, Hi: 50}, true, nil); err != nil {
 		t.Fatal(err)
 	}
 	var donor *Peer
@@ -298,7 +299,7 @@ func TestLookupSet(t *testing.T) {
 	peers, _ := testCluster(t, 8, Config{Measure: store.MatchContainment})
 	// Cache partitions covering the two components.
 	for _, rg := range []rangeset.Range{{Lo: 30, Hi: 50}, {Lo: 100, Hi: 130}} {
-		if _, err := peers[0].Lookup("R", "a", rg, true); err != nil {
+		if _, err := peers[0].Lookup("R", "a", rg, true, nil); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -328,7 +329,7 @@ func TestLookupSet(t *testing.T) {
 func TestLookupSetPartialCoverage(t *testing.T) {
 	peers, _ := testCluster(t, 4, Config{Measure: store.MatchContainment})
 	// Only the first component has a cached superset.
-	if _, err := peers[0].Lookup("R", "a", rangeset.Range{Lo: 0, Hi: 20}, true); err != nil {
+	if _, err := peers[0].Lookup("R", "a", rangeset.Range{Lo: 0, Hi: 20}, true, nil); err != nil {
 		t.Fatal(err)
 	}
 	qs := rangeset.NewSet(rangeset.Range{Lo: 0, Hi: 19}, rangeset.Range{Lo: 800, Hi: 819})
@@ -364,7 +365,7 @@ func TestConcurrentLookups(t *testing.T) {
 			for i := 0; i < 200; i++ {
 				lo := rng.Int63n(900)
 				q := rangeset.Range{Lo: lo, Hi: lo + rng.Int63n(100) + 1}
-				if _, err := peers[rng.Intn(len(peers))].Lookup("R", "a", q, true); err != nil {
+				if _, err := peers[rng.Intn(len(peers))].Lookup("R", "a", q, true, nil); err != nil {
 					errs <- err
 					return
 				}
@@ -388,19 +389,19 @@ func TestConcurrentLookups(t *testing.T) {
 func TestLookupRejectsUnhashableRanges(t *testing.T) {
 	peers, _ := testCluster(t, 2, Config{})
 	huge := rangeset.Range{Lo: -(1 << 62), Hi: 1 << 62}
-	if _, err := peers[0].Lookup("R", "a", huge, false); err == nil {
+	if _, err := peers[0].Lookup("R", "a", huge, false, nil); err == nil {
 		t.Error("huge range accepted (would iterate ~2^63 values)")
 	}
 	overflow := rangeset.Range{Lo: math.MinInt64, Hi: math.MaxInt64}
-	if _, err := peers[0].Lookup("R", "a", overflow, false); err == nil {
+	if _, err := peers[0].Lookup("R", "a", overflow, false, nil); err == nil {
 		t.Error("overflowing range accepted")
 	}
-	if _, err := peers[0].Publish(store.Partition{Relation: "R", Attribute: "a", Range: huge}); err == nil {
+	if _, err := peers[0].Publish(store.Partition{Relation: "R", Attribute: "a", Range: huge}, nil); err == nil {
 		t.Error("Publish accepted an unhashable range")
 	}
 	// A maximal-but-legal range still works.
 	legal := rangeset.Range{Lo: 0, Hi: MaxRangeSize - 1}
-	if _, err := peers[0].Lookup("R", "a", legal, false); err != nil {
+	if _, err := peers[0].Lookup("R", "a", legal, false, nil); err != nil {
 		t.Errorf("legal maximal range rejected: %v", err)
 	}
 }
@@ -413,7 +414,7 @@ func TestLookupRejectsUnhashableRanges(t *testing.T) {
 func TestLookupSurvivesOwnerCrash(t *testing.T) {
 	peers, net := testCluster(t, 12, Config{})
 	q := rangeset.Range{Lo: 30, Hi: 50}
-	if _, err := peers[0].Lookup("R", "a", q, true); err != nil {
+	if _, err := peers[0].Lookup("R", "a", q, true, nil); err != nil {
 		t.Fatal(err)
 	}
 	querier := peers[5]
@@ -433,7 +434,7 @@ func TestLookupSurvivesOwnerCrash(t *testing.T) {
 	}
 	net.SetDown(victim.Addr, true)
 
-	lr, err := querier.Lookup("R", "a", q, false)
+	lr, err := querier.Lookup("R", "a", q, false, nil)
 	if err != nil {
 		t.Fatalf("lookup with crashed owner %s: %v", victim, err)
 	}
@@ -442,5 +443,77 @@ func TestLookupSurvivesOwnerCrash(t *testing.T) {
 	}
 	if !querier.Node().Suspect(victim.ID) {
 		t.Error("crashed owner not marked suspect")
+	}
+}
+
+// TestBatchCappedAtL pins the probe batch bound: a batch carries the
+// probes of one lookup, so a peer answers up to l identifiers and
+// refuses a larger batch before allocating anything by its count.
+func TestBatchCappedAtL(t *testing.T) {
+	peers, _ := testCluster(t, 1, Config{})
+	l := peers[0].cfg.Scheme.L()
+	batch := func(n int) FindBestBatchReq {
+		req := FindBestBatchReq{Relation: "R", Attribute: "a", Range: rangeset.Range{Lo: 1, Hi: 9}}
+		for i := 0; i < n; i++ {
+			req.IDs = append(req.IDs, uint32(i))
+		}
+		return req
+	}
+	resp, err := peers[0].Handle(batch(l))
+	if err != nil {
+		t.Fatalf("batch of l=%d refused: %v", l, err)
+	}
+	if br, ok := resp.(FindBestBatchResp); !ok || len(br.Results) != l {
+		t.Fatalf("batch of l=%d answered with %#v", l, resp)
+	}
+	if resp, err := peers[0].Handle(batch(l + 1)); err == nil {
+		t.Fatalf("batch of l+1=%d answered with %T", l+1, resp)
+	}
+}
+
+// TestLoadAwareAgreesWithOwnerProbes pins that load-aware routing only
+// changes who serves a probe, never the answer: two identical repaired
+// Replicas=2 clusters, one load-aware, run the same seeded lookups and
+// must agree on every result — match, hops and store decision.
+func TestLoadAwareAgreesWithOwnerProbes(t *testing.T) {
+	plain, _ := testCluster(t, 12, Config{Replicas: 2})
+	aware, _ := testCluster(t, 12, Config{Replicas: 2, LoadAware: true})
+	rng := rand.New(rand.NewSource(7))
+	ranges := make([]rangeset.Range, 40)
+	for i := range ranges {
+		lo := int64(rng.Intn(200))
+		ranges[i] = rangeset.Range{Lo: lo, Hi: lo + int64(5+rng.Intn(40))}
+	}
+	origins := rng.Perm(len(ranges))
+	for round := 0; round < 2; round++ {
+		for i, q := range ranges {
+			o := origins[i] % len(plain)
+			want, err := plain[o].Lookup("R", "a", q, true, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := aware[o].Lookup("R", "a", q, true, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("round %d, range %s: load-aware %+v, owner probes %+v", round, q, got, want)
+			}
+		}
+		for i := range plain {
+			plain[i].RepairReplicas()
+			aware[i].RepairReplicas()
+		}
+	}
+	// The load-aware cluster must actually have spread probes to
+	// replicas, or the comparison above proves nothing.
+	diverted := false
+	for i := range plain {
+		if plain[i].ServedProbes() != aware[i].ServedProbes() {
+			diverted = true
+		}
+	}
+	if !diverted {
+		t.Error("load-aware cluster served every probe at the owner")
 	}
 }

@@ -32,7 +32,7 @@ func (p *Peer) LookupSet(rel, attribute string, qs rangeset.Set, cache bool) (Se
 	}
 	var covered []rangeset.Range
 	for _, q := range qs.Ranges() {
-		lr, err := p.Lookup(rel, attribute, q, cache)
+		lr, err := p.Lookup(rel, attribute, q, cache, nil)
 		if err != nil {
 			return res, err
 		}

@@ -77,7 +77,7 @@ func (s *DataSource) FetchTraced(rel, attribute string, rg rangeset.Range, sp *t
 	if sp.On() {
 		ls = sp.Child(fmt.Sprintf("lookup %s.%s %s", rel, attribute, probe))
 	}
-	lr, err := s.Peer.LookupTraced(rel, attribute, probe, true, ls)
+	lr, err := s.Peer.Lookup(rel, attribute, probe, true, ls)
 	ls.End()
 	if err != nil {
 		return nil, rangeset.Range{}, err
@@ -90,7 +90,7 @@ func (s *DataSource) FetchTraced(rel, attribute string, rg rangeset.Range, sp *t
 	covered := rangeset.Range{Lo: 0, Hi: -1} // empty
 	if lr.Found {
 		if inter, ok := rg.Intersect(lr.Match.Partition.Range); ok {
-			d, err := s.Peer.FetchDataTraced(lr.Match, sp)
+			d, err := s.Peer.FetchData(lr.Match, sp)
 			if err == nil {
 				data, covered = d, inter
 				if sp.On() {
@@ -134,7 +134,7 @@ func (s *DataSource) FetchTraced(rel, attribute string, rg rangeset.Range, sp *t
 	}
 	part := &relation.Partition{Relation: rel, Attribute: attribute, Range: fullCovered, Data: full}
 	s.Peer.AddPartition(part)
-	if _, err := s.Peer.PublishTraced(storeDescriptor(part, s.Peer.Addr()), sp); err != nil {
+	if _, err := s.Peer.Publish(storeDescriptor(part, s.Peer.Addr()), sp); err != nil {
 		return nil, rangeset.Range{}, err
 	}
 	return full, rg, nil

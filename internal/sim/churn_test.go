@@ -39,7 +39,7 @@ func TestJoinGrowsRing(t *testing.T) {
 func TestJoinPreservesLookups(t *testing.T) {
 	c := churnCluster(t, 8)
 	q := rangeset.Range{Lo: 30, Hi: 50}
-	if _, err := c.Peers[0].Lookup("R", "a", q, true); err != nil {
+	if _, err := c.Peers[0].Lookup("R", "a", q, true, nil); err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 6; i++ {
@@ -47,7 +47,7 @@ func TestJoinPreservesLookups(t *testing.T) {
 			t.Fatal(err)
 		}
 		rng := rand.New(rand.NewSource(int64(i)))
-		lr, err := c.RandomPeer(rng).Lookup("R", "a", q, false)
+		lr, err := c.RandomPeer(rng).Lookup("R", "a", q, false, nil)
 		if err != nil {
 			t.Fatalf("lookup after join %d: %v", i, err)
 		}
@@ -63,7 +63,7 @@ func TestJoinPreservesLookups(t *testing.T) {
 func TestLeavePreservesDescriptors(t *testing.T) {
 	c := churnCluster(t, 10)
 	q := rangeset.Range{Lo: 100, Hi: 180}
-	if _, err := c.Peers[0].Lookup("R", "a", q, true); err != nil {
+	if _, err := c.Peers[0].Lookup("R", "a", q, true, nil); err != nil {
 		t.Fatal(err)
 	}
 	before := c.TotalStored()
@@ -79,7 +79,7 @@ func TestLeavePreservesDescriptors(t *testing.T) {
 	if err := c.VerifyRing(); err != nil {
 		t.Fatalf("ring broken after leaves: %v", err)
 	}
-	lr, err := c.Peers[0].Lookup("R", "a", q, false)
+	lr, err := c.Peers[0].Lookup("R", "a", q, false, nil)
 	if err != nil || !lr.Found {
 		t.Errorf("descriptor unfindable after churn: found=%v err=%v", lr.Found, err)
 	}
@@ -95,7 +95,7 @@ func TestCrashRepairsRing(t *testing.T) {
 	}
 	// The system still serves queries.
 	q := rangeset.Range{Lo: 0, Hi: 99}
-	if _, err := c.Peers[0].Lookup("R", "a", q, true); err != nil {
+	if _, err := c.Peers[0].Lookup("R", "a", q, true, nil); err != nil {
 		t.Fatalf("lookup after crash: %v", err)
 	}
 }
@@ -117,7 +117,7 @@ func TestWorkloadUnderChurn(t *testing.T) {
 		}
 		lo := rng.Int63n(900)
 		q := rangeset.Range{Lo: lo, Hi: lo + rng.Int63n(100)}
-		if _, err := c.RandomPeer(rng).Lookup("R", "a", q, true); err != nil {
+		if _, err := c.RandomPeer(rng).Lookup("R", "a", q, true, nil); err != nil {
 			failures++
 		}
 	}
@@ -152,7 +152,7 @@ func TestReplicationSurvivesCrash(t *testing.T) {
 		t.Fatal(err)
 	}
 	q := rangeset.Range{Lo: 30, Hi: 50}
-	if _, err := c.Peers[0].Lookup("R", "a", q, true); err != nil {
+	if _, err := c.Peers[0].Lookup("R", "a", q, true, nil); err != nil {
 		t.Fatal(err)
 	}
 	// Crash every peer that currently holds a primary descriptor for q's
@@ -167,7 +167,7 @@ func TestReplicationSurvivesCrash(t *testing.T) {
 			break
 		}
 	}
-	lr, err := c.Peers[0].Lookup("R", "a", q, false)
+	lr, err := c.Peers[0].Lookup("R", "a", q, false, nil)
 	if err != nil {
 		t.Fatalf("lookup after owner crash: %v", err)
 	}
@@ -182,7 +182,7 @@ func TestNoReplicationLosesDescriptorOnCrash(t *testing.T) {
 	// so we assert on stored counts, not findability).
 	c := churnCluster(t, 12)
 	q := rangeset.Range{Lo: 30, Hi: 50}
-	if _, err := c.Peers[0].Lookup("R", "a", q, true); err != nil {
+	if _, err := c.Peers[0].Lookup("R", "a", q, true, nil); err != nil {
 		t.Fatal(err)
 	}
 	before := c.TotalStored()

@@ -156,7 +156,7 @@ func RunLoad(cfg LoadConfig) (*LoadResult, error) {
 		seen[p.Key()] = true
 		origin := c.RandomPeer(rng)
 		p.Holder = origin.Addr()
-		if _, err := origin.Publish(p); err != nil {
+		if _, err := origin.Publish(p, nil); err != nil {
 			return nil, fmt.Errorf("sim: publish %s: %w", p.Range, err)
 		}
 		catalog = append(catalog, p)
@@ -192,7 +192,7 @@ func RunLoad(cfg LoadConfig) (*LoadResult, error) {
 		}
 		want := queries.Next()
 		origin := c.RandomPeer(rng)
-		lr, err := origin.Lookup("R", "a", want, false)
+		lr, err := origin.Lookup("R", "a", want, false, nil)
 		if err == nil && lr.Found && lr.Match.Partition.Range == want {
 			res.Succeeded++
 		}

@@ -27,7 +27,7 @@ func TestReplicaRepairUnderChurn(t *testing.T) {
 	}
 	q := rangeset.Range{Lo: 30, Hi: 50}
 	pub := store.Partition{Relation: "R", Attribute: "a", Range: q, Holder: c.Peers[0].Addr()}
-	if _, err := c.Peers[0].Publish(pub); err != nil {
+	if _, err := c.Peers[0].Publish(pub, nil); err != nil {
 		t.Fatal(err)
 	}
 	id := c.Peers[0].Identifiers(q)[0]
@@ -51,7 +51,7 @@ func TestReplicaRepairUnderChurn(t *testing.T) {
 			break
 		}
 	}
-	lr, err := c.Peers[0].Lookup("R", "a", q, false)
+	lr, err := c.Peers[0].Lookup("R", "a", q, false, nil)
 	if err != nil || !lr.Found {
 		t.Fatalf("query failed after owner crash: found=%v err=%v", lr.Found, err)
 	}
@@ -64,7 +64,7 @@ func TestReplicaRepairUnderChurn(t *testing.T) {
 	if got := holders(); got != 3 {
 		t.Errorf("replica set has %d members after repair, want 3", got)
 	}
-	lr, err = c.Peers[0].Lookup("R", "a", q, false)
+	lr, err = c.Peers[0].Lookup("R", "a", q, false, nil)
 	if err != nil || !lr.Found || lr.Match.Partition.Range != q {
 		t.Errorf("query wrong after repair: found=%v err=%v", lr.Found, err)
 	}

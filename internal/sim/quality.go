@@ -105,7 +105,7 @@ func RunQuality(c *Cluster, cfg QualityConfig) (*QualityResult, error) {
 			probe = q.Pad(pad, domLo, domHi)
 		}
 		origin := c.RandomPeer(rng)
-		lr, err := origin.Lookup(cfg.Relation, cfg.Attribute, probe, true)
+		lr, err := origin.Lookup(cfg.Relation, cfg.Attribute, probe, true, nil)
 		if err != nil {
 			return nil, fmt.Errorf("sim: query %d %s: %w", i, q, err)
 		}

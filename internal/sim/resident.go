@@ -139,7 +139,7 @@ func RunResident(cfg ResidentConfig) (*ResidentResult, error) {
 		}
 		seen[p.Key()] = true
 		catalog = append(catalog, p.Range)
-		if _, err := seeder.Publish(p); err != nil {
+		if _, err := seeder.Publish(p, nil); err != nil {
 			return nil, fmt.Errorf("sim: publish %s: %w", p.Range, err)
 		}
 		published++
@@ -214,7 +214,7 @@ func RunResident(cfg ResidentConfig) (*ResidentResult, error) {
 			probe = catalog[qrng.Intn(len(catalog))]
 		}
 		start := time.Now()
-		lr, err := revived.Lookup("R", "a", probe, false)
+		lr, err := revived.Lookup("R", "a", probe, false, nil)
 		lat = append(lat, time.Since(start))
 		if err != nil {
 			return nil, fmt.Errorf("sim: lookup %s: %w", probe, err)

@@ -131,7 +131,7 @@ func RunRestart(cfg RestartConfig) (*RestartResult, error) {
 		seen[p.Key()] = true
 		origin := c.RandomPeer(rng)
 		p.Holder = origin.Addr()
-		if _, err := origin.Publish(p); err != nil {
+		if _, err := origin.Publish(p, nil); err != nil {
 			return nil, fmt.Errorf("sim: publish %s: %w", p.Range, err)
 		}
 		published++

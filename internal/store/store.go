@@ -361,25 +361,6 @@ func (s *Store) Delete(id ID, key string) bool {
 	return false
 }
 
-// FindBest scans bucket id for the best match for query q on relation and
-// attribute under measure, merging the memory and segment tiers when a
-// disk tier is attached. ok is true only when some candidate scores
-// above zero; a zero-score best candidate is still returned (with
-// ok=false) so callers can tell an empty bucket from a dissimilar one.
-// On bounded stores a positive match refreshes the entry's LRU position;
-// a positive match served from the segment is admitted into memory.
-func (s *Store) FindBest(id ID, relation, attribute string, q rangeset.Range, measure Measure) (Match, bool) {
-	return s.FindBestTraced(id, relation, attribute, q, measure, nil)
-}
-
-// FindBestAnywhere searches every bucket the peer owns (the Section 5.3
-// peer-wide index), both tiers included. With few peers this sees most
-// of the system's partitions; with many peers it degenerates to
-// single-bucket search.
-func (s *Store) FindBestAnywhere(relation, attribute string, q rangeset.Range, measure Measure) (Match, bool) {
-	return s.FindBestAnywhereTraced(relation, attribute, q, measure, nil)
-}
-
 // better reports whether candidate m beats the current best: higher
 // score, or — on an exact score tie — the lexicographically lowest
 // partition key. The tie-break keeps replicated copies deterministic:

@@ -52,7 +52,7 @@ func TestFindBest(t *testing.T) {
 	s.Put(1, part(500, 600))
 
 	q := rangeset.Range{Lo: 45, Hi: 55}
-	m, ok := s.FindBest(1, "R", "a", q, MatchJaccard)
+	m, ok := s.FindBest(1, "R", "a", q, MatchJaccard, nil)
 	if !ok {
 		t.Fatal("expected a match")
 	}
@@ -64,7 +64,7 @@ func TestFindBest(t *testing.T) {
 	}
 	// Containment prefers any containing range equally (score 1); the
 	// scan keeps the first maximal one.
-	m, ok = s.FindBest(1, "R", "a", q, MatchContainment)
+	m, ok = s.FindBest(1, "R", "a", q, MatchContainment, nil)
 	if !ok || m.Score != 1 {
 		t.Fatalf("containment match = %+v, %v", m, ok)
 	}
@@ -74,18 +74,18 @@ func TestFindBestFiltersRelationAndAttribute(t *testing.T) {
 	s := New()
 	s.Put(1, Partition{Relation: "S", Attribute: "a", Range: rangeset.Range{Lo: 0, Hi: 10}})
 	s.Put(1, Partition{Relation: "R", Attribute: "b", Range: rangeset.Range{Lo: 0, Hi: 10}})
-	if _, ok := s.FindBest(1, "R", "a", rangeset.Range{Lo: 0, Hi: 10}, MatchJaccard); ok {
+	if _, ok := s.FindBest(1, "R", "a", rangeset.Range{Lo: 0, Hi: 10}, MatchJaccard, nil); ok {
 		t.Error("match crossed relation/attribute boundaries")
 	}
 }
 
 func TestFindBestEmptyAndDisjoint(t *testing.T) {
 	s := New()
-	if _, ok := s.FindBest(9, "R", "a", rangeset.Range{Lo: 0, Hi: 1}, MatchJaccard); ok {
+	if _, ok := s.FindBest(9, "R", "a", rangeset.Range{Lo: 0, Hi: 1}, MatchJaccard, nil); ok {
 		t.Error("empty bucket should not match")
 	}
 	s.Put(9, part(500, 600))
-	m, ok := s.FindBest(9, "R", "a", rangeset.Range{Lo: 0, Hi: 1}, MatchJaccard)
+	m, ok := s.FindBest(9, "R", "a", rangeset.Range{Lo: 0, Hi: 1}, MatchJaccard, nil)
 	if ok {
 		t.Error("disjoint candidate should report ok=false")
 	}
@@ -100,11 +100,11 @@ func TestFindBestAnywhere(t *testing.T) {
 	s.Put(2, part(40, 60))
 	q := rangeset.Range{Lo: 45, Hi: 55}
 	// Bucket 1 has only the poor candidate...
-	if m, ok := s.FindBest(1, "R", "a", q, MatchJaccard); ok {
+	if m, ok := s.FindBest(1, "R", "a", q, MatchJaccard, nil); ok {
 		t.Errorf("bucket 1 should have no positive match, got %+v", m)
 	}
 	// ...but the peer-wide index (Sec 5.3) sees bucket 2.
-	m, ok := s.FindBestAnywhere("R", "a", q, MatchJaccard)
+	m, ok := s.FindBestAnywhere("R", "a", q, MatchJaccard, nil)
 	if !ok || m.Partition.Range != (rangeset.Range{Lo: 40, Hi: 60}) {
 		t.Errorf("FindBestAnywhere = %+v, %v", m, ok)
 	}
@@ -196,8 +196,8 @@ func TestConcurrentAccess(t *testing.T) {
 			for i := 0; i < 500; i++ {
 				lo := rng.Int63n(1000)
 				s.Put(uint32(rng.Intn(50)), part(lo, lo+rng.Int63n(100)))
-				s.FindBest(uint32(rng.Intn(50)), "R", "a", rangeset.Range{Lo: lo, Hi: lo + 10}, MatchJaccard)
-				s.FindBestAnywhere("R", "a", rangeset.Range{Lo: lo, Hi: lo + 10}, MatchContainment)
+				s.FindBest(uint32(rng.Intn(50)), "R", "a", rangeset.Range{Lo: lo, Hi: lo + 10}, MatchJaccard, nil)
+				s.FindBestAnywhere("R", "a", rangeset.Range{Lo: lo, Hi: lo + 10}, MatchContainment, nil)
 			}
 		}(g)
 	}
@@ -224,7 +224,7 @@ func TestFindBestIsMaximal(t *testing.T) {
 		qlo := rng.Int63n(1000)
 		q := rangeset.Range{Lo: qlo, Hi: qlo + rng.Int63n(200)}
 		for _, measure := range []Measure{MatchJaccard, MatchContainment} {
-			m, ok := s.FindBest(3, "R", "a", q, measure)
+			m, ok := s.FindBest(3, "R", "a", q, measure, nil)
 			best := 0.0
 			for _, p := range parts {
 				if sc := measure.Score(q, p.Range); sc > best {
@@ -284,7 +284,7 @@ func TestBucketIsolation(t *testing.T) {
 	s.Put(1, part(0, 10))
 	snapshot := s.Bucket(1)
 	s.Put(2, part(20, 30))
-	s.FindBest(2, "R", "a", rangeset.Range{Lo: 0, Hi: 5}, MatchJaccard)
+	s.FindBest(2, "R", "a", rangeset.Range{Lo: 0, Hi: 5}, MatchJaccard, nil)
 	after := s.Bucket(1)
 	if len(after) != len(snapshot) || after[0] != snapshot[0] {
 		t.Error("bucket 1 changed by operations on bucket 2")
@@ -297,8 +297,8 @@ func TestBoundedStoreEvictsLRU(t *testing.T) {
 	s.Put(2, part(20, 30))
 	s.Put(3, part(40, 50))
 	// Touch buckets 1 and 2 via matches; bucket 3 becomes the LRU victim.
-	s.FindBest(1, "R", "a", rangeset.Range{Lo: 0, Hi: 10}, MatchJaccard)
-	s.FindBest(2, "R", "a", rangeset.Range{Lo: 20, Hi: 30}, MatchJaccard)
+	s.FindBest(1, "R", "a", rangeset.Range{Lo: 0, Hi: 10}, MatchJaccard, nil)
+	s.FindBest(2, "R", "a", rangeset.Range{Lo: 20, Hi: 30}, MatchJaccard, nil)
 	s.Put(4, part(60, 70)) // overflow: evicts bucket 3's entry
 	if s.Len() != 3 {
 		t.Fatalf("Len = %d, want capacity 3", s.Len())
@@ -358,11 +358,11 @@ func TestFindBestBreaksTiesDeterministically(t *testing.T) {
 		for _, p := range order {
 			s.Put(1, p)
 		}
-		m, ok := s.FindBest(1, "R", "a", q, MatchJaccard)
+		m, ok := s.FindBest(1, "R", "a", q, MatchJaccard, nil)
 		if !ok || m.Partition.Key() != want.Key() {
 			t.Errorf("order %v: best = %v, want %v", order, m.Partition.Key(), want.Key())
 		}
-		ma, ok := s.FindBestAnywhere("R", "a", q, MatchJaccard)
+		ma, ok := s.FindBestAnywhere("R", "a", q, MatchJaccard, nil)
 		if !ok || ma.Partition.Key() != want.Key() {
 			t.Errorf("order %v: FindBestAnywhere best = %v, want %v", order, ma.Partition.Key(), want.Key())
 		}
@@ -497,7 +497,7 @@ func TestConcurrentBoundedFindBest(t *testing.T) {
 			defer wg.Done()
 			for i := int64(0); i < 300; i++ {
 				id := ID(i % 60)
-				s.FindBest(id, "R", "a", rangeset.Range{Lo: int64(id) * 10, Hi: int64(id)*10 + 5}, MatchJaccard)
+				s.FindBest(id, "R", "a", rangeset.Range{Lo: int64(id) * 10, Hi: int64(id)*10 + 5}, MatchJaccard, nil)
 				if w == 0 {
 					s.Put(ID(50+i%10), part(1000+i, 1005+i))
 				}

@@ -208,10 +208,16 @@ func (s *Store) diskGetLocked(id ID, key string) (Partition, bool) {
 	return p, ok
 }
 
-// FindBestTraced is FindBest with a trace span: when the lookup consults
-// the segment tier, a child span "seg.read" records what the disk walk
-// contributed.
-func (s *Store) FindBestTraced(id ID, relation, attribute string, q rangeset.Range, measure Measure, sp *trace.Span) (Match, bool) {
+// FindBest scans bucket id for the best match for query q on relation and
+// attribute under measure, merging the memory and segment tiers when a
+// disk tier is attached. ok is true only when some candidate scores
+// above zero; a zero-score best candidate is still returned (with
+// ok=false) so callers can tell an empty bucket from a dissimilar one.
+// On bounded stores a positive match refreshes the entry's LRU position;
+// a positive match served from the segment is admitted into memory.
+// When the lookup consults the segment tier, a child span "seg.read" of
+// sp (which may be nil) records what the disk walk contributed.
+func (s *Store) FindBest(id ID, relation, attribute string, q rangeset.Range, measure Measure, sp *trace.Span) (Match, bool) {
 	s.mu.RLock()
 	bucket := s.buckets[id]
 	best, found := rawBestOf(bucket, relation, attribute, q, measure)
@@ -292,9 +298,12 @@ func (s *Store) admit(id ID, p Partition) {
 	metAdmits.Inc()
 }
 
-// FindBestAnywhereTraced is FindBestAnywhere with a trace span over the
-// segment-tier pass (the Section 5.3 peer-wide index, disk included).
-func (s *Store) FindBestAnywhereTraced(relation, attribute string, q rangeset.Range, measure Measure, sp *trace.Span) (Match, bool) {
+// FindBestAnywhere searches every bucket the peer owns (the Section 5.3
+// peer-wide index), both tiers included. With few peers this sees most
+// of the system's partitions; with many peers it degenerates to
+// single-bucket search. The segment-tier pass runs under a "seg.read"
+// child span of sp (which may be nil).
+func (s *Store) FindBestAnywhere(relation, attribute string, q rangeset.Range, measure Measure, sp *trace.Span) (Match, bool) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	var best Match

@@ -122,7 +122,7 @@ func TestTieredReadThroughAdmits(t *testing.T) {
 		t.Fatalf("Len=%d MemLen=%d, want 5, 0", s.Len(), s.MemLen())
 	}
 	q := rangeset.Range{Lo: 100, Hi: 150}
-	m, ok := s.FindBest(20, "R", "a", q, MatchJaccard)
+	m, ok := s.FindBest(20, "R", "a", q, MatchJaccard, nil)
 	if !ok || m.Partition != segPart(1) {
 		t.Fatalf("FindBest from disk = %+v, %v", m, ok)
 	}
@@ -138,7 +138,7 @@ func TestTieredReadThroughAdmits(t *testing.T) {
 		i  int
 	}{{10, 0}, {30, 2}, {40, 3}, {50, 4}} {
 		qq := segPart(probe.i).Range
-		if m, ok := s.FindBest(probe.id, "R", "a", qq, MatchJaccard); !ok || m.Partition != segPart(probe.i) {
+		if m, ok := s.FindBest(probe.id, "R", "a", qq, MatchJaccard, nil); !ok || m.Partition != segPart(probe.i) {
 			t.Fatalf("FindBest(%d) = %+v, %v", probe.id, m, ok)
 		}
 	}
@@ -256,7 +256,7 @@ func TestTieredPinAboveSwapEpochStaysPinned(t *testing.T) {
 		id ID
 		i  int
 	}{{10, 0}, {20, 1}, {30, 2}} {
-		s.FindBest(probe.id, "R", "a", segPart(probe.i).Range, MatchJaccard)
+		s.FindBest(probe.id, "R", "a", segPart(probe.i).Range, MatchJaccard, nil)
 	}
 	if p, ok := s.Get(200, segPart(7).Key()); !ok || p != segPart(7) {
 		t.Fatalf("pinned entry lost to cache churn: %+v, %v", p, ok)
@@ -279,7 +279,7 @@ func TestTieredDeleteTombstones(t *testing.T) {
 	if _, ok := s.Get(30, segPart(2).Key()); ok {
 		t.Error("deleted descriptor still served from disk")
 	}
-	if _, ok := s.FindBest(30, "R", "a", segPart(2).Range, MatchJaccard); ok {
+	if _, ok := s.FindBest(30, "R", "a", segPart(2).Range, MatchJaccard, nil); ok {
 		t.Error("deleted descriptor still matches")
 	}
 	if s.Has(30, segPart(2)) {
@@ -322,7 +322,7 @@ func TestTieredDigestAndMissingFromMerge(t *testing.T) {
 func TestTieredFindBestAnywhereMergesTiers(t *testing.T) {
 	s, _, _ := fiveOnDisk(2)
 	// The best candidate for this query lives only on disk.
-	m, ok := s.FindBestAnywhere("R", "a", segPart(3).Range, MatchJaccard)
+	m, ok := s.FindBestAnywhere("R", "a", segPart(3).Range, MatchJaccard, nil)
 	if !ok || m.Partition != segPart(3) {
 		t.Fatalf("FindBestAnywhere = %+v, %v", m, ok)
 	}
@@ -330,7 +330,7 @@ func TestTieredFindBestAnywhereMergesTiers(t *testing.T) {
 	up := segPart(3)
 	up.Version = 9
 	s.Put(40, up)
-	m, ok = s.FindBestAnywhere("R", "a", segPart(3).Range, MatchJaccard)
+	m, ok = s.FindBestAnywhere("R", "a", segPart(3).Range, MatchJaccard, nil)
 	if !ok || m.Partition.Version != 9 {
 		t.Fatalf("FindBestAnywhere after upgrade = %+v, %v", m, ok)
 	}
@@ -408,7 +408,7 @@ func TestTieredNilSegmentSource(t *testing.T) {
 	if s.Len() != 1 || s.MemLen() != 1 {
 		t.Fatalf("Len=%d MemLen=%d", s.Len(), s.MemLen())
 	}
-	if m, ok := s.FindBest(1, "R", "a", segPart(0).Range, MatchJaccard); !ok || m.Partition != segPart(0) {
+	if m, ok := s.FindBest(1, "R", "a", segPart(0).Range, MatchJaccard, nil); !ok || m.Partition != segPart(0) {
 		t.Fatalf("FindBest = %+v, %v", m, ok)
 	}
 	if s.Delete(99, "absent") {

@@ -73,8 +73,8 @@ func assertSameAnswers(t *testing.T, tag string, tiered, shadow *store.Store, rn
 		id := store.ID(rng.Intn(24))
 		q := rangeset.Range{Lo: int64(rng.Intn(300)), Hi: int64(rng.Intn(300) + 300)}
 		for _, measure := range []store.Measure{store.MatchJaccard, store.MatchContainment} {
-			gm, gok := tiered.FindBest(id, "R", "a", q, measure)
-			wm, wok := shadow.FindBest(id, "R", "a", q, measure)
+			gm, gok := tiered.FindBest(id, "R", "a", q, measure, nil)
+			wm, wok := shadow.FindBest(id, "R", "a", q, measure, nil)
 			if gok != wok || (gok && gm != wm) {
 				t.Fatalf("%s: FindBest(%d, %v, %v) = %+v, %v; shadow %+v, %v",
 					tag, id, q, measure, gm, gok, wm, wok)
@@ -82,8 +82,8 @@ func assertSameAnswers(t *testing.T, tag string, tiered, shadow *store.Store, rn
 			// Anywhere probes tie-break to a deterministic (score, key);
 			// the winning copy's replication metadata may come from any
 			// bucket holding the key, so compare only the guaranteed part.
-			gm, gok = tiered.FindBestAnywhere("R", "a", q, measure)
-			wm, wok = shadow.FindBestAnywhere("R", "a", q, measure)
+			gm, gok = tiered.FindBestAnywhere("R", "a", q, measure, nil)
+			wm, wok = shadow.FindBestAnywhere("R", "a", q, measure, nil)
 			if gok != wok || (gok && (gm.Score != wm.Score || gm.Partition.Key() != wm.Partition.Key())) {
 				t.Fatalf("%s: FindBestAnywhere(%v, %v) = %+v, %v; shadow %+v, %v",
 					tag, q, measure, gm, gok, wm, wok)

@@ -512,10 +512,10 @@ func (lp *LivePeer) Lookup(rel, attribute string, q Range, cache bool) (Match, b
 func (lp *LivePeer) lookupRecorded(rel, attribute string, q Range, cache bool) (peer.LookupResult, error) {
 	rec := lp.flight
 	if !rec.On() {
-		return lp.peer.Lookup(rel, attribute, q, cache)
+		return lp.peer.Lookup(rel, attribute, q, cache, nil)
 	}
 	sp := rec.Start(fmt.Sprintf("lookup %s.%s %s from %s", rel, attribute, q, lp.Addr()))
-	lr, err := lp.peer.LookupTraced(rel, attribute, q, cache, sp)
+	lr, err := lp.peer.Lookup(rel, attribute, q, cache, sp)
 	rec.Finish(flight.KindLookup, sp, sumHops(lr.Hops), err)
 	return lr, err
 }
@@ -548,11 +548,11 @@ func (lp *LivePeer) LookupOnce(rel, attribute string, q Range, cache bool) (Matc
 func (lp *LivePeer) Publish(info PartitionInfo) error {
 	rec := lp.flight
 	if !rec.On() {
-		_, err := lp.peer.Publish(info)
+		_, err := lp.peer.Publish(info, nil)
 		return err
 	}
 	sp := rec.Start(fmt.Sprintf("publish %s.%s %s from %s", info.Relation, info.Attribute, info.Range, lp.Addr()))
-	hops, err := lp.peer.PublishTraced(info, sp)
+	hops, err := lp.peer.Publish(info, sp)
 	rec.Finish(flight.KindPublish, sp, sumHops(hops), err)
 	return err
 }
@@ -569,7 +569,7 @@ func (lp *LivePeer) AddPartition(rel *Relation, attribute string, rg Range) erro
 }
 
 // Fetch retrieves the tuples of a matched partition from its holder.
-func (lp *LivePeer) Fetch(m Match) (*Relation, error) { return lp.peer.FetchData(m) }
+func (lp *LivePeer) Fetch(m Match) (*Relation, error) { return lp.peer.FetchData(m, nil) }
 
 // StoredPartitions reports how many descriptors this peer's buckets hold.
 func (lp *LivePeer) StoredPartitions() int { return lp.peer.Store().Len() }
@@ -731,7 +731,7 @@ func Connect(bootstrap string, cfg LiveConfig) (*LivePeer, error) {
 // remote peers, grafted back with per-peer attribution.
 func (lp *LivePeer) LookupTraced(rel, attribute string, q Range, cache bool) (Match, bool, *Trace, error) {
 	sp := trace.New(fmt.Sprintf("lookup %s.%s %s from %s", rel, attribute, q, lp.Addr()))
-	lr, err := lp.peer.LookupTraced(rel, attribute, q, cache, sp)
+	lr, err := lp.peer.Lookup(rel, attribute, q, cache, sp)
 	sp.End()
 	// Explicitly traced runs are recorded too: the root name above is
 	// byte-identical to lookupRecorded's, so a kept flight entry and a

@@ -221,7 +221,8 @@ func (s *System) Lookup(rel, attribute string, q Range, cache bool) (Match, bool
 
 // LookupTraced is Lookup returning a span tree of the whole protocol run:
 // the signature-cache outcome, one child span per probe with its chord
-// hops and detours, and the store decision.
+// hops and detours, one per batch round trip with the owner's serve span
+// and the per-probe matches, and the store decision.
 func (s *System) LookupTraced(rel, attribute string, q Range, cache bool) (Match, bool, *Trace, error) {
 	return s.lookup(rel, attribute, q, cache, true)
 }
@@ -235,7 +236,7 @@ func (s *System) lookup(rel, attribute string, q Range, cache, traced bool) (Mat
 	if traced {
 		sp = trace.New(fmt.Sprintf("lookup %s.%s %s from %s", rel, attribute, q, origin.Addr()))
 	}
-	lr, err := origin.LookupTraced(rel, attribute, q, cache, sp)
+	lr, err := origin.Lookup(rel, attribute, q, cache, sp)
 	sp.End()
 	if err != nil {
 		return Match{}, false, sp, err
@@ -259,7 +260,7 @@ func (s *System) Publish(info PartitionInfo) error {
 	if info.Holder == "" {
 		info.Holder = origin.Addr()
 	}
-	_, err := origin.Publish(info)
+	_, err := origin.Publish(info, nil)
 	return err
 }
 

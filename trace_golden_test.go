@@ -90,6 +90,86 @@ func TestLookupTraceGolden(t *testing.T) {
 	}
 }
 
+// TestLoadAwareLookupTraceGolden pins the span tree of a load-aware
+// lookup on a replicated 8-peer system: routing stays under each probe,
+// and every probe then travels as its own batch of one, whose span
+// carries the replica selection, the serve span of the member that
+// answered, and the outcome.
+func TestLoadAwareLookupTraceGolden(t *testing.T) {
+	sys := newTestSystem(t, Config{Peers: 8, Seed: 1, Replicas: 2, LoadAware: true})
+	rg, err := NewRange(30, 50)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := sys.Publish(PartitionInfo{Relation: "Patient", Attribute: "age", Range: rg}); err != nil {
+		t.Fatal(err)
+	}
+	_, found, tr, err := sys.LookupTraced("Patient", "age", rg, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !found {
+		t.Fatal("published range not found")
+	}
+	// Probe 5's owner already served probe 2, so the least-loaded member
+	// of its replica set is a successor and the batch is diverted there.
+	const want = `lookup Patient.age [30,50] from 10.0.0.0:4000
+├─ sig: hits=0 extends=0 misses=1
+├─ probe 1/5 id=cf7d4f9f
+│  ├─ shortcut: 0b3371f0@10.0.0.2:4000 via successor list
+│  └─ owner: 0b3371f0@10.0.0.2:4000 hops=1
+├─ probe 2/5 id=69c1a38f
+│  └─ owner: 7dceec98@10.0.0.0:4000 hops=0
+├─ probe 3/5 id=86e9e0fd
+│  ├─ shortcut: 90d9e78d@10.0.0.3:4000 via successor list
+│  └─ owner: 90d9e78d@10.0.0.3:4000 hops=1
+├─ probe 4/5 id=4cec38e0
+│  ├─ shortcut: 534daff3@10.0.0.4:4000 via successor list
+│  └─ owner: 534daff3@10.0.0.4:4000 hops=1
+├─ probe 5/5 id=61cd1ab1
+│  └─ owner: 7dceec98@10.0.0.0:4000 hops=0
+├─ batch @10.0.0.2:4000: 1 probe(s)
+│  ├─ serve FindBestBatch @10.0.0.2:4000
+│  │  ├─ from: 10.0.0.0:4000
+│  │  ├─ batch: 1 probe(s)
+│  │  └─ best: id=cf7d4f9f [30,50] score=1.000
+│  ├─ replica: served by 0b3371f0@10.0.0.2:4000 load=0 (candidate 1/3)
+│  └─ match: probe 1: [30,50] score=1.000
+├─ batch @10.0.0.0:4000: 1 probe(s)
+│  ├─ serve FindBestBatch @10.0.0.0:4000
+│  │  ├─ from: 10.0.0.0:4000
+│  │  ├─ batch: 1 probe(s)
+│  │  └─ best: id=69c1a38f [30,50] score=1.000
+│  ├─ replica: served by 7dceec98@10.0.0.0:4000 load=0 (candidate 1/3)
+│  └─ match: probe 2: [30,50] score=1.000
+├─ batch @10.0.0.3:4000: 1 probe(s)
+│  ├─ serve FindBestBatch @10.0.0.3:4000
+│  │  ├─ from: 10.0.0.0:4000
+│  │  ├─ batch: 1 probe(s)
+│  │  └─ best: id=86e9e0fd [30,50] score=1.000
+│  ├─ replica: served by 90d9e78d@10.0.0.3:4000 load=0 (candidate 1/3)
+│  └─ match: probe 3: [30,50] score=1.000
+├─ batch @10.0.0.4:4000: 1 probe(s)
+│  ├─ serve FindBestBatch @10.0.0.4:4000
+│  │  ├─ from: 10.0.0.0:4000
+│  │  ├─ batch: 1 probe(s)
+│  │  └─ best: id=4cec38e0 [30,50] score=1.000
+│  ├─ replica: served by 534daff3@10.0.0.4:4000 load=0 (candidate 1/3)
+│  └─ match: probe 4: [30,50] score=1.000
+├─ batch @10.0.0.0:4000: 1 probe(s)
+│  ├─ serve FindBestBatch @10.0.0.7:4000
+│  │  ├─ from: 10.0.0.0:4000
+│  │  ├─ batch: 1 probe(s)
+│  │  └─ best: id=61cd1ab1 [30,50] score=1.000
+│  ├─ replica: served by a64194af@10.0.0.7:4000 load=0 (candidate 1/3)
+│  └─ match: probe 5: [30,50] score=1.000
+└─ store: skipped (exact match)
+`
+	if got := tr.Tree(false); got != want {
+		t.Errorf("trace tree changed:\ngot:\n%s\nwant:\n%s", got, want)
+	}
+}
+
 // TestQueryTraced checks the SQL path end to end: the trace tree covers
 // every stage of the execution — the scan leaf with its DHT lookup and
 // probes inside, the source fallback, and the join/projection stage.
