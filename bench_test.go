@@ -178,7 +178,7 @@ func BenchmarkChordLookup(b *testing.B) {
 	origin := c.Peers[0].Node()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := origin.Lookup(rng.Uint32()); err != nil {
+		if _, _, err := origin.Lookup(rng.Uint32(), nil); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -336,29 +336,43 @@ func serveFlightRing(w http.ResponseWriter, r *http.Request, lp *p2prange.LivePe
 	enc.Encode(out)
 }
 
-// publishSpec parses "Relation=file.csv:attribute:lo-hi", loads the CSV,
-// and publishes the materialized partition.
-func publishSpec(lp *p2prange.LivePeer, spec string) error {
-	eq := strings.SplitN(spec, "=", 2)
-	if len(eq) != 2 {
-		return fmt.Errorf("want Relation=file.csv:attribute:lo-hi")
+// parsePublishSpec splits "Relation=file.csv:attribute:lo-hi" into its
+// parts. The range separator is the first '-' after the first character,
+// so a negative lower bound ("-5-10") parses.
+func parsePublishSpec(spec string) (rel, path, attr string, rg p2prange.Range, err error) {
+	rel, rest, ok := strings.Cut(spec, "=")
+	if !ok {
+		return "", "", "", rg, fmt.Errorf("want Relation=file.csv:attribute:lo-hi")
 	}
-	relName := eq[0]
-	parts := strings.Split(eq[1], ":")
+	parts := strings.Split(rest, ":")
 	if len(parts) != 3 {
-		return fmt.Errorf("want file.csv:attribute:lo-hi")
+		return "", "", "", rg, fmt.Errorf("want file.csv:attribute:lo-hi")
 	}
 	path, attr, rgSpec := parts[0], parts[1], parts[2]
-	bounds := strings.SplitN(rgSpec, "-", 2)
-	if len(bounds) != 2 {
-		return fmt.Errorf("bad range %q (want lo-hi)", rgSpec)
+	sep := -1
+	if len(rgSpec) > 1 {
+		if i := strings.IndexByte(rgSpec[1:], '-'); i >= 0 {
+			sep = i + 1
+		}
 	}
-	lo, err1 := strconv.ParseInt(bounds[0], 10, 64)
-	hi, err2 := strconv.ParseInt(bounds[1], 10, 64)
+	if sep < 0 {
+		return "", "", "", rg, fmt.Errorf("bad range %q (want lo-hi)", rgSpec)
+	}
+	lo, err1 := strconv.ParseInt(rgSpec[:sep], 10, 64)
+	hi, err2 := strconv.ParseInt(rgSpec[sep+1:], 10, 64)
 	if err1 != nil || err2 != nil {
-		return fmt.Errorf("bad range %q", rgSpec)
+		return "", "", "", rg, fmt.Errorf("bad range %q", rgSpec)
 	}
-	rg, err := p2prange.NewRange(lo, hi)
+	if rg, err = p2prange.NewRange(lo, hi); err != nil {
+		return "", "", "", rg, err
+	}
+	return rel, path, attr, rg, nil
+}
+
+// publishSpec parses a -publish spec, loads the CSV, and publishes the
+// materialized partition.
+func publishSpec(lp *p2prange.LivePeer, spec string) error {
+	relName, path, attr, rg, err := parsePublishSpec(spec)
 	if err != nil {
 		return err
 	}

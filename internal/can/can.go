@@ -8,7 +8,6 @@ import (
 	"math/rand"
 
 	"p2prange/internal/metrics"
-	"p2prange/internal/trace"
 )
 
 // The Default-registry can.* family, the CAN-side counterpart of
@@ -235,11 +234,6 @@ func distToZone(p []float64, z Zone) float64 {
 // neighbor whose zone is closest to p; zones tile the torus, so progress
 // is guaranteed and the hop count is bounded by the node count.
 func (net *Network) Route(from *Node, p []float64) (*Node, int, error) {
-	return net.RouteTraced(from, p, nil)
-}
-
-// RouteTraced is Route recording each greedy forwarding step on sp.
-func (net *Network) RouteTraced(from *Node, p []float64, sp *trace.Span) (*Node, int, error) {
 	metCANLookups.Inc()
 	cur := from
 	hops := 0
@@ -256,28 +250,17 @@ func (net *Network) RouteTraced(from *Node, p []float64, sp *trace.Span) (*Node,
 		}
 		cur = best
 		hops++
-		if sp.On() {
-			sp.Eventf("hop", "node %d zone %s", cur.ID, cur.zone)
-		}
 		if hops > len(net.nodes) {
 			return nil, hops, fmt.Errorf("can: routing loop toward %v", p)
 		}
 	}
 	metCANHops.Observe(uint64(hops))
-	if sp.On() {
-		sp.Eventf("owner", "node %d hops=%d", cur.ID, hops)
-	}
 	return cur, hops, nil
 }
 
 // Lookup routes from a node to the owner of a 32-bit identifier.
 func (net *Network) Lookup(from *Node, key uint32) (*Node, int, error) {
 	return net.Route(from, KeyToPoint(key, net.d))
-}
-
-// LookupTraced is Lookup recording the route on sp.
-func (net *Network) LookupTraced(from *Node, key uint32, sp *trace.Span) (*Node, int, error) {
-	return net.RouteTraced(from, KeyToPoint(key, net.d), sp)
 }
 
 // Volumes returns every node's zone volume (the load-balance metric).

@@ -14,8 +14,8 @@
 //
 // # Observability
 //
-// RouteTraced/LookupTraced record each greedy forwarding step (node and
-// zone) on an internal/trace Span. The package feeds the can.* family of
-// the internal/metrics Default registry (lookups, and the hops histogram
-// that is the CAN counterpart of chord.hops); see docs/OBSERVABILITY.md.
+// CAN is a comparison baseline and carries no trace spans. The package
+// feeds the can.* family of the internal/metrics Default registry
+// (lookups, and the hops histogram that is the CAN counterpart of
+// chord.hops); see docs/OBSERVABILITY.md.
 package can

@@ -21,4 +21,8 @@
 // failing, and counts the reroute in metrics.RouteStats. Config
 // (DisableRerouting) exposes the fault-model ablation; cmd/peerd's
 // -no-reroute flag maps to it.
+//
+// Node.Lookup takes an internal/trace Span and records each forwarding
+// step, suspect marking and detour on it; a nil span traces nothing and
+// adds no allocations. Maintenance RPCs travel untraced.
 package chord

@@ -66,7 +66,7 @@ func TestLookupReroutesAroundDeadNode(t *testing.T) {
 	nodes, client := buildRingCfg(t, 32, Config{Stats: stats})
 	origin, id, firstHop, owner := findRoutedLookup(t, nodes)
 
-	got, healthyHops, err := origin.Lookup(id)
+	got, healthyHops, err := origin.Lookup(id, nil)
 	if err != nil {
 		t.Fatalf("healthy lookup: %v", err)
 	}
@@ -75,7 +75,7 @@ func TestLookupReroutesAroundDeadNode(t *testing.T) {
 	}
 
 	client.setDown(firstHop.Addr, true)
-	got, hops, err := origin.Lookup(id)
+	got, hops, err := origin.Lookup(id, nil)
 	if err != nil {
 		t.Fatalf("lookup with dead hop %s: %v", firstHop, err)
 	}
@@ -105,7 +105,7 @@ func TestLookupUnreachableWithoutRerouting(t *testing.T) {
 	nodes, client := buildRingCfg(t, 32, Config{DisableRerouting: true, Stats: stats})
 	origin, id, firstHop, _ := findRoutedLookup(t, nodes)
 	client.setDown(firstHop.Addr, true)
-	_, _, err := origin.Lookup(id)
+	_, _, err := origin.Lookup(id, nil)
 	if !errors.Is(err, ErrUnreachable) {
 		t.Fatalf("lookup with rerouting disabled = %v, want ErrUnreachable", err)
 	}
@@ -145,7 +145,7 @@ func TestLookupDeadOwnerReroutes(t *testing.T) {
 		}
 	}
 	want := ownerOf(survivors, id)
-	got, hops, err := origin.Lookup(id)
+	got, hops, err := origin.Lookup(id, nil)
 	if err != nil {
 		t.Fatalf("lookup with dead owner: %v", err)
 	}
@@ -213,7 +213,7 @@ func TestLookupStaleStateHopAccounting(t *testing.T) {
 	n.setSuccessor(tRef)
 
 	// id 250 sits in (245, 240] — the wrapped arc owned by s.
-	owner, hops, err := n.Lookup(250)
+	owner, hops, err := n.Lookup(250, nil)
 	if err != nil {
 		t.Fatalf("Lookup: %v", err)
 	}
@@ -233,11 +233,11 @@ func TestLookupPinnedHopCounts(t *testing.T) {
 	copy(sorted, nodes)
 	sort.Slice(sorted, func(i, j int) bool { return sorted[i].ID() < sorted[j].ID() })
 	for i, n := range sorted {
-		if _, hops, err := n.Lookup(n.ID()); err != nil || hops != 0 {
+		if _, hops, err := n.Lookup(n.ID(), nil); err != nil || hops != 0 {
 			t.Errorf("own-arc lookup = %d hops, %v; want 0, nil", hops, err)
 		}
 		succ := sorted[(i+1)%len(sorted)]
-		got, hops, err := n.Lookup(succ.ID())
+		got, hops, err := n.Lookup(succ.ID(), nil)
 		if err != nil {
 			t.Fatalf("successor lookup: %v", err)
 		}

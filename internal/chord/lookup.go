@@ -29,14 +29,10 @@ var metChordHops = metrics.Default.IntHistogram("chord.hops")
 // and the query routes around it via the successor list of the node that
 // supplied the pointer; the detour hops are included in the count. With
 // rerouting disabled the lookup fails with ErrUnreachable.
-func (n *Node) Lookup(id ID) (Ref, int, error) {
-	return n.LookupTraced(id, nil)
-}
-
-// LookupTraced is Lookup recording each forwarding step, suspect marking,
-// and detour on sp. A nil sp (tracing off) adds no work and no
-// allocations beyond Lookup itself.
-func (n *Node) LookupTraced(id ID, sp *trace.Span) (Ref, int, error) {
+//
+// Each forwarding step, suspect marking, and detour is recorded on sp. A
+// nil sp (tracing off) adds no work and no allocations.
+func (n *Node) Lookup(id ID, sp *trace.Span) (Ref, int, error) {
 	n.stats.AddLookup()
 	ref, hops, err := n.route(id, sp)
 	if err != nil {

@@ -167,6 +167,6 @@ func TestDistributedJoinSpreadsWork(t *testing.T) {
 	}
 	// Cleanup for hygiene.
 	for i := range c.Peers {
-		_, _ = c.Peers[i].Handle(CleanupReq{Session: "s5"})
+		_, _ = c.Peers[i].Call(c.Peers[i].Ref(), CleanupReq{Session: "s5"})
 	}
 }

@@ -74,7 +74,7 @@ func DistributedJoin(p Params) (*Table, error) {
 			}
 		}
 		for _, pr := range cluster.Peers {
-			_, _ = pr.Handle(djoin.CleanupReq{Session: "x"})
+			_, _ = pr.Call(pr.Ref(), djoin.CleanupReq{Session: "x"})
 		}
 		// A fresh full run for the pair and message counts.
 		res, err := djoin.Run(cluster.Peers[0], "y",

@@ -13,8 +13,7 @@
 //
 // # Observability
 //
-// QueryTraced records each flood ring (depth, frontier size, best score
-// so far) on an internal/trace Span. The package feeds the flood.* family
-// of the internal/metrics Default registry (queries, messages, visited);
-// see docs/OBSERVABILITY.md.
+// Flooding is a comparison baseline and carries no trace spans. The
+// package feeds the flood.* family of the internal/metrics Default
+// registry (queries, messages, visited); see docs/OBSERVABILITY.md.
 package flood

@@ -7,7 +7,6 @@ import (
 	"p2prange/internal/metrics"
 	"p2prange/internal/rangeset"
 	"p2prange/internal/store"
-	"p2prange/internal/trace"
 )
 
 // The Default-registry flood.* family: queries issued, overlay messages
@@ -114,12 +113,6 @@ type Result struct {
 // peer's local cache for the best match under measure. TTL 0 searches
 // only the origin.
 func (n *Network) Query(origin int, rel, attribute string, q rangeset.Range, measure store.Measure, ttl int) Result {
-	return n.QueryTraced(origin, rel, attribute, q, measure, ttl, nil)
-}
-
-// QueryTraced is Query recording each flood ring (depth, frontier size,
-// best score so far) on sp.
-func (n *Network) QueryTraced(origin int, rel, attribute string, q rangeset.Range, measure store.Measure, ttl int, sp *trace.Span) Result {
 	if origin < 0 || origin >= len(n.neighbors) {
 		return Result{}
 	}
@@ -151,9 +144,6 @@ func (n *Network) QueryTraced(origin int, rel, attribute string, q rangeset.Rang
 					}
 				}
 			}
-		}
-		if sp.On() {
-			sp.Eventf("ring", "depth=%d peers=%d best=%.3f", depth, len(frontier), res.Match.Score)
 		}
 		frontier = next
 	}

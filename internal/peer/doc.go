@@ -39,8 +39,11 @@
 // the signature-cache outcome, one child span per probe with its chord
 // hops and detours, one per batch round trip with the grafted serve span
 // and the per-probe matches, and store/fallback decisions. A nil span
-// traces nothing and costs nothing. The package feeds the peer.* family of the
-// internal/metrics Default registry (lookups, probes, stores, publishes,
-// fetches, fallbacks, the partitions gauge, and the lookup_us latency
-// histogram); see docs/OBSERVABILITY.md.
+// traces nothing and costs nothing. Every protocol call goes through
+// callCtx, which sends the span's context (zero when nil) and grafts the
+// returned serve spans; Handle, the peer's one transport.Handler, opens
+// the serving-side span for a sampled context. The package feeds the
+// peer.* family of the internal/metrics Default registry (lookups,
+// probes, stores, publishes, fetches, fallbacks, the partitions gauge,
+// and the lookup_us latency histogram); see docs/OBSERVABILITY.md.
 package peer

@@ -64,7 +64,7 @@ func (p *Peer) HandoffTo(to chord.Ref) error {
 	if len(all) == 0 {
 		return nil
 	}
-	if _, err := p.call(to, HandoffReq{Buckets: all}); err != nil {
+	if _, err := p.Call(to, HandoffReq{Buckets: all}); err != nil {
 		// Put the buckets back so data is not lost on a failed handoff.
 		p.store.Absorb(all)
 		p.commitDurable()
@@ -88,7 +88,7 @@ func (p *Peer) ReclaimArc() error {
 	if !ok {
 		return fmt.Errorf("peer: reclaim before stabilization (no predecessor)")
 	}
-	resp, err := p.call(succ, TransferArcReq{From: pred.ID, To: p.node.ID()})
+	resp, err := p.Call(succ, TransferArcReq{From: pred.ID, To: p.node.ID()})
 	if err != nil {
 		return fmt.Errorf("peer: reclaim from %s: %w", succ, err)
 	}

@@ -212,10 +212,10 @@ func New(addr string, caller transport.Caller, cfg Config) (*Peer, error) {
 			Owns:         p.node.Owns,
 			Suspect:      p.node.MarkSuspect,
 			Push: func(to chord.Ref, id uint32, part store.Partition) error {
-				_, err := p.call(to, StoreReq{ID: id, Partition: part, Replica: true})
+				_, err := p.Call(to, StoreReq{ID: id, Partition: part, Replica: true})
 				return err
 			},
-			Call: p.call,
+			Call: p.Call,
 		})
 	}
 	return p, nil
@@ -273,20 +273,16 @@ func (p *Peer) Addr() string { return p.node.Addr() }
 // Ref returns the peer's chord reference.
 func (p *Peer) Ref() chord.Ref { return p.node.Ref() }
 
-// Handle dispatches an incoming request (chord or partition protocol).
-func (p *Peer) Handle(req any) (any, error) {
-	resp, _, err := p.HandleTraced(trace.Context{}, req)
-	return resp, err
-}
-
-// HandleTraced is the transport.TracedHandler face of the peer: when the
-// caller's context is sampled and the request is part of the traced
-// protocol, the work runs under a serving-side span named for this peer
-// ("serve FindBestBatch @addr" with a "from" event naming the caller),
-// and the finished subtree is returned as a fragment for the transport
-// to piggyback home. Chord routing RPCs stay untraced — routing is
-// iterative, so every hop is already visible on the querying side.
-func (p *Peer) HandleTraced(tc trace.Context, req any) (any, []trace.Wire, error) {
+// Handle dispatches an incoming request (chord or partition protocol);
+// it is the peer's transport.Handler. When the caller's context is
+// sampled and the request is part of the traced protocol, the work runs
+// under a serving-side span named for this peer ("serve FindBestBatch
+// @addr" with a "from" event naming the caller), and the finished
+// subtree is returned as a fragment for the transport to piggyback home.
+// A zero context serves untraced. Chord routing RPCs stay untraced —
+// routing is iterative, so every hop is already visible on the querying
+// side.
+func (p *Peer) Handle(tc trace.Context, req any) (any, []trace.Wire, error) {
 	if resp, handled, err := transport.DispatchChord(p.node, req); handled {
 		return resp, nil, err
 	}
@@ -488,13 +484,13 @@ func (p *Peer) RegisterAux(h AuxHandler) {
 // RouteOwner resolves the peer owning a raw identifier (for services,
 // like the distributed join, that place their own keys on the ring).
 func (p *Peer) RouteOwner(id uint32) (chord.Ref, int, error) {
-	return p.node.Lookup(id)
+	return p.node.Lookup(id, nil)
 }
 
 // Call sends a request to a ref, short-circuiting locally; exposed for
 // auxiliary services built on the peer's transport.
 func (p *Peer) Call(to chord.Ref, req any) (any, error) {
-	return p.call(to, req)
+	return p.callCtx(to.Addr, req, nil)
 }
 
 // Identifiers returns the l LSH identifiers of q.
@@ -589,7 +585,7 @@ func (p *Peer) Lookup(rel, attribute string, q rangeset.Range, cache bool, sp *t
 		if sp.On() {
 			ps = sp.Child(fmt.Sprintf("probe %d/%d id=%08x", i+1, len(ids), id))
 		}
-		owner, hops, err := p.node.LookupTraced(id, ps)
+		owner, hops, err := p.node.Lookup(id, ps)
 		ps.End()
 		if err != nil {
 			return res, fmt.Errorf("peer: route to bucket %08x: %w", id, err)
@@ -757,7 +753,7 @@ func (p *Peer) Publish(part store.Partition, sp *trace.Span) ([]int, error) {
 		if sp.On() {
 			ps = sp.Child(fmt.Sprintf("publish %d/%d id=%08x", i+1, len(ids), id))
 		}
-		owner, h, err := p.node.LookupTraced(id, ps)
+		owner, h, err := p.node.Lookup(id, ps)
 		if err != nil {
 			ps.End()
 			return hops, fmt.Errorf("peer: route to bucket %08x: %w", id, err)
@@ -773,31 +769,19 @@ func (p *Peer) Publish(part store.Partition, sp *trace.Span) ([]int, error) {
 	return hops, nil
 }
 
-// call routes a request to a ref, short-circuiting to the local handler.
-func (p *Peer) call(to chord.Ref, req any) (any, error) {
-	return p.callCtx(to.Addr, req, nil)
-}
-
 // callCtx sends a request to the peer at addr, short-circuiting to the
-// local handler when addr is this peer. With sp on, the request carries
-// sp's context and any serve spans returned with the response are
-// grafted under sp; the local short-circuit runs HandleTraced directly,
-// so a peer calling itself produces the same serve span a remote peer
+// local handler when addr is this peer. The request carries sp's context
+// (zero when sp is nil) and any serve spans returned with the response
+// are grafted under sp; the local short-circuit runs Handle directly, so
+// a peer calling itself produces the same serve span a remote peer
 // would — tree shapes match across transports.
 func (p *Peer) callCtx(addr string, req any, sp *trace.Span) (any, error) {
-	local := addr == p.Addr()
-	if !sp.On() {
-		if local {
-			return p.Handle(req)
-		}
-		return p.caller.Call(addr, req)
-	}
 	tc := sp.Context(p.Addr())
 	var resp any
 	var spans []trace.Wire
 	var err error
-	if local {
-		resp, spans, err = p.HandleTraced(tc, req)
+	if addr == p.Addr() {
+		resp, spans, err = p.Handle(tc, req)
 	} else {
 		resp, spans, err = transport.CallCtx(p.caller, addr, tc, req)
 	}
@@ -821,7 +805,7 @@ func (p *Peer) callOwner(id uint32, owner chord.Ref, req any, sp *trace.Span) (c
 	if sp.On() {
 		sp.Eventf("owner-dead", "%s unreachable, re-resolving %08x", owner, id)
 	}
-	next, _, lerr := p.node.LookupTraced(id, sp)
+	next, _, lerr := p.node.Lookup(id, sp)
 	if lerr != nil || next.ID == owner.ID {
 		return owner, nil, err
 	}

@@ -13,6 +13,7 @@ import (
 	"p2prange/internal/rangeset"
 	"p2prange/internal/relation"
 	"p2prange/internal/store"
+	"p2prange/internal/trace"
 	"p2prange/internal/transport"
 )
 
@@ -203,7 +204,7 @@ func TestPeerIndexFindsOtherBuckets(t *testing.T) {
 
 func TestHandleBadRequest(t *testing.T) {
 	peers, _ := testCluster(t, 1, Config{})
-	if _, err := peers[0].Handle("nonsense"); err == nil {
+	if _, _, err := peers[0].Handle(trace.Context{}, "nonsense"); err == nil {
 		t.Error("bad request accepted")
 	}
 }
@@ -420,7 +421,7 @@ func TestLookupSurvivesOwnerCrash(t *testing.T) {
 	querier := peers[5]
 	var victim chord.Ref
 	for _, id := range querier.Identifiers(q) {
-		owner, _, err := querier.Node().Lookup(id)
+		owner, _, err := querier.Node().Lookup(id, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -459,14 +460,14 @@ func TestBatchCappedAtL(t *testing.T) {
 		}
 		return req
 	}
-	resp, err := peers[0].Handle(batch(l))
+	resp, _, err := peers[0].Handle(trace.Context{}, batch(l))
 	if err != nil {
 		t.Fatalf("batch of l=%d refused: %v", l, err)
 	}
 	if br, ok := resp.(FindBestBatchResp); !ok || len(br.Results) != l {
 		t.Fatalf("batch of l=%d answered with %#v", l, resp)
 	}
-	if resp, err := peers[0].Handle(batch(l + 1)); err == nil {
+	if resp, _, err := peers[0].Handle(trace.Context{}, batch(l+1)); err == nil {
 		t.Fatalf("batch of l+1=%d answered with %T", l+1, resp)
 	}
 }

@@ -48,22 +48,16 @@ type DataSource struct {
 
 var _ query.Source = (*DataSource)(nil)
 var _ query.SigStatsProvider = (*DataSource)(nil)
-var _ query.TracedSource = (*DataSource)(nil)
 
 // SigStats implements query.SigStatsProvider by exposing the querying
 // peer's signature-pipeline counters, so SQL executions can report how
 // much of their leaf hashing the signature cache absorbed.
 func (s *DataSource) SigStats() metrics.SigSnapshot { return s.Peer.SigStats() }
 
-// Fetch implements query.Source.
-func (s *DataSource) Fetch(rel, attribute string, rg rangeset.Range) (*relation.Relation, rangeset.Range, error) {
-	return s.FetchTraced(rel, attribute, rg, nil)
-}
-
-// FetchTraced implements query.TracedSource: Fetch recording the probe
-// range, the DHT lookup (as a child span), the data fetch from the
-// holder, and any base-source fallback on sp.
-func (s *DataSource) FetchTraced(rel, attribute string, rg rangeset.Range, sp *trace.Span) (*relation.Relation, rangeset.Range, error) {
+// Fetch implements query.Source, recording the probe range, the DHT
+// lookup (as a child span), the data fetch from the holder, and any
+// base-source fallback on sp.
+func (s *DataSource) Fetch(rel, attribute string, rg rangeset.Range, sp *trace.Span) (*relation.Relation, rangeset.Range, error) {
 	rg = s.clamp(rel, attribute, rg)
 	probe := rg
 	if s.PadFrac > 0 {
@@ -128,7 +122,7 @@ func (s *DataSource) FetchTraced(rel, attribute string, rg rangeset.Range, sp *t
 	if sp.On() {
 		sp.Eventf("fallback", "recall=%.3f < %.3f, going to source", recall, minRecall)
 	}
-	full, fullCovered, err := s.Base.Fetch(rel, attribute, probe)
+	full, fullCovered, err := s.Base.Fetch(rel, attribute, probe, sp)
 	if err != nil {
 		return nil, rangeset.Range{}, err
 	}

@@ -6,6 +6,7 @@ import (
 	"p2prange/internal/metrics"
 	"p2prange/internal/rangeset"
 	"p2prange/internal/relation"
+	"p2prange/internal/trace"
 )
 
 // metCoalesced counts fetches answered by joining another in-flight
@@ -50,7 +51,8 @@ func (c *Coalescer) Bind(inner Source) Source {
 
 // fetch runs one coalesced fetch: the first caller for a key becomes the
 // leader and executes src.Fetch; concurrent callers with the same key
-// wait and share the leader's result.
+// wait and share the leader's result. The leader's fetch serves several
+// executions, so it records on no one's span.
 func (c *Coalescer) fetch(src Source, rel, attribute string, rg rangeset.Range) (*relation.Relation, rangeset.Range, error) {
 	key := rel + "\x00" + attribute + "\x00" + rg.String()
 	c.mu.Lock()
@@ -64,7 +66,7 @@ func (c *Coalescer) fetch(src Source, rel, attribute string, rg rangeset.Range) 
 	c.inflight[key] = f
 	c.mu.Unlock()
 
-	f.data, f.covered, f.err = src.Fetch(rel, attribute, rg)
+	f.data, f.covered, f.err = src.Fetch(rel, attribute, rg, nil)
 
 	c.mu.Lock()
 	delete(c.inflight, key)
@@ -80,7 +82,7 @@ type coalescedSource struct {
 	inner Source
 }
 
-func (s *coalescedSource) Fetch(rel, attribute string, rg rangeset.Range) (*relation.Relation, rangeset.Range, error) {
+func (s *coalescedSource) Fetch(rel, attribute string, rg rangeset.Range, _ *trace.Span) (*relation.Relation, rangeset.Range, error) {
 	return s.c.fetch(s.inner, rel, attribute, rg)
 }
 

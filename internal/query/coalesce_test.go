@@ -8,6 +8,7 @@ import (
 
 	"p2prange/internal/rangeset"
 	"p2prange/internal/relation"
+	"p2prange/internal/trace"
 )
 
 // gateSource counts Fetch calls and blocks each one until released, so
@@ -18,7 +19,7 @@ type gateSource struct {
 	err     error
 }
 
-func (g *gateSource) Fetch(rel, attribute string, rg rangeset.Range) (*relation.Relation, rangeset.Range, error) {
+func (g *gateSource) Fetch(rel, attribute string, rg rangeset.Range, _ *trace.Span) (*relation.Relation, rangeset.Range, error) {
 	g.calls.Add(1)
 	<-g.release
 	if g.err != nil {
@@ -45,7 +46,7 @@ func TestCoalescerSharesOneFlight(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			data, covered, err := src.Fetch("R", "a", rg)
+			data, covered, err := src.Fetch("R", "a", rg, nil)
 			if err != nil || covered != rg {
 				t.Errorf("fetch %d: covered=%v err=%v", i, covered, err)
 			}
@@ -74,15 +75,15 @@ func TestCoalescerDistinctKeysRunIndependently(t *testing.T) {
 	close(g.release) // no blocking needed
 	c := NewCoalescer()
 	src := c.Bind(g)
-	src.Fetch("R", "a", rangeset.Range{Lo: 0, Hi: 5})
-	src.Fetch("R", "a", rangeset.Range{Lo: 0, Hi: 6})
-	src.Fetch("R", "b", rangeset.Range{Lo: 0, Hi: 5})
-	src.Fetch("S", "a", rangeset.Range{Lo: 0, Hi: 5})
+	src.Fetch("R", "a", rangeset.Range{Lo: 0, Hi: 5}, nil)
+	src.Fetch("R", "a", rangeset.Range{Lo: 0, Hi: 6}, nil)
+	src.Fetch("R", "b", rangeset.Range{Lo: 0, Hi: 5}, nil)
+	src.Fetch("S", "a", rangeset.Range{Lo: 0, Hi: 5}, nil)
 	if got := g.calls.Load(); got != 4 {
 		t.Errorf("inner Fetch called %d times, want 4 distinct flights", got)
 	}
 	// Sequential repeats are not coalesced either: the flight is gone.
-	src.Fetch("R", "a", rangeset.Range{Lo: 0, Hi: 5})
+	src.Fetch("R", "a", rangeset.Range{Lo: 0, Hi: 5}, nil)
 	if got := g.calls.Load(); got != 5 {
 		t.Errorf("inner Fetch called %d times, want 5", got)
 	}
@@ -102,7 +103,7 @@ func TestCoalescerPropagatesErrors(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			_, _, errs[i] = src.Fetch("R", "a", rg)
+			_, _, errs[i] = src.Fetch("R", "a", rg, nil)
 		}(i)
 	}
 	for metCoalesced.Value()-coalescedBefore < uint64(len(errs)-1) {

@@ -26,9 +26,11 @@ var (
 // covering only part of rg (an approximate match); covered reports the
 // range actually covered so the executor can compute recall. Half-open
 // plan ranges (math.MinInt64 / math.MaxInt64 endpoints) must be clamped by
-// the implementation to the attribute's domain.
+// the implementation to the attribute's domain. Fetch records its work
+// (the DHT lookup, for peer.DataSource) on sp, which is nil when the
+// execution is untraced; sources with nothing to record ignore it.
 type Source interface {
-	Fetch(rel, attribute string, rg rangeset.Range) (data *relation.Relation, covered rangeset.Range, err error)
+	Fetch(rel, attribute string, rg rangeset.Range, sp *trace.Span) (data *relation.Relation, covered rangeset.Range, err error)
 	// FetchAll returns the whole relation (no pushed-down select).
 	FetchAll(rel string) (*relation.Relation, error)
 }
@@ -43,13 +45,6 @@ type SigStatsProvider interface {
 	// SigStats returns the source's cumulative signature-pipeline
 	// counters.
 	SigStats() metrics.SigSnapshot
-}
-
-// TracedSource is implemented by sources that can record a leaf fetch on
-// a trace span (peer.DataSource). ExecuteTraced uses it when available;
-// sources without it are fetched untraced.
-type TracedSource interface {
-	FetchTraced(rel, attribute string, rg rangeset.Range, sp *trace.Span) (data *relation.Relation, covered rangeset.Range, err error)
 }
 
 // Result is the output of executing a plan: a header of qualified columns
@@ -76,12 +71,11 @@ func Execute(plan *Plan, schema *relation.Schema, src Source) (*Result, error) {
 }
 
 // ExecuteTraced is Execute recording one child span per scan leaf (with
-// the DHT lookup inside, when src implements TracedSource) plus the join
-// and projection stage on sp. A nil sp traces nothing.
+// whatever src records inside, the whole DHT lookup for peer.DataSource)
+// plus the join and projection stage on sp. A nil sp traces nothing.
 func ExecuteTraced(plan *Plan, schema *relation.Schema, src Source, sp *trace.Span) (*Result, error) {
 	metExecutions.Inc()
 	res := &Result{ScanRecall: make(map[string]float64)}
-	tracedSrc, _ := src.(TracedSource)
 
 	// Signature-pipeline accounting: snapshot before the leaves fetch,
 	// diff after, so the result reports this query's own hashing reuse.
@@ -109,11 +103,7 @@ func ExecuteTraced(plan *Plan, schema *relation.Schema, src Source, sp *trace.Sp
 				ss = sp.Child(fmt.Sprintf("scan %s.%s %s", scan.Relation, scan.Attribute, scan.Range))
 			}
 			var covered rangeset.Range
-			if tracedSrc != nil {
-				data, covered, err = tracedSrc.FetchTraced(scan.Relation, scan.Attribute, scan.Range, ss)
-			} else {
-				data, covered, err = src.Fetch(scan.Relation, scan.Attribute, scan.Range)
-			}
+			data, covered, err = src.Fetch(scan.Relation, scan.Attribute, scan.Range, ss)
 			ss.End()
 			if err != nil {
 				return nil, fmt.Errorf("query: fetch %s.%s %s: %w", scan.Relation, scan.Attribute, scan.Range, err)

@@ -6,6 +6,7 @@ import (
 
 	"p2prange/internal/rangeset"
 	"p2prange/internal/relation"
+	"p2prange/internal/trace"
 )
 
 // RelationSource is a Source backed by fully materialized relations — the
@@ -20,8 +21,9 @@ func NewRelationSource(rels map[string]*relation.Relation) *RelationSource {
 	return &RelationSource{Rels: rels}
 }
 
-// Fetch implements Source by selecting from the base relation.
-func (s *RelationSource) Fetch(rel, attribute string, rg rangeset.Range) (*relation.Relation, rangeset.Range, error) {
+// Fetch implements Source by selecting from the base relation; a local
+// selection has nothing to trace, so sp is ignored.
+func (s *RelationSource) Fetch(rel, attribute string, rg rangeset.Range, _ *trace.Span) (*relation.Relation, rangeset.Range, error) {
 	r, ok := s.Rels[rel]
 	if !ok {
 		return nil, rangeset.Range{}, fmt.Errorf("%w: %s", ErrNoSource, rel)

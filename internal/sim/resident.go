@@ -189,7 +189,7 @@ func RunResident(cfg ResidentConfig) (*ResidentResult, error) {
 	res.Recovery = rec
 	revived.Store().SetJournal(lg2)
 	revived.AttachDurability(lg2)
-	net.RegisterTraced(revived.Addr(), revived.HandleTraced)
+	net.Register(revived.Addr(), revived.Handle)
 	if err := chord.BuildStableRing([]*chord.Node{revived.Node()}); err != nil {
 		return nil, err
 	}

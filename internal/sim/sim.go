@@ -74,7 +74,7 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 			}
 		}
 		seen[p.Node().ID()] = true
-		c.Net.RegisterTraced(p.Addr(), p.HandleTraced)
+		c.Net.Register(p.Addr(), p.Handle)
 		c.Peers = append(c.Peers, p)
 	}
 	nodes := make([]*chord.Node, len(c.Peers))
@@ -127,11 +127,11 @@ func (c *Cluster) TotalStored() int {
 // precomputed identifiers so hashing cost is paid once per partition, not
 // once per ring size.
 func (c *Cluster) StoreByID(origin *peer.Peer, id uint32, part store.Partition) (int, error) {
-	owner, hops, err := origin.Node().Lookup(id)
+	owner, hops, err := origin.Node().Lookup(id, nil)
 	if err != nil {
 		return hops, err
 	}
-	if _, err := c.call(origin, owner, peer.StoreReq{ID: id, Partition: part}); err != nil {
+	if _, err := origin.Call(owner, peer.StoreReq{ID: id, Partition: part}); err != nil {
 		return hops, err
 	}
 	return hops, nil
@@ -140,15 +140,8 @@ func (c *Cluster) StoreByID(origin *peer.Peer, id uint32, part store.Partition) 
 // RouteOnly resolves the owner of id from origin, returning the path
 // length without any storage side effect (Fig. 12's find operations).
 func (c *Cluster) RouteOnly(origin *peer.Peer, id uint32) (int, error) {
-	_, hops, err := origin.Node().Lookup(id)
+	_, hops, err := origin.Node().Lookup(id, nil)
 	return hops, err
-}
-
-func (c *Cluster) call(origin *peer.Peer, to chord.Ref, req any) (any, error) {
-	if to.ID == origin.Node().ID() {
-		return origin.Handle(req)
-	}
-	return c.Net.Call(to.Addr, req)
 }
 
 // View assembles the cluster observability view: per-peer status (ring

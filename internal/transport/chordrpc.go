@@ -6,6 +6,7 @@ import (
 	"strings"
 
 	"p2prange/internal/chord"
+	"p2prange/internal/trace"
 )
 
 // Chord protocol messages. The same message types travel over both
@@ -44,7 +45,9 @@ func init() {
 	}
 }
 
-// ChordClient adapts a Caller to the chord.Client interface.
+// ChordClient adapts a Caller to the chord.Client interface. Chord
+// routing is iterative, so every hop is already visible on the querying
+// side: its RPCs travel untraced.
 type ChordClient struct {
 	Caller Caller
 }
@@ -52,7 +55,7 @@ type ChordClient struct {
 var _ chord.Client = ChordClient{}
 
 func (c ChordClient) refCall(addr string, req any) (chord.Ref, error) {
-	resp, err := c.Caller.Call(addr, req)
+	resp, _, err := c.Caller.CallCtx(addr, trace.Context{}, req)
 	if err != nil {
 		return chord.Ref{}, mapChordErr(err)
 	}
@@ -85,19 +88,19 @@ func (c ChordClient) FindSuccessor(addr string, id chord.ID) (chord.Ref, error) 
 
 // Notify implements chord.Client.
 func (c ChordClient) Notify(addr string, self chord.Ref) error {
-	_, err := c.Caller.Call(addr, NotifyReq{Self: self})
+	_, _, err := c.Caller.CallCtx(addr, trace.Context{}, NotifyReq{Self: self})
 	return mapChordErr(err)
 }
 
 // Ping implements chord.Client.
 func (c ChordClient) Ping(addr string) error {
-	_, err := c.Caller.Call(addr, PingReq{})
+	_, _, err := c.Caller.CallCtx(addr, trace.Context{}, PingReq{})
 	return mapChordErr(err)
 }
 
 // SuccessorList implements chord.Client.
 func (c ChordClient) SuccessorList(addr string) ([]chord.Ref, error) {
-	resp, err := c.Caller.Call(addr, SuccessorListReq{})
+	resp, _, err := c.Caller.CallCtx(addr, trace.Context{}, SuccessorListReq{})
 	if err != nil {
 		return nil, mapChordErr(err)
 	}

@@ -3,6 +3,14 @@
 // partition data fetches all flow through the one-method Caller interface,
 // so every layer above is transport-agnostic.
 //
+// There is one signature per side. Caller.CallCtx sends a request with
+// an internal/trace Context and returns the response plus any span
+// fragments the remote side recorded; a Handler receives that context
+// and returns the fragments for the transport to piggyback home. A zero
+// context is an untraced call: no context rides the wire and no
+// fragments come back. The package function CallCtx wraps a Caller with
+// the transport.call_us timer; the peer protocol issues its calls there.
+//
 // Two implementations are provided. The in-memory Memory network gives the
 // deterministic zero-latency fabric internal/sim uses for the paper-scale
 // simulations (Figs. 6-12); unreachable addresses return ErrUnknownAddr,

@@ -10,37 +10,33 @@ import (
 	"time"
 
 	"p2prange/internal/metrics"
+	"p2prange/internal/trace"
 )
 
-// flakyCaller fails the first n calls with a transport-level error, then
-// delegates to fn.
+// flakyCaller fails the first n calls with err, then answers "ok".
 type flakyCaller struct {
 	mu       sync.Mutex
 	failures int
 	calls    int
 	err      error
-	fn       func(addr string, req any) (any, error)
 }
 
-func (f *flakyCaller) Call(addr string, req any) (any, error) {
+func (f *flakyCaller) CallCtx(string, trace.Context, any) (any, []trace.Wire, error) {
 	f.mu.Lock()
 	f.calls++
 	n := f.calls
 	f.mu.Unlock()
 	if n <= f.failures {
-		return nil, f.err
+		return nil, nil, f.err
 	}
-	if f.fn != nil {
-		return f.fn(addr, req)
-	}
-	return echoResp{Msg: "ok"}, nil
+	return echoResp{Msg: "ok"}, nil, nil
 }
 
 func TestRetryCallerRecoversTransientFailures(t *testing.T) {
 	stats := &metrics.RouteStats{}
 	inner := &flakyCaller{failures: 2, err: netErrf("transport: synthetic drop")}
 	rc := NewRetryCaller(inner, RetryConfig{Attempts: 3, Stats: stats})
-	resp, err := rc.Call("x", echoReq{})
+	resp, err := call(rc, "x", echoReq{})
 	if err != nil {
 		t.Fatalf("Call after transient failures: %v", err)
 	}
@@ -58,7 +54,7 @@ func TestRetryCallerRecoversTransientFailures(t *testing.T) {
 func TestRetryCallerGivesUpAfterAttempts(t *testing.T) {
 	inner := &flakyCaller{failures: 100, err: netErrf("transport: synthetic drop")}
 	rc := NewRetryCaller(inner, RetryConfig{Attempts: 3})
-	_, err := rc.Call("x", echoReq{})
+	_, err := call(rc, "x", echoReq{})
 	if err == nil {
 		t.Fatal("Call succeeded despite permanent failure")
 	}
@@ -74,7 +70,7 @@ func TestRetryCallerDoesNotRetryHandlerErrors(t *testing.T) {
 	handlerErr := &RemoteError{Msg: "handler exploded"}
 	inner := &flakyCaller{failures: 100, err: handlerErr}
 	rc := NewRetryCaller(inner, RetryConfig{Attempts: 5})
-	_, err := rc.Call("x", echoReq{})
+	_, err := call(rc, "x", echoReq{})
 	var remote *RemoteError
 	if !errors.As(err, &remote) {
 		t.Fatalf("err = %v, want the RemoteError back", err)
@@ -108,7 +104,7 @@ func TestFaultCallerDeterministic(t *testing.T) {
 		fc := NewFaultCaller(inner, FaultConfig{Seed: 7, Drop: 0.3, Fail: 0.1})
 		failures := 0
 		for i := 0; i < 200; i++ {
-			if _, err := fc.Call("x", echoReq{}); err != nil {
+			if _, err := call(fc, "x", echoReq{}); err != nil {
 				failures++
 				if !Retryable(err) {
 					t.Fatalf("injected fault not transport-classified: %v", err)
@@ -130,18 +126,18 @@ func TestFaultCallerDeterministic(t *testing.T) {
 func TestFaultCallerSetDown(t *testing.T) {
 	inner := &flakyCaller{}
 	fc := NewFaultCaller(inner, FaultConfig{})
-	if _, err := fc.Call("x", echoReq{}); err != nil {
+	if _, err := call(fc, "x", echoReq{}); err != nil {
 		t.Fatalf("healthy call failed: %v", err)
 	}
 	fc.SetDown("x", true)
-	if _, err := fc.Call("x", echoReq{}); !errors.Is(err, ErrNetwork) {
+	if _, err := call(fc, "x", echoReq{}); !errors.Is(err, ErrNetwork) {
 		t.Errorf("outage not injected: %v", err)
 	}
-	if _, err := fc.Call("y", echoReq{}); err != nil {
+	if _, err := call(fc, "y", echoReq{}); err != nil {
 		t.Errorf("outage leaked to other address: %v", err)
 	}
 	fc.SetDown("x", false)
-	if _, err := fc.Call("x", echoReq{}); err != nil {
+	if _, err := call(fc, "x", echoReq{}); err != nil {
 		t.Errorf("healed address still down: %v", err)
 	}
 }
@@ -156,10 +152,10 @@ func TestTCPConcurrentCallsNotSerialized(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := ServeTCP(ln, func(req any) (any, error) {
+	srv := ServeTCP(ln, untraced(func(req any) (any, error) {
 		time.Sleep(delay)
 		return echoResp{Msg: "slow"}, nil
-	})
+	}))
 	defer srv.Close()
 	caller := NewTCPCaller()
 	defer caller.Close()
@@ -171,7 +167,7 @@ func TestTCPConcurrentCallsNotSerialized(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			if _, err := caller.Call(srv.Addr(), echoReq{}); err != nil {
+			if _, err := call(caller, srv.Addr(), echoReq{}); err != nil {
 				failed.Add(1)
 			}
 		}()
@@ -205,7 +201,7 @@ func TestTCPCallerCloseRace(t *testing.T) {
 			go func() {
 				defer wg.Done()
 				for i := 0; i < 5; i++ {
-					_, err := caller.Call(srv.Addr(), echoReq{Msg: "race"})
+					_, err := call(caller, srv.Addr(), echoReq{Msg: "race"})
 					if err != nil && !errors.Is(err, ErrCallerClosed) && !Retryable(err) {
 						t.Errorf("unexpected error during close race: %v", err)
 						return
@@ -215,7 +211,7 @@ func TestTCPCallerCloseRace(t *testing.T) {
 		}
 		caller.Close()
 		wg.Wait()
-		if _, err := caller.Call(srv.Addr(), echoReq{}); !errors.Is(err, ErrCallerClosed) {
+		if _, err := call(caller, srv.Addr(), echoReq{}); !errors.Is(err, ErrCallerClosed) {
 			t.Fatalf("call after Close = %v, want ErrCallerClosed", err)
 		}
 	}
@@ -233,11 +229,11 @@ func TestTCPServerClosedMidCallError(t *testing.T) {
 	caller := NewTCPCaller()
 	defer caller.Close()
 	addr := srv.Addr()
-	if _, err := caller.Call(addr, echoReq{Msg: "warm"}); err != nil {
+	if _, err := call(caller, addr, echoReq{Msg: "warm"}); err != nil {
 		t.Fatal(err)
 	}
 	srv.Close()
-	_, err = caller.Call(addr, echoReq{Msg: "late"})
+	_, err = call(caller, addr, echoReq{Msg: "late"})
 	if err == nil {
 		t.Fatal("call to closed server succeeded")
 	}
@@ -264,11 +260,11 @@ func TestTCPRedialAfterReset(t *testing.T) {
 	srv := ServeTCP(ln, echoHandler)
 	caller := NewTCPCaller()
 	defer caller.Close()
-	if _, err := caller.Call(addr, echoReq{Msg: "first"}); err != nil {
+	if _, err := call(caller, addr, echoReq{Msg: "first"}); err != nil {
 		t.Fatal(err)
 	}
 	srv.Close()
-	if _, err := caller.Call(addr, echoReq{Msg: "down"}); err == nil {
+	if _, err := call(caller, addr, echoReq{Msg: "down"}); err == nil {
 		t.Fatal("call to closed server succeeded")
 	}
 	ln2, err := net.Listen("tcp", addr)
@@ -277,7 +273,7 @@ func TestTCPRedialAfterReset(t *testing.T) {
 	}
 	srv2 := ServeTCP(ln2, echoHandler)
 	defer srv2.Close()
-	resp, err := caller.Call(addr, echoReq{Msg: "back"})
+	resp, err := call(caller, addr, echoReq{Msg: "back"})
 	if err != nil {
 		t.Fatalf("re-dial after reset failed: %v", err)
 	}
@@ -291,7 +287,7 @@ func TestTCPRedialAfterReset(t *testing.T) {
 // mistaken for a transport failure.
 func TestRemoteErrorSurvivesTCP(t *testing.T) {
 	srv, caller := startTCP(t)
-	_, err := caller.Call(srv.Addr(), echoReq{Msg: "boom"})
+	_, err := call(caller, srv.Addr(), echoReq{Msg: "boom"})
 	var remote *RemoteError
 	if !errors.As(err, &remote) {
 		t.Fatalf("err = %v, want RemoteError", err)

@@ -103,32 +103,19 @@ func (f *FaultCaller) decide(addr string) (fail bool, err error) {
 	return fail, nil
 }
 
-// Call implements Caller with fault injection around the wrapped caller.
-func (f *FaultCaller) Call(addr string, req any) (any, error) {
-	fail, err := f.decide(addr)
-	if err != nil {
-		return nil, err
-	}
-	resp, err := f.inner.Call(addr, req)
-	if fail && err == nil {
-		return nil, netErrf("transport: injected response loss from %s", addr)
-	}
-	return resp, err
-}
-
-// CallCtx implements ContextCaller with the same fault model. An
-// injected response loss also discards the remote span fragments — just
-// as a real lost response would.
+// CallCtx implements Caller with fault injection around the wrapped
+// caller. An injected response loss also discards the remote span
+// fragments — just as a real lost response would.
 func (f *FaultCaller) CallCtx(addr string, tc trace.Context, req any) (any, []trace.Wire, error) {
 	fail, err := f.decide(addr)
 	if err != nil {
 		return nil, nil, err
 	}
-	resp, spans, err := CallCtx(f.inner, addr, tc, req)
+	resp, spans, err := f.inner.CallCtx(addr, tc, req)
 	if fail && err == nil {
 		return nil, nil, netErrf("transport: injected response loss from %s", addr)
 	}
 	return resp, spans, err
 }
 
-var _ ContextCaller = (*FaultCaller)(nil)
+var _ Caller = (*FaultCaller)(nil)

@@ -14,7 +14,7 @@ import (
 // an address off) for failure tests.
 type Memory struct {
 	mu       sync.RWMutex
-	handlers map[string]TracedHandler
+	handlers map[string]Handler
 	down     map[string]bool
 	calls    uint64 // total successful dispatches, for tests/metrics
 }
@@ -22,20 +22,13 @@ type Memory struct {
 // NewMemory returns an empty in-memory network.
 func NewMemory() *Memory {
 	return &Memory{
-		handlers: make(map[string]TracedHandler),
+		handlers: make(map[string]Handler),
 		down:     make(map[string]bool),
 	}
 }
 
 // Register attaches a handler at addr, replacing any previous one.
-// Handlers registered this way serve untraced (no remote spans); use
-// RegisterTraced for handlers that participate in trace propagation.
 func (m *Memory) Register(addr string, h Handler) {
-	m.RegisterTraced(addr, Traced(h))
-}
-
-// RegisterTraced attaches a trace-propagating handler at addr.
-func (m *Memory) RegisterTraced(addr string, h TracedHandler) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	m.handlers[addr] = h
@@ -64,15 +57,9 @@ func (m *Memory) Calls() uint64 {
 	return m.calls
 }
 
-// Call implements Caller.
-func (m *Memory) Call(addr string, req any) (any, error) {
-	resp, _, err := m.CallCtx(addr, trace.Context{}, req)
-	return resp, err
-}
-
-// CallCtx implements ContextCaller: the handler runs in the caller's
-// goroutine, with the context passed straight through and fragments
-// returned directly — the in-memory analogue of envelope piggybacking.
+// CallCtx implements Caller: the handler runs in the caller's goroutine,
+// with the context passed straight through and fragments returned
+// directly — the in-memory analogue of envelope piggybacking.
 func (m *Memory) CallCtx(addr string, tc trace.Context, req any) (any, []trace.Wire, error) {
 	metCalls.Inc()
 	m.mu.RLock()
@@ -89,4 +76,4 @@ func (m *Memory) CallCtx(addr string, tc trace.Context, req any) (any, []trace.W
 	return h(tc, req)
 }
 
-var _ ContextCaller = (*Memory)(nil)
+var _ Caller = (*Memory)(nil)

@@ -457,7 +457,7 @@ func (c *TCPCaller) mux(addr string) (*muxConn, error) {
 
 // safeHandle runs the handler, converting a panic into a handler error
 // so one bad request cannot take down the whole serving process.
-func safeHandle(h TracedHandler, tc trace.Context, req any) (resp any, spans []trace.Wire, err error) {
+func safeHandle(h Handler, tc trace.Context, req any) (resp any, spans []trace.Wire, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			metPanics.Inc()

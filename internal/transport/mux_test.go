@@ -211,14 +211,14 @@ func TestLargeResponseRidesBinaryPath(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := ServeTCP(ln, func(req any) (any, error) {
+	srv := ServeTCP(ln, untraced(func(req any) (any, error) {
 		return echoResp{Msg: big}, nil
-	})
+	}))
 	defer srv.Close()
 	caller := NewTCPCaller()
 	caller.CallTimeout = 30 * time.Second
 	defer caller.Close()
-	resp, err := caller.Call(srv.Addr(), echoReq{Msg: "gimme"})
+	resp, err := call(caller, srv.Addr(), echoReq{Msg: "gimme"})
 	if err != nil {
 		t.Fatalf("oversized response failed: %v", err)
 	}
@@ -314,7 +314,7 @@ func TestHelloIsTheProtocolCheck(t *testing.T) {
 			caller := NewTCPCaller()
 			defer caller.Close()
 			for i := 0; i < 2; i++ {
-				_, err := caller.Call(addr, echoReq{Msg: "hello?"})
+				_, err := call(caller, addr, echoReq{Msg: "hello?"})
 				if err == nil {
 					t.Fatalf("call %d succeeded without a valid hello ack", i)
 				}
@@ -337,9 +337,9 @@ func TestHelloIsTheProtocolCheck(t *testing.T) {
 			t.Fatal(err)
 		}
 		var handled atomic.Int32
-		srv := ServeTCP(ln, func(req any) (any, error) {
+		srv := ServeTCP(ln, func(tc trace.Context, req any) (any, []trace.Wire, error) {
 			handled.Add(1)
-			return echoHandler(req)
+			return echoHandler(tc, req)
 		})
 		defer srv.Close()
 		conn, err := net.Dial("tcp", srv.Addr())
@@ -398,7 +398,7 @@ func TestHandshakeTimeoutDoesNotLatchGob(t *testing.T) {
 	caller := NewTCPCaller()
 	caller.DialTimeout = 100 * time.Millisecond
 	defer caller.Close()
-	_, err = caller.Call(ln.Addr().String(), echoReq{Msg: "hello?"})
+	_, err = call(caller, ln.Addr().String(), echoReq{Msg: "hello?"})
 	if err == nil {
 		t.Fatal("call against a mute server succeeded")
 	}
@@ -418,24 +418,24 @@ func TestMuxPipelinesBehindSlowHandler(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := ServeTCP(ln, func(req any) (any, error) {
+	srv := ServeTCP(ln, untraced(func(req any) (any, error) {
 		if req.(echoReq).Msg == "slow" {
 			time.Sleep(delay)
 		}
 		return echoResp{Msg: req.(echoReq).Msg}, nil
-	})
+	}))
 	defer srv.Close()
 	caller := NewTCPCaller()
 	defer caller.Close()
 
 	slowDone := make(chan error, 1)
 	go func() {
-		_, err := caller.Call(srv.Addr(), echoReq{Msg: "slow"})
+		_, err := call(caller, srv.Addr(), echoReq{Msg: "slow"})
 		slowDone <- err
 	}()
 	time.Sleep(20 * time.Millisecond) // let the slow request get on the wire
 	start := time.Now()
-	if _, err := caller.Call(srv.Addr(), echoReq{Msg: "fast"}); err != nil {
+	if _, err := call(caller, srv.Addr(), echoReq{Msg: "fast"}); err != nil {
 		t.Fatal(err)
 	}
 	if fastTook := time.Since(start); fastTook > delay/2 {
@@ -462,10 +462,10 @@ func TestMuxCloseRacesInFlightCalls(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := ServeTCP(ln, func(req any) (any, error) {
+	srv := ServeTCP(ln, untraced(func(req any) (any, error) {
 		time.Sleep(delay)
 		return echoResp{Msg: "late"}, nil
-	})
+	}))
 	defer srv.Close()
 
 	for round := 0; round < 5; round++ {
@@ -476,7 +476,7 @@ func TestMuxCloseRacesInFlightCalls(t *testing.T) {
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
-				_, err := caller.Call(srv.Addr(), echoReq{Msg: "inflight"})
+				_, err := call(caller, srv.Addr(), echoReq{Msg: "inflight"})
 				if err != nil && !errors.Is(err, ErrCallerClosed) && !Retryable(err) {
 					t.Errorf("in-flight call failed oddly: %v", err)
 					unexpected.Add(1)
@@ -493,7 +493,7 @@ func TestMuxCloseRacesInFlightCalls(t *testing.T) {
 		case <-time.After(5 * time.Second):
 			t.Fatal("in-flight calls did not return after Close: deadlock")
 		}
-		if _, err := caller.Call(srv.Addr(), echoReq{}); !errors.Is(err, ErrCallerClosed) {
+		if _, err := call(caller, srv.Addr(), echoReq{}); !errors.Is(err, ErrCallerClosed) {
 			t.Fatalf("call after Close = %v, want ErrCallerClosed", err)
 		}
 	}
@@ -508,18 +508,18 @@ func TestMuxHandlerPanicBecomesError(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := ServeTCP(ln, func(req any) (any, error) {
+	srv := ServeTCP(ln, untraced(func(req any) (any, error) {
 		if req.(echoReq).Msg == "panic" {
 			panic("kaboom")
 		}
 		return echoResp{Msg: "fine"}, nil
-	})
+	}))
 	defer srv.Close()
 	caller := NewTCPCaller()
 	defer caller.Close()
 
 	before := metPanics.Value()
-	_, err = caller.Call(srv.Addr(), echoReq{Msg: "panic"})
+	_, err = call(caller, srv.Addr(), echoReq{Msg: "panic"})
 	var remote *RemoteError
 	if !errors.As(err, &remote) {
 		t.Fatalf("panicking handler returned %v, want RemoteError", err)
@@ -527,7 +527,7 @@ func TestMuxHandlerPanicBecomesError(t *testing.T) {
 	if metPanics.Value() != before+1 {
 		t.Errorf("transport.panics = %d, want %d", metPanics.Value(), before+1)
 	}
-	if _, err := caller.Call(srv.Addr(), echoReq{Msg: "ok"}); err != nil {
+	if _, err := call(caller, srv.Addr(), echoReq{Msg: "ok"}); err != nil {
 		t.Fatalf("call after handler panic: %v (connection should survive)", err)
 	}
 }

@@ -55,25 +55,11 @@ func NewRetryCaller(inner Caller, cfg RetryConfig) *RetryCaller {
 	return &RetryCaller{inner: inner, cfg: cfg, rng: rand.New(rand.NewSource(seed))}
 }
 
-// Call implements Caller: forward to the wrapped caller, retrying
-// transport-level failures up to Attempts times.
-func (r *RetryCaller) Call(addr string, req any) (any, error) {
-	var resp any
-	err := r.retry(func() error {
-		var e error
-		resp, e = r.inner.Call(addr, req)
-		return e
-	})
-	if err != nil && Retryable(err) {
-		return nil, err // all attempts failed in transit
-	}
-	return resp, err
-}
-
-// CallCtx implements ContextCaller with the same retry policy. Each
-// attempt re-sends the same context; the fragments of the attempt that
-// succeeds are the ones returned, so a retried call never grafts a
-// failed attempt's partial subtree twice.
+// CallCtx implements Caller: forward to the wrapped caller, retrying
+// transport-level failures up to Attempts times. Each attempt re-sends
+// the same context; the fragments of the attempt that succeeds are the
+// ones returned, so a retried call never grafts a failed attempt's
+// partial subtree twice.
 func (r *RetryCaller) CallCtx(addr string, tc trace.Context, req any) (any, []trace.Wire, error) {
 	var (
 		resp  any
@@ -81,7 +67,7 @@ func (r *RetryCaller) CallCtx(addr string, tc trace.Context, req any) (any, []tr
 	)
 	err := r.retry(func() error {
 		var e error
-		resp, spans, e = CallCtx(r.inner, addr, tc, req)
+		resp, spans, e = r.inner.CallCtx(addr, tc, req)
 		return e
 	})
 	if err != nil && Retryable(err) {
@@ -126,4 +112,4 @@ func (r *RetryCaller) jitter(d time.Duration) time.Duration {
 	return time.Duration(float64(d) * f)
 }
 
-var _ ContextCaller = (*RetryCaller)(nil)
+var _ Caller = (*RetryCaller)(nil)

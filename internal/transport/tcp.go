@@ -54,7 +54,7 @@ type envelope struct {
 // connection; requests on a connection are handled concurrently.
 type TCPServer struct {
 	ln      net.Listener
-	handler TracedHandler
+	handler Handler
 
 	mu     sync.Mutex
 	conns  map[net.Conn]struct{}
@@ -62,16 +62,9 @@ type TCPServer struct {
 	wg     sync.WaitGroup
 }
 
-// ServeTCP starts serving h on ln until Close. Requests arriving with a
-// trace context serve untraced; use ServeTCPTraced to propagate.
+// ServeTCP starts serving h on ln until Close. Span fragments the
+// handler returns ride back on the response envelope.
 func ServeTCP(ln net.Listener, h Handler) *TCPServer {
-	return ServeTCPTraced(ln, Traced(h))
-}
-
-// ServeTCPTraced starts serving a trace-propagating handler on ln until
-// Close. Span fragments the handler returns ride back on the response
-// envelope.
-func ServeTCPTraced(ln net.Listener, h TracedHandler) *TCPServer {
 	s := &TCPServer{ln: ln, handler: h, conns: make(map[net.Conn]struct{})}
 	s.wg.Add(1)
 	go s.acceptLoop()
@@ -164,21 +157,10 @@ func NewTCPCaller() *TCPCaller {
 	}
 }
 
-// Call implements Caller over TCP. A transport-level failure kills the
-// connection so the next call to that address re-dials.
-func (c *TCPCaller) Call(addr string, req any) (any, error) {
-	resp, err := c.roundTrip(addr, envelope{Body: req})
-	if err != nil {
-		return nil, err
-	}
-	if resp.Err != "" {
-		return resp.Body, &RemoteError{Msg: resp.Err}
-	}
-	return resp.Body, nil
-}
-
-// CallCtx implements ContextCaller over TCP: the trace context rides the
+// CallCtx implements Caller over TCP: a sampled trace context rides the
 // request envelope and remote span fragments come back on the response.
+// A transport-level failure kills the connection so the next call to
+// that address re-dials.
 func (c *TCPCaller) CallCtx(addr string, tc trace.Context, req any) (any, []trace.Wire, error) {
 	env := envelope{Body: req}
 	if tc.Sampled {
@@ -224,4 +206,4 @@ func (c *TCPCaller) Close() {
 	}
 }
 
-var _ ContextCaller = (*TCPCaller)(nil)
+var _ Caller = (*TCPCaller)(nil)

@@ -26,57 +26,36 @@ var (
 	metCallUS = metrics.Default.IntHistogram("transport.call_us")
 )
 
-// Caller issues a request to the node at addr and returns its response.
-// Requests and responses are plain values; over TCP each concrete type
-// needs a binary codec registered with RegisterCodec.
+// Caller issues a request to the node at addr and returns its response,
+// propagating the trace context tc and carrying back any span fragments
+// the remote side recorded. A zero tc is an untraced call: nothing extra
+// rides the wire and no fragments return. Requests and responses are
+// plain values; over TCP each concrete type needs a binary codec
+// registered with RegisterCodec.
 type Caller interface {
-	Call(addr string, req any) (any, error)
-}
-
-// Handler serves requests arriving at one node. It returns the response
-// value or an error; transports carry the error back to the caller.
-type Handler func(req any) (any, error)
-
-// TracedHandler is a Handler that additionally receives the caller's
-// trace context and returns any span fragments recorded while serving,
-// for the transport to piggyback on the response. An unsampled (zero)
-// context must behave exactly like a plain Handler call.
-type TracedHandler func(tc trace.Context, req any) (any, []trace.Wire, error)
-
-// Traced adapts a plain Handler to the traced interface: the context is
-// ignored and no fragments are produced.
-func Traced(h Handler) TracedHandler {
-	return func(_ trace.Context, req any) (any, []trace.Wire, error) {
-		resp, err := h(req)
-		return resp, nil, err
-	}
-}
-
-// ContextCaller is a Caller that can propagate trace context and carry
-// remote span fragments back. Both transports implement it; wrapper
-// callers (retry, fault) forward it when their inner caller does.
-type ContextCaller interface {
-	Caller
 	CallCtx(addr string, tc trace.Context, req any) (any, []trace.Wire, error)
 }
 
-// CallCtx issues a traced call through c when it supports propagation,
-// degrading to an untraced Call (no fragments) otherwise. Instrumented
-// code calls this instead of type-asserting at every site. Every call is
-// timed into transport.call_us; sampled calls also pin their trace ID to
-// the latency bucket as an exemplar.
+// Handler serves requests arriving at one node. It receives the caller's
+// trace context and returns the response value, any span fragments
+// recorded while serving (for the transport to piggyback on the
+// response), or an error the transport carries back to the caller. An
+// unsampled (zero) context serves untraced and returns no fragments.
+type Handler func(tc trace.Context, req any) (any, []trace.Wire, error)
+
+// CallCtx issues a call through c, timing it into transport.call_us.
+// Sampled calls also pin their trace ID to the latency bucket as an
+// exemplar. The peer protocol issues its calls here; chord maintenance
+// and other auxiliary traffic call c.CallCtx directly and stay untimed.
 func CallCtx(c Caller, addr string, tc trace.Context, req any) (any, []trace.Wire, error) {
 	start := time.Now()
-	if cc, ok := c.(ContextCaller); ok && tc.Sampled {
-		resp, spans, err := cc.CallCtx(addr, tc, req)
-		us := uint64(time.Since(start).Microseconds())
-		metCallUS.Observe(us)
+	resp, spans, err := c.CallCtx(addr, tc, req)
+	us := uint64(time.Since(start).Microseconds())
+	metCallUS.Observe(us)
+	if tc.Sampled {
 		metCallUS.SetExemplar(us, fmt.Sprintf("%016x", tc.TraceID))
-		return resp, spans, err
 	}
-	resp, err := c.Call(addr, req)
-	metCallUS.Observe(uint64(time.Since(start).Microseconds()))
-	return resp, nil, err
+	return resp, spans, err
 }
 
 // ErrUnknownAddr is returned by the in-memory network for addresses with

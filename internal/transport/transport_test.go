@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"p2prange/internal/chord"
+	"p2prange/internal/trace"
 )
 
 type echoReq struct{ Msg string }
@@ -29,7 +30,7 @@ func init() {
 		func(c *Cursor) (any, error) { return echoResp{Msg: c.BulkString()}, c.Err })
 }
 
-func echoHandler(req any) (any, error) {
+var echoHandler = untraced(func(req any) (any, error) {
 	switch r := req.(type) {
 	case echoReq:
 		if r.Msg == "boom" {
@@ -39,12 +40,27 @@ func echoHandler(req any) (any, error) {
 	default:
 		return nil, BadRequest(req)
 	}
+})
+
+// untraced lifts a plain request handler to a Handler that ignores the
+// trace context and returns no fragments.
+func untraced(h func(req any) (any, error)) Handler {
+	return func(_ trace.Context, req any) (any, []trace.Wire, error) {
+		resp, err := h(req)
+		return resp, nil, err
+	}
+}
+
+// call issues an untraced call for tests that do not look at fragments.
+func call(c Caller, addr string, req any) (any, error) {
+	resp, _, err := c.CallCtx(addr, trace.Context{}, req)
+	return resp, err
 }
 
 func TestMemoryCall(t *testing.T) {
 	m := NewMemory()
 	m.Register("a", echoHandler)
-	resp, err := m.Call("a", echoReq{Msg: "hi"})
+	resp, err := call(m, "a", echoReq{Msg: "hi"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -58,7 +74,7 @@ func TestMemoryCall(t *testing.T) {
 
 func TestMemoryUnknownAddr(t *testing.T) {
 	m := NewMemory()
-	if _, err := m.Call("ghost", echoReq{}); !errors.Is(err, ErrUnknownAddr) {
+	if _, err := call(m, "ghost", echoReq{}); !errors.Is(err, ErrUnknownAddr) {
 		t.Errorf("err = %v, want ErrUnknownAddr", err)
 	}
 }
@@ -67,15 +83,15 @@ func TestMemoryFaultInjection(t *testing.T) {
 	m := NewMemory()
 	m.Register("a", echoHandler)
 	m.SetDown("a", true)
-	if _, err := m.Call("a", echoReq{}); !errors.Is(err, ErrUnknownAddr) {
+	if _, err := call(m, "a", echoReq{}); !errors.Is(err, ErrUnknownAddr) {
 		t.Errorf("down node reachable: %v", err)
 	}
 	m.SetDown("a", false)
-	if _, err := m.Call("a", echoReq{Msg: "x"}); err != nil {
+	if _, err := call(m, "a", echoReq{Msg: "x"}); err != nil {
 		t.Errorf("healed node unreachable: %v", err)
 	}
 	m.Unregister("a")
-	if _, err := m.Call("a", echoReq{}); !errors.Is(err, ErrUnknownAddr) {
+	if _, err := call(m, "a", echoReq{}); !errors.Is(err, ErrUnknownAddr) {
 		t.Error("unregistered node reachable")
 	}
 }
@@ -83,7 +99,7 @@ func TestMemoryFaultInjection(t *testing.T) {
 func TestMemoryHandlerError(t *testing.T) {
 	m := NewMemory()
 	m.Register("a", echoHandler)
-	if _, err := m.Call("a", echoReq{Msg: "boom"}); err == nil || err.Error() != "handler exploded" {
+	if _, err := call(m, "a", echoReq{Msg: "boom"}); err == nil || err.Error() != "handler exploded" {
 		t.Errorf("err = %v", err)
 	}
 }
@@ -103,7 +119,7 @@ func startTCP(t *testing.T) (*TCPServer, *TCPCaller) {
 
 func TestTCPRoundTrip(t *testing.T) {
 	srv, caller := startTCP(t)
-	resp, err := caller.Call(srv.Addr(), echoReq{Msg: "over tcp"})
+	resp, err := call(caller, srv.Addr(), echoReq{Msg: "over tcp"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,7 +130,7 @@ func TestTCPRoundTrip(t *testing.T) {
 
 func TestTCPRemoteError(t *testing.T) {
 	srv, caller := startTCP(t)
-	_, err := caller.Call(srv.Addr(), echoReq{Msg: "boom"})
+	_, err := call(caller, srv.Addr(), echoReq{Msg: "boom"})
 	var remote *RemoteError
 	if !errors.As(err, &remote) {
 		t.Fatalf("err = %v, want RemoteError", err)
@@ -123,7 +139,7 @@ func TestTCPRemoteError(t *testing.T) {
 		t.Errorf("remote msg = %q", remote.Msg)
 	}
 	// The connection survives a handler error.
-	if _, err := caller.Call(srv.Addr(), echoReq{Msg: "again"}); err != nil {
+	if _, err := call(caller, srv.Addr(), echoReq{Msg: "again"}); err != nil {
 		t.Errorf("connection unusable after handler error: %v", err)
 	}
 }
@@ -132,7 +148,7 @@ func TestTCPSequentialRequestsReuseConnection(t *testing.T) {
 	srv, caller := startTCP(t)
 	for i := 0; i < 50; i++ {
 		msg := fmt.Sprintf("m%d", i)
-		resp, err := caller.Call(srv.Addr(), echoReq{Msg: msg})
+		resp, err := call(caller, srv.Addr(), echoReq{Msg: msg})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -152,7 +168,7 @@ func TestTCPConcurrentCallers(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 30; i++ {
 				msg := fmt.Sprintf("g%d-%d", g, i)
-				resp, err := caller.Call(srv.Addr(), echoReq{Msg: msg})
+				resp, err := call(caller, srv.Addr(), echoReq{Msg: msg})
 				if err != nil {
 					errs <- err
 					return
@@ -174,11 +190,11 @@ func TestTCPConcurrentCallers(t *testing.T) {
 func TestTCPServerClosedConnection(t *testing.T) {
 	srv, caller := startTCP(t)
 	addr := srv.Addr()
-	if _, err := caller.Call(addr, echoReq{Msg: "warm"}); err != nil {
+	if _, err := call(caller, addr, echoReq{Msg: "warm"}); err != nil {
 		t.Fatal(err)
 	}
 	srv.Close()
-	if _, err := caller.Call(addr, echoReq{Msg: "late"}); err == nil {
+	if _, err := call(caller, addr, echoReq{Msg: "late"}); err == nil {
 		t.Error("call to closed server succeeded")
 	}
 	// Restart on the same port is not guaranteed; dial error must surface
@@ -190,7 +206,7 @@ func TestTCPServerClosedConnection(t *testing.T) {
 	}
 	srv2 := ServeTCP(ln, echoHandler)
 	defer srv2.Close()
-	if _, err := caller.Call(srv2.Addr(), echoReq{Msg: "recovered"}); err != nil {
+	if _, err := call(caller, srv2.Addr(), echoReq{Msg: "recovered"}); err != nil {
 		t.Errorf("fresh server unreachable: %v", err)
 	}
 }
@@ -199,7 +215,7 @@ func TestTCPDialFailure(t *testing.T) {
 	caller := NewTCPCaller()
 	caller.DialTimeout = 200 * time.Millisecond
 	defer caller.Close()
-	if _, err := caller.Call("127.0.0.1:1", echoReq{}); err == nil {
+	if _, err := call(caller, "127.0.0.1:1", echoReq{}); err == nil {
 		t.Error("dial to closed port succeeded")
 	}
 }
@@ -211,20 +227,20 @@ func TestChordRPCAdapterMemory(t *testing.T) {
 	client := ChordClient{Caller: m}
 	a := chord.NewNode("a", client, chord.Config{})
 	b := chord.NewNode("b", client, chord.Config{})
-	m.Register("a", func(req any) (any, error) {
+	m.Register("a", untraced(func(req any) (any, error) {
 		resp, handled, err := DispatchChord(a, req)
 		if !handled {
 			return nil, BadRequest(req)
 		}
 		return resp, err
-	})
-	m.Register("b", func(req any) (any, error) {
+	}))
+	m.Register("b", untraced(func(req any) (any, error) {
 		resp, handled, err := DispatchChord(b, req)
 		if !handled {
 			return nil, BadRequest(req)
 		}
 		return resp, err
-	})
+	}))
 
 	// Fresh node: no predecessor sentinel crosses the adapter.
 	if _, err := client.Predecessor("a"); !errors.Is(err, chord.ErrNoPredecessor) {
@@ -259,13 +275,13 @@ func TestChordRPCAdapterTCP(t *testing.T) {
 		t.Fatal(err)
 	}
 	n := chord.NewNode(ln.Addr().String(), client, chord.Config{})
-	srv := ServeTCP(ln, func(req any) (any, error) {
+	srv := ServeTCP(ln, untraced(func(req any) (any, error) {
 		resp, handled, err := DispatchChord(n, req)
 		if !handled {
 			return nil, BadRequest(req)
 		}
 		return resp, err
-	})
+	}))
 	defer srv.Close()
 
 	if _, err := client.Predecessor(n.Addr()); !errors.Is(err, chord.ErrNoPredecessor) {

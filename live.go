@@ -427,7 +427,10 @@ func StartPeer(listenAddr, bootstrap string, cfg LiveConfig) (*LivePeer, error) 
 		lp.follower = ship.NewFollower(ship.FollowerConfig{
 			Owner: owner,
 			Self:  addr,
-			Call:  func(req any) (any, error) { return caller.Call(owner, req) },
+			Call: func(req any) (any, error) {
+				resp, _, err := caller.CallCtx(owner, trace.Context{}, req)
+				return resp, err
+			},
 			// Full-fidelity apply — puts, evicts, arc drops — through the
 			// store with its journal attached, so the follower's own WAL
 			// records exactly what a local recovery would replay.
@@ -438,7 +441,7 @@ func StartPeer(listenAddr, bootstrap string, cfg LiveConfig) (*LivePeer, error) 
 		})
 	}
 
-	lp.server = transport.ServeTCPTraced(ln, p.HandleTraced)
+	lp.server = transport.ServeTCP(ln, p.Handle)
 	if bootstrap != "" {
 		if err := p.Node().Join(bootstrap); err != nil {
 			lp.Close()
