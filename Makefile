@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test check linkcheck flagcheck benchguard trace-demo rangetop-demo bench bench-all
+.PHONY: build test check linkcheck flagcheck benchguard trace-demo rangetop-demo bench-all
 
 build:
 	$(GO) build ./...
@@ -95,21 +95,6 @@ rangetop-demo:
 # the fact, stitched trees included.
 flight-demo:
 	@sh ./tools/flight-demo.sh
-
-# bench runs the signature-pipeline benchmarks (the performance contract:
-# BenchmarkMinWiseSign vs BenchmarkMinWiseNaive and friends) with
-# allocation stats, recording machine-readable output for comparison
-# across commits.
-bench:
-	$(GO) test -json -run '^$$' -bench . -benchmem ./internal/minhash \
-		> BENCH_minhash.json
-	$(GO) test -json -run '^$$' -bench BenchmarkReplica -benchmem ./internal/replica \
-		> BENCH_replica.json
-	@$(GO) run ./cmd/rangebench -fig sig -quick
-	@$(GO) run ./cmd/rangebench -fig load -quick
-	$(GO) test -run '^$$' -bench 'BenchmarkSegment' -benchmem ./internal/wal \
-		| $(GO) run ./tools/benchmerge -key segment_reads \
-		-note "disk read path: Get via sparse index vs full segment scan; Probe is the bloom+index point read"
 
 # bench-all runs every benchmark in the repo once, as a smoke test.
 bench-all:

@@ -149,9 +149,8 @@ func runLoad(opt loadOptions) error {
 }
 
 // mergeReport folds doc's top-level keys into the JSON file at path,
-// preserving keys written by other producers (tools/benchmerge's
-// segment_reads, the flight_overhead block, or vice versa) — the same
-// read-merge-write discipline benchmerge itself follows.
+// preserving the keys it does not write (the segment_reads and
+// flight_overhead blocks).
 func mergeReport(path string, doc any) error {
 	raw, err := json.Marshal(doc)
 	if err != nil {

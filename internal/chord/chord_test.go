@@ -125,12 +125,12 @@ func (m *memClient) Predecessor(addr string) (Ref, error) {
 	return n.HandlePredecessor()
 }
 
-func (m *memClient) ClosestPreceding(addr string, id ID) (Ref, error) {
+func (m *memClient) RouteTable(addr string) ([]Ref, error) {
 	n, err := m.get(addr)
 	if err != nil {
-		return Ref{}, err
+		return nil, err
 	}
-	return n.HandleClosestPreceding(id)
+	return n.HandleRouteTable()
 }
 
 func (m *memClient) FindSuccessor(addr string, id ID) (Ref, error) {
@@ -202,7 +202,7 @@ func TestSingleNodeRing(t *testing.T) {
 	if n.Successor().ID != n.ID() {
 		t.Error("single node must be its own successor")
 	}
-	owner, hops, err := n.Lookup(12345, nil)
+	owner, hops, err := n.Lookup(12345, nil, nil)
 	if err != nil {
 		t.Fatalf("Lookup: %v", err)
 	}
@@ -230,7 +230,7 @@ func TestLookupCorrectness(t *testing.T) {
 	for i := 0; i < 2000; i++ {
 		id := rng.Uint32()
 		origin := nodes[rng.Intn(len(nodes))]
-		got, hops, err := origin.Lookup(id, nil)
+		got, hops, err := origin.Lookup(id, nil, nil)
 		if err != nil {
 			t.Fatalf("Lookup(%08x): %v", id, err)
 		}
@@ -247,7 +247,7 @@ func TestLookupCorrectness(t *testing.T) {
 func TestLookupOwnID(t *testing.T) {
 	nodes, _ := buildRing(t, 16)
 	for _, n := range nodes {
-		got, hops, err := n.Lookup(n.ID(), nil)
+		got, hops, err := n.Lookup(n.ID(), nil, nil)
 		if err != nil {
 			t.Fatalf("Lookup(own id): %v", err)
 		}
@@ -267,7 +267,7 @@ func TestLookupPathLengthLogarithmic(t *testing.T) {
 	const trials = 2000
 	for i := 0; i < trials; i++ {
 		origin := nodes[rng.Intn(len(nodes))]
-		_, hops, err := origin.Lookup(rng.Uint32(), nil)
+		_, hops, err := origin.Lookup(rng.Uint32(), nil, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -303,7 +303,7 @@ func TestJoinAndStabilize(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	for i := 0; i < 500; i++ {
 		id := rng.Uint32()
-		got, _, err := nodes[rng.Intn(len(nodes))].Lookup(id, nil)
+		got, _, err := nodes[rng.Intn(len(nodes))].Lookup(id, nil, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -400,7 +400,7 @@ func TestLookupUnreachableRing(t *testing.T) {
 	}
 	failed := 0
 	for i := 0; i < 50; i++ {
-		if _, _, err := origin.Lookup(rand.New(rand.NewSource(int64(i))).Uint32(), nil); err != nil {
+		if _, _, err := origin.Lookup(rand.New(rand.NewSource(int64(i))).Uint32(), nil, nil); err != nil {
 			failed++
 			if !errors.Is(err, ErrUnreachable) && !errors.Is(err, ErrNotFound) {
 				t.Fatalf("unexpected error type: %v", err)
@@ -426,7 +426,7 @@ func TestConcurrentLookups(t *testing.T) {
 			for i := 0; i < 500; i++ {
 				id := rng.Uint32()
 				origin := nodes[rng.Intn(len(nodes))]
-				got, _, err := origin.Lookup(id, nil)
+				got, _, err := origin.Lookup(id, nil, nil)
 				if err != nil {
 					errs <- err
 					return
@@ -466,7 +466,7 @@ func TestConcurrentLookupsDuringStabilization(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	for i := 0; i < 1000; i++ {
 		id := rng.Uint32()
-		got, _, err := nodes[rng.Intn(len(nodes))].Lookup(id, nil)
+		got, _, err := nodes[rng.Intn(len(nodes))].Lookup(id, nil, nil)
 		if err != nil {
 			t.Fatalf("Lookup(%08x) during stabilization: %v", id, err)
 		}

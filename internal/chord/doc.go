@@ -11,10 +11,17 @@
 //
 // Lookups route iteratively via finger tables in O(log N) hops — the path
 // lengths Figs. 12(a)/12(b) measure (mean ~= 0.5*log2 N, with the full
-// hop-count distribution collected through internal/metrics). The package
-// provides the live protocol — join, stabilize, notify, fix-fingers over a
-// pluggable transport — plus a fast static-ring constructor used by
-// internal/sim for the large rings of Figs. 11-12.
+// hop-count distribution collected through internal/metrics). Each remote
+// hop is one round trip: the hop's route table (Node.HandleRouteTable)
+// carries its successor and its closest-preceding candidates, so the
+// origin reads both the ownership check and the next hop from one answer.
+// A RouteMemo shares the fetched tables among the l lookups of one query
+// or publish, so each intermediate peer is asked once per operation; the
+// memo never outlives the operation.
+//
+// The package provides the live protocol — join, stabilize, notify,
+// fix-fingers over a pluggable transport — plus a fast static-ring
+// constructor used by internal/sim for the large rings of Figs. 11-12.
 //
 // Nodes keep successor lists, and routing is failure-aware: when a finger
 // is unreachable, lookup detours through the successor list instead of
@@ -22,7 +29,8 @@
 // (DisableRerouting) exposes the fault-model ablation; cmd/peerd's
 // -no-reroute flag maps to it.
 //
-// Node.Lookup takes an internal/trace Span and records each forwarding
-// step, suspect marking and detour on it; a nil span traces nothing and
-// adds no allocations. Maintenance RPCs travel untraced.
+// Node.Lookup takes a RouteMemo and an internal/trace Span, either of
+// which may be nil, and records each forwarding step, suspect marking and
+// detour on the span; a nil span traces nothing and adds no allocations.
+// Routing and maintenance RPCs travel untraced.
 package chord

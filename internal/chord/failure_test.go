@@ -66,7 +66,7 @@ func TestLookupReroutesAroundDeadNode(t *testing.T) {
 	nodes, client := buildRingCfg(t, 32, Config{Stats: stats})
 	origin, id, firstHop, owner := findRoutedLookup(t, nodes)
 
-	got, healthyHops, err := origin.Lookup(id, nil)
+	got, healthyHops, err := origin.Lookup(id, nil, nil)
 	if err != nil {
 		t.Fatalf("healthy lookup: %v", err)
 	}
@@ -75,7 +75,7 @@ func TestLookupReroutesAroundDeadNode(t *testing.T) {
 	}
 
 	client.setDown(firstHop.Addr, true)
-	got, hops, err := origin.Lookup(id, nil)
+	got, hops, err := origin.Lookup(id, nil, nil)
 	if err != nil {
 		t.Fatalf("lookup with dead hop %s: %v", firstHop, err)
 	}
@@ -105,7 +105,7 @@ func TestLookupUnreachableWithoutRerouting(t *testing.T) {
 	nodes, client := buildRingCfg(t, 32, Config{DisableRerouting: true, Stats: stats})
 	origin, id, firstHop, _ := findRoutedLookup(t, nodes)
 	client.setDown(firstHop.Addr, true)
-	_, _, err := origin.Lookup(id, nil)
+	_, _, err := origin.Lookup(id, nil, nil)
 	if !errors.Is(err, ErrUnreachable) {
 		t.Fatalf("lookup with rerouting disabled = %v, want ErrUnreachable", err)
 	}
@@ -145,7 +145,7 @@ func TestLookupDeadOwnerReroutes(t *testing.T) {
 		}
 	}
 	want := ownerOf(survivors, id)
-	got, hops, err := origin.Lookup(id, nil)
+	got, hops, err := origin.Lookup(id, nil, nil)
 	if err != nil {
 		t.Fatalf("lookup with dead owner: %v", err)
 	}
@@ -160,26 +160,28 @@ func TestLookupDeadOwnerReroutes(t *testing.T) {
 // scriptClient returns canned protocol answers, for driving Lookup into
 // states only reachable through mid-lookup mutation on a live ring.
 type scriptClient struct {
-	succ map[string]Ref
-	cp   map[string]Ref
+	tbl  map[string][]Ref // route tables: successor, then candidates
 	pred map[string]Ref
 }
 
-func (s *scriptClient) get(m map[string]Ref, addr string) (Ref, error) {
-	if r, ok := m[addr]; ok {
-		return r, nil
+func (s *scriptClient) RouteTable(addr string) ([]Ref, error) {
+	if t, ok := s.tbl[addr]; ok {
+		return t, nil
 	}
-	return Ref{}, ErrUnreachable
+	return nil, ErrUnreachable
 }
-func (s *scriptClient) Successor(addr string) (Ref, error) { return s.get(s.succ, addr) }
+func (s *scriptClient) Successor(addr string) (Ref, error) {
+	t, err := s.RouteTable(addr)
+	if err != nil {
+		return Ref{}, err
+	}
+	return t[0], nil
+}
 func (s *scriptClient) Predecessor(addr string) (Ref, error) {
 	if r, ok := s.pred[addr]; ok {
 		return r, nil
 	}
 	return Ref{}, ErrNoPredecessor
-}
-func (s *scriptClient) ClosestPreceding(addr string, id ID) (Ref, error) {
-	return s.get(s.cp, addr)
 }
 func (s *scriptClient) FindSuccessor(addr string, id ID) (Ref, error) {
 	return Ref{}, ErrUnreachable
@@ -190,7 +192,7 @@ func (s *scriptClient) SuccessorList(addr string) ([]Ref, error) { return nil, E
 
 // TestLookupStaleStateHopAccounting is the regression for the hop
 // double-count on the stale-state fallthrough. A node whose tables are
-// mid-update can answer ClosestPreceding with itself while its successor
+// mid-update can name itself closest preceding while its successor
 // already covers the identifier; the lookup must confirm ownership with
 // the successor and charge exactly one hop for that final edge, not
 // wander the ring charging extra hops. Scripted because the state is
@@ -199,9 +201,8 @@ func TestLookupStaleStateHopAccounting(t *testing.T) {
 	tRef := Ref{ID: 150, Addr: "t"}
 	sRef := Ref{ID: 240, Addr: "s"}
 	client := &scriptClient{
-		succ: map[string]Ref{"t": sRef},
-		// Stale: t names itself closest preceding although s covers id.
-		cp:   map[string]Ref{"t": tRef},
+		// Stale: t's only candidate is itself although s covers id.
+		tbl:  map[string][]Ref{"t": {sRef, tRef}},
 		pred: map[string]Ref{"s": {ID: 245, Addr: "q"}},
 	}
 	n := NewNode("origin", client, Config{})
@@ -213,7 +214,7 @@ func TestLookupStaleStateHopAccounting(t *testing.T) {
 	n.setSuccessor(tRef)
 
 	// id 250 sits in (245, 240] — the wrapped arc owned by s.
-	owner, hops, err := n.Lookup(250, nil)
+	owner, hops, err := n.Lookup(250, nil, nil)
 	if err != nil {
 		t.Fatalf("Lookup: %v", err)
 	}
@@ -233,11 +234,11 @@ func TestLookupPinnedHopCounts(t *testing.T) {
 	copy(sorted, nodes)
 	sort.Slice(sorted, func(i, j int) bool { return sorted[i].ID() < sorted[j].ID() })
 	for i, n := range sorted {
-		if _, hops, err := n.Lookup(n.ID(), nil); err != nil || hops != 0 {
+		if _, hops, err := n.Lookup(n.ID(), nil, nil); err != nil || hops != 0 {
 			t.Errorf("own-arc lookup = %d hops, %v; want 0, nil", hops, err)
 		}
 		succ := sorted[(i+1)%len(sorted)]
-		got, hops, err := n.Lookup(succ.ID(), nil)
+		got, hops, err := n.Lookup(succ.ID(), nil, nil)
 		if err != nil {
 			t.Fatalf("successor lookup: %v", err)
 		}

@@ -17,12 +17,54 @@ const maxLookupSteps = 2 * M
 // distribution (the Fig. 12 quantity, live).
 var metChordHops = metrics.Default.IntHistogram("chord.hops")
 
+// RouteMemo holds the route tables (HandleRouteTable answers) that one
+// operation's lookups fetched, so the l lookups of one query ask each
+// intermediate peer once. Its zero value is ready to use and allocates
+// nothing until the first remote table arrives. A memo must not outlive
+// the operation that made it — it is never refreshed — and is not safe
+// for concurrent use. A nil *RouteMemo memoises nothing.
+type RouteMemo struct {
+	tables map[ID][]Ref
+}
+
+// table returns cur's route table, from m when an earlier lookup of the
+// same operation fetched it, else by RPC. Only a successful, well-formed
+// fetch is remembered.
+func (n *Node) table(cur Ref, m *RouteMemo) ([]Ref, error) {
+	if m != nil {
+		if tbl, ok := m.tables[cur.ID]; ok {
+			return tbl, nil
+		}
+	}
+	tbl, err := n.client.RouteTable(cur.Addr)
+	if err != nil {
+		return nil, err
+	}
+	if len(tbl) == 0 {
+		return nil, fmt.Errorf("chord: empty route table from %s", cur)
+	}
+	if m != nil {
+		if m.tables == nil {
+			m.tables = make(map[ID][]Ref)
+		}
+		m.tables[cur.ID] = tbl
+	}
+	return tbl, nil
+}
+
 // Lookup resolves the node owning identifier id, routing iteratively from
 // this node via closest-preceding-finger queries (Stoica et al., Fig. 4).
 // It returns the owner and the overlay path length in hops: the number of
 // distinct nodes the query is forwarded through, including the final hop
 // to the owner and excluding the originating node. This is the quantity
 // the paper plots in Fig. 12.
+//
+// Each remote hop costs one round trip: the hop's route table carries
+// both its successor and its closest-preceding candidates. Fetched
+// tables are kept in memo (which may be nil) for the other lookups of
+// the same operation; a remembered table stands in for a fresh fetch,
+// so on a ring that does not change mid-operation only the RPC count
+// differs.
 //
 // When an RPC to the next hop fails at the transport level and rerouting
 // is enabled (Config.DisableRerouting false), the hop is marked suspect
@@ -32,9 +74,9 @@ var metChordHops = metrics.Default.IntHistogram("chord.hops")
 //
 // Each forwarding step, suspect marking, and detour is recorded on sp. A
 // nil sp (tracing off) adds no work and no allocations.
-func (n *Node) Lookup(id ID, sp *trace.Span) (Ref, int, error) {
+func (n *Node) Lookup(id ID, memo *RouteMemo, sp *trace.Span) (Ref, int, error) {
 	n.stats.AddLookup()
-	ref, hops, err := n.route(id, sp)
+	ref, hops, err := n.route(id, memo, sp)
 	if err != nil {
 		n.stats.AddFailedLookup()
 		if sp.On() {
@@ -50,7 +92,7 @@ func (n *Node) Lookup(id ID, sp *trace.Span) (Ref, int, error) {
 }
 
 // route is the iterative resolution loop behind Lookup.
-func (n *Node) route(id ID, sp *trace.Span) (Ref, int, error) {
+func (n *Node) route(id ID, memo *RouteMemo, sp *trace.Span) (Ref, int, error) {
 	if n.Owns(id) {
 		return n.ref, 0, nil
 	}
@@ -64,11 +106,12 @@ func (n *Node) route(id ID, sp *trace.Span) (Ref, int, error) {
 	hops := 0
 	for step := 0; step < maxLookupSteps; step++ {
 		var succ Ref
-		var err error
+		var tbl []Ref
 		if cur.ID == n.ref.ID {
 			succ = n.successor()
 		} else {
-			succ, err = n.client.Successor(cur.Addr)
+			var err error
+			tbl, err = n.table(cur, memo)
 			if err != nil {
 				owner, next, rerr := n.handleDeadHop(from, cur, id, err, sp)
 				if rerr != nil {
@@ -81,6 +124,7 @@ func (n *Node) route(id ID, sp *trace.Span) (Ref, int, error) {
 				hops++
 				continue
 			}
+			succ = tbl[0]
 		}
 		if BetweenRightIncl(cur.ID, succ.ID, id) {
 			if succ.ID == cur.ID {
@@ -104,22 +148,10 @@ func (n *Node) route(id ID, sp *trace.Span) (Ref, int, error) {
 			return succ, hops + 1, nil // final hop to the owner
 		}
 		var next Ref
-		if cur.ID == n.ref.ID {
-			next, err = n.HandleClosestPreceding(id)
+		if tbl == nil {
+			next, _ = n.HandleClosestPreceding(id)
 		} else {
-			next, err = n.client.ClosestPreceding(cur.Addr, id)
-		}
-		if err != nil {
-			owner, alt, rerr := n.handleDeadHop(from, cur, id, err, sp)
-			if rerr != nil {
-				return Ref{}, hops, fmt.Errorf("chord: lookup %s via %s: %w", FmtID(id), cur, rerr)
-			}
-			if !owner.IsZero() {
-				return owner, hops + 1, nil
-			}
-			cur = alt
-			hops++
-			continue
+			next = firstBetween(tbl[1:], cur, id)
 		}
 		if next.ID == cur.ID {
 			// cur knows no closer node, so its successor should own id —

@@ -54,7 +54,7 @@ func TestMaintainerConvergesRing(t *testing.T) {
 	// Lookups work purely off background-maintained state.
 	for i := 0; i < 100; i++ {
 		id := ID(i) * 40000000
-		got, _, err := nodes[i%len(nodes)].Lookup(id, nil)
+		got, _, err := nodes[i%len(nodes)].Lookup(id, nil, nil)
 		if err != nil {
 			t.Fatalf("Lookup(%08x): %v", id, err)
 		}
@@ -140,7 +140,7 @@ func TestMaintainerSurvivesDeadSuccessor(t *testing.T) {
 	if got := a.Successor(); got.ID != a.ID() {
 		t.Errorf("successor after neighbor death = %s, want self", got)
 	}
-	owner, _, err := a.Lookup(12345, nil)
+	owner, _, err := a.Lookup(12345, nil, nil)
 	if err != nil || owner.ID != a.ID() {
 		t.Errorf("lookup after collapse = %v, %v", owner, err)
 	}

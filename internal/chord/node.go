@@ -42,9 +42,10 @@ type Client interface {
 	Successor(addr string) (Ref, error)
 	// Predecessor returns the target's predecessor, or ErrNoPredecessor.
 	Predecessor(addr string) (Ref, error)
-	// ClosestPreceding returns the finger of the target that most closely
-	// precedes id (or the target itself if none does).
-	ClosestPreceding(addr string, id ID) (Ref, error)
+	// RouteTable returns the target's successor followed by its routing
+	// candidates in closest-preceding scan order (see
+	// Node.HandleRouteTable): everything one lookup hop needs from it.
+	RouteTable(addr string) ([]Ref, error)
 	// FindSuccessor resolves the node owning id, recursing as needed.
 	FindSuccessor(addr string, id ID) (Ref, error)
 	// Notify tells the target that self may be its predecessor.
@@ -62,6 +63,7 @@ type Handler interface {
 	HandleSuccessor() (Ref, error)
 	HandlePredecessor() (Ref, error)
 	HandleClosestPreceding(id ID) (Ref, error)
+	HandleRouteTable() ([]Ref, error)
 	HandleFindSuccessor(id ID) (Ref, error)
 	HandleNotify(candidate Ref) error
 	HandlePing() error
@@ -255,11 +257,16 @@ func (n *Node) MarkSuspect(id ID) {
 func (n *Node) Suspect(id ID) bool {
 	n.smu.Lock()
 	defer n.smu.Unlock()
+	return n.suspectLocked(id, time.Now())
+}
+
+// suspectLocked is Suspect with smu held, forgetting an expired entry.
+func (n *Node) suspectLocked(id ID, now time.Time) bool {
 	exp, ok := n.suspects[id]
 	if !ok {
 		return false
 	}
-	if n.susTTL >= 0 && time.Now().After(exp) {
+	if n.susTTL >= 0 && now.After(exp) {
 		delete(n.suspects, id)
 		return false
 	}
@@ -298,25 +305,60 @@ func (n *Node) HandlePredecessor() (Ref, error) {
 	return Ref{}, ErrNoPredecessor
 }
 
-// HandleClosestPreceding implements Handler: the highest finger (or
-// successor-list entry) strictly between this node and id, skipping
-// nodes currently suspected dead.
-func (n *Node) HandleClosestPreceding(id ID) (Ref, error) {
+// candidates appends to dst each routing candidate in closest-preceding
+// order — fingers from M−1 down to 0, then the successor list from high
+// to low — dropping zero entries, nodes currently suspected dead and
+// repeats of the previous candidate. It is the one definition of that
+// order: HandleClosestPreceding answers from it locally and
+// HandleRouteTable ships it to remote lookups, so the two cannot drift.
+func (n *Node) candidates(dst []Ref) []Ref {
 	n.mu.RLock()
 	defer n.mu.RUnlock()
-	for k := M - 1; k >= 0; k-- {
-		f := n.fingers[k]
-		if !f.IsZero() && Between(n.ref.ID, id, f.ID) && !n.Suspect(f.ID) {
-			return f, nil
+	n.smu.Lock()
+	defer n.smu.Unlock()
+	now := time.Now()
+	base := len(dst)
+	add := func(r Ref) {
+		if r.IsZero() || (len(dst) > base && dst[len(dst)-1] == r) || n.suspectLocked(r.ID, now) {
+			return
 		}
+		dst = append(dst, r)
+	}
+	for k := M - 1; k >= 0; k-- {
+		add(n.fingers[k])
 	}
 	for i := len(n.succs) - 1; i >= 0; i-- {
-		s := n.succs[i]
-		if !s.IsZero() && Between(n.ref.ID, id, s.ID) && !n.Suspect(s.ID) {
-			return s, nil
+		add(n.succs[i])
+	}
+	return dst
+}
+
+// firstBetween returns the first of cands strictly between self and id,
+// or self if none is: the closest-preceding choice.
+func firstBetween(cands []Ref, self Ref, id ID) Ref {
+	for _, r := range cands {
+		if Between(self.ID, id, r.ID) {
+			return r
 		}
 	}
-	return n.ref, nil
+	return self
+}
+
+// HandleClosestPreceding implements Handler: the highest live finger (or
+// successor-list entry) strictly between this node and id, or this node
+// if none is.
+func (n *Node) HandleClosestPreceding(id ID) (Ref, error) {
+	var buf [M + DefaultSuccessors]Ref
+	return firstBetween(n.candidates(buf[:0]), n.ref, id), nil
+}
+
+// HandleRouteTable implements Handler: the successor followed by the
+// candidates, so a remote lookup reads both its ownership check and its
+// next hop for any identifier from one round trip.
+func (n *Node) HandleRouteTable() ([]Ref, error) {
+	var buf [1 + M + DefaultSuccessors]Ref
+	tbl := n.candidates(append(buf[:0], n.successor()))
+	return append([]Ref(nil), tbl...), nil
 }
 
 // HandleFindSuccessor implements Handler: resolve the owner of id,

@@ -484,7 +484,7 @@ func (p *Peer) RegisterAux(h AuxHandler) {
 // RouteOwner resolves the peer owning a raw identifier (for services,
 // like the distributed join, that place their own keys on the ring).
 func (p *Peer) RouteOwner(id uint32) (chord.Ref, int, error) {
-	return p.node.Lookup(id, nil)
+	return p.node.Lookup(id, nil, nil)
 }
 
 // Call sends a request to a ref, short-circuiting locally; exposed for
@@ -549,7 +549,9 @@ func checkRange(q rangeset.Range) error {
 // owners — "If none of the match is exact, also store the computed
 // partition at the peers holding the computed identifiers."
 //
-// Probes bound for the same owner share one FindBestBatchReq round trip;
+// The l probes share one chord.RouteMemo, so each intermediate peer's
+// route table is fetched once per lookup. Probes bound for the same
+// owner share one FindBestBatchReq round trip;
 // with load-aware routing every probe is its own batch, sent to the
 // least-loaded member of its bucket's replica set. sp (which may be nil)
 // records the signature-cache outcome, one child span per probe holding
@@ -579,13 +581,14 @@ func (p *Peer) Lookup(rel, attribute string, q rangeset.Range, cache bool, sp *t
 	}
 	owners := make([]chord.Ref, len(ids))
 	res.Hops = make([]int, 0, len(ids))
+	var memo chord.RouteMemo
 	for i, id := range ids {
 		metProbes.Inc()
 		var ps *trace.Span
 		if sp.On() {
 			ps = sp.Child(fmt.Sprintf("probe %d/%d id=%08x", i+1, len(ids), id))
 		}
-		owner, hops, err := p.node.Lookup(id, ps)
+		owner, hops, err := p.node.Lookup(id, &memo, ps)
 		ps.End()
 		if err != nil {
 			return res, fmt.Errorf("peer: route to bucket %08x: %w", id, err)
@@ -736,8 +739,9 @@ func (res *LookupResult) merge(i int, fb FindBestResp, sp *trace.Span) {
 }
 
 // Publish stores a partition descriptor (held by this peer) under its l
-// identifiers, routing to each owner, and records each bucket resolution
-// on sp (which may be nil). It returns the chord hop counts.
+// identifiers, routing to each owner (the l routes share one
+// chord.RouteMemo, as in Lookup), and records each bucket resolution on
+// sp (which may be nil). It returns the chord hop counts.
 func (p *Peer) Publish(part store.Partition, sp *trace.Span) ([]int, error) {
 	metPublishes.Inc()
 	if part.Holder == "" {
@@ -748,12 +752,13 @@ func (p *Peer) Publish(part store.Partition, sp *trace.Span) ([]int, error) {
 	}
 	ids := p.cfg.Scheme.Identifiers(part.Range)
 	hops := make([]int, 0, len(ids))
+	var memo chord.RouteMemo
 	for i, id := range ids {
 		var ps *trace.Span
 		if sp.On() {
 			ps = sp.Child(fmt.Sprintf("publish %d/%d id=%08x", i+1, len(ids), id))
 		}
-		owner, h, err := p.node.Lookup(id, ps)
+		owner, h, err := p.node.Lookup(id, &memo, ps)
 		if err != nil {
 			ps.End()
 			return hops, fmt.Errorf("peer: route to bucket %08x: %w", id, err)
@@ -805,7 +810,9 @@ func (p *Peer) callOwner(id uint32, owner chord.Ref, req any, sp *trace.Span) (c
 	if sp.On() {
 		sp.Eventf("owner-dead", "%s unreachable, re-resolving %08x", owner, id)
 	}
-	next, _, lerr := p.node.Lookup(id, sp)
+	// Fresh tables (nil memo): the operation's remembered ones may still
+	// name the dead owner.
+	next, _, lerr := p.node.Lookup(id, nil, sp)
 	if lerr != nil || next.ID == owner.ID {
 		return owner, nil, err
 	}

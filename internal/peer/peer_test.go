@@ -421,7 +421,7 @@ func TestLookupSurvivesOwnerCrash(t *testing.T) {
 	querier := peers[5]
 	var victim chord.Ref
 	for _, id := range querier.Identifiers(q) {
-		owner, _, err := querier.Node().Lookup(id, nil)
+		owner, _, err := querier.Node().Lookup(id, nil, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

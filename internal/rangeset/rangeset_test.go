@@ -1,21 +1,48 @@
 package rangeset
 
 import (
+	"errors"
+	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
 )
 
 func TestNew(t *testing.T) {
-	r, err := New(3, 7)
-	if err != nil {
-		t.Fatalf("New(3,7): %v", err)
+	tests := []struct {
+		name    string
+		lo, hi  int64
+		want    Range
+		wantErr bool
+	}{
+		{name: "ordinary", lo: 3, hi: 7, want: Range{3, 7}},
+		{name: "single value", lo: 5, hi: 5, want: Range{5, 5}},
+		{name: "negative", lo: -10, hi: -2, want: Range{-10, -2}},
+		{name: "crosses zero", lo: -5, hi: 10, want: Range{-5, 10}},
+		{name: "inverted", lo: 7, hi: 3, wantErr: true},
+		{name: "inverted by one", lo: 1, hi: 0, wantErr: true},
+		{name: "full int64 span", lo: math.MinInt64, hi: math.MaxInt64, want: Range{math.MinInt64, math.MaxInt64}},
+		{name: "MinInt64 point", lo: math.MinInt64, hi: math.MinInt64, want: Range{math.MinInt64, math.MinInt64}},
+		{name: "MaxInt64 point", lo: math.MaxInt64, hi: math.MaxInt64, want: Range{math.MaxInt64, math.MaxInt64}},
+		{name: "inverted at bounds", lo: math.MaxInt64, hi: math.MinInt64, wantErr: true},
 	}
-	if r.Lo != 3 || r.Hi != 7 {
-		t.Errorf("New(3,7) = %v", r)
-	}
-	if _, err := New(7, 3); err == nil {
-		t.Error("New(7,3) should fail")
+
+	for _, tt := range tests {
+		t.Run(tt.name, func(t *testing.T) {
+			got, err := New(tt.lo, tt.hi)
+			if (err != nil) != tt.wantErr {
+				t.Fatalf("New(%d, %d) error = %v, wantErr %v", tt.lo, tt.hi, err, tt.wantErr)
+			}
+			if tt.wantErr {
+				if !errors.Is(err, ErrEmpty) {
+					t.Errorf("New(%d, %d) error = %v, want ErrEmpty", tt.lo, tt.hi, err)
+				}
+				return
+			}
+			if got != tt.want {
+				t.Errorf("New(%d, %d) = %v, want %v", tt.lo, tt.hi, got, tt.want)
+			}
+		})
 	}
 }
 

@@ -28,7 +28,10 @@ func NewSet(ranges ...Range) Set {
 	sort.Slice(rs, func(i, j int) bool { return rs[i].Lo < rs[j].Lo })
 	out := rs[:0]
 	for _, r := range rs {
-		if n := len(out); n > 0 && r.Lo <= out[n-1].Hi+1 {
+		// Merge overlapping or adjacent ranges. r.Lo > out[n-1].Hi in the
+		// second test, so r.Lo-1 cannot wrap — unlike Hi+1, which does
+		// when the previous range ends at math.MaxInt64.
+		if n := len(out); n > 0 && (r.Lo <= out[n-1].Hi || r.Lo-1 == out[n-1].Hi) {
 			if r.Hi > out[n-1].Hi {
 				out[n-1].Hi = r.Hi
 			}

@@ -1,6 +1,7 @@
 package rangeset
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 )
@@ -17,6 +18,59 @@ func TestNewSetNormalizes(t *testing.T) {
 		if got[i] != want[i] {
 			t.Fatalf("Ranges() = %v, want %v", got, want)
 		}
+	}
+}
+
+func TestNewSet(t *testing.T) {
+	const minI, maxI = math.MinInt64, math.MaxInt64
+	tests := []struct {
+		name     string
+		in       []Range
+		want     []Range
+		wantSize int64
+	}{
+		{name: "no ranges", in: nil, want: nil},
+		{name: "only inverted ranges", in: []Range{{5, 1}, {0, -1}}, want: nil},
+		{name: "inverted dropped", in: []Range{{5, 1}, {2, 3}}, want: []Range{{2, 3}}, wantSize: 2},
+		{name: "single", in: []Range{{4, 9}}, want: []Range{{4, 9}}, wantSize: 6},
+		{name: "adjacent merge", in: []Range{{0, 3}, {4, 6}}, want: []Range{{0, 6}}, wantSize: 7},
+		{name: "gap of one kept", in: []Range{{0, 3}, {5, 6}}, want: []Range{{0, 3}, {5, 6}}, wantSize: 6},
+		{name: "overlap merge", in: []Range{{0, 5}, {3, 8}}, want: []Range{{0, 8}}, wantSize: 9},
+		{name: "contained merge", in: []Range{{0, 10}, {5, 6}}, want: []Range{{0, 10}}, wantSize: 11},
+		{name: "duplicates", in: []Range{{2, 4}, {2, 4}}, want: []Range{{2, 4}}, wantSize: 3},
+		{
+			name:     "unsorted input",
+			in:       []Range{{20, 25}, {5, 10}, {0, 3}, {4, 6}},
+			want:     []Range{{0, 10}, {20, 25}},
+			wantSize: 17,
+		},
+		{name: "contained in range ending at MaxInt64", in: []Range{{1, maxI}, {5, 10}}, want: []Range{{1, maxI}}, wantSize: maxI},
+		{name: "adjacent at MaxInt64", in: []Range{{maxI, maxI}, {1, maxI - 1}}, want: []Range{{1, maxI}}, wantSize: maxI},
+		{name: "points at both bounds", in: []Range{{maxI, maxI}, {minI, minI}}, want: []Range{{minI, minI}, {maxI, maxI}}, wantSize: 2},
+		{name: "adjacent at MinInt64", in: []Range{{minI + 1, -2}, {minI, minI}}, want: []Range{{minI, -2}}, wantSize: maxI},
+		{name: "full span absorbs", in: []Range{{0, maxI}, {5, 10}, {minI, 0}}, want: []Range{{minI, maxI}}},
+	}
+
+	for _, tt := range tests {
+		t.Run(tt.name, func(t *testing.T) {
+			s := NewSet(tt.in...)
+			got := s.Ranges()
+			if len(got) != len(tt.want) {
+				t.Fatalf("NewSet(%v).Ranges() = %v, want %v", tt.in, got, tt.want)
+			}
+			for i := range got {
+				if got[i] != tt.want[i] {
+					t.Fatalf("NewSet(%v).Ranges() = %v, want %v", tt.in, got, tt.want)
+				}
+			}
+			// [MinInt64, MaxInt64] holds 2^64 values, beyond int64.
+			if len(tt.want) > 0 && tt.want[0] == (Range{minI, maxI}) {
+				return
+			}
+			if size := s.Size(); size != tt.wantSize {
+				t.Errorf("NewSet(%v).Size() = %d, want %d", tt.in, size, tt.wantSize)
+			}
+		})
 	}
 }
 

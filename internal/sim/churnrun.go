@@ -144,11 +144,11 @@ func RunChurn(cfg ChurnConfig) (ChurnResult, error) {
 		}
 		origin := c.RandomPeer(rng)
 		id := rng.Uint32()
-		owner, _, err := origin.Node().Lookup(id, nil)
+		owner, _, err := origin.Node().Lookup(id, nil, nil)
 		ok := err == nil && live[owner.Addr]
 		if !ok && err == nil && cfg.FaultTolerance {
 			origin.Node().MarkSuspect(owner.ID)
-			owner, _, err = origin.Node().Lookup(id, nil)
+			owner, _, err = origin.Node().Lookup(id, nil, nil)
 			ok = err == nil && live[owner.Addr]
 		}
 		if ok {

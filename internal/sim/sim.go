@@ -127,7 +127,7 @@ func (c *Cluster) TotalStored() int {
 // precomputed identifiers so hashing cost is paid once per partition, not
 // once per ring size.
 func (c *Cluster) StoreByID(origin *peer.Peer, id uint32, part store.Partition) (int, error) {
-	owner, hops, err := origin.Node().Lookup(id, nil)
+	owner, hops, err := origin.Node().Lookup(id, nil, nil)
 	if err != nil {
 		return hops, err
 	}
@@ -140,7 +140,7 @@ func (c *Cluster) StoreByID(origin *peer.Peer, id uint32, part store.Partition) 
 // RouteOnly resolves the owner of id from origin, returning the path
 // length without any storage side effect (Fig. 12's find operations).
 func (c *Cluster) RouteOnly(origin *peer.Peer, id uint32) (int, error) {
-	_, hops, err := origin.Node().Lookup(id, nil)
+	_, hops, err := origin.Node().Lookup(id, nil, nil)
 	return hops, err
 }
 

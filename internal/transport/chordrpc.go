@@ -17,7 +17,12 @@ type (
 	// PredecessorReq asks a node for its predecessor.
 	PredecessorReq struct{}
 	// ClosestPrecedingReq asks for the closest finger preceding ID.
+	// Lookups read the same answer from RouteTableReq; this request is
+	// served for ring-convergence checks.
 	ClosestPrecedingReq struct{ ID chord.ID }
+	// RouteTableReq asks a node for its successor and routing
+	// candidates, answered with RefsResp: one lookup hop's round trip.
+	RouteTableReq struct{}
 	// FindSuccessorReq asks a node to resolve the owner of ID recursively.
 	FindSuccessorReq struct{ ID chord.ID }
 	// NotifyReq tells a node that Self may be its predecessor.
@@ -39,7 +44,7 @@ func init() {
 	for _, v := range []any{
 		SuccessorReq{}, PredecessorReq{}, ClosestPrecedingReq{},
 		FindSuccessorReq{}, NotifyReq{}, PingReq{}, SuccessorListReq{},
-		RefResp{}, RefsResp{}, OKResp{},
+		RefResp{}, RefsResp{}, OKResp{}, RouteTableReq{},
 	} {
 		RegisterType(v)
 	}
@@ -76,9 +81,16 @@ func (c ChordClient) Predecessor(addr string) (chord.Ref, error) {
 	return c.refCall(addr, PredecessorReq{})
 }
 
-// ClosestPreceding implements chord.Client.
+// ClosestPreceding asks the node at addr for its closest node preceding
+// id. It is not part of chord.Client: lookups read the same answer from
+// RouteTable.
 func (c ChordClient) ClosestPreceding(addr string, id chord.ID) (chord.Ref, error) {
 	return c.refCall(addr, ClosestPrecedingReq{ID: id})
+}
+
+// RouteTable implements chord.Client.
+func (c ChordClient) RouteTable(addr string) ([]chord.Ref, error) {
+	return c.refsCall(addr, RouteTableReq{})
 }
 
 // FindSuccessor implements chord.Client.
@@ -100,7 +112,11 @@ func (c ChordClient) Ping(addr string) error {
 
 // SuccessorList implements chord.Client.
 func (c ChordClient) SuccessorList(addr string) ([]chord.Ref, error) {
-	resp, _, err := c.Caller.CallCtx(addr, trace.Context{}, SuccessorListReq{})
+	return c.refsCall(addr, SuccessorListReq{})
+}
+
+func (c ChordClient) refsCall(addr string, req any) ([]chord.Ref, error) {
+	resp, _, err := c.Caller.CallCtx(addr, trace.Context{}, req)
 	if err != nil {
 		return nil, mapChordErr(err)
 	}
@@ -152,6 +168,9 @@ func DispatchChord(h chord.Handler, req any) (resp any, handled bool, err error)
 		return OKResp{}, true, h.HandlePing()
 	case SuccessorListReq:
 		refs, err := h.HandleSuccessorList()
+		return RefsResp{Refs: refs}, true, err
+	case RouteTableReq:
+		refs, err := h.HandleRouteTable()
 		return RefsResp{Refs: refs}, true, err
 	default:
 		return nil, false, nil

@@ -85,6 +85,7 @@ const (
 	tagRefResp             uint64 = 15
 	tagRefsResp            uint64 = 16
 	tagOKResp              uint64 = 17
+	tagRouteTableReq       uint64 = 18
 
 	// TagPeerBase is the first tag reserved for the peer protocol
 	// (internal/peer registers its codecs there).
@@ -589,6 +590,8 @@ func init() {
 	RegisterCodec(tagSuccessorListReq, SuccessorListReq{}, DirRequest, enc, dec)
 	enc, dec = emptyCodec(OKResp{})
 	RegisterCodec(tagOKResp, OKResp{}, DirResponse, enc, dec)
+	enc, dec = emptyCodec(RouteTableReq{})
+	RegisterCodec(tagRouteTableReq, RouteTableReq{}, DirRequest, enc, dec)
 
 	RegisterCodec(tagClosestPrecedingReq, ClosestPrecedingReq{}, DirRequest,
 		func(b []byte, v any) []byte {

@@ -14,6 +14,7 @@ import (
 	"testing"
 	"time"
 
+	"p2prange/internal/chord"
 	"p2prange/internal/trace"
 )
 
@@ -75,6 +76,36 @@ func TestFrameRoundTripRegistered(t *testing.T) {
 		}
 		if !reflect.DeepEqual(fr, fr2) {
 			t.Errorf("frame %d changed across a round trip:\nfirst:  %+v\nsecond: %+v", i, fr, fr2)
+		}
+	}
+}
+
+// TestRouteTableCodecRoundTrip pins the one-round-trip routing hop on
+// the wire: RouteTableReq crosses in a request frame as its bare tag, and
+// the multi-ref RefsResp that answers it comes back ref for ref, in order.
+func TestRouteTableCodecRoundTrip(t *testing.T) {
+	refs := []chord.Ref{
+		{ID: 0x9e3779b9, Addr: "10.0.0.2:7001"},
+		{ID: 0xffffffff, Addr: "10.0.0.3:7001"},
+		{ID: 0, Addr: "[::1]:7002"},
+		{ID: 0x9e3779b9, Addr: "10.0.0.2:7001"},
+	}
+	cases := []frame{
+		{kind: kindRequest, id: 1, body: RouteTableReq{}},
+		{kind: kindResponse, id: 1, body: RefsResp{Refs: refs}},
+		{kind: kindResponse, id: 2, body: RefsResp{Refs: refs[:1]}},
+	}
+	for i := range cases {
+		payload, err := appendFrame(nil, &cases[i])
+		if err != nil {
+			t.Fatalf("case %d failed to encode: %v", i, err)
+		}
+		got, err := parseFrame(NewCursor(payload))
+		if err != nil {
+			t.Fatalf("case %d failed to parse: %v", i, err)
+		}
+		if !reflect.DeepEqual(got.body, cases[i].body) {
+			t.Errorf("case %d: body %#v, want %#v", i, got.body, cases[i].body)
 		}
 	}
 }
@@ -189,6 +220,7 @@ func TestFrameRejectsWrongDirectionTag(t *testing.T) {
 	cases := []frame{
 		{kind: kindRequest, id: 1, body: RefsResp{Refs: nil}}, // response tag in a request
 		{kind: kindResponse, id: 2, body: FindSuccessorReq{}}, // request tag in a response
+		{kind: kindResponse, id: 3, body: RouteTableReq{}},    // route-table request in a response
 	}
 	for i := range cases {
 		payload, err := appendFrame(nil, &cases[i])

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"reflect"
 	"sync"
 	"testing"
 	"time"
@@ -261,6 +262,12 @@ func TestChordRPCAdapterMemory(t *testing.T) {
 	ref, err := client.FindSuccessor("a", b.ID())
 	if err != nil || ref.ID != b.ID() {
 		t.Errorf("FindSuccessor = %v, %v", ref, err)
+	}
+	// RouteTable through the adapter: a's successor, then its candidates.
+	want, _ := a.HandleRouteTable()
+	tbl, err := client.RouteTable("a")
+	if err != nil || len(tbl) < 2 || tbl[0].ID != b.ID() || !reflect.DeepEqual(tbl, want) {
+		t.Errorf("RouteTable = %v, %v; want %v", tbl, err, want)
 	}
 }
 
