@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"reflect"
 	"strconv"
 	"strings"
 	"testing"
@@ -337,5 +338,16 @@ func TestLoadFigShape(t *testing.T) {
 	}
 	if s := cell(t, table, 2, 4); s < 99 {
 		t.Errorf("load-aware success %g%%, want >= 99%%", s)
+	}
+	// The quick-scale run is deterministic: pin its exact rows, so a
+	// change to replica selection or placement that moves any load,
+	// success or repair figure shows up here.
+	want := [][]string{
+		{"R=1 (paper)", "224", "42.8", "5.24", "99.67", "0"},
+		{"R=3", "224", "42.8", "5.24", "100.00", "17"},
+		{"R=3 load-aware", "65", "40.2", "1.62", "100.00", "16"},
+	}
+	if !reflect.DeepEqual(table.Rows, want) {
+		t.Errorf("load rows changed:\ngot  %q\nwant %q", table.Rows, want)
 	}
 }

@@ -3,6 +3,7 @@ package peer
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -104,8 +105,8 @@ type Config struct {
 	// anti-entropy repair (see RepairReplicas), and hot-bucket promotion.
 	Replicas int
 	// LoadAware routes each bucket probe to the least-loaded live member
-	// of the bucket's replica set instead of always its owner. Effective
-	// only with Replicas > 0.
+	// of the bucket's replica set instead of always its owner. It needs
+	// Replicas > 0: New refuses it without.
 	LoadAware bool
 	// HotReplicas is the replica-set size for hot buckets (owner
 	// included; default 2*(Replicas+1)).
@@ -172,6 +173,9 @@ func New(addr string, caller transport.Caller, cfg Config) (*Peer, error) {
 	if cfg.Scheme == nil {
 		return nil, errors.New("peer: Config.Scheme is required")
 	}
+	if cfg.LoadAware && cfg.Replicas <= 0 {
+		return nil, errors.New("peer: Config.LoadAware needs Replicas > 0")
+	}
 	st := store.New()
 	if cfg.CacheCapacity > 0 {
 		st = store.NewBounded(cfg.CacheCapacity)
@@ -207,10 +211,9 @@ func New(addr string, caller transport.Caller, cfg Config) (*Peer, error) {
 			RHot:         cfg.HotReplicas,
 			HotThreshold: cfg.HotThreshold,
 		}, replica.Deps{
-			Successors:   p.node.Successors,
-			SuccessorsOf: p.successorsOf,
-			Owns:         p.node.Owns,
-			Suspect:      p.node.MarkSuspect,
+			Successors: p.node.Successors,
+			Owns:       p.node.Owns,
+			Suspect:    p.node.MarkSuspect,
 			Push: func(to chord.Ref, id uint32, part store.Partition) error {
 				_, err := p.Call(to, StoreReq{ID: id, Partition: part, Replica: true})
 				return err
@@ -219,15 +222,6 @@ func New(addr string, caller transport.Caller, cfg Config) (*Peer, error) {
 		})
 	}
 	return p, nil
-}
-
-// successorsOf fetches owner's successor list — the owner's replica set —
-// short-circuiting to local state when owner is this peer.
-func (p *Peer) successorsOf(owner chord.Ref) ([]chord.Ref, error) {
-	if owner.ID == p.node.ID() {
-		return p.node.SuccessorList(), nil
-	}
-	return transport.ChordClient{Caller: p.caller}.SuccessorList(owner.Addr)
 }
 
 // AttachDurability installs the store's commit barrier. Call it after
@@ -391,9 +385,19 @@ func (p *Peer) handle(req any, sp *trace.Span) (any, error) {
 		}
 		return replica.SyncResp{Missing: missing}, nil
 	case replica.LoadReq:
-		resp := replica.LoadResp{Load: p.served.Load(), Fanout: 1}
+		// A load request names the buckets of one lookup owned here, so
+		// never more than l, like a probe batch.
+		if l := p.cfg.Scheme.L(); len(r.IDs) > l {
+			return nil, fmt.Errorf("peer: load request for %d buckets exceeds l=%d", len(r.IDs), l)
+		}
+		// Without replication the answer is the gauge alone, which ranks
+		// this owner as its buckets' only candidate.
+		resp := replica.LoadResp{Load: p.served.Load()}
 		if p.replica != nil {
 			resp = p.replica.HandleLoad(r)
+			if len(r.IDs) > 0 {
+				resp.Successors = p.node.SuccessorList()
+			}
 		}
 		if sp.On() {
 			sp.Eventf("load", "%d", resp.Load)
@@ -550,13 +554,15 @@ func checkRange(q rangeset.Range) error {
 // partition at the peers holding the computed identifiers."
 //
 // The l probes share one chord.RouteMemo, so each intermediate peer's
-// route table is fetched once per lookup. Probes bound for the same
-// owner share one FindBestBatchReq round trip;
-// with load-aware routing every probe is its own batch, sent to the
-// least-loaded member of its bucket's replica set. sp (which may be nil)
-// records the signature-cache outcome, one child span per probe holding
-// its chord routing, one child span per batch round trip carrying the
-// remote serve span and the per-probe outcomes, and the store decision.
+// route table is fetched once per lookup. Each probe then gets a target:
+// its owner, or with load-aware routing the least-loaded member of its
+// bucket's replica set, chosen by one replica.Manager.Rank load round
+// for the whole lookup. Probes bound for the same target share one
+// FindBestBatchReq round trip. sp (which may be nil) records the
+// signature-cache outcome, one child span per probe holding its chord
+// routing, a "select" child span holding the load round, one child span
+// per batch round trip carrying the remote serve span and the per-probe
+// outcomes, and the store decision.
 // Traced or not, the wire protocol is the same, so the flight recorder's
 // always-sampled root changes no RPC count.
 func (p *Peer) Lookup(rel, attribute string, q rangeset.Range, cache bool, sp *trace.Span) (LookupResult, error) {
@@ -596,18 +602,32 @@ func (p *Peer) Lookup(rel, attribute string, q rangeset.Range, cache bool, sp *t
 		res.Hops = append(res.Hops, hops)
 		owners[i] = owner
 	}
+	// Give every probe a target: its owner, or under load-aware routing
+	// the least-loaded member of its bucket's replica set, chosen in one
+	// load round for the whole lookup.
+	targets := owners
+	var ranked [][]replica.Candidate
+	if p.cfg.LoadAware {
+		ss := sp.Child("select")
+		ranked = p.replica.Rank(ids, owners, ss)
+		ss.End()
+		targets = make([]chord.Ref, len(ids))
+		for i, cands := range ranked {
+			targets[i] = owners[i]
+			if len(cands) > 0 {
+				targets[i] = cands[0].Ref
+			}
+		}
+	}
 	// Lay the probes out batch by batch: order lists probe indices with
-	// each owner's probes contiguous, owners in first-seen order, and
+	// each target's probes contiguous, targets in first-seen order, and
 	// batchIDs holds their identifiers in the same order, so every batch
 	// is a subslice of both.
-	loadAware := p.replica != nil && p.cfg.LoadAware
 	order := make([]int, 0, len(ids))
 	for i := range ids {
-		if loadAware {
-			order = append(order, i)
-		} else if !ownerSeen(owners[:i], owners[i]) {
+		if !refSeen(targets[:i], targets[i]) {
 			for j := i; j < len(ids); j++ {
-				if owners[j].ID == owners[i].ID {
+				if targets[j].ID == targets[i].ID {
 					order = append(order, j)
 				}
 			}
@@ -619,14 +639,14 @@ func (p *Peer) Lookup(rel, attribute string, q rangeset.Range, cache bool, sp *t
 	}
 	for lo := 0; lo < len(order); {
 		hi := lo + 1
-		for !loadAware && hi < len(order) && owners[order[hi]].ID == owners[order[lo]].ID {
+		for hi < len(order) && targets[order[hi]].ID == targets[order[lo]].ID {
 			hi++
 		}
 		req := FindBestBatchReq{
 			Relation: rel, Attribute: attribute, Range: q, Measure: p.cfg.Measure,
 			IDs: batchIDs[lo:hi],
 		}
-		if err := p.probeBatch(req, order[lo:hi], owners, loadAware, &res, sp); err != nil {
+		if err := p.probeBatch(req, order[lo:hi], targets[order[lo]], owners, ranked, &res, sp); err != nil {
 			return res, err
 		}
 		lo = hi
@@ -656,10 +676,10 @@ func (p *Peer) Lookup(rel, attribute string, q rangeset.Range, cache bool, sp *t
 	return res, nil
 }
 
-// ownerSeen reports whether owner is among seen.
-func ownerSeen(seen []chord.Ref, owner chord.Ref) bool {
+// refSeen reports whether r is among seen.
+func refSeen(seen []chord.Ref, r chord.Ref) bool {
 	for _, o := range seen {
-		if o.ID == owner.ID {
+		if o.ID == r.ID {
 			return true
 		}
 	}
@@ -667,48 +687,53 @@ func ownerSeen(seen []chord.Ref, owner chord.Ref) bool {
 }
 
 // probeBatch sends one batch of a lookup's probes — identifiers req.IDs
-// of probes idx, all owned by owners[idx[0]] — as a single round trip
-// under a "batch" child span of sp, and merges the answers into res.
-// With loadAware the batch (then one probe) goes to the replica-set
-// member replica.ProbeBest picks. If the round trip fails, or no replica
-// answers, each probe falls back to its own owner call, where callOwner
-// re-resolves a dead owner; owners[i] then records the owner that
-// answered, so the store-on-miss phase lands at owners, never replicas.
-func (p *Peer) probeBatch(req FindBestBatchReq, idx []int, owners []chord.Ref, loadAware bool, res *LookupResult, sp *trace.Span) error {
-	owner := owners[idx[0]]
+// of probes idx, all bound for target — as a single round trip under a
+// "batch" child span of sp, and merges the answers into res. ranked is
+// nil unless the lookup is load-aware; then ranked[i] lists probe i's
+// candidates, target first. If the round trip fails, a load-aware
+// target is suspected and each probe tries its remaining candidates one
+// at a time; a probe no candidate answers falls back to its own owner
+// call, where callOwner re-resolves a dead owner. owners[i] then records
+// the owner that answered, so the store-on-miss phase lands at owners,
+// never replicas.
+func (p *Peer) probeBatch(req FindBestBatchReq, idx []int, target chord.Ref, owners []chord.Ref, ranked [][]replica.Candidate, res *LookupResult, sp *trace.Span) error {
 	metBatches.Inc()
 	var bs *trace.Span
 	if sp.On() {
-		bs = sp.Child(fmt.Sprintf("batch @%s: %d probe(s)", owner.Addr, len(idx)))
+		bs = sp.Child(fmt.Sprintf("batch @%s: %d probe(s)", target.Addr, len(idx)))
 	}
 	defer bs.End()
-	var resp any
-	var err error
-	if loadAware {
-		_, resp, _ = p.replica.ProbeBest(req.IDs[0], owner, func(to chord.Ref) (any, error) {
-			return p.callCtx(to.Addr, req, bs)
-		}, bs)
-	} else {
-		resp, err = p.callCtx(owner.Addr, req, bs)
-	}
+	resp, err := p.callCtx(target.Addr, req, bs)
 	if br, ok := resp.(FindBestBatchResp); err == nil && ok && len(br.Results) == len(idx) {
 		for j, i := range idx {
+			if ranked != nil {
+				k := 0
+				if len(ranked[i]) == 0 {
+					k = -1
+				}
+				replica.Settle(i+1, owners[i], ranked[i], k, bs)
+			}
 			res.merge(i, br.Results[j], bs)
 		}
 		return nil
 	}
-	// A nil response with no error is ProbeBest finding no live replica,
-	// which it has already recorded on bs.
+	if ranked != nil && err != nil && transport.Retryable(err) {
+		p.node.MarkSuspect(target.ID)
+	}
 	if bs.On() {
 		if err != nil {
 			bs.Eventf("fallback", "batch failed (%v), probing individually", err)
-		} else if resp != nil {
+		} else {
 			bs.Event("fallback", "unexpected batch response, probing individually")
 		}
 	}
+	failed := []chord.ID{target.ID}
 	for j, i := range idx {
 		one := req
 		one.IDs = req.IDs[j : j+1]
+		if p.probeCandidates(one, i, owners[i], ranked, &failed, res, bs) {
+			continue
+		}
 		answered, r, err := p.callOwner(one.IDs[0], owners[i], one, bs)
 		if err != nil {
 			return err
@@ -721,6 +746,39 @@ func (p *Peer) probeBatch(req FindBestBatchReq, idx []int, owners []chord.Ref, l
 		res.merge(i, br.Results[0], bs)
 	}
 	return nil
+}
+
+// probeCandidates sends the one-probe batch req of probe i to its ranked
+// candidates after the first, in rank order, skipping members already
+// failed in this batch, and merges the first answer into res. It reports
+// whether one answered; if none did under load-aware routing, the
+// fallback to the owner path is recorded.
+func (p *Peer) probeCandidates(req FindBestBatchReq, i int, owner chord.Ref, ranked [][]replica.Candidate, failed *[]chord.ID, res *LookupResult, sp *trace.Span) bool {
+	if ranked == nil {
+		return false
+	}
+	cands := ranked[i]
+	for k := 1; k < len(cands); k++ {
+		c := cands[k].Ref
+		if slices.Contains(*failed, c.ID) {
+			continue
+		}
+		resp, err := p.callCtx(c.Addr, req, sp)
+		if br, ok := resp.(FindBestBatchResp); err == nil && ok && len(br.Results) == 1 {
+			replica.Settle(i+1, owner, cands, k, sp)
+			res.merge(i, br.Results[0], sp)
+			return true
+		}
+		*failed = append(*failed, c.ID)
+		if err != nil && transport.Retryable(err) {
+			p.node.MarkSuspect(c.ID)
+		}
+		if sp.On() {
+			sp.Eventf("replica", "probe %d: %s failed (%v), trying next", i+1, c, err)
+		}
+	}
+	replica.Settle(i+1, owner, cands, -1, sp)
+	return false
 }
 
 // merge folds probe i's answer into the running best, noting it on sp.

@@ -5,10 +5,12 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 
 	"p2prange/internal/chord"
+	"p2prange/internal/metrics"
 	"p2prange/internal/minhash"
 	"p2prange/internal/rangeset"
 	"p2prange/internal/relation"
@@ -20,6 +22,13 @@ import (
 // testCluster builds n peers on a converged ring over an in-memory net.
 func testCluster(t testing.TB, n int, cfg Config) ([]*Peer, *transport.Memory) {
 	t.Helper()
+	return testClusterVia(t, n, cfg, nil)
+}
+
+// testClusterVia is testCluster with every peer sending through the
+// caller wrap builds over the net (the net itself when wrap is nil).
+func testClusterVia(t testing.TB, n int, cfg Config, wrap func(*transport.Memory) transport.Caller) ([]*Peer, *transport.Memory) {
+	t.Helper()
 	if cfg.Scheme == nil {
 		s, err := minhash.NewScheme(minhash.ApproxMinWise, 4, 3, rand.New(rand.NewSource(1)))
 		if err != nil {
@@ -28,11 +37,15 @@ func testCluster(t testing.TB, n int, cfg Config) ([]*Peer, *transport.Memory) {
 		cfg.Scheme = s.Compiled()
 	}
 	net := transport.NewMemory()
+	var caller transport.Caller = net
+	if wrap != nil {
+		caller = wrap(net)
+	}
 	var peers []*Peer
 	seen := map[chord.ID]bool{}
 	for i := 0; len(peers) < n; i++ {
 		addr := fmt.Sprintf("p%d", i)
-		p, err := New(addr, net, cfg)
+		p, err := New(addr, caller, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -215,6 +228,19 @@ func TestNewRequiresScheme(t *testing.T) {
 	}
 }
 
+// TestNewRejectsLoadAwareWithoutReplicas pins that load-aware routing,
+// which ranks replica sets, is refused rather than silently ignored when
+// there are no replicas to rank.
+func TestNewRejectsLoadAwareWithoutReplicas(t *testing.T) {
+	s := minhash.NewExactScheme()
+	if _, err := New("x", transport.NewMemory(), Config{Scheme: s, LoadAware: true}); err == nil {
+		t.Error("LoadAware without Replicas accepted")
+	}
+	if _, err := New("x", transport.NewMemory(), Config{Scheme: s, LoadAware: true, Replicas: 1}); err != nil {
+		t.Errorf("LoadAware with Replicas refused: %v", err)
+	}
+}
+
 func TestHandoffAndReclaim(t *testing.T) {
 	peers, _ := testCluster(t, 6, Config{})
 	q := rangeset.Range{Lo: 10, Hi: 90}
@@ -355,35 +381,40 @@ func TestLookupSetEmpty(t *testing.T) {
 // goroutines with caching enabled; run under -race to validate the peer
 // and store locking discipline end to end.
 func TestConcurrentLookups(t *testing.T) {
-	peers, _ := testCluster(t, 12, Config{Measure: store.MatchContainment})
-	var wg sync.WaitGroup
-	errs := make(chan error, 8)
-	for g := 0; g < 8; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			rng := rand.New(rand.NewSource(int64(g)))
-			for i := 0; i < 200; i++ {
-				lo := rng.Int63n(900)
-				q := rangeset.Range{Lo: lo, Hi: lo + rng.Int63n(100) + 1}
-				if _, err := peers[rng.Intn(len(peers))].Lookup("R", "a", q, true, nil); err != nil {
-					errs <- err
-					return
+	for _, cfg := range []Config{
+		{Measure: store.MatchContainment},
+		{Measure: store.MatchContainment, Replicas: 2, LoadAware: true},
+	} {
+		peers, _ := testCluster(t, 12, cfg)
+		var wg sync.WaitGroup
+		errs := make(chan error, 8)
+		for g := 0; g < 8; g++ {
+			wg.Add(1)
+			go func(g int) {
+				defer wg.Done()
+				rng := rand.New(rand.NewSource(int64(g)))
+				for i := 0; i < 200; i++ {
+					lo := rng.Int63n(900)
+					q := rangeset.Range{Lo: lo, Hi: lo + rng.Int63n(100) + 1}
+					if _, err := peers[rng.Intn(len(peers))].Lookup("R", "a", q, true, nil); err != nil {
+						errs <- err
+						return
+					}
 				}
-			}
-		}(g)
-	}
-	wg.Wait()
-	close(errs)
-	for err := range errs {
-		t.Error(err)
-	}
-	total := 0
-	for _, p := range peers {
-		total += p.Store().Len()
-	}
-	if total == 0 {
-		t.Error("nothing cached after concurrent workload")
+			}(g)
+		}
+		wg.Wait()
+		close(errs)
+		for err := range errs {
+			t.Errorf("LoadAware=%v: %v", cfg.LoadAware, err)
+		}
+		total := 0
+		for _, p := range peers {
+			total += p.Store().Len()
+		}
+		if total == 0 {
+			t.Errorf("LoadAware=%v: nothing cached after concurrent workload", cfg.LoadAware)
+		}
 	}
 }
 
@@ -517,4 +548,178 @@ func TestLoadAwareAgreesWithOwnerProbes(t *testing.T) {
 	if !diverted {
 		t.Error("load-aware cluster served every probe at the owner")
 	}
+}
+
+// countingCaller records every request sent through it. With killNext
+// set, the first FindBestBatchReq it carries takes its destination down
+// just before delivery, as a crash between selection and the probe would.
+type countingCaller struct {
+	net *transport.Memory
+
+	mu       sync.Mutex
+	sent     []sentReq
+	killNext bool
+	killed   string
+}
+
+type sentReq struct {
+	addr string
+	req  any
+}
+
+func (c *countingCaller) CallCtx(addr string, tc trace.Context, req any) (any, []trace.Wire, error) {
+	c.mu.Lock()
+	c.sent = append(c.sent, sentReq{addr, req})
+	if _, ok := req.(FindBestBatchReq); ok && c.killNext {
+		c.killNext = false
+		c.killed = addr
+		c.net.SetDown(addr, true)
+	}
+	c.mu.Unlock()
+	return c.net.CallCtx(addr, tc, req)
+}
+
+// log returns the requests sent since the last call and forgets them.
+func (c *countingCaller) log() []sentReq {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	out := c.sent
+	c.sent = nil
+	return out
+}
+
+// loadAwareCluster builds the 8-peer Replicas=2 load-aware ring of the
+// tests below, sending through a countingCaller, and caches seeded
+// lookups so that owners carry descriptors and unequal load gauges.
+func loadAwareCluster(t *testing.T) ([]*Peer, *countingCaller) {
+	t.Helper()
+	var cc *countingCaller
+	peers, _ := testClusterVia(t, 8, Config{Replicas: 2, LoadAware: true}, func(net *transport.Memory) transport.Caller {
+		cc = &countingCaller{net: net}
+		return cc
+	})
+	rng := rand.New(rand.NewSource(3))
+	for i := 0; i < 40; i++ {
+		lo := int64(rng.Intn(200))
+		q := rangeset.Range{Lo: lo, Hi: lo + int64(5+rng.Intn(40))}
+		if _, err := peers[i%len(peers)].Lookup("R", "a", q, true, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	cc.log()
+	return peers, cc
+}
+
+// TestLoadAwareLookupBatchesByTarget pins the wire cost of a load-aware
+// lookup: no SuccessorListReq (the owner's LoadResp carries its replica
+// set) and exactly one FindBestBatchReq per distinct target, the
+// querier's own probes being one local batch.
+func TestLoadAwareLookupBatchesByTarget(t *testing.T) {
+	peers, cc := loadAwareCluster(t)
+	l := peers[0].cfg.Scheme.L()
+	diverted := metrics.Default.Counter("replica.diverted")
+	divertedBefore := diverted.Value()
+	rng := rand.New(rand.NewSource(11))
+	for i := 0; i < 40; i++ {
+		querier := peers[i%len(peers)]
+		lo := int64(rng.Intn(200))
+		q := rangeset.Range{Lo: lo, Hi: lo + int64(5+rng.Intn(40))}
+		batches, served := metBatches.Value(), querier.ServedProbes()
+		if _, err := querier.Lookup("R", "a", q, false, nil); err != nil {
+			t.Fatal(err)
+		}
+		remote := map[string]int{}
+		probes := int(querier.ServedProbes() - served)
+		for _, s := range cc.log() {
+			switch r := s.req.(type) {
+			case transport.SuccessorListReq:
+				t.Errorf("lookup %d sent a SuccessorListReq to %s", i, s.addr)
+			case FindBestBatchReq:
+				remote[s.addr]++
+				probes += len(r.IDs)
+			}
+		}
+		for addr, n := range remote {
+			if n != 1 {
+				t.Errorf("lookup %d sent %d FindBestBatchReqs to %s, want 1", i, n, addr)
+			}
+		}
+		want := len(remote)
+		if querier.ServedProbes() > served {
+			want++ // the querier's own probes, one local batch
+		}
+		if got := int(metBatches.Value() - batches); got != want {
+			t.Errorf("lookup %d: %d batches for %d distinct targets", i, got, want)
+		}
+		if probes != l {
+			t.Errorf("lookup %d: batches carried %d probes, want l=%d", i, probes, l)
+		}
+	}
+	if diverted.Value() == divertedBefore {
+		t.Error("no probe was diverted to a replica, so the lookups never left the owner path")
+	}
+}
+
+// TestLoadAwareTargetKilledMidLookup crashes a batch's target between
+// selection and the probe: the target is suspected and each probe of
+// the failed batch is answered by its next candidate, without falling
+// back to the owner path.
+func TestLoadAwareTargetKilledMidLookup(t *testing.T) {
+	peers, cc := loadAwareCluster(t)
+	q := rangeset.Range{Lo: 300, Hi: 340}
+	if _, err := peers[0].Publish(store.Partition{Relation: "R", Attribute: "a", Range: q}, nil); err != nil {
+		t.Fatal(err)
+	}
+	fallbacks := metrics.Default.Counter("replica.fallbacks")
+	for _, querier := range peers {
+		cc.log()
+		cc.mu.Lock()
+		cc.killNext = true
+		cc.mu.Unlock()
+		before := fallbacks.Value()
+		sp := trace.New("lookup")
+		lr, err := querier.Lookup("R", "a", q, false, sp)
+		sp.End()
+		if err != nil {
+			t.Fatal(err)
+		}
+		sent := cc.log()
+		cc.mu.Lock()
+		killed := cc.killed
+		cc.killNext = false
+		cc.mu.Unlock()
+		if killed == "" {
+			continue // every probe was the querier's own: nothing to kill
+		}
+		if !lr.Found || lr.Match.Partition.Range != q {
+			t.Fatalf("lookup after %s died found %+v, want the published range", killed, lr.Match)
+		}
+		if got := fallbacks.Value() - before; got != 0 {
+			t.Errorf("%d probe(s) fell back to the owner path, want every one answered by a candidate", got)
+		}
+		var lost []uint32 // the probes of the killed batch
+		for _, s := range sent {
+			if r, ok := s.req.(FindBestBatchReq); ok && s.addr == killed {
+				lost = append(lost, r.IDs...)
+			}
+		}
+		// Each lost probe is served by a later candidate, which may be
+		// the querier itself, so count it on the trace, not the wire.
+		later := 0
+		for _, line := range strings.Split(sp.Tree(false), "\n") {
+			if strings.Contains(line, "served by") && !strings.Contains(line, "(candidate 1/") {
+				later++
+			}
+		}
+		if len(lost) == 0 || later != len(lost) {
+			t.Errorf("%d probe(s) served by a later candidate, want the %d of the killed batch:\n%s", later, len(lost), sp.Tree(false))
+		}
+		for _, p := range peers {
+			if p.Addr() == killed && !querier.Node().Suspect(p.Node().ID()) {
+				t.Errorf("killed target %s not suspected", killed)
+			}
+		}
+		return
+	}
+	t.Fatal("no lookup sent a remote batch to kill")
 }

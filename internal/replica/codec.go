@@ -3,14 +3,16 @@ package replica
 import (
 	"sort"
 
+	"p2prange/internal/chord"
 	"p2prange/internal/store"
 	"p2prange/internal/transport"
 )
 
 // Binary codecs for the replica protocol, in the peer package's unboxed
-// append/parse style. LoadReq/LoadResp cross the wire once per replica
-// candidate of every load-aware probe, so their round trip allocates
-// nothing (BenchmarkCodecLoad, enforced by `make benchguard`). Maps
+// append/parse style. LoadReq/LoadResp cross the wire once per member of
+// a load-aware lookup's replica sets (Manager.Rank), so their round trip
+// decodes into reused destinations without allocating
+// (BenchmarkCodecLoad, enforced by `make benchguard`). Maps
 // encode in ascending key order; descriptor keys decode uninterned,
 // since they are bulk data, not repeating names.
 const (
@@ -94,20 +96,72 @@ func parseMissing(c *transport.Cursor) map[uint32][]string {
 }
 
 func appendLoadReq(b []byte, r *LoadReq) []byte {
-	return transport.AppendUvarint(b, uint64(r.ID))
+	b = transport.AppendUvarint(b, uint64(len(r.IDs)))
+	for _, id := range r.IDs {
+		b = transport.AppendUvarint(b, uint64(id))
+	}
+	return b
 }
 
-func parseLoadReq(c *transport.Cursor) LoadReq {
-	return LoadReq{ID: uint32(c.Uvarint())}
+// parseLoadReq decodes into r, reusing the capacity of r.IDs, so a
+// caller that keeps r across frames decodes without allocating.
+func parseLoadReq(c *transport.Cursor, r *LoadReq) error {
+	r.IDs = r.IDs[:0]
+	n := c.Count()
+	if c.Err != nil {
+		return c.Err
+	}
+	if n > uint64(cap(r.IDs)) {
+		r.IDs = make([]uint32, 0, transport.PreallocHint(n))
+	}
+	for i := uint64(0); i < n && c.Err == nil; i++ {
+		r.IDs = append(r.IDs, uint32(c.Uvarint()))
+	}
+	return c.Err
 }
 
 func appendLoadResp(b []byte, r *LoadResp) []byte {
 	b = transport.AppendVarint(b, r.Load)
-	return transport.AppendVarint(b, int64(r.Fanout))
+	b = transport.AppendUvarint(b, uint64(len(r.Fanouts)))
+	for _, f := range r.Fanouts {
+		b = transport.AppendVarint(b, int64(f))
+	}
+	b = transport.AppendUvarint(b, uint64(len(r.Successors)))
+	for _, s := range r.Successors {
+		b = transport.AppendUvarint(b, uint64(s.ID))
+		b = transport.AppendString(b, s.Addr)
+	}
+	return b
 }
 
-func parseLoadResp(c *transport.Cursor) LoadResp {
-	return LoadResp{Load: c.Varint(), Fanout: int(c.Varint())}
+// parseLoadResp decodes into r, reusing the capacity of r.Fanouts and
+// r.Successors; successor addresses go through the cursor's interner,
+// so a caller that keeps r across frames decodes without allocating.
+func parseLoadResp(c *transport.Cursor, r *LoadResp) error {
+	r.Load = c.Varint()
+	r.Fanouts = r.Fanouts[:0]
+	n := c.Count()
+	if c.Err != nil {
+		return c.Err
+	}
+	if n > uint64(cap(r.Fanouts)) {
+		r.Fanouts = make([]int, 0, transport.PreallocHint(n))
+	}
+	for i := uint64(0); i < n && c.Err == nil; i++ {
+		r.Fanouts = append(r.Fanouts, int(c.Varint()))
+	}
+	r.Successors = r.Successors[:0]
+	n = c.Count()
+	if c.Err != nil {
+		return c.Err
+	}
+	if n > uint64(cap(r.Successors)) {
+		r.Successors = make([]chord.Ref, 0, transport.PreallocHint(n))
+	}
+	for i := uint64(0); i < n && c.Err == nil; i++ {
+		r.Successors = append(r.Successors, chord.Ref{ID: chord.ID(c.Uvarint()), Addr: c.String()})
+	}
+	return c.Err
 }
 
 func init() {
@@ -119,8 +173,8 @@ func init() {
 		func(c *transport.Cursor) (any, error) { return SyncResp{Missing: parseMissing(c)}, c.Err })
 	transport.RegisterCodec(tagLoadReq, LoadReq{}, transport.DirRequest,
 		func(b []byte, v any) []byte { r := v.(LoadReq); return appendLoadReq(b, &r) },
-		func(c *transport.Cursor) (any, error) { return parseLoadReq(c), c.Err })
+		func(c *transport.Cursor) (any, error) { var r LoadReq; err := parseLoadReq(c, &r); return r, err })
 	transport.RegisterCodec(tagLoadResp, LoadResp{}, transport.DirResponse,
 		func(b []byte, v any) []byte { r := v.(LoadResp); return appendLoadResp(b, &r) },
-		func(c *transport.Cursor) (any, error) { return parseLoadResp(c), c.Err })
+		func(c *transport.Cursor) (any, error) { var r LoadResp; err := parseLoadResp(c, &r); return r, err })
 }

@@ -6,6 +6,7 @@ import (
 	"runtime"
 	"testing"
 
+	"p2prange/internal/chord"
 	"p2prange/internal/store"
 	"p2prange/internal/transport"
 )
@@ -35,9 +36,13 @@ func decodeMsg(proto any, b []byte) (any, error) {
 	case SyncResp:
 		v = SyncResp{Missing: parseMissing(c)}
 	case LoadReq:
-		v = parseLoadReq(c)
+		var r LoadReq
+		parseLoadReq(c, &r)
+		v = r
 	case LoadResp:
-		v = parseLoadResp(c)
+		var r LoadResp
+		parseLoadResp(c, &r)
+		v = r
 	default:
 		return nil, fmt.Errorf("unknown message %T", proto)
 	}
@@ -57,9 +62,13 @@ var codecSamples = []any{
 		0:       {},
 	}},
 	SyncResp{Missing: map[uint32][]string{9: {"R|a|1-5|h:1", "R|a|2-9|h:2"}, 2: {}}},
-	LoadReq{ID: 4294967295},
-	LoadResp{Load: -3, Fanout: 6},
-	LoadResp{Load: 1 << 40, Fanout: 1},
+	LoadReq{},
+	LoadReq{IDs: []uint32{4294967295, 0, 77}},
+	LoadResp{Load: -3},
+	LoadResp{Load: 1 << 40, Fanouts: []int{6, 3, -1}},
+	LoadResp{Load: 9, Fanouts: []int{3}, Successors: []chord.Ref{
+		{ID: 0x7dceec98, Addr: "10.0.0.0:4000"}, {ID: 0xffffffff, Addr: "[::1]:7001"}, {},
+	}},
 }
 
 // TestCodecRoundTrips drives every replica codec through encode →
@@ -111,6 +120,9 @@ func TestCodecHostileCounts(t *testing.T) {
 		{SyncResp{}, huge()},       // bucket count
 		{SyncResp{}, huge(1, 7)},   // keys in one bucket
 		{SyncReq{}, huge(2, 7, 0)}, // second bucket truncated
+		{LoadReq{}, huge()},        // identifier count
+		{LoadResp{}, huge(0)},      // fan-out count
+		{LoadResp{}, huge(0, 0)},   // successor count
 	}
 	for i, tc := range cases {
 		var before, after runtime.MemStats
@@ -169,28 +181,44 @@ func FuzzReplicaParse(f *testing.F) {
 	})
 }
 
-// BenchmarkCodecLoad measures one load probe's wire work: encode and
-// decode a LoadReq, then a LoadResp. Every candidate of every
-// load-aware probe pays it; `make benchguard` asserts 0 allocs/op.
+// BenchmarkCodecLoad measures one owner's load round trip on the wire:
+// encode and decode a LoadReq for a lookup's five buckets, then its
+// LoadResp with five fan-outs and a successor list. Rank pays it once
+// per distinct owner of a load-aware lookup (gauge-only requests and
+// replies are a prefix of the same work). Like BenchmarkCodecProbe it
+// decodes into reused destinations, and the interner absorbs the
+// successor addresses; `make benchguard` asserts 0 allocs/op.
 func BenchmarkCodecLoad(b *testing.B) {
-	req := LoadReq{ID: 0xdeadbeef}
-	resp := LoadResp{Load: 1234, Fanout: 3}
+	req := LoadReq{IDs: []uint32{0xdeadbeef, 7, 1 << 31, 42, 9}}
+	resp := LoadResp{Load: 1234, Fanouts: []int{3, 3, 6, 3, 3}, Successors: []chord.Ref{
+		{ID: 0x0b3371f0, Addr: "10.0.0.2:4000"},
+		{ID: 0x534daff3, Addr: "10.0.0.4:4000"},
+		{ID: 0x90d9e78d, Addr: "10.0.0.3:4000"},
+		{ID: 0xa64194af, Addr: "10.0.0.7:4000"},
+	}}
 	buf := appendLoadReq(nil, &req)
 	cur := transport.NewCursor(buf)
-	if got := parseLoadReq(cur); cur.Err != nil || got != req {
-		b.Fatalf("request round trip broken before measuring: %+v err %v", got, cur.Err)
+	var outReq LoadReq
+	if err := parseLoadReq(cur, &outReq); err != nil || !reflect.DeepEqual(outReq, req) {
+		b.Fatalf("request round trip broken before measuring: %+v err %v", outReq, err)
+	}
+	buf = appendLoadResp(buf[:0], &resp)
+	cur.Reset(buf)
+	var outResp LoadResp
+	if err := parseLoadResp(cur, &outResp); err != nil || !reflect.DeepEqual(outResp, resp) {
+		b.Fatalf("response round trip broken before measuring: %+v err %v", outResp, err)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		buf = appendLoadReq(buf[:0], &req)
 		cur.Reset(buf)
-		if got := parseLoadReq(cur); cur.Err != nil || got != req {
+		if err := parseLoadReq(cur, &outReq); err != nil || outReq.IDs[4] != req.IDs[4] {
 			b.Fatal("request round trip broken")
 		}
 		buf = appendLoadResp(buf[:0], &resp)
 		cur.Reset(buf)
-		if got := parseLoadResp(cur); cur.Err != nil || got != resp {
+		if err := parseLoadResp(cur, &outResp); err != nil || outResp.Successors[3] != resp.Successors[3] {
 			b.Fatal("response round trip broken")
 		}
 	}

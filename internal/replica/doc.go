@@ -17,11 +17,15 @@
 //     promoted to a wider replica set (RHot copies), widening exactly
 //     the partitions a skewed workload hammers.
 //
-//   - Load-aware selection: the query side resolves the bucket owner as
-//     usual, then probes the replica set's load gauges and sends the
-//     bucket search to the least-loaded live copy, falling back through
-//     suspects to the plain owner path. Reads spread across replicas in
-//     proportion to their idleness, which is what tames the hot
+//   - Load-aware selection: the query side resolves each probe's bucket
+//     owner as usual, then runs one load round per lookup
+//     (Manager.Rank): one LoadReq per distinct owner, answered with its
+//     gauge, each bucket's fan-out and its successor list, and one
+//     gauge probe per other replica-set member. Each probe goes to the
+//     least-loaded live copy, probes bound for the same copy share one
+//     batch, and a failed batch falls back through the remaining
+//     candidates to the plain owner path. Reads spread across replicas
+//     in proportion to their idleness, which is what tames the hot
 //     partition.
 //
 //   - Anti-entropy repair: owners periodically send a version vector
@@ -41,7 +45,8 @@
 // everything, measured as the restart rows of the churn experiment.
 //
 // The Manager is transport-agnostic: the peer layer supplies the
-// successor list, the ownership predicate, and push/call closures, so
+// placement successors, the ownership predicate, and push/call closures
+// (and adds its successor list to LoadResp), so
 // this package depends only on chord refs and the store. Counters land
 // in the Default metrics registry under replica.* (see
 // docs/OBSERVABILITY.md).

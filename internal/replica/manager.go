@@ -51,15 +51,21 @@ type (
 	SyncResp struct {
 		Missing map[uint32][]string
 	}
-	// LoadReq asks a peer for its current query-load gauge and the
-	// replica fan-out of bucket ID (R, or RHot when the bucket is hot).
+	// LoadReq asks a peer for its current query-load gauge and, for
+	// each of the buckets IDs it owns, the bucket's replica fan-out (R,
+	// or RHot when the bucket is hot). With no IDs it asks for the gauge
+	// only.
 	LoadReq struct {
-		ID uint32
+		IDs []uint32
 	}
-	// LoadResp reports the gauge and fan-out the selection ranks on.
+	// LoadResp reports the gauge, the fan-out of each requested bucket
+	// (Fanouts[i] for IDs[i]) and, when any bucket was requested, the
+	// answering owner's successor list: the replica set the selection
+	// ranks.
 	LoadResp struct {
-		Load   int64
-		Fanout int
+		Load       int64
+		Fanouts    []int
+		Successors []chord.Ref
 	}
 )
 
@@ -101,9 +107,6 @@ type Deps struct {
 	// Successors returns up to k distinct ring successors of this peer
 	// (the placement set).
 	Successors func(k int) []chord.Ref
-	// SuccessorsOf fetches the successor list of another peer (the
-	// replica set of a remote owner, for query-side selection).
-	SuccessorsOf func(owner chord.Ref) ([]chord.Ref, error)
 	// Owns reports whether this peer currently owns bucket id; only
 	// owned buckets are offered during anti-entropy, so copies do not
 	// cascade replica-to-replica around the ring.
@@ -186,9 +189,14 @@ func (m *Manager) Fanout(id uint32) int {
 // Load returns this peer's query-load gauge (decayed recent probe hits).
 func (m *Manager) Load() int64 { return m.tracker.Load() }
 
-// HandleLoad answers a LoadReq.
+// HandleLoad answers a LoadReq with the gauge and the requested
+// fan-outs; the peer layer adds its successor list.
 func (m *Manager) HandleLoad(r LoadReq) LoadResp {
-	return LoadResp{Load: m.tracker.Load(), Fanout: m.Fanout(r.ID)}
+	resp := LoadResp{Load: m.tracker.Load(), Fanouts: make([]int, len(r.IDs))}
+	for i, id := range r.IDs {
+		resp.Fanouts[i] = m.Fanout(id)
+	}
+	return resp
 }
 
 // HandleSync answers a SyncReq with the keys this peer lacks.

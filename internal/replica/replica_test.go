@@ -1,6 +1,7 @@
 package replica
 
 import (
+	"reflect"
 	"sync"
 	"testing"
 
@@ -19,22 +20,32 @@ func part(lo, hi int64) store.Partition {
 }
 
 // fakeRing is a transport-free cluster of stores: the manager under test
-// sits at refs[0] and sees refs[1:] as its successor list.
+// sits at refs[0] and sees refs[1:] as its successor list; in general
+// refs[i]'s successor list is the rest of the ring in order from i+1.
 type fakeRing struct {
-	mu     sync.Mutex
-	refs   []chord.Ref
-	stores map[chord.ID]*store.Store
-	loads  map[chord.ID]int64
-	down   map[chord.ID]bool
-	fanout int // fan-out every fake peer reports for LoadReq
+	mu      sync.Mutex
+	refs    []chord.Ref
+	stores  map[chord.ID]*store.Store
+	loads   map[chord.ID]int64
+	down    map[chord.ID]bool
+	fanout  int            // fan-out every fake peer reports for LoadReq
+	fanouts map[uint32]int // per-bucket fan-outs overriding fanout
+	calls   []call         // every Call, in order
+}
+
+// call is one request the fake ring received.
+type call struct {
+	to  chord.ID
+	req any
 }
 
 func newFakeRing(n int) *fakeRing {
 	r := &fakeRing{
-		stores: make(map[chord.ID]*store.Store),
-		loads:  make(map[chord.ID]int64),
-		down:   make(map[chord.ID]bool),
-		fanout: 1,
+		stores:  make(map[chord.ID]*store.Store),
+		loads:   make(map[chord.ID]int64),
+		down:    make(map[chord.ID]bool),
+		fanout:  1,
+		fanouts: make(map[uint32]int),
 	}
 	for i := 0; i < n; i++ {
 		r.refs = append(r.refs, ref(i))
@@ -51,9 +62,6 @@ func (r *fakeRing) deps() Deps {
 			}
 			return append([]chord.Ref(nil), r.refs[1:1+k]...)
 		},
-		SuccessorsOf: func(owner chord.Ref) ([]chord.Ref, error) {
-			return append([]chord.Ref(nil), r.refs[1:]...), nil
-		},
 		Owns:    func(id uint32) bool { return true },
 		Suspect: func(id chord.ID) {},
 		Push: func(to chord.Ref, id uint32, p store.Partition) error {
@@ -68,6 +76,9 @@ func (r *fakeRing) deps() Deps {
 		Call: func(to chord.Ref, req any) (any, error) {
 			r.mu.Lock()
 			defer r.mu.Unlock()
+			if _, ok := req.(LoadReq); ok {
+				r.calls = append(r.calls, call{to: to.ID, req: req})
+			}
 			if r.down[to.ID] {
 				return nil, transport.ErrUnknownAddr
 			}
@@ -75,7 +86,20 @@ func (r *fakeRing) deps() Deps {
 			case SyncReq:
 				return SyncResp{Missing: r.stores[to.ID].MissingFrom(q.Digest)}, nil
 			case LoadReq:
-				return LoadResp{Load: r.loads[to.ID], Fanout: r.fanout}, nil
+				resp := LoadResp{Load: r.loads[to.ID]}
+				if len(q.IDs) == 0 {
+					return resp, nil
+				}
+				for _, id := range q.IDs {
+					f, ok := r.fanouts[id]
+					if !ok {
+						f = r.fanout
+					}
+					resp.Fanouts = append(resp.Fanouts, f)
+				}
+				i := int(to.ID)
+				resp.Successors = append(append([]chord.Ref(nil), r.refs[i+1:]...), r.refs[:i]...)
+				return resp, nil
 			}
 			return nil, transport.BadRequest(req)
 		},
@@ -251,59 +275,140 @@ func TestReplicaHitPromotionWidensSet(t *testing.T) {
 	}
 }
 
-func TestReplicaProbeBestPicksLeastLoaded(t *testing.T) {
+// refIDs lists the refs of cands, in order.
+func refIDs(cands []Candidate) []chord.ID {
+	out := make([]chord.ID, len(cands))
+	for i, c := range cands {
+		out[i] = c.Ref.ID
+	}
+	return out
+}
+
+func TestReplicaRankOrdersByLoad(t *testing.T) {
 	r := newFakeRing(4)
 	r.fanout = 3
 	m := r.manager(Config{R: 3})
 	r.loads[0], r.loads[1], r.loads[2] = 10, 2, 7
-	var served chord.Ref
-	probe := func(to chord.Ref) (any, error) {
-		served = to
-		return "resp", nil
+	got := m.Rank([]uint32{5}, []chord.Ref{r.refs[0]}, nil)
+	if ids := refIDs(got[0]); !reflect.DeepEqual(ids, []chord.ID{1, 2, 0}) {
+		t.Errorf("candidates %v, want least loaded first [1 2 0]", ids)
 	}
-	got, resp, ok := m.ProbeBest(5, r.refs[0], probe, nil)
-	if !ok || resp != "resp" {
-		t.Fatalf("ProbeBest failed: ok=%v resp=%v", ok, resp)
+	if got[0][0].Load != 2 {
+		t.Errorf("first candidate load %d, want 2", got[0][0].Load)
 	}
-	if got.ID != 1 || served.ID != 1 {
-		t.Errorf("served by %v, want least-loaded peer 1", served)
+	// Equal gauges keep ring order, owner first: an idle ring behaves
+	// like the unreplicated protocol.
+	r.loads[0], r.loads[1], r.loads[2] = 4, 4, 4
+	got = m.Rank([]uint32{5}, []chord.Ref{r.refs[0]}, nil)
+	if ids := refIDs(got[0]); !reflect.DeepEqual(ids, []chord.ID{0, 1, 2}) {
+		t.Errorf("tied candidates %v, want owner first [0 1 2]", ids)
 	}
 }
 
-func TestReplicaProbeBestFallsThroughDeadReplicas(t *testing.T) {
-	r := newFakeRing(4)
+// TestReplicaRankOneLoadRound pins the cost of a lookup's selection:
+// one LoadReq per distinct owner carrying all of its identifiers, and
+// at most one gauge-only LoadReq for every other replica-set member,
+// even when members are shared between owners and probes.
+func TestReplicaRankOneLoadRound(t *testing.T) {
+	r := newFakeRing(6)
 	r.fanout = 3
 	m := r.manager(Config{R: 3})
-	r.loads[0], r.loads[1], r.loads[2] = 10, 2, 7
-	probe := func(to chord.Ref) (any, error) {
-		if to.ID == 1 {
-			return nil, transport.ErrUnknownAddr // least-loaded copy just died
+	ids := []uint32{5, 6, 7, 8, 9}
+	owners := []chord.Ref{r.refs[0], r.refs[2], r.refs[0], r.refs[2], r.refs[1]}
+	got := m.Rank(ids, owners, nil)
+	want := [][]chord.ID{{0, 1, 2}, {2, 3, 4}, {0, 1, 2}, {2, 3, 4}, {1, 2, 3}}
+	for i := range ids {
+		if ids := refIDs(got[i]); !reflect.DeepEqual(ids, want[i]) {
+			t.Errorf("probe %d: candidates %v, want %v", i+1, ids, want[i])
 		}
-		return to.ID, nil
 	}
-	got, resp, ok := m.ProbeBest(5, r.refs[0], probe, nil)
-	if !ok {
-		t.Fatal("ProbeBest should fall through to the next candidate")
+	wantCalls := []call{
+		{0, LoadReq{IDs: []uint32{5, 7}}},
+		{2, LoadReq{IDs: []uint32{6, 8}}},
+		{1, LoadReq{IDs: []uint32{9}}},
+		{3, LoadReq{}},
+		{4, LoadReq{}},
 	}
-	if got.ID != 2 || resp != uint32(2) {
-		t.Errorf("served by %v, want next-least-loaded peer 2", got)
+	if !reflect.DeepEqual(r.calls, wantCalls) {
+		t.Errorf("calls %+v, want %+v", r.calls, wantCalls)
 	}
 }
 
-func TestReplicaProbeBestOwnerDownFallsBack(t *testing.T) {
+// TestReplicaRankSkipsDeadSuccessor checks that a member failing its
+// gauge probe is suspected, left out of every candidate list and never
+// asked again in the call; the walk continues down the successor list.
+func TestReplicaRankSkipsDeadSuccessor(t *testing.T) {
+	r := newFakeRing(5)
+	r.fanout = 3
+	r.down[1] = true
+	var suspected []chord.ID
+	deps := r.deps()
+	deps.Suspect = func(id chord.ID) { suspected = append(suspected, id) }
+	m := NewManager(r.refs[0], r.stores[0], Config{R: 3}, deps)
+	owners := []chord.Ref{r.refs[0], r.refs[0], r.refs[4]}
+	got := m.Rank([]uint32{5, 6, 7}, owners, nil)
+	for i, want := range [][]chord.ID{{0, 2, 3}, {0, 2, 3}, {4, 0, 2}} {
+		if ids := refIDs(got[i]); !reflect.DeepEqual(ids, want) {
+			t.Errorf("probe %d: candidates %v, want %v", i+1, ids, want)
+		}
+	}
+	asked := 0
+	for _, c := range r.calls {
+		if c.to == 1 {
+			asked++
+		}
+	}
+	if asked != 1 {
+		t.Errorf("dead successor asked %d times, want 1", asked)
+	}
+	if !reflect.DeepEqual(suspected, []chord.ID{1}) {
+		t.Errorf("suspected %v, want [1]", suspected)
+	}
+}
+
+func TestReplicaRankOwnerDownGivesNoCandidates(t *testing.T) {
 	r := newFakeRing(3)
-	m := r.manager(Config{R: 3})
+	r.fanout = 3
 	r.down[0] = true
 	suspected := false
 	deps := r.deps()
 	deps.Suspect = func(id chord.ID) { suspected = suspected || id == 0 }
-	m.deps = deps
-	_, _, ok := m.ProbeBest(5, r.refs[0], func(chord.Ref) (any, error) { return nil, nil }, nil)
-	if ok {
-		t.Fatal("ProbeBest should report fallback when the owner cannot be load-probed")
+	m := NewManager(r.refs[0], r.stores[0], Config{R: 3}, deps)
+	got := m.Rank([]uint32{5, 6}, []chord.Ref{r.refs[0], r.refs[1]}, nil)
+	if len(got[0]) != 0 {
+		t.Errorf("unreachable owner ranked %v, want no candidates", refIDs(got[0]))
+	}
+	if ids := refIDs(got[1]); !reflect.DeepEqual(ids, []chord.ID{1, 2}) {
+		t.Errorf("live owner's candidates %v, want [1 2] (the dead peer is skipped)", ids)
 	}
 	if !suspected {
 		t.Error("dead owner not marked suspect")
+	}
+}
+
+// TestReplicaRankHotAndColdBuckets checks that one owner's reply carries
+// a fan-out per bucket, so its hot and cold buckets get candidate lists
+// of different widths in one call, and that HandleLoad reports them.
+func TestReplicaRankHotAndColdBuckets(t *testing.T) {
+	r := newFakeRing(7)
+	m := r.manager(Config{R: 2, RHot: 4, HotThreshold: 3})
+	for i := 0; i < 3; i++ {
+		m.Hit(9)
+	}
+	lr := m.HandleLoad(LoadReq{IDs: []uint32{9, 5}})
+	if !reflect.DeepEqual(lr.Fanouts, []int{4, 2}) || lr.Load != 3 {
+		t.Fatalf("HandleLoad = %+v, want load 3 and fan-outs [4 2]", lr)
+	}
+	if lr := m.HandleLoad(LoadReq{}); len(lr.Fanouts) != 0 {
+		t.Errorf("gauge-only HandleLoad returned fan-outs %v", lr.Fanouts)
+	}
+	r.fanouts[9], r.fanouts[5] = 4, 2
+	got := m.Rank([]uint32{9, 5}, []chord.Ref{r.refs[0], r.refs[0]}, nil)
+	if len(got[0]) != 4 || len(got[1]) != 2 {
+		t.Errorf("hot bucket ranked %d candidates, cold %d; want 4 and 2", len(got[0]), len(got[1]))
+	}
+	if len(r.calls) != 4 {
+		t.Errorf("%d load probes, want 4 (the owner once, 3 successors once each)", len(r.calls))
 	}
 }
 
@@ -329,7 +434,7 @@ func TestReplicaManagerConcurrency(t *testing.T) {
 				if i%50 == 0 {
 					m.Sync()
 				}
-				m.ProbeBest(id, r.refs[0], func(chord.Ref) (any, error) { return nil, nil }, nil)
+				m.Rank([]uint32{id, id + 1}, []chord.Ref{r.refs[0], r.refs[w+1]}, nil)
 			}
 		}(w)
 	}
@@ -364,14 +469,19 @@ func BenchmarkReplicaSyncConverged(b *testing.B) {
 	}
 }
 
-func BenchmarkReplicaProbeBest(b *testing.B) {
-	r := newFakeRing(4)
+// BenchmarkReplicaRank measures one lookup's selection: five probes over
+// three owners with fan-out 3, so three owner requests and three
+// gauge-only probes on the fake ring.
+func BenchmarkReplicaRank(b *testing.B) {
+	r := newFakeRing(6)
 	r.fanout = 3
 	m := r.manager(Config{R: 3})
-	probe := func(chord.Ref) (any, error) { return nil, nil }
+	ids := []uint32{1, 2, 3, 4, 5}
+	owners := []chord.Ref{r.refs[0], r.refs[2], r.refs[0], r.refs[4], r.refs[2]}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		m.ProbeBest(5, r.refs[0], probe, nil)
+		r.calls = r.calls[:0]
+		m.Rank(ids, owners, nil)
 	}
 }

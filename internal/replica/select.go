@@ -1,7 +1,8 @@
 package replica
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 
 	"p2prange/internal/chord"
 	"p2prange/internal/trace"
@@ -14,94 +15,136 @@ type Candidate struct {
 	Load int64
 }
 
-// SortByLoad orders candidates by ascending load, keeping the original
-// order (owner first, then ring order) on ties. Stability matters: with
-// equal gauges the owner keeps serving, so an idle system behaves
-// exactly like the unreplicated protocol.
-func SortByLoad(cands []Candidate) {
-	sort.SliceStable(cands, func(i, j int) bool { return cands[i].Load < cands[j].Load })
+// gauge is one replica-set member's load as read during a single Rank
+// call; a dead member failed its probe and is not asked again.
+type gauge struct {
+	load int64
+	dead bool
 }
 
-// ProbeBest sends a bucket probe to the least-loaded live member of
-// bucket id's replica set instead of its owner: it asks the owner for
-// its load gauge and the bucket's fan-out, probes the gauges of the
-// owner's first fanout-1 successors, ranks the live candidates by load,
-// and invokes probe against each in that order until one answers.
-// Unreachable candidates are marked suspect and skipped.
+// Rank orders the replica set of each probe's bucket by load, for a
+// lookup whose probe i asks for bucket ids[i] at owners[i]. It runs one
+// load round per lookup:
 //
-// ok is false when the owner could not be load-probed or every candidate
-// failed; the caller should fall back to the plain owner path (which
-// re-resolves via the suspect machinery). Selection decisions land on sp.
-func (m *Manager) ProbeBest(id uint32, owner chord.Ref, probe func(chord.Ref) (any, error), sp *trace.Span) (chord.Ref, any, bool) {
-	cands := m.rank(id, owner, sp)
-	for i, c := range cands {
-		resp, err := probe(c.Ref)
-		if err != nil {
-			if transport.Retryable(err) {
-				m.deps.Suspect(c.Ref.ID)
+//   - each distinct owner gets one LoadReq carrying all of its
+//     identifiers, answered with its gauge, each bucket's fan-out and
+//     its successor list;
+//   - every other member of those replica sets (the owner's first
+//     fan-out−1 live successors) is asked for its gauge at most once.
+//
+// A member that fails its probe is suspected and not asked again in
+// this call. Candidate list i holds the owner first, then its
+// successors in ring order, stably sorted by load, so ties keep the
+// owner and an idle ring behaves exactly like the unreplicated
+// protocol. It is empty when owners[i] could not be load-probed; the
+// caller then takes the plain owner path. Nothing outlives the call.
+func (m *Manager) Rank(ids []uint32, owners []chord.Ref, sp *trace.Span) [][]Candidate {
+	known := make(map[chord.ID]gauge)
+	fanouts := make([]int, len(ids))
+	succs := make([][]chord.Ref, len(ids))
+	owned := make([]uint32, 0, len(ids)) // every owner's IDs, subsliced per request
+	for i, o := range owners {
+		if _, asked := known[o.ID]; asked {
+			continue
+		}
+		start := len(owned)
+		for j := i; j < len(ids); j++ {
+			if owners[j].ID == o.ID {
+				owned = append(owned, ids[j])
 			}
+		}
+		req := LoadReq{IDs: owned[start:]}
+		lr, ok := m.probe(o, req, known, sp)
+		if !ok {
+			continue
+		}
+		// A reply without one fan-out per bucket (a peer without
+		// replication) ranks the owner alone.
+		k := 0
+		for j := i; j < len(ids); j++ {
+			if owners[j].ID != o.ID {
+				continue
+			}
+			fanouts[j] = 1
+			if len(lr.Fanouts) == len(req.IDs) {
+				fanouts[j] = lr.Fanouts[k]
+			}
+			succs[j] = lr.Successors
+			k++
+		}
+	}
+	out := make([][]Candidate, len(ids))
+	for i, o := range owners {
+		own := known[o.ID]
+		if own.dead {
 			if sp.On() {
-				sp.Eventf("replica", "%s failed (%v), trying next", c.Ref, err)
+				sp.Eventf("replica", "probe %d: owner %s unreachable, no candidates", i+1, o)
 			}
 			continue
 		}
-		metSelections.Inc()
-		if c.Ref.ID != owner.ID {
-			metDiverted.Inc()
+		cands := make([]Candidate, 1, max(1, fanouts[i]))
+		cands[0] = Candidate{Ref: o, Load: own.load}
+		for _, s := range succs[i] {
+			if len(cands) >= fanouts[i] {
+				break
+			}
+			if s.IsZero() || s.ID == o.ID || slices.ContainsFunc(cands, func(c Candidate) bool { return c.Ref.ID == s.ID }) {
+				continue
+			}
+			if _, asked := known[s.ID]; !asked {
+				m.probe(s, LoadReq{}, known, sp)
+			}
+			if g := known[s.ID]; !g.dead {
+				cands = append(cands, Candidate{Ref: s, Load: g.load})
+			}
 		}
+		slices.SortStableFunc(cands, func(a, b Candidate) int { return cmp.Compare(a.Load, b.Load) })
+		out[i] = cands
 		if sp.On() {
-			sp.Eventf("replica", "served by %s load=%d (candidate %d/%d)", c.Ref, c.Load, i+1, len(cands))
+			sp.Eventf("replica", "probe %d: %d candidate(s), least loaded %s load=%d", i+1, len(cands), cands[0].Ref, cands[0].Load)
 		}
-		return c.Ref, resp, true
 	}
-	metFallbacks.Inc()
-	if sp.On() {
-		sp.Eventf("replica", "no live replica of %d candidates, falling back to owner", len(cands))
-	}
-	return chord.Ref{}, nil, false
+	return out
 }
 
-// rank builds the load-ordered candidate list for bucket id: the owner
-// plus the first fanout-1 entries of the owner's successor list, each
-// annotated with its probed load gauge. Peers that fail the load probe
-// are suspected and dropped.
-func (m *Manager) rank(id uint32, owner chord.Ref, sp *trace.Span) []Candidate {
+// probe sends one LoadReq to member to and records the answer in known:
+// its gauge, or dead when the call failed (a retryable failure also
+// suspects the member).
+func (m *Manager) probe(to chord.Ref, req LoadReq, known map[chord.ID]gauge, sp *trace.Span) (LoadResp, bool) {
 	metLoadProbes.Inc()
-	resp, err := m.deps.Call(owner, LoadReq{ID: id})
+	resp, err := m.deps.Call(to, req)
 	lr, ok := resp.(LoadResp)
 	if err != nil || !ok {
 		if err != nil && transport.Retryable(err) {
-			m.deps.Suspect(owner.ID)
+			m.deps.Suspect(to.ID)
 		}
-		return nil
+		if sp.On() {
+			sp.Eventf("replica", "%s load probe failed (%v)", to, err)
+		}
+		known[to.ID] = gauge{dead: true}
+		return LoadResp{}, false
 	}
-	cands := []Candidate{{Ref: owner, Load: lr.Load}}
-	if lr.Fanout <= 1 {
-		return cands
+	known[to.ID] = gauge{load: lr.Load}
+	return lr, true
+}
+
+// Settle records how probe (1-based) of a bucket owned by owner, ranked
+// into cands, was answered: by cands[k], or, with k < 0, by the plain
+// owner path after no candidate answered. It keeps the selection
+// counters and notes the outcome on sp.
+func Settle(probe int, owner chord.Ref, cands []Candidate, k int, sp *trace.Span) {
+	if k < 0 {
+		metFallbacks.Inc()
+		if sp.On() {
+			sp.Eventf("replica", "probe %d: no live replica of %d candidate(s), falling back to owner", probe, len(cands))
+		}
+		return
 	}
-	list, err := m.deps.SuccessorsOf(owner)
-	if err != nil {
-		return cands
+	metSelections.Inc()
+	if cands[k].Ref.ID != owner.ID {
+		metDiverted.Inc()
 	}
-	for _, s := range list {
-		if len(cands) >= lr.Fanout {
-			break
-		}
-		if s.IsZero() || s.ID == owner.ID {
-			continue
-		}
-		metLoadProbes.Inc()
-		resp, err := m.deps.Call(s, LoadReq{ID: id})
-		if err != nil {
-			if transport.Retryable(err) {
-				m.deps.Suspect(s.ID)
-			}
-			continue
-		}
-		if lr, ok := resp.(LoadResp); ok {
-			cands = append(cands, Candidate{Ref: s, Load: lr.Load})
-		}
+	if sp.On() {
+		sp.Eventf("replica", "probe %d: served by %s load=%d (candidate %d/%d)", probe, cands[k].Ref, cands[k].Load, k+1, len(cands))
 	}
-	SortByLoad(cands)
-	return cands
 }

@@ -46,7 +46,8 @@ type LiveConfig struct {
 	// hot-bucket promotion.
 	Replicas int
 	// LoadAware routes each bucket probe to the least-loaded live replica
-	// instead of always the owner. Effective only with Replicas > 0.
+	// instead of always the owner. It needs Replicas > 0: StartPeer
+	// refuses it without.
 	LoadAware bool
 	// HotReplicas is the replica-set size for popular buckets (owner
 	// included; default 2*(Replicas+1)).

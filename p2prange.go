@@ -123,7 +123,8 @@ type Config struct {
 	// hot-bucket promotion; see internal/replica).
 	Replicas int
 	// LoadAware routes each bucket probe to the least-loaded live replica
-	// instead of always the owner. Effective only with Replicas > 0.
+	// instead of always the owner. It needs Replicas > 0: New refuses it
+	// without.
 	LoadAware bool
 	// HotReplicas is the replica-set size for popular buckets (owner
 	// included; default 2*(Replicas+1)).

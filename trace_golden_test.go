@@ -90,11 +90,12 @@ func TestLookupTraceGolden(t *testing.T) {
 	}
 }
 
-// TestLoadAwareLookupTraceGolden pins the span tree of a load-aware
-// lookup on a replicated 8-peer system: routing stays under each probe,
-// and every probe then travels as its own batch of one, whose span
-// carries the replica selection, the serve span of the member that
-// answered, and the outcome.
+// TestLoadAwareLookupTraceGolden pins the span tree of load-aware
+// lookups on a replicated 8-peer system: routing stays under each probe,
+// a "select" span holds the lookup's one load round and each probe's
+// ranking, and probes then travel in one batch per target, whose span
+// carries the serve span of the member that answered, the replica
+// selection of each probe and its outcome.
 func TestLoadAwareLookupTraceGolden(t *testing.T) {
 	sys := newTestSystem(t, Config{Peers: 8, Seed: 1, Replicas: 2, LoadAware: true})
 	rg, err := NewRange(30, 50)
@@ -104,16 +105,9 @@ func TestLoadAwareLookupTraceGolden(t *testing.T) {
 	if err := sys.Publish(PartitionInfo{Relation: "Patient", Attribute: "age", Range: rg}); err != nil {
 		t.Fatal(err)
 	}
-	_, found, tr, err := sys.LookupTraced("Patient", "age", rg, true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !found {
-		t.Fatal("published range not found")
-	}
-	// Probe 5's owner already served probe 2, so the least-loaded member
-	// of its replica set is a successor and the batch is diverted there.
-	const want = `lookup Patient.age [30,50] from 10.0.0.0:4000
+	// On an idle ring every gauge ties, so each probe goes to its owner
+	// and probes 2 and 5, both owned by 10.0.0.0, share one batch.
+	const first = `lookup Patient.age [30,50] from 10.0.0.0:4000
 ├─ sig: hits=0 extends=0 misses=1
 ├─ probe 1/5 id=cf7d4f9f
 │  ├─ shortcut: 0b3371f0@10.0.0.2:4000 via successor list
@@ -128,45 +122,111 @@ func TestLoadAwareLookupTraceGolden(t *testing.T) {
 │  └─ owner: 534daff3@10.0.0.4:4000 hops=1
 ├─ probe 5/5 id=61cd1ab1
 │  └─ owner: 7dceec98@10.0.0.0:4000 hops=0
+├─ select
+│  ├─ replica: probe 1: 3 candidate(s), least loaded 0b3371f0@10.0.0.2:4000 load=0
+│  ├─ replica: probe 2: 3 candidate(s), least loaded 7dceec98@10.0.0.0:4000 load=0
+│  ├─ replica: probe 3: 3 candidate(s), least loaded 90d9e78d@10.0.0.3:4000 load=0
+│  ├─ replica: probe 4: 3 candidate(s), least loaded 534daff3@10.0.0.4:4000 load=0
+│  └─ replica: probe 5: 3 candidate(s), least loaded 7dceec98@10.0.0.0:4000 load=0
 ├─ batch @10.0.0.2:4000: 1 probe(s)
 │  ├─ serve FindBestBatch @10.0.0.2:4000
 │  │  ├─ from: 10.0.0.0:4000
 │  │  ├─ batch: 1 probe(s)
 │  │  └─ best: id=cf7d4f9f [30,50] score=1.000
-│  ├─ replica: served by 0b3371f0@10.0.0.2:4000 load=0 (candidate 1/3)
+│  ├─ replica: probe 1: served by 0b3371f0@10.0.0.2:4000 load=0 (candidate 1/3)
 │  └─ match: probe 1: [30,50] score=1.000
-├─ batch @10.0.0.0:4000: 1 probe(s)
+├─ batch @10.0.0.0:4000: 2 probe(s)
 │  ├─ serve FindBestBatch @10.0.0.0:4000
 │  │  ├─ from: 10.0.0.0:4000
-│  │  ├─ batch: 1 probe(s)
-│  │  └─ best: id=69c1a38f [30,50] score=1.000
-│  ├─ replica: served by 7dceec98@10.0.0.0:4000 load=0 (candidate 1/3)
-│  └─ match: probe 2: [30,50] score=1.000
+│  │  ├─ batch: 2 probe(s)
+│  │  ├─ best: id=69c1a38f [30,50] score=1.000
+│  │  └─ best: id=61cd1ab1 [30,50] score=1.000
+│  ├─ replica: probe 2: served by 7dceec98@10.0.0.0:4000 load=0 (candidate 1/3)
+│  ├─ match: probe 2: [30,50] score=1.000
+│  ├─ replica: probe 5: served by 7dceec98@10.0.0.0:4000 load=0 (candidate 1/3)
+│  └─ match: probe 5: [30,50] score=1.000
 ├─ batch @10.0.0.3:4000: 1 probe(s)
 │  ├─ serve FindBestBatch @10.0.0.3:4000
 │  │  ├─ from: 10.0.0.0:4000
 │  │  ├─ batch: 1 probe(s)
 │  │  └─ best: id=86e9e0fd [30,50] score=1.000
-│  ├─ replica: served by 90d9e78d@10.0.0.3:4000 load=0 (candidate 1/3)
+│  ├─ replica: probe 3: served by 90d9e78d@10.0.0.3:4000 load=0 (candidate 1/3)
 │  └─ match: probe 3: [30,50] score=1.000
 ├─ batch @10.0.0.4:4000: 1 probe(s)
 │  ├─ serve FindBestBatch @10.0.0.4:4000
 │  │  ├─ from: 10.0.0.0:4000
 │  │  ├─ batch: 1 probe(s)
 │  │  └─ best: id=4cec38e0 [30,50] score=1.000
-│  ├─ replica: served by 534daff3@10.0.0.4:4000 load=0 (candidate 1/3)
+│  ├─ replica: probe 4: served by 534daff3@10.0.0.4:4000 load=0 (candidate 1/3)
 │  └─ match: probe 4: [30,50] score=1.000
-├─ batch @10.0.0.0:4000: 1 probe(s)
-│  ├─ serve FindBestBatch @10.0.0.7:4000
-│  │  ├─ from: 10.0.0.0:4000
-│  │  ├─ batch: 1 probe(s)
-│  │  └─ best: id=61cd1ab1 [30,50] score=1.000
-│  ├─ replica: served by a64194af@10.0.0.7:4000 load=0 (candidate 1/3)
-│  └─ match: probe 5: [30,50] score=1.000
 └─ store: skipped (exact match)
 `
-	if got := tr.Tree(false); got != want {
-		t.Errorf("trace tree changed:\ngot:\n%s\nwant:\n%s", got, want)
+	// The first lookup loaded the owners it probed, so the second, from
+	// another peer, diverts probes 2, 3 and 5 to the idle successor
+	// 10.0.0.7, which serves all three in one batch.
+	const second = `lookup Patient.age [30,50] from 10.0.0.6:4000
+├─ sig: hits=0 extends=0 misses=1
+├─ probe 1/5 id=cf7d4f9f
+│  ├─ shortcut: 0b3371f0@10.0.0.2:4000 via successor list
+│  └─ owner: 0b3371f0@10.0.0.2:4000 hops=1
+├─ probe 2/5 id=69c1a38f
+│  ├─ shortcut: 7dceec98@10.0.0.0:4000 via successor list
+│  └─ owner: 7dceec98@10.0.0.0:4000 hops=1
+├─ probe 3/5 id=86e9e0fd
+│  ├─ shortcut: 90d9e78d@10.0.0.3:4000 via successor list
+│  └─ owner: 90d9e78d@10.0.0.3:4000 hops=1
+├─ probe 4/5 id=4cec38e0
+│  ├─ shortcut: 534daff3@10.0.0.4:4000 via successor list
+│  └─ owner: 534daff3@10.0.0.4:4000 hops=1
+├─ probe 5/5 id=61cd1ab1
+│  ├─ shortcut: 7dceec98@10.0.0.0:4000 via successor list
+│  └─ owner: 7dceec98@10.0.0.0:4000 hops=1
+├─ select
+│  ├─ replica: probe 1: 3 candidate(s), least loaded 2b45b454@10.0.0.1:4000 load=0
+│  ├─ replica: probe 2: 3 candidate(s), least loaded a64194af@10.0.0.7:4000 load=0
+│  ├─ replica: probe 3: 3 candidate(s), least loaded a64194af@10.0.0.7:4000 load=0
+│  ├─ replica: probe 4: 3 candidate(s), least loaded 534daff3@10.0.0.4:4000 load=1
+│  └─ replica: probe 5: 3 candidate(s), least loaded a64194af@10.0.0.7:4000 load=0
+├─ batch @10.0.0.1:4000: 1 probe(s)
+│  ├─ serve FindBestBatch @10.0.0.1:4000
+│  │  ├─ from: 10.0.0.6:4000
+│  │  ├─ batch: 1 probe(s)
+│  │  └─ best: id=cf7d4f9f [30,50] score=1.000
+│  ├─ replica: probe 1: served by 2b45b454@10.0.0.1:4000 load=0 (candidate 1/3)
+│  └─ match: probe 1: [30,50] score=1.000
+├─ batch @10.0.0.7:4000: 3 probe(s)
+│  ├─ serve FindBestBatch @10.0.0.7:4000
+│  │  ├─ from: 10.0.0.6:4000
+│  │  ├─ batch: 3 probe(s)
+│  │  ├─ best: id=69c1a38f [30,50] score=1.000
+│  │  ├─ best: id=86e9e0fd [30,50] score=1.000
+│  │  └─ best: id=61cd1ab1 [30,50] score=1.000
+│  ├─ replica: probe 2: served by a64194af@10.0.0.7:4000 load=0 (candidate 1/3)
+│  ├─ match: probe 2: [30,50] score=1.000
+│  ├─ replica: probe 3: served by a64194af@10.0.0.7:4000 load=0 (candidate 1/3)
+│  ├─ match: probe 3: [30,50] score=1.000
+│  ├─ replica: probe 5: served by a64194af@10.0.0.7:4000 load=0 (candidate 1/3)
+│  └─ match: probe 5: [30,50] score=1.000
+├─ batch @10.0.0.4:4000: 1 probe(s)
+│  ├─ serve FindBestBatch @10.0.0.4:4000
+│  │  ├─ from: 10.0.0.6:4000
+│  │  ├─ batch: 1 probe(s)
+│  │  └─ best: id=4cec38e0 [30,50] score=1.000
+│  ├─ replica: probe 4: served by 534daff3@10.0.0.4:4000 load=1 (candidate 1/3)
+│  └─ match: probe 4: [30,50] score=1.000
+└─ store: skipped (exact match)
+`
+	for i, want := range []string{first, second} {
+		_, found, tr, err := sys.LookupTraced("Patient", "age", rg, true)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !found {
+			t.Fatalf("lookup %d: published range not found", i+1)
+		}
+		if got := tr.Tree(false); got != want {
+			t.Errorf("lookup %d: trace tree changed:\ngot:\n%s\nwant:\n%s", i+1, got, want)
+		}
 	}
 }
 
