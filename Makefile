@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test check linkcheck flagcheck benchguard trace-demo rangetop-demo bench-all
+.PHONY: build test check linkcheck flagcheck metriccheck benchguard trace-demo rangetop-demo flight-demo bench-all
 
 build:
 	$(GO) build ./...
@@ -14,8 +14,8 @@ test:
 # here, not on the next benchmark run), the perfbench self-test (it folds
 # the span names of traced lookups and drives live peers, so a runtime
 # change to the traced tree, which vet cannot see, fails here too), doc
-# links, doc flag tables, the allocation guards, the wire-codec and
-# WAL-record fuzz seed corpora, a quick race pass over the replica
+# links, doc flag tables, doc metric tables, the allocation guards, the
+# wire-codec and WAL-record fuzz seed corpora, a quick race pass over the replica
 # subsystem and the crash-recovery suite (the most concurrent code in
 # the repo), then the full suite under the race detector.
 check:
@@ -28,6 +28,7 @@ check:
 	cd perfbench && $(GO) test ./...
 	$(MAKE) linkcheck
 	$(MAKE) flagcheck
+	$(MAKE) metriccheck
 	$(MAKE) benchguard
 	$(GO) test -run 'Fuzz' ./internal/transport ./internal/peer ./internal/replica ./internal/djoin ./internal/wal ./internal/ship ./internal/obs
 	$(GO) test -race -run 'TestReplica|TestRecover' ./internal/replica ./internal/sim ./internal/store ./internal/wal
@@ -42,6 +43,11 @@ linkcheck:
 # cmd/* actually declare.
 flagcheck:
 	$(GO) run ./tools/checkflags
+
+# metriccheck verifies the docs' metric tables against the metrics the
+# code registers.
+metriccheck:
+	$(GO) run ./tools/checkmetrics
 
 # benchguard pins the hot-path allocation contracts under -benchmem: a
 # nil span threaded through a hot path, a probe-request (one-probe

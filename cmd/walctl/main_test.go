@@ -16,11 +16,10 @@ func writeDir(t *testing.T) string {
 	t.Helper()
 	dir := t.TempDir()
 	st := store.New()
-	lg, _, err := wal.Open(wal.Options{Dir: dir, CompactEvery: -1}, wal.StoreRestorer(st))
+	lg, _, err := wal.Open(wal.Options{Dir: dir, CompactEvery: -1}, st)
 	if err != nil {
 		t.Fatal(err)
 	}
-	st.SetJournal(lg)
 	for i := 0; i < 20; i++ {
 		p := store.Partition{Relation: "R", Attribute: "a", Holder: "h:1", Version: 1, Origin: "o:1"}
 		p.Range.Lo, p.Range.Hi = int64(i), int64(i+10)
@@ -83,7 +82,7 @@ func TestWalctlRestore(t *testing.T) {
 	}
 	// Restored dir must boot: recovery sees the segment as its own fold.
 	st := store.New()
-	lg, _, err := wal.Open(wal.Options{Dir: dst, CompactEvery: -1}, wal.StoreRestorer(st))
+	lg, _, err := wal.Open(wal.Options{Dir: dst, CompactEvery: -1}, st)
 	if err != nil {
 		t.Fatalf("restored dir failed recovery: %v", err)
 	}

@@ -38,7 +38,7 @@ func init() {
 // first.
 func (p *Peer) handleHandoff(r HandoffReq) (any, error) {
 	p.store.Absorb(r.Buckets)
-	if err := p.commitDurable(); err != nil {
+	if err := p.store.Commit(); err != nil {
 		return nil, fmt.Errorf("peer: handoff not durable: %w", err)
 	}
 	return transport.OKResp{}, nil
@@ -50,7 +50,7 @@ func (p *Peer) handleHandoff(r HandoffReq) (any, error) {
 // If the commit fails the arc is put back and the transfer refused.
 func (p *Peer) handleTransferArc(r TransferArcReq) (any, error) {
 	buckets := p.store.ExtractArc(r.From, r.To)
-	if err := p.commitDurable(); err != nil {
+	if err := p.store.Commit(); err != nil {
 		p.store.Absorb(buckets)
 		return nil, fmt.Errorf("peer: arc transfer not durable: %w", err)
 	}
@@ -67,12 +67,12 @@ func (p *Peer) HandoffTo(to chord.Ref) error {
 	if _, err := p.Call(to, HandoffReq{Buckets: all}); err != nil {
 		// Put the buckets back so data is not lost on a failed handoff.
 		p.store.Absorb(all)
-		p.commitDurable()
+		_ = p.store.Commit() // the handoff error below is what the caller acts on
 		return fmt.Errorf("peer: handoff to %s: %w", to, err)
 	}
 	// Persist the local drop so a post-handoff crash does not resurrect
 	// buckets the successor now owns (harmless duplicates, but noisy).
-	p.commitDurable()
+	_ = p.store.Commit()
 	return nil
 }
 
@@ -99,7 +99,7 @@ func (p *Peer) ReclaimArc() error {
 	p.store.Absorb(ta.Buckets)
 	// The successor already dropped its copy when it answered, so this
 	// peer is now the only holder: commit before treating them as owned.
-	if err := p.commitDurable(); err != nil {
+	if err := p.store.Commit(); err != nil {
 		return fmt.Errorf("peer: reclaim not durable: %w", err)
 	}
 	return nil

@@ -138,18 +138,6 @@ type Config struct {
 // the request.
 type AuxHandler func(req any) (resp any, handled bool, err error)
 
-// Durability is the commit barrier of a write-ahead log attached to the
-// peer's store (internal/wal implements it with group-committed fsync).
-// The peer calls Commit on every path that acknowledges a mutation to
-// another peer — store, handoff, arc transfer — so an acknowledgment
-// never outruns the disk; read paths never touch it.
-type Durability interface {
-	// Commit blocks until every store mutation so far is durable. A
-	// non-nil error means durability failed and the triggering request
-	// must fail rather than acknowledge.
-	Commit() error
-}
-
 // Peer is one node of the system.
 type Peer struct {
 	cfg     Config
@@ -161,10 +149,9 @@ type Peer struct {
 	served  atomic.Int64     // bucket probes answered by this peer
 	flight  atomic.Pointer[flight.Recorder]
 
-	mu      sync.RWMutex
-	data    map[string]*relation.Partition // materialized partitions by Key()
-	aux     []AuxHandler
-	durable Durability // nil when the store is memory-only
+	mu   sync.RWMutex
+	data map[string]*relation.Partition // materialized partitions by Key()
+	aux  []AuxHandler
 }
 
 // New creates a peer at addr using caller to reach others. Register its
@@ -222,26 +209,6 @@ func New(addr string, caller transport.Caller, cfg Config) (*Peer, error) {
 		})
 	}
 	return p, nil
-}
-
-// AttachDurability installs the store's commit barrier. Call it after
-// the store has been restored (and its journal attached) but before the
-// peer starts serving, alongside store.SetJournal.
-func (p *Peer) AttachDurability(d Durability) {
-	p.mu.Lock()
-	p.durable = d
-	p.mu.Unlock()
-}
-
-// commitDurable runs the durability barrier, a no-op without one.
-func (p *Peer) commitDurable() error {
-	p.mu.RLock()
-	d := p.durable
-	p.mu.RUnlock()
-	if d == nil {
-		return nil
-	}
-	return d.Commit()
 }
 
 // SetFlight installs the flight recorder the serving side finishes into:
@@ -369,7 +336,7 @@ func (p *Peer) handle(req any, sp *trace.Span) (any, error) {
 		}
 		// Durability barrier before the ack: a StoreResp promises the
 		// descriptor survives this peer's crash.
-		if err := p.commitDurable(); err != nil {
+		if err := p.store.Commit(); err != nil {
 			return nil, fmt.Errorf("peer: store not durable: %w", err)
 		}
 		if sp.On() {

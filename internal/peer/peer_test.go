@@ -17,6 +17,7 @@ import (
 	"p2prange/internal/store"
 	"p2prange/internal/trace"
 	"p2prange/internal/transport"
+	"p2prange/internal/wal"
 )
 
 // testCluster builds n peers on a converged ring over an in-memory net.
@@ -219,6 +220,37 @@ func TestHandleBadRequest(t *testing.T) {
 	peers, _ := testCluster(t, 1, Config{})
 	if _, _, err := peers[0].Handle(trace.Context{}, "nonsense"); err == nil {
 		t.Error("bad request accepted")
+	}
+}
+
+// TestClosedLogRefusesAcks pins the store-owned commit barrier: once a
+// peer's log is closed, a write it would acknowledge is refused rather
+// than acknowledged without reaching disk, and a refused arc transfer
+// keeps its buckets.
+func TestClosedLogRefusesAcks(t *testing.T) {
+	peers, _ := testCluster(t, 1, Config{})
+	p := peers[0]
+	lg, _, err := wal.Open(wal.Options{Dir: t.TempDir(), CompactEvery: -1}, p.Store())
+	if err != nil {
+		t.Fatal(err)
+	}
+	part := store.Partition{Relation: "R", Attribute: "a", Range: rangeset.Range{Lo: 1, Hi: 5}, Holder: "h"}
+	if _, _, err := p.Handle(trace.Context{}, StoreReq{ID: 7, Partition: part}); err != nil {
+		t.Fatalf("StoreReq on an open log: %v", err)
+	}
+	if err := lg.Close(); err != nil {
+		t.Fatal(err)
+	}
+	_, _, err = p.Handle(trace.Context{}, StoreReq{ID: 8, Partition: part})
+	if err == nil || !strings.Contains(err.Error(), "not durable") {
+		t.Errorf("StoreReq on a closed log: err = %v, want not durable", err)
+	}
+	_, _, err = p.Handle(trace.Context{}, TransferArcReq{From: 0, To: 0})
+	if err == nil || !strings.Contains(err.Error(), "arc transfer not durable") {
+		t.Errorf("TransferArcReq on a closed log: err = %v, want arc transfer not durable", err)
+	}
+	if !p.Store().Has(7, part) {
+		t.Error("refused arc transfer dropped its buckets")
 	}
 }
 

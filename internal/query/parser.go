@@ -353,7 +353,8 @@ func parseNumberOrDate(text string) (relation.Value, error) {
 	return relation.IntVal(n), nil
 }
 
-// parseDateString accepts YYYY-MM-DD and MM-DD-YYYY.
+// parseDateString accepts real calendar dates as YYYY-MM-DD and
+// MM-DD-YYYY.
 func parseDateString(s string) (relation.Value, bool) {
 	parts := strings.Split(s, "-")
 	if len(parts) != 3 {
@@ -376,7 +377,7 @@ func parseDateString(s string) (relation.Value, bool) {
 	default:
 		return relation.Value{}, false
 	}
-	if m < 1 || m > 12 || d < 1 || d > 31 {
+	if !relation.ValidDate(y, time.Month(m), d) {
 		return relation.Value{}, false
 	}
 	return relation.DateVal(y, time.Month(m), d), true

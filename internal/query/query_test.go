@@ -94,6 +94,42 @@ func TestParseDates(t *testing.T) {
 	}
 }
 
+func TestParseDateValidation(t *testing.T) {
+	for _, c := range []struct {
+		lit string
+		ok  bool
+	}{
+		{"2000-02-29", true}, // leap day
+		{"2001-02-29", false},
+		{"2000-04-31", false},
+		{"02-31-2000", false},
+		{"2000-13-01", false},
+		{"2000-00-10", false},
+	} {
+		// Unquoted, a date that is not in the calendar is a syntax error.
+		src := "SELECT * FROM R WHERE d <= " + c.lit
+		q, err := Parse(src)
+		if !c.ok {
+			var se *SyntaxError
+			if !errors.As(err, &se) {
+				t.Errorf("%s: err = %v, want a SyntaxError", src, err)
+			}
+		} else if err != nil {
+			t.Errorf("%s: %v", src, err)
+		} else if lit := q.Where[0].Right.Lit; lit == nil || *lit != relation.DateVal(2000, time.February, 29) {
+			t.Errorf("%s: literal = %v", src, lit)
+		}
+		// Quoted, it is a plain string, never a normalised date.
+		src = "SELECT * FROM R WHERE d <= '" + c.lit + "'"
+		if q, err = Parse(src); err != nil {
+			t.Fatalf("%s: %v", src, err)
+		}
+		if isDate := q.Where[0].Right.Lit.Kind == relation.TDate; isDate != c.ok {
+			t.Errorf("%s: date literal = %v, want %v", src, isDate, c.ok)
+		}
+	}
+}
+
 func TestParseStringLiteral(t *testing.T) {
 	q, err := Parse("SELECT * FROM R WHERE diagnosis = 'Glaucoma'")
 	if err != nil {

@@ -112,7 +112,7 @@ func parseCSVCell(typ Type, cell string) (Value, error) {
 		y, err1 := strconv.Atoi(parts[0])
 		m, err2 := strconv.Atoi(parts[1])
 		d, err3 := strconv.Atoi(parts[2])
-		if err1 != nil || err2 != nil || err3 != nil || m < 1 || m > 12 || d < 1 || d > 31 {
+		if err1 != nil || err2 != nil || err3 != nil || !ValidDate(y, time.Month(m), d) {
 			return Value{}, fmt.Errorf("bad date %q", cell)
 		}
 		return DateVal(y, time.Month(m), d), nil

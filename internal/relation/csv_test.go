@@ -97,6 +97,34 @@ func TestCSVErrors(t *testing.T) {
 	}
 }
 
+func TestCSVDateValidation(t *testing.T) {
+	rs := &RelationSchema{Name: "T", Columns: []Column{{Name: "d", Type: TDate}}}
+	for _, c := range []struct {
+		cell string
+		ok   bool
+	}{
+		{"2000-02-29", true}, // leap day
+		{"2001-02-29", false},
+		{"2000-04-31", false},
+		{"02-31-2000", false},
+		{"2000-13-01", false},
+		{"2000-00-10", false},
+	} {
+		r, err := ReadCSV(rs, strings.NewReader("d\n"+c.cell+"\n"))
+		if !c.ok {
+			if err == nil {
+				t.Errorf("%s: accepted as %v", c.cell, r.Tuples[0][0])
+			}
+			continue
+		}
+		if err != nil {
+			t.Errorf("%s: %v", c.cell, err)
+		} else if got := r.Tuples[0][0]; got != DateVal(2000, time.February, 29) {
+			t.Errorf("%s: read as %v", c.cell, got)
+		}
+	}
+}
+
 func TestCSVEmptyRelation(t *testing.T) {
 	rs := &RelationSchema{Name: "T", Columns: []Column{{Name: "a", Type: TInt}}}
 	var buf bytes.Buffer

@@ -63,6 +63,14 @@ func DayNumber(year int, month time.Month, day int) int64 {
 	return t.Unix() / 86400
 }
 
+// ValidDate reports whether year, month and day name a real calendar
+// date: one that round-trips through time.Date, which would otherwise
+// normalise 2000-02-31 to 2000-03-02.
+func ValidDate(year int, month time.Month, day int) bool {
+	y, m, d := time.Date(year, month, day, 0, 0, 0, 0, time.UTC).Date()
+	return y == year && m == month && d == day
+}
+
 // DayToDate converts a day number back to a civil date.
 func DayToDate(days int64) (year int, month time.Month, day int) {
 	t := time.Unix(days*86400, 0).UTC()

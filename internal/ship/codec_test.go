@@ -138,10 +138,11 @@ func FuzzShipFrameParse(f *testing.F) {
 
 // BenchmarkShipApply measures the follower's entry-apply hot path: CRC
 // walk + record decode + idempotent store re-apply of one shipped
-// batch, the work done per byte for the whole catch-up stream. `make
-// benchguard` asserts 0 allocs/op: parsing interns strings, and
-// re-applying an already-present descriptor takes the first-wins
-// rejection path without copying.
+// batch through wal.StoreRestorer (the follower's applier), the work
+// done per byte for the whole catch-up stream. `make benchguard`
+// asserts 0 allocs/op: parsing interns strings, and re-applying an
+// already-present descriptor takes the first-wins rejection path
+// without copying.
 func BenchmarkShipApply(b *testing.B) {
 	st := store.New()
 	var batch []byte
@@ -152,7 +153,7 @@ func BenchmarkShipApply(b *testing.B) {
 		batch = wal.AppendFramed(batch, &r)
 		st.Put(r.ID, r.Part) // pre-apply: the benchmark measures re-apply
 	}
-	apply := PutApplier(st)
+	apply := wal.StoreRestorer(st)
 	w := wal.NewWalker()
 	if n, err := w.Walk(batch, apply); err != nil || n != len(batch) {
 		b.Fatalf("walk broken before measuring: n=%d err=%v", n, err)

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"p2prange/internal/obs"
+	"p2prange/internal/store"
 	"p2prange/internal/wal"
 )
 
@@ -23,15 +24,12 @@ type FollowerConfig struct {
 	// Call sends one request frame to the owner and returns the typed
 	// response (peer.Client.Call shaped).
 	Call func(req any) (any, error)
-	// Apply applies one shipped record locally — all ops, full
-	// fidelity, exactly as recovery replays them (wal.StoreRestorer).
-	Apply func(wal.Record) error
-	// Reset wipes local state before a reseed (snapshot or
-	// tail-from-oldest). Must be journaled like any other mutation.
-	Reset func() error
-	// Commit is the local durability barrier run after each applied
-	// batch, before the cursor advances past it.
-	Commit func() error
+	// Store is the local store shipped records apply to — all ops, full
+	// fidelity, exactly as recovery replays them. A reseed (snapshot or
+	// tail-from-oldest) wipes it first, journaled like any other
+	// mutation, and each applied batch passes Store.Commit before the
+	// cursor advances past it.
+	Store *store.Store
 	// Dir, when set, holds the resumable snapshot part file so a
 	// follower crash mid-seed continues instead of restarting.
 	Dir string
@@ -71,6 +69,7 @@ type Follower struct {
 	// walker is the reusable batch parser for the apply hot path; only
 	// the single CatchUp/Run goroutine touches it.
 	walker *wal.Walker
+	apply  func(wal.Record) error // wal.StoreRestorer(cfg.Store)
 }
 
 // NewFollower builds a Follower. See FollowerConfig.
@@ -81,7 +80,7 @@ func NewFollower(cfg FollowerConfig) *Follower {
 	if cfg.Interval <= 0 {
 		cfg.Interval = time.Second
 	}
-	return &Follower{cfg: cfg, state: "idle", walker: wal.NewWalker()}
+	return &Follower{cfg: cfg, state: "idle", walker: wal.NewWalker(), apply: wal.StoreRestorer(cfg.Store)}
 }
 
 func (f *Follower) setState(s string) {
@@ -156,9 +155,7 @@ func (f *Follower) catchUpOnce() (applied int, retry bool, err error) {
 	case sub.Tail && sub.Reseed:
 		// Whole history lives in WAL files; wipe and tail from the
 		// oldest record.
-		if err := f.reset(); err != nil {
-			return 0, false, err
-		}
+		f.cfg.Store.ExtractArc(0, 0)
 		obs.Events.Emitf(obs.SevWarn, "ship", "%s wiped local state to re-tail %s from the oldest record", f.cfg.Self, f.cfg.Owner)
 		cur = sub.Next
 	case sub.Tail:
@@ -241,11 +238,8 @@ func (f *Follower) tail(cur wal.Cursor) (int, bool, error) {
 func (f *Follower) applyBatch(data []byte) (int, error) {
 	applied := 0
 	n, err := f.walker.Walk(data, func(r wal.Record) error {
-		if err := f.cfg.Apply(r); err != nil {
-			return err
-		}
 		applied++
-		return nil
+		return f.apply(r)
 	})
 	if err == nil && n != len(data) {
 		err = fmt.Errorf("ship: torn batch from %s (%d/%d bytes valid)", f.cfg.Owner, n, len(data))
@@ -253,10 +247,8 @@ func (f *Follower) applyBatch(data []byte) (int, error) {
 	if err != nil {
 		return applied, err
 	}
-	if f.cfg.Commit != nil {
-		if err := f.cfg.Commit(); err != nil {
-			return applied, err
-		}
+	if err := f.cfg.Store.Commit(); err != nil {
+		return applied, err
 	}
 	f.mu.Lock()
 	f.stats.Applied += uint64(applied)
@@ -350,18 +342,12 @@ func (f *Follower) seedSnapshot(seq uint64, size int64) (int, wal.Cursor, error)
 		return 0, wal.Cursor{}, fmt.Errorf("ship: seeded segment failed verification: %w", err)
 	}
 
-	if err := f.reset(); err != nil {
-		return 0, wal.Cursor{}, err
-	}
+	f.cfg.Store.ExtractArc(0, 0) // wipe, journaled like any mutation
 	for _, r := range recs {
-		if err := f.cfg.Apply(r); err != nil {
-			return 0, wal.Cursor{}, err
-		}
+		_ = f.apply(r) // a store restorer never fails
 	}
-	if f.cfg.Commit != nil {
-		if err := f.cfg.Commit(); err != nil {
-			return 0, wal.Cursor{}, err
-		}
+	if err := f.cfg.Store.Commit(); err != nil {
+		return 0, wal.Cursor{}, err
 	}
 	f.mu.Lock()
 	f.stats.Applied += uint64(len(recs))
@@ -375,13 +361,6 @@ func (f *Follower) seedSnapshot(seq uint64, size int64) (int, wal.Cursor, error)
 	_, _ = f.call(CursorAckReq{Follower: f.cfg.Self, Cursor: cur})
 	obs.Events.Emitf(obs.SevInfo, "ship", "%s seeded from snapshot segment %016x of %s: %d record(s), %d byte(s)", f.cfg.Self, seq, f.cfg.Owner, len(recs), len(data))
 	return len(recs), cur, nil
-}
-
-func (f *Follower) reset() error {
-	if f.cfg.Reset == nil {
-		return nil
-	}
-	return f.cfg.Reset()
 }
 
 // appendFileTo appends data to path, but only if the file is currently

@@ -21,12 +21,9 @@ type ServiceConfig struct {
 	// memory-only peer: it then accepts ApplyReq pushes but cannot be
 	// subscribed to.
 	Log *wal.Log
-	// Apply applies one pushed record into the local store (ApplyReq
-	// path). Only OpPut records reach it. PutApplier adapts a store.
-	Apply func(wal.Record) error
-	// Commit is the local durability barrier run after each applied
-	// batch, before acknowledging it. Nil means no barrier (memory-only).
-	Commit func() error
+	// Store receives pushed puts (ApplyReq path), committed through
+	// Store.Commit before the batch is acknowledged. Nil refuses pushes.
+	Store *store.Store
 	// MaxEntryBytes caps one EntriesResp (default 1MiB + one record).
 	MaxEntryBytes int
 	// MaxChunkBytes caps one SnapshotChunkResp (default 256KiB).
@@ -220,26 +217,24 @@ func (s *Service) ack(r CursorAckReq) (CursorAckResp, error) {
 func (s *Service) applyPush(r ApplyReq) (ApplyResp, error) {
 	applied := 0
 	if len(r.Data) > 0 {
-		if s.cfg.Apply == nil {
+		if s.cfg.Store == nil {
 			return ApplyResp{}, errors.New("ship: peer accepts no pushed records")
 		}
+		// Pushed puts keep their version and origin stamps (store.Put's
+		// first-wins / higher-version-replaces admission applies),
+		// exactly as recovery restores them.
 		n, err := wal.WalkBuffer(r.Data, func(rec wal.Record) error {
-			if rec.Op != wal.OpPut {
-				return nil
+			if rec.Op == wal.OpPut {
+				s.cfg.Store.Put(rec.ID, rec.Part)
+				applied++
 			}
-			if err := s.cfg.Apply(rec); err != nil {
-				return err
-			}
-			applied++
 			return nil
 		})
 		if err != nil || n != len(r.Data) {
 			return ApplyResp{}, badFrame("corrupt pushed batch from %s (%d/%d bytes valid)", r.Origin, n, len(r.Data))
 		}
-		if s.cfg.Commit != nil {
-			if err := s.cfg.Commit(); err != nil {
-				return ApplyResp{}, err
-			}
+		if err := s.cfg.Store.Commit(); err != nil {
+			return ApplyResp{}, err
 		}
 		metApplied.Add(uint64(applied))
 		metAppliedBytes.Add(uint64(len(r.Data)))
@@ -286,17 +281,4 @@ func (s *Service) Followers() []FollowerStatus {
 	}
 	metMaxLagBytes.Set(maxLag)
 	return out
-}
-
-// PutApplier adapts a store for the push-apply path: pushed puts keep
-// their version and origin stamps (store.Put's first-wins /
-// higher-version-replaces admission applies), exactly as recovery
-// restores them.
-func PutApplier(s *store.Store) func(wal.Record) error {
-	return func(r wal.Record) error {
-		if r.Op == wal.OpPut {
-			s.Put(r.ID, r.Part)
-		}
-		return nil
-	}
 }

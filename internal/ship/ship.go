@@ -27,6 +27,11 @@
 //     delta to each successor (ApplyReq), demoting digest anti-entropy
 //     to repair-of-last-resort.
 //
+// Both receiving roles take the local store itself and nothing else:
+// records apply through it and each batch passes its durability barrier
+// (store.Store.Commit, a no-op when memory-only) before it is
+// acknowledged or the cursor moves past it.
+//
 // Flow control is pull-shaped everywhere: the owner never buffers for
 // a follower and never blocks its group-commit path on one — a stalled
 // follower simply stops pulling (or, on the push path, stalls only the

@@ -42,13 +42,11 @@ func newOwner(t *testing.T, dir string, opt wal.Options) *ownerPeer {
 		opt.CompactEvery = -1 // folds are explicit in tests
 	}
 	st := store.New()
-	lg, _, err := wal.Open(opt, wal.StoreRestorer(st))
+	lg, _, err := wal.Open(opt, st)
 	if err != nil {
 		t.Fatalf("Open: %v", err)
 	}
-	st.SetJournal(lg)
-	o := &ownerPeer{st: st, lg: lg,
-		svc: NewService(ServiceConfig{Log: lg, Apply: PutApplier(st), Commit: lg.Commit})}
+	o := &ownerPeer{st: st, lg: lg, svc: NewService(ServiceConfig{Log: lg, Store: st})}
 	t.Cleanup(func() { o.lg.Close() })
 	return o
 }
@@ -82,20 +80,17 @@ type followerPeer struct {
 func newFollowerPeer(t *testing.T, dir string, call func(any) (any, error)) *followerPeer {
 	t.Helper()
 	st := store.New()
-	lg, _, err := wal.Open(wal.Options{Dir: dir, CompactEvery: -1}, wal.StoreRestorer(st))
+	lg, _, err := wal.Open(wal.Options{Dir: dir, CompactEvery: -1}, st)
 	if err != nil {
 		t.Fatalf("Open follower: %v", err)
 	}
-	st.SetJournal(lg)
 	f := &followerPeer{st: st, lg: lg}
 	f.fl = NewFollower(FollowerConfig{
-		Owner:  "owner",
-		Self:   "follower:1",
-		Call:   call,
-		Apply:  wal.StoreRestorer(st),
-		Reset:  func() error { st.ExtractArc(0, 0); return nil },
-		Commit: lg.Commit,
-		Dir:    dir,
+		Owner: "owner",
+		Self:  "follower:1",
+		Call:  call,
+		Store: st,
+		Dir:   dir,
 	})
 	t.Cleanup(func() { f.lg.Close() })
 	return f
@@ -121,7 +116,7 @@ func fingerprint(st *store.Store) string {
 func recoverDir(t *testing.T, dir string) *store.Store {
 	t.Helper()
 	st := store.New()
-	lg, _, err := wal.Open(wal.Options{Dir: dir, CompactEvery: -1}, wal.StoreRestorer(st))
+	lg, _, err := wal.Open(wal.Options{Dir: dir, CompactEvery: -1}, st)
 	if err != nil {
 		t.Fatalf("recover %s: %v", dir, err)
 	}
@@ -311,8 +306,7 @@ func TestShipFollowerCrashMidSnapshot(t *testing.T) {
 	f2Store := store.New()
 	f2 := NewFollower(FollowerConfig{
 		Owner: "owner", Self: "follower:1", Call: o.call,
-		Apply: wal.StoreRestorer(f2Store),
-		Reset: func() error { f2Store.ExtractArc(0, 0); return nil },
+		Store: f2Store,
 		Dir:   followDir,
 	})
 	if _, err := f2.CatchUp(); err != nil {
@@ -419,7 +413,7 @@ func TestShipRetentionPinsSurviveFold(t *testing.T) {
 func TestPusherShipFirstSync(t *testing.T) {
 	o := newOwner(t, t.TempDir(), wal.Options{})
 	recv := store.New()
-	recvSvc := NewService(ServiceConfig{Apply: PutApplier(recv)}) // memory-only receiver
+	recvSvc := NewService(ServiceConfig{Store: recv}) // memory-only receiver
 	call := func(req any) (any, error) {
 		resp, handled, err := recvSvc.Handle(req)
 		if !handled {
@@ -459,7 +453,7 @@ func TestPusherShipFirstSync(t *testing.T) {
 	// Receiver restarts (new Service = new boot token, empty store):
 	// the pusher must refuse to vouch and fall back.
 	recv = store.New()
-	recvSvc = NewService(ServiceConfig{Apply: PutApplier(recv)})
+	recvSvc = NewService(ServiceConfig{Store: recv})
 	if _, ok := pusher.SyncTo("recv", call); ok {
 		t.Fatal("push to restarted receiver claimed convergence")
 	}
@@ -476,7 +470,7 @@ func TestPusherShipFirstSync(t *testing.T) {
 func TestPusherFilter(t *testing.T) {
 	o := newOwner(t, t.TempDir(), wal.Options{})
 	recv := store.New()
-	recvSvc := NewService(ServiceConfig{Apply: PutApplier(recv)})
+	recvSvc := NewService(ServiceConfig{Store: recv})
 	call := func(req any) (any, error) {
 		resp, _, err := recvSvc.Handle(req)
 		return resp, err

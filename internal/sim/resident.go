@@ -122,12 +122,10 @@ func RunResident(cfg ResidentConfig) (*ResidentResult, error) {
 	}
 	seeder := c.Peers[0]
 	addr := seeder.Addr()
-	lg, _, err := wal.Open(wal.Options{Dir: cfg.Dir}, wal.StoreRestorer(seeder.Store()))
+	lg, _, err := wal.Open(wal.Options{Dir: cfg.Dir}, seeder.Store())
 	if err != nil {
 		return nil, err
 	}
-	seeder.Store().SetJournal(lg)
-	seeder.AttachDurability(lg)
 
 	gen := workload.NewUniform(workload.DefaultDomainLo, workload.DefaultDomainHi, cfg.Seed+1)
 	seen := make(map[string]bool, cfg.Partitions)
@@ -167,28 +165,12 @@ func RunResident(cfg ResidentConfig) (*ResidentResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	opts := wal.Options{Dir: cfg.Dir}
-	if res.Cap > 0 {
-		st := revived.Store()
-		opts.ReadThrough = true
-		opts.OnSegment = func(r *wal.SegmentReader) error {
-			if r == nil {
-				st.SetSegments(nil)
-			} else {
-				st.SetSegments(r)
-			}
-			return nil
-		}
-		opts.OnSwap = func(r *wal.SegmentReader, upto uint64) { st.SwapSegments(r, upto) }
-	}
-	lg2, rec, err := wal.Open(opts, wal.StoreRestorer(revived.Store()))
+	lg2, rec, err := wal.Open(wal.Options{Dir: cfg.Dir}, revived.Store())
 	if err != nil {
 		return nil, err
 	}
 	defer lg2.Close()
 	res.Recovery = rec
-	revived.Store().SetJournal(lg2)
-	revived.AttachDurability(lg2)
 	net.Register(revived.Addr(), revived.Handle)
 	if err := chord.BuildStableRing([]*chord.Node{revived.Node()}); err != nil {
 		return nil, err

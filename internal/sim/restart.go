@@ -111,12 +111,11 @@ func RunRestart(cfg RestartConfig) (*RestartResult, error) {
 		// Open only creates the directory and the first WAL file.
 		lg, _, err = wal.Open(wal.Options{
 			Dir: cfg.Dir, Fsync: cfg.Fsync, CompactEvery: cfg.CompactEvery,
-		}, wal.StoreRestorer(victim.Store()))
+		}, victim.Store())
 		if err != nil {
 			return nil, err
 		}
-		victim.Store().SetJournal(lg)
-		victim.AttachDurability(lg)
+		defer lg.Close() // a no-op once the crash below has abandoned it
 	}
 
 	// Publish a catalog of distinct ranges from random origins; every
@@ -162,13 +161,12 @@ func RunRestart(cfg RestartConfig) (*RestartResult, error) {
 	if cfg.Durable {
 		lg2, rec, err := wal.Open(wal.Options{
 			Dir: cfg.Dir, Fsync: cfg.Fsync, CompactEvery: cfg.CompactEvery,
-		}, wal.StoreRestorer(revived.Store()))
+		}, revived.Store())
 		if err != nil {
 			return nil, err
 		}
+		defer lg2.Close()
 		res.Recovery = rec
-		revived.Store().SetJournal(lg2)
-		revived.AttachDurability(lg2)
 		for id, vv := range held {
 			for key := range vv {
 				if _, ok := revived.Store().Get(id, key); ok {

@@ -1,17 +1,17 @@
 package sim
 
 import (
-	"bytes"
-	"encoding/gob"
 	"fmt"
 	"math/rand"
 	"sort"
 	"strings"
 	"time"
 
+	"p2prange/internal/peer"
 	"p2prange/internal/replica"
 	"p2prange/internal/ship"
 	"p2prange/internal/store"
+	"p2prange/internal/transport"
 	"p2prange/internal/wal"
 	"p2prange/internal/workload"
 )
@@ -115,13 +115,12 @@ func RunShip(cfg ShipConfig) (*ShipResult, error) {
 		oOpt.ShipRetain = -1
 	}
 	ost := store.New()
-	olg, _, err := wal.Open(oOpt, wal.StoreRestorer(ost))
+	olg, _, err := wal.Open(oOpt, ost)
 	if err != nil {
 		return nil, err
 	}
 	defer olg.Close()
-	ost.SetJournal(olg)
-	svc := ship.NewService(ship.ServiceConfig{Log: olg, Apply: ship.PutApplier(ost), Commit: olg.Commit})
+	svc := ship.NewService(ship.ServiceConfig{Log: olg, Store: ost})
 	call := func(req any) (any, error) {
 		resp, handled, err := svc.Handle(req)
 		if !handled {
@@ -133,21 +132,18 @@ func RunShip(cfg ShipConfig) (*ShipResult, error) {
 	// Follower: its own journaled store, applying shipped records
 	// through the same replay path recovery uses.
 	fst := store.New()
-	flg, _, err := wal.Open(wal.Options{Dir: cfg.FollowerDir, CompactEvery: -1}, wal.StoreRestorer(fst))
+	flg, _, err := wal.Open(wal.Options{Dir: cfg.FollowerDir, CompactEvery: -1}, fst)
 	if err != nil {
 		return nil, err
 	}
 	defer flg.Close()
-	fst.SetJournal(flg)
 	const self = "follower:1"
 	fl := ship.NewFollower(ship.FollowerConfig{
-		Owner:  "owner",
-		Self:   self,
-		Call:   call,
-		Apply:  wal.StoreRestorer(fst),
-		Reset:  func() error { fst.ExtractArc(0, 0); return nil },
-		Commit: flg.Commit,
-		Dir:    cfg.FollowerDir,
+		Owner: "owner",
+		Self:  self,
+		Call:  call,
+		Store: fst,
+		Dir:   cfg.FollowerDir,
 	})
 
 	// Publish the shared base, converge the follower, then disconnect
@@ -192,28 +188,34 @@ func RunShip(cfg ShipConfig) (*ShipResult, error) {
 	switch cfg.Mode {
 	case ShipModeDigest:
 		// The replica exchange, costed message by message: the owner's
-		// full digest out, the missing-keys answer back, one push per
-		// lacking descriptor. Payload sizes are the gob encodings the
-		// aux protocol actually ships inside its frames.
+		// full digest out, the missing-keys answer back, one replica
+		// StoreReq push per lacking descriptor. Each is priced at the
+		// binary frame a peer actually sends.
 		digest := ost.Digest(nil)
 		for _, vv := range digest {
 			res.DigestRows += len(vv)
 		}
-		res.SyncBytes += gobSize(replica.SyncReq{Digest: digest})
 		missing := fst.MissingFrom(digest)
-		res.SyncBytes += gobSize(replica.SyncResp{Missing: missing})
+		sent := []any{replica.SyncReq{Digest: digest}, replica.SyncResp{Missing: missing}}
 		for id, keys := range missing {
 			for _, key := range keys {
 				p, held := ost.Get(id, key)
 				if !held {
 					continue
 				}
-				res.SyncBytes += gobSize(p)
+				sent = append(sent, peer.StoreReq{ID: id, Partition: p, Replica: true})
 				fst.Put(id, p)
 				res.SyncRecords++
 			}
 		}
-		if err := flg.Commit(); err != nil {
+		for _, msg := range sent {
+			n, err := transport.FrameSize(msg)
+			if err != nil {
+				return nil, err
+			}
+			res.SyncBytes += int64(n)
+		}
+		if err := fst.Commit(); err != nil {
 			return nil, err
 		}
 	case ShipModeTail, ShipModeSnapshot:
@@ -233,7 +235,7 @@ func RunShip(cfg ShipConfig) (*ShipResult, error) {
 	// Shadow check: recover the owner's directory into a fresh store
 	// and demand the follower renders identically, byte for byte.
 	rst := store.New()
-	rlg, _, err := wal.Open(wal.Options{Dir: cfg.OwnerDir, CompactEvery: -1}, wal.StoreRestorer(rst))
+	rlg, _, err := wal.Open(wal.Options{Dir: cfg.OwnerDir, CompactEvery: -1}, rst)
 	if err != nil {
 		return nil, fmt.Errorf("sim: shadow recovery: %w", err)
 	}
@@ -241,16 +243,6 @@ func RunShip(cfg ShipConfig) (*ShipResult, error) {
 	rlg.Close()
 
 	return res, nil
-}
-
-// gobSize is the encoded size of one aux-protocol payload — the bytes
-// the frame would carry on the wire.
-func gobSize(v any) int64 {
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(v); err != nil {
-		return 0
-	}
-	return int64(buf.Len())
 }
 
 // storeFingerprint renders a store's full content — every bucket, every

@@ -23,13 +23,14 @@
 // owns rather than only the requested one, trading per-lookup work for
 // recall.
 //
-// The store is also the write-through point for durability: SetJournal
-// attaches a Journal (implemented by internal/wal) that is called under
-// the store's write lock on every admission, upgrade, deletion,
-// eviction, and arc extraction — so journal order always equals apply
-// order, and boot-time replay (wal.StoreRestorer) reconstructs the
-// store exactly. Evictions are journaled with the exact victim before
-// the displacing insert, so replay on a bounded store never re-runs the
-// LRU choice. Journal appends only buffer; the fsync barrier lives in
-// the peer's acknowledgement path (see docs/DURABILITY.md).
+// The store is also the write-through point for durability. wal.Open
+// replays a data directory into the store, then attaches its log as the
+// store's Journal, which is called under the store's write lock on every
+// admission, upgrade, deletion and arc extraction — so journal order
+// always equals apply order, and replay reconstructs the store exactly.
+// Capacity evictions are never journaled: a durable bounded store reads
+// through to the sealed segment (SetSegments), where an evicted copy is
+// still on disk. Journal appends only buffer; Commit is the fsync
+// barrier, taken on acknowledgement paths and a no-op for a memory-only
+// store (see docs/DURABILITY.md).
 package store

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"sort"
 	"sync"
+	"sync/atomic"
 
 	"p2prange/internal/rangeset"
 )
@@ -85,18 +86,24 @@ type Match struct {
 }
 
 // Journal receives every mutation of a store, in apply order, for
-// write-through persistence (internal/wal implements it). Methods are
-// invoked under the store's write lock, so implementations must only
-// buffer — never block on IO — and must not call back into the store.
-// Durability is a separate barrier (wal.Log.Commit), taken by callers
-// on acknowledgment paths.
+// write-through persistence (internal/wal implements it). Put, Evict,
+// DropArc and Epoch are invoked under the store's write lock, so they
+// must only buffer — never block on IO — and must not call back into
+// the store. Commit is the durability barrier, reached through
+// Store.Commit on acknowledgment paths.
 type Journal interface {
 	// Put records a descriptor admission or in-place version upgrade.
 	Put(id ID, p Partition)
-	// Evict records a descriptor removal (capacity eviction or Delete).
+	// Evict records a Delete.
 	Evict(id ID, key string)
 	// DropArc records ExtractArc removing every bucket on (from, to].
 	DropArc(from, to ID)
+	// Epoch returns the sequence of the journal file being appended to;
+	// the two-tier overlay stamps its pins and tombstones with it to
+	// know when a fold (SwapSegments) has absorbed them.
+	Epoch() uint64
+	// Commit blocks until every mutation recorded so far is durable.
+	Commit() error
 }
 
 // Store holds the buckets owned by one peer. Safe for concurrent use.
@@ -115,7 +122,11 @@ type Store struct {
 	buckets map[ID][]Partition
 	count   int // descriptors resident in memory
 	cap     int // 0 = unbounded
-	journal Journal
+
+	// journal is nil when memory-only. Mutations read it under mu;
+	// Commit reads it without, so acknowledgment paths take no store
+	// lock.
+	journal atomic.Pointer[Journal]
 
 	// Recency tracking, maintained only on bounded stores: an intrusive
 	// LRU list (most-recently-matched at the front) plus an index from
@@ -134,7 +145,6 @@ type Store struct {
 	pinned   map[string]pin
 	tombs    map[string]uint64
 	arcTombs []arcTomb
-	epochFn  func() uint64
 }
 
 // lruEntry locates one descriptor from its LRU list slot.
@@ -158,19 +168,40 @@ func NewBounded(capacity int) *Store {
 	return s
 }
 
+// Bounded reports whether the store has a capacity. A durable bounded
+// store reads through to its sealed segment (wal.Open).
+func (s *Store) Bounded() bool { return s.cap > 0 }
+
 // SetJournal attaches (or, with nil, detaches) the store's write-ahead
-// journal. Attach it only after any recovery replay has finished, or
-// replayed mutations would be re-journaled. A journal that also exposes
-// Epoch() uint64 (wal.Log does) lets the two-tier overlay stamp pins
-// and tombstones with the WAL epoch that will fold them away.
+// journal. wal.Open attaches its log once recovery replay has finished,
+// so replayed mutations are not journaled again.
 func (s *Store) SetJournal(j Journal) {
 	s.mu.Lock()
-	s.journal = j
-	s.epochFn = nil
-	if e, ok := j.(interface{ Epoch() uint64 }); ok {
-		s.epochFn = e.Epoch
+	if j == nil {
+		s.journal.Store(nil)
+	} else {
+		s.journal.Store(&j)
 	}
 	s.mu.Unlock()
+}
+
+// attached returns the journal, nil when memory-only.
+func (s *Store) attached() Journal {
+	if j := s.journal.Load(); j != nil {
+		return *j
+	}
+	return nil
+}
+
+// Commit is the durability barrier of an acknowledgment path: it
+// returns once every mutation so far is durable. A non-nil error means
+// durability failed and the write must not be acknowledged. A
+// memory-only store returns nil at once.
+func (s *Store) Commit() error {
+	if j := s.attached(); j != nil {
+		return j.Commit()
+	}
+	return nil
 }
 
 // entryKey identifies one descriptor within one bucket for LRU tracking.
@@ -288,15 +319,10 @@ func (s *Store) evictLocked() {
 	bucket := s.buckets[e.id]
 	for i, p := range bucket {
 		if entryKey(e.id, p) == e.key {
-			// Untiered: journaled before the insert that displaces it, so
-			// replay deletes this exact victim instead of re-running LRU
-			// choice. Tiered: silent — every LRU entry is segment-backed
-			// by construction (unfolded descriptors are pinned outside the
-			// list), so dropping it from memory loses nothing, and
-			// journaling an evict here would fold the descriptor away.
-			if !s.tiered && s.journal != nil {
-				s.journal.Evict(e.id, p.Key())
-			}
+			// Never journaled. A journaled bounded store is tiered
+			// (wal.Open), and there every LRU entry is segment-backed by
+			// construction (unfolded descriptors are pinned outside the
+			// list), so dropping it from memory loses nothing.
 			bucket = append(bucket[:i], bucket[i+1:]...)
 			break
 		}
@@ -322,8 +348,8 @@ func (s *Store) Delete(id ID, key string) bool {
 			continue
 		}
 		s.dropLocked(id, p)
-		if s.journal != nil {
-			s.journal.Evict(id, key)
+		if j := s.attached(); j != nil {
+			j.Evict(id, key)
 		}
 		if s.tiered {
 			// Mask the segment's copy (if any) until the fold applies the
@@ -350,8 +376,8 @@ func (s *Store) Delete(id ID, key string) bool {
 			metDiskErrs.Inc()
 		} else if ok {
 			metMissDiskHits.Inc()
-			if s.journal != nil {
-				s.journal.Evict(id, key)
+			if j := s.attached(); j != nil {
+				j.Evict(id, key)
 			}
 			s.tombs[entryKeyStr(id, key)] = s.epochLocked()
 			s.total--
@@ -526,8 +552,8 @@ func (s *Store) ExtractArc(from, to ID) map[ID][]Partition {
 	// One arc record covers every removed bucket; an empty extraction
 	// journals nothing.
 	if len(out) > 0 {
-		if s.journal != nil {
-			s.journal.DropArc(from, to)
+		if j := s.attached(); j != nil {
+			j.DropArc(from, to)
 		}
 		if s.tiered {
 			s.arcTombs = append(s.arcTombs, arcTomb{from: from, to: to, epoch: s.epochLocked()})

@@ -1,6 +1,7 @@
 package store
 
 import (
+	"errors"
 	"math/rand"
 	"sync"
 	"testing"
@@ -507,5 +508,46 @@ func TestConcurrentBoundedFindBest(t *testing.T) {
 	wg.Wait()
 	if s.Len() > 50 {
 		t.Errorf("Len = %d exceeds capacity", s.Len())
+	}
+}
+
+func TestStoreCommit(t *testing.T) {
+	// Memory-only: the barrier is free and always succeeds.
+	s := New()
+	s.Put(1, part(0, 10))
+	if err := s.Commit(); err != nil {
+		t.Fatalf("memory-only Commit = %v, want nil", err)
+	}
+	// Journaled: Commit is the journal's barrier, its error included.
+	j := &epochJournal{commitErr: errors.New("disk gone")}
+	s.SetJournal(j)
+	if err := s.Commit(); !errors.Is(err, j.commitErr) || j.commits != 1 {
+		t.Fatalf("journaled Commit = %v after %d journal commit(s), want the journal's error once", err, j.commits)
+	}
+	// Detached: neither mutations nor the barrier reach the journal.
+	s.SetJournal(nil)
+	s.Put(2, part(20, 30))
+	if err := s.Commit(); err != nil {
+		t.Fatalf("detached Commit = %v, want nil", err)
+	}
+	if j.commits != 1 || j.puts != 0 {
+		t.Errorf("detached journal saw %d commit(s) and %d put(s), want 1 and 0", j.commits, j.puts)
+	}
+}
+
+func TestBoundedEvictionIsNeverJournaled(t *testing.T) {
+	// Capacity eviction only drops a cached copy; only Delete journals an
+	// evict record.
+	s := NewBounded(2)
+	j := &epochJournal{}
+	s.SetJournal(j)
+	for i := int64(0); i < 4; i++ {
+		s.Put(ID(i), part(i*10, i*10+5))
+	}
+	if s.MemLen() != 2 || j.puts != 4 || j.evicts != 0 {
+		t.Fatalf("MemLen=%d puts=%d evicts=%d, want 2, 4, 0", s.MemLen(), j.puts, j.evicts)
+	}
+	if !s.Delete(3, part(30, 35).Key()) || j.evicts != 1 {
+		t.Errorf("Delete journaled %d evict(s), want 1", j.evicts)
 	}
 }

@@ -65,8 +65,8 @@ type arcTomb struct {
 // SetSegments switches the store into two-tier mode with src as the disk
 // tier (nil is valid: two-tier bookkeeping starts, reads stay
 // memory-only until the first SwapSegments). Call it at boot, before any
-// descriptors are stored — attached via wal.Options.OnSegment, which
-// runs before WAL replay.
+// descriptors are stored — wal.Open does, for a bounded store, before
+// WAL replay.
 func (s *Store) SetSegments(src SegmentSource) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -83,11 +83,12 @@ func (s *Store) SetSegments(src SegmentSource) {
 }
 
 // SwapSegments replaces the disk tier with the segment produced by a
-// compaction that folded WAL files up to sequence upto (wired to
-// wal.Options.OnSwap). Pins and tombstones stamped at or below upto are
-// covered by the new segment and dissolve: pinned descriptors become
-// ordinary cache entries (LRU-tracked, evictable), tombstones and arc
-// masks drop. Memory above capacity after unpinning is trimmed.
+// compaction that folded WAL files up to sequence upto (the log wal.Open
+// attached calls it after each fold). Pins and tombstones stamped at or
+// below upto are covered by the new segment and dissolve: pinned
+// descriptors become ordinary cache entries (LRU-tracked, evictable),
+// tombstones and arc masks drop. Memory above capacity after unpinning
+// is trimmed.
 func (s *Store) SwapSegments(src SegmentSource, upto uint64) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -136,17 +137,17 @@ func (s *Store) MemLen() int {
 // late (harmless: one extra fold of pinning) but never early (which
 // would let an eviction lose an unfolded record).
 func (s *Store) epochLocked() uint64 {
-	if s.epochFn == nil {
-		return 0
+	if j := s.attached(); j != nil {
+		return j.Epoch()
 	}
-	return s.epochFn()
+	return 0
 }
 
 // journalPutLocked journals a put and, in two-tier mode, pins it out of
 // the LRU until a segment swap covers it. Caller holds the write lock.
 func (s *Store) journalPutLocked(id ID, p Partition) {
-	if s.journal != nil {
-		s.journal.Put(id, p)
+	if j := s.attached(); j != nil {
+		j.Put(id, p)
 	}
 	if s.tiered {
 		k := entryKey(id, p)

@@ -86,16 +86,19 @@ func (f *fakeSeg) ScanArc(from, to ID, fn func(ID, Partition) error) error {
 	})
 }
 
-// epochJournal counts journal traffic and serves a controllable epoch.
+// epochJournal counts journal traffic and serves a controllable epoch
+// and commit result.
 type epochJournal struct {
-	puts, evicts, arcs int
-	epoch              uint64
+	puts, evicts, arcs, commits int
+	epoch                       uint64
+	commitErr                   error
 }
 
 func (j *epochJournal) Put(ID, Partition) { j.puts++ }
 func (j *epochJournal) Evict(ID, string)  { j.evicts++ }
 func (j *epochJournal) DropArc(ID, ID)    { j.arcs++ }
 func (j *epochJournal) Epoch() uint64     { return j.epoch }
+func (j *epochJournal) Commit() error     { j.commits++; return j.commitErr }
 
 // segPart builds distinguishable descriptors for the fake segment.
 func segPart(i int) Partition {

@@ -427,6 +427,18 @@ func appendFrame(b []byte, f *frame) ([]byte, error) {
 	return codecByTag[tag].enc(b, f.body), nil
 }
 
+// FrameSize returns the bytes one untraced frame carrying body occupies
+// on the wire, length prefix included, so a simulation prices a message
+// exactly as a peer sends it. A body type with no registered codec is
+// an error.
+func FrameSize(body any) (int, error) {
+	b, err := appendFrame(nil, &frame{body: body})
+	if err != nil {
+		return 0, err
+	}
+	return len(AppendUvarint(nil, uint64(len(b)))) + len(b), nil
+}
+
 // parseFrame decodes one frame from c (the payload after the outer
 // length prefix has been consumed).
 func parseFrame(c *Cursor) (frame, error) {

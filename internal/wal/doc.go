@@ -7,6 +7,11 @@
 // (internal/replica) only the writes that arrived while the peer was
 // down.
 //
+// Open is the one way to make a store durable: it recovers a data
+// directory into the store, reading through to the sealed segment when
+// the store is bounded, and attaches the live Log as the store's
+// journal once replay is done.
+//
 // The write path is write-through with a deferred barrier. A Log
 // implements store.Journal: the store calls Put/Evict/DropArc under its
 // own write lock, so the WAL records mutations in exactly apply order,
@@ -14,10 +19,10 @@
 // barrier — it writes and fsyncs everything buffered, and concurrent
 // committers coalesce behind one fsync (group commit, the same
 // first-waiter-becomes-flusher idiom as the transport's frame writer).
-// Peers call Commit only on paths that acknowledge writes to others
-// (StoreReq, handoff, arc transfer), which keeps the lookup hot path
-// free of disk IO while guaranteeing that an acknowledged write is on
-// disk before the acknowledgment leaves.
+// Peers reach it through Store.Commit only on paths that acknowledge
+// writes to others (StoreReq, handoff, arc transfer), which keeps the
+// lookup hot path free of disk IO while guaranteeing that an
+// acknowledged write is on disk before the acknowledgment leaves.
 //
 // On disk, a data directory holds numbered wal-<seq>.log files and at
 // most one live sealed seg-<seq>.seg segment. Records are uvarint

@@ -1,7 +1,6 @@
 package wal
 
 import (
-	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -50,11 +49,11 @@ type Recovery struct {
 	Elapsed time.Duration `json:"elapsed"`
 }
 
-// StoreRestorer adapts a store into Open's apply callback: puts restore
+// StoreRestorer adapts a store into a record applier: puts restore
 // descriptors with their version and origin stamps intact (so
 // anti-entropy later backfills only what is genuinely missing), evicts
-// and arc-drops replay removals. Attach the store's journal only AFTER
-// Open returns, or recovery would re-journal its own replay.
+// and arc-drops replay removals. Open replays through it; a log-shipping
+// follower applies shipped records through it.
 func StoreRestorer(s *store.Store) func(Record) error {
 	return func(r Record) error {
 		switch r.Op {
@@ -69,19 +68,25 @@ func StoreRestorer(s *store.Store) func(Record) error {
 	}
 }
 
-// Open recovers the durable state in opt.Dir — newest valid segment
-// first, then every WAL file above it, in order, stopping at the first
-// torn record — feeding each surviving record to apply. It then starts
-// a fresh WAL file and returns the live log. The directory is created
-// if missing (an empty one is simply a new peer). Open never returns a
-// log on error; a nil error means the log is ready for write-through.
+// Open recovers the durable state in opt.Dir into st — newest valid
+// segment first, then every WAL file above it, in order, stopping at the
+// first torn record. It then starts a fresh WAL file and attaches the
+// live log as st's journal, so the replay itself is not journaled again
+// and every later mutation is. The directory is created if missing (an
+// empty one is simply a new peer). Open never returns a log on error; a
+// nil error means st is recovered and write-through.
+//
+// A bounded st reads through: the boot segment stays on disk behind a
+// SegmentReader as st's disk tier (only WAL records are replayed into
+// memory), and every compaction swaps the new segment in. An unbounded
+// st loads the segment's records into memory.
 //
 // Replay is conservative: a torn tail is truncated in place (the bytes
 // after the last valid record were never acknowledged, by the commit
 // barrier), and WAL files after a mid-stream corruption are deleted
 // rather than replayed out of order — anti-entropy re-fetches anything
 // lost to actual media corruption.
-func Open(opt Options, apply func(Record) error) (*Log, Recovery, error) {
+func Open(opt Options, st *store.Store) (*Log, Recovery, error) {
 	start := time.Now()
 	var rec Recovery
 	if opt.Dir == "" {
@@ -100,10 +105,15 @@ func Open(opt Options, apply func(Record) error) (*Log, Recovery, error) {
 
 	// Phase 1: newest fully-valid segment wins; bad ones are skipped
 	// (all-or-nothing — a segment either loads completely or not at all).
-	// In ReadThrough mode the segment's records stay on disk behind a
-	// reader (a damaged footer only forces an index rebuild — the record
-	// stream still decides validity); otherwise they are applied into
-	// memory as before.
+	// Read-through keeps the segment's records on disk behind a reader (a
+	// damaged footer only forces an index rebuild — the record stream
+	// still decides validity); otherwise they are applied into memory.
+	rec.ReadThrough = st.Bounded()
+	if rec.ReadThrough {
+		// Two-tier from the start, so replayed puts see the disk tier to
+		// dedupe against; the boot segment, if any, attaches below.
+		st.SetSegments(nil)
+	}
 	var maxSeq uint64
 	var reader *SegmentReader
 	for i := len(segSeqs) - 1; i >= 0; i-- {
@@ -114,7 +124,7 @@ func Open(opt Options, apply func(Record) error) (*Log, Recovery, error) {
 		if rec.SegmentSeq != 0 {
 			continue
 		}
-		if opt.ReadThrough {
+		if rec.ReadThrough {
 			r, err := OpenSegmentReader(opt.Dir, seq)
 			if err != nil {
 				rec.BadSegments++
@@ -122,6 +132,7 @@ func Open(opt Options, apply func(Record) error) (*Log, Recovery, error) {
 				continue
 			}
 			reader = r
+			st.SetSegments(r)
 			rec.SegmentSeq = seq
 			rec.SegmentRecords = r.Len()
 			rec.IndexRebuilt = r.Rebuilt()
@@ -135,25 +146,12 @@ func Open(opt Options, apply func(Record) error) (*Log, Recovery, error) {
 			sp.Eventf("segment", "skip seg %d: %v", seq, err)
 			continue
 		}
-		for i := range puts {
-			if err := apply(puts[i]); err != nil {
-				return nil, rec, err
-			}
+		for _, r := range puts {
+			st.Put(r.ID, r.Part) // a segment holds only puts
 		}
 		rec.SegmentSeq = seq
 		rec.SegmentRecords = len(puts)
 		sp.Eventf("segment", "restored %d records from seg %d", len(puts), seq)
-	}
-	rec.ReadThrough = opt.ReadThrough
-	if opt.ReadThrough && opt.OnSegment != nil {
-		// Attach the disk tier before WAL replay: replayed puts must see
-		// the segment to dedupe against it.
-		if err := opt.OnSegment(reader); err != nil {
-			if reader != nil {
-				reader.Close()
-			}
-			return nil, rec, err
-		}
 	}
 	fail := func(err error) (*Log, Recovery, error) {
 		if reader != nil {
@@ -164,6 +162,7 @@ func Open(opt Options, apply func(Record) error) (*Log, Recovery, error) {
 
 	// Phase 2: replay WAL files above the segment, ascending. Files at
 	// or below it were folded in already — stale leftovers, removed.
+	apply := StoreRestorer(st)
 	for i := 0; i < len(walSeqs); i++ {
 		seq := walSeqs[i]
 		if seq > maxSeq {
@@ -184,11 +183,8 @@ func Open(opt Options, apply func(Record) error) (*Log, Recovery, error) {
 		var werr error
 		if herr == nil {
 			off, werr = walkRecords(body, func(r Record) error {
-				if err := apply(r); err != nil {
-					return err
-				}
 				applied++
-				return nil
+				return apply(r)
 			})
 		}
 		rec.WALFiles++
@@ -196,10 +192,6 @@ func Open(opt Options, apply func(Record) error) (*Log, Recovery, error) {
 		sp.Eventf("replay", "wal %d: %d records", seq, applied)
 		if herr == nil && werr == nil {
 			continue
-		}
-		if werr != nil && !errors.Is(werr, ErrCorrupt) {
-			// apply itself failed — a recovery bug, not disk damage.
-			return fail(werr)
 		}
 		// Torn or corrupt record: truncate this file at the last valid
 		// record and drop every later file — records after a tear have
@@ -255,8 +247,6 @@ func Open(opt Options, apply func(Record) error) (*Log, Recovery, error) {
 		dir:          opt.Dir,
 		fsync:        opt.Fsync,
 		compactEvery: opt.CompactEvery,
-		readThrough:  opt.ReadThrough,
-		onSwap:       opt.OnSwap,
 		retainBytes:  retain,
 		onSeal:       opt.OnSeal,
 		onRetainDrop: opt.OnRetainDrop,
@@ -268,6 +258,10 @@ func Open(opt Options, apply func(Record) error) (*Log, Recovery, error) {
 		durableOff:   headerLen(seq),
 	}
 	l.cond = sync.NewCond(&l.mu)
+	if rec.ReadThrough {
+		l.tier = st
+	}
+	st.SetJournal(l)
 
 	rec.Elapsed = time.Since(start)
 	metRecovers.Inc()

@@ -23,11 +23,10 @@ func seedSegment(tb testing.TB, n int) (string, map[store.ID][]store.Partition) 
 	tb.Helper()
 	dir := tb.TempDir()
 	st := store.New()
-	lg, _, err := Open(Options{Dir: dir}, StoreRestorer(st))
+	lg, _, err := Open(Options{Dir: dir}, st)
 	if err != nil {
 		tb.Fatalf("Open: %v", err)
 	}
-	st.SetJournal(lg)
 	want := make(map[store.ID][]store.Partition)
 	for i := 0; i < n; i++ {
 		id := store.ID(uint32(i) * 2654435761) // Knuth spread over the ring

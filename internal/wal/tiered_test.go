@@ -19,24 +19,10 @@ import (
 func openTiered(t *testing.T, dir string, capacity, compactEvery int) (*store.Store, *Log, Recovery) {
 	t.Helper()
 	st := store.NewBounded(capacity)
-	lg, rec, err := Open(Options{
-		Dir:          dir,
-		CompactEvery: compactEvery,
-		ReadThrough:  true,
-		OnSegment: func(r *SegmentReader) error {
-			if r == nil {
-				st.SetSegments(nil)
-			} else {
-				st.SetSegments(r)
-			}
-			return nil
-		},
-		OnSwap: func(r *SegmentReader, upto uint64) { st.SwapSegments(r, upto) },
-	}, StoreRestorer(st))
+	lg, rec, err := Open(Options{Dir: dir, CompactEvery: compactEvery}, st)
 	if err != nil {
 		t.Fatalf("Open tiered: %v", err)
 	}
-	st.SetJournal(lg)
 	return st, lg, rec
 }
 

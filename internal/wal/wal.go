@@ -73,24 +73,6 @@ type Options struct {
 	// accumulate. Zero means DefaultCompactEvery; negative disables
 	// automatic compaction (Checkpoint still compacts on demand).
 	CompactEvery int
-	// ReadThrough keeps the newest sealed segment open behind a
-	// SegmentReader instead of loading its records into memory at boot:
-	// Open skips applying segment records (only WAL records are
-	// replayed), hands the reader to OnSegment, and every compaction
-	// opens the new segment and announces it via OnSwap. The store serves
-	// misses from the reader — the disk tier of a bounded store.
-	ReadThrough bool
-	// OnSegment is called once during Open, after segment selection and
-	// before WAL replay, with the boot segment's reader (nil when no
-	// valid segment exists). ReadThrough only. A non-nil error aborts
-	// Open. Use it to attach the reader to the store so replayed WAL
-	// records merge against the disk tier.
-	OnSegment func(*SegmentReader) error
-	// OnSwap is called after each compaction with the new segment's
-	// reader and the newest WAL sequence it folded; the previous reader
-	// is closed after OnSwap returns. ReadThrough only. It runs on the
-	// compaction goroutine, holding no wal locks.
-	OnSwap func(*SegmentReader, uint64)
 	// ShipRetain caps the bytes of folded WAL files kept on disk for
 	// pinned follower cursors (log shipping). Zero means
 	// DefaultShipRetain; negative retains nothing (folded files are
@@ -111,8 +93,8 @@ var ErrClosed = errors.New("wal: closed")
 
 // Log is one peer's durable journal: an append-only WAL for mutations
 // plus immutable segments produced by compaction. It implements
-// store.Journal, so attaching it to a store makes every mutation
-// write-through.
+// store.Journal, and Open attaches it to the store it recovered, so
+// every later mutation is write-through.
 //
 // The append methods (Put, Evict, DropArc) only buffer in memory — the
 // store calls them under its write lock, so WAL order always equals
@@ -123,12 +105,11 @@ var ErrClosed = errors.New("wal: closed")
 type Log struct {
 	dir          string
 	fsync        FsyncMode
-	compactEvery int // 0 = disabled
-	readThrough  bool
-	onSwap       func(*SegmentReader, uint64) // Options.OnSwap
-	retainBytes  int64                        // Options.ShipRetain (resolved)
-	onSeal       func(uint64)                 // Options.OnSeal
-	onRetainDrop func(string, Cursor)         // Options.OnRetainDrop
+	compactEvery int                  // 0 = disabled
+	tier         *store.Store         // read-through store the folds swap segments into; nil = memory-resident
+	retainBytes  int64                // Options.ShipRetain (resolved)
+	onSeal       func(uint64)         // Options.OnSeal
+	onRetainDrop func(string, Cursor) // Options.OnRetainDrop
 
 	mu         sync.Mutex
 	cond       *sync.Cond
@@ -143,7 +124,7 @@ type Log struct {
 	f          *os.File          // active WAL file
 	seq        uint64            // active WAL sequence number
 	segSeq     uint64            // newest sealed segment (0 = none)
-	reader     *SegmentReader    // read-through reader over segSeq (ReadThrough only)
+	reader     *SegmentReader    // read-through reader over segSeq (tier != nil only)
 	sinceFold  int               // records in WAL files not yet folded into a segment
 	compactErr string            // last compaction failure, for Stats
 	durableOff int64             // committed byte size of the active WAL file
@@ -172,9 +153,9 @@ func (l *Log) DropArc(from, to store.ID) {
 
 // Epoch returns the active WAL file's sequence number. Records appended
 // now land in this file or a later one, so a fold up to sequence S
-// covers every record appended while Epoch() <= S. The tiered store
-// stamps its pins and tombstones with this to know when a segment swap
-// has absorbed them.
+// covers every record appended while Epoch() <= S. Part of
+// store.Journal: the tiered store stamps its pins and tombstones with
+// this to know when a segment swap has absorbed them.
 func (l *Log) Epoch() uint64 {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -193,7 +174,8 @@ func (l *Log) append(r *Record) {
 }
 
 // Commit blocks until every record appended before the call is durable,
-// then reports the log's health. A non-nil return means durability was
+// then reports the log's health. Part of store.Journal: peers reach it
+// through Store.Commit. A non-nil return means durability was
 // NOT achieved — the caller must not acknowledge the write. Concurrent
 // commits coalesce: whichever caller finds no flush in progress becomes
 // the flusher and its single write+fsync covers everyone waiting.
@@ -370,9 +352,9 @@ func (l *Log) compactOnce() error {
 	// Read-through: hand the new segment to the store BEFORE deleting the
 	// fold inputs, so there is never a moment where a descriptor is
 	// neither in a reachable segment nor in a WAL file. The store's swap
-	// (Options.OnSwap) is atomic under its own lock; the old reader is
-	// closed only after nothing can route reads to it.
-	if l.readThrough {
+	// is atomic under its own lock; the old reader is closed only after
+	// nothing can route reads to it.
+	if l.tier != nil {
 		nr, err := OpenSegmentReader(l.dir, oldSeq)
 		if err != nil {
 			// Undo the segment write so state is exactly as if the fold
@@ -380,9 +362,7 @@ func (l *Log) compactOnce() error {
 			os.Remove(segPath(l.dir, oldSeq))
 			return fmt.Errorf("wal: reopen segment %d: %w", oldSeq, err)
 		}
-		if l.onSwap != nil {
-			l.onSwap(nr, oldSeq)
-		}
+		l.tier.SwapSegments(nr, oldSeq)
 		l.mu.Lock()
 		oldReader := l.reader
 		l.reader = nr

@@ -28,11 +28,10 @@ func openStore(t *testing.T, dir string, opt Options) (*store.Store, *Log, Recov
 	t.Helper()
 	opt.Dir = dir
 	st := store.New()
-	lg, rec, err := Open(opt, StoreRestorer(st))
+	lg, rec, err := Open(opt, st)
 	if err != nil {
 		t.Fatalf("Open: %v", err)
 	}
-	st.SetJournal(lg)
 	return st, lg, rec
 }
 
@@ -184,6 +183,67 @@ func TestRecoverDropArc(t *testing.T) {
 		if ok == wantGone {
 			t.Errorf("bucket %d: present=%v after arc drop replay", id, ok)
 		}
+	}
+}
+
+// TestOpenReadThroughFollowsBound pins the one durable boot path: the
+// store's bound alone decides whether the boot segment is loaded into
+// memory or read through from disk, and Open journals none of its own
+// replay.
+func TestOpenReadThroughFollowsBound(t *testing.T) {
+	dir := t.TempDir()
+	st, lg, _ := openStore(t, dir, Options{CompactEvery: -1})
+	const n = 40
+	for i := 0; i < n; i++ {
+		st.Put(store.ID(i%8), testPart(i))
+	}
+	if err := lg.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	st.Put(99, testPart(n)) // a WAL tail above the segment
+	if err := lg.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	lg.Crash()
+
+	mem := store.New()
+	lg1, rec, err := Open(Options{Dir: dir, CompactEvery: -1}, mem)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rec.ReadThrough || mem.Len() != n+1 || mem.MemLen() != mem.Len() {
+		t.Fatalf("unbounded boot: read-through=%v Len=%d MemLen=%d, want false, %d, all resident",
+			rec.ReadThrough, mem.Len(), mem.MemLen(), n+1)
+	}
+	if a := lg1.Stats().Appended; a != 0 {
+		t.Errorf("unbounded boot journaled %d replayed record(s)", a)
+	}
+	lg1.Crash()
+
+	capped := store.NewBounded(4)
+	lg2, rec, err := Open(Options{Dir: dir, CompactEvery: -1}, capped)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer lg2.Close()
+	if !rec.ReadThrough || capped.Len() != n+1 || capped.MemLen() != 1 {
+		t.Fatalf("bounded boot: read-through=%v Len=%d MemLen=%d, want true, %d, only the WAL tail",
+			rec.ReadThrough, capped.Len(), capped.MemLen(), n+1)
+	}
+	if a := lg2.Stats().Appended; a != 0 {
+		t.Errorf("bounded boot journaled %d replayed record(s)", a)
+	}
+	cold := testPart(0)
+	if m, ok := capped.FindBest(0, "R", "a", cold.Range, store.MatchJaccard, nil); !ok || m.Partition != cold {
+		t.Fatalf("cold key from disk: %+v, %v", m, ok)
+	}
+	if capped.MemLen() != 2 {
+		t.Errorf("MemLen = %d after a disk hit, want the hit admitted beside the tail", capped.MemLen())
+	}
+	// After Open the store is write-through: a new put is journaled.
+	capped.Put(100, testPart(n+1))
+	if a := lg2.Stats().Appended; a != 1 {
+		t.Errorf("Appended = %d after one put, want 1", a)
 	}
 }
 

@@ -283,12 +283,11 @@ func StartPeer(listenAddr, bootstrap string, cfg LiveConfig) (*LivePeer, error) 
 	if cfg.DataDir != "" {
 		// Recover before serving and before joining: the store must hold
 		// its durable descriptors when the first request or anti-entropy
-		// digest arrives. The journal attaches only after replay, so
-		// recovery does not re-journal itself.
+		// digest arrives. Open also makes the log the store's journal
+		// and commit barrier.
 		mode, err := wal.ParseFsyncMode(orDefault(cfg.Fsync, "always"))
 		if err != nil {
-			ln.Close()
-			lp.caller.Close()
+			lp.closeEarly(ln)
 			return nil, err
 		}
 		opts := wal.Options{
@@ -333,36 +332,13 @@ func StartPeer(listenAddr, bootstrap string, cfg LiveConfig) (*LivePeer, error) 
 				}()
 			}
 		}
-		if cfg.MemLimit > 0 {
-			// Bounded + durable: serve the working set from disk. The
-			// sealed segment becomes the store's read-through tier; the
-			// OnSegment hook runs before WAL replay so replayed records
-			// land as pinned overlay entries, and each compaction swaps
-			// the new segment in.
-			st := p.Store()
-			opts.ReadThrough = true
-			opts.OnSegment = func(r *wal.SegmentReader) error {
-				if r == nil {
-					st.SetSegments(nil)
-				} else {
-					st.SetSegments(r)
-				}
-				return nil
-			}
-			opts.OnSwap = func(r *wal.SegmentReader, upto uint64) {
-				st.SwapSegments(r, upto)
-			}
-		}
-		lg, rec, err := wal.Open(opts, wal.StoreRestorer(p.Store()))
+		// A -mem-limit store is bounded, so Open serves its working set
+		// from the sealed segment (read-through).
+		lp.wal, lp.recovery, err = wal.Open(opts, p.Store())
 		if err != nil {
-			ln.Close()
-			lp.caller.Close()
+			lp.closeEarly(ln)
 			return nil, err
 		}
-		p.Store().SetJournal(lg)
-		p.AttachDurability(lg)
-		lp.wal = lg
-		lp.recovery = rec
 	}
 
 	// The cluster event journal: every peer keeps the bounded in-process
@@ -398,15 +374,7 @@ func StartPeer(listenAddr, bootstrap string, cfg LiveConfig) (*LivePeer, error) 
 	// Log shipping. Every peer answers the receiving half (pushed record
 	// batches from a replica owner); with a WAL it also serves the full
 	// protocol — follower subscriptions, entry streams, snapshot seeds.
-	var commit func() error
-	if lp.wal != nil {
-		commit = lp.wal.Commit
-	}
-	lp.shipSvc = ship.NewService(ship.ServiceConfig{
-		Log:    lp.wal,
-		Apply:  ship.PutApplier(p.Store()),
-		Commit: commit,
-	})
+	lp.shipSvc = ship.NewService(ship.ServiceConfig{Log: lp.wal, Store: p.Store()})
 	p.RegisterAux(lp.shipSvc.Handle)
 	if lp.wal != nil && cfg.Replicas > 0 {
 		// Replica anti-entropy ships the WAL delta to full-replica
@@ -435,10 +403,8 @@ func StartPeer(listenAddr, bootstrap string, cfg LiveConfig) (*LivePeer, error) 
 			// Full-fidelity apply — puts, evicts, arc drops — through the
 			// store with its journal attached, so the follower's own WAL
 			// records exactly what a local recovery would replay.
-			Apply:  wal.StoreRestorer(p.Store()),
-			Reset:  func() error { p.Store().ExtractArc(0, 0); return nil },
-			Commit: commit,
-			Dir:    cfg.DataDir,
+			Store: p.Store(),
+			Dir:   cfg.DataDir,
 		})
 	}
 
