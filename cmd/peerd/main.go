@@ -78,7 +78,6 @@ func main() {
 		noReroute  = flag.Bool("no-reroute", false, "disable failure-aware chord routing (fault-model ablation)")
 		drop       = flag.Float64("drop", 0, "inject per-RPC drop probability in [0,1] (resilience testing)")
 		sigCache   = flag.Int("sigcache", 256, "signature-cache capacity (ranges); 0 disables")
-		workers    = flag.Int("hashworkers", 0, "goroutines signing large ranges; <=1 is serial")
 		debugAddr  = flag.String("debug-addr", "", "serve /debug/vars (expvar) and /debug/pprof on this address (empty disables)")
 
 		replicas     = flag.Int("replicas", 0, "successor copies per stored descriptor; 0 disables replication")
@@ -121,7 +120,6 @@ func main() {
 		DisableRetry:     *retries <= 1,
 		DisableRerouting: *noReroute,
 		SigCache:         *sigCache,
-		HashWorkers:      *workers,
 		Replicas:         *replicas,
 		LoadAware:        *loadAware,
 		HotReplicas:      *hotReplicas,

@@ -46,10 +46,9 @@ func main() {
 		loadProfile  = flag.String("load-cpuprofile", "", "load harness: write a CPU profile of the run to this file")
 		loadFlight   = flag.Bool("load-flight", false, "load harness: A/B the flight recorder (on vs off) and record its overhead under flight_overhead in the report")
 
-		sigCache    = flag.Int("sigcache", 0, "per-peer signature-cache capacity (ranges); 0 disables caching")
-		hashWorkers = flag.Int("hashworkers", 0, "goroutines signing the k*l hash functions of large ranges; <=1 is serial")
-		workloadP   = flag.String("workload", "", "query-distribution preset for quality runs: uniform (default) | zipf | clustered")
-		metricsOut  = flag.String("metrics-out", "", "write per-experiment metric deltas and the final snapshot to this JSON file")
+		sigCache   = flag.Int("sigcache", 0, "per-peer signature-cache capacity (ranges); 0 disables caching")
+		workloadP  = flag.String("workload", "", "query-distribution preset for quality runs: uniform (default) | zipf | clustered")
+		metricsOut = flag.String("metrics-out", "", "write per-experiment metric deltas and the final snapshot to this JSON file")
 	)
 	flag.Parse()
 
@@ -85,7 +84,6 @@ func main() {
 	}
 	params.Seed = *seed
 	params.SigCache = *sigCache
-	params.HashWorkers = *hashWorkers
 	params.Workload = *workloadP
 
 	ids := []string{*fig}

@@ -58,7 +58,6 @@ func main() {
 		seed     = flag.Int64("seed", 1, "system seed; with -connect, the ring's -scheme-seed")
 		pad      = flag.Float64("pad", 0, "query padding fraction (e.g. 0.2; simulated mode only)")
 		sigCache = flag.Int("sigcache", 256, "per-peer signature-cache capacity (ranges); 0 disables")
-		workers  = flag.Int("hashworkers", 0, "goroutines signing large ranges; <=1 is serial")
 		traceOn  = flag.Bool("trace", false, "print a per-query span tree (hops, retries, cache outcomes)")
 	)
 	flag.Parse()
@@ -68,7 +67,7 @@ func main() {
 		banner string
 	)
 	if *connect != "" {
-		lp, err := connectLive(*connect, *seed, *sigCache, *workers)
+		lp, err := connectLive(*connect, *seed, *sigCache)
 		if err != nil {
 			log.Fatalf("rangeql: %v", err)
 		}
@@ -79,7 +78,7 @@ func main() {
 		eng = lp
 		banner = fmt.Sprintf("rangeql: joined ring via %s as %s, medical schema loaded", *connect, lp.Ref())
 	} else {
-		sys, err := buildSystem(*peers, *seed, *pad, *sigCache, *workers)
+		sys, err := buildSystem(*peers, *seed, *pad, *sigCache)
 		if err != nil {
 			log.Fatalf("rangeql: %v", err)
 		}
@@ -140,13 +139,12 @@ func main() {
 
 // connectLive joins the ring as an ephemeral peer and registers the
 // generated medical relations as local source fallback (not published).
-func connectLive(bootstrap string, seed int64, sigCache, workers int) (*p2prange.LivePeer, error) {
+func connectLive(bootstrap string, seed int64, sigCache int) (*p2prange.LivePeer, error) {
 	lp, err := p2prange.Connect(bootstrap, p2prange.LiveConfig{
-		Family:      p2prange.ApproxMinWise,
-		SchemeSeed:  seed,
-		Schema:      relation.MedicalSchema(),
-		SigCache:    sigCache,
-		HashWorkers: workers,
+		Family:     p2prange.ApproxMinWise,
+		SchemeSeed: seed,
+		Schema:     relation.MedicalSchema(),
+		SigCache:   sigCache,
 	})
 	if err != nil {
 		return nil, err
@@ -257,16 +255,15 @@ func dumpOrLoad(eng engine, line string) error {
 	}
 }
 
-func buildSystem(peers int, seed int64, pad float64, sigCache, workers int) (*p2prange.System, error) {
+func buildSystem(peers int, seed int64, pad float64, sigCache int) (*p2prange.System, error) {
 	sys, err := p2prange.New(p2prange.Config{
-		Peers:       peers,
-		Family:      p2prange.ApproxMinWise,
-		Measure:     p2prange.MatchContainment,
-		PadFrac:     pad,
-		Seed:        seed,
-		Schema:      relation.MedicalSchema(),
-		SigCache:    sigCache,
-		HashWorkers: workers,
+		Peers:    peers,
+		Family:   p2prange.ApproxMinWise,
+		Measure:  p2prange.MatchContainment,
+		PadFrac:  pad,
+		Seed:     seed,
+		Schema:   relation.MedicalSchema(),
+		SigCache: sigCache,
 	})
 	if err != nil {
 		return nil, err
@@ -320,9 +317,6 @@ func run(eng engine, sql string, traceOn bool) error {
 	fmt.Printf("%d row(s)", len(res.Rows))
 	for k, r := range res.ScanRecall {
 		fmt.Printf("  [%s recall %.2f]", k, r)
-	}
-	if sc := res.SigCache; sc != nil && sc.Total() > 0 {
-		fmt.Printf("  [sig hits %d extends %d misses %d]", sc.Hits, sc.Extends, sc.Misses)
 	}
 	fmt.Println()
 	return nil

@@ -38,13 +38,8 @@ type Params struct {
 	// TimingReps is how many ranges are timed per size.
 	TimingReps int
 	// SigCache bounds each peer's signature cache in quality runs
-	// (rangebench -sigcache); 0 disables caching, leaving only the
-	// batched compiled evaluation.
+	// (rangebench -sigcache); 0 disables caching.
 	SigCache int
-	// HashWorkers parallelizes signing across the k*l hash functions for
-	// large ranges (rangebench -hashworkers); 0 or 1 keeps signing
-	// serial, the deterministic-timing default for simulations.
-	HashWorkers int
 	// Workload names the query-distribution preset for quality runs
 	// (rangebench -workload): "uniform" (default), "zipf", "clustered".
 	Workload string

@@ -33,7 +33,7 @@ func TestRegistryComplete(t *testing.T) {
 	want := []string{
 		"5", "6a", "6b", "7", "8", "9", "10", "11a", "11b", "12a", "12b",
 		"kl", "peeridx", "workloads", "exact", "padding", "flood", "dht", "join", "capacity", "vnodes", "churn",
-		"sig", "load",
+		"load",
 	}
 	for _, id := range want {
 		if _, ok := Lookup(id); !ok {
@@ -60,10 +60,11 @@ func cell(t *testing.T, table *Table, row, col int) float64 {
 
 func TestFig5Shape(t *testing.T) {
 	table := runQuick(t, "5")
-	// Columns: size, linear, linear-batch, approx, approx-batch, min-wise,
-	// min-wise-batch, speedup. Naive hash time must grow with range size,
-	// the family ordering must hold at the largest size, and the batched
-	// pipeline must beat the naive path for the expensive families.
+	// Columns: size, linear, linear-range, approx, approx-range, min-wise,
+	// min-wise-range, speedup. Naive hash time must grow with range size,
+	// the family ordering must hold at the largest size, and the
+	// range-efficient signer must beat the naive path for the expensive
+	// families.
 	last := len(table.Rows) - 1
 	linear, approx, minwise := cell(t, table, last, 1), cell(t, table, last, 3), cell(t, table, last, 5)
 	if !(linear < approx && approx < minwise) {
@@ -72,31 +73,8 @@ func TestFig5Shape(t *testing.T) {
 	if first := cell(t, table, 0, 5); first >= minwise {
 		t.Errorf("min-wise time did not grow with range size: %g -> %g", first, minwise)
 	}
-	if batch := cell(t, table, last, 6); batch >= minwise {
-		t.Errorf("batched min-wise (%g) not faster than naive (%g)", batch, minwise)
-	}
-}
-
-func TestSigPipelineShape(t *testing.T) {
-	table := runQuick(t, "sig")
-	// Rows: naive, batched, batched+cache. The pipeline must beat the
-	// naive path, and the cached run must record cache activity (on the
-	// padded workload, mostly extends) while never exceeding the batched
-	// cold-path time by much.
-	naive, batched, cached := cell(t, table, 0, 1), cell(t, table, 1, 1), cell(t, table, 2, 1)
-	if batched >= naive {
-		t.Errorf("batched total %gms >= naive %gms", batched, naive)
-	}
-	if cached >= naive {
-		t.Errorf("cached total %gms >= naive %gms", cached, naive)
-	}
-	hits, extends := cell(t, table, 2, 3), cell(t, table, 2, 4)
-	if hits+extends == 0 {
-		t.Error("cached run recorded no hits or extends")
-	}
-	// Naive and batched rows never touch a cache.
-	if c := cell(t, table, 1, 3) + cell(t, table, 1, 4) + cell(t, table, 1, 5); c != 0 {
-		t.Errorf("cacheless batched row shows cache counters: %g", c)
+	if ranged := cell(t, table, last, 6); ranged >= minwise {
+		t.Errorf("range-efficient min-wise (%g) not faster than naive (%g)", ranged, minwise)
 	}
 }
 

@@ -29,10 +29,9 @@ func runQuality(p Params, f minhash.Family, measure store.Measure, padFrac float
 	c, err := sim.NewCluster(sim.ClusterConfig{
 		N: p.ClusterN,
 		Peer: peer.Config{
-			Scheme:      scheme,
-			Measure:     measure,
-			SigCache:    p.SigCache,
-			HashWorkers: p.HashWorkers,
+			Scheme:   scheme,
+			Measure:  measure,
+			SigCache: p.SigCache,
 		},
 	})
 	if err != nil {

@@ -16,10 +16,9 @@
 // RouteStats counts the failure-handling events of the query path
 // (lookups, failed lookups, reroutes around suspect nodes, transport
 // retries — the availability story behind the Fig. 12 hop counts under
-// churn), and SigStats counts signature-pipeline events (cache hits,
-// incremental extensions, full signing passes, evictions — the Fig. 5
-// hashing cost avoided). Both are nil-safe atomic structs: call sites
-// never guard against metrics being disabled.
+// churn), and SigStats counts signature-cache events (hits, misses,
+// evictions). Both are nil-safe atomic structs: call sites never guard
+// against metrics being disabled.
 //
 // # The registry
 //

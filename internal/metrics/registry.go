@@ -235,7 +235,7 @@ func NewRegistry() *Registry {
 }
 
 // Default is the process-wide registry every instrumented package feeds:
-// chord routing (route.*), the signature pipeline (sig.*), the peer
+// chord routing (route.*), the signature cache (sig.*), the peer
 // protocol (peer.*), the SQL executor (query.*), the transports
 // (transport.*), and the alternative substrates (can.*, flood.*).
 // Totals aggregate across all instances in the process — every simulated

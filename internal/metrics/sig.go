@@ -2,14 +2,11 @@ package metrics
 
 import "sync/atomic"
 
-// SigStats counts signature-pipeline events on the hashing path: cache
-// hits (a range's signature was reused verbatim), extensions (a cached
-// subrange's signature was grown by folding only the delta values),
-// misses (a full signing pass ran), and cache evictions. One SigStats is
-// typically shared by every signer whose totals should aggregate — all
-// peers of a simulated cluster, or a single live peer. All methods are
-// safe for concurrent use and tolerate a nil receiver, so call sites
-// never need to guard against metrics being disabled.
+// SigStats counts signature-cache events on the hashing path: hits (a
+// range's identifiers were reused verbatim), misses (the identifiers were
+// computed), and cache evictions. Each minhash.Signer owns one. All
+// methods are safe for concurrent use and tolerate a nil receiver, so
+// call sites never need to guard against metrics being disabled.
 //
 // Every Add method — including calls on a nil receiver — also feeds the
 // process-wide sig.* counter family of the Default registry, so the
@@ -18,7 +15,6 @@ import "sync/atomic"
 type SigStats struct {
 	hits      atomic.Uint64
 	misses    atomic.Uint64
-	extends   atomic.Uint64
 	evictions atomic.Uint64
 }
 
@@ -26,11 +22,10 @@ type SigStats struct {
 var (
 	defSigHits      = Default.Counter("sig.hits")
 	defSigMisses    = Default.Counter("sig.misses")
-	defSigExtends   = Default.Counter("sig.extends")
 	defSigEvictions = Default.Counter("sig.evictions")
 )
 
-// AddHit records one exact signature-cache hit.
+// AddHit records one signature-cache hit.
 func (s *SigStats) AddHit() {
 	defSigHits.Inc()
 	if s != nil {
@@ -38,19 +33,11 @@ func (s *SigStats) AddHit() {
 	}
 }
 
-// AddMiss records one full signing pass (no reusable cached signature).
+// AddMiss records one signing request the cache could not answer.
 func (s *SigStats) AddMiss() {
 	defSigMisses.Inc()
 	if s != nil {
 		s.misses.Add(1)
-	}
-}
-
-// AddExtend records one incremental extension of a cached signature.
-func (s *SigStats) AddExtend() {
-	defSigExtends.Inc()
-	if s != nil {
-		s.extends.Add(1)
 	}
 }
 
@@ -70,15 +57,16 @@ func (s *SigStats) Reset() {
 	}
 	s.hits.Store(0)
 	s.misses.Store(0)
-	s.extends.Store(0)
 	s.evictions.Store(0)
 }
 
 // SigSnapshot is a point-in-time copy of SigStats (each counter is read
 // atomically; the set is not a transaction).
 type SigSnapshot struct {
-	Hits      uint64
-	Misses    uint64
+	Hits   uint64
+	Misses uint64
+	// Deprecated: always 0, since signing has no extension path; read
+	// Hits and Misses.
 	Extends   uint64
 	Evictions uint64
 }
@@ -92,19 +80,18 @@ func (s *SigStats) Snapshot() SigSnapshot {
 	return SigSnapshot{
 		Hits:      s.hits.Load(),
 		Misses:    s.misses.Load(),
-		Extends:   s.extends.Load(),
 		Evictions: s.evictions.Load(),
 	}
 }
 
 // Total returns the number of signing requests the snapshot covers.
-func (s SigSnapshot) Total() uint64 { return s.Hits + s.Misses + s.Extends }
+func (s SigSnapshot) Total() uint64 { return s.Hits + s.Misses }
 
-// HitRate returns the percentage of signing requests that avoided a full
-// rehash (exact hits plus extensions), or 0 when none were issued.
+// HitRate returns the percentage of signing requests the cache answered,
+// or 0 when none were issued.
 func (s SigSnapshot) HitRate() float64 {
 	if t := s.Total(); t > 0 {
-		return 100 * float64(s.Hits+s.Extends) / float64(t)
+		return 100 * float64(s.Hits) / float64(t)
 	}
 	return 0
 }
@@ -115,7 +102,6 @@ func (s SigSnapshot) Sub(prev SigSnapshot) SigSnapshot {
 	return SigSnapshot{
 		Hits:      s.Hits - prev.Hits,
 		Misses:    s.Misses - prev.Misses,
-		Extends:   s.Extends - prev.Extends,
 		Evictions: s.Evictions - prev.Evictions,
 	}
 }

@@ -24,15 +24,15 @@ var benchSizes = []int64{100, 400, 1500}
 // benchIDs sinks identifiers so the compiler cannot elide the work.
 var benchIDs []ID
 
-// BenchmarkMinWiseSign measures the batched pipeline on the paper's
-// min-wise row of Fig. 5 — the hottest hashing path in the system. The
-// acceptance target for this PR is >= 5x over BenchmarkMinWiseNaive at
-// size=1500 (see TestMinWiseBatchedSpeedup, which pins it).
+// BenchmarkMinWiseSign measures the signer on the paper's min-wise row of
+// Fig. 5 — the hottest hashing path in the system. It must stay >= 5x
+// faster than BenchmarkMinWiseNaive at size=1500 (see
+// TestMinWiseBatchedSpeedup, which pins it).
 func BenchmarkMinWiseSign(b *testing.B) {
 	benchmarkSign(b, MinWise)
 }
 
-// BenchmarkMinWiseNaive is the pre-pipeline baseline: the per-bit
+// BenchmarkMinWiseNaive is the reference path: the per-bit
 // permutations applied once per hash function per range value, exactly
 // what Fig. 5 times.
 func BenchmarkMinWiseNaive(b *testing.B) {
@@ -70,36 +70,11 @@ func benchmarkNaive(b *testing.B, f Family) {
 	}
 }
 
-// BenchmarkSignExtend measures the incremental path: extending a cached
-// signature by a 20% pad versus rehashing the padded range from scratch.
-func BenchmarkSignExtend(b *testing.B) {
-	signer := NewSigner(benchScheme(b, MinWise))
-	base := rangeset.Range{Lo: 1000, Hi: 2499} // size 1500
-	padded := rangeset.Range{Lo: 850, Hi: 2649}
-	sig := signer.Sign(base)
-	b.Run("extend-20pct", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			out, err := signer.Extend(sig, padded)
-			if err != nil {
-				b.Fatal(err)
-			}
-			benchIDs = out.Identifiers()
-		}
-	})
-	b.Run("rehash", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			benchIDs = signer.Sign(padded).Identifiers()
-		}
-	})
-}
-
 // BenchmarkSignCached measures a warm signature cache (exact repeat).
 func BenchmarkSignCached(b *testing.B) {
 	signer := NewSigner(benchScheme(b, MinWise), WithSigCache(64))
 	q := rangeset.Range{Lo: 1000, Hi: 2499}
-	signer.Sign(q)
+	signer.Identifiers(q)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -107,11 +82,11 @@ func BenchmarkSignCached(b *testing.B) {
 	}
 }
 
-// TestMinWiseBatchedSpeedup pins the PR's acceptance criterion directly:
-// on the Fig. 5 min-wise row at size 1500, the batched pipeline is at
-// least 5x faster than the naive per-permutation path while producing
-// identical identifiers. The measured ratio is far higher (the compiled
-// tables alone are ~20x); 5x leaves ample headroom for noisy CI hosts.
+// TestMinWiseBatchedSpeedup pins the signer's speed floor: on the Fig. 5
+// min-wise row at size 1500, the signer is at least 5x faster than the
+// naive per-permutation path while producing identical identifiers. The
+// measured ratio is far higher (the range-efficient minima do not visit
+// the range's values); 5x leaves ample headroom for noisy CI hosts.
 func TestMinWiseBatchedSpeedup(t *testing.T) {
 	if testing.Short() {
 		t.Skip("timing comparison skipped in -short mode")
@@ -122,7 +97,7 @@ func TestMinWiseBatchedSpeedup(t *testing.T) {
 
 	want := scheme.Identifiers(q)
 	if got := signer.Identifiers(q); !reflect.DeepEqual(got, want) {
-		t.Fatalf("batched identifiers %08x differ from naive %08x", got, want)
+		t.Fatalf("signer identifiers %08x differ from naive %08x", got, want)
 	}
 
 	// Best-of-three for each path to shrug off scheduler noise.
@@ -138,13 +113,13 @@ func TestMinWiseBatchedSpeedup(t *testing.T) {
 		return best
 	}
 	naive := timeIt(func() { benchIDs = scheme.Identifiers(q) })
-	batched := timeIt(func() { benchIDs = signer.Identifiers(q) })
-	if batched <= 0 {
-		batched = time.Nanosecond
+	signed := timeIt(func() { benchIDs = signer.Identifiers(q) })
+	if signed <= 0 {
+		signed = time.Nanosecond
 	}
-	ratio := float64(naive) / float64(batched)
-	t.Logf("min-wise size=1500: naive %v, batched %v (%.1fx)", naive, batched, ratio)
+	ratio := float64(naive) / float64(signed)
+	t.Logf("min-wise size=1500: naive %v, signer %v (%.1fx)", naive, signed, ratio)
 	if ratio < 5 {
-		t.Errorf("batched pipeline only %.1fx faster than naive (want >= 5x)", ratio)
+		t.Errorf("signer only %.1fx faster than naive (want >= 5x)", ratio)
 	}
 }

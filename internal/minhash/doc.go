@@ -27,23 +27,25 @@
 // paper's evaluation parameters. ExactScheme is the Sec. 3.1 exact-match
 // baseline (hash the range endpoints, no similarity).
 //
-// # The signature pipeline (Fig. 5 performance)
+// # Range-efficient signing (Fig. 5 performance)
 //
-// Naively each of the k*l permutations walks the range independently.
-// Signer is the batched production path: permutations are compiled to
-// byte-table form (Compile/Scheme.Compiled, four 256-entry lookups per
-// Apply), and one tiled pass over the range folds the running minima of
-// all k*l permutations simultaneously into a Signature. Identifiers
-// computed through the pipeline are bit-identical to the naive path.
+// MinHash walks the range once per permutation, the linear cost Fig. 5
+// measures; Scheme.Identifiers uses it and stays as the reference.
+// MinHashRange computes the same minimum without visiting the values:
 //
-// A Signature stores per-permutation minima rather than the XOR-folded
-// identifiers, and minima are monotone under range growth — so a
-// signature for [a,b] extends to [a',b'] ⊇ [a,b] by hashing only the
-// delta (Signer.Extend). Signer exploits that with an optional LRU cache
-// of signatures keyed by range: repeated ranges hit exactly, and padded
-// probes (Fig. 10 pads each query by 20%, so query and probe overlap
-// heavily) pay only for the padding. WithWorkers splits the k*l
-// permutations across goroutines for large ranges; results are identical
-// because each worker owns a disjoint slice of minima. Cache and worker
-// counters surface through internal/metrics.SigStats.
+//   - The two shuffle families are bit-position permutations. A dyadic
+//     block (a fixed prefix with its low t bits free) maps to a set whose
+//     minimum is the image of the block's first element, and at most 64
+//     blocks cover a range.
+//   - The linear family takes the minimum of an affine map modulo p over
+//     an interval with a Euclid-style recursion in O(log p) steps, the
+//     primitive of range-efficient consistent sampling. Two such minima
+//     cover the outputs Apply truncates to 32 bits.
+//
+// Signer is the one production path: it XOR-folds MinHashRange over each
+// group's compiled permutations (Compile/Scheme.Compiled, four 256-entry
+// byte-table lookups per Apply) and mixes, bit-identical to the naive
+// path. An optional LRU keyed by range (WithSigCache) memoizes the l
+// identifiers; its hits, misses and evictions surface through
+// Signer.SigStats, and IdentifiersHit reports each call's own outcome.
 package minhash

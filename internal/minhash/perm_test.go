@@ -253,20 +253,6 @@ func TestApproxMinHashEndpoints(t *testing.T) {
 	}
 }
 
-func TestMinHashSetMatchesRange(t *testing.T) {
-	rng := rand.New(rand.NewSource(10))
-	for _, p := range allPerms(t, 11) {
-		cp := Compile(p)
-		for i := 0; i < 100; i++ {
-			lo := rng.Int63n(500)
-			q := rangeset.Range{Lo: lo, Hi: lo + rng.Int63n(50)}
-			if got, want := MinHashSet(cp, rangeset.NewSet(q)), MinHash(cp, q); got != want {
-				t.Fatalf("%v: MinHashSet = %08x, MinHash = %08x for %v", p.Family(), got, want, q)
-			}
-		}
-	}
-}
-
 func TestNewGroupValidation(t *testing.T) {
 	rng := rand.New(rand.NewSource(12))
 	if _, err := NewGroup(MinWise, 0, rng); err == nil {

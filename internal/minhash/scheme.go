@@ -14,7 +14,8 @@ type ID = uint32
 
 // MinHash returns min{pi(v) : v in q}, iterating the value set of the
 // range. The work is linear in the range size, which is exactly the cost
-// the paper measures in Fig. 5.
+// the paper measures in Fig. 5. It is the reference MinHashRange is
+// tested against; Signer, the production path, does not scan.
 func MinHash(p Permutation, q rangeset.Range) ID {
 	minv := uint32(math.MaxUint32)
 	for v := q.Lo; v <= q.Hi; v++ {
@@ -22,18 +23,6 @@ func MinHash(p Permutation, q rangeset.Range) ID {
 			minv = h
 		}
 	}
-	return minv
-}
-
-// MinHashSet is MinHash over a multi-interval set.
-func MinHashSet(p Permutation, s rangeset.Set) ID {
-	minv := uint32(math.MaxUint32)
-	s.Iterate(func(v int64) bool {
-		if h := p.Apply(uint32(uint64(v))); h < minv {
-			minv = h
-		}
-		return true
-	})
 	return minv
 }
 
@@ -89,15 +78,6 @@ func (g *Group) Identifier(q rangeset.Range) ID {
 	var id ID
 	for _, p := range g.perms {
 		id ^= MinHash(p, q)
-	}
-	return mix32(id)
-}
-
-// IdentifierSet computes the group's identifier for a multi-interval set.
-func (g *Group) IdentifierSet(s rangeset.Set) ID {
-	var id ID
-	for _, p := range g.perms {
-		id ^= MinHashSet(p, s)
 	}
 	return mix32(id)
 }
@@ -159,15 +139,6 @@ func (s *Scheme) Identifiers(q rangeset.Range) []ID {
 	ids := make([]ID, len(s.groups))
 	for i, g := range s.groups {
 		ids[i] = g.Identifier(q)
-	}
-	return ids
-}
-
-// IdentifiersSet computes the l identifiers of a multi-interval set.
-func (s *Scheme) IdentifiersSet(q rangeset.Set) []ID {
-	ids := make([]ID, len(s.groups))
-	for i, g := range s.groups {
-		ids[i] = g.IdentifierSet(q)
 	}
 	return ids
 }

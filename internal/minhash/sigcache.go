@@ -6,19 +6,21 @@ import (
 	"p2prange/internal/rangeset"
 )
 
-// sigLRU is a bounded least-recently-used cache of signatures keyed by
+// sigLRU is a bounded least-recently-used cache of identifiers keyed by
 // their exact range (rangeset.Range is comparable, so it keys the map
-// directly). Besides exact lookups it answers containment queries — the
-// largest cached range lying inside a requested range — which is how the
-// signer finds extension bases for padded and overlapping queries. The
-// containment scan is linear in the cache size, which the capacity bound
-// keeps small and predictable.
+// directly).
 //
 // sigLRU is not synchronized; the Signer serializes access.
 type sigLRU struct {
 	cap   int
 	items map[rangeset.Range]*list.Element
-	order *list.List // front = most recently used; values are *Signature
+	order *list.List // front = most recently used; values are *sigEntry
+}
+
+// sigEntry is one cached range and its l identifiers.
+type sigEntry struct {
+	rng rangeset.Range
+	ids []ID
 }
 
 func newSigLRU(capacity int) *sigLRU {
@@ -29,55 +31,32 @@ func newSigLRU(capacity int) *sigLRU {
 	}
 }
 
-// get returns the signature cached for exactly q, refreshing its
-// recency, or nil.
-func (c *sigLRU) get(q rangeset.Range) *Signature {
+// get returns the identifiers cached for exactly q, refreshing their
+// recency.
+func (c *sigLRU) get(q rangeset.Range) ([]ID, bool) {
 	el, ok := c.items[q]
 	if !ok {
-		return nil
+		return nil, false
 	}
 	c.order.MoveToFront(el)
-	return el.Value.(*Signature)
+	return el.Value.(*sigEntry).ids, true
 }
 
-// bestContained returns the cached signature whose range lies inside q
-// and covers the most values (ties keep the first found), refreshing its
-// recency, or nil. A range equal to q also qualifies, but callers resolve
-// that cheaper case through get first.
-func (c *sigLRU) bestContained(q rangeset.Range) *Signature {
-	var best *list.Element
-	var bestSize int64
-	for el := c.order.Front(); el != nil; el = el.Next() {
-		r := el.Value.(*Signature).rng
-		if q.ContainsRange(r) && r.Size() > bestSize {
-			best, bestSize = el, r.Size()
-		}
-	}
-	if best == nil {
-		return nil
-	}
-	c.order.MoveToFront(best)
-	return best.Value.(*Signature)
-}
-
-// put inserts (or refreshes) sig under its range and returns how many
+// put inserts (or refreshes) the identifiers of q and returns how many
 // entries were evicted to respect the capacity bound.
-func (c *sigLRU) put(sig *Signature) int {
-	if el, ok := c.items[sig.rng]; ok {
-		el.Value = sig
+func (c *sigLRU) put(q rangeset.Range, ids []ID) int {
+	if el, ok := c.items[q]; ok {
+		el.Value.(*sigEntry).ids = ids
 		c.order.MoveToFront(el)
 		return 0
 	}
-	c.items[sig.rng] = c.order.PushFront(sig)
+	c.items[q] = c.order.PushFront(&sigEntry{rng: q, ids: ids})
 	evicted := 0
 	for c.order.Len() > c.cap {
 		el := c.order.Back()
-		delete(c.items, el.Value.(*Signature).rng)
+		delete(c.items, el.Value.(*sigEntry).rng)
 		c.order.Remove(el)
 		evicted++
 	}
 	return evicted
 }
-
-// len returns the number of cached signatures.
-func (c *sigLRU) len() int { return c.order.Len() }

@@ -1,75 +1,25 @@
 package minhash
 
 import (
-	"fmt"
-	"math"
 	"sync"
 
 	"p2prange/internal/metrics"
 	"p2prange/internal/rangeset"
 )
 
-// Signature is the reusable product of signing a range: the running
-// minimum of every one of a scheme's k*l permutations over the range's
-// value set, in group-major order. The l identifiers derive from it by
-// XOR-folding each group of k minima and mixing (exactly as
-// Scheme.Identifiers does). Keeping the per-permutation minima rather
-// than the folded identifiers is what makes incremental extension
-// possible: minima are monotone under range growth, XOR is not.
-type Signature struct {
-	rng  rangeset.Range
-	k    int
-	mins []uint32
-}
-
-// Range returns the range the signature covers.
-func (sig *Signature) Range() rangeset.Range { return sig.rng }
-
-// Identifiers folds the signature into its l bucket identifiers,
-// bit-identical to Scheme.Identifiers over the same range.
-func (sig *Signature) Identifiers() []ID {
-	l := len(sig.mins) / sig.k
-	ids := make([]ID, l)
-	for g := 0; g < l; g++ {
-		var id ID
-		for _, m := range sig.mins[g*sig.k : (g+1)*sig.k] {
-			id ^= m
-		}
-		ids[g] = mix32(id)
-	}
-	return ids
-}
-
-// clone returns an independent copy (cached signatures are shared; every
-// escape to a caller or mutation goes through a copy).
-func (sig *Signature) clone() *Signature {
-	out := &Signature{rng: sig.rng, k: sig.k, mins: make([]uint32, len(sig.mins))}
-	copy(out.mins, sig.mins)
-	return out
-}
-
-// Signer is the batched signature pipeline over one Scheme. It computes
-// range signatures with the compiled byte-table permutations evaluated
-// tile-by-tile (all k*l hash functions fold their minima during a single
-// pass over the range, instead of rescanning the range once per hash
-// function), extends cached signatures incrementally when a new range
-// contains an already-signed one, and optionally memoizes signatures in a
-// bounded LRU keyed by range.
+// Signer is the production signing path over one Scheme. It computes a
+// range's l identifiers with MinHashRange, whose cost is logarithmic in
+// the range size, over the scheme's compiled permutations, and optionally
+// memoizes them in a bounded LRU keyed by range.
 //
 // Identifiers are bit-identical to the naive Scheme path for every hash
-// family — the pipeline changes evaluation order and reuse, never key
-// material or semantics — so Signer satisfies Hasher and is a drop-in
-// replacement anywhere a Scheme is used.
+// family, so Signer satisfies Hasher and is a drop-in replacement
+// anywhere a Scheme is used.
 //
 // A Signer is safe for concurrent use.
 type Signer struct {
 	scheme *Scheme
-	perms  []Permutation // flattened k*l compiled permutations, group-major
-	tabs   []*compiledPerm
-	k, l   int
-
-	workers int
-	stats   *metrics.SigStats
+	stats  metrics.SigStats
 
 	mu    sync.Mutex
 	cache *sigLRU
@@ -79,9 +29,7 @@ type Signer struct {
 type SignerOption func(*Signer)
 
 // WithSigCache bounds the signature cache to capacity entries (LRU,
-// keyed by exact range); capacity <= 0 disables caching. The cache also
-// serves as the pool of extension bases: a miss whose range contains a
-// cached range pays only for the delta values.
+// keyed by exact range); capacity <= 0 disables caching.
 func WithSigCache(capacity int) SignerOption {
 	return func(s *Signer) {
 		if capacity > 0 {
@@ -92,238 +40,59 @@ func WithSigCache(capacity int) SignerOption {
 	}
 }
 
-// WithWorkers signs large ranges with n goroutines, each folding a
-// disjoint slice of the permutations. n <= 1 keeps signing serial — the
-// default, and the right choice for simulations where single-threaded
-// timing determinism matters. Identifiers are identical either way.
-func WithWorkers(n int) SignerOption {
-	return func(s *Signer) { s.workers = n }
-}
-
-// WithSigStats directs pipeline counters (hits, misses, extensions,
-// evictions) to st; st may be shared across signers to aggregate totals.
-func WithSigStats(st *metrics.SigStats) SignerOption {
-	return func(s *Signer) { s.stats = st }
-}
-
-// NewSigner builds the pipeline over scheme. The scheme is compiled at
+// NewSigner builds a signer over scheme. The scheme is compiled at
 // most once (Compiled is cached and idempotent), so many signers over the
 // same scheme share one set of byte tables.
 func NewSigner(scheme *Scheme, opts ...SignerOption) *Signer {
-	cs := scheme.Compiled()
-	s := &Signer{scheme: cs, k: cs.K(), l: cs.L()}
-	s.perms = make([]Permutation, 0, s.k*s.l)
-	for _, g := range cs.groups {
-		s.perms = append(s.perms, g.perms...)
-	}
-	// When every permutation is a byte-table form (the two bit-shuffle
-	// families) the fold loop can use direct table indexing with no
-	// interface calls; linear permutations fall back to Apply.
-	tabs := make([]*compiledPerm, len(s.perms))
-	allTables := true
-	for i, p := range s.perms {
-		cp, ok := p.(*compiledPerm)
-		if !ok {
-			allTables = false
-			break
-		}
-		tabs[i] = cp
-	}
-	if allTables {
-		s.tabs = tabs
-	}
+	s := &Signer{scheme: scheme.Compiled()}
 	for _, opt := range opts {
 		opt(s)
 	}
 	return s
 }
 
-// Scheme returns the (compiled) scheme the signer evaluates.
-func (s *Signer) Scheme() *Scheme { return s.scheme }
-
 // L implements Hasher.
-func (s *Signer) L() int { return s.l }
+func (s *Signer) L() int { return s.scheme.L() }
 
-// Identifiers implements Hasher: the l bucket identifiers of q, through
-// the cached/batched pipeline.
+// Identifiers implements Hasher: the l bucket identifiers of q.
 func (s *Signer) Identifiers(q rangeset.Range) []ID {
-	return s.Sign(q).Identifiers()
+	ids, _ := s.IdentifiersHit(q)
+	return ids
 }
 
-// Sign returns the signature of q, reusing the cache when enabled: an
-// exact hit returns the memoized signature, a cached subrange of q is
-// extended by folding only the values of q it lacks, and otherwise a full
-// batched pass runs. The returned signature is the caller's to keep.
-func (s *Signer) Sign(q rangeset.Range) *Signature {
-	if s.cache == nil || !q.Valid() {
-		sig := s.signFull(q)
-		s.stats.AddMiss()
-		return sig
-	}
-	s.mu.Lock()
-	if sig := s.cache.get(q); sig != nil {
+// IdentifiersHit returns the l bucket identifiers of q and whether this
+// call found them in the signature cache. A signer without a cache
+// reports every call as a miss. The returned slice is the caller's.
+func (s *Signer) IdentifiersHit(q rangeset.Range) ([]ID, bool) {
+	if s.cache != nil {
+		s.mu.Lock()
+		ids, ok := s.cache.get(q)
 		s.mu.Unlock()
-		s.stats.AddHit()
-		return sig.clone()
-	}
-	base := s.cache.bestContained(q)
-	s.mu.Unlock()
-
-	var sig *Signature
-	if base != nil {
-		// Extend counts the event and clones; base stays cached untouched.
-		ext, err := s.Extend(base, q)
-		if err == nil {
-			sig = ext
+		if ok {
+			s.stats.AddHit()
+			return append([]ID(nil), ids...), true
 		}
 	}
-	if sig == nil {
-		sig = s.signFull(q)
-		s.stats.AddMiss()
-	}
-	s.mu.Lock()
-	evicted := s.cache.put(sig.clone())
-	s.mu.Unlock()
-	for ; evicted > 0; evicted-- {
-		s.stats.AddEviction()
-	}
-	return sig
-}
-
-// Extend returns the signature of to, which must contain sig's range,
-// folding only the values of to outside sig's range — the incremental
-// path that lets overlapping and padded query ranges (query [lo,hi]
-// followed by probe [lo-d, hi+d]) pay for their delta instead of a full
-// rehash. sig is not modified. Extending to the identical range returns a
-// copy.
-func (s *Signer) Extend(sig *Signature, to rangeset.Range) (*Signature, error) {
-	if !to.Valid() || !to.ContainsRange(sig.rng) {
-		return nil, fmt.Errorf("minhash: cannot extend signature of %s to non-superset %s", sig.rng, to)
-	}
-	if sig.k != s.k || len(sig.mins) != s.k*s.l {
-		return nil, fmt.Errorf("minhash: signature shape (k=%d, %d minima) does not match signer (k=%d, l=%d)",
-			sig.k, len(sig.mins), s.k, s.l)
-	}
-	out := sig.clone()
-	out.rng = to
-	if to.Lo < sig.rng.Lo {
-		s.fold(out.mins, to.Lo, sig.rng.Lo-1)
-	}
-	if to.Hi > sig.rng.Hi {
-		s.fold(out.mins, sig.rng.Hi+1, to.Hi)
-	}
-	s.stats.AddExtend()
-	return out, nil
-}
-
-// signFull computes a signature from scratch with the batched kernel.
-func (s *Signer) signFull(q rangeset.Range) *Signature {
-	sig := &Signature{rng: q, k: s.k, mins: make([]uint32, s.k*s.l)}
-	for i := range sig.mins {
-		sig.mins[i] = math.MaxUint32
-	}
-	if q.Valid() {
-		s.fold(sig.mins, q.Lo, q.Hi)
-	}
-	return sig
-}
-
-// sigTile is the batch width of the fold kernel: values are walked in
-// tiles this long, and within a tile every permutation folds its minimum
-// before the next tile starts. The tile is small enough to stay in L1
-// while each permutation's 4 KiB of byte tables stays hot for the whole
-// tile, so the full range is effectively traversed once instead of once
-// per hash function (the per-hash-function rescan is what Fig. 5's naive
-// path pays).
-const sigTile = 256
-
-// parallelMin is the minimum range size worth fanning out to workers.
-const parallelMin = 512
-
-// fold lowers mins with the hashes of every value in [lo, hi] under every
-// permutation. mins is group-major, like Signer.perms.
-func (s *Signer) fold(mins []uint32, lo, hi int64) {
-	if hi < lo {
-		return
-	}
-	if s.workers > 1 && hi-lo+1 >= parallelMin {
-		s.foldParallel(mins, lo, hi)
-		return
-	}
-	s.foldSlice(mins, 0, len(mins), lo, hi)
-}
-
-// foldParallel splits the permutations (not the range) across workers:
-// each goroutine owns a disjoint slice of mins, so there is no sharing to
-// synchronize and the result is deterministic regardless of schedule.
-func (s *Signer) foldParallel(mins []uint32, lo, hi int64) {
-	w := s.workers
-	if w > len(mins) {
-		w = len(mins)
-	}
-	chunk := (len(mins) + w - 1) / w
-	var wg sync.WaitGroup
-	for p0 := 0; p0 < len(mins); p0 += chunk {
-		p1 := p0 + chunk
-		if p1 > len(mins) {
-			p1 = len(mins)
+	s.stats.AddMiss()
+	ids := make([]ID, s.scheme.L())
+	for i, g := range s.scheme.groups {
+		var id ID
+		for _, p := range g.perms {
+			id ^= MinHashRange(p, q)
 		}
-		wg.Add(1)
-		go func(p0, p1 int) {
-			defer wg.Done()
-			s.foldSlice(mins, p0, p1, lo, hi)
-		}(p0, p1)
+		ids[i] = mix32(id)
 	}
-	wg.Wait()
+	if s.cache != nil {
+		s.mu.Lock()
+		evicted := s.cache.put(q, append([]ID(nil), ids...))
+		s.mu.Unlock()
+		for ; evicted > 0; evicted-- {
+			s.stats.AddEviction()
+		}
+	}
+	return ids, false
 }
 
-// foldSlice folds permutations [p0, p1) over [lo, hi], tile by tile. The
-// tile loop is structured to be overflow-safe for ranges ending near the
-// int64 maximum.
-func (s *Signer) foldSlice(mins []uint32, p0, p1 int, lo, hi int64) {
-	for tileLo := lo; ; {
-		tileHi := hi
-		if hi-tileLo >= sigTile {
-			tileHi = tileLo + sigTile - 1
-		}
-		if s.tabs != nil {
-			for pi := p0; pi < p1; pi++ {
-				t := &s.tabs[pi].tab
-				m := mins[pi]
-				for v := tileLo; ; v++ {
-					x := uint32(uint64(v))
-					h := t[0][byte(x)] | t[1][byte(x>>8)] | t[2][byte(x>>16)] | t[3][byte(x>>24)]
-					if h < m {
-						m = h
-					}
-					if v == tileHi {
-						break
-					}
-				}
-				mins[pi] = m
-			}
-		} else {
-			for pi := p0; pi < p1; pi++ {
-				p := s.perms[pi]
-				m := mins[pi]
-				for v := tileLo; ; v++ {
-					if h := p.Apply(uint32(uint64(v))); h < m {
-						m = h
-					}
-					if v == tileHi {
-						break
-					}
-				}
-				mins[pi] = m
-			}
-		}
-		if tileHi == hi {
-			return
-		}
-		tileLo = tileHi + 1
-	}
-}
-
-// SigStats returns a snapshot of the signer's pipeline counters (zero
-// when no stats sink is configured).
+// SigStats returns a snapshot of the signer's own counters: hits, misses
+// and evictions.
 func (s *Signer) SigStats() metrics.SigSnapshot { return s.stats.Snapshot() }

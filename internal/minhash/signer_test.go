@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"reflect"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"p2prange/internal/metrics"
@@ -16,9 +17,11 @@ func randRange(rng *rand.Rand, maxSize int64) rangeset.Range {
 	return rangeset.Range{Lo: lo, Hi: lo + rng.Int63n(maxSize)}
 }
 
-// TestSignerGoldenEquivalence pins the pipeline's core contract: for every
-// hash family, the batched signer — plain, cached, and parallel — produces
-// identifiers bit-identical to the naive per-permutation Scheme path.
+// TestSignerGoldenEquivalence pins the signer's core contract: for every
+// hash family, the signer — with and without a cache — produces
+// identifiers bit-identical to the naive per-permutation Scheme path, on
+// the paper's workload ranges (Sec. 5.1 uniform queries over [0, 1000]
+// and their Fig. 10 20% pads) and on wider random ranges.
 func TestSignerGoldenEquivalence(t *testing.T) {
 	for _, f := range Families() {
 		f := f
@@ -28,13 +31,20 @@ func TestSignerGoldenEquivalence(t *testing.T) {
 				t.Fatal(err)
 			}
 			signers := map[string]*Signer{
-				"plain":    NewSigner(scheme),
-				"cached":   NewSigner(scheme, WithSigCache(16)),
-				"parallel": NewSigner(scheme, WithWorkers(4)),
+				"plain":  NewSigner(scheme),
+				"cached": NewSigner(scheme, WithSigCache(16)),
 			}
 			rng := rand.New(rand.NewSource(11))
+			var qs []rangeset.Range
+			for i := 0; i < 100; i++ {
+				a, b := rng.Int63n(1001), rng.Int63n(1001)
+				q := rangeset.Range{Lo: min(a, b), Hi: max(a, b)}
+				qs = append(qs, q, q.Pad(0.20, 0, 1000), q)
+			}
 			for i := 0; i < 40; i++ {
-				q := randRange(rng, 700)
+				qs = append(qs, randRange(rng, 700))
+			}
+			for _, q := range qs {
 				want := scheme.Identifiers(q)
 				for name, s := range signers {
 					if got := s.Identifiers(q); !reflect.DeepEqual(got, want) {
@@ -46,81 +56,16 @@ func TestSignerGoldenEquivalence(t *testing.T) {
 	}
 }
 
-// TestExtendEqualsFromScratch is the property test for incremental
-// signing: for random ranges split at random points, signing the prefix
-// and extending to the whole equals signing the whole from scratch.
-func TestExtendEqualsFromScratch(t *testing.T) {
-	scheme, err := NewScheme(ApproxMinWise, 5, 4, rand.New(rand.NewSource(3)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	s := NewSigner(scheme)
-	rng := rand.New(rand.NewSource(5))
-	for i := 0; i < 200; i++ {
-		full := randRange(rng, 1000)
-		// Random subrange [subLo, subHi] of full.
-		subLo := full.Lo + rng.Int63n(full.Size())
-		subHi := subLo + rng.Int63n(full.Hi-subLo+1)
-		sub := rangeset.Range{Lo: subLo, Hi: subHi}
-
-		base := s.Sign(sub)
-		got, err := s.Extend(base, full)
-		if err != nil {
-			t.Fatalf("Extend(%s, %s): %v", sub, full, err)
-		}
-		want := s.Sign(full)
-		if got.Range() != full {
-			t.Fatalf("extended signature covers %s, want %s", got.Range(), full)
-		}
-		if !reflect.DeepEqual(got.mins, want.mins) {
-			t.Fatalf("extend %s -> %s: minima differ from scratch signing", sub, full)
-		}
-		if !reflect.DeepEqual(got.Identifiers(), want.Identifiers()) {
-			t.Fatalf("extend %s -> %s: identifiers differ from scratch signing", sub, full)
-		}
-		// The base signature must be untouched by the extension.
-		if base.Range() != sub {
-			t.Fatalf("Extend mutated its input's range to %s", base.Range())
-		}
-	}
-}
-
-func TestExtendRejectsNonSuperset(t *testing.T) {
-	scheme, err := NewScheme(Linear, 2, 2, rand.New(rand.NewSource(1)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	s := NewSigner(scheme)
-	sig := s.Sign(rangeset.Range{Lo: 10, Hi: 20})
-	for _, to := range []rangeset.Range{
-		{Lo: 11, Hi: 30}, // cuts the low end
-		{Lo: 0, Hi: 19},  // cuts the high end
-		{Lo: 21, Hi: 30}, // disjoint
-		{Lo: 30, Hi: 20}, // invalid
-	} {
-		if _, err := s.Extend(sig, to); err == nil {
-			t.Errorf("Extend to %s: want error, got nil", to)
-		}
-	}
-	// A same-range extension is a no-op copy.
-	same, err := s.Extend(sig, sig.Range())
-	if err != nil {
-		t.Fatalf("Extend to same range: %v", err)
-	}
-	if !reflect.DeepEqual(same.mins, sig.mins) {
-		t.Error("same-range extension changed minima")
-	}
-}
-
 // TestSignerCachePinned is the regression test for cache behavior: the
-// exact sequence of hits, misses, extensions, and evictions is pinned.
+// exact sequence of hits, misses and evictions is pinned, each call
+// reports its own outcome, and a padded probe that contains a cached
+// range is a miss like any other uncached range.
 func TestSignerCachePinned(t *testing.T) {
 	scheme, err := NewScheme(ApproxMinWise, 3, 2, rand.New(rand.NewSource(9)))
 	if err != nil {
 		t.Fatal(err)
 	}
-	st := &metrics.SigStats{}
-	s := NewSigner(scheme, WithSigCache(2), WithSigStats(st))
+	s := NewSigner(scheme, WithSigCache(2))
 
 	q1 := rangeset.Range{Lo: 100, Hi: 200}
 	q1pad := rangeset.Range{Lo: 90, Hi: 210} // padded probe containing q1
@@ -130,38 +75,50 @@ func TestSignerCachePinned(t *testing.T) {
 	naive := scheme.Identifiers
 	steps := []struct {
 		q    rangeset.Range
+		hit  bool
 		want metrics.SigSnapshot
 	}{
-		{q1, metrics.SigSnapshot{Misses: 1}},                                       // cold
-		{q1, metrics.SigSnapshot{Misses: 1, Hits: 1}},                              // exact hit
-		{q1pad, metrics.SigSnapshot{Misses: 1, Hits: 1, Extends: 1}},               // delta only
-		{q2, metrics.SigSnapshot{Misses: 2, Hits: 1, Extends: 1, Evictions: 1}},    // q1 evicted (LRU)
-		{q1pad, metrics.SigSnapshot{Misses: 2, Hits: 2, Extends: 1, Evictions: 1}}, // still cached
-		{q3, metrics.SigSnapshot{Misses: 3, Hits: 2, Extends: 1, Evictions: 2}},    // q2 evicted
-		{q1pad, metrics.SigSnapshot{Misses: 3, Hits: 3, Extends: 1, Evictions: 2}}, // survived again
-		{q1, metrics.SigSnapshot{Misses: 4, Hits: 3, Extends: 1, Evictions: 3}},    // shrink = miss
+		{q1, false, metrics.SigSnapshot{Misses: 1}},                          // cold
+		{q1, true, metrics.SigSnapshot{Misses: 1, Hits: 1}},                  // exact hit
+		{q1pad, false, metrics.SigSnapshot{Misses: 2, Hits: 1}},              // padded: miss
+		{q2, false, metrics.SigSnapshot{Misses: 3, Hits: 1, Evictions: 1}},   // q1 evicted (LRU)
+		{q1pad, true, metrics.SigSnapshot{Misses: 3, Hits: 2, Evictions: 1}}, // still cached
+		{q3, false, metrics.SigSnapshot{Misses: 4, Hits: 2, Evictions: 2}},   // q2 evicted
+		{q1pad, true, metrics.SigSnapshot{Misses: 4, Hits: 3, Evictions: 2}}, // survived again
+		{q1, false, metrics.SigSnapshot{Misses: 5, Hits: 3, Evictions: 3}},   // q3 evicted
 	}
 	for i, step := range steps {
-		if got, want := s.Identifiers(step.q), naive(step.q); !reflect.DeepEqual(got, want) {
+		got, hit := s.IdentifiersHit(step.q)
+		if want := naive(step.q); !reflect.DeepEqual(got, want) {
 			t.Fatalf("step %d: identifiers of %s = %08x, naive = %08x", i, step.q, got, want)
 		}
-		if got := st.Snapshot(); got != step.want {
+		if hit != step.hit {
+			t.Fatalf("step %d (%s): hit = %v, want %v", i, step.q, hit, step.hit)
+		}
+		if got := s.SigStats(); got != step.want {
 			t.Fatalf("step %d (%s): stats = %+v, want %+v", i, step.q, got, step.want)
 		}
+	}
+	// The caller owns the returned slice: changing it leaves the cache
+	// intact.
+	ids, _ := s.IdentifiersHit(q1)
+	ids[0] ^= 1
+	if got, hit := s.IdentifiersHit(q1); !hit || !reflect.DeepEqual(got, naive(q1)) {
+		t.Fatalf("cached identifiers changed through a returned slice: %08x (hit %v)", got, hit)
 	}
 }
 
 // TestSignerCacheConcurrent hammers one cached signer from many
 // goroutines (exercised under -race by `make check`): results must stay
-// bit-identical to the naive path and every request must be accounted as
-// exactly one hit, miss, or extension.
+// bit-identical to the naive path, every request must be accounted as
+// exactly one hit or miss, and the outcomes the calls report must sum to
+// the signer's counters.
 func TestSignerCacheConcurrent(t *testing.T) {
 	scheme, err := NewScheme(MinWise, 3, 2, rand.New(rand.NewSource(21)))
 	if err != nil {
 		t.Fatal(err)
 	}
-	st := &metrics.SigStats{}
-	s := NewSigner(scheme, WithSigCache(32), WithSigStats(st))
+	s := NewSigner(scheme, WithSigCache(32))
 
 	// A small pool of overlapping ranges so goroutines collide on cache
 	// entries, plus per-goroutine unique ranges so eviction churns.
@@ -176,6 +133,7 @@ func TestSignerCacheConcurrent(t *testing.T) {
 	const goroutines = 8
 	const iters = 60
 	var wg sync.WaitGroup
+	var hits atomic.Uint64
 	errc := make(chan error, goroutines)
 	for g := 0; g < goroutines; g++ {
 		wg.Add(1)
@@ -184,12 +142,18 @@ func TestSignerCacheConcurrent(t *testing.T) {
 			rng := rand.New(rand.NewSource(int64(100 + g)))
 			for i := 0; i < iters; i++ {
 				si := rng.Intn(len(shared))
-				if got := s.Identifiers(shared[si]); !reflect.DeepEqual(got, want[si]) {
+				got, hit := s.IdentifiersHit(shared[si])
+				if !reflect.DeepEqual(got, want[si]) {
 					errc <- errMismatch(shared[si])
 					return
 				}
 				lo := int64(g*10000 + i)
-				s.Sign(rangeset.Range{Lo: lo, Hi: lo + 40})
+				_, uniqueHit := s.IdentifiersHit(rangeset.Range{Lo: lo, Hi: lo + 40})
+				for _, h := range []bool{hit, uniqueHit} {
+					if h {
+						hits.Add(1)
+					}
+				}
 			}
 		}(g)
 	}
@@ -198,12 +162,15 @@ func TestSignerCacheConcurrent(t *testing.T) {
 	for err := range errc {
 		t.Fatal(err)
 	}
-	snap := st.Snapshot()
+	snap := s.SigStats()
 	if got, wantN := snap.Total(), uint64(goroutines*iters*2); got != wantN {
 		t.Fatalf("accounted %d signing requests (%+v), want %d", got, snap, wantN)
 	}
 	if snap.Hits == 0 {
 		t.Error("expected cache hits on the shared ranges, got none")
+	}
+	if got := hits.Load(); got != snap.Hits {
+		t.Errorf("calls reported %d hits, counters hold %d", got, snap.Hits)
 	}
 }
 

@@ -191,7 +191,7 @@ type Rollup struct {
 	LookupP95US float64 `json:"lookup_p95_us"`
 	LookupP99US float64 `json:"lookup_p99_us"`
 
-	// Signature-cache effectiveness: (hits+extends)/(hits+extends+misses).
+	// Signature-cache effectiveness: hits/(hits+misses).
 	SigHitRate float64 `json:"sig_hit_rate"`
 
 	// Routing health: successful lookups / attempted (route.*).
@@ -330,7 +330,7 @@ func rollup(nodes []NodeStatus, g metrics.Snapshot) Rollup {
 	lat := g.Histograms["peer.lookup_us"]
 	r.LookupP50US, r.LookupP95US, r.LookupP99US = lat.Quantile(0.5), lat.Quantile(0.95), lat.Quantile(0.99)
 
-	hits := g.Counters["sig.hits"] + g.Counters["sig.extends"]
+	hits := g.Counters["sig.hits"]
 	if total := hits + g.Counters["sig.misses"]; total > 0 {
 		r.SigHitRate = float64(hits) / float64(total)
 	}

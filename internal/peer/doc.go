@@ -5,7 +5,7 @@
 // # The query-side protocol (Sec. 4)
 //
 // Peer.Lookup computes the l identifiers of a range (through the
-// internal/minhash signature pipeline), routes to the chord owner of
+// internal/minhash signer), routes to the chord owner of
 // each, asks every owner for its bucket's best match under the configured
 // measure (Sec. 5.2: Jaccard or containment), and returns the overall
 // best. It is the one implementation of the protocol: every probe

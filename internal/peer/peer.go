@@ -119,18 +119,10 @@ type Config struct {
 	// paper's model).
 	CacheCapacity int
 	// SigCache bounds the peer's signature cache: an LRU of per-range
-	// LSH signatures reused across lookups, so repeated and padded
-	// ranges skip rehashing (or pay only for the padding delta). 0
-	// disables it. Effective only when Scheme is a *minhash.Scheme.
+	// LSH identifiers reused across lookups, so a repeated range skips
+	// rehashing. 0 disables it. Effective only when Scheme is a
+	// *minhash.Scheme.
 	SigCache int
-	// HashWorkers signs large ranges with that many goroutines (split
-	// across the k*l hash functions). 0 or 1 keeps signing serial — the
-	// default, so simulated timing stays single-threaded-deterministic.
-	// Identifiers are identical either way.
-	HashWorkers int
-	// SigStats, when set, receives signature-pipeline counters; share one
-	// instance across peers to aggregate cluster-wide totals.
-	SigStats *metrics.SigStats
 }
 
 // AuxHandler extends a peer's protocol with additional message types
@@ -144,7 +136,7 @@ type Peer struct {
 	node    *chord.Node
 	store   *store.Store
 	caller  transport.Caller
-	signer  *minhash.Signer  // non-nil when Scheme went through the pipeline
+	signer  *minhash.Signer  // non-nil when Scheme is a *minhash.Scheme
 	replica *replica.Manager // non-nil when Config.Replicas > 0
 	served  atomic.Int64     // bucket probes answered by this peer
 	flight  atomic.Pointer[flight.Recorder]
@@ -173,18 +165,11 @@ func New(addr string, caller transport.Caller, cfg Config) (*Peer, error) {
 		caller: caller,
 		data:   make(map[string]*relation.Partition),
 	}
-	// Route LSH hashing through the signature pipeline: batched compiled
-	// evaluation always (identifiers are bit-identical to the naive
-	// path), plus the signature cache and worker pool when configured.
+	// Route LSH hashing through the signer: range-efficient minima always
+	// (identifiers are bit-identical to the naive path), plus the
+	// signature cache when configured.
 	if sch, ok := cfg.Scheme.(*minhash.Scheme); ok {
-		stats := cfg.SigStats
-		if stats == nil {
-			stats = &metrics.SigStats{} // per-peer counters by default
-		}
-		p.signer = minhash.NewSigner(sch,
-			minhash.WithSigCache(cfg.SigCache),
-			minhash.WithWorkers(cfg.HashWorkers),
-			minhash.WithSigStats(stats))
+		p.signer = minhash.NewSigner(sch, minhash.WithSigCache(cfg.SigCache))
 		p.cfg.Scheme = p.signer
 	} else if sg, ok := cfg.Scheme.(*minhash.Signer); ok {
 		p.signer = sg
@@ -469,9 +454,25 @@ func (p *Peer) Identifiers(q rangeset.Range) []uint32 {
 	return p.cfg.Scheme.Identifiers(q)
 }
 
-// SigStats returns a snapshot of the peer's signature-pipeline counters
-// (zero when the peer hashes outside the pipeline, e.g. the exact-match
-// baseline, or when no stats sink is configured).
+// sign returns the l identifiers of q, recording on sp (which may be nil)
+// whether this call hit the signature cache.
+func (p *Peer) sign(q rangeset.Range, sp *trace.Span) []uint32 {
+	if p.signer == nil {
+		sp.Event("sig", "no signer")
+		return p.cfg.Scheme.Identifiers(q)
+	}
+	ids, hit := p.signer.IdentifiersHit(q)
+	if hit {
+		sp.Event("sig", "hit")
+	} else {
+		sp.Event("sig", "miss")
+	}
+	return ids
+}
+
+// SigStats returns a snapshot of the peer's signature-cache counters
+// (zero when the peer hashes outside a signer, e.g. the exact-match
+// baseline).
 func (p *Peer) SigStats() metrics.SigSnapshot {
 	if p.signer == nil {
 		return metrics.SigSnapshot{}
@@ -494,10 +495,10 @@ type LookupResult struct {
 	Stored bool
 }
 
-// MaxRangeSize bounds the value-set size a range may have to be hashed:
-// min-wise hashing is linear in the range size (that is Fig. 5's cost),
-// so an unclamped half-open range (e.g. 2^63 values) must be rejected
-// rather than iterated.
+// MaxRangeSize bounds the value-set size of a range the protocol
+// accepts. It validates input: an unclamped half-open range (e.g. 2^63
+// values) is a malformed query. Signing cost does not grow with the
+// range size (minhash.MinHashRange).
 const MaxRangeSize = 1 << 22
 
 // checkRange validates a range for the hashing protocol.
@@ -539,19 +540,7 @@ func (p *Peer) Lookup(rel, attribute string, q rangeset.Range, cache bool, sp *t
 	if err := checkRange(q); err != nil {
 		return res, err
 	}
-	var sigBefore metrics.SigSnapshot
-	if sp.On() && p.signer != nil {
-		sigBefore = p.signer.SigStats()
-	}
-	ids := p.cfg.Scheme.Identifiers(q)
-	if sp.On() {
-		if p.signer != nil {
-			d := p.signer.SigStats().Sub(sigBefore)
-			sp.Eventf("sig", "hits=%d extends=%d misses=%d", d.Hits, d.Extends, d.Misses)
-		} else {
-			sp.Event("sig", "no signature pipeline")
-		}
-	}
+	ids := p.sign(q, sp)
 	owners := make([]chord.Ref, len(ids))
 	res.Hops = make([]int, 0, len(ids))
 	var memo chord.RouteMemo

@@ -450,6 +450,56 @@ func TestConcurrentLookups(t *testing.T) {
 	}
 }
 
+// TestConcurrentTracedLookupsOwnSigOutcome runs traced lookups from many
+// goroutines on one peer: each trace records exactly one signature-cache
+// outcome, its own, so the traces' hits and misses sum to the signer's
+// counters however the calls interleave.
+func TestConcurrentTracedLookupsOwnSigOutcome(t *testing.T) {
+	peers, _ := testCluster(t, 4, Config{Measure: store.MatchContainment, SigCache: 8})
+	querier := peers[0]
+	before := querier.SigStats()
+	const n = 64
+	trees := make([]string, n)
+	var wg sync.WaitGroup
+	errs := make(chan error, n)
+	for i := 0; i < n; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			q := rangeset.Range{Lo: int64(100 * (i % 4)), Hi: int64(100*(i%4) + 50)}
+			sp := trace.New("lookup")
+			_, err := querier.Lookup("R", "a", q, false, sp)
+			sp.End()
+			if err != nil {
+				errs <- err
+				return
+			}
+			trees[i] = sp.Tree(false)
+		}(i)
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Fatal(err)
+	}
+	var hits, misses uint64
+	for i, tree := range trees {
+		h, m := strings.Count(tree, "sig: hit"), strings.Count(tree, "sig: miss")
+		if h+m != 1 {
+			t.Fatalf("trace %d records %d hit(s) and %d miss(es), want one outcome:\n%s", i, h, m, tree)
+		}
+		hits += uint64(h)
+		misses += uint64(m)
+	}
+	d := querier.SigStats().Sub(before)
+	if hits != d.Hits || misses != d.Misses || hits+misses != n {
+		t.Errorf("traces: %d hits + %d misses; signer: %+v; want both to sum to %d", hits, misses, d, n)
+	}
+	if hits == 0 {
+		t.Error("no trace hit the cache on four repeated ranges")
+	}
+}
+
 func TestLookupRejectsUnhashableRanges(t *testing.T) {
 	peers, _ := testCluster(t, 2, Config{})
 	huge := rangeset.Range{Lo: -(1 << 62), Hi: 1 << 62}

@@ -47,12 +47,6 @@ type DataSource struct {
 }
 
 var _ query.Source = (*DataSource)(nil)
-var _ query.SigStatsProvider = (*DataSource)(nil)
-
-// SigStats implements query.SigStatsProvider by exposing the querying
-// peer's signature-pipeline counters, so SQL executions can report how
-// much of their leaf hashing the signature cache absorbed.
-func (s *DataSource) SigStats() metrics.SigSnapshot { return s.Peer.SigStats() }
 
 // Fetch implements query.Source, recording the probe range, the DHT
 // lookup (as a child span), the data fetch from the holder, and any

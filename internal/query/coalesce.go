@@ -89,11 +89,3 @@ func (s *coalescedSource) Fetch(rel, attribute string, rg rangeset.Range, _ *tra
 func (s *coalescedSource) FetchAll(rel string) (*relation.Relation, error) {
 	return s.inner.FetchAll(rel)
 }
-
-// SigStats forwards to the inner source when it reports signature stats.
-func (s *coalescedSource) SigStats() metrics.SigSnapshot {
-	if sp, ok := s.inner.(SigStatsProvider); ok {
-		return sp.SigStats()
-	}
-	return metrics.SigSnapshot{}
-}

@@ -14,8 +14,7 @@
 // in P2P deployments, via peer.DataSource), applies residual filters,
 // evaluates equijoins with hash joins, and projects; Result carries
 // per-scan recall so callers can report how approximate the answer is
-// (the Figs. 8-10 metric per query), plus the signature-cache outcome
-// when the source implements SigStatsProvider.
+// (the Figs. 8-10 metric per query).
 //
 // # Observability
 //

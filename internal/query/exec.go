@@ -38,15 +38,6 @@ type Source interface {
 // ErrNoSource reports a scan whose relation the source cannot supply.
 var ErrNoSource = errors.New("query: relation unavailable from source")
 
-// SigStatsProvider is implemented by sources whose range hashing runs
-// through the signature pipeline (peer.DataSource). Execute uses it to
-// attribute signature-cache activity to the query being executed.
-type SigStatsProvider interface {
-	// SigStats returns the source's cumulative signature-pipeline
-	// counters.
-	SigStats() metrics.SigSnapshot
-}
-
 // Result is the output of executing a plan: a header of qualified columns
 // and the projected rows, plus per-scan recall accounting so callers can
 // report how approximate the answer is.
@@ -56,11 +47,6 @@ type Result struct {
 	// ScanRecall maps "Relation.attribute" to the fraction of the
 	// requested range the fetched partition covered (1 for exact/full).
 	ScanRecall map[string]float64
-	// SigCache, when the source hashes through the signature pipeline,
-	// holds the pipeline counters attributable to this execution: how
-	// often the leaves' range hashing hit the signature cache, extended
-	// a cached signature, or paid a full rehash.
-	SigCache *metrics.SigSnapshot
 }
 
 // Execute runs the plan against src: fetch each leaf (through the DHT in
@@ -76,20 +62,6 @@ func Execute(plan *Plan, schema *relation.Schema, src Source) (*Result, error) {
 func ExecuteTraced(plan *Plan, schema *relation.Schema, src Source, sp *trace.Span) (*Result, error) {
 	metExecutions.Inc()
 	res := &Result{ScanRecall: make(map[string]float64)}
-
-	// Signature-pipeline accounting: snapshot before the leaves fetch,
-	// diff after, so the result reports this query's own hashing reuse.
-	sigSrc, _ := src.(SigStatsProvider)
-	var sigBefore metrics.SigSnapshot
-	if sigSrc != nil {
-		sigBefore = sigSrc.SigStats()
-	}
-	defer func() {
-		if sigSrc != nil {
-			delta := sigSrc.SigStats().Sub(sigBefore)
-			res.SigCache = &delta
-		}
-	}()
 
 	// Leaves: fetch and filter.
 	tables := make(map[string]*relation.Relation, len(plan.Scans))

@@ -9,7 +9,8 @@
 // probe success (Figs. 6-9), hashing cost (Fig. 5) — and a span tree is
 // those figures for a single query: each "probe" child is one of the l
 // identifier resolutions, its "hop" events are the Fig. 12 path, and its
-// "sig" event is the Fig. 5 cost actually paid.
+// "sig" event says whether this lookup paid the Fig. 5 signing cost
+// (miss) or reused a cached signature (hit).
 //
 // # The disabled tracer costs nothing
 //

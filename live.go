@@ -70,14 +70,10 @@ type LiveConfig struct {
 	// outages) between this peer and the network — for resilience testing
 	// on real TCP clusters.
 	Fault *transport.FaultConfig
-	// SigCache bounds this peer's signature cache (hashed ranges memoized
-	// and extended across lookups); 0 disables the cache — batched
-	// evaluation still applies. Purely local, so peers of one ring may
-	// differ.
+	// SigCache bounds this peer's signature cache (the identifiers of
+	// recently hashed ranges, reused across lookups); 0 disables it.
+	// Purely local, so peers of one ring may differ.
 	SigCache int
-	// HashWorkers parallelizes signing across the k*l hash functions for
-	// large ranges; 0 or 1 keeps signing serial.
-	HashWorkers int
 	// Codec names the TCP wire protocol. There is one, so the only
 	// accepted values are "" and transport.CodecBinary; StartPeer
 	// rejects anything else with ErrUnknownCodec.
@@ -240,7 +236,6 @@ func StartPeer(listenAddr, bootstrap string, cfg LiveConfig) (*LivePeer, error) 
 		HotReplicas:   cfg.HotReplicas,
 		HotThreshold:  cfg.HotThreshold,
 		SigCache:      cfg.SigCache,
-		HashWorkers:   cfg.HashWorkers,
 		CacheCapacity: cfg.MemLimit,
 		Chord: chord.Config{
 			DisableRerouting: cfg.DisableRerouting,
@@ -551,8 +546,8 @@ func (lp *LivePeer) Successor() chord.Ref { return lp.peer.Node().Successor() }
 // lookups, reroutes around dead nodes, and transport retries.
 func (lp *LivePeer) RouteStats() metrics.RouteSnapshot { return lp.stats.Snapshot() }
 
-// SigStats snapshots the peer's signature-pipeline counters (cache hits,
-// incremental extensions, misses, evictions).
+// SigStats snapshots the peer's signature-cache counters (hits, misses,
+// evictions).
 func (lp *LivePeer) SigStats() metrics.SigSnapshot { return lp.peer.SigStats() }
 
 // FaultInjector returns the fault-injection layer when LiveConfig.Fault

@@ -135,14 +135,10 @@ type Config struct {
 	// CacheCapacity bounds each peer's descriptor cache with LRU
 	// eviction; 0 means unbounded (the paper's model).
 	CacheCapacity int
-	// SigCache bounds each peer's signature cache: hashed ranges are
-	// memoized and padded/repeated probes extend or reuse earlier
-	// signatures instead of rehashing. 0 disables the cache (batched
-	// evaluation still applies).
+	// SigCache bounds each peer's signature cache: the identifiers of
+	// recently hashed ranges, so a repeated range skips rehashing. 0
+	// disables the cache.
 	SigCache int
-	// HashWorkers parallelizes signing across the k*l hash functions for
-	// large ranges; 0 or 1 keeps signing serial (deterministic timing).
-	HashWorkers int
 }
 
 func (c Config) withDefaults() Config {
@@ -193,7 +189,6 @@ func New(cfg Config) (*System, error) {
 			HotThreshold:  cfg.HotThreshold,
 			CacheCapacity: cfg.CacheCapacity,
 			SigCache:      cfg.SigCache,
-			HashWorkers:   cfg.HashWorkers,
 		},
 	})
 	if err != nil {

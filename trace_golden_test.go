@@ -43,7 +43,7 @@ func TestLookupTraceGolden(t *testing.T) {
 	// path untraced lookups take, so the flight recorder's always-sampled
 	// root changes no RPC count.
 	const want = `lookup Patient.age [30,50] from 10.0.0.0:4000
-├─ sig: hits=0 extends=0 misses=1
+├─ sig: miss
 ├─ probe 1/5 id=cf7d4f9f
 │  ├─ shortcut: 0b3371f0@10.0.0.2:4000 via successor list
 │  └─ owner: 0b3371f0@10.0.0.2:4000 hops=1
@@ -108,7 +108,7 @@ func TestLoadAwareLookupTraceGolden(t *testing.T) {
 	// On an idle ring every gauge ties, so each probe goes to its owner
 	// and probes 2 and 5, both owned by 10.0.0.0, share one batch.
 	const first = `lookup Patient.age [30,50] from 10.0.0.0:4000
-├─ sig: hits=0 extends=0 misses=1
+├─ sig: miss
 ├─ probe 1/5 id=cf7d4f9f
 │  ├─ shortcut: 0b3371f0@10.0.0.2:4000 via successor list
 │  └─ owner: 0b3371f0@10.0.0.2:4000 hops=1
@@ -165,7 +165,7 @@ func TestLoadAwareLookupTraceGolden(t *testing.T) {
 	// another peer, diverts probes 2, 3 and 5 to the idle successor
 	// 10.0.0.7, which serves all three in one batch.
 	const second = `lookup Patient.age [30,50] from 10.0.0.6:4000
-├─ sig: hits=0 extends=0 misses=1
+├─ sig: miss
 ├─ probe 1/5 id=cf7d4f9f
 │  ├─ shortcut: 0b3371f0@10.0.0.2:4000 via successor list
 │  └─ owner: 0b3371f0@10.0.0.2:4000 hops=1
