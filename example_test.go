@@ -65,27 +65,3 @@ func ExampleSystem_Query() {
 		res.Columns[0].Column, res.Rows[0][0], res.ScanRecall["Patient.age"])
 	// Output: COUNT(*) = 36 (recall 1)
 }
-
-// Multi-interval predicates look up each component range and report how
-// much of the whole set the cache covered.
-func ExampleSystem_LookupMulti() {
-	sys, err := p2prange.New(p2prange.Config{
-		Peers:   16,
-		Measure: p2prange.MatchContainment,
-		Seed:    7,
-	})
-	if err != nil {
-		log.Fatal(err)
-	}
-	a, _ := p2prange.NewRange(30, 50)
-	b, _ := p2prange.NewRange(100, 120)
-	sys.Lookup("R", "x", a, true)
-	sys.Lookup("R", "x", b, true)
-
-	res, err := sys.LookupMulti("R", "x", false, a, b)
-	if err != nil {
-		log.Fatal(err)
-	}
-	fmt.Printf("components=%d recall=%.2f\n", len(res.Components), res.Recall)
-	// Output: components=2 recall=1.00
-}

@@ -20,12 +20,6 @@ func HashAddr(addr string) ID {
 	return binary.BigEndian.Uint32(sum[:4])
 }
 
-// HashBytes maps arbitrary bytes to the ring via SHA-1.
-func HashBytes(b []byte) ID {
-	sum := sha1.Sum(b)
-	return binary.BigEndian.Uint32(sum[:4])
-}
-
 // Between reports whether x lies on the arc (a, b) exclusive, walking
 // clockwise from a to b. When a == b the arc covers the whole circle
 // except a itself.

@@ -200,15 +200,6 @@ func (n *Node) Successors(k int) []Ref {
 	return out
 }
 
-// Fingers returns a copy of the finger table.
-func (n *Node) Fingers() []Ref {
-	n.mu.RLock()
-	defer n.mu.RUnlock()
-	out := make([]Ref, M)
-	copy(out, n.fingers[:])
-	return out
-}
-
 // setSuccessor installs s as the first finger and head of the successor
 // list.
 func (n *Node) setSuccessor(s Ref) {

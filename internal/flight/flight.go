@@ -274,11 +274,6 @@ const (
 	RingTop      = "top"
 )
 
-// Rings lists every ring name, in display order.
-func Rings() []string {
-	return []string{RingSlow, RingTop, RingErrored, RingHopHeavy, RingRecent}
-}
-
 // Entries snapshots one ring, newest first ("top" is ordered slowest
 // first instead — it has no recency notion). Unknown names and a nil
 // recorder return nil. The returned entries share the retained trees;

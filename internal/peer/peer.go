@@ -15,9 +15,11 @@ import (
 	"p2prange/internal/rangeset"
 	"p2prange/internal/relation"
 	"p2prange/internal/replica"
+	"p2prange/internal/ship"
 	"p2prange/internal/store"
 	"p2prange/internal/trace"
 	"p2prange/internal/transport"
+	"p2prange/internal/wal"
 )
 
 // The Default-registry peer.* family: protocol-level counters aggregated
@@ -420,13 +422,26 @@ func (p *Peer) RepairReplicas() replica.SyncStats {
 	return p.replica.Sync()
 }
 
-// SetShipSync installs the log-shipping fast path for replica
-// anti-entropy (see replica.ShipFunc): full-replica successors receive
-// the WAL delta instead of a digest walk. No-op without replication.
-func (p *Peer) SetShipSync(f replica.ShipFunc) {
-	if p.replica != nil {
-		p.replica.SetShip(f)
+// ShipReplicas installs the log-shipping fast path for replica
+// anti-entropy (see replica.Shipper): full-replica successors receive
+// the delta of lg, the peer's WAL, instead of a digest walk. Only
+// records this peer owns ship onward — replicated copies must not
+// cascade replica-to-replica. No-op without replication.
+func (p *Peer) ShipReplicas(lg *wal.Log) {
+	if p.replica == nil {
+		return
 	}
+	pusher := ship.NewPusher(lg, p.Addr(), func(r wal.Record) bool {
+		return p.node.Owns(uint32(r.ID))
+	})
+	p.replica.SetShip(replica.Shipper{
+		Ship: func(succ chord.Ref) (int, bool) {
+			return pusher.SyncTo(succ.Addr, func(req any) (any, error) {
+				return p.Call(succ, req)
+			})
+		},
+		Retain: pusher.Retain,
+	})
 }
 
 // RegisterAux installs an auxiliary protocol handler, consulted for

@@ -14,6 +14,7 @@ import (
 	"p2prange/internal/minhash"
 	"p2prange/internal/rangeset"
 	"p2prange/internal/relation"
+	"p2prange/internal/ship"
 	"p2prange/internal/store"
 	"p2prange/internal/trace"
 	"p2prange/internal/transport"
@@ -354,58 +355,48 @@ func TestIdentifiersDeterministic(t *testing.T) {
 	}
 }
 
-func TestLookupSet(t *testing.T) {
-	peers, _ := testCluster(t, 8, Config{Measure: store.MatchContainment})
-	// Cache partitions covering the two components.
-	for _, rg := range []rangeset.Range{{Lo: 30, Hi: 50}, {Lo: 100, Hi: 130}} {
-		if _, err := peers[0].Lookup("R", "a", rg, true, nil); err != nil {
-			t.Fatal(err)
-		}
+// TestShipForgetsDepartedSuccessor pins that log shipping releases the
+// WAL retention pin of a successor that left the replica set: the next
+// anti-entropy pass ships to the new successor and forgets the old one,
+// instead of holding every folded WAL file for a peer it never ships to
+// again.
+func TestShipForgetsDepartedSuccessor(t *testing.T) {
+	peers, _ := testCluster(t, 4, Config{Replicas: 1}) // R = 2: one shipped successor
+	for _, p := range peers {
+		p.RegisterAux(ship.NewService(ship.ServiceConfig{Store: p.Store()}).Handle)
 	}
-	// Component 0 is 0.95-similar to its cached partition; component 1 is
-	// an exact repeat (always findable regardless of key material).
-	qs := rangeset.NewSet(rangeset.Range{Lo: 30, Hi: 49}, rangeset.Range{Lo: 100, Hi: 130})
-	res, err := peers[3].LookupSet("R", "a", qs, false)
+	owner := peers[0]
+	lg, _, err := wal.Open(wal.Options{Dir: t.TempDir(), CompactEvery: -1}, owner.Store())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Components) != 2 {
-		t.Fatalf("components = %d", len(res.Components))
+	defer lg.Close()
+	owner.ShipReplicas(lg)
+
+	first := owner.Node().Successor()
+	owner.RepairReplicas()
+	if _, ok := lg.Pins()["push:"+first.Addr]; !ok {
+		t.Fatalf("pins after the first pass = %v, want push:%s", lg.Pins(), first.Addr)
 	}
-	for i, c := range res.Components {
-		if !c.Found {
-			t.Fatalf("component %d found no match", i)
+
+	// The first successor leaves; the ring converges without it.
+	var rest []*chord.Node
+	for _, p := range peers {
+		if p.Addr() != first.Addr {
+			rest = append(rest, p.Node())
 		}
 	}
-	if res.Recall != 1 {
-		t.Errorf("set recall = %g, want 1 (both components contained)", res.Recall)
-	}
-	if got := res.Covered.Size(); got != qs.Size() {
-		t.Errorf("covered %d of %d values", got, qs.Size())
-	}
-}
-
-func TestLookupSetPartialCoverage(t *testing.T) {
-	peers, _ := testCluster(t, 4, Config{Measure: store.MatchContainment})
-	// Only the first component has a cached superset.
-	if _, err := peers[0].Lookup("R", "a", rangeset.Range{Lo: 0, Hi: 20}, true, nil); err != nil {
+	if err := chord.BuildStableRing(rest); err != nil {
 		t.Fatal(err)
 	}
-	qs := rangeset.NewSet(rangeset.Range{Lo: 0, Hi: 19}, rangeset.Range{Lo: 800, Hi: 819})
-	res, err := peers[1].LookupSet("R", "a", qs, false)
-	if err != nil {
-		t.Fatal(err)
+	next := owner.Node().Successor()
+	owner.RepairReplicas()
+	pins := lg.Pins()
+	if _, ok := pins["push:"+first.Addr]; ok {
+		t.Errorf("pins after the departure = %v, still holds push:%s", pins, first.Addr)
 	}
-	if res.Recall <= 0 || res.Recall >= 1 {
-		t.Errorf("expected partial recall, got %g", res.Recall)
-	}
-}
-
-func TestLookupSetEmpty(t *testing.T) {
-	peers, _ := testCluster(t, 2, Config{})
-	res, err := peers[0].LookupSet("R", "a", rangeset.Set{}, false)
-	if err != nil || res.Recall != 1 || len(res.Components) != 0 {
-		t.Errorf("empty set lookup = %+v, %v", res, err)
+	if _, ok := pins["push:"+next.Addr]; !ok || len(pins) != 1 {
+		t.Errorf("pins after the departure = %v, want only push:%s", pins, next.Addr)
 	}
 }
 

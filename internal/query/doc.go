@@ -4,9 +4,7 @@
 //
 // # Pipeline
 //
-// Parse lexes and parses the SQL subset into a Query; BuildPlan (and
-// BuildPlanWith, which adds the multi-attribute and statistics-based
-// join-ordering extensions from the paper's future-work list) pushes
+// Parse lexes and parses the SQL subset into a Query; BuildPlan pushes
 // selects to the leaves and emits, per relation, the one range selection
 // the P2P layer resolves through the DHT — the Fig. 1 plan shape, where
 // "select operations are pushed onto the DHT" and the rest evaluates at

@@ -69,7 +69,7 @@ func FuzzPlanAndExecute(f *testing.F) {
 		if err != nil {
 			return
 		}
-		plan, err := BuildPlanWith(q, schema, PlanOptions{AllowMultiAttribute: true})
+		plan, err := BuildPlan(q, schema)
 		if err != nil {
 			return
 		}

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 
 	"p2prange/internal/rangeset"
 	"p2prange/internal/relation"
@@ -100,30 +101,15 @@ type bounds struct {
 	preds    []Predicate
 }
 
-// PlanOptions tune plan construction.
-type PlanOptions struct {
-	// AllowMultiAttribute lifts the paper's single-attribute restriction
-	// (its first stated future-work item): when a relation carries range
-	// predicates on several attributes, the most selective one (smallest
-	// bounded range) is resolved through the DHT and the rest are
-	// evaluated as residual filters at the querying peer.
-	AllowMultiAttribute bool
-	// Stats, when non-nil, enables statistics-based join ordering (the
-	// paper's third future-work item): scans are reordered by estimated
-	// cardinality, smallest first, keeping the join tree connected.
-	Stats *Stats
-}
+// empty makes the bounds unsatisfiable for good: predicates only raise lo
+// and lower hi, so none can uncross lo = math.MaxInt64 and
+// hi = math.MinInt64, and the plan reports ErrEmptySelect.
+func (b *bounds) empty() { b.lo, b.hi = math.MaxInt64, math.MinInt64 }
 
 // BuildPlan resolves the query against the global schema and produces a
 // plan with selects pushed to the leaves. Per the paper's restriction,
-// each relation may carry range predicates on at most one attribute; use
-// BuildPlanWith to lift it.
+// each relation may carry range predicates on at most one attribute.
 func BuildPlan(q *Query, schema *relation.Schema) (*Plan, error) {
-	return BuildPlanWith(q, schema, PlanOptions{})
-}
-
-// BuildPlanWith is BuildPlan with explicit options.
-func BuildPlanWith(q *Query, schema *relation.Schema, opts PlanOptions) (*Plan, error) {
 	for _, rel := range q.From {
 		if _, ok := schema.Relation(rel); !ok {
 			return nil, fmt.Errorf("%w: %s", ErrUnknownRelation, rel)
@@ -133,7 +119,7 @@ func BuildPlanWith(q *Query, schema *relation.Schema, opts PlanOptions) (*Plan, 
 	resolve := func(c ColRef) (ColRef, relation.Type, error) {
 		if c.Relation != "" {
 			rs, ok := schema.Relation(c.Relation)
-			if !ok || !contains(q.From, c.Relation) {
+			if !ok || !slices.Contains(q.From, c.Relation) {
 				return c, 0, fmt.Errorf("%w: %s", ErrUnknownRelation, c.Relation)
 			}
 			col, ok := rs.Col(c.Column)
@@ -187,7 +173,9 @@ func BuildPlanWith(q *Query, schema *relation.Schema, opts PlanOptions) (*Plan, 
 		v := lit.Ordinal()
 		switch op {
 		case OpLT:
-			if v-1 < b.hi {
+			if v == math.MinInt64 {
+				b.empty() // nothing lies below the smallest value
+			} else if v-1 < b.hi {
 				b.hi = v - 1
 			}
 		case OpLE:
@@ -195,7 +183,9 @@ func BuildPlanWith(q *Query, schema *relation.Schema, opts PlanOptions) (*Plan, 
 				b.hi = v
 			}
 		case OpGT:
-			if v+1 > b.lo {
+			if v == math.MaxInt64 {
+				b.empty() // nothing lies above the largest value
+			} else if v+1 > b.lo {
 				b.lo = v + 1
 			}
 		case OpGE:
@@ -311,17 +301,15 @@ func BuildPlanWith(q *Query, schema *relation.Schema, opts PlanOptions) (*Plan, 
 				rangedAttrs = append(rangedAttrs, attr)
 			}
 		}
-		if len(rangedAttrs) > 1 && !opts.AllowMultiAttribute {
+		if len(rangedAttrs) > 1 {
 			return nil, fmt.Errorf("%w: %s selects on %v", ErrMultiAttribute, rel, rangedAttrs)
 		}
 		pick := ""
 		switch {
 		case len(rangedAttrs) == 1:
 			pick = rangedAttrs[0]
-		case len(rangedAttrs) > 1:
-			pick = mostSelective(rangedAttrs, attrs)
 		case len(eqAttrs) > 0:
-			pick = pickFirst(eqAttrs, attrs)
+			pick = slices.Min(eqAttrs) // deterministic plans
 		}
 		for attr, b := range attrs {
 			if b.lo > b.hi {
@@ -398,47 +386,5 @@ func BuildPlanWith(q *Query, schema *relation.Schema, opts PlanOptions) (*Plan, 
 		}
 		plan.OrderBy = &OrderSpec{Col: rc, Desc: q.OrderBy.Desc}
 	}
-	if opts.Stats != nil {
-		opts.Stats.OrderScans(plan)
-	}
 	return plan, nil
-}
-
-// pickFirst returns the lexicographically first attribute, so plans are
-// deterministic.
-func pickFirst(attrs []string, _ map[string]*bounds) string {
-	best := ""
-	for _, a := range attrs {
-		if best == "" || a < best {
-			best = a
-		}
-	}
-	return best
-}
-
-// mostSelective returns the ranged attribute with the smallest bounded
-// range (half-open ranges count as unbounded); ties break
-// lexicographically for deterministic plans.
-func mostSelective(attrs []string, m map[string]*bounds) string {
-	best, bestSize := "", uint64(math.MaxUint64)
-	for _, a := range attrs {
-		b := m[a]
-		size := uint64(math.MaxUint64)
-		if b.lo != math.MinInt64 && b.hi != math.MaxInt64 {
-			size = uint64(b.hi - b.lo + 1)
-		}
-		if size < bestSize || (size == bestSize && (best == "" || a < best)) {
-			best, bestSize = a, size
-		}
-	}
-	return best
-}
-
-func contains(ss []string, s string) bool {
-	for _, x := range ss {
-		if x == s {
-			return true
-		}
-	}
-	return false
 }

@@ -288,6 +288,123 @@ func TestPlanStringRangeRejected(t *testing.T) {
 	}
 }
 
+// TestPlanRangePredicates pins how single-relation range predicates plan:
+// the pushed-down attribute and range, or the error that rejects them.
+// Contradictions must fail at plan time with ErrEmptySelect, including
+// strict bounds at the edges of int64, where v-1 and v+1 would wrap.
+func TestPlanRangePredicates(t *testing.T) {
+	tests := []struct {
+		name    string
+		sql     string
+		attr    string // "" for a full scan
+		want    rangeset.Range
+		wantErr error
+		syntax  bool // a parse error rather than a plan error
+	}{
+		{
+			name: "no predicate",
+			sql:  "SELECT * FROM Patient",
+		},
+		{
+			name: "closed",
+			sql:  "SELECT * FROM Patient WHERE age BETWEEN 30 AND 50",
+			attr: "age",
+			want: rangeset.Range{Lo: 30, Hi: 50},
+		},
+		{
+			name: "open above",
+			sql:  "SELECT * FROM Patient WHERE age >= 30",
+			attr: "age",
+			want: rangeset.Range{Lo: 30, Hi: math.MaxInt64},
+		},
+		{
+			name: "open below",
+			sql:  "SELECT * FROM Patient WHERE age <= 50",
+			attr: "age",
+			want: rangeset.Range{Lo: math.MinInt64, Hi: 50},
+		},
+		{
+			name: "strict at the largest value below it",
+			sql:  "SELECT * FROM Patient WHERE age < 9223372036854775807",
+			attr: "age",
+			want: rangeset.Range{Lo: math.MinInt64, Hi: math.MaxInt64 - 1},
+		},
+		{
+			name:    "above the largest int64",
+			sql:     "SELECT * FROM Patient WHERE age > 9223372036854775807",
+			wantErr: ErrEmptySelect,
+		},
+		{
+			name:    "below the smallest int64",
+			sql:     "SELECT * FROM Patient WHERE age < -9223372036854775808",
+			wantErr: ErrEmptySelect,
+		},
+		{
+			name:    "below the smallest int64 with a later bound",
+			sql:     "SELECT * FROM Patient WHERE age < -9223372036854775808 AND age >= 0",
+			wantErr: ErrEmptySelect,
+		},
+		{
+			name:    "inverted between",
+			sql:     "SELECT * FROM Patient WHERE age BETWEEN 50 AND 30",
+			wantErr: ErrEmptySelect,
+		},
+		{
+			name:   "empty in list",
+			sql:    "SELECT * FROM Patient WHERE age IN ()",
+			syntax: true,
+		},
+		{
+			name:    "column against column in one relation",
+			sql:     "SELECT * FROM Patient WHERE patient_id < age",
+			wantErr: ErrUnsupported,
+		},
+		{
+			name:    "range over a string column",
+			sql:     "SELECT * FROM Patient WHERE name >= 'A' AND name <= 'M'",
+			wantErr: ErrUnsupported,
+		},
+		{
+			name: "range over date literals",
+			sql:  "SELECT * FROM Prescription WHERE date BETWEEN '2000-01-01' AND '2000-01-31'",
+			attr: "date",
+			want: rangeset.Range{
+				Lo: relation.DayNumber(2000, time.January, 1),
+				Hi: relation.DayNumber(2000, time.January, 31),
+			},
+		},
+	}
+	for _, tt := range tests {
+		t.Run(tt.name, func(t *testing.T) {
+			q, err := Parse(tt.sql)
+			if tt.syntax {
+				var se *SyntaxError
+				if !errors.As(err, &se) {
+					t.Errorf("Parse() error = %v, want a *SyntaxError", err)
+				}
+				return
+			}
+			if err != nil {
+				t.Fatalf("Parse() error = %v", err)
+			}
+			plan, err := BuildPlan(q, medSchema(t))
+			if tt.wantErr != nil {
+				if !errors.Is(err, tt.wantErr) {
+					t.Errorf("BuildPlan() error = %v, want %v (plan %v)", err, tt.wantErr, plan)
+				}
+				return
+			}
+			if err != nil {
+				t.Fatalf("BuildPlan() error = %v", err)
+			}
+			s := plan.Scans[0]
+			if s.Attribute != tt.attr || (tt.attr != "" && s.Range != tt.want) {
+				t.Errorf("BuildPlan() scan = %s in %v, want %s in %v", s.Attribute, s.Range, tt.attr, tt.want)
+			}
+		})
+	}
+}
+
 // --- Execution ---
 
 func medData(t *testing.T) (*relation.Schema, *RelationSource) {
@@ -473,81 +590,6 @@ func TestQueryStringRoundTrip(t *testing.T) {
 	// Re-parse of the rendering succeeds.
 	if _, err := Parse(s); err != nil {
 		t.Errorf("re-parse of %q: %v", s, err)
-	}
-}
-
-func TestPlanMultiAttributeExtension(t *testing.T) {
-	// Prescription carries ranges on both prescription_id and date; with
-	// the extension the tighter range (prescription_id, size 5) resolves
-	// through the DHT and the date range becomes a residual filter.
-	q, err := Parse("SELECT * FROM Prescription WHERE prescription_id >= 1 AND prescription_id <= 5 AND date >= '2000-01-01' AND date <= '2002-12-31'")
-	if err != nil {
-		t.Fatal(err)
-	}
-	plan, err := BuildPlanWith(q, medSchema(t), PlanOptions{AllowMultiAttribute: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	s := plan.Scans[0]
-	if s.Attribute != "prescription_id" {
-		t.Errorf("primary attribute = %s, want prescription_id (most selective)", s.Attribute)
-	}
-	if s.Range != (rangeset.Range{Lo: 1, Hi: 5}) {
-		t.Errorf("primary range = %v", s.Range)
-	}
-	if len(s.Residual) != 2 {
-		t.Errorf("residuals = %v, want the two date bounds", s.Residual)
-	}
-}
-
-func TestPlanMultiAttributeHalfOpenLosesToBounded(t *testing.T) {
-	q, err := Parse("SELECT * FROM Prescription WHERE prescription_id > 100 AND date >= '2000-01-01' AND date <= '2000-01-31'")
-	if err != nil {
-		t.Fatal(err)
-	}
-	plan, err := BuildPlanWith(q, medSchema(t), PlanOptions{AllowMultiAttribute: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := plan.Scans[0].Attribute; got != "date" {
-		t.Errorf("primary = %s, want date (bounded beats half-open)", got)
-	}
-}
-
-func TestExecuteMultiAttribute(t *testing.T) {
-	schema, src := medData(t)
-	q, err := Parse("SELECT prescription_id, date FROM Prescription WHERE prescription_id >= 1 AND prescription_id <= 100 AND date >= '2000-01-01' AND date <= '2002-12-31'")
-	if err != nil {
-		t.Fatal(err)
-	}
-	plan, err := BuildPlanWith(q, schema, PlanOptions{AllowMultiAttribute: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := Execute(plan, schema, src)
-	if err != nil {
-		t.Fatal(err)
-	}
-	lo := relation.DayNumber(2000, time.January, 1)
-	hi := relation.DayNumber(2002, time.December, 31)
-	for _, row := range res.Rows {
-		if row[0].Int < 1 || row[0].Int > 100 {
-			t.Fatalf("prescription_id %d out of range", row[0].Int)
-		}
-		if row[1].Int < lo || row[1].Int > hi {
-			t.Fatalf("date %s outside window", row[1])
-		}
-	}
-	// Cross-check count with a nested-loop evaluation.
-	all, _ := src.FetchAll("Prescription")
-	want := 0
-	for _, tp := range all.Tuples {
-		if tp[0].Int >= 1 && tp[0].Int <= 100 && tp[1].Int >= lo && tp[1].Int <= hi {
-			want++
-		}
-	}
-	if len(res.Rows) != want {
-		t.Errorf("multi-attribute select returned %d rows, want %d", len(res.Rows), want)
 	}
 }
 

@@ -4,9 +4,8 @@
 // similarity between ranges is defined and locality sensitive hashing
 // applies.
 //
-// Range is a closed interval [Lo, Hi]; Set is a union of disjoint ranges,
-// used for multi-interval predicates (IN/OR) and padded probes. The
-// similarity measures mirror the paper's:
+// Range is a closed interval [Lo, Hi]. The similarity measures mirror
+// the paper's:
 //
 //   - Jaccard (Sec. 3.3): |A∩B|/|A∪B|, the collision probability of
 //     min-wise hashing and the x-axis of the Figs. 6-7 histograms.

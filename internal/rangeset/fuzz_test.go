@@ -2,61 +2,6 @@ package rangeset
 
 import "testing"
 
-// FuzzSetNormalization asserts NewSet's canonical-form invariants for
-// arbitrary endpoint quadruples: ranges sorted, disjoint, non-adjacent,
-// and membership identical to the raw inputs'.
-func FuzzSetNormalization(f *testing.F) {
-	f.Add(int64(0), int64(10), int64(5), int64(20))
-	f.Add(int64(0), int64(10), int64(11), int64(20)) // adjacent: must merge
-	f.Add(int64(5), int64(1), int64(3), int64(3))    // first invalid
-	f.Add(int64(-50), int64(50), int64(-50), int64(50))
-	f.Fuzz(func(t *testing.T, a, b, c, d int64) {
-		clamp := func(v int64) int64 {
-			const lim = 1 << 20 // keep membership checks cheap
-			if v > lim {
-				return lim
-			}
-			if v < -lim {
-				return -lim
-			}
-			return v
-		}
-		a, b, c, d = clamp(a), clamp(b), clamp(c), clamp(d)
-		r1 := Range{Lo: a, Hi: b}
-		r2 := Range{Lo: c, Hi: d}
-		s := NewSet(r1, r2)
-		rs := s.Ranges()
-		for i, r := range rs {
-			if !r.Valid() {
-				t.Fatalf("invalid range %v in canonical form", r)
-			}
-			if i > 0 && rs[i-1].Hi+1 >= r.Lo {
-				t.Fatalf("ranges %v and %v not disjoint/non-adjacent", rs[i-1], r)
-			}
-		}
-		// Membership agrees with the inputs at the edges and midpoints.
-		probe := []int64{a, b, c, d, a - 1, b + 1, (a + b) / 2, (c + d) / 2}
-		for _, v := range probe {
-			want := (r1.Valid() && r1.Contains(v)) || (r2.Valid() && r2.Contains(v))
-			if got := s.Contains(v); got != want {
-				t.Fatalf("Contains(%d) = %v, inputs say %v (set %v)", v, got, want, s)
-			}
-		}
-		// Size equals sum of canonical range sizes (definitionally) and
-		// never exceeds the raw inputs' combined size.
-		var raw int64
-		if r1.Valid() {
-			raw += r1.Size()
-		}
-		if r2.Valid() {
-			raw += r2.Size()
-		}
-		if s.Size() > raw {
-			t.Fatalf("canonical size %d exceeds raw %d", s.Size(), raw)
-		}
-	})
-}
-
 // FuzzSimilarityBounds asserts every similarity measure stays within
 // [0, 1] and equals 1 exactly for identical non-empty ranges.
 func FuzzSimilarityBounds(f *testing.F) {

@@ -47,11 +47,6 @@ func (r Range) ContainsRange(other Range) bool {
 	return r.Lo <= other.Lo && other.Hi <= r.Hi
 }
 
-// Overlaps reports whether the two ranges share at least one value.
-func (r Range) Overlaps(other Range) bool {
-	return r.Lo <= other.Hi && other.Lo <= r.Hi
-}
-
 // Intersect returns the intersection and whether it is non-empty.
 func (r Range) Intersect(other Range) (Range, bool) {
 	lo, hi := max64(r.Lo, other.Lo), min64(r.Hi, other.Hi)

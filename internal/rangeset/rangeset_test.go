@@ -191,6 +191,14 @@ func randRange(rng *rand.Rand) Range {
 	return Range{a, b}
 }
 
+// JaccardDistance is 1 - Jaccard(a, b). The paper (via Charikar) relies
+// on it being a metric.
+func JaccardDistance(a, b Range) float64 { return 1 - a.Jaccard(b) }
+
+// ContainmentDistance is 1 - Containment(a, b), which is not a metric:
+// the reason no LSH family exists for containment.
+func ContainmentDistance(a, b Range) float64 { return 1 - a.Containment(b) }
+
 // TestJaccardTriangleInequality verifies the property the whole hashing
 // scheme rests on: 1 - Jaccard is a metric.
 func TestJaccardTriangleInequality(t *testing.T) {
@@ -224,32 +232,53 @@ func TestContainmentNotMetric(t *testing.T) {
 	}
 }
 
+// bruteCounts counts |a ∩ b| and |a ∪ b| value by value.
+func bruteCounts(a, b Range) (inter, union float64) {
+	inSet := make(map[int64]int)
+	for _, v := range a.Values() {
+		inSet[v]++
+	}
+	for _, v := range b.Values() {
+		inSet[v] += 2
+	}
+	for _, m := range inSet {
+		union++
+		if m == 3 {
+			inter++
+		}
+	}
+	return inter, union
+}
+
 // Property: Jaccard via range arithmetic agrees with brute-force set
 // computation.
 func TestJaccardMatchesBruteForce(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	f := func() bool {
 		a, b := randRange(rng), randRange(rng)
-		inSet := make(map[int64]int)
-		for _, v := range a.Values() {
-			inSet[v]++
-		}
-		for _, v := range b.Values() {
-			inSet[v] += 2
-		}
-		var inter, union float64
-		for _, m := range inSet {
-			union++
-			if m == 3 {
-				inter++
-			}
-		}
-		want := inter / union
-		return close(a.Jaccard(b), want)
+		inter, union := bruteCounts(a, b)
+		return close(a.Jaccard(b), inter/union)
 	}
 	cfg := &quick.Config{MaxCount: 300}
 	if err := quick.Check(func() bool { return f() }, cfg); err != nil {
 		t.Error(err)
+	}
+}
+
+// Property: Containment and Recall via range arithmetic agree with
+// brute-force value counting, |a ∩ b| / |a|.
+func TestContainmentMatchesBruteForce(t *testing.T) {
+	rng := rand.New(rand.NewSource(8))
+	for i := 0; i < 300; i++ {
+		a, b := randRange(rng), randRange(rng)
+		inter, _ := bruteCounts(a, b)
+		want := inter / float64(len(a.Values()))
+		if got := a.Containment(b); !close(got, want) {
+			t.Fatalf("Containment(%v,%v) = %g, want %g", a, b, got, want)
+		}
+		if got := a.Recall(b); !close(got, want) {
+			t.Fatalf("Recall(%v,%v) = %g, want %g", a, b, got, want)
+		}
 	}
 }
 

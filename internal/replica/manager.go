@@ -119,11 +119,18 @@ type Deps struct {
 	Call func(to chord.Ref, req any) (any, error)
 }
 
-// ShipFunc is the log-shipping fast path for one successor: push the
-// WAL records written since the last round and report (records shipped,
-// converged). ok=false demotes that successor to a digest exchange this
-// round — ship is the common case, digests the repair of last resort.
-type ShipFunc func(succ chord.Ref) (pushed int, ok bool)
+// Shipper is the log-shipping fast path to full-replica successors.
+type Shipper struct {
+	// Ship pushes succ the WAL records written since the last round and
+	// reports (records shipped, converged). ok=false demotes succ to a
+	// digest exchange this round — ship is the common case, digests the
+	// repair of last resort.
+	Ship func(succ chord.Ref) (pushed int, ok bool)
+	// Retain receives, after every pass, the addresses Ship was offered;
+	// whatever it keeps for any other receiver (a WAL retention pin) must
+	// go, since that receiver left the replica set.
+	Retain func(addrs []string)
+}
 
 // Manager runs one peer's side of the replication subsystem: stamping
 // and pushing copies on publish, promoting hot buckets, answering load
@@ -138,19 +145,19 @@ type Manager struct {
 	ver     atomic.Uint64
 
 	shipMu sync.RWMutex
-	ship   ShipFunc
+	ship   *Shipper
 }
 
 // SetShip installs the log-shipping sync path. It is attached after
 // construction because the WAL (the shipped log) opens only once the
 // peer's store has been recovered.
-func (m *Manager) SetShip(f ShipFunc) {
+func (m *Manager) SetShip(s Shipper) {
 	m.shipMu.Lock()
-	m.ship = f
+	m.ship = &s
 	m.shipMu.Unlock()
 }
 
-func (m *Manager) shipFunc() ShipFunc {
+func (m *Manager) shipper() *Shipper {
 	m.shipMu.RLock()
 	defer m.shipMu.RUnlock()
 	return m.ship
@@ -197,11 +204,6 @@ func (m *Manager) HandleLoad(r LoadReq) LoadResp {
 		resp.Fanouts[i] = m.Fanout(id)
 	}
 	return resp
-}
-
-// HandleSync answers a SyncReq with the keys this peer lacks.
-func (m *Manager) HandleSync(r SyncReq) SyncResp {
-	return SyncResp{Missing: m.st.MissingFrom(r.Digest)}
 }
 
 // Replicate pushes a freshly admitted descriptor to the first Fanout-1
@@ -274,12 +276,15 @@ type SyncStats struct {
 // should replicate (successor i holds copies of buckets with fan-out
 // > i+1), and push full descriptors for whatever it reports missing.
 // Sync also decays the popularity tracker, so the hot set and the load
-// gauge both measure the window since the last repair period.
+// gauge both measure the window since the last repair period. A pass
+// that ships tells the Shipper which receivers it shipped to, so one
+// that left the first R-1 successors stops pinning WAL history.
 func (m *Manager) Sync() SyncStats {
 	metSyncRounds.Inc()
 	m.tracker.Decay()
-	ship := m.shipFunc()
+	ship := m.shipper()
 	var stats SyncStats
+	var shipped []string
 	for i, succ := range m.deps.Successors(m.cfg.RHot - 1) {
 		depth := i + 1 // succ holds copies of buckets with Fanout > depth
 		if ship != nil && depth < m.cfg.R {
@@ -289,7 +294,8 @@ func (m *Manager) Sync() SyncStats {
 			// O(store). Hot-only successors below keep the digest
 			// path; their bucket set shifts with the hot set, which
 			// the log does not encode.
-			pushed, ok := ship(succ)
+			shipped = append(shipped, succ.Addr)
+			pushed, ok := ship.Ship(succ)
 			stats.Shipped += pushed
 			if ok {
 				metShipSynced.Inc()
@@ -337,6 +343,9 @@ func (m *Manager) Sync() SyncStats {
 				stats.Repaired++
 			}
 		}
+	}
+	if ship != nil {
+		ship.Retain(shipped)
 	}
 	// One journal line per round that actually fixed something: repair is
 	// the signal that copies were lost (a crash, an eviction, a missed

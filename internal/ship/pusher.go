@@ -2,6 +2,7 @@ package ship
 
 import (
 	"errors"
+	"slices"
 	"sync"
 
 	"p2prange/internal/wal"
@@ -183,15 +184,18 @@ func (p *Pusher) Forget(addr string) {
 	p.log.Unpin("push:" + addr)
 }
 
-// Cursors reports each receiver's push cursor, for /status.
-func (p *Pusher) Cursors() map[string]wal.Cursor {
+// Retain forgets every receiver not in addrs, the successors the last
+// sync pass shipped to.
+func (p *Pusher) Retain(addrs []string) {
 	p.mu.Lock()
-	defer p.mu.Unlock()
-	out := make(map[string]wal.Cursor, len(p.peers))
-	for addr, st := range p.peers {
-		if st.baselined {
-			out[addr] = st.cursor
+	var gone []string
+	for addr := range p.peers {
+		if !slices.Contains(addrs, addr) {
+			gone = append(gone, addr)
 		}
 	}
-	return out
+	p.mu.Unlock()
+	for _, addr := range gone {
+		p.Forget(addr)
+	}
 }

@@ -1,9 +1,11 @@
 package store
 
 import (
+	"bytes"
 	"container/list"
 	"fmt"
 	"sort"
+	"strconv"
 	"sync"
 	"sync/atomic"
 
@@ -399,7 +401,27 @@ func better(m, best Match) bool {
 	if m.Score != best.Score {
 		return m.Score > best.Score
 	}
-	return m.Partition.Key() < best.Partition.Key()
+	return keyLess(m.Partition, best.Partition)
+}
+
+// keyLess reports a.Key() < b.Key() without formatting either key on the
+// heap. The keys compare as text, so [10,20] sorts before [9,20]; a
+// numeric comparison of the bounds would reorder ties.
+func keyLess(a, b Partition) bool {
+	var ab, bb [96]byte
+	return bytes.Compare(appendKey(ab[:0], a), appendKey(bb[:0], b)) < 0
+}
+
+// appendKey appends p.Key() to dst.
+func appendKey(dst []byte, p Partition) []byte {
+	dst = append(dst, p.Relation...)
+	dst = append(dst, '.')
+	dst = append(dst, p.Attribute...)
+	dst = append(dst, '[')
+	dst = strconv.AppendInt(dst, p.Range.Lo, 10)
+	dst = append(dst, ',')
+	dst = strconv.AppendInt(dst, p.Range.Hi, 10)
+	return append(dst, ']')
 }
 
 func bestOf(bucket []Partition, relation, attribute string, q rangeset.Range, measure Measure) (Match, bool) {

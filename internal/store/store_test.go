@@ -2,6 +2,7 @@ package store
 
 import (
 	"errors"
+	"math"
 	"math/rand"
 	"sync"
 	"testing"
@@ -367,6 +368,51 @@ func TestFindBestBreaksTiesDeterministically(t *testing.T) {
 		if !ok || ma.Partition.Key() != want.Key() {
 			t.Errorf("order %v: FindBestAnywhere best = %v, want %v", order, ma.Partition.Key(), want.Key())
 		}
+	}
+}
+
+// TestBetterTieBreakMatchesKeyOrder pins that better breaks score ties in
+// exactly the order of comparing Key() strings (text, not numbers:
+// [10,20] before [9,20]), so replacing the formatted keys reorders no
+// tie, and that it formats nothing on the heap.
+func TestBetterTieBreakMatchesKeyOrder(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	names := []string{"R", "S", "Patient", "a", "age", "ab", ""}
+	bounds := []int64{0, 1, 9, 10, 99, 100, 123456, -1, -9, -10, -100, math.MaxInt64, math.MinInt64}
+	draw := func() Partition {
+		lo := bounds[rng.Intn(len(bounds))]
+		if rng.Intn(2) == 0 {
+			lo = rng.Int63n(2001) - 1000
+		}
+		hi := bounds[rng.Intn(len(bounds))]
+		if rng.Intn(2) == 0 {
+			hi = rng.Int63n(2001) - 1000
+		}
+		return Partition{
+			Relation:  names[rng.Intn(len(names))],
+			Attribute: names[rng.Intn(len(names))],
+			Range:     rangeset.Range{Lo: lo, Hi: hi},
+			Holder:    "h",
+		}
+	}
+	for i := 0; i < 20000; i++ {
+		a, b := draw(), draw()
+		if i%4 == 0 {
+			b = a // equal keys
+			b.Holder = "other"
+		}
+		ma, mb := Match{Partition: a, Score: 0.5}, Match{Partition: b, Score: 0.5}
+		if got, want := better(ma, mb), a.Key() < b.Key(); got != want {
+			t.Fatalf("better(%s, %s) = %v, want %v (Key order)", a.Key(), b.Key(), got, want)
+		}
+	}
+	a := Partition{Relation: "Patient", Attribute: "age", Range: rangeset.Range{Lo: 10, Hi: 20}}
+	b := Partition{Relation: "Patient", Attribute: "age", Range: rangeset.Range{Lo: 9, Hi: 20}}
+	if !better(Match{Partition: a}, Match{Partition: b}) {
+		t.Errorf("[10,20] must win the tie against [9,20], as its key sorts first")
+	}
+	if n := testing.AllocsPerRun(100, func() { better(Match{Partition: a}, Match{Partition: b}) }); n != 0 {
+		t.Errorf("better allocates %v times per tie, want 0", n)
 	}
 }
 

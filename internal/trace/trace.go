@@ -24,7 +24,6 @@ package trace
 
 import (
 	"fmt"
-	"io"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -210,12 +209,6 @@ func (s *Span) Tree(withTimings bool) string {
 	var b strings.Builder
 	s.render(&b, "", "", withTimings)
 	return b.String()
-}
-
-// WriteTree renders the tree to w.
-func (s *Span) WriteTree(w io.Writer, withTimings bool) error {
-	_, err := io.WriteString(w, s.Tree(withTimings))
-	return err
 }
 
 // String renders the tree with timings.

@@ -106,14 +106,6 @@ type RemoteError struct {
 // Error implements error.
 func (e *RemoteError) Error() string { return "transport: remote: " + e.Msg }
 
-// WrapRemote converts an error to its wire representation.
-func WrapRemote(err error) *RemoteError {
-	if err == nil {
-		return nil
-	}
-	return &RemoteError{Msg: err.Error()}
-}
-
 // BadRequest builds the standard unknown-request-type error.
 func BadRequest(req any) error {
 	return fmt.Errorf("%w: %T", ErrBadRequest, req)

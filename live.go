@@ -172,7 +172,6 @@ type LivePeer struct {
 	wal        *wal.Log     // nil when DataDir is unset
 	recovery   wal.Recovery // what boot-time replay found
 	shipSvc    *ship.Service
-	pusher     *ship.Pusher   // nil unless DataDir and Replicas
 	follower   *ship.Follower // nil unless Follow
 
 	flight       *flight.Recorder // nil when FlightOff
@@ -371,20 +370,10 @@ func StartPeer(listenAddr, bootstrap string, cfg LiveConfig) (*LivePeer, error) 
 	// protocol — follower subscriptions, entry streams, snapshot seeds.
 	lp.shipSvc = ship.NewService(ship.ServiceConfig{Log: lp.wal, Store: p.Store()})
 	p.RegisterAux(lp.shipSvc.Handle)
-	if lp.wal != nil && cfg.Replicas > 0 {
+	if lp.wal != nil {
 		// Replica anti-entropy ships the WAL delta to full-replica
 		// successors; digest exchange remains the repair of last resort.
-		// Only records this peer owns ship onward — replicated copies
-		// must not cascade replica-to-replica.
-		pusher := ship.NewPusher(lp.wal, addr, func(r wal.Record) bool {
-			return p.Node().Owns(uint32(r.ID))
-		})
-		p.SetShipSync(func(succ chord.Ref) (int, bool) {
-			return pusher.SyncTo(succ.Addr, func(req any) (any, error) {
-				return p.Call(succ, req)
-			})
-		})
-		lp.pusher = pusher
+		p.ShipReplicas(lp.wal)
 	}
 	if cfg.Follow != "" {
 		owner := cfg.Follow

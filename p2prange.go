@@ -110,13 +110,6 @@ type Config struct {
 	Schema *Schema
 	// UsePeerIndex enables the Section 5.3 per-peer index extension.
 	UsePeerIndex bool
-	// MultiAttribute lifts the paper's single-attribute-select
-	// restriction (its stated future work): the most selective range per
-	// relation resolves through the DHT, the rest filter locally.
-	MultiAttribute bool
-	// UseStats enables statistics-based join ordering over the registered
-	// base relations (the paper's third future-work item).
-	UseStats bool
 	// Replicas pushes each stored descriptor to that many ring successors
 	// so peer crashes do not lose cached descriptors. Setting it enables
 	// the replica subsystem (versioned copies, anti-entropy repair,
@@ -165,7 +158,6 @@ type System struct {
 	scheme  *minhash.Scheme
 	rng     *rand.Rand
 	base    map[string]*Relation
-	stats   *query.Stats // lazily built when Config.UseStats
 }
 
 // New builds a simulated system.
@@ -240,15 +232,6 @@ func (s *System) lookup(rel, attribute string, q Range, cache, traced bool) (Mat
 	return lr.Match, lr.Found, sp, nil
 }
 
-// LookupMulti answers a multi-interval predicate (a union of ranges, e.g.
-// from an IN or OR condition): each component range runs the approximate
-// lookup, and the result reports per-component matches plus the fraction
-// of the whole set the cache covered.
-func (s *System) LookupMulti(rel, attribute string, cache bool, ranges ...Range) (peer.SetLookupResult, error) {
-	origin := s.cluster.RandomPeer(s.rng)
-	return origin.LookupSet(rel, attribute, rangeset.NewSet(ranges...), cache)
-}
-
 // Publish registers a partition descriptor held by holderless caller: the
 // descriptor is stored under its l identifiers from a random origin peer.
 func (s *System) Publish(info PartitionInfo) error {
@@ -270,7 +253,6 @@ func (s *System) AddBase(r *Relation) error {
 		return fmt.Errorf("p2prange: relation %q not in the global schema", r.Schema.Name)
 	}
 	s.base[r.Schema.Name] = r
-	s.stats = nil // rebuilt lazily to include the new relation
 	// Index orderable columns so partition materialization at the data
 	// source is O(log n + k) per fetch.
 	for _, col := range r.Schema.Columns {
@@ -312,7 +294,7 @@ func (s *System) query(sql string, traced bool) (*QueryResult, *Trace, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	plan, err := query.BuildPlanWith(q, s.cfg.Schema, s.planOptions())
+	plan, err := query.BuildPlan(q, s.cfg.Schema)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -341,22 +323,11 @@ func (s *System) Plan(sql string) (string, error) {
 	if err != nil {
 		return "", err
 	}
-	plan, err := query.BuildPlanWith(q, s.cfg.Schema, s.planOptions())
+	plan, err := query.BuildPlan(q, s.cfg.Schema)
 	if err != nil {
 		return "", err
 	}
 	return plan.String(), nil
-}
-
-func (s *System) planOptions() query.PlanOptions {
-	opts := query.PlanOptions{AllowMultiAttribute: s.cfg.MultiAttribute}
-	if s.cfg.UseStats {
-		if s.stats == nil {
-			s.stats = query.NewStats(s.base)
-		}
-		opts.Stats = s.stats
-	}
-	return opts
 }
 
 // Loads returns the stored-descriptor count per peer (Fig. 11's metric).
