@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test check linkcheck flagcheck metriccheck benchguard trace-demo rangetop-demo flight-demo bench-all
+.PHONY: build test check figures linkcheck flagcheck metriccheck benchguard trace-demo rangetop-demo flight-demo bench-all
 
 build:
 	$(GO) build ./...
@@ -34,6 +34,13 @@ check:
 	$(GO) test -race -run 'TestReplica|TestRecover' ./internal/replica ./internal/sim ./internal/store ./internal/wal
 	$(GO) test -race -run 'TestShip|TestPusher' ./internal/ship
 	$(GO) test -race ./...
+
+# figures is the paper-scale figure gate: `rangebench -fig all` must
+# match results_full.txt in every cell that does not measure wall time
+# (the masked diff of cmd/rangebench/main_test.go). It takes minutes, so
+# check runs only its quick-scale twin, TestQuickFigures.
+figures:
+	$(GO) test -tags figures -run '^TestFullFigures$$' -timeout 60m -v ./cmd/rangebench
 
 # linkcheck verifies every relative link in the repo's markdown files.
 linkcheck:

@@ -314,7 +314,7 @@ func BenchmarkDistributedJoin(b *testing.B) {
 		b.Fatal(err)
 	}
 	for _, p := range c.Peers {
-		djoin.NewService(p)
+		djoin.NewService(p.Peer)
 	}
 	rels, err := relation.GenerateMedical(relation.MedicalConfig{
 		Patients: 200, Physicians: 10, Diagnoses: 500, Seed: 2,
@@ -324,9 +324,9 @@ func BenchmarkDistributedJoin(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, err := djoin.Run(c.Peers[0], fmt.Sprintf("b%d", i),
-			djoin.Input{Holder: c.Peers[1], Rel: rels["Patient"], Key: "patient_id"},
-			djoin.Input{Holder: c.Peers[2], Rel: rels["Diagnosis"], Key: "patient_id"})
+		res, err := djoin.Run(c.Peers[0].Peer, fmt.Sprintf("b%d", i),
+			djoin.Input{Holder: c.Peers[1].Peer, Rel: rels["Patient"], Key: "patient_id"},
+			djoin.Input{Holder: c.Peers[2].Peer, Rel: rels["Diagnosis"], Key: "patient_id"})
 		if err != nil {
 			b.Fatal(err)
 		}

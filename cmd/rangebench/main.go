@@ -20,6 +20,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 	"time"
@@ -29,32 +30,41 @@ import (
 )
 
 func main() {
+	os.Exit(run(os.Args[1:], os.Stdout))
+}
+
+// run is rangebench with its arguments and output passed in, so a test
+// can drive the figures in process; it returns the exit code.
+func run(args []string, stdout io.Writer) int {
+	fs := flag.NewFlagSet("rangebench", flag.ContinueOnError)
 	var (
-		fig    = flag.String("fig", "", "experiment id (e.g. 5, 6a, 11b, kl) or 'all'")
-		quick  = flag.Bool("quick", false, "use reduced parameters (fast smoke run)")
-		list   = flag.Bool("list", false, "list available experiment ids")
-		seed   = flag.Int64("seed", 42, "random seed")
-		format = flag.String("format", "table", "output format: table | csv")
-		outDir = flag.String("o", "", "write each experiment to <dir>/<id>.<ext> instead of stdout")
+		fig    = fs.String("fig", "", "experiment id (e.g. 5, 6a, 11b, kl) or 'all'")
+		quick  = fs.Bool("quick", false, "use reduced parameters (fast smoke run)")
+		list   = fs.Bool("list", false, "list available experiment ids")
+		seed   = fs.Int64("seed", 42, "random seed")
+		format = fs.String("format", "table", "output format: table | csv")
+		outDir = fs.String("o", "", "write each experiment to <dir>/<id>.<ext> instead of stdout")
 
-		load         = flag.Bool("load", false, "run the open-loop TCP load harness instead of a figure experiment")
-		loadQPS      = flag.Int("load-qps", 48000, "load harness: full-rate target arrival rate (approached through a fractional ramp)")
-		loadDuration = flag.Duration("load-duration", 2*time.Second, "load harness: duration of each ramp stage")
-		loadSLO      = flag.Duration("load-slo", 25*time.Millisecond, "load harness: p99 latency budget a stage must meet to count as sustained")
-		loadPeers    = flag.Int("load-peers", 3, "load harness: ring size (live TCP peers on loopback)")
-		loadOut      = flag.String("load-out", "BENCH_load.json", "load harness: JSON report path")
-		loadProfile  = flag.String("load-cpuprofile", "", "load harness: write a CPU profile of the run to this file")
-		loadFlight   = flag.Bool("load-flight", false, "load harness: A/B the flight recorder (on vs off) and record its overhead under flight_overhead in the report")
+		load         = fs.Bool("load", false, "run the open-loop TCP load harness instead of a figure experiment")
+		loadQPS      = fs.Int("load-qps", 48000, "load harness: full-rate target arrival rate (approached through a fractional ramp)")
+		loadDuration = fs.Duration("load-duration", 2*time.Second, "load harness: duration of each ramp stage")
+		loadSLO      = fs.Duration("load-slo", 25*time.Millisecond, "load harness: p99 latency budget a stage must meet to count as sustained")
+		loadPeers    = fs.Int("load-peers", 3, "load harness: ring size (live TCP peers on loopback)")
+		loadOut      = fs.String("load-out", "BENCH_load.json", "load harness: JSON report path")
+		loadProfile  = fs.String("load-cpuprofile", "", "load harness: write a CPU profile of the run to this file")
+		loadFlight   = fs.Bool("load-flight", false, "load harness: A/B the flight recorder (on vs off) and record its overhead under flight_overhead in the report")
 
-		sigCache   = flag.Int("sigcache", 0, "per-peer signature-cache capacity (ranges); 0 disables caching")
-		workloadP  = flag.String("workload", "", "query-distribution preset for quality runs: uniform (default) | zipf | clustered")
-		metricsOut = flag.String("metrics-out", "", "write per-experiment metric deltas and the final snapshot to this JSON file")
+		sigCache   = fs.Int("sigcache", 0, "per-peer signature-cache capacity (ranges); 0 disables caching")
+		workloadP  = fs.String("workload", "", "query-distribution preset for quality runs: uniform (default) | zipf | clustered")
+		metricsOut = fs.String("metrics-out", "", "write per-experiment metric deltas and the final snapshot to this JSON file")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		return 2
+	}
 
 	if *list {
-		fmt.Println("available experiments:", strings.Join(experiments.IDs(), " "))
-		return
+		fmt.Fprintln(stdout, "available experiments:", strings.Join(experiments.IDs(), " "))
+		return 0
 	}
 	if *load {
 		err := runLoad(loadOptions{
@@ -69,13 +79,13 @@ func main() {
 		})
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "rangebench: -load: %v\n", err)
-			os.Exit(1)
+			return 1
 		}
-		return
+		return 0
 	}
 	if *fig == "" {
-		flag.Usage()
-		os.Exit(2)
+		fs.Usage()
+		return 2
 	}
 
 	params := experiments.FullDefaults()
@@ -95,35 +105,36 @@ func main() {
 		driver, ok := experiments.Lookup(id)
 		if !ok {
 			fmt.Fprintf(os.Stderr, "rangebench: unknown experiment %q (try -list)\n", id)
-			os.Exit(2)
+			return 2
 		}
 		before := metrics.Default.Snapshot()
 		start := time.Now()
 		table, err := driver(params)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "rangebench: %s: %v\n", id, err)
-			os.Exit(1)
+			return 1
 		}
 		elapsed := time.Since(start)
 		dump.Experiments[table.ID] = metrics.Default.Snapshot().Sub(before)
-		if err := emit(table, *format, *outDir); err != nil {
+		if err := emit(stdout, table, *format, *outDir); err != nil {
 			fmt.Fprintf(os.Stderr, "rangebench: %v\n", err)
-			os.Exit(1)
+			return 1
 		}
 		if *outDir == "" {
-			fmt.Printf("   (%s in %s)\n\n", table.ID, elapsed.Round(time.Millisecond))
+			fmt.Fprintf(stdout, "   (%s in %s)\n\n", table.ID, elapsed.Round(time.Millisecond))
 		} else {
-			fmt.Printf("%s done in %s\n", table.ID, elapsed.Round(time.Millisecond))
+			fmt.Fprintf(stdout, "%s done in %s\n", table.ID, elapsed.Round(time.Millisecond))
 		}
 	}
 	if *metricsOut != "" {
 		dump.Total = metrics.Default.Snapshot()
 		if err := writeMetrics(*metricsOut, dump); err != nil {
 			fmt.Fprintf(os.Stderr, "rangebench: %v\n", err)
-			os.Exit(1)
+			return 1
 		}
-		fmt.Printf("metrics written to %s\n", *metricsOut)
+		fmt.Fprintf(stdout, "metrics written to %s\n", *metricsOut)
 	}
+	return 0
 }
 
 // metricsDump is the -metrics-out JSON document: what each experiment
@@ -149,8 +160,8 @@ func writeMetrics(path string, dump metricsDump) error {
 }
 
 // emit writes one table to stdout or to <outDir>/<id>.<ext>.
-func emit(table *experiments.Table, format, outDir string) error {
-	write := func(w *os.File) error {
+func emit(stdout io.Writer, table *experiments.Table, format, outDir string) error {
+	write := func(w io.Writer) error {
 		switch format {
 		case "table":
 			_, err := table.WriteTo(w)
@@ -162,7 +173,7 @@ func emit(table *experiments.Table, format, outDir string) error {
 		}
 	}
 	if outDir == "" {
-		return write(os.Stdout)
+		return write(stdout)
 	}
 	if err := os.MkdirAll(outDir, 0o755); err != nil {
 		return err

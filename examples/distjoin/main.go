@@ -33,7 +33,7 @@ func main() {
 		log.Fatal(err)
 	}
 	for _, p := range cluster.Peers {
-		djoin.NewService(p)
+		djoin.NewService(p.Peer)
 	}
 
 	rels, err := relation.GenerateMedical(relation.MedicalConfig{
@@ -42,9 +42,9 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	patientHolder := cluster.Peers[2]
-	diagnosisHolder := cluster.Peers[9]
-	coordinator := cluster.Peers[15]
+	patientHolder := cluster.Peers[2].Peer
+	diagnosisHolder := cluster.Peers[9].Peer
+	coordinator := cluster.Peers[15].Peer
 	fmt.Printf("Patient (%d tuples) at %s\n", rels["Patient"].Len(), patientHolder.Ref())
 	fmt.Printf("Diagnosis (%d tuples) at %s\n", rels["Diagnosis"].Len(), diagnosisHolder.Ref())
 	fmt.Printf("coordinator %s\n\n", coordinator.Ref())

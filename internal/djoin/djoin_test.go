@@ -22,7 +22,7 @@ func joinCluster(t *testing.T, n int) (*sim.Cluster, []*Service) {
 	}
 	services := make([]*Service, n)
 	for i, p := range c.Peers {
-		services[i] = NewService(p)
+		services[i] = NewService(p.Peer)
 	}
 	return c, services
 }
@@ -57,9 +57,9 @@ func TestDistributedJoinMatchesNestedLoop(t *testing.T) {
 	c, _ := joinCluster(t, 12)
 	rels := medical(t)
 
-	res, err := Run(c.Peers[0], "s1",
-		Input{Holder: c.Peers[3], Rel: rels["Patient"], Key: "patient_id"},
-		Input{Holder: c.Peers[7], Rel: rels["Diagnosis"], Key: "patient_id"})
+	res, err := Run(c.Peers[0].Peer, "s1",
+		Input{Holder: c.Peers[3].Peer, Rel: rels["Patient"], Key: "patient_id"},
+		Input{Holder: c.Peers[7].Peer, Rel: rels["Diagnosis"], Key: "patient_id"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,9 +83,9 @@ func TestDistributedJoinMatchesNestedLoop(t *testing.T) {
 func TestDistributedJoinCleansUp(t *testing.T) {
 	c, services := joinCluster(t, 8)
 	rels := medical(t)
-	_, err := Run(c.Peers[0], "s2",
-		Input{Holder: c.Peers[1], Rel: rels["Physician"], Key: "physician_id"},
-		Input{Holder: c.Peers[2], Rel: rels["Diagnosis"], Key: "physician_id"})
+	_, err := Run(c.Peers[0].Peer, "s2",
+		Input{Holder: c.Peers[1].Peer, Rel: rels["Physician"], Key: "physician_id"},
+		Input{Holder: c.Peers[2].Peer, Rel: rels["Diagnosis"], Key: "physician_id"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,12 +101,12 @@ func TestDistributedJoinSessionsIsolated(t *testing.T) {
 	rels := medical(t)
 	// Scatter one side under session A, then run a full join under
 	// session B; A's tuples must not leak into B's result.
-	if _, _, err := Scatter("A", Input{Holder: c.Peers[0], Rel: rels["Diagnosis"], Key: "patient_id", Side: Right}); err != nil {
+	if _, _, err := Scatter("A", Input{Holder: c.Peers[0].Peer, Rel: rels["Diagnosis"], Key: "patient_id", Side: Right}); err != nil {
 		t.Fatal(err)
 	}
-	res, err := Run(c.Peers[0], "B",
-		Input{Holder: c.Peers[1], Rel: rels["Patient"], Key: "patient_id"},
-		Input{Holder: c.Peers[2], Rel: rels["Diagnosis"], Key: "patient_id"})
+	res, err := Run(c.Peers[0].Peer, "B",
+		Input{Holder: c.Peers[1].Peer, Rel: rels["Patient"], Key: "patient_id"},
+		Input{Holder: c.Peers[2].Peer, Rel: rels["Diagnosis"], Key: "patient_id"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,9 +120,9 @@ func TestDistributedJoinEmptySide(t *testing.T) {
 	c, _ := joinCluster(t, 4)
 	rels := medical(t)
 	empty := relation.NewRelation(rels["Patient"].Schema)
-	res, err := Run(c.Peers[0], "s3",
-		Input{Holder: c.Peers[1], Rel: empty, Key: "patient_id"},
-		Input{Holder: c.Peers[2], Rel: rels["Diagnosis"], Key: "patient_id"})
+	res, err := Run(c.Peers[0].Peer, "s3",
+		Input{Holder: c.Peers[1].Peer, Rel: empty, Key: "patient_id"},
+		Input{Holder: c.Peers[2].Peer, Rel: rels["Diagnosis"], Key: "patient_id"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,7 +134,7 @@ func TestDistributedJoinEmptySide(t *testing.T) {
 func TestDistributedJoinBadColumn(t *testing.T) {
 	c, _ := joinCluster(t, 4)
 	rels := medical(t)
-	_, _, err := Scatter("s4", Input{Holder: c.Peers[0], Rel: rels["Patient"], Key: "nope"})
+	_, _, err := Scatter("s4", Input{Holder: c.Peers[0].Peer, Rel: rels["Patient"], Key: "nope"})
 	if err == nil {
 		t.Error("unknown join column accepted")
 	}
@@ -153,7 +153,7 @@ func TestEncodeKeyDistinguishesKinds(t *testing.T) {
 func TestDistributedJoinSpreadsWork(t *testing.T) {
 	c, services := joinCluster(t, 16)
 	rels := medical(t)
-	if _, _, err := Scatter("s5", Input{Holder: c.Peers[0], Rel: rels["Diagnosis"], Key: "patient_id", Side: Left}); err != nil {
+	if _, _, err := Scatter("s5", Input{Holder: c.Peers[0].Peer, Rel: rels["Diagnosis"], Key: "patient_id", Side: Left}); err != nil {
 		t.Fatal(err)
 	}
 	holders := 0

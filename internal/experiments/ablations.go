@@ -37,14 +37,8 @@ func AblationKL(p Params) (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		cluster, err := sim.NewCluster(sim.ClusterConfig{
-			N:    p.ClusterN,
-			Peer: peer.Config{Scheme: scheme.Compiled()},
-		})
-		if err != nil {
-			return nil, err
-		}
-		res, err := sim.RunQuality(cluster, sim.QualityConfig{Queries: p.Queries, Seed: p.Seed})
+		res, _, err := clusterQuality(p.ClusterN, peer.Config{Scheme: scheme.Compiled()},
+			sim.QualityConfig{Queries: p.Queries, Seed: p.Seed})
 		if err != nil {
 			return nil, err
 		}
@@ -84,18 +78,9 @@ func AblationPeerIndex(p Params) (*Table, error) {
 			if err != nil {
 				return nil, err
 			}
-			cluster, err := sim.NewCluster(sim.ClusterConfig{
-				N: n,
-				Peer: peer.Config{
-					Scheme:       scheme,
-					Measure:      store.MatchContainment,
-					UsePeerIndex: useIdx,
-				},
-			})
-			if err != nil {
-				return nil, err
-			}
-			res, err := sim.RunQuality(cluster, sim.QualityConfig{Queries: p.Queries, Seed: p.Seed})
+			res, _, err := clusterQuality(n,
+				peer.Config{Scheme: scheme, Measure: store.MatchContainment, UsePeerIndex: useIdx},
+				sim.QualityConfig{Queries: p.Queries, Seed: p.Seed})
 			if err != nil {
 				return nil, err
 			}
@@ -127,14 +112,7 @@ func AblationWorkloads(p Params) (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		cluster, err := sim.NewCluster(sim.ClusterConfig{
-			N:    p.ClusterN,
-			Peer: peer.Config{Scheme: scheme, Measure: store.MatchContainment},
-		})
-		if err != nil {
-			return nil, err
-		}
-		res, err := sim.RunQuality(cluster, cfg)
+		res, _, err := clusterQuality(p.ClusterN, peer.Config{Scheme: scheme, Measure: store.MatchContainment}, cfg)
 		if err != nil {
 			return nil, err
 		}

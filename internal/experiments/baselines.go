@@ -37,14 +37,8 @@ func BaselineExact(p Params) (*Table, error) {
 		{"exact-match", minhash.NewExactScheme()},
 		{"LSH k=20 l=5", lsh},
 	} {
-		cluster, err := sim.NewCluster(sim.ClusterConfig{
-			N:    p.ClusterN,
-			Peer: peer.Config{Scheme: c.hasher, Measure: store.MatchContainment},
-		})
-		if err != nil {
-			return nil, err
-		}
-		res, err := sim.RunQuality(cluster, sim.QualityConfig{Queries: p.Queries, Seed: p.Seed})
+		res, _, err := clusterQuality(p.ClusterN, peer.Config{Scheme: c.hasher, Measure: store.MatchContainment},
+			sim.QualityConfig{Queries: p.Queries, Seed: p.Seed})
 		if err != nil {
 			return nil, err
 		}
@@ -75,18 +69,12 @@ func AblationPadding(p Params) (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		cluster, err := sim.NewCluster(sim.ClusterConfig{
-			N:    p.ClusterN,
-			Peer: peer.Config{Scheme: scheme, Measure: store.MatchContainment},
-		})
-		if err != nil {
-			return nil, err
-		}
 		cfg := sim.QualityConfig{Queries: p.Queries, Seed: p.Seed, PadFrac: pad}
 		if adaptive {
 			cfg.AdaptivePadding = sim.NewAdaptivePadder(0.30)
 		}
-		return sim.RunQuality(cluster, cfg)
+		res, _, err := clusterQuality(p.ClusterN, peer.Config{Scheme: scheme, Measure: store.MatchContainment}, cfg)
+		return res, err
 	}
 	for _, pad := range []float64{0, 0.10, 0.20, 0.30} {
 		res, err := run(pad, false)

@@ -33,18 +33,9 @@ func AblationCapacity(p Params) (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		cluster, err := sim.NewCluster(sim.ClusterConfig{
-			N: p.ClusterN,
-			Peer: peer.Config{
-				Scheme:        scheme,
-				Measure:       store.MatchContainment,
-				CacheCapacity: c,
-			},
-		})
-		if err != nil {
-			return nil, err
-		}
-		res, err := sim.RunQuality(cluster, sim.QualityConfig{Queries: p.Queries, Seed: p.Seed})
+		res, cluster, err := clusterQuality(p.ClusterN,
+			peer.Config{Scheme: scheme, Measure: store.MatchContainment, CacheCapacity: c},
+			sim.QualityConfig{Queries: p.Queries, Seed: p.Seed})
 		if err != nil {
 			return nil, err
 		}

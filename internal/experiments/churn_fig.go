@@ -3,6 +3,7 @@ package experiments
 import (
 	"fmt"
 	"os"
+	"path/filepath"
 	"time"
 
 	"p2prange/internal/sim"
@@ -65,6 +66,13 @@ func ChurnResilience(p Params) (*Table, error) {
 		"ship rows: a follower missing %d of %d writes converges by digest exchange vs WAL tail vs snapshot+tail — "+
 		"ident is byte-identity against local recovery of the owner's directory",
 		lookups, n, lookups, shipMissed, lookups+shipMissed)
+	// Every durable row gets its own data directory under one root.
+	root, err := os.MkdirTemp("", "p2prange-churn-")
+	if err != nil {
+		return nil, err
+	}
+	defer os.RemoveAll(root)
+	dir := func(name string) string { return filepath.Join(root, name) }
 	for _, ft := range []bool{true, false} {
 		cfg.FaultTolerance = ft
 		res, err := sim.RunChurn(cfg)
@@ -98,12 +106,7 @@ func ChurnResilience(p Params) (*Table, error) {
 		mode := "restart-cold"
 		if durable {
 			mode = "restart+wal"
-			dir, err := os.MkdirTemp("", "p2prange-restart-")
-			if err != nil {
-				return nil, err
-			}
-			defer os.RemoveAll(dir)
-			rcfg.Dir = dir
+			rcfg.Dir = dir("restart")
 		}
 		res, err := sim.RunRestart(rcfg)
 		if err != nil {
@@ -135,16 +138,11 @@ func ChurnResilience(p Params) (*Table, error) {
 	// compared against.
 	var baseline *sim.ResidentResult
 	for _, pct := range []int{0, 100, 50, 10} {
-		dir, err := os.MkdirTemp("", "p2prange-resident-")
-		if err != nil {
-			return nil, err
-		}
-		defer os.RemoveAll(dir)
 		res, err := sim.RunResident(sim.ResidentConfig{
 			Partitions: lookups / 2,
 			Queries:    lookups,
 			CapPct:     pct,
-			Dir:        dir,
+			Dir:        dir(fmt.Sprintf("resident-%d", pct)),
 			Seed:       p.Seed,
 		})
 		if err != nil {
@@ -176,19 +174,9 @@ func ChurnResilience(p Params) (*Table, error) {
 	// vector rows (the O(store) term the log-shipping path eliminates),
 	// ident the byte-identity shadow check against local recovery.
 	for _, mode := range []string{sim.ShipModeDigest, sim.ShipModeTail, sim.ShipModeSnapshot} {
-		odir, err := os.MkdirTemp("", "p2prange-ship-o-")
-		if err != nil {
-			return nil, err
-		}
-		defer os.RemoveAll(odir)
-		fdir, err := os.MkdirTemp("", "p2prange-ship-f-")
-		if err != nil {
-			return nil, err
-		}
-		defer os.RemoveAll(fdir)
 		res, err := sim.RunShip(sim.ShipConfig{
 			Base: lookups, Missed: shipMissed, Mode: mode,
-			OwnerDir: odir, FollowerDir: fdir, Seed: p.Seed,
+			OwnerDir: dir("ship-owner-" + mode), FollowerDir: dir("ship-follower-" + mode), Seed: p.Seed,
 		})
 		if err != nil {
 			return nil, err

@@ -50,17 +50,17 @@ func DistributedJoin(p Params) (*Table, error) {
 		}
 		services := make([]*djoin.Service, n)
 		for i, pr := range cluster.Peers {
-			services[i] = djoin.NewService(pr)
+			services[i] = djoin.NewService(pr.Peer)
 		}
 		// Count per-owner tuples by intercepting sessions after scatter.
 		_, _, err = djoin.Scatter("x", djoin.Input{
-			Holder: cluster.Peers[0], Rel: left, Key: "patient_id", Side: djoin.Left,
+			Holder: cluster.Peers[0].Peer, Rel: left, Key: "patient_id", Side: djoin.Left,
 		})
 		if err != nil {
 			return nil, err
 		}
 		if _, _, err := djoin.Scatter("x", djoin.Input{
-			Holder: cluster.Peers[1%n], Rel: right, Key: "patient_id", Side: djoin.Right,
+			Holder: cluster.Peers[1%n].Peer, Rel: right, Key: "patient_id", Side: djoin.Right,
 		}); err != nil {
 			return nil, err
 		}
@@ -77,9 +77,9 @@ func DistributedJoin(p Params) (*Table, error) {
 			_, _ = pr.Call(pr.Ref(), djoin.CleanupReq{Session: "x"})
 		}
 		// A fresh full run for the pair and message counts.
-		res, err := djoin.Run(cluster.Peers[0], "y",
-			djoin.Input{Holder: cluster.Peers[0], Rel: left, Key: "patient_id"},
-			djoin.Input{Holder: cluster.Peers[1%n], Rel: right, Key: "patient_id"})
+		res, err := djoin.Run(cluster.Peers[0].Peer, "y",
+			djoin.Input{Holder: cluster.Peers[0].Peer, Rel: left, Key: "patient_id"},
+			djoin.Input{Holder: cluster.Peers[1%n].Peer, Rel: right, Key: "patient_id"})
 		if err != nil {
 			return nil, err
 		}

@@ -19,6 +19,17 @@ func init() {
 	Register("10", Fig10)
 }
 
+// clusterQuality builds a fresh n-peer cluster of pc and drives the quality
+// workload qc through it.
+func clusterQuality(n int, pc peer.Config, qc sim.QualityConfig) (*sim.QualityResult, *sim.Cluster, error) {
+	c, err := sim.NewCluster(sim.ClusterConfig{N: n, Peer: pc})
+	if err != nil {
+		return nil, nil, err
+	}
+	res, err := sim.RunQuality(c, qc)
+	return res, c, err
+}
+
 // runQuality builds a fresh cluster for family f and drives the standard
 // quality workload through it.
 func runQuality(p Params, f minhash.Family, measure store.Measure, padFrac float64) (*sim.QualityResult, error) {
@@ -26,27 +37,14 @@ func runQuality(p Params, f minhash.Family, measure store.Measure, padFrac float
 	if err != nil {
 		return nil, err
 	}
-	c, err := sim.NewCluster(sim.ClusterConfig{
-		N: p.ClusterN,
-		Peer: peer.Config{
-			Scheme:   scheme,
-			Measure:  measure,
-			SigCache: p.SigCache,
-		},
-	})
-	if err != nil {
-		return nil, err
-	}
 	gen, err := workload.Preset(p.Workload, p.Seed)
 	if err != nil {
 		return nil, err
 	}
-	return sim.RunQuality(c, sim.QualityConfig{
-		Queries:  p.Queries,
-		Seed:     p.Seed,
-		PadFrac:  padFrac,
-		Workload: gen,
-	})
+	res, _, err := clusterQuality(p.ClusterN,
+		peer.Config{Scheme: scheme, Measure: measure, SigCache: p.SigCache},
+		sim.QualityConfig{Queries: p.Queries, Seed: p.Seed, PadFrac: padFrac, Workload: gen})
+	return res, err
 }
 
 func qualityNote(p Params, extra string) string {

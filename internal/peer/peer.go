@@ -15,11 +15,9 @@ import (
 	"p2prange/internal/rangeset"
 	"p2prange/internal/relation"
 	"p2prange/internal/replica"
-	"p2prange/internal/ship"
 	"p2prange/internal/store"
 	"p2prange/internal/trace"
 	"p2prange/internal/transport"
-	"p2prange/internal/wal"
 )
 
 // The Default-registry peer.* family: protocol-level counters aggregated
@@ -405,9 +403,6 @@ func (p *Peer) findBest(id uint32, rel, attribute string, q rangeset.Range, meas
 	return FindBestResp{Match: m, Found: ok}
 }
 
-// Replica exposes the replication manager (nil when Replicas is 0).
-func (p *Peer) Replica() *replica.Manager { return p.replica }
-
 // ServedProbes returns how many bucket probes this peer has answered —
 // the per-peer load the load experiment compares across the cluster.
 func (p *Peer) ServedProbes() int64 { return p.served.Load() }
@@ -420,28 +415,6 @@ func (p *Peer) RepairReplicas() replica.SyncStats {
 		return replica.SyncStats{}
 	}
 	return p.replica.Sync()
-}
-
-// ShipReplicas installs the log-shipping fast path for replica
-// anti-entropy (see replica.Shipper): full-replica successors receive
-// the delta of lg, the peer's WAL, instead of a digest walk. Only
-// records this peer owns ship onward — replicated copies must not
-// cascade replica-to-replica. No-op without replication.
-func (p *Peer) ShipReplicas(lg *wal.Log) {
-	if p.replica == nil {
-		return
-	}
-	pusher := ship.NewPusher(lg, p.Addr(), func(r wal.Record) bool {
-		return p.node.Owns(uint32(r.ID))
-	})
-	p.replica.SetShip(replica.Shipper{
-		Ship: func(succ chord.Ref) (int, bool) {
-			return pusher.SyncTo(succ.Addr, func(req any) (any, error) {
-				return p.Call(succ, req)
-			})
-		},
-		Retain: pusher.Retain,
-	})
 }
 
 // RegisterAux installs an auxiliary protocol handler, consulted for

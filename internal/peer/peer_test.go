@@ -14,7 +14,6 @@ import (
 	"p2prange/internal/minhash"
 	"p2prange/internal/rangeset"
 	"p2prange/internal/relation"
-	"p2prange/internal/ship"
 	"p2prange/internal/store"
 	"p2prange/internal/trace"
 	"p2prange/internal/transport"
@@ -361,17 +360,31 @@ func TestIdentifiersDeterministic(t *testing.T) {
 // instead of holding every folded WAL file for a peer it never ships to
 // again.
 func TestShipForgetsDepartedSuccessor(t *testing.T) {
-	peers, _ := testCluster(t, 4, Config{Replicas: 1}) // R = 2: one shipped successor
-	for _, p := range peers {
-		p.RegisterAux(ship.NewService(ship.ServiceConfig{Store: p.Store()}).Handle)
-	}
-	owner := peers[0]
-	lg, _, err := wal.Open(wal.Options{Dir: t.TempDir(), CompactEvery: -1}, owner.Store())
+	// Four assembled nodes, R = 2 (one shipped successor); the owner is
+	// durable, so Boot wires its WAL to ship to the replica.
+	scheme, err := minhash.NewScheme(minhash.ApproxMinWise, 4, 3, rand.New(rand.NewSource(1)))
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer lg.Close()
-	owner.ShipReplicas(lg)
+	net := transport.NewMemory()
+	var peers []*Host
+	for i := 0; i < 4; i++ {
+		hc := HostConfig{Addr: fmt.Sprintf("p%d", i), Caller: net, Peer: Config{Scheme: scheme.Compiled(), Replicas: 1}}
+		if i == 0 {
+			hc.WAL = wal.Options{Dir: t.TempDir(), CompactEvery: -1}
+		}
+		h, err := Boot(hc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer h.Close()
+		h.ServeMemory(net)
+		peers = append(peers, h)
+	}
+	if err := Place(peers); err != nil {
+		t.Fatal(err)
+	}
+	owner, lg := peers[0], peers[0].Log
 
 	first := owner.Node().Successor()
 	owner.RepairReplicas()

@@ -98,19 +98,19 @@ func RunChurn(cfg ChurnConfig) (ChurnResult, error) {
 				Stats:            stats,
 			},
 		},
-		WrapCaller: func(inner transport.Caller) transport.Caller {
+		Host: func(_ int, hc *peer.HostConfig) {
 			if fault == nil {
-				fault = transport.NewFaultCaller(inner, transport.FaultConfig{
+				fault = transport.NewFaultCaller(hc.Caller, transport.FaultConfig{
 					Seed: cfg.Seed + 1, Drop: cfg.Drop,
 				})
 			}
-			if !cfg.FaultTolerance {
-				return fault
+			hc.Caller = fault
+			if cfg.FaultTolerance {
+				seq++
+				hc.Caller = transport.NewRetryCaller(fault, transport.RetryConfig{
+					Seed: cfg.Seed + 1 + seq, Stats: stats,
+				})
 			}
-			seq++
-			return transport.NewRetryCaller(fault, transport.RetryConfig{
-				Seed: cfg.Seed + 1 + seq, Stats: stats,
-			})
 		},
 	}
 	c, err := NewCluster(ccfg)
@@ -131,12 +131,9 @@ func RunChurn(cfg ChurnConfig) (ChurnResult, error) {
 	res := ChurnResult{Lookups: cfg.Lookups}
 	for q := 0; q < cfg.Lookups; q++ {
 		if crashed < cfg.Crashes && q == (crashed+1)*crashGap {
-			// Abrupt failure: the peer vanishes; no stabilization runs, so
-			// every finger and successor pointer at it goes stale.
 			i := rng.Intn(len(c.Peers))
 			delete(live, c.Peers[i].Addr())
-			c.Net.Unregister(c.Peers[i].Addr())
-			c.Peers = append(c.Peers[:i], c.Peers[i+1:]...)
+			c.drop(i)
 			crashed++
 		}
 		if cfg.StabilizeEvery > 0 && q > 0 && q%cfg.StabilizeEvery == 0 {

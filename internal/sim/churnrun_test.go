@@ -54,8 +54,9 @@ func TestChurnResilience(t *testing.T) {
 	}
 }
 
-// TestClusterWrapCaller checks the hook is applied: a counting wrapper
-// must see the cluster's traffic.
+// TestClusterWrapCaller checks the caller-wrapping hook
+// (ClusterConfig.Host) is applied: the churn run's fault and retry
+// callers carry the cluster's traffic.
 func TestClusterWrapCaller(t *testing.T) {
 	res, err := RunChurn(ChurnConfig{N: 16, Lookups: 50, Crashes: 1, Seed: 5, FaultTolerance: true})
 	if err != nil {

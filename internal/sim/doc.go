@@ -3,13 +3,18 @@
 //
 // # Cluster
 //
-// NewCluster wires N peers over the in-memory transport (deterministic
-// addresses 10.x.x.x:4000, chord IDs the SHA-1 of the address) onto a
-// converged chord ring sharing one LSH scheme, exercising the same
-// protocol code live TCP deployments run. Join/Leave/Crash drive churn
-// through the real join, graceful-leave, and stabilization paths, so the
-// availability experiments measure the actual repair machinery rather
-// than a model of it.
+// NewCluster assembles N peers (peer.Host, the same staged node a live
+// StartPeer peer is) over the in-memory transport — deterministic
+// addresses 10.x.x.x:4000+attempt, chord IDs the SHA-1 of the address,
+// the address perturbed until IDs are unique — and places them on a
+// converged chord ring sharing one LSH scheme, with the flight recorder
+// off. ClusterConfig.Host adjusts one peer's assembly: a data directory
+// makes it durable, a followed owner makes it a log-shipping follower.
+// Join/Leave/Crash drive churn through the real join, graceful-leave,
+// and stabilization paths and the hosts' own Crash and Close stages, so
+// the availability experiments measure the actual repair machinery
+// rather than a model of it. A join boots the peer before admitting it,
+// so a restarted peer's recovery can be inspected before it serves.
 //
 // # Experiment drivers
 //
@@ -17,7 +22,9 @@
 // workload (internal/workload) through the Section 4 protocol and record
 // similarity and recall. Scalability runs reproduce Figs. 11-12: store
 // tens of thousands of partitions across rings of 100-5000 peers and
-// record load distribution and lookup path lengths. The
-// internal/experiments package composes these into the figure-by-figure
-// tables rangebench prints.
+// record load distribution and lookup path lengths. The durable drivers
+// — RunRestart, RunResident and RunShip, the churn figure's restart,
+// resident and ship rows — boot their durable peers through the same
+// cluster. The internal/experiments package composes these into the
+// figure-by-figure tables rangebench prints.
 package sim

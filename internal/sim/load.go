@@ -9,7 +9,6 @@ import (
 	"p2prange/internal/obs"
 	"p2prange/internal/peer"
 	"p2prange/internal/rangeset"
-	"p2prange/internal/store"
 	"p2prange/internal/workload"
 )
 
@@ -145,21 +144,9 @@ func RunLoad(cfg LoadConfig) (*LoadResult, error) {
 
 	// Publish a fixed catalog of distinct ranges; the query stream draws
 	// from it, so every query has an exact answer somewhere.
-	catalog := make([]store.Partition, 0, cfg.Partitions)
-	seen := make(map[string]bool, cfg.Partitions)
-	gen := workload.NewUniform(workload.DefaultDomainLo, workload.DefaultDomainHi, cfg.Seed+1)
-	for len(catalog) < cfg.Partitions {
-		p := store.Partition{Relation: "R", Attribute: "a", Range: gen.Next()}
-		if seen[p.Key()] {
-			continue
-		}
-		seen[p.Key()] = true
-		origin := c.RandomPeer(rng)
-		p.Holder = origin.Addr()
-		if _, err := origin.Publish(p, nil); err != nil {
-			return nil, fmt.Errorf("sim: publish %s: %w", p.Range, err)
-		}
-		catalog = append(catalog, p)
+	catalog, err := c.publishCatalog(cfg.Partitions, rng, cfg.Seed+1)
+	if err != nil {
+		return nil, err
 	}
 
 	ranges := make([]rangeset.Range, len(catalog))
@@ -179,9 +166,7 @@ func RunLoad(cfg LoadConfig) (*LoadResult, error) {
 	crashed := 0
 	for q := 0; q < cfg.Queries; q++ {
 		if cfg.Crashes > 0 && crashed < cfg.Crashes && q == (crashed+1)*crashGap {
-			i := rng.Intn(len(c.Peers))
-			c.Net.Unregister(c.Peers[i].Addr())
-			c.Peers = append(c.Peers[:i], c.Peers[i+1:]...)
+			c.drop(rng.Intn(len(c.Peers)))
 			crashed++
 		}
 		if q > 0 && q%cfg.StabilizeEvery == 0 {

@@ -6,13 +6,10 @@ import (
 	"sort"
 	"time"
 
-	"p2prange/internal/chord"
 	"p2prange/internal/metrics"
 	"p2prange/internal/minhash"
 	"p2prange/internal/peer"
 	"p2prange/internal/rangeset"
-	"p2prange/internal/store"
-	"p2prange/internal/transport"
 	"p2prange/internal/wal"
 	"p2prange/internal/workload"
 )
@@ -113,41 +110,27 @@ func RunResident(cfg ResidentConfig) (*ResidentResult, error) {
 
 	// Phase 1 — seed. A one-peer ring owns every identifier, so the whole
 	// catalog lands on the victim's durable store.
+	durable := func(_ int, hc *peer.HostConfig) { hc.WAL = wal.Options{Dir: cfg.Dir} }
 	c, err := NewCluster(ClusterConfig{
 		N:    1,
 		Peer: peer.Config{Scheme: minhash.NewExactScheme()},
+		Host: durable,
 	})
 	if err != nil {
 		return nil, err
 	}
+	defer c.Close() // a no-op for the seeder once it has crashed
 	seeder := c.Peers[0]
-	addr := seeder.Addr()
-	lg, _, err := wal.Open(wal.Options{Dir: cfg.Dir}, seeder.Store())
+	catalog, err := c.publishCatalog(cfg.Partitions, rand.New(rand.NewSource(cfg.Seed)), cfg.Seed+1)
 	if err != nil {
 		return nil, err
 	}
-
-	gen := workload.NewUniform(workload.DefaultDomainLo, workload.DefaultDomainHi, cfg.Seed+1)
-	seen := make(map[string]bool, cfg.Partitions)
-	catalog := make([]rangeset.Range, 0, cfg.Partitions)
-	for published := 0; published < cfg.Partitions; {
-		p := store.Partition{Relation: "R", Attribute: "a", Range: gen.Next(), Holder: addr}
-		if seen[p.Key()] {
-			continue
-		}
-		seen[p.Key()] = true
-		catalog = append(catalog, p.Range)
-		if _, err := seeder.Publish(p, nil); err != nil {
-			return nil, fmt.Errorf("sim: publish %s: %w", p.Range, err)
-		}
-		published++
-	}
 	res := &ResidentResult{Held: seeder.Store().Len()}
 	// Fold everything into one sealed segment, then die as on kill -9.
-	if err := lg.Checkpoint(); err != nil {
+	if err := seeder.Log.Checkpoint(); err != nil {
 		return nil, fmt.Errorf("sim: checkpoint: %w", err)
 	}
-	lg.Crash()
+	seeder.Crash()
 
 	// Phase 2 — capped reboot. Same identity on a fresh network; the
 	// store is bounded and, when capped, reads through to the segment.
@@ -157,24 +140,18 @@ func RunResident(cfg ResidentConfig) (*ResidentResult, error) {
 			res.Cap = 1
 		}
 	}
-	net := transport.NewMemory()
-	revived, err := peer.New(addr, net, peer.Config{
-		Scheme:        minhash.NewExactScheme(),
-		CacheCapacity: res.Cap,
+	rc, err := NewCluster(ClusterConfig{
+		N:     1,
+		Peer:  peer.Config{Scheme: minhash.NewExactScheme(), CacheCapacity: res.Cap},
+		Addrs: []string{seeder.Addr()},
+		Host:  durable,
 	})
 	if err != nil {
 		return nil, err
 	}
-	lg2, rec, err := wal.Open(wal.Options{Dir: cfg.Dir}, revived.Store())
-	if err != nil {
-		return nil, err
-	}
-	defer lg2.Close()
-	res.Recovery = rec
-	net.Register(revived.Addr(), revived.Handle)
-	if err := chord.BuildStableRing([]*chord.Node{revived.Node()}); err != nil {
-		return nil, err
-	}
+	defer rc.Close()
+	revived := rc.Peers[0]
+	res.Recovery = revived.Recovery
 	if got := revived.Store().Len(); got != res.Held {
 		return nil, fmt.Errorf("sim: reboot recovered %d of %d descriptors", got, res.Held)
 	}
@@ -193,7 +170,7 @@ func RunResident(cfg ResidentConfig) (*ResidentResult, error) {
 		if q%8 == 7 {
 			probe = qgen.Next()
 		} else {
-			probe = catalog[qrng.Intn(len(catalog))]
+			probe = catalog[qrng.Intn(len(catalog))].Range
 		}
 		start := time.Now()
 		lr, err := revived.Lookup("R", "a", probe, false, nil)

@@ -6,9 +6,7 @@ import (
 
 	"p2prange/internal/minhash"
 	"p2prange/internal/peer"
-	"p2prange/internal/store"
 	"p2prange/internal/wal"
-	"p2prange/internal/workload"
 )
 
 // Restart ablation: crash one peer that owns a durable store, bring it
@@ -34,11 +32,6 @@ type RestartConfig struct {
 	Durable bool
 	// Dir is the victim's data directory (required when Durable).
 	Dir string
-	// Fsync is the WAL commit barrier mode (default FsyncAlways).
-	Fsync wal.FsyncMode
-	// CompactEvery is the WAL fold threshold (0 = wal default; negative
-	// disables compaction so recovery replays raw WAL records).
-	CompactEvery int
 	// RepairRounds is how many cluster-wide anti-entropy rounds run
 	// after the rejoin before the final accounting (default 3).
 	RepairRounds int
@@ -97,43 +90,22 @@ func RunRestart(cfg RestartConfig) (*RestartResult, error) {
 			Scheme:   minhash.NewExactScheme(),
 			Replicas: cfg.Replicas,
 		},
+		Host: func(i int, hc *peer.HostConfig) {
+			if i == 0 && cfg.Durable {
+				hc.WAL = wal.Options{Dir: cfg.Dir}
+			}
+		},
 	})
 	if err != nil {
 		return nil, err
 	}
-	rng := rand.New(rand.NewSource(cfg.Seed))
+	defer c.Close()
 	victim := c.Peers[0]
-	victimAddr := victim.Addr()
-
-	var lg *wal.Log
-	if cfg.Durable {
-		// The victim's store is empty, so there is nothing to replay;
-		// Open only creates the directory and the first WAL file.
-		lg, _, err = wal.Open(wal.Options{
-			Dir: cfg.Dir, Fsync: cfg.Fsync, CompactEvery: cfg.CompactEvery,
-		}, victim.Store())
-		if err != nil {
-			return nil, err
-		}
-		defer lg.Close() // a no-op once the crash below has abandoned it
-	}
 
 	// Publish a catalog of distinct ranges from random origins; every
 	// StoreReq the victim acknowledges is committed to its WAL first.
-	gen := workload.NewUniform(workload.DefaultDomainLo, workload.DefaultDomainHi, cfg.Seed+1)
-	seen := make(map[string]bool, cfg.Partitions)
-	for published := 0; published < cfg.Partitions; {
-		p := store.Partition{Relation: "R", Attribute: "a", Range: gen.Next()}
-		if seen[p.Key()] {
-			continue
-		}
-		seen[p.Key()] = true
-		origin := c.RandomPeer(rng)
-		p.Holder = origin.Addr()
-		if _, err := origin.Publish(p, nil); err != nil {
-			return nil, fmt.Errorf("sim: publish %s: %w", p.Range, err)
-		}
-		published++
+	if _, err := c.publishCatalog(cfg.Partitions, rand.New(rand.NewSource(cfg.Seed)), cfg.Seed+1); err != nil {
+		return nil, err
 	}
 
 	// Snapshot what the victim holds (per bucket, per descriptor key),
@@ -144,49 +116,32 @@ func RunRestart(cfg RestartConfig) (*RestartResult, error) {
 	for _, vv := range held {
 		res.Held += len(vv)
 	}
-	if lg != nil {
-		lg.Crash()
-	}
 	if err := c.Crash(0); err != nil {
 		return nil, err
 	}
 
-	// Restart with the same address — same chord ID, same arc. Replay
-	// the data directory into the fresh store before rejoining.
-	revived, err := peer.New(victimAddr, c.peerCaller(), c.cfg.Peer)
+	// Restart with the same address — same chord ID, same arc. Booting
+	// replays the data directory into the fresh store before the peer
+	// rejoins.
+	revived, err := c.boot(0, victim.Addr())
 	if err != nil {
 		return nil, err
 	}
+	res.Recovery = revived.Recovery
 	recovered := make(map[string]bool, res.Held)
-	if cfg.Durable {
-		lg2, rec, err := wal.Open(wal.Options{
-			Dir: cfg.Dir, Fsync: cfg.Fsync, CompactEvery: cfg.CompactEvery,
-		}, revived.Store())
-		if err != nil {
-			return nil, err
-		}
-		defer lg2.Close()
-		res.Recovery = rec
-		for id, vv := range held {
-			for key := range vv {
-				if _, ok := revived.Store().Get(id, key); ok {
-					res.Recovered++
-					recovered[fmt.Sprintf("%08x/%s", id, key)] = true
-				}
+	for id, vv := range held {
+		for key := range vv {
+			if _, ok := revived.Store().Get(id, key); ok {
+				res.Recovered++
+				recovered[fmt.Sprintf("%08x/%s", id, key)] = true
 			}
 		}
 	}
 
 	// Rejoin and let the network resupply the rest: reclaim the arc from
 	// the successor, then run anti-entropy rounds cluster-wide.
-	c.Net.Register(revived.Addr(), revived.Handle)
-	if err := revived.Node().Join(c.Peers[0].Addr()); err != nil {
-		return nil, fmt.Errorf("sim: rejoin: %w", err)
-	}
-	c.Peers = append(c.Peers, revived)
-	c.Stabilize(4)
-	if err := revived.ReclaimArc(); err != nil {
-		return nil, fmt.Errorf("sim: reclaim after restart: %w", err)
+	if err := c.admit(revived); err != nil {
+		return nil, fmt.Errorf("sim: rejoin after restart: %w", err)
 	}
 	for r := 0; r < cfg.RepairRounds; r++ {
 		c.RepairReplicas()

@@ -7,6 +7,7 @@ import (
 	"strings"
 	"time"
 
+	"p2prange/internal/minhash"
 	"p2prange/internal/peer"
 	"p2prange/internal/replica"
 	"p2prange/internal/ship"
@@ -106,45 +107,33 @@ func RunShip(cfg ShipConfig) (*ShipResult, error) {
 		return nil, fmt.Errorf("sim: ShipConfig.OwnerDir and FollowerDir are required")
 	}
 
-	// Owner: journaled store plus the ship service. Snapshot mode
-	// retains no WAL past a fold, so the follower's cursor is dead the
-	// moment the owner compacts; the other modes keep the default
-	// retention budget.
-	oOpt := wal.Options{Dir: cfg.OwnerDir, CompactEvery: -1}
-	if cfg.Mode == ShipModeSnapshot {
-		oOpt.ShipRetain = -1
-	}
-	ost := store.New()
-	olg, _, err := wal.Open(oOpt, ost)
-	if err != nil {
-		return nil, err
-	}
-	defer olg.Close()
-	svc := ship.NewService(ship.ServiceConfig{Log: olg, Store: ost})
-	call := func(req any) (any, error) {
-		resp, handled, err := svc.Handle(req)
-		if !handled {
-			return nil, fmt.Errorf("sim: unhandled ship request %T", req)
-		}
-		return resp, err
-	}
-
-	// Follower: its own journaled store, applying shipped records
-	// through the same replay path recovery uses.
-	fst := store.New()
-	flg, _, err := wal.Open(wal.Options{Dir: cfg.FollowerDir, CompactEvery: -1}, fst)
-	if err != nil {
-		return nil, err
-	}
-	defer flg.Close()
-	const self = "follower:1"
-	fl := ship.NewFollower(ship.FollowerConfig{
-		Owner: "owner",
-		Self:  self,
-		Call:  call,
-		Store: fst,
-		Dir:   cfg.FollowerDir,
+	// Owner and follower are two durable peers on one network, and the
+	// follower tails the owner. Snapshot mode retains no WAL past a
+	// fold, so the follower's cursor is dead the moment the owner
+	// compacts; the other modes keep the default retention budget. A
+	// third peer, booted last, recovers the owner's directory for the
+	// shadow check.
+	dirs := []string{cfg.OwnerDir, cfg.FollowerDir, cfg.OwnerDir}
+	c, err := NewCluster(ClusterConfig{
+		N:     2,
+		Peer:  peer.Config{Scheme: minhash.NewExactScheme()},
+		Addrs: []string{"owner", "follower"},
+		Host: func(i int, hc *peer.HostConfig) {
+			hc.WAL = wal.Options{Dir: dirs[i], CompactEvery: -1}
+			switch {
+			case i == 0 && cfg.Mode == ShipModeSnapshot:
+				hc.WAL.ShipRetain = -1
+			case i == 1:
+				hc.Follow = "owner"
+			}
+		},
 	})
+	if err != nil {
+		return nil, err
+	}
+	defer c.Close()
+	owner, follower := c.Peers[0], c.Peers[1]
+	ost, fst, fl := owner.Store(), follower.Store(), follower.Follower
 
 	// Publish the shared base, converge the follower, then disconnect
 	// it (drop its retention pin, as a stopping follower does).
@@ -156,7 +145,7 @@ func RunShip(cfg ShipConfig) (*ShipResult, error) {
 				Holder: "owner:4000", Version: 1, Origin: "o:1"}
 			ost.Put(rng.Uint32(), p)
 		}
-		return olg.Commit()
+		return ost.Commit()
 	}
 	if err := publish(cfg.Base); err != nil {
 		return nil, err
@@ -164,7 +153,7 @@ func RunShip(cfg ShipConfig) (*ShipResult, error) {
 	if _, err := fl.CatchUp(); err != nil {
 		return nil, fmt.Errorf("sim: initial sync: %w", err)
 	}
-	if _, err := call(ship.CursorAckReq{Follower: self, Leave: true}); err != nil {
+	if _, err := follower.Call(owner.Ref(), ship.CursorAckReq{Follower: follower.Addr(), Leave: true}); err != nil {
 		return nil, err
 	}
 
@@ -174,7 +163,7 @@ func RunShip(cfg ShipConfig) (*ShipResult, error) {
 		return nil, err
 	}
 	if cfg.Mode == ShipModeSnapshot {
-		if err := olg.Checkpoint(); err != nil {
+		if err := owner.Log.Checkpoint(); err != nil {
 			return nil, err
 		}
 	}
@@ -232,15 +221,14 @@ func RunShip(cfg ShipConfig) (*ShipResult, error) {
 	}
 	res.Elapsed = time.Since(start)
 
-	// Shadow check: recover the owner's directory into a fresh store
-	// and demand the follower renders identically, byte for byte.
-	rst := store.New()
-	rlg, _, err := wal.Open(wal.Options{Dir: cfg.OwnerDir, CompactEvery: -1}, rst)
+	// Shadow check: recover the owner's directory into a fresh peer and
+	// demand the follower renders identically, byte for byte.
+	shadow, err := c.boot(2, "shadow")
 	if err != nil {
 		return nil, fmt.Errorf("sim: shadow recovery: %w", err)
 	}
-	res.Identical = storeFingerprint(fst) == storeFingerprint(rst)
-	rlg.Close()
+	res.Identical = storeFingerprint(fst) == storeFingerprint(shadow.Store())
+	shadow.Close()
 
 	return res, nil
 }

@@ -412,15 +412,28 @@ func keyLess(a, b Partition) bool {
 	return bytes.Compare(appendKey(ab[:0], a), appendKey(bb[:0], b)) < 0
 }
 
+// rangeKeyLess is keyLess for two partitions of one relation and
+// attribute: their keys share everything up to the range, so the ranges
+// decide, compared as the same text.
+func rangeKeyLess(a, b rangeset.Range) bool {
+	var ab, bb [48]byte
+	return bytes.Compare(appendRange(ab[:0], a), appendRange(bb[:0], b)) < 0
+}
+
 // appendKey appends p.Key() to dst.
 func appendKey(dst []byte, p Partition) []byte {
 	dst = append(dst, p.Relation...)
 	dst = append(dst, '.')
 	dst = append(dst, p.Attribute...)
+	return appendRange(dst, p.Range)
+}
+
+// appendRange appends r's text form ("[lo,hi]") to dst.
+func appendRange(dst []byte, r rangeset.Range) []byte {
 	dst = append(dst, '[')
-	dst = strconv.AppendInt(dst, p.Range.Lo, 10)
+	dst = strconv.AppendInt(dst, r.Lo, 10)
 	dst = append(dst, ',')
-	dst = strconv.AppendInt(dst, p.Range.Hi, 10)
+	dst = strconv.AppendInt(dst, r.Hi, 10)
 	return append(dst, ']')
 }
 
@@ -430,21 +443,25 @@ func bestOf(bucket []Partition, relation, attribute string, q rangeset.Range, me
 }
 
 // rawBestOf is bestOf without the positive-score threshold, so tier
-// merges can combine candidates first and apply the threshold once.
+// merges can combine candidates first and apply the threshold once. It
+// walks the bucket by index and copies only the winner into its Match;
+// ties break as better does.
 func rawBestOf(bucket []Partition, relation, attribute string, q rangeset.Range, measure Measure) (Match, bool) {
-	var best Match
-	found := false
-	for _, p := range bucket {
+	best, bestScore := -1, 0.0
+	for i := range bucket {
+		p := &bucket[i]
 		if p.Relation != relation || p.Attribute != attribute {
 			continue
 		}
-		m := Match{Partition: p, Score: measure.Score(q, p.Range)}
-		if !found || better(m, best) {
-			best = m
-			found = true
+		score := measure.Score(q, p.Range)
+		if best < 0 || score > bestScore || score == bestScore && rangeKeyLess(p.Range, bucket[best].Range) {
+			best, bestScore = i, score
 		}
 	}
-	return best, found
+	if best < 0 {
+		return Match{}, false
+	}
+	return Match{Partition: bucket[best], Score: bestScore}, true
 }
 
 // Bucket returns a copy of the descriptors in bucket id, both tiers

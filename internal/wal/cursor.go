@@ -230,7 +230,7 @@ func readWALRange(path string, seq uint64, off, limit int64, maxBytes int) ([]by
 		return nil, 0, 0, fmt.Errorf("wal: ship read: %w", err)
 	}
 	recs := 0
-	n, werr := walkRecords(buf, func(Record) error { recs++; return nil })
+	n, werr := WalkBuffer(buf, func(Record) error { recs++; return nil })
 	if n == 0 && werr != nil {
 		// Not a record boundary, or the record at the cursor is damaged.
 		// Either way this cursor cannot be served.
@@ -500,15 +500,6 @@ func (l *Log) Usage() DiskUsage {
 		}
 	}
 	return u
-}
-
-// WalkBuffer CRC-walks framed records in buf, calling fn for each valid
-// one, and returns the byte length of the valid prefix. It is
-// walkRecords exported for the shipping path (appliers) and walctl: the
-// bytes ReadEntries ships are applied with exactly the parser recovery
-// replays with.
-func WalkBuffer(buf []byte, fn func(Record) error) (int, error) {
-	return walkRecords(buf, fn)
 }
 
 // Walker is WalkBuffer with reusable parse state: the cursor and its

@@ -87,7 +87,7 @@ func inspectWAL(dir string, seq uint64, dump func(string, Record)) FileReport {
 		fr.Damage = err.Error()
 		return fr
 	}
-	n, werr := walkRecords(body, func(r Record) error {
+	n, werr := WalkBuffer(body, func(r Record) error {
 		fr.Records++
 		if dump != nil {
 			dump(fr.Name, r)
@@ -121,7 +121,7 @@ func inspectSegment(dir string, seq uint64, dump func(string, Record)) FileRepor
 	sealed := false
 	var sealEnd int64
 	var count uint64
-	n, werr := walkRecords(body, func(r Record) error {
+	n, werr := WalkBuffer(body, func(r Record) error {
 		if r.Op == opSeal {
 			sealed, count = true, r.Count
 			return errSealStop
@@ -144,7 +144,7 @@ func inspectSegment(dir string, seq uint64, dump func(string, Record)) FileRepor
 		fr.Damage = fmt.Sprintf("seal count %d, walked %d records", count, fr.Records)
 		return fr
 	}
-	// The seal frame itself: walkRecords stops at its start when fn
+	// The seal frame itself: WalkBuffer stops at its start when fn
 	// aborts, but it already CRC-validated the frame — just measure it to
 	// find where the footer begins.
 	c := transport.NewCursor(data[sealEnd:])

@@ -135,9 +135,10 @@ func ParseRecord(c *transport.Cursor) (Record, error) {
 	return r, nil
 }
 
-// appendFramed appends the full framed form of r — length prefix,
-// checksum, body — to b.
-func appendFramed(b []byte, r *Record) []byte {
+// AppendFramed appends the full framed form of r — length prefix,
+// checksum, body — to b: the same encoding WAL files hold and the
+// shipping protocol streams, so a receiver can WalkBuffer it.
+func AppendFramed(b []byte, r *Record) []byte {
 	body := AppendRecord(nil, r)
 	b = transport.AppendUvarint(b, uint64(len(body)+4))
 	var crc [4]byte
@@ -147,17 +148,18 @@ func appendFramed(b []byte, r *Record) []byte {
 	return append(b, body...)
 }
 
-// walkRecords parses framed records from data, calling fn for each fully
+// WalkBuffer parses framed records from data, calling fn for each fully
 // valid one, and returns the offset just past the last valid record. A
 // clean end returns a nil error; a torn or corrupt tail returns the
 // describing error with the offset still pointing at the last good
 // record, so callers can truncate there. fn returning an error aborts
-// the walk (and is returned verbatim).
-func walkRecords(data []byte, fn func(Record) error) (int, error) {
+// the walk (and is returned verbatim). Recovery, compaction, walctl and
+// the shipping appliers all parse with it.
+func WalkBuffer(data []byte, fn func(Record) error) (int, error) {
 	return walkRecordsWith(transport.NewCursor(nil), data, fn)
 }
 
-// walkRecordsWith is walkRecords over a caller-owned cursor, so hot
+// walkRecordsWith is WalkBuffer over a caller-owned cursor, so hot
 // paths (the follower's shipped-batch apply) can reuse one cursor and
 // its interner across calls.
 func walkRecordsWith(c *transport.Cursor, data []byte, fn func(Record) error) (int, error) {
@@ -192,11 +194,4 @@ func walkRecordsWith(c *transport.Cursor, data []byte, fn func(Record) error) (i
 		off += hdr + int(length)
 	}
 	return off, nil
-}
-
-// AppendFramed appends the full framed form of r — length prefix,
-// checksum, body — to b: the same encoding WAL files hold and the
-// shipping protocol streams, so a receiver can WalkBuffer it.
-func AppendFramed(b []byte, r *Record) []byte {
-	return appendFramed(b, r)
 }

@@ -182,7 +182,7 @@ func Open(opt Options, st *store.Store) (*Log, Recovery, error) {
 		var off int
 		var werr error
 		if herr == nil {
-			off, werr = walkRecords(body, func(r Record) error {
+			off, werr = WalkBuffer(body, func(r Record) error {
 				applied++
 				return apply(r)
 			})

@@ -142,7 +142,7 @@ func foldFiles(dir string, segSeq, upto uint64) (foldState, int, error) {
 		if err != nil {
 			return nil, 0, fmt.Errorf("wal: fold wal %d: %w", seq, err)
 		}
-		n, _ := walkRecords(recs, func(r Record) error {
+		n, _ := WalkBuffer(recs, func(r Record) error {
 			state.apply(r)
 			folded++
 			return nil
@@ -184,12 +184,12 @@ func writeSegment(dir string, seq uint64, state foldState) error {
 			}
 			x.keys.add(hashIDKey(uint32(id), k))
 			x.ids.add(hashID(uint32(id)))
-			buf = appendFramed(buf, &Record{Op: OpPut, ID: id, Part: p})
+			buf = AppendFramed(buf, &Record{Op: OpPut, ID: id, Part: p})
 			x.count++
 		}
 	}
 	x.dataEnd = int64(len(buf))
-	buf = appendFramed(buf, &Record{Op: opSeal, Count: uint64(x.count)})
+	buf = AppendFramed(buf, &Record{Op: opSeal, Count: uint64(x.count)})
 	// The footer (sparse index + blooms + locator trailer) rides after the
 	// seal: the seal stays the commit point, the footer only accelerates
 	// reads and is rebuilt from a scan if damaged (segreader.go).
@@ -246,7 +246,7 @@ func ParseSegment(data []byte, seq uint64) ([]Record, error) {
 	}
 	var puts []Record
 	sealed := false
-	_, err = walkRecords(recs, func(r Record) error {
+	_, err = WalkBuffer(recs, func(r Record) error {
 		switch r.Op {
 		case opSeal:
 			if r.Count != uint64(len(puts)) {

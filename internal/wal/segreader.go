@@ -146,7 +146,7 @@ func (r *SegmentReader) loadFooter() (*segIndex, error) {
 		return nil, fmt.Errorf("%w: seal read: %v", ErrCorrupt, err)
 	}
 	sealed := false
-	n, err := walkRecords(seal, func(rec Record) error {
+	n, err := WalkBuffer(seal, func(rec Record) error {
 		if rec.Op != opSeal || rec.Count != uint64(x.count) {
 			return fmt.Errorf("%w: footer/seal mismatch", ErrCorrupt)
 		}

@@ -165,7 +165,7 @@ func (l *Log) Epoch() uint64 {
 func (l *Log) append(r *Record) {
 	l.mu.Lock()
 	if !l.closed {
-		l.buf = appendFramed(l.buf, r)
+		l.buf = AppendFramed(l.buf, r)
 		l.appended++
 		l.sinceFold++
 	}

@@ -138,12 +138,6 @@ func (c Config) withDefaults() Config {
 	if c.Peers <= 0 {
 		c.Peers = 32
 	}
-	if c.K <= 0 {
-		c.K = minhash.DefaultK
-	}
-	if c.L <= 0 {
-		c.L = minhash.DefaultL
-	}
 	if c.Seed == 0 {
 		c.Seed = 1
 	}
@@ -151,23 +145,24 @@ func (c Config) withDefaults() Config {
 }
 
 // System is an in-process deployment: N peers over the in-memory
-// transport on a converged chord ring, sharing one LSH scheme.
+// transport on a converged chord ring, sharing one LSH scheme. Its peers
+// are assembled like live ones (peer.Host) and run the same facade
+// methods; System only picks a random origin per call and keeps the base
+// relations and PadFrac its peers share.
 type System struct {
 	cfg     Config
 	cluster *sim.Cluster
-	scheme  *minhash.Scheme
 	rng     *rand.Rand
-	base    map[string]*Relation
+	base    *bases
 }
 
 // New builds a simulated system.
 func New(cfg Config) (*System, error) {
 	cfg = cfg.withDefaults()
-	raw, err := minhash.NewScheme(cfg.Family, cfg.K, cfg.L, rand.New(rand.NewSource(cfg.Seed)))
+	scheme, err := compiledScheme(cfg.Family, cfg.K, cfg.L, cfg.Seed)
 	if err != nil {
 		return nil, err
 	}
-	scheme := raw.Compiled()
 	cluster, err := sim.NewCluster(sim.ClusterConfig{
 		N: cfg.Peers,
 		Peer: peer.Config{
@@ -189,10 +184,14 @@ func New(cfg Config) (*System, error) {
 	return &System{
 		cfg:     cfg,
 		cluster: cluster,
-		scheme:  scheme,
 		rng:     rand.New(rand.NewSource(cfg.Seed + 0x9e3779b9)),
-		base:    make(map[string]*Relation),
+		base:    newBases(),
 	}, nil
+}
+
+// origin picks a uniformly random querying peer.
+func (s *System) origin() node {
+	return node{Host: s.cluster.RandomPeer(s.rng), schema: s.cfg.Schema, base: s.base, padFrac: s.cfg.PadFrac}
 }
 
 // Peers returns the number of peers.
@@ -203,7 +202,10 @@ func (s *System) Peers() int { return s.cluster.N() }
 // a non-exact query range is recorded at the l identifier owners so later
 // similar queries can find it.
 func (s *System) Lookup(rel, attribute string, q Range, cache bool) (Match, bool, error) {
-	m, found, _, err := s.lookup(rel, attribute, q, cache, false)
+	if !q.Valid() {
+		return Match{}, false, fmt.Errorf("p2prange: invalid range %s", q)
+	}
+	m, found, _, err := s.origin().lookup(rel, attribute, q, cache, false)
 	return m, found, err
 }
 
@@ -212,70 +214,28 @@ func (s *System) Lookup(rel, attribute string, q Range, cache bool) (Match, bool
 // hops and detours, one per batch round trip with the owner's serve span
 // and the per-probe matches, and the store decision.
 func (s *System) LookupTraced(rel, attribute string, q Range, cache bool) (Match, bool, *Trace, error) {
-	return s.lookup(rel, attribute, q, cache, true)
-}
-
-func (s *System) lookup(rel, attribute string, q Range, cache, traced bool) (Match, bool, *Trace, error) {
 	if !q.Valid() {
 		return Match{}, false, nil, fmt.Errorf("p2prange: invalid range %s", q)
 	}
-	origin := s.cluster.RandomPeer(s.rng)
-	var sp *Trace
-	if traced {
-		sp = trace.New(fmt.Sprintf("lookup %s.%s %s from %s", rel, attribute, q, origin.Addr()))
-	}
-	lr, err := origin.Lookup(rel, attribute, q, cache, sp)
-	sp.End()
-	if err != nil {
-		return Match{}, false, sp, err
-	}
-	return lr.Match, lr.Found, sp, nil
+	return s.origin().lookup(rel, attribute, q, cache, true)
 }
 
-// Publish registers a partition descriptor held by holderless caller: the
-// descriptor is stored under its l identifiers from a random origin peer.
-func (s *System) Publish(info PartitionInfo) error {
-	origin := s.cluster.RandomPeer(s.rng)
-	if info.Holder == "" {
-		info.Holder = origin.Addr()
-	}
-	_, err := origin.Publish(info, nil)
-	return err
-}
+// Publish registers a partition descriptor from a random origin peer,
+// which holds it when info.Holder is empty.
+func (s *System) Publish(info PartitionInfo) error { return s.origin().publish(info) }
 
 // AddBase registers a base relation at the system's data source, enabling
 // SQL execution with source fallback and partition materialization.
-func (s *System) AddBase(r *Relation) error {
-	if s.cfg.Schema == nil {
-		return errors.New("p2prange: Config.Schema required for relational data")
-	}
-	if _, ok := s.cfg.Schema.Relation(r.Schema.Name); !ok {
-		return fmt.Errorf("p2prange: relation %q not in the global schema", r.Schema.Name)
-	}
-	s.base[r.Schema.Name] = r
-	// Index orderable columns so partition materialization at the data
-	// source is O(log n + k) per fetch.
-	for _, col := range r.Schema.Columns {
-		if col.Type != relation.TString {
-			if err := r.BuildIndex(col.Name); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
-}
+func (s *System) AddBase(r *Relation) error { return s.base.add(s.cfg.Schema, r) }
 
 // Base returns a registered base relation by name.
-func (s *System) Base(rel string) (*Relation, bool) {
-	r, ok := s.base[rel]
-	return r, ok
-}
+func (s *System) Base(rel string) (*Relation, bool) { return s.base.get(rel) }
 
 // Query parses, plans, and executes a restricted SQL SELECT: selects are
 // pushed to the leaves and resolved through the DHT (with base fallback
 // and caching); joins and projection run at the querying peer.
 func (s *System) Query(sql string) (*QueryResult, error) {
-	res, _, err := s.query(sql, false)
+	res, _, err := s.origin().query(sql, false)
 	return res, err
 }
 
@@ -283,51 +243,17 @@ func (s *System) Query(sql string) (*QueryResult, error) {
 // span per scan leaf (with the DHT lookup, its probes, and their chord
 // hops inside) plus the join/projection stage.
 func (s *System) QueryTraced(sql string) (*QueryResult, *Trace, error) {
-	return s.query(sql, true)
-}
-
-func (s *System) query(sql string, traced bool) (*QueryResult, *Trace, error) {
-	if s.cfg.Schema == nil {
-		return nil, nil, errors.New("p2prange: Config.Schema required for SQL queries")
-	}
-	q, err := query.Parse(sql)
-	if err != nil {
-		return nil, nil, err
-	}
-	plan, err := query.BuildPlan(q, s.cfg.Schema)
-	if err != nil {
-		return nil, nil, err
-	}
-	origin := s.cluster.RandomPeer(s.rng)
-	src := &peer.DataSource{
-		Peer:    origin,
-		Base:    query.NewRelationSource(s.base),
-		PadFrac: s.cfg.PadFrac,
-	}
-	var sp *Trace
-	if traced {
-		sp = trace.New(fmt.Sprintf("query from %s", origin.Addr()))
-	}
-	res, err := query.ExecuteTraced(plan, s.cfg.Schema, src, sp)
-	sp.End()
-	return res, sp, err
+	return s.origin().query(sql, true)
 }
 
 // Plan returns the physical plan for a SQL statement without executing
 // it, for inspection (the paper's Fig. 1 plan shape).
 func (s *System) Plan(sql string) (string, error) {
-	if s.cfg.Schema == nil {
-		return "", errors.New("p2prange: Config.Schema required for SQL queries")
-	}
-	q, err := query.Parse(sql)
+	p, err := buildPlan(s.cfg.Schema, sql)
 	if err != nil {
 		return "", err
 	}
-	plan, err := query.BuildPlan(q, s.cfg.Schema)
-	if err != nil {
-		return "", err
-	}
-	return plan.String(), nil
+	return p.String(), nil
 }
 
 // Loads returns the stored-descriptor count per peer (Fig. 11's metric).
@@ -336,10 +262,8 @@ func (s *System) Loads() []int { return s.cluster.Loads() }
 // Grow adds one peer through the real join protocol (bootstrap, ring
 // stabilization, arc reclamation) and returns the new ring size.
 func (s *System) Grow() (int, error) {
-	if _, err := s.cluster.Join(); err != nil {
-		return s.cluster.N(), err
-	}
-	return s.cluster.N(), nil
+	_, err := s.cluster.Join()
+	return s.cluster.N(), err
 }
 
 // Shrink removes a random peer gracefully: its buckets hand off to the

@@ -3,7 +3,8 @@
 // drift apart silently.
 //
 // Declared flags are extracted from cmd/<name>/*.go (flag.String, .Bool,
-// .Int, .Int64, .Uint64, .Float64, .Duration, and flag.Var calls).
+// .Int, .Int64, .Uint64, .Float64, .Duration, and flag.Var calls, on the
+// flag package or on a FlagSet named fs).
 // Documented flags are extracted from markdown sections headed by a
 // heading that names `cmd/<name>`: inside such a section, every table
 // row whose first cell carries backticked `-flag` tokens documents those
@@ -27,8 +28,8 @@ import (
 )
 
 var (
-	declRE    = regexp.MustCompile(`flag\.(?:String|Bool|Int|Int64|Uint64|Float64|Duration)\(\s*"([^"]+)"`)
-	declVarRE = regexp.MustCompile(`flag\.Var\(\s*[^,]+,\s*\n?\s*"([^"]+)"`)
+	declRE    = regexp.MustCompile(`\b(?:flag|fs)\.(?:String|Bool|Int|Int64|Uint64|Float64|Duration)\(\s*"([^"]+)"`)
+	declVarRE = regexp.MustCompile(`\b(?:flag|fs)\.Var\(\s*[^,]+,\s*\n?\s*"([^"]+)"`)
 	headingRE = regexp.MustCompile("^#+ .*`cmd/([a-zA-Z0-9_-]+)`")
 	tokenRE   = regexp.MustCompile("`-([a-zA-Z0-9][a-zA-Z0-9_-]*)`")
 )

@@ -28,7 +28,7 @@ func TestStitchedTreeTransportEquivalence(t *testing.T) {
 	// instead of depending on how many fix-fingers rounds have elapsed.
 	for _, lp := range peers {
 		for k := uint(0); k < chord.M; k++ {
-			if err := lp.peer.Node().FixFinger(k); err != nil {
+			if err := lp.node.Node().FixFinger(k); err != nil {
 				t.Fatalf("fix finger %d at %s: %v", k, lp.Ref(), err)
 			}
 		}
@@ -67,8 +67,21 @@ func TestStitchedTreeTransportEquivalence(t *testing.T) {
 		t.Fatal(err)
 	}
 
+	// The querying peer must not own every probed identifier, or the tree
+	// has no remote serve span to compare. The in-memory twin has the same
+	// ring, so it names the owners without touching the live one.
 	q, _ := NewRange(30, 49)
-	_, found, liveTr, err := peers[4].LookupTraced("Patient", "age", q, false)
+	origin := -1
+	for i := range mem.Peers {
+		if !ownsEvery(t, mem.Peers[i], q) {
+			origin = i
+			break
+		}
+	}
+	if origin < 0 {
+		t.Fatal("one peer owns every identifier of q in a six-peer ring")
+	}
+	_, found, liveTr, err := peers[origin].LookupTraced("Patient", "age", q, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,8 +90,8 @@ func TestStitchedTreeTransportEquivalence(t *testing.T) {
 	}
 	liveTree := liveTr.Tree(false)
 
-	sp := trace.New(fmt.Sprintf("lookup %s.%s %s from %s", "Patient", "age", q, addrs[4]))
-	lr, err := mem.Peers[4].Lookup("Patient", "age", q, false, sp)
+	sp := trace.New(fmt.Sprintf("lookup %s.%s %s from %s", "Patient", "age", q, addrs[origin]))
+	lr, err := mem.Peers[origin].Lookup("Patient", "age", q, false, sp)
 	sp.End()
 	if err != nil {
 		t.Fatal(err)
@@ -103,7 +116,7 @@ func TestStitchedTreeTransportEquivalence(t *testing.T) {
 			continue
 		}
 		addr := strings.TrimSpace(line[i+len("serve FindBestBatch @"):])
-		if addr != addrs[4] {
+		if addr != addrs[origin] {
 			remotes[addr] = true
 		}
 	}
@@ -127,7 +140,7 @@ func TestFlightTailSamplingEquivalence(t *testing.T) {
 	// an identical, converged geometry.
 	for _, lp := range peers {
 		for k := uint(0); k < chord.M; k++ {
-			if err := lp.peer.Node().FixFinger(k); err != nil {
+			if err := lp.node.Node().FixFinger(k); err != nil {
 				t.Fatalf("fix finger %d at %s: %v", k, lp.Ref(), err)
 			}
 		}
@@ -147,7 +160,7 @@ func TestFlightTailSamplingEquivalence(t *testing.T) {
 	// one peer can own every identifier of q. At most one peer can, so
 	// its neighbour in the list cannot.
 	origin := peers[4]
-	if ownsEvery(t, origin, q) {
+	if ownsEvery(t, origin.node.Host, q) {
 		origin = peers[5]
 	}
 	rec := origin.Flight()
@@ -206,15 +219,15 @@ func TestFlightTailSamplingEquivalence(t *testing.T) {
 	}
 }
 
-// ownsEvery reports whether lp owns every identifier of q.
-func ownsEvery(t *testing.T, lp *LivePeer, q Range) bool {
+// ownsEvery reports whether p owns every identifier of q.
+func ownsEvery(t *testing.T, p *peer.Host, q Range) bool {
 	t.Helper()
-	for _, id := range lp.peer.Identifiers(q) {
-		owner, _, err := lp.peer.RouteOwner(id)
+	for _, id := range p.Identifiers(q) {
+		owner, _, err := p.RouteOwner(id)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if owner.ID != lp.peer.Node().ID() {
+		if owner.ID != p.Node().ID() {
 			return false
 		}
 	}
