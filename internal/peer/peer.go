@@ -489,15 +489,21 @@ type LookupResult struct {
 // range size (minhash.MinHashRange).
 const MaxRangeSize = 1 << 22
 
-// checkRange validates a range for the hashing protocol.
+// ErrBadRange reports a range the protocol refuses to hash: inverted, or
+// holding more than MaxRangeSize values. Unlike a routing or transport
+// failure, retrying the same range cannot succeed.
+var ErrBadRange = errors.New("peer: range not hashable")
+
+// checkRange validates a range for the hashing protocol; its errors wrap
+// ErrBadRange.
 func checkRange(q rangeset.Range) error {
 	if !q.Valid() {
-		return fmt.Errorf("peer: invalid range %s", q)
+		return fmt.Errorf("%w: invalid range %s", ErrBadRange, q)
 	}
 	// A valid range has at least one value, so a non-positive Size means
 	// Hi-Lo+1 overflowed int64 — e.g. [MinInt64, MaxInt64] wraps to 0.
 	if size := q.Size(); size <= 0 || size > MaxRangeSize {
-		return fmt.Errorf("peer: range %s too large to hash (max %d values)", q, MaxRangeSize)
+		return fmt.Errorf("%w: range %s too large (max %d values)", ErrBadRange, q, MaxRangeSize)
 	}
 	return nil
 }

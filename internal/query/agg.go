@@ -11,44 +11,29 @@ import (
 // optionally grouped. Output columns are the GROUP BY column (if any)
 // followed by one synthesized column per aggregate. AVG over integer
 // ordinals truncates toward zero (the type system has no float column).
-func aggregate(plan *Plan, schema *relation.Schema, rows []row, res *Result) error {
-	type colIdx struct {
-		rel string
-		col int
-	}
-	locate := func(c ColRef) (colIdx, error) {
-		rs, ok := schema.Relation(c.Relation)
-		if !ok {
-			return colIdx{}, fmt.Errorf("%w: %s", ErrUnknownColumn, c)
-		}
-		j, ok := rs.ColIndex(c.Column)
-		if !ok {
-			return colIdx{}, fmt.Errorf("%w: %s", ErrUnknownColumn, c)
-		}
-		return colIdx{c.Relation, j}, nil
-	}
-
-	var groupAt colIdx
+func aggregate(plan *Plan, schema *relation.Schema, slots map[string]int, rows []row, res *Result) error {
+	var groupAt cell
 	if plan.GroupBy != nil {
 		var err error
-		groupAt, err = locate(*plan.GroupBy)
+		groupAt, err = locate(schema, slots, *plan.GroupBy)
 		if err != nil {
 			return err
 		}
 	}
-	inputs := make([]colIdx, len(plan.Aggregates))
+	inputs := make([]cell, len(plan.Aggregates))
 	for i, spec := range plan.Aggregates {
 		if spec.Star {
 			continue
 		}
 		var err error
-		inputs[i], err = locate(spec.Col)
+		inputs[i], err = locate(schema, slots, spec.Col)
 		if err != nil {
 			return err
 		}
 	}
 
-	// Accumulators per group (single group "" without GROUP BY).
+	// Accumulators per group, keyed by the group value (the zero Value
+	// without GROUP BY).
 	type acc struct {
 		groupVal relation.Value
 		count    []int64
@@ -67,27 +52,25 @@ func aggregate(plan *Plan, schema *relation.Schema, rows []row, res *Result) err
 			seen:     make([]bool, n),
 		}
 	}
-	groups := make(map[string]*acc)
-	var order []string
+	groups := make(map[relation.Value]*acc)
+	var order []*acc
 	for _, r := range rows {
-		key := ""
 		var gv relation.Value
 		if plan.GroupBy != nil {
-			gv = r[groupAt.rel][groupAt.col]
-			key = valueKey(gv)
+			gv = r[groupAt.slot][groupAt.col]
 		}
-		a, ok := groups[key]
+		a, ok := groups[gv]
 		if !ok {
 			a = newAcc(gv)
-			groups[key] = a
-			order = append(order, key)
+			groups[gv] = a
+			order = append(order, a)
 		}
 		for i, spec := range plan.Aggregates {
 			if spec.Star {
 				a.count[i]++
 				continue
 			}
-			v := r[inputs[i].rel][inputs[i].col]
+			v := r[inputs[i].slot][inputs[i].col]
 			a.count[i]++
 			a.sum[i] += v.Ordinal()
 			if !a.seen[i] || valueLess(v, a.min[i]) {
@@ -101,8 +84,7 @@ func aggregate(plan *Plan, schema *relation.Schema, rows []row, res *Result) err
 	}
 	// A global aggregate over zero rows still yields one row of zeros.
 	if plan.GroupBy == nil && len(groups) == 0 {
-		groups[""] = newAcc(relation.Value{})
-		order = append(order, "")
+		order = append(order, newAcc(relation.Value{}))
 	}
 
 	// Output schema: group column first (if grouped), then aggregates.
@@ -121,12 +103,11 @@ func aggregate(plan *Plan, schema *relation.Schema, rows []row, res *Result) err
 	// Deterministic output: sort groups by key value.
 	if plan.GroupBy != nil {
 		sort.SliceStable(order, func(i, j int) bool {
-			return valueLess(groups[order[i]].groupVal, groups[order[j]].groupVal)
+			return valueLess(order[i].groupVal, order[j].groupVal)
 		})
 	}
 	res.Rows = res.Rows[:0]
-	for _, key := range order {
-		a := groups[key]
+	for _, a := range order {
 		var out relation.Tuple
 		if plan.GroupBy != nil {
 			out = append(out, a.groupVal)

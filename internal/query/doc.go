@@ -14,6 +14,27 @@
 // per-scan recall so callers can report how approximate the answer is
 // (the Figs. 8-10 metric per query).
 //
+// # Execution
+//
+// The join stage is left-deep over the FROM order. A joined row is a
+// slice of tuples indexed by the relation's position in Plan.Scans (its
+// slot), and every row of one join stage is a window of one shared slab,
+// so a join allocates per stage, not per row. Before any row is touched,
+// each referenced column resolves once to a (slot, column) pair, which
+// projection, residual join filters, ORDER BY and the aggregates then
+// index directly. Each hash join builds over the new relation: a map
+// from join key to the first matching tuple plus a next-index chain, so
+// a probe emits its matches in table order and the output is row-major,
+// as a nested loop over the FROM relations would emit it.
+//
+// Join, DISTINCT and GROUP BY keys are typed, never formatted text. A
+// one-column key is the relation.Value itself, whose == is Value.Equal.
+// A wider key is the concatenation, per column, of the kind byte, the
+// 8-byte integer, the string's uvarint length and its bytes, appended
+// into a reused buffer; every field has a fixed or stated length, so no
+// string content (a '|' or ';', say) can make two different rows share a
+// key.
+//
 // # Observability
 //
 // ExecuteTraced records one child span per scan leaf on an internal/trace

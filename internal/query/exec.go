@@ -1,6 +1,7 @@
 package query
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"sort"
@@ -116,42 +117,59 @@ func ExecuteTraced(plan *Plan, schema *relation.Schema, src Source, sp *trace.Sp
 	js := sp.Child("join+project")
 	defer js.End()
 
-	// Joins: left-deep over the FROM order, binding rows per relation.
-	var rows []row
+	// Joins: left-deep over the FROM order. slots maps each relation to
+	// the row slot that binds it; a relation named twice in FROM resolves
+	// to its latest slot.
 	first := plan.Scans[0].Relation
-	for _, t := range tables[first].Tuples {
-		rows = append(rows, row{first: t})
-	}
-	joined := map[string]bool{first: true}
+	// One-slot rows are windows of the first relation's tuple slice itself:
+	// rows are only read, so nothing is copied.
+	rows := window(tables[first].Tuples, 1)
+	slots := map[string]int{first: 0}
 
 	remaining := append([]Join(nil), plan.Joins...)
 	for i := 1; i < len(plan.Scans); i++ {
 		rel := plan.Scans[i].Relation
-		// Collect join predicates connecting rel to the joined set.
-		var preds []Join
+		table := tables[rel]
+		// Collect join predicates connecting rel to the joined set, as
+		// probe cells of the joined rows and build columns of table.
+		var probe []cell
+		var build []int
 		var rest []Join
 		for _, j := range remaining {
 			l, r := j.Left, j.Right
-			if r.Relation == rel && joined[l.Relation] {
-				preds = append(preds, j)
-			} else if l.Relation == rel && joined[r.Relation] {
-				preds = append(preds, Join{Left: r, Right: l}) // normalize: Left joined, Right new
-			} else {
-				rest = append(rest, j)
+			if l.Relation == rel && r.Relation != rel {
+				l, r = r, l // normalize: Left joined, Right new
 			}
+			if _, joined := slots[l.Relation]; !joined || r.Relation != rel {
+				rest = append(rest, j)
+				continue
+			}
+			pc, err := locate(schema, slots, l)
+			if err != nil {
+				return nil, err
+			}
+			bc, err := colIndex(schema, r)
+			if err != nil {
+				return nil, err
+			}
+			probe = append(probe, pc)
+			build = append(build, bc)
 		}
 		remaining = rest
-		rows = hashJoin(rows, tables[rel], rel, preds, schema)
-		joined[rel] = true
+		rows = hashJoin(rows, i, table, probe, build)
+		slots[rel] = i
 	}
 	if len(remaining) > 0 {
 		// Predicates between relations joined earlier (cycles): filter.
-		rows = filterJoins(rows, remaining, schema)
+		var err error
+		if rows, err = filterJoins(rows, remaining, schema, slots); err != nil {
+			return nil, err
+		}
 	}
 
 	// Aggregation replaces projection when requested.
 	if len(plan.Aggregates) > 0 {
-		if err := aggregate(plan, schema, rows, res); err != nil {
+		if err := aggregate(plan, schema, slots, rows, res); err != nil {
 			return nil, err
 		}
 		if plan.OrderBy != nil {
@@ -170,7 +188,7 @@ func ExecuteTraced(plan *Plan, schema *relation.Schema, src Source, sp *trace.Sp
 		return res, nil
 	}
 
-	// Projection.
+	// Projection: every output row is a window of one slab of cells.
 	cols := plan.Project
 	if len(cols) == 0 {
 		for _, scan := range plan.Scans {
@@ -181,34 +199,32 @@ func ExecuteTraced(plan *Plan, schema *relation.Schema, src Source, sp *trace.Sp
 		}
 	}
 	res.Columns = cols
-	idx := make([]int, len(cols))
+	at := make([]cell, len(cols))
 	for i, c := range cols {
-		rs, _ := schema.Relation(c.Relation)
-		j, ok := rs.ColIndex(c.Column)
-		if !ok {
-			return nil, fmt.Errorf("%w: %s", ErrUnknownColumn, c)
+		var err error
+		if at[i], err = locate(schema, slots, c); err != nil {
+			return nil, err
 		}
-		idx[i] = j
 	}
-	for _, r := range rows {
-		out := make(relation.Tuple, len(cols))
-		for i, c := range cols {
-			out[i] = r[c.Relation][idx[i]]
+	if len(rows) > 0 { // an empty result keeps nil Rows
+		w := len(cols)
+		cells := make([]relation.Value, len(rows)*w)
+		res.Rows = make([]relation.Tuple, len(rows))
+		for k, r := range rows {
+			out := cells[k*w : (k+1)*w : (k+1)*w]
+			for i, c := range at {
+				out[i] = r[c.slot][c.col]
+			}
+			res.Rows[k] = out
 		}
-		res.Rows = append(res.Rows, out)
 	}
 
 	if plan.Distinct {
-		seen := make(map[string]bool, len(res.Rows))
+		keep := distinct(res.Rows)
 		outRows := res.Rows[:0]
 		outBindings := rows[:0]
-		for i, r := range res.Rows {
-			key := joinKeyOf(r, allIdx(len(cols)))
-			if seen[key] {
-				continue
-			}
-			seen[key] = true
-			outRows = append(outRows, r)
+		for _, i := range keep {
+			outRows = append(outRows, res.Rows[i])
 			outBindings = append(outBindings, rows[i])
 		}
 		res.Rows = outRows
@@ -216,7 +232,7 @@ func ExecuteTraced(plan *Plan, schema *relation.Schema, src Source, sp *trace.Sp
 	}
 
 	if plan.OrderBy != nil {
-		if err := sortRows(res, plan.OrderBy, rows, schema); err != nil {
+		if err := sortRows(res, plan.OrderBy, rows, schema, slots); err != nil {
 			return nil, err
 		}
 	}
@@ -229,7 +245,7 @@ func ExecuteTraced(plan *Plan, schema *relation.Schema, src Source, sp *trace.Sp
 // sortRows orders the projected rows by the ORDER BY column. When the
 // column is part of the projection the projected cells sort directly;
 // otherwise the pre-projection bindings supply the key.
-func sortRows(res *Result, spec *OrderSpec, bindings []row, schema *relation.Schema) error {
+func sortRows(res *Result, spec *OrderSpec, bindings []row, schema *relation.Schema, slots map[string]int) error {
 	keyAt := -1
 	for i, c := range res.Columns {
 		if c == spec.Col {
@@ -243,16 +259,12 @@ func sortRows(res *Result, spec *OrderSpec, bindings []row, schema *relation.Sch
 			keys[i] = r[keyAt]
 		}
 	} else {
-		rs, ok := schema.Relation(spec.Col.Relation)
-		if !ok {
-			return fmt.Errorf("%w: %s", ErrUnknownColumn, spec.Col)
-		}
-		j, ok := rs.ColIndex(spec.Col.Column)
-		if !ok {
-			return fmt.Errorf("%w: %s", ErrUnknownColumn, spec.Col)
+		c, err := locate(schema, slots, spec.Col)
+		if err != nil {
+			return err
 		}
 		for i, b := range bindings {
-			keys[i] = b[spec.Col.Relation][j]
+			keys[i] = b[c.slot][c.col]
 		}
 	}
 	order := make([]int, len(res.Rows))
@@ -282,75 +294,188 @@ func valueLess(a, b relation.Value) bool {
 	return a.Ordinal() < b.Ordinal()
 }
 
-// row binds each joined relation name to one of its tuples.
-type row = map[string]relation.Tuple
+// row binds each joined relation to one of its tuples by the relation's
+// position in plan.Scans: after join stage i a row has slots 0..i. The
+// rows of one stage are windows of one shared slab.
+type row = []relation.Tuple
 
-// hashJoin joins the bound rows with table rel on preds (all of the form
-// joinedCol = rel.col). With no predicates it degrades to a cross product.
-func hashJoin(rows []row, table *relation.Relation, rel string, preds []Join, schema *relation.Schema) []row {
+// cell locates a column in joined rows: the slot of its relation and its
+// index among the relation's columns.
+type cell struct{ slot, col int }
+
+// locate resolves c against the relations bound so far.
+func locate(schema *relation.Schema, slots map[string]int, c ColRef) (cell, error) {
+	slot, bound := slots[c.Relation]
+	if !bound {
+		return cell{}, fmt.Errorf("%w: %s", ErrUnknownColumn, c)
+	}
+	col, err := colIndex(schema, c)
+	return cell{slot, col}, err
+}
+
+// colIndex resolves c to its position among its relation's columns.
+func colIndex(schema *relation.Schema, c ColRef) (int, error) {
+	if rs, ok := schema.Relation(c.Relation); ok {
+		if j, ok := rs.ColIndex(c.Column); ok {
+			return j, nil
+		}
+	}
+	return 0, fmt.Errorf("%w: %s", ErrUnknownColumn, c)
+}
+
+// hashJoin joins the rows of stage i-1 with table, the relation of slot
+// i, on probe[k] = build[k] for every k: cells of the joined rows against
+// columns of table. With no predicates it degrades to a cross product.
+// Output is row-major over rows, each row's matches in table order.
+func hashJoin(rows []row, i int, table *relation.Relation, probe []cell, build []int) []row {
 	if table == nil {
 		return nil
 	}
-	if len(preds) == 0 {
-		var out []row
+	// Size the slab for one match per row; a cross product is exact.
+	n := len(rows)
+	if len(probe) == 0 {
+		n *= len(table.Tuples)
+	}
+	slab := make([]relation.Tuple, 0, n*(i+1))
+	emit := func(r row, t relation.Tuple) {
+		slab = append(slab, r...)
+		slab = append(slab, t)
+	}
+	if len(probe) == 0 {
 		for _, r := range rows {
 			for _, t := range table.Tuples {
-				nr := cloneRow(r)
-				nr[rel] = t
-				out = append(out, nr)
+				emit(r, t)
 			}
 		}
-		return out
+		return window(slab, i+1)
 	}
-	// Build side: hash the new table on the joined key columns.
-	rs := table.Schema
-	keyIdx := make([]int, len(preds))
-	for i, p := range preds {
-		j, _ := rs.ColIndex(p.Right.Column)
-		keyIdx[i] = j
-	}
-	build := make(map[string][]relation.Tuple)
-	for _, t := range table.Tuples {
-		build[joinKeyOf(t, keyIdx)] = append(build[joinKeyOf(t, keyIdx)], t)
-	}
-	// Probe side: key from the already-joined rows.
-	probeIdx := make([]struct {
-		rel string
-		col int
-	}, len(preds))
-	for i, p := range preds {
-		lrs, _ := schema.Relation(p.Left.Relation)
-		j, _ := lrs.ColIndex(p.Left.Column)
-		probeIdx[i] = struct {
-			rel string
-			col int
-		}{p.Left.Relation, j}
-	}
-	var out []row
+	ix := newJoinIndex(table.Tuples, build)
+	var buf []byte
 	for _, r := range rows {
-		key := ""
-		for _, pi := range probeIdx {
-			key += valueKey(r[pi.rel][pi.col])
+		var j int32
+		if ix.one != nil {
+			j = ix.one[r[probe[0].slot][probe[0].col]]
+		} else {
+			buf = buf[:0]
+			for _, c := range probe {
+				buf = appendKey(buf, r[c.slot][c.col])
+			}
+			j = ix.many[string(buf)]
 		}
-		for _, t := range build[key] {
-			nr := cloneRow(r)
-			nr[rel] = t
-			out = append(out, nr)
+		for ; j != 0; j = ix.next[j-1] {
+			emit(r, table.Tuples[j-1])
 		}
 	}
-	return out
+	return window(slab, i+1)
 }
 
-func filterJoins(rows []row, preds []Join, schema *relation.Schema) []row {
-	var out []row
+// window cuts slab into rows of w slots each.
+func window(slab []relation.Tuple, w int) []row {
+	rows := make([]row, len(slab)/w)
+	for k := range rows {
+		rows[k] = slab[k*w : (k+1)*w : (k+1)*w]
+	}
+	return rows
+}
+
+// joinIndex chains a build table's tuples by join key. The key's map
+// entry is 1 + the index of its first tuple, and next[t] 1 + the index
+// of the tuple after t with the same key (0 ends the chain), so walking a
+// chain visits the key's tuples in table order. A one-column key is the
+// relation.Value itself (one); a wider key is its appendKey encoding
+// (many).
+type joinIndex struct {
+	one  map[relation.Value]int32
+	many map[string]int32
+	next []int32
+}
+
+func newJoinIndex(tuples []relation.Tuple, cols []int) joinIndex {
+	ix := joinIndex{next: make([]int32, len(tuples))}
+	if len(cols) == 1 {
+		ix.one = make(map[relation.Value]int32, len(tuples))
+	} else {
+		ix.many = make(map[string]int32, len(tuples))
+	}
+	// Walk backwards, pushing each tuple onto the front of its chain.
+	var buf []byte
+	for t := len(tuples) - 1; t >= 0; t-- {
+		if ix.one != nil {
+			v := tuples[t][cols[0]]
+			ix.next[t] = ix.one[v]
+			ix.one[v] = int32(t + 1)
+			continue
+		}
+		buf = buf[:0]
+		for _, c := range cols {
+			buf = appendKey(buf, tuples[t][c])
+		}
+		ix.next[t] = ix.many[string(buf)]
+		ix.many[string(buf)] = int32(t + 1)
+	}
+	return ix
+}
+
+// appendKey appends v's key encoding to buf: the kind byte, the 8-byte
+// integer, the string's uvarint length, then its bytes. Every field has a
+// known or stated length, so concatenated keys are equal exactly when
+// their values are equal in turn (relation.Value.Equal): no string
+// content can forge a column boundary.
+func appendKey(buf []byte, v relation.Value) []byte {
+	buf = append(buf, byte(v.Kind))
+	buf = binary.BigEndian.AppendUint64(buf, uint64(v.Int))
+	buf = binary.AppendUvarint(buf, uint64(len(v.Str)))
+	return append(buf, v.Str...)
+}
+
+// distinct returns the indexes of the first occurrence of each distinct
+// row, in order.
+func distinct(rows []relation.Tuple) []int {
+	var keep []int
+	one := make(map[relation.Value]struct{})
+	many := make(map[string]struct{})
+	var buf []byte
+	for i, r := range rows {
+		if len(r) == 1 {
+			if _, dup := one[r[0]]; dup {
+				continue
+			}
+			one[r[0]] = struct{}{}
+		} else {
+			buf = buf[:0]
+			for _, v := range r {
+				buf = appendKey(buf, v)
+			}
+			if _, dup := many[string(buf)]; dup {
+				continue
+			}
+			many[string(buf)] = struct{}{}
+		}
+		keep = append(keep, i)
+	}
+	return keep
+}
+
+// filterJoins keeps the rows satisfying every predicate, in place.
+func filterJoins(rows []row, preds []Join, schema *relation.Schema, slots map[string]int) ([]row, error) {
+	type pair struct{ l, r cell }
+	at := make([]pair, len(preds))
+	for i, p := range preds {
+		l, err := locate(schema, slots, p.Left)
+		if err != nil {
+			return nil, err
+		}
+		r, err := locate(schema, slots, p.Right)
+		if err != nil {
+			return nil, err
+		}
+		at[i] = pair{l, r}
+	}
+	out := rows[:0]
 	for _, r := range rows {
 		ok := true
-		for _, p := range preds {
-			lrs, _ := schema.Relation(p.Left.Relation)
-			rrs, _ := schema.Relation(p.Right.Relation)
-			li, _ := lrs.ColIndex(p.Left.Column)
-			ri, _ := rrs.ColIndex(p.Right.Column)
-			if !r[p.Left.Relation][li].Equal(r[p.Right.Relation][ri]) {
+		for _, p := range at {
+			if r[p.l.slot][p.l.col] != r[p.r.slot][p.r.col] {
 				ok = false
 				break
 			}
@@ -359,27 +484,7 @@ func filterJoins(rows []row, preds []Join, schema *relation.Schema) []row {
 			out = append(out, r)
 		}
 	}
-	return out
-}
-
-func cloneRow(r row) row {
-	nr := make(row, len(r)+1)
-	for k, v := range r {
-		nr[k] = v
-	}
-	return nr
-}
-
-func joinKeyOf(t relation.Tuple, idx []int) string {
-	key := ""
-	for _, i := range idx {
-		key += valueKey(t[i])
-	}
-	return key
-}
-
-func valueKey(v relation.Value) string {
-	return fmt.Sprintf("%d|%d|%s;", v.Kind, v.Int, v.Str)
+	return out, nil
 }
 
 // applyResidual keeps tuples satisfying every predicate (all of the form
@@ -445,15 +550,6 @@ func evalCmp(v relation.Value, op CmpOp, right Operand) bool {
 	default:
 		return false
 	}
-}
-
-// allIdx returns [0, 1, ..., n-1] for whole-tuple keys.
-func allIdx(n int) []int {
-	out := make([]int, n)
-	for i := range out {
-		out[i] = i
-	}
-	return out
 }
 
 // inList tests IN membership: strings compare exactly, everything else by

@@ -3,6 +3,7 @@ package rangeset
 import (
 	"errors"
 	"fmt"
+	"strconv"
 )
 
 // ErrEmpty is returned by constructors when hi < lo would produce an empty
@@ -126,8 +127,20 @@ func (r Range) Values() []int64 {
 	return vs
 }
 
-// String formats the range in the paper's predicate style.
-func (r Range) String() string { return fmt.Sprintf("[%d,%d]", r.Lo, r.Hi) }
+// String formats the range in the paper's predicate style, "[lo,hi]".
+func (r Range) String() string {
+	var b [42]byte
+	return string(r.Append(b[:0]))
+}
+
+// Append appends String's text to dst.
+func (r Range) Append(dst []byte) []byte {
+	dst = append(dst, '[')
+	dst = strconv.AppendInt(dst, r.Lo, 10)
+	dst = append(dst, ',')
+	dst = strconv.AppendInt(dst, r.Hi, 10)
+	return append(dst, ']')
+}
 
 func min64(a, b int64) int64 {
 	if a < b {

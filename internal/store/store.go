@@ -5,7 +5,6 @@ import (
 	"container/list"
 	"fmt"
 	"sort"
-	"strconv"
 	"sync"
 	"sync/atomic"
 
@@ -36,9 +35,11 @@ type Partition struct {
 	Origin    string
 }
 
-// Key is the identity of a partition for deduplication.
+// Key is the identity of a partition for deduplication:
+// "relation.attribute[lo,hi]".
 func (p Partition) Key() string {
-	return fmt.Sprintf("%s.%s%s", p.Relation, p.Attribute, p.Range)
+	var b [96]byte
+	return string(appendKey(b[:0], p))
 }
 
 // String formats the partition descriptor.
@@ -206,14 +207,26 @@ func (s *Store) Commit() error {
 	return nil
 }
 
-// entryKey identifies one descriptor within one bucket for LRU tracking.
+// entryKey identifies one descriptor within one bucket for LRU tracking:
+// the bucket as eight hex digits, a slash, then the partition's Key.
 func entryKey(id ID, p Partition) string {
-	return entryKeyStr(id, p.Key())
+	var b [128]byte
+	return string(appendKey(append(appendHex(b[:0], id), '/'), p))
 }
 
 // entryKeyStr is entryKey from an already-built identity key.
 func entryKeyStr(id ID, key string) string {
-	return fmt.Sprintf("%08x/%s", id, key)
+	var b [128]byte
+	return string(append(append(appendHex(b[:0], id), '/'), key...))
+}
+
+// appendHex appends id as eight lower-case hex digits.
+func appendHex(dst []byte, id ID) []byte {
+	const digits = "0123456789abcdef"
+	for shift := 28; shift >= 0; shift -= 4 {
+		dst = append(dst, digits[id>>shift&0xf])
+	}
+	return dst
 }
 
 // Put stores the partition descriptor in bucket id. Exact duplicates
@@ -408,16 +421,85 @@ func better(m, best Match) bool {
 // heap. The keys compare as text, so [10,20] sorts before [9,20]; a
 // numeric comparison of the bounds would reorder ties.
 func keyLess(a, b Partition) bool {
+	if a.Relation == b.Relation && a.Attribute == b.Attribute {
+		return rangeKeyLess(a.Range, b.Range)
+	}
 	var ab, bb [96]byte
 	return bytes.Compare(appendKey(ab[:0], a), appendKey(bb[:0], b)) < 0
 }
 
 // rangeKeyLess is keyLess for two partitions of one relation and
 // attribute: their keys share everything up to the range, so the ranges
-// decide, compared as the same text.
+// decide, compared as the same text "[lo,hi]" but without writing it.
+// When one bound's digits are a prefix of the other's, the separator
+// after the shorter one decides: ',' sorts before every digit, ']'
+// after.
 func rangeKeyLess(a, b rangeset.Range) bool {
-	var ab, bb [48]byte
-	return bytes.Compare(appendRange(ab[:0], a), appendRange(bb[:0], b)) < 0
+	if c, prefix := decimalCmp(a.Lo, b.Lo); c != 0 {
+		return c < 0
+	} else if prefix != 0 {
+		return prefix < 0
+	}
+	c, prefix := decimalCmp(a.Hi, b.Hi)
+	if c != 0 {
+		return c < 0
+	}
+	return prefix > 0
+}
+
+// pow10 holds 10^0 through 10^19, every power a uint64 holds.
+var pow10 = func() (p [20]uint64) {
+	p[0] = 1
+	for i := 1; i < len(p); i++ {
+		p[i] = p[i-1] * 10
+	}
+	return p
+}()
+
+// decimalCmp compares the decimal texts of a and b (as strconv.FormatInt
+// writes them) byte by byte. c is the sign of the first byte that
+// differs. When none does, prefix is -1 if a's text is a proper prefix of
+// b's, +1 if b's is of a's, and 0 if the texts are equal.
+func decimalCmp(a, b int64) (c, prefix int) {
+	if (a < 0) != (b < 0) {
+		if a < 0 { // '-' sorts before every digit
+			return -1, 0
+		}
+		return 1, 0
+	}
+	// Same sign, so the texts differ only in their magnitude digits.
+	ua, ub := uint64(a), uint64(b)
+	if a < 0 {
+		ua, ub = -ua, -ub
+	}
+	na, nb := digits(ua), digits(ub)
+	// Cut the longer number to the shorter one's length: the texts then
+	// compare as those equal-length numbers, then by length.
+	if na > nb {
+		ua /= pow10[na-nb]
+	} else {
+		ub /= pow10[nb-na]
+	}
+	switch {
+	case ua < ub:
+		return -1, 0
+	case ua > ub:
+		return 1, 0
+	case na < nb:
+		return 0, -1
+	case na > nb:
+		return 0, 1
+	}
+	return 0, 0
+}
+
+// digits is the number of decimal digits of u.
+func digits(u uint64) int {
+	n := 1
+	for n < len(pow10) && u >= pow10[n] {
+		n++
+	}
+	return n
 }
 
 // appendKey appends p.Key() to dst.
@@ -425,16 +507,7 @@ func appendKey(dst []byte, p Partition) []byte {
 	dst = append(dst, p.Relation...)
 	dst = append(dst, '.')
 	dst = append(dst, p.Attribute...)
-	return appendRange(dst, p.Range)
-}
-
-// appendRange appends r's text form ("[lo,hi]") to dst.
-func appendRange(dst []byte, r rangeset.Range) []byte {
-	dst = append(dst, '[')
-	dst = strconv.AppendInt(dst, r.Lo, 10)
-	dst = append(dst, ',')
-	dst = strconv.AppendInt(dst, r.Hi, 10)
-	return append(dst, ']')
+	return p.Range.Append(dst)
 }
 
 func bestOf(bucket []Partition, relation, attribute string, q rangeset.Range, measure Measure) (Match, bool) {

@@ -2,8 +2,10 @@ package store
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"math/rand"
+	"strings"
 	"sync"
 	"testing"
 
@@ -184,6 +186,78 @@ func TestPartitionKeyAndString(t *testing.T) {
 	}
 	if p.String() == "" || p.Key() == "" {
 		t.Error("empty formatting")
+	}
+}
+
+// randomBound draws an int64 that is often an extreme, a power-of-ten
+// edge or a small value, so decimal texts of every length and both
+// signs meet.
+func randomBound(rng *rand.Rand) int64 {
+	edges := []int64{0, 1, -1, 9, 10, -9, -10, 99, 100, 1 << 31, 1<<32 - 1, math.MaxInt64, math.MinInt64, math.MaxInt64 - 1, math.MinInt64 + 1}
+	switch rng.Intn(3) {
+	case 0:
+		return edges[rng.Intn(len(edges))]
+	case 1:
+		return rng.Int63n(2001) - 1000
+	}
+	return int64(rng.Uint64())
+}
+
+// TestKeysMatchFmtForms pins the hand-built key texts to the fmt forms
+// they replace, byte for byte: Range.String to "[%d,%d]", Key to
+// "%s.%s%s", and the LRU entry keys to "%08x/%s".
+func TestKeysMatchFmtForms(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	names := []string{"", "R", "Patient", "age", "a.b", "[x]", strings.Repeat("long", 40)}
+	for i := 0; i < 20000; i++ {
+		p := Partition{
+			Relation:  names[rng.Intn(len(names))],
+			Attribute: names[rng.Intn(len(names))],
+			Range:     rangeset.Range{Lo: randomBound(rng), Hi: randomBound(rng)},
+		}
+		id := ID(rng.Uint32())
+		if i%7 == 0 {
+			id = []ID{0, 1, 0xf, 0x10, math.MaxUint32}[rng.Intn(5)]
+		}
+		if got, want := p.Range.String(), fmt.Sprintf("[%d,%d]", p.Range.Lo, p.Range.Hi); got != want {
+			t.Fatalf("Range.String = %q, want %q", got, want)
+		}
+		key := fmt.Sprintf("%s.%s[%d,%d]", p.Relation, p.Attribute, p.Range.Lo, p.Range.Hi)
+		if got := p.Key(); got != key {
+			t.Fatalf("Key = %q, want %q", got, key)
+		}
+		entry := fmt.Sprintf("%08x/%s", id, key)
+		if got := entryKey(id, p); got != entry {
+			t.Fatalf("entryKey = %q, want %q", got, entry)
+		}
+		if got := entryKeyStr(id, key); got != entry {
+			t.Fatalf("entryKeyStr = %q, want %q", got, entry)
+		}
+	}
+}
+
+// TestRangeKeyLessMatchesTextOrder pins that the digit comparison orders
+// ranges exactly as their "[lo,hi]" texts compare, separators included
+// ("[1,5]" < "[10,5]" but "[0,1]" > "[0,10]"), and that it allocates
+// nothing.
+func TestRangeKeyLessMatchesTextOrder(t *testing.T) {
+	rng := rand.New(rand.NewSource(4))
+	for i := 0; i < 200000; i++ {
+		a := rangeset.Range{Lo: randomBound(rng), Hi: randomBound(rng)}
+		b := rangeset.Range{Lo: randomBound(rng), Hi: randomBound(rng)}
+		switch i % 4 {
+		case 0:
+			b.Lo = a.Lo
+		case 1:
+			b = a
+		}
+		if got, want := rangeKeyLess(a, b), a.String() < b.String(); got != want {
+			t.Fatalf("rangeKeyLess(%s, %s) = %v, want %v", a, b, got, want)
+		}
+	}
+	a, b := rangeset.Range{Lo: 1, Hi: 5}, rangeset.Range{Lo: 10, Hi: 5}
+	if n := testing.AllocsPerRun(100, func() { rangeKeyLess(a, b) }); n != 0 {
+		t.Errorf("rangeKeyLess allocates %v times, want 0", n)
 	}
 }
 

@@ -331,9 +331,11 @@ func (lp *LivePeer) Addr() string { return lp.node.Addr() }
 // Ref returns the peer's chord identity.
 func (lp *LivePeer) Ref() chord.Ref { return lp.node.Ref() }
 
-// Lookup runs the approximate range lookup from this peer. Routing
-// failures (e.g. a peer departed and fingers are stale) are retried with
-// backoff while the stabilization protocol repairs the ring.
+// Lookup runs the approximate range lookup from this peer. Routing and
+// transport failures (e.g. a peer departed and fingers are stale) are
+// retried with backoff while the stabilization protocol repairs the
+// ring; a range the protocol cannot hash (peer.ErrBadRange) fails at
+// once.
 func (lp *LivePeer) Lookup(rel, attribute string, q Range, cache bool) (Match, bool, error) {
 	var lastErr error
 	backoff := 100 * time.Millisecond
@@ -341,6 +343,9 @@ func (lp *LivePeer) Lookup(rel, attribute string, q Range, cache bool) (Match, b
 		m, found, _, err := lp.node.lookup(rel, attribute, q, cache, false)
 		if err == nil {
 			return m, found, nil
+		}
+		if errors.Is(err, peer.ErrBadRange) {
+			return Match{}, false, err
 		}
 		lastErr = err
 		time.Sleep(backoff)

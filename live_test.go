@@ -8,6 +8,7 @@ import (
 
 	"p2prange/internal/chord"
 	"p2prange/internal/metrics"
+	"p2prange/internal/peer"
 	"p2prange/internal/relation"
 	"p2prange/internal/transport"
 )
@@ -237,6 +238,27 @@ func TestSingletonPeerIsStable(t *testing.T) {
 	}
 	if st := boot.Status(); !st.Stable {
 		t.Errorf("singleton /status not ready: %+v", st)
+	}
+}
+
+// TestLiveLookupFailsFastOnBadRange pins that Lookup retries only what
+// a repaired ring could fix: a range the protocol refuses to hash comes
+// back at once, not after the routing-retry backoff (about 8 s).
+func TestLiveLookupFailsFastOnBadRange(t *testing.T) {
+	boot, err := StartPeer("127.0.0.1:0", "", LiveConfig{
+		K: 4, L: 3, SchemeSeed: 77,
+		Schema: relation.MedicalSchema(),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(boot.Close)
+	for _, q := range []Range{{Lo: 5, Hi: 1}, {Lo: 0, Hi: peer.MaxRangeSize}} {
+		start := time.Now()
+		_, _, err := boot.Lookup("Patient", "age", q, false)
+		if took := time.Since(start); !errors.Is(err, peer.ErrBadRange) || took > 100*time.Millisecond {
+			t.Errorf("Lookup(%s) = %v after %v, want peer.ErrBadRange at once", q, err, took)
+		}
 	}
 }
 
