@@ -52,7 +52,8 @@ flagcheck:
 	$(GO) run ./tools/checkflags
 
 # metriccheck verifies the docs' metric tables against the metrics the
-# code registers.
+# code registers, and that every metric the code reads by name is
+# registered.
 metriccheck:
 	$(GO) run ./tools/checkmetrics
 

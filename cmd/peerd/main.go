@@ -75,7 +75,6 @@ func main() {
 		schemeSeed = flag.Int64("scheme-seed", 1, "shared LSH key-material seed (must match across the ring)")
 		status     = flag.Duration("status", 10*time.Second, "status print interval (0 disables)")
 		retries    = flag.Int("retries", 3, "RPC attempts per call (1 disables transport retries)")
-		noReroute  = flag.Bool("no-reroute", false, "disable failure-aware chord routing (fault-model ablation)")
 		drop       = flag.Float64("drop", 0, "inject per-RPC drop probability in [0,1] (resilience testing)")
 		sigCache   = flag.Int("sigcache", 256, "signature-cache capacity (ranges); 0 disables")
 		debugAddr  = flag.String("debug-addr", "", "serve /debug/vars (expvar) and /debug/pprof on this address (empty disables)")
@@ -111,30 +110,28 @@ func main() {
 		log.Fatalf("peerd: %v", err)
 	}
 	cfg := p2prange.LiveConfig{
-		Family:           fam,
-		K:                *k,
-		L:                *l,
-		SchemeSeed:       *schemeSeed,
-		Schema:           relation.MedicalSchema(),
-		Retry:            transport.RetryConfig{Attempts: *retries},
-		DisableRetry:     *retries <= 1,
-		DisableRerouting: *noReroute,
-		SigCache:         *sigCache,
-		Replicas:         *replicas,
-		LoadAware:        *loadAware,
-		HotReplicas:      *hotReplicas,
-		HotThreshold:     *hotThreshold,
-		DataDir:          *dataDir,
-		Fsync:            *fsync,
-		CompactEvery:     *compactEvery,
-		MemLimit:         *memLimit,
-		Follow:           *follow,
-		ShipRetain:       *shipRetain,
-		BackupTo:         *backupTo,
-		SlowThreshold:    *slowThreshold,
-		FlightKeep:       *flightKeep,
-		FlightOff:        *flightOff,
-		EventsDir:        *eventsDir,
+		Family:        fam,
+		K:             *k,
+		L:             *l,
+		SchemeSeed:    *schemeSeed,
+		Schema:        relation.MedicalSchema(),
+		Retry:         transport.RetryConfig{Attempts: *retries},
+		SigCache:      *sigCache,
+		Replicas:      *replicas,
+		LoadAware:     *loadAware,
+		HotReplicas:   *hotReplicas,
+		HotThreshold:  *hotThreshold,
+		DataDir:       *dataDir,
+		Fsync:         *fsync,
+		CompactEvery:  *compactEvery,
+		MemLimit:      *memLimit,
+		Follow:        *follow,
+		ShipRetain:    *shipRetain,
+		BackupTo:      *backupTo,
+		SlowThreshold: *slowThreshold,
+		FlightKeep:    *flightKeep,
+		FlightOff:     *flightOff,
+		EventsDir:     *eventsDir,
 	}
 	cfg.Stabilize.RepairEvery = *repairEvery
 	if *drop > 0 || *faultDelay > 0 {
@@ -192,11 +189,15 @@ func main() {
 	for {
 		select {
 		case <-tick:
-			rs := lp.RouteStats()
-			ss := lp.SigStats()
+			s := metrics.Default.Snapshot()
+			lookups := s.Counters["route.lookups"]
+			success := 100.0
+			if lookups > 0 {
+				success = 100 * float64(lookups-s.Counters["route.failed_lookups"]) / float64(lookups)
+			}
 			log.Printf("peerd: successor=%s stored=%d lookups=%d success=%.1f%% retries=%d reroutes=%d sighits=%.0f%%",
 				lp.Successor(), lp.StoredPartitions(),
-				rs.Lookups, rs.SuccessRate(), rs.Retries, rs.Rerouted, ss.HitRate())
+				lookups, success, s.Counters["route.retries"], s.Counters["route.rerouted"], lp.SigStats().HitRate())
 		case sig := <-sigc:
 			log.Printf("peerd: %v: leaving ring", sig)
 			if err := lp.Leave(); err != nil {
@@ -216,14 +217,14 @@ func startDebugServer(addr string, lp *p2prange.LivePeer) {
 		return metrics.Default.Snapshot()
 	}))
 	expvar.Publish("peerd", expvar.Func(func() any {
-		rs := lp.RouteStats()
+		s := metrics.Default.Snapshot()
 		return map[string]any{
 			"ref":       lp.Ref().String(),
 			"successor": lp.Successor().String(),
 			"stored":    lp.StoredPartitions(),
-			"lookups":   rs.Lookups,
-			"retries":   rs.Retries,
-			"rerouted":  rs.Rerouted,
+			"lookups":   s.Counters["route.lookups"],
+			"retries":   s.Counters["route.retries"],
+			"rerouted":  s.Counters["route.rerouted"],
 		}
 	}))
 	// /metrics serves the bare registry snapshot for tools that do not

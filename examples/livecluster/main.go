@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"p2prange"
+	"p2prange/internal/metrics"
 	"p2prange/internal/relation"
 )
 
@@ -119,7 +120,8 @@ func main() {
 	} else if found {
 		fmt.Println("lookup right after the crash still finds the partition")
 	}
-	rs := querier.RouteStats()
-	fmt.Printf("  querier fault handling: %d lookups, %.1f%% success, %d retries, %d reroutes\n",
-		rs.Lookups, rs.SuccessRate(), rs.Retries, rs.Rerouted)
+	// The route.* counters are process-wide: they sum all eight peers.
+	s := metrics.Default.Snapshot()
+	fmt.Printf("  ring fault handling: %d lookups, %d failed, %d retries, %d reroutes\n",
+		s.Counters["route.lookups"], s.Counters["route.failed_lookups"], s.Counters["route.retries"], s.Counters["route.rerouted"])
 }

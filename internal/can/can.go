@@ -185,9 +185,6 @@ func zonesAdjacent(a, b Zone) bool {
 // N returns the node count.
 func (net *Network) N() int { return len(net.nodes) }
 
-// D returns the dimensionality.
-func (net *Network) D() int { return net.d }
-
 // Nodes returns the nodes (shared; do not modify).
 func (net *Network) Nodes() []*Node { return net.nodes }
 

@@ -25,9 +25,9 @@
 //
 // Nodes keep successor lists, and routing is failure-aware: when a finger
 // is unreachable, lookup detours through the successor list instead of
-// failing, and counts the reroute in metrics.RouteStats. Config
-// (DisableRerouting) exposes the fault-model ablation; cmd/peerd's
-// -no-reroute flag maps to it.
+// failing, and counts the reroute in the route.rerouted counter of the
+// internal/metrics Default registry. Config.DisableRerouting exposes the
+// fault-model ablation of the churn figure.
 //
 // Node.Lookup takes a RouteMemo and an internal/trace Span, either of
 // which may be nil, and records each forwarding step, suspect marking and

@@ -60,11 +60,12 @@ func findRoutedLookup(t *testing.T, nodes []*Node) (origin *Node, id ID, firstHo
 
 // TestLookupReroutesAroundDeadNode is the acceptance scenario: kill a
 // node on the lookup path; the lookup must still resolve the correct
-// owner by detouring through successor lists, and report the extra hops.
+// owner by detouring through successor lists, report the extra hops,
+// and count the detour in route.rerouted of the Default registry.
 func TestLookupReroutesAroundDeadNode(t *testing.T) {
-	stats := &metrics.RouteStats{}
-	nodes, client := buildRingCfg(t, 32, Config{Stats: stats})
+	nodes, client := buildRingCfg(t, 32, Config{})
 	origin, id, firstHop, owner := findRoutedLookup(t, nodes)
+	before := metrics.Default.Snapshot()
 
 	got, healthyHops, err := origin.Lookup(id, nil, nil)
 	if err != nil {
@@ -85,12 +86,12 @@ func TestLookupReroutesAroundDeadNode(t *testing.T) {
 	if hops < healthyHops {
 		t.Errorf("rerouted lookup reported %d hops, healthy path was %d", hops, healthyHops)
 	}
-	snap := stats.Snapshot()
-	if snap.Rerouted == 0 {
+	d := metrics.Default.Snapshot().Sub(before).Counters
+	if d["route.rerouted"] == 0 {
 		t.Error("no reroutes counted")
 	}
-	if snap.FailedLookups != 0 {
-		t.Errorf("%d lookups failed", snap.FailedLookups)
+	if d["route.failed_lookups"] != 0 {
+		t.Errorf("%d lookups failed", d["route.failed_lookups"])
 	}
 	if !origin.Suspect(firstHop.ID) {
 		t.Error("dead hop not marked suspect")
@@ -101,10 +102,10 @@ func TestLookupReroutesAroundDeadNode(t *testing.T) {
 // dead-hop scenario with fault tolerance disabled must surface
 // ErrUnreachable instead of resolving.
 func TestLookupUnreachableWithoutRerouting(t *testing.T) {
-	stats := &metrics.RouteStats{}
-	nodes, client := buildRingCfg(t, 32, Config{DisableRerouting: true, Stats: stats})
+	nodes, client := buildRingCfg(t, 32, Config{DisableRerouting: true})
 	origin, id, firstHop, _ := findRoutedLookup(t, nodes)
 	client.setDown(firstHop.Addr, true)
+	before := metrics.Default.Snapshot()
 	_, _, err := origin.Lookup(id, nil, nil)
 	if !errors.Is(err, ErrUnreachable) {
 		t.Fatalf("lookup with rerouting disabled = %v, want ErrUnreachable", err)
@@ -112,8 +113,10 @@ func TestLookupUnreachableWithoutRerouting(t *testing.T) {
 	if origin.FaultTolerant() {
 		t.Error("FaultTolerant() true with rerouting disabled")
 	}
-	if got := stats.Snapshot(); got.FailedLookups == 0 || got.Rerouted != 0 {
-		t.Errorf("stats = %+v, want failures and no reroutes", got)
+	d := metrics.Default.Snapshot().Sub(before).Counters
+	if d["route.failed_lookups"] == 0 || d["route.rerouted"] != 0 {
+		t.Errorf("route.failed_lookups +%d, route.rerouted +%d: want failures and no reroutes",
+			d["route.failed_lookups"], d["route.rerouted"])
 	}
 }
 

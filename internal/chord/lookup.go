@@ -14,8 +14,16 @@ import (
 const maxLookupSteps = 2 * M
 
 // The Default-registry chord.* family: the per-lookup hop-count
-// distribution (the Fig. 12 quantity, live).
-var metChordHops = metrics.Default.IntHistogram("chord.hops")
+// distribution (the Fig. 12 quantity, live). The route.* counters are
+// the failure-handling side of the same lookups: issued, failed, and
+// hops rerouted around an unreachable node (the transport package adds
+// route.retries).
+var (
+	metChordHops     = metrics.Default.IntHistogram("chord.hops")
+	metRouteLookups  = metrics.Default.Counter("route.lookups")
+	metRouteFailed   = metrics.Default.Counter("route.failed_lookups")
+	metRouteRerouted = metrics.Default.Counter("route.rerouted")
+)
 
 // RouteMemo holds the route tables (HandleRouteTable answers) that one
 // operation's lookups fetched, so the l lookups of one query ask each
@@ -75,10 +83,10 @@ func (n *Node) table(cur Ref, m *RouteMemo) ([]Ref, error) {
 // Each forwarding step, suspect marking, and detour is recorded on sp. A
 // nil sp (tracing off) adds no work and no allocations.
 func (n *Node) Lookup(id ID, memo *RouteMemo, sp *trace.Span) (Ref, int, error) {
-	n.stats.AddLookup()
+	metRouteLookups.Inc()
 	ref, hops, err := n.route(id, memo, sp)
 	if err != nil {
-		n.stats.AddFailedLookup()
+		metRouteFailed.Inc()
 		if sp.On() {
 			sp.Eventf("error", "%v", err)
 		}
@@ -235,7 +243,7 @@ func (n *Node) handleDeadHop(from, cur Ref, id ID, err error, sp *trace.Span) (o
 // Each candidate is pinged before the detour commits to it — a reroute
 // must not hand back, or hop to, another corpse.
 func (n *Node) routeAround(from, dead Ref, id ID, sp *trace.Span) (owner, next Ref, rerr error) {
-	n.stats.AddReroute()
+	metRouteRerouted.Inc()
 	var list []Ref
 	if from.ID == n.ref.ID {
 		list = n.SuccessorList()

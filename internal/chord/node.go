@@ -91,8 +91,6 @@ type Config struct {
 	// SuspectTTL is how long an unreachable node is excluded from routing
 	// (default DefaultSuspectTTL; negative disables expiry-based reuse).
 	SuspectTTL time.Duration
-	// Stats, when non-nil, receives lookup/reroute counters.
-	Stats *metrics.RouteStats
 }
 
 // Node is one chord peer's routing state. All methods are safe for
@@ -105,7 +103,6 @@ type Node struct {
 	nsucc   int
 	reroute bool
 	susTTL  time.Duration
-	stats   *metrics.RouteStats
 
 	mu      sync.RWMutex
 	pred    Ref
@@ -129,7 +126,6 @@ func NewNode(addr string, client Client, cfg Config) *Node {
 		nsucc:    cfg.Successors,
 		reroute:  !cfg.DisableRerouting,
 		susTTL:   cfg.SuspectTTL,
-		stats:    cfg.Stats,
 		suspects: make(map[ID]time.Time),
 	}
 	if n.nsucc <= 0 {
@@ -212,9 +208,6 @@ func (n *Node) setSuccessor(s Ref) {
 		n.succs[0] = s
 	}
 }
-
-// Stats returns the node's failure counters (nil when not configured).
-func (n *Node) Stats() *metrics.RouteStats { return n.stats }
 
 // FaultTolerant reports whether failure-aware rerouting is enabled.
 func (n *Node) FaultTolerant() bool { return n.reroute }

@@ -89,8 +89,8 @@ func ChurnResilience(p Params) (*Table, error) {
 			fmt.Sprintf("%.0f", cfg.Drop*100),
 			mode,
 			fmt.Sprintf("%.1f", res.SuccessRate()),
-			fmt.Sprintf("%d", res.Stats.Retries),
-			fmt.Sprintf("%d", res.Stats.Rerouted),
+			fmt.Sprintf("%d", res.Retries),
+			fmt.Sprintf("%d", res.Rerouted),
 			fmt.Sprintf("%d", res.Injected),
 			"-", "-", "-", "-", "-", "-", "-", "-",
 			"-", "-", "-", "-",

@@ -13,12 +13,9 @@
 //
 // # Live counters
 //
-// RouteStats counts the failure-handling events of the query path
-// (lookups, failed lookups, reroutes around suspect nodes, transport
-// retries — the availability story behind the Fig. 12 hop counts under
-// churn), and SigStats counts signature-cache events (hits, misses,
-// evictions). Both are nil-safe atomic structs: call sites never guard
-// against metrics being disabled.
+// SigStats counts signature-cache events (hits, misses, evictions) per
+// signer. It is a nil-safe atomic struct: call sites never guard against
+// metrics being disabled.
 //
 // # The registry
 //
@@ -26,10 +23,14 @@
 // power-of-two integer histograms with concurrent get-or-create access,
 // point-in-time Snapshot (JSON-marshalable), delta computation
 // (Snapshot.Sub), and Reset. The process-wide Default registry is fed by
-// every instrumented package — route.* and sig.* arrive automatically
-// because every RouteStats/SigStats method mirrors into it, and the
-// chord, peer, query, transport, can, and flood packages register their
-// own families. peerd serves the Default snapshot as expvar JSON
-// (-debug-addr), rangebench dumps per-experiment deltas (-metrics-out),
-// and docs/OBSERVABILITY.md catalogues every family.
+// every instrumented package — sig.* arrives automatically because every
+// SigStats method mirrors into it, and the chord, peer, query,
+// transport, can, and flood packages register their own families. The
+// route.* failure-handling counters (lookups, failed lookups, reroutes
+// around suspect nodes, transport retries — the availability story
+// behind the Fig. 12 hop counts under churn) are chord's and
+// transport's; a caller that wants one run's counts takes a Snapshot
+// delta. peerd serves the Default snapshot as expvar JSON (-debug-addr),
+// rangebench dumps per-experiment deltas (-metrics-out), and
+// docs/OBSERVABILITY.md catalogues every family.
 package metrics

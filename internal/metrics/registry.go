@@ -9,10 +9,10 @@ import (
 // This file is the unified metrics registry: named counters, gauges, and
 // integer histograms behind one concurrency-safe surface with snapshot
 // and reset. Every instrumented package feeds the process-wide Default
-// registry (route.* and sig.* arrive automatically through the RouteStats
-// and SigStats mirrors in route.go/sig.go), so one Snapshot describes a
-// whole run — peerd serves it as expvar JSON, rangebench dumps it per
-// experiment, and tests diff it around operations.
+// registry (sig.* arrives automatically through the SigStats mirror in
+// sig.go), so one Snapshot describes a whole run — peerd serves it as
+// expvar JSON, rangebench dumps it per experiment, and tests diff it
+// around operations.
 
 // Counter is a monotonically increasing event count. All methods are safe
 // for concurrent use and tolerate a nil receiver, so call sites never
@@ -373,8 +373,7 @@ func (s Snapshot) Sub(prev Snapshot) Snapshot {
 
 // Reset zeroes every counter, gauge, and histogram the registry owns.
 // Func families read external state and are not resettable here; reset
-// their owners (RouteStats.Reset, SigStats.Reset) if needed. Handles
-// remain valid across a reset.
+// their owners if needed. Handles remain valid across a reset.
 func (r *Registry) Reset() {
 	r.mu.RLock()
 	defer r.mu.RUnlock()

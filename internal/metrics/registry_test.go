@@ -144,17 +144,11 @@ func TestSnapshotJSON(t *testing.T) {
 	}
 }
 
-// TestStatsMirrorIntoDefault pins the fold-in: RouteStats and SigStats
-// updates (including through nil receivers) surface as route.* and sig.*
-// counters of the Default registry.
+// TestStatsMirrorIntoDefault pins the fold-in: SigStats updates
+// (including through nil receivers) surface as sig.* counters of the
+// Default registry.
 func TestStatsMirrorIntoDefault(t *testing.T) {
 	before := Default.Snapshot()
-
-	var rs RouteStats
-	rs.AddLookup()
-	rs.AddRetry()
-	var nilRS *RouteStats
-	nilRS.AddReroute()
 
 	var ss SigStats
 	ss.AddHit()
@@ -163,19 +157,12 @@ func TestStatsMirrorIntoDefault(t *testing.T) {
 
 	d := Default.Snapshot().Sub(before)
 	for name, want := range map[string]uint64{
-		"route.lookups":  1,
-		"route.retries":  1,
-		"route.rerouted": 1,
-		"sig.hits":       1,
-		"sig.misses":     1,
+		"sig.hits":   1,
+		"sig.misses": 1,
 	} {
 		if got := d.Counters[name]; got < want {
 			t.Errorf("%s delta = %d, want >= %d", name, got, want)
 		}
-	}
-	rs.Reset()
-	if rs.Snapshot() != (RouteSnapshot{}) {
-		t.Error("RouteStats.Reset left non-zero counters")
 	}
 	ss.Reset()
 	if ss.Snapshot() != (SigSnapshot{}) {

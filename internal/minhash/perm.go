@@ -155,9 +155,6 @@ func NewFullPermutationKeys(keys [rounds]uint32) (*FullPermutation, error) {
 	return &FullPermutation{keys: keys}, nil
 }
 
-// Keys returns the five round keys.
-func (p *FullPermutation) Keys() [rounds]uint32 { return p.keys }
-
 // Apply runs all shuffle iterations.
 func (p *FullPermutation) Apply(x uint32) uint32 {
 	block := uint(Word)
@@ -228,9 +225,6 @@ func NewLinearPermutationCoeffs(a, b uint64) (*LinearPermutation, error) {
 	}
 	return &LinearPermutation{a: a % linearPrime, b: b % linearPrime}, nil
 }
-
-// Coeffs returns (a, b).
-func (p *LinearPermutation) Coeffs() (a, b uint64) { return p.a, p.b }
 
 // Apply computes a*x + b mod p in 128-bit arithmetic (a*x can exceed 64
 // bits since a < 2^33 and x < 2^32).

@@ -125,9 +125,8 @@ func TestLinearPermutationCoeffs(t *testing.T) {
 	if got := p.Apply(10); got != 37 {
 		t.Errorf("3*10+7 = %d, want 37", got)
 	}
-	a, b := p.Coeffs()
-	if a != 3 || b != 7 {
-		t.Errorf("Coeffs() = %d, %d", a, b)
+	if p.a != 3 || p.b != 7 {
+		t.Errorf("coefficients = %d, %d, want 3, 7", p.a, p.b)
 	}
 }
 

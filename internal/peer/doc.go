@@ -19,10 +19,13 @@
 //
 // DataSource adapts a Peer to internal/query's Source interface for the
 // end-to-end SQL flow: locate the best cached partition, fetch its tuples
-// from the holder (FetchData), and — when coverage falls below MinRecall
-// and a base source exists — fall back to the source relation ("the user
-// ... has a choice to go to the source"), materialize the partition here,
-// and publish it. PadFrac reproduces Fig. 10's query padding.
+// from the holder (FetchData), and — when the match covers the range only
+// partially and a base source exists — fall back to the source relation
+// ("the user ... has a choice to go to the source"), materialize the
+// partition here, and publish it. Only a source with a base caches what
+// it looked up, since only it can hold the data the descriptor names.
+// PadFrac reproduces Fig. 10's query padding, and half-open ranges clamp
+// to the base relation's domain.
 //
 // # Fault tolerance
 //

@@ -13,7 +13,8 @@ import (
 )
 
 // metFallbacks counts leaf fetches that went to the base source because
-// the DHT answer was absent or below MinRecall (Default registry).
+// the DHT answer was absent or covered the range only partially (Default
+// registry).
 var metFallbacks = metrics.Default.Counter("peer.fallbacks")
 
 // DataSource adapts a Peer to the query executor's Source interface,
@@ -35,24 +36,21 @@ type DataSource struct {
 	// data-source peer); nil means approximate answers only.
 	Base query.Source
 	// PadFrac expands query ranges before hashing (Fig. 10's padding);
-	// zero disables padding.
+	// zero disables padding. Padding and the clamping of half-open ranges
+	// take the attribute's domain from Base.
 	PadFrac float64
-	// MinRecall is the coverage threshold below which the base fallback
-	// triggers (default 1: any partial answer goes to the source when a
-	// base is available).
-	MinRecall float64
-	// Domains clamps half-open ranges per "Relation.attribute"; entries
-	// are optional when Base can supply the domain.
-	Domains map[string]rangeset.Range
 }
 
 var _ query.Source = (*DataSource)(nil)
 
 // Fetch implements query.Source, recording the probe range, the DHT
 // lookup (as a child span), the data fetch from the holder, and any
-// base-source fallback on sp.
-func (s *DataSource) Fetch(rel, attribute string, rg rangeset.Range, sp *trace.Span) (*relation.Relation, rangeset.Range, error) {
-	rg = s.clamp(rel, attribute, rg)
+// base-source fallback on sp. A half-open request is resolved over its
+// clamp to the attribute's domain; the covered range it reports reaches
+// the open end again wherever the answer reaches the domain's edge, since
+// no value lies beyond it.
+func (s *DataSource) Fetch(rel, attribute string, req rangeset.Range, sp *trace.Span) (*relation.Relation, rangeset.Range, error) {
+	rg := s.clamp(rel, attribute, req)
 	probe := rg
 	if s.PadFrac > 0 {
 		dom := s.domain(rel, attribute, rg)
@@ -65,14 +63,14 @@ func (s *DataSource) Fetch(rel, attribute string, rg rangeset.Range, sp *trace.S
 	if sp.On() {
 		ls = sp.Child(fmt.Sprintf("lookup %s.%s %s", rel, attribute, probe))
 	}
-	lr, err := s.Peer.Lookup(rel, attribute, probe, true, ls)
+	// Caching records this peer as the probe range's holder. Only a
+	// source with a base can materialize that partition (the fallback
+	// below); without one the descriptor would name data nobody holds,
+	// and the next identical query would fail fetching it.
+	lr, err := s.Peer.Lookup(rel, attribute, probe, s.Base != nil, ls)
 	ls.End()
 	if err != nil {
 		return nil, rangeset.Range{}, err
-	}
-	minRecall := s.MinRecall
-	if minRecall <= 0 {
-		minRecall = 1
 	}
 	var data *relation.Relation
 	covered := rangeset.Range{Lo: 0, Hi: -1} // empty
@@ -93,7 +91,7 @@ func (s *DataSource) Fetch(rel, attribute string, rg rangeset.Range, sp *trace.S
 	if covered.Valid() {
 		recall = rg.Recall(covered)
 	}
-	if recall >= minRecall || s.Base == nil {
+	if recall >= 1 || s.Base == nil {
 		if sp.On() {
 			sp.Eventf("answer", "recall=%.3f from cache", recall)
 		}
@@ -107,6 +105,12 @@ func (s *DataSource) Fetch(rel, attribute string, rg rangeset.Range, sp *trace.S
 			}
 			return relation.NewRelation(rs), covered, nil
 		}
+		if covered.Lo == rg.Lo {
+			covered.Lo = req.Lo
+		}
+		if covered.Hi == rg.Hi {
+			covered.Hi = req.Hi
+		}
 		return data, covered, nil
 	}
 	// Fall back to the source relation, then cache the computed partition
@@ -114,7 +118,7 @@ func (s *DataSource) Fetch(rel, attribute string, rg rangeset.Range, sp *trace.S
 	// descriptor under the probe range actually evaluated.
 	metFallbacks.Inc()
 	if sp.On() {
-		sp.Eventf("fallback", "recall=%.3f < %.3f, going to source", recall, minRecall)
+		sp.Eventf("fallback", "recall=%.3f < 1.000, going to source", recall)
 	}
 	full, fullCovered, err := s.Base.Fetch(rel, attribute, probe, sp)
 	if err != nil {
@@ -125,7 +129,7 @@ func (s *DataSource) Fetch(rel, attribute string, rg rangeset.Range, sp *trace.S
 	if _, err := s.Peer.Publish(storeDescriptor(part, s.Peer.Addr()), sp); err != nil {
 		return nil, rangeset.Range{}, err
 	}
-	return full, rg, nil
+	return full, req, nil
 }
 
 // FetchAll implements query.Source; full scans always go to the base.
@@ -153,11 +157,9 @@ func (s *DataSource) clamp(rel, attribute string, rg rangeset.Range) rangeset.Ra
 	return rg
 }
 
-// domain returns the attribute domain used for clamping and padding.
+// domain returns the attribute domain used for clamping and padding: the
+// base relation's, or fallback without one.
 func (s *DataSource) domain(rel, attribute string, fallback rangeset.Range) rangeset.Range {
-	if d, ok := s.Domains[rel+"."+attribute]; ok {
-		return d
-	}
 	if s.Base != nil {
 		if full, err := s.Base.FetchAll(rel); err == nil {
 			if d, err := full.AttributeRange(attribute); err == nil {

@@ -40,8 +40,7 @@
 // ExecuteTraced records one child span per scan leaf on an internal/trace
 // Span plus the join/projection stage. Source.Fetch receives the leaf's
 // span: peer.DataSource records the whole DHT lookup inside it, while
-// RelationSource and the coalescer's shared fetches ignore it. A nil span
-// traces nothing. The package feeds the query.* family of the
+// RelationSource ignores it. A nil span traces nothing. The package feeds the query.* family of the
 // internal/metrics Default registry (executions, scans, fullscans); see
 // docs/OBSERVABILITY.md.
 package query

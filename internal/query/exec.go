@@ -160,11 +160,9 @@ func ExecuteTraced(plan *Plan, schema *relation.Schema, src Source, sp *trace.Sp
 		slots[rel] = i
 	}
 	if len(remaining) > 0 {
-		// Predicates between relations joined earlier (cycles): filter.
-		var err error
-		if rows, err = filterJoins(rows, remaining, schema, slots); err != nil {
-			return nil, err
-		}
+		// BuildPlan admits only predicates between two FROM relations,
+		// and the loop consumes each when the later of the two joins.
+		return nil, fmt.Errorf("query: join predicate %s = %s left unapplied", remaining[0].Left, remaining[0].Right)
 	}
 
 	// Aggregation replaces projection when requested.
@@ -454,37 +452,6 @@ func distinct(rows []relation.Tuple) []int {
 		keep = append(keep, i)
 	}
 	return keep
-}
-
-// filterJoins keeps the rows satisfying every predicate, in place.
-func filterJoins(rows []row, preds []Join, schema *relation.Schema, slots map[string]int) ([]row, error) {
-	type pair struct{ l, r cell }
-	at := make([]pair, len(preds))
-	for i, p := range preds {
-		l, err := locate(schema, slots, p.Left)
-		if err != nil {
-			return nil, err
-		}
-		r, err := locate(schema, slots, p.Right)
-		if err != nil {
-			return nil, err
-		}
-		at[i] = pair{l, r}
-	}
-	out := rows[:0]
-	for _, r := range rows {
-		ok := true
-		for _, p := range at {
-			if r[p.l.slot][p.l.col] != r[p.r.slot][p.r.col] {
-				ok = false
-				break
-			}
-		}
-		if ok {
-			out = append(out, r)
-		}
-	}
-	return out, nil
 }
 
 // applyResidual keeps tuples satisfying every predicate (all of the form

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -86,6 +87,13 @@ type refCol struct {
 
 func (c refCol) String() string { return c.rel + "." + c.name }
 
+// refIn is an integer IN list on one column: the planner pushes the
+// list's hull and rechecks membership as a residual filter.
+type refIn struct {
+	at   int64
+	vals []int64
+}
+
 // refAgg is one aggregate of a random query.
 type refAgg struct {
 	kind AggKind
@@ -99,6 +107,8 @@ type refQuery struct {
 	from     []string
 	joins    [][2]refCol
 	ranges   map[string][3]int64 // relation -> column index, lo, hi
+	ins      map[string]refIn    // relation -> integer IN list
+	eqs      map[string][2]int64 // relation -> column index, value
 	project  []refCol            // empty: every column of every relation
 	aggs     []refAgg
 	groupBy  *refCol
@@ -162,7 +172,7 @@ func randomRels(rng *rand.Rand) map[string]*relation.Relation {
 }
 
 func randomQuery(rng *rand.Rand) refQuery {
-	q := refQuery{limit: -1, ranges: map[string][3]int64{}}
+	q := refQuery{limit: -1, ranges: map[string][3]int64{}, ins: map[string]refIn{}, eqs: map[string][2]int64{}}
 	for _, i := range rng.Perm(3)[:1+rng.Intn(3)] {
 		q.from = append(q.from, []string{"R", "S", "T"}[i])
 	}
@@ -197,6 +207,27 @@ func randomQuery(rng *rand.Rand) refQuery {
 			at := int64(3 * rng.Intn(2)) // n or m
 			lo := int64(rng.Intn(3))
 			q.ranges[rel] = [3]int64{at, lo, lo + int64(rng.Intn(3))}
+		}
+	}
+	// Residual comparisons: an integer IN list on the selected column
+	// (n when there is no range), its first value inside the range so the
+	// pushed hull is never empty, and equality on the other ordinal
+	// column (m is a date in T), which the planner demotes to a residual
+	// filter beside the selection.
+	for _, rel := range q.from {
+		r, ranged := q.ranges[rel]
+		if !ranged {
+			r = [3]int64{0, 0, 3}
+		}
+		if rng.Intn(3) == 0 {
+			in := refIn{at: r[0], vals: []int64{r[1] + rng.Int63n(r[2]-r[1]+1)}}
+			for i, n := 0, rng.Intn(3); i < n; i++ {
+				in.vals = append(in.vals, rng.Int63n(5))
+			}
+			q.ins[rel] = in
+		}
+		if _, in := q.ins[rel]; (ranged || in) && rng.Intn(3) == 0 {
+			q.eqs[rel] = [2]int64{3 - r[0], rng.Int63n(4)}
 		}
 	}
 	switch rng.Intn(3) {
@@ -269,6 +300,16 @@ func (q refQuery) sql() string {
 		if r, ok := q.ranges[rel]; ok {
 			where = append(where, fmt.Sprintf("%s.%s BETWEEN %d AND %d", rel, refNames[r[0]], r[1], r[2]))
 		}
+		if in, ok := q.ins[rel]; ok {
+			vals := make([]string, len(in.vals))
+			for i, v := range in.vals {
+				vals[i] = fmt.Sprint(v)
+			}
+			where = append(where, fmt.Sprintf("%s.%s IN (%s)", rel, refNames[in.at], strings.Join(vals, ", ")))
+		}
+		if e, ok := q.eqs[rel]; ok {
+			where = append(where, fmt.Sprintf("%s.%s = %d", rel, refNames[e[0]], e[1]))
+		}
 	}
 	if len(where) > 0 {
 		b.WriteString(" WHERE " + strings.Join(where, " AND "))
@@ -313,6 +354,12 @@ func (q refQuery) reference(rels map[string]*relation.Relation) []relation.Tuple
 		rel := q.from[len(b)]
 		for _, tu := range rels[rel].Tuples {
 			if r, ok := q.ranges[rel]; ok && (tu[r[0]].Int < r[1] || tu[r[0]].Int > r[2]) {
+				continue
+			}
+			if in, ok := q.ins[rel]; ok && !slices.Contains(in.vals, tu[in.at].Int) {
+				continue
+			}
+			if e, ok := q.eqs[rel]; ok && tu[e[0]].Int != e[1] {
 				continue
 			}
 			walk(append(b, tu))
@@ -463,7 +510,7 @@ func (q refQuery) referenceAggregate(bindings [][]relation.Tuple, get func([]rel
 // reference's.
 func TestExecuteMatchesNestedLoopReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(29))
-	var joins, multi, nonEmpty int
+	var joins, multi, nonEmpty, ins, eqs int
 	for i := 0; i < 3000; i++ {
 		rels := randomRels(rng)
 		q := randomQuery(rng)
@@ -482,10 +529,13 @@ func TestExecuteMatchesNestedLoopReference(t *testing.T) {
 		if len(want) > 0 {
 			nonEmpty++
 		}
+		ins += len(q.ins)
+		eqs += len(q.eqs)
 	}
 	// Guard the generator: the interesting shapes must actually occur.
-	if joins < 1500 || multi < 800 || nonEmpty < 1100 {
-		t.Fatalf("generator too narrow: %d joins, %d multi-predicate, %d non-empty", joins, multi, nonEmpty)
+	if joins < 1500 || multi < 800 || nonEmpty < 1100 || ins < 1500 || eqs < 1000 {
+		t.Fatalf("generator too narrow: %d joins, %d multi-predicate, %d non-empty, %d IN lists, %d residual equalities",
+			joins, multi, nonEmpty, ins, eqs)
 	}
 }
 

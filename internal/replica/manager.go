@@ -327,6 +327,7 @@ func (m *Manager) Sync() SyncStats {
 			continue
 		}
 		stats.Peers++
+	repair:
 		for id, keys := range sr.Missing {
 			for _, key := range keys {
 				p, held := m.st.Get(id, key)
@@ -336,6 +337,13 @@ func (m *Manager) Sync() SyncStats {
 				if err := m.deps.Push(succ, id, p); err != nil {
 					metPushErrors.Inc()
 					stats.Errors++
+					if transport.Retryable(err) {
+						// The successor died after answering: every
+						// further push would run the full retry backoff
+						// for nothing. The next round repairs it.
+						m.deps.Suspect(succ.ID)
+						break repair
+					}
 					continue
 				}
 				metPushed.Inc()

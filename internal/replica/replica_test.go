@@ -228,6 +228,49 @@ func TestReplicaSyncRepairsStaleAndMissing(t *testing.T) {
 	}
 }
 
+// TestReplicaSyncStopsPushingToDeadSuccessor pins that anti-entropy
+// gives up on a successor whose repair push fails in transit: it answered
+// the digest exchange and then died, so each further push would run the
+// caller's full retry backoff. Sync must suspect it after one push and
+// still repair the next successor.
+func TestReplicaSyncStopsPushingToDeadSuccessor(t *testing.T) {
+	r := newFakeRing(4)
+	deps := r.deps()
+	pushes := make(map[chord.ID]int)
+	var suspected []chord.ID
+	push := deps.Push
+	deps.Push = func(to chord.Ref, id uint32, p store.Partition) error {
+		pushes[to.ID]++
+		if to.ID == 1 {
+			return transport.ErrUnknownAddr
+		}
+		return push(to, id, p)
+	}
+	deps.Suspect = func(id chord.ID) { suspected = append(suspected, id) }
+	m := NewManager(r.refs[0], r.stores[0], Config{R: 3}, deps)
+	for i := int64(0); i < 3; i++ {
+		p := part(10*i, 10*i+5)
+		m.Stamp(&p)
+		r.stores[0].Put(uint32(i+1), p)
+	}
+
+	st := m.Sync()
+	if pushes[1] != 1 {
+		t.Errorf("pushed %d times to the dead successor, want 1", pushes[1])
+	}
+	if !reflect.DeepEqual(suspected, []chord.ID{1}) {
+		t.Errorf("suspected %v, want [1]", suspected)
+	}
+	if pushes[2] != 3 || st.Repaired != 3 {
+		t.Errorf("successor 2: %d pushes, %d repaired; want 3 and 3", pushes[2], st.Repaired)
+	}
+	for id := uint32(1); id <= 3; id++ {
+		if got := r.stores[2].Bucket(id); len(got) != 1 {
+			t.Errorf("successor 2 bucket %d = %v, want the repaired copy", id, got)
+		}
+	}
+}
+
 func TestReplicaSyncOffersOnlyOwnedBuckets(t *testing.T) {
 	r := newFakeRing(3)
 	deps := r.deps()

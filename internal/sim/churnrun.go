@@ -60,8 +60,11 @@ type ChurnResult struct {
 	// owner (after the protocol's one re-resolution on a dead owner).
 	Lookups   int
 	Succeeded int
-	// Stats are the routing-layer counters (retries, reroutes, failures).
-	Stats metrics.RouteSnapshot
+	// Retries, Rerouted and Failed are the run's route.* counter deltas
+	// in the Default registry: transport retries, hops routed around a
+	// dead node, and lookups that returned an error (cluster build and
+	// stabilization included).
+	Retries, Rerouted, Failed uint64
 	// Injected is how many faults the network injected.
 	Injected uint64
 	// Survivors is the ring size at the end of the run.
@@ -86,7 +89,7 @@ func RunChurn(cfg ChurnConfig) (ChurnResult, error) {
 	if cfg.Crashes >= cfg.N {
 		return ChurnResult{}, fmt.Errorf("sim: cannot crash %d of %d peers", cfg.Crashes, cfg.N)
 	}
-	stats := &metrics.RouteStats{}
+	before := metrics.Default.Snapshot()
 	var fault *transport.FaultCaller
 	seq := int64(0)
 	ccfg := ClusterConfig{
@@ -95,7 +98,6 @@ func RunChurn(cfg ChurnConfig) (ChurnResult, error) {
 			Scheme: minhash.NewExactScheme(),
 			Chord: chord.Config{
 				DisableRerouting: !cfg.FaultTolerance,
-				Stats:            stats,
 			},
 		},
 		Host: func(_ int, hc *peer.HostConfig) {
@@ -108,7 +110,7 @@ func RunChurn(cfg ChurnConfig) (ChurnResult, error) {
 			if cfg.FaultTolerance {
 				seq++
 				hc.Caller = transport.NewRetryCaller(fault, transport.RetryConfig{
-					Seed: cfg.Seed + 1 + seq, Stats: stats,
+					Seed: cfg.Seed + 1 + seq,
 				})
 			}
 		},
@@ -152,7 +154,8 @@ func RunChurn(cfg ChurnConfig) (ChurnResult, error) {
 			res.Succeeded++
 		}
 	}
-	res.Stats = stats.Snapshot()
+	d := metrics.Default.Snapshot().Sub(before)
+	res.Retries, res.Rerouted, res.Failed = d.Counters["route.retries"], d.Counters["route.rerouted"], d.Counters["route.failed_lookups"]
 	res.Injected = fault.Injected()
 	res.Survivors = len(c.Peers)
 	return res, nil

@@ -20,17 +20,17 @@ func TestChurnResilience(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Logf("fault tolerance on:  %.1f%% success, %d retries, %d reroutes, %d faults injected",
-		on.SuccessRate(), on.Stats.Retries, on.Stats.Rerouted, on.Injected)
+		on.SuccessRate(), on.Retries, on.Rerouted, on.Injected)
 	t.Logf("fault tolerance off: %.1f%% success, %d failed lookups, %d faults injected",
-		off.SuccessRate(), off.Stats.FailedLookups, off.Injected)
+		off.SuccessRate(), off.Failed, off.Injected)
 
 	if got := on.SuccessRate(); got < 99 {
 		t.Errorf("fault-tolerant success rate %.1f%%, want >= 99%%", got)
 	}
-	if on.Stats.Retries == 0 {
+	if on.Retries == 0 {
 		t.Error("no transport retries happened — the fault injection is not biting")
 	}
-	if on.Stats.Rerouted == 0 {
+	if on.Rerouted == 0 {
 		t.Error("no reroutes happened — crashes did not exercise rerouting")
 	}
 	if on.Injected == 0 || off.Injected == 0 {
@@ -49,7 +49,7 @@ func TestChurnResilience(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if again.Succeeded != on.Succeeded || again.Injected != on.Injected || again.Stats != on.Stats {
+	if again != on {
 		t.Errorf("same-seed rerun diverged: %+v vs %+v", again, on)
 	}
 }

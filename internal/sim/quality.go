@@ -133,6 +133,3 @@ func RunQuality(c *Cluster, cfg QualityConfig) (*QualityResult, error) {
 	}
 	return res, nil
 }
-
-// Survival renders the recall survival series at the paper's 0.05 step.
-func (r *QualityResult) Survival() []metrics.Point { return r.Recall.Survival(0.05) }

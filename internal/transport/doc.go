@@ -22,8 +22,8 @@
 // Resilience wraps composably around either transport:
 //
 //   - RetryCaller retries transient network failures with exponential
-//     backoff and jitter (cmd/peerd -retries), counting attempts in
-//     metrics.RouteStats.
+//     backoff and jitter (cmd/peerd -retries), counting attempts in the
+//     route.retries counter.
 //   - FaultCaller injects deterministic drops, delays, and outages
 //     (cmd/peerd -drop) for fault-model experiments — failures look like
 //     ErrNetwork to the layers above, exactly as a real partition would.

@@ -33,9 +33,9 @@ func (f *flakyCaller) CallCtx(string, trace.Context, any) (any, []trace.Wire, er
 }
 
 func TestRetryCallerRecoversTransientFailures(t *testing.T) {
-	stats := &metrics.RouteStats{}
 	inner := &flakyCaller{failures: 2, err: netErrf("transport: synthetic drop")}
-	rc := NewRetryCaller(inner, RetryConfig{Attempts: 3, Stats: stats})
+	rc := NewRetryCaller(inner, RetryConfig{Attempts: 3})
+	before := metrics.Default.Snapshot()
 	resp, err := call(rc, "x", echoReq{})
 	if err != nil {
 		t.Fatalf("Call after transient failures: %v", err)
@@ -46,8 +46,8 @@ func TestRetryCallerRecoversTransientFailures(t *testing.T) {
 	if inner.calls != 3 {
 		t.Errorf("inner calls = %d, want 3", inner.calls)
 	}
-	if got := stats.Snapshot().Retries; got != 2 {
-		t.Errorf("retries counted = %d, want 2", got)
+	if got := metrics.Default.Snapshot().Sub(before).Counters["route.retries"]; got != 2 {
+		t.Errorf("route.retries delta = %d, want 2", got)
 	}
 }
 

@@ -23,9 +23,11 @@ type RetryConfig struct {
 	MaxDelay time.Duration
 	// Seed makes the jitter deterministic; 0 seeds from 1.
 	Seed int64
-	// Stats counts retries when non-nil.
-	Stats *metrics.RouteStats
 }
+
+// metRetries counts retry attempts process-wide: route.retries in the
+// Default registry, beside chord's route.* lookup counters.
+var metRetries = metrics.Default.Counter("route.retries")
 
 // RetryCaller wraps a Caller with bounded retries and exponential
 // backoff plus jitter. Only transport-level failures (see Retryable) are
@@ -85,7 +87,7 @@ func (r *RetryCaller) retry(do func() error) error {
 	var lastErr error
 	for attempt := 0; attempt < r.cfg.Attempts; attempt++ {
 		if attempt > 0 {
-			r.cfg.Stats.AddRetry()
+			metRetries.Inc()
 			if delay > 0 {
 				time.Sleep(r.jitter(delay))
 				delay *= 2

@@ -36,7 +36,6 @@ var _ store.SegmentSource = (*SegmentReader)(nil)
 type SegmentReader struct {
 	f        *os.File
 	path     string
-	seq      uint64
 	size     int64
 	recStart int64 // first byte after the file header
 	idx      *segIndex
@@ -76,7 +75,7 @@ func OpenSegmentReader(dir string, seq uint64) (*SegmentReader, error) {
 		f.Close()
 		return nil, fmt.Errorf("wal: stat segment: %w", err)
 	}
-	r := &SegmentReader{f: f, path: path, seq: seq, size: fi.Size()}
+	r := &SegmentReader{f: f, path: path, size: fi.Size()}
 
 	hdr := make([]byte, len(magicSEG)+binary.MaxVarintLen64)
 	if r.size < int64(len(hdr)) {
@@ -291,9 +290,6 @@ func (r *SegmentReader) walk(from, end int64, fn func(off int64, body []byte, c 
 
 // Len returns the number of put records in the segment.
 func (r *SegmentReader) Len() int { return r.idx.count }
-
-// Seq returns the segment's sequence number.
-func (r *SegmentReader) Seq() uint64 { return r.seq }
 
 // Rebuilt reports whether the footer was damaged and the index had to be
 // rebuilt by a full scan.

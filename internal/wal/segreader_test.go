@@ -360,7 +360,7 @@ func benchmarkSegmentGet(b *testing.B, indexed bool) {
 	if !indexed {
 		stripped := *r.idx
 		stripped.entries = nil
-		r = &SegmentReader{f: r.f, path: r.path, seq: r.seq, size: r.size, recStart: r.recStart, idx: &stripped}
+		r = &SegmentReader{f: r.f, path: r.path, size: r.size, recStart: r.recStart, idx: &stripped}
 	}
 	// Probe the id at the 90th percentile of the file so the unindexed
 	// walk pays a realistic scan distance.

@@ -3,6 +3,8 @@ package wal
 import (
 	"fmt"
 	"os"
+	"path/filepath"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -420,5 +422,70 @@ func TestEmptySegmentVerifiesClean(t *testing.T) {
 	}
 	if !rep.Clean() {
 		t.Fatalf("empty checkpoint reported damage: %+v", rep.Files)
+	}
+}
+
+// TestBackupSegment pins the backup mirror (peerd -backup-to): nothing is
+// copied before a segment is sealed; each call copies the newest sealed
+// segment, verified, and prunes the older copies; a call that finds the
+// verified copy in place copies nothing; and RestoreSegment from the
+// backup directory recovers a store with the same content.
+func TestBackupSegment(t *testing.T) {
+	dir, bak := t.TempDir(), t.TempDir()
+	st, lg, _ := openStore(t, dir, Options{})
+	if seq, n, err := lg.BackupSegment(bak); err != nil || seq != 0 || n != 0 {
+		t.Fatalf("backup before any seal = seq %d, %d bytes, %v; want nothing", seq, n, err)
+	}
+	seal := func(from, to int) {
+		t.Helper()
+		for i := from; i < to; i++ {
+			st.Put(uint32(i), testPart(i))
+		}
+		if err := lg.Commit(); err != nil {
+			t.Fatal(err)
+		}
+		if err := lg.Checkpoint(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	backup := func() (uint64, int64) {
+		t.Helper()
+		seq, n, err := lg.BackupSegment(bak)
+		if err != nil {
+			t.Fatalf("BackupSegment: %v", err)
+		}
+		return seq, n
+	}
+
+	seal(0, 20)
+	first, n := backup()
+	if fi, err := os.Stat(segPath(bak, first)); err != nil || fi.Size() != n || n == 0 {
+		t.Fatalf("first backup: segment %d, %d bytes copied, stat %v", first, n, err)
+	}
+	seal(20, 35)
+	second, n := backup()
+	if second <= first || n == 0 {
+		t.Fatalf("second backup = segment %d (%d bytes), want one newer than %d", second, n, first)
+	}
+	if got, want := files(t, bak), []string{filepath.Base(segPath(bak, second))}; !reflect.DeepEqual(got, want) {
+		t.Errorf("backup dir = %v, want only %v (older copy pruned)", got, want)
+	}
+	if seq, n := backup(); seq != second || n != 0 {
+		t.Errorf("repeat backup = segment %d, %d bytes copied; want %d and 0", seq, n, second)
+	}
+
+	want := dumpStore(st)
+	if err := lg.Close(); err != nil {
+		t.Fatal(err)
+	}
+	restored := t.TempDir()
+	seq, recs, err := RestoreSegment(bak, restored)
+	if err != nil || seq != second || recs != 35 {
+		t.Fatalf("RestoreSegment = segment %d, %d records, %v; want %d, 35", seq, recs, err, second)
+	}
+	st2, lg2, _ := openStore(t, restored, Options{})
+	defer lg2.Close()
+	if got := dumpStore(st2); !reflect.DeepEqual(got, want) {
+		t.Errorf("restored store differs: %d buckets, want %d", len(got), len(want))
 	}
 }

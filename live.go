@@ -15,7 +15,6 @@ import (
 	"p2prange/internal/metrics"
 	"p2prange/internal/obs"
 	"p2prange/internal/peer"
-	"p2prange/internal/query"
 	"p2prange/internal/store"
 	"p2prange/internal/transport"
 	"p2prange/internal/wal"
@@ -54,13 +53,8 @@ type LiveConfig struct {
 	// chord defaults.
 	Stabilize chord.MaintainerConfig
 	// Retry controls transport-level retries. Zero values mean 3 attempts
-	// with 25ms base backoff; set DisableRetry to turn retries off.
-	Retry        transport.RetryConfig
-	DisableRetry bool
-	// DisableRerouting turns off failure-aware chord routing (lookups fail
-	// on the first unreachable hop instead of detouring via successor
-	// lists). Exposed for fault-model ablations.
-	DisableRerouting bool
+	// with 25ms base backoff; Attempts 1 turns retries off.
+	Retry transport.RetryConfig
 	// Fault, when non-nil, injects deterministic faults (drops, delays,
 	// outages) between this peer and the network — for resilience testing
 	// on real TCP clusters.
@@ -147,8 +141,7 @@ type LivePeer struct {
 	node       node // the assembled peer (peer.Host) and its SQL state
 	caller     *transport.TCPCaller
 	maintainer *chord.Maintainer
-	stats      *metrics.RouteStats
-	fault      *transport.FaultCaller
+	backups    sync.WaitGroup // in-flight OnSeal mirrors; Close waits
 
 	events       *obs.EventLog // nil when the journal is memory-only
 	eventsDetach func()        // unhooks the durable sink on Close
@@ -207,30 +200,27 @@ func StartPeer(listenAddr, bootstrap string, cfg LiveConfig) (*LivePeer, error) 
 		return nil, fmt.Errorf("p2prange: listen %s: %w", listenAddr, err)
 	}
 	hc.Addr = ln.Addr().String()
-	lp := &LivePeer{stats: &metrics.RouteStats{}, caller: transport.NewTCPCaller()}
+	lp := &LivePeer{caller: transport.NewTCPCaller()}
 	hc.Caller = lp.caller
 	if cfg.Fault != nil {
-		lp.fault = transport.NewFaultCaller(hc.Caller, *cfg.Fault)
-		hc.Caller = lp.fault
+		hc.Caller = transport.NewFaultCaller(hc.Caller, *cfg.Fault)
 	}
-	if !cfg.DisableRetry {
-		rc := cfg.Retry
-		if rc.BaseDelay <= 0 {
-			rc.BaseDelay = 25 * time.Millisecond
-		}
-		if rc.Seed == 0 {
-			rc.Seed = int64(chord.HashAddr(hc.Addr))
-		}
-		rc.Stats = lp.stats
-		hc.Caller = transport.NewRetryCaller(hc.Caller, rc)
+	rc := cfg.Retry
+	if rc.BaseDelay <= 0 {
+		rc.BaseDelay = 25 * time.Millisecond
 	}
-	hc.Peer.Chord = chord.Config{DisableRerouting: cfg.DisableRerouting, Stats: lp.stats}
+	if rc.Seed == 0 {
+		rc.Seed = int64(chord.HashAddr(hc.Addr))
+	}
+	hc.Caller = transport.NewRetryCaller(hc.Caller, rc)
 	if cfg.BackupTo != "" {
 		var backupMu sync.Mutex
 		hc.WAL.OnSeal = func(uint64) {
 			// Compaction calls OnSeal inline; mirror in the background so
 			// a slow backup disk never stalls the append path.
+			lp.backups.Add(1)
 			go func() {
+				defer lp.backups.Done()
 				backupMu.Lock()
 				defer backupMu.Unlock()
 				lp.backup(cfg.BackupTo)
@@ -252,7 +242,7 @@ func StartPeer(listenAddr, bootstrap string, cfg LiveConfig) (*LivePeer, error) 
 		lp.closeEvents()
 		return nil, err
 	}
-	lp.node = node{Host: h, schema: cfg.Schema, base: newBases(), coalesce: query.NewCoalescer()}
+	lp.node = node{Host: h, schema: cfg.Schema, base: newBases()}
 	h.ServeTCP(ln)
 	if bootstrap != "" {
 		if err := h.Node().Join(bootstrap); err != nil {
@@ -390,17 +380,9 @@ func (lp *LivePeer) StoredPartitions() int { return lp.node.Store().Len() }
 // Successor exposes the chord successor for health checks.
 func (lp *LivePeer) Successor() chord.Ref { return lp.node.Node().Successor() }
 
-// RouteStats snapshots the peer's failure counters: lookups, failed
-// lookups, reroutes around dead nodes, and transport retries.
-func (lp *LivePeer) RouteStats() metrics.RouteSnapshot { return lp.stats.Snapshot() }
-
 // SigStats snapshots the peer's signature-cache counters (hits, misses,
 // evictions).
 func (lp *LivePeer) SigStats() metrics.SigSnapshot { return lp.node.SigStats() }
-
-// FaultInjector returns the fault-injection layer when LiveConfig.Fault
-// was set, for toggling outages at runtime; nil otherwise.
-func (lp *LivePeer) FaultInjector() *transport.FaultCaller { return lp.fault }
 
 // Stable reports whether the peer's ring links look settled: predecessor
 // known and successor set. A self-successor with no predecessor is a
@@ -527,12 +509,14 @@ func (lp *LivePeer) Leave() error {
 // Close stops maintenance, the follower, the server, and client
 // connections without the graceful hand-off, then checkpoints and
 // closes the write-ahead log (if any) so the next boot recovers from a
-// sealed segment alone.
+// sealed segment alone. With BackupTo it returns once that segment is
+// mirrored too.
 func (lp *LivePeer) Close() {
 	if lp.maintainer != nil {
 		lp.maintainer.Stop()
 	}
 	lp.node.Close()
+	lp.backups.Wait()
 	lp.caller.Close()
 	lp.closeEvents()
 }

@@ -23,10 +23,9 @@ import (
 // recorder is off — every simulated one — takes the nil-span fast path.
 type node struct {
 	*peer.Host
-	schema   *relation.Schema
-	base     *bases
-	padFrac  float64
-	coalesce *query.Coalescer // nil: no singleflight for SQL leaf fetches
+	schema  *relation.Schema
+	base    *bases
+	padFrac float64
 }
 
 // bases holds the base relations SQL falls back to: the paper's "go to
@@ -182,17 +181,7 @@ func (n node) query(sql string, traced bool) (*QueryResult, *Trace, error) {
 	}
 	src := &peer.DataSource{Peer: n.Peer, Base: n.base.source(), PadFrac: n.padFrac}
 	sp := n.root(traced, func() string { return "query from " + n.Addr() })
-	// Only executions with no span share the singleflight (identical
-	// concurrent leaf fetches collapse into one DHT lookup). Span-built
-	// runs — explicit traces and flight-recorded queries — stay unshared
-	// so every retained tree reflects its own query's work: the recorder
-	// trades the coalescer's dedup for attributable trees. Operators who
-	// want the dedup back run with -flight-off.
-	execSrc := query.Source(src)
-	if sp == nil && n.coalesce != nil {
-		execSrc = n.coalesce.Bind(src)
-	}
-	res, err := query.ExecuteTraced(plan, n.schema, execSrc, sp)
+	res, err := query.ExecuteTraced(plan, n.schema, src, sp)
 	sp.End()
 	n.Flight().Finish(flight.KindQuery, sp, -1, err)
 	return res, sp, err

@@ -1,9 +1,14 @@
 package p2prange
 
 import (
+	"fmt"
+	"reflect"
+	"sort"
 	"strings"
 	"testing"
 
+	"p2prange/internal/query"
+	"p2prange/internal/rangeset"
 	"p2prange/internal/relation"
 )
 
@@ -237,4 +242,115 @@ func TestShrinkFloor(t *testing.T) {
 	if _, err := sys.CrashOne(); err == nil {
 		t.Error("crashed the last peer")
 	}
+}
+
+// TestSQLSourcePaths drives the branches of peer.DataSource that the
+// paper query does not reach: a half-open predicate clamped to the base
+// relation's domain, a padded probe, a leaf with no selection (FetchAll),
+// and a system with no base and no cached match. Each query runs traced
+// on a fresh System, the tree must show the branch, and the rows must
+// equal query.Execute straight over the base relations — or be empty,
+// typed by the schema, when there is no base to fall back to.
+func TestSQLSourcePaths(t *testing.T) {
+	schema := relation.MedicalSchema()
+	rels, err := relation.GenerateMedical(relation.MedicalConfig{
+		Patients: 200, Physicians: 10, Diagnoses: 500, Seed: 6,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ages, err := rels["Patient"].AttributeRange("age")
+	if err != nil {
+		t.Fatal(err)
+	}
+	padded := rangeset.Range{Lo: 30, Hi: 50}.Pad(0.2, ages.Lo, ages.Hi)
+	for _, tc := range []struct {
+		name    string
+		padFrac float64
+		noBase  bool
+		sql     string
+		shows   string // a line of the traced tree
+		recall  float64
+	}{
+		{
+			name:   "half-open range clamps to the base domain",
+			sql:    "SELECT patient_id, age FROM Patient WHERE age >= 65",
+			shows:  fmt.Sprintf("lookup Patient.age [65,%d]", ages.Hi),
+			recall: 1,
+		},
+		{
+			name:    "padding widens the probe",
+			padFrac: 0.2,
+			sql:     "SELECT patient_id, name FROM Patient WHERE 30 <= age AND age <= 50",
+			shows:   "pad: [30,50] -> " + padded.String(),
+			recall:  1,
+		},
+		{
+			name:  "no selection fetches the whole base relation",
+			sql:   "SELECT name, specialization FROM Physician",
+			shows: fmt.Sprintf("fullscan: Physician (%d tuple(s))", len(rels["Physician"].Tuples)),
+		},
+		{
+			name:   "no base and no match answers empty",
+			noBase: true,
+			sql:    "SELECT patient_id, name FROM Patient WHERE 30 <= age AND age <= 50",
+			shows:  "answer: recall=0.000 from cache",
+		},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			sys := newTestSystem(t, Config{Peers: 8, Seed: 5, Schema: schema, PadFrac: tc.padFrac})
+			if !tc.noBase {
+				for _, r := range rels {
+					if err := sys.AddBase(r); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+			plan, err := buildPlan(schema, tc.sql)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := query.Execute(plan, schema, query.NewRelationSource(rels))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if tc.noBase {
+				want.Rows = nil
+			} else if len(want.Rows) == 0 {
+				t.Fatal("reference answer is empty; the case tests nothing")
+			}
+			// The cold run falls back to the base and caches what it
+			// computed; the warm run answers from that cache.
+			for _, run := range []string{"cold", "warm"} {
+				res, tr, err := sys.QueryTraced(tc.sql)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if tree := tr.Tree(false); run == "cold" && !strings.Contains(tree, tc.shows) {
+					t.Errorf("trace lacks %q:\n%s", tc.shows, tree)
+				}
+				for leaf, got := range res.ScanRecall {
+					if got != tc.recall {
+						t.Errorf("%s run: %s recall = %g, want %g", run, leaf, got, tc.recall)
+					}
+				}
+				if !reflect.DeepEqual(res.Columns, want.Columns) {
+					t.Errorf("%s run: columns = %v, want %v", run, res.Columns, want.Columns)
+				}
+				if got, exp := sortedRows(res.Rows), sortedRows(want.Rows); !reflect.DeepEqual(got, exp) {
+					t.Errorf("%s run: %d row(s), want %d:\ngot  %v\nwant %v", run, len(got), len(exp), got, exp)
+				}
+			}
+		})
+	}
+}
+
+// sortedRows renders rows as sorted text, for order-free comparison.
+func sortedRows(rows []relation.Tuple) []string {
+	out := make([]string, 0, len(rows))
+	for _, r := range rows {
+		out = append(out, fmt.Sprint(r))
+	}
+	sort.Strings(out)
+	return out
 }

@@ -4,13 +4,17 @@
 //
 // Registered metrics are the string literals passed to
 // metrics.Default.Counter, .Gauge and .IntHistogram (Default.… inside
-// package metrics) in non-test Go files. Documented metrics are the
-// backticked names in the first cell of every table row under a
-// "| Metric | Kind | Meaning |" header. Two kinds of drift fail the
-// check:
+// package metrics) in non-test Go files. Read metrics are the string
+// literals that index the Counters, Gauges or Histograms map of a
+// registry snapshot in non-test Go files outside perfbench/ (the
+// benchmark module, which tolerates names a build no longer has).
+// Documented metrics are the backticked names in the first cell of every
+// table row under a "| Metric | Kind | Meaning |" header. Three kinds of
+// drift fail the check:
 //
 //   - a registered metric with no row (undocumented)
 //   - a row naming no registered metric (stale docs)
+//   - a read of a metric nothing registers (it always reads zero)
 //
 // Usage: go run ./tools/checkmetrics [root]   (root defaults to ".")
 package main
@@ -27,14 +31,17 @@ import (
 
 var (
 	regRE  = regexp.MustCompile(`(?:metrics\.)?Default\.(?:Counter|Gauge|IntHistogram)\(\s*"([^"]+)"`)
+	readRE = regexp.MustCompile(`\b(?:Counters|Gauges|Histograms)\[\s*"([^"]+)"\s*\]`)
 	nameRE = regexp.MustCompile("`([a-z0-9_]+(?:\\.[a-z0-9_]+)+)`")
 )
 
-// registered maps each metric name registered in non-test Go code under
-// root to the first file registering it.
-func registered(root string) (map[string]string, error) {
-	out := map[string]string{}
-	err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
+// scan maps each metric name registered in non-test Go code under root
+// to the first file registering it, and each name read outside perfbench/
+// to the first file:line reading it.
+func scan(root string) (reg, read map[string]string, err error) {
+	reg, read = map[string]string{}, map[string]string{}
+	bench := filepath.Join(root, "perfbench")
+	err = filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
 		if err != nil {
 			return err
 		}
@@ -51,14 +58,24 @@ func registered(root string) (map[string]string, error) {
 		if err != nil {
 			return err
 		}
-		for _, m := range regRE.FindAllStringSubmatch(string(data), -1) {
-			if _, seen := out[m[1]]; !seen {
-				out[m[1]] = path
+		src := string(data)
+		for _, m := range regRE.FindAllStringSubmatch(src, -1) {
+			if _, seen := reg[m[1]]; !seen {
+				reg[m[1]] = path
+			}
+		}
+		if strings.HasPrefix(path, bench+string(filepath.Separator)) {
+			return nil
+		}
+		for _, m := range readRE.FindAllStringSubmatchIndex(src, -1) {
+			name := src[m[2]:m[3]]
+			if _, seen := read[name]; !seen {
+				read[name] = fmt.Sprintf("%s:%d", path, 1+strings.Count(src[:m[0]], "\n"))
 			}
 		}
 		return nil
 	})
-	return out, err
+	return reg, read, err
 }
 
 // documented maps each metric named by a metric-table row of the
@@ -107,7 +124,7 @@ func main() {
 		root = os.Args[1]
 	}
 	doc := filepath.Join(root, "docs", "OBSERVABILITY.md")
-	reg, err := registered(root)
+	reg, read, err := scan(root)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "checkmetrics:", err)
 		os.Exit(2)
@@ -131,9 +148,15 @@ func main() {
 			drift++
 		}
 	}
+	for _, name := range sortedKeys(read) {
+		if _, ok := reg[name]; !ok {
+			fmt.Printf("%s: reads %s, which no code registers\n", read[name], name)
+			drift++
+		}
+	}
 	if drift > 0 {
-		fmt.Printf("checkmetrics: %d drift(s) between %s and the registered metrics\n", drift, doc)
+		fmt.Printf("checkmetrics: %d drift(s) between %s, the metric reads and the registered metrics\n", drift, doc)
 		os.Exit(1)
 	}
-	fmt.Printf("checkmetrics: all %d registered metrics are documented\n", len(reg))
+	fmt.Printf("checkmetrics: all %d registered metrics are documented, and all %d metrics read are registered\n", len(reg), len(read))
 }
