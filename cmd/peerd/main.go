@@ -79,11 +79,9 @@ func main() {
 		sigCache   = flag.Int("sigcache", 256, "signature-cache capacity (ranges); 0 disables")
 		debugAddr  = flag.String("debug-addr", "", "serve /debug/vars (expvar) and /debug/pprof on this address (empty disables)")
 
-		replicas     = flag.Int("replicas", 0, "successor copies per stored descriptor; 0 disables replication")
-		loadAware    = flag.Bool("load-aware", false, "route probes to the least-loaded live replica (needs -replicas)")
-		hotReplicas  = flag.Int("hot-replicas", 0, "replica-set size for hot buckets, owner included (0: 2*(replicas+1))")
-		hotThreshold = flag.Uint64("hot-threshold", 0, "decayed probe count promoting a bucket to the hot set (0: default 64)")
-		repairEvery  = flag.Duration("repair-every", 0, "anti-entropy repair interval (0: chord maintenance default)")
+		replicas    = flag.Int("replicas", 0, "successor copies per stored descriptor; 0 disables replication")
+		loadAware   = flag.Bool("load-aware", false, "route probes to the least-loaded live replica (needs -replicas)")
+		repairEvery = flag.Duration("repair-every", 0, "anti-entropy repair interval (0: chord maintenance default)")
 
 		dataDir      = flag.String("data-dir", "", "durable store directory: WAL + segments, replayed on restart (empty: memory-only)")
 		fsync        = flag.String("fsync", "always", "durability barrier with -data-dir: always (fsync before ack) | off (page cache)")
@@ -95,7 +93,6 @@ func main() {
 		backupTo   = flag.String("backup-to", "", "mirror every sealed segment into this directory (restore with walctl restore)")
 
 		slowThreshold = flag.Duration("slow-threshold", 0, "flight recorder slow-query cutoff (0: 25ms default)")
-		flightKeep    = flag.Int("flight-keep", 0, "entries pinned per flight-recorder ring: slow, top, errored, hop-heavy (0: 32 default)")
 		flightOff     = flag.Bool("flight-off", false, "disable the always-on flight recorder (/debug/slow serves nothing)")
 		eventsDir     = flag.String("events-dir", "", "directory for the durable cluster event journal events.log (empty: -data-dir; both empty: memory-only ring)")
 		faultDelay    = flag.Duration("fault-delay", 0, "inject this latency into every outgoing RPC (fault testing; pairs with the flight recorder demo)")
@@ -119,8 +116,6 @@ func main() {
 		SigCache:      *sigCache,
 		Replicas:      *replicas,
 		LoadAware:     *loadAware,
-		HotReplicas:   *hotReplicas,
-		HotThreshold:  *hotThreshold,
 		DataDir:       *dataDir,
 		Fsync:         *fsync,
 		CompactEvery:  *compactEvery,
@@ -129,7 +124,6 @@ func main() {
 		ShipRetain:    *shipRetain,
 		BackupTo:      *backupTo,
 		SlowThreshold: *slowThreshold,
-		FlightKeep:    *flightKeep,
 		FlightOff:     *flightOff,
 		EventsDir:     *eventsDir,
 	}

@@ -108,11 +108,9 @@ type Config struct {
 	// of the bucket's replica set instead of always its owner. It needs
 	// Replicas > 0: New refuses it without.
 	LoadAware bool
-	// HotReplicas is the replica-set size for hot buckets (owner
-	// included; default 2*(Replicas+1)).
-	HotReplicas int
 	// HotThreshold is the decayed per-bucket probe count that promotes a
-	// bucket to HotReplicas copies (default replica.DefaultHotThreshold).
+	// bucket to its hot replica set, 2*(Replicas+1) copies (default
+	// replica.DefaultHotThreshold).
 	HotThreshold uint64
 	// CacheCapacity bounds the peer's descriptor store; on overflow the
 	// least-recently-matched descriptor evicts. 0 means unbounded (the
@@ -180,7 +178,6 @@ func New(addr string, caller transport.Caller, cfg Config) (*Peer, error) {
 		// total copies including the owner.
 		p.replica = replica.NewManager(p.node.Ref(), p.store, replica.Config{
 			R:            cfg.Replicas + 1,
-			RHot:         cfg.HotReplicas,
 			HotThreshold: cfg.HotThreshold,
 		}, replica.Deps{
 			Successors: p.node.Successors,

@@ -63,11 +63,11 @@ func (s *DataSource) Fetch(rel, attribute string, req rangeset.Range, sp *trace.
 	if sp.On() {
 		ls = sp.Child(fmt.Sprintf("lookup %s.%s %s", rel, attribute, probe))
 	}
-	// Caching records this peer as the probe range's holder. Only a
-	// source with a base can materialize that partition (the fallback
-	// below); without one the descriptor would name data nobody holds,
-	// and the next identical query would fail fetching it.
-	lr, err := s.Peer.Lookup(rel, attribute, probe, s.Base != nil, ls)
+	// The lookup caches nothing: a descriptor names this peer as the
+	// probe range's holder, and only the fallback below materializes that
+	// partition here. A covering hit leaves no data of the probe range at
+	// this peer, so publishing it would advertise what it cannot serve.
+	lr, err := s.Peer.Lookup(rel, attribute, probe, false, ls)
 	ls.End()
 	if err != nil {
 		return nil, rangeset.Range{}, err

@@ -14,7 +14,7 @@
 //
 //   - Popularity tracking: owners count per-identifier probe hits with a
 //     decaying gauge; a bucket whose recent hits cross HotThreshold is
-//     promoted to a wider replica set (RHot copies), widening exactly
+//     promoted to a wider replica set (2*R copies), widening exactly
 //     the partitions a skewed workload hammers.
 //
 //   - Load-aware selection: the query side resolves each probe's bucket

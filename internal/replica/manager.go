@@ -17,7 +17,7 @@ const (
 	// bucket owner plus R-1 successors.
 	DefaultR = 3
 	// DefaultHotThreshold is the decayed per-bucket hit count at which a
-	// bucket is promoted to the wide (RHot) replica set.
+	// bucket is promoted to the wide (2*R) replica set.
 	DefaultHotThreshold = 64
 )
 
@@ -53,7 +53,7 @@ type (
 	}
 	// LoadReq asks a peer for its current query-load gauge and, for
 	// each of the buckets IDs it owns, the bucket's replica fan-out (R,
-	// or RHot when the bucket is hot). With no IDs it asks for the gauge
+	// or 2*R when the bucket is hot). With no IDs it asks for the gauge
 	// only.
 	LoadReq struct {
 		IDs []uint32
@@ -79,11 +79,9 @@ func init() {
 // be at least 2 for replication to place any copies.
 type Config struct {
 	// R is the replica-set size per descriptor: the bucket owner plus
-	// R-1 successors (default DefaultR).
+	// R-1 successors (default DefaultR). A hot bucket gets 2*R copies.
 	R int
-	// RHot is the replica-set size for hot buckets (default 2*R).
-	RHot int
-	// HotThreshold is the decayed hit count promoting a bucket to RHot
+	// HotThreshold is the decayed hit count promoting a bucket to 2*R
 	// copies (default DefaultHotThreshold).
 	HotThreshold uint64
 }
@@ -91,9 +89,6 @@ type Config struct {
 func (c Config) withDefaults() Config {
 	if c.R <= 0 {
 		c.R = DefaultR
-	}
-	if c.RHot < c.R {
-		c.RHot = 2 * c.R
 	}
 	if c.HotThreshold == 0 {
 		c.HotThreshold = DefaultHotThreshold
@@ -184,14 +179,17 @@ func (m *Manager) Stamp(p *store.Partition) {
 	p.Origin = m.self.Addr
 }
 
-// Fanout returns the replica-set size of bucket id: RHot while the
+// Fanout returns the replica-set size of bucket id: 2*R while the
 // bucket is hot, R otherwise.
 func (m *Manager) Fanout(id uint32) int {
 	if m.tracker.Hot(id) {
-		return m.cfg.RHot
+		return m.rHot()
 	}
 	return m.cfg.R
 }
+
+// rHot is the replica-set size of a hot bucket.
+func (m *Manager) rHot() int { return 2 * m.cfg.R }
 
 // Load returns this peer's query-load gauge (decayed recent probe hits).
 func (m *Manager) Load() int64 { return m.tracker.Load() }
@@ -241,12 +239,12 @@ func (m *Manager) Hit(id uint32) {
 		return
 	}
 	metPromotions.Inc()
-	obs.Events.Emitf(obs.SevInfo, "replica", "%s promoted hot bucket %08x to fan-out %d", m.self.Addr, id, m.cfg.RHot)
+	obs.Events.Emitf(obs.SevInfo, "replica", "%s promoted hot bucket %08x to fan-out %d", m.self.Addr, id, m.rHot())
 	if m.deps.Owns != nil && !m.deps.Owns(id) {
 		return
 	}
 	for _, p := range m.st.Bucket(id) {
-		m.push(id, p, m.cfg.RHot-1)
+		m.push(id, p, m.rHot()-1)
 	}
 }
 
@@ -285,7 +283,7 @@ func (m *Manager) Sync() SyncStats {
 	ship := m.shipper()
 	var stats SyncStats
 	var shipped []string
-	for i, succ := range m.deps.Successors(m.cfg.RHot - 1) {
+	for i, succ := range m.deps.Successors(m.rHot() - 1) {
 		depth := i + 1 // succ holds copies of buckets with Fanout > depth
 		if ship != nil && depth < m.cfg.R {
 			// Full-replica successor (holds every owned bucket, since

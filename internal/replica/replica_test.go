@@ -294,7 +294,7 @@ func TestReplicaSyncOffersOnlyOwnedBuckets(t *testing.T) {
 
 func TestReplicaHitPromotionWidensSet(t *testing.T) {
 	r := newFakeRing(7)
-	m := r.manager(Config{R: 2, RHot: 4, HotThreshold: 3})
+	m := r.manager(Config{R: 2, HotThreshold: 3})
 	p := part(0, 10)
 	m.Stamp(&p)
 	r.stores[0].Put(9, p)
@@ -306,7 +306,7 @@ func TestReplicaHitPromotionWidensSet(t *testing.T) {
 		m.Hit(9)
 	}
 	if m.Fanout(9) != 4 {
-		t.Fatalf("Fanout = %d after promotion, want RHot = 4", m.Fanout(9))
+		t.Fatalf("Fanout = %d after promotion, want 2*R = 4", m.Fanout(9))
 	}
 	for _, i := range []int{1, 2, 3} {
 		if len(r.stores[uint32(i)].Bucket(9)) != 1 {
@@ -314,7 +314,7 @@ func TestReplicaHitPromotionWidensSet(t *testing.T) {
 		}
 	}
 	if len(r.stores[4].Bucket(9)) != 0 {
-		t.Error("copy placed beyond RHot-1 successors")
+		t.Error("copy placed beyond 2*R-1 successors")
 	}
 }
 
@@ -434,7 +434,7 @@ func TestReplicaRankOwnerDownGivesNoCandidates(t *testing.T) {
 // of different widths in one call, and that HandleLoad reports them.
 func TestReplicaRankHotAndColdBuckets(t *testing.T) {
 	r := newFakeRing(7)
-	m := r.manager(Config{R: 2, RHot: 4, HotThreshold: 3})
+	m := r.manager(Config{R: 2, HotThreshold: 3})
 	for i := 0; i < 3; i++ {
 		m.Hit(9)
 	}

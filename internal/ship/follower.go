@@ -33,11 +33,14 @@ type FollowerConfig struct {
 	// Dir, when set, holds the resumable snapshot part file so a
 	// follower crash mid-seed continues instead of restarting.
 	Dir string
-	// MaxBatch caps one EntriesReq (default 256KiB).
-	MaxBatch int
-	// Interval is the tail poll period for Run (default 1s).
-	Interval time.Duration
 }
+
+const (
+	// maxBatch caps one EntriesReq.
+	maxBatch = 256 << 10
+	// pollInterval is the tail poll period for Run.
+	pollInterval = time.Second
+)
 
 // FollowerStats is a Follower's progress snapshot for /status.
 type FollowerStats struct {
@@ -74,12 +77,6 @@ type Follower struct {
 
 // NewFollower builds a Follower. See FollowerConfig.
 func NewFollower(cfg FollowerConfig) *Follower {
-	if cfg.MaxBatch <= 0 {
-		cfg.MaxBatch = 256 << 10
-	}
-	if cfg.Interval <= 0 {
-		cfg.Interval = time.Second
-	}
 	return &Follower{cfg: cfg, state: "idle", walker: wal.NewWalker(), apply: wal.StoreRestorer(cfg.Store)}
 }
 
@@ -192,7 +189,7 @@ func (f *Follower) tail(cur wal.Cursor) (int, bool, error) {
 	applied := 0
 	sinceAck := 0
 	for {
-		resp, err := f.call(EntriesReq{Follower: f.cfg.Self, Cursor: cur, MaxBytes: uint32(f.cfg.MaxBatch)})
+		resp, err := f.call(EntriesReq{Follower: f.cfg.Self, Cursor: cur, MaxBytes: maxBatch})
 		if err != nil {
 			return applied, false, err
 		}
@@ -301,7 +298,7 @@ func (f *Follower) seedSnapshot(seq uint64, size int64) (int, wal.Cursor, error)
 			Follower: f.cfg.Self,
 			Seq:      seq,
 			Off:      int64(len(data)),
-			MaxBytes: 256 << 10,
+			MaxBytes: maxChunkBytes,
 		})
 		if err != nil {
 			return 0, wal.Cursor{}, err
@@ -384,7 +381,7 @@ func appendFileTo(path string, data []byte, off int64) error {
 	return fd.Sync()
 }
 
-// Run polls CatchUp every Interval until Stop. Errors are recorded in
+// Run polls CatchUp every pollInterval until Stop. Errors are recorded in
 // Stats and retried next tick — an owner crash mid-stream is just a
 // failed pass.
 func (f *Follower) Run() {
@@ -400,7 +397,7 @@ func (f *Follower) Run() {
 
 	go func() {
 		defer close(done)
-		t := time.NewTicker(f.cfg.Interval)
+		t := time.NewTicker(pollInterval)
 		defer t.Stop()
 		for {
 			_, _ = f.CatchUp()

@@ -24,11 +24,15 @@ type ServiceConfig struct {
 	// Store receives pushed puts (ApplyReq path), committed through
 	// Store.Commit before the batch is acknowledged. Nil refuses pushes.
 	Store *store.Store
-	// MaxEntryBytes caps one EntriesResp (default 1MiB + one record).
-	MaxEntryBytes int
-	// MaxChunkBytes caps one SnapshotChunkResp (default 256KiB).
-	MaxChunkBytes int
 }
+
+const (
+	// maxEntryBytes caps one EntriesResp: 1MiB plus one record.
+	maxEntryBytes = 1<<20 + wal.MaxRecord
+	// maxChunkBytes caps one SnapshotChunkResp; followers ask for
+	// exactly this much.
+	maxChunkBytes = 256 << 10
+)
 
 // FollowerStatus is one subscribed follower's progress, for /status.
 type FollowerStatus struct {
@@ -61,12 +65,6 @@ type followerState struct {
 
 // NewService builds a Service. See ServiceConfig.
 func NewService(cfg ServiceConfig) *Service {
-	if cfg.MaxEntryBytes <= 0 {
-		cfg.MaxEntryBytes = 1<<20 + wal.MaxRecord
-	}
-	if cfg.MaxChunkBytes <= 0 {
-		cfg.MaxChunkBytes = 256 << 10
-	}
 	return &Service{
 		cfg:       cfg,
 		token:     tokenCounter.Add(1),
@@ -138,8 +136,8 @@ func (s *Service) entries(r EntriesReq) (EntriesResp, error) {
 	}
 	lg := s.cfg.Log
 	max := int(r.MaxBytes)
-	if max <= 0 || max > s.cfg.MaxEntryBytes {
-		max = s.cfg.MaxEntryBytes
+	if max <= 0 || max > maxEntryBytes {
+		max = maxEntryBytes
 	}
 	// The request cursor is also the follower's progress claim: advance
 	// its retention pin there before reading, so the files the batch
@@ -169,8 +167,8 @@ func (s *Service) snapshotChunk(r SnapshotChunkReq) (SnapshotChunkResp, error) {
 		return SnapshotChunkResp{}, ErrNotShipping
 	}
 	max := int(r.MaxBytes)
-	if max <= 0 || max > s.cfg.MaxChunkBytes {
-		max = s.cfg.MaxChunkBytes
+	if max <= 0 || max > maxChunkBytes {
+		max = maxChunkBytes
 	}
 	data, total, err := s.cfg.Log.ReadSegmentChunk(r.Seq, r.Off, max)
 	if errors.Is(err, wal.ErrSegmentGone) {

@@ -32,10 +32,9 @@ type LoadConfig struct {
 	Replicas int
 	// LoadAware routes each probe to the least-loaded live replica.
 	LoadAware bool
-	// HotReplicas and HotThreshold configure hot-bucket promotion
-	// (defaults 2*(Replicas+1) and 16 — the threshold is lower than the
+	// HotThreshold is the decayed probe count promoting a bucket to its
+	// hot replica set, 2*(Replicas+1) copies (default 16 — lower than the
 	// live default because a run's windows are a few hundred queries).
-	HotReplicas  int
 	HotThreshold uint64
 	// Crashes is the number of abrupt peer failures, spread evenly across
 	// the query stream (default 0). Negative disables crashing.
@@ -43,15 +42,17 @@ type LoadConfig struct {
 	// StabilizeEvery runs one synchronous ring-repair round every this
 	// many queries (default 50).
 	StabilizeEvery int
-	// RepairEvery runs one anti-entropy round at every peer every this
-	// many queries (default 100); it also decays the popularity trackers.
-	RepairEvery int
 	// Skew is the Zipf exponent of the query distribution over the
 	// published ranges (default 1.2; must be > 1).
 	Skew float64
 	// Seed drives all randomness.
 	Seed int64
 }
+
+// loadRepairEvery is the load run's anti-entropy cadence: one round at
+// every peer every this many queries, which also decays the popularity
+// trackers.
+const loadRepairEvery = 100
 
 func (cfg *LoadConfig) withDefaults() LoadConfig {
 	out := *cfg
@@ -69,9 +70,6 @@ func (cfg *LoadConfig) withDefaults() LoadConfig {
 	}
 	if out.StabilizeEvery <= 0 {
 		out.StabilizeEvery = 50
-	}
-	if out.RepairEvery <= 0 {
-		out.RepairEvery = 100
 	}
 	if out.Skew <= 1 {
 		out.Skew = 1.2
@@ -132,7 +130,6 @@ func RunLoad(cfg LoadConfig) (*LoadResult, error) {
 			Scheme:       minhash.NewExactScheme(),
 			Replicas:     cfg.Replicas,
 			LoadAware:    cfg.LoadAware,
-			HotReplicas:  cfg.HotReplicas,
 			HotThreshold: cfg.HotThreshold,
 		},
 	})
@@ -172,7 +169,7 @@ func RunLoad(cfg LoadConfig) (*LoadResult, error) {
 		if q > 0 && q%cfg.StabilizeEvery == 0 {
 			c.Stabilize(1)
 		}
-		if q > 0 && q%cfg.RepairEvery == 0 {
+		if q > 0 && q%loadRepairEvery == 0 {
 			res.Repaired += c.RepairReplicas()
 		}
 		want := queries.Next()

@@ -119,7 +119,7 @@ func TestReplicaHotPromotionInLoadRun(t *testing.T) {
 		N:            24,
 		Partitions:   60,
 		Queries:      800,
-		Replicas:     1, // R=2 cold, RHot=4
+		Replicas:     1, // R=2 cold, 4 hot
 		LoadAware:    true,
 		HotThreshold: 8,
 		Skew:         1.5,

@@ -16,9 +16,6 @@ type QualityConfig struct {
 	// Queries is the number of query ranges (default
 	// workload.DefaultQueries).
 	Queries int
-	// WarmupFrac is the fraction of initial queries excluded from the
-	// reported statistics (default workload.DefaultWarmupFrac).
-	WarmupFrac float64
 	// PadFrac expands each query range by this fraction on each edge
 	// before hashing and matching (Fig. 10 uses 0.20); recall is always
 	// measured against the unpadded query.
@@ -33,18 +30,16 @@ type QualityConfig struct {
 	Seed int64
 	// Relation and Attribute name the partitions; defaults are synthetic.
 	Relation, Attribute string
-	// Bins is the similarity histogram bin count (default 10, matching
-	// the paper's 0.1-wide buckets).
-	Bins int
 }
+
+// similarityBins is the similarity histogram bin count, matching the
+// paper's 0.1-wide buckets.
+const similarityBins = 10
 
 func (q *QualityConfig) withDefaults() QualityConfig {
 	out := *q
 	if out.Queries <= 0 {
 		out.Queries = workload.DefaultQueries
-	}
-	if out.WarmupFrac <= 0 {
-		out.WarmupFrac = workload.DefaultWarmupFrac
 	}
 	if out.Workload == nil {
 		out.Workload = workload.NewUniform(workload.DefaultDomainLo, workload.DefaultDomainHi, out.Seed)
@@ -54,9 +49,6 @@ func (q *QualityConfig) withDefaults() QualityConfig {
 	}
 	if out.Attribute == "" {
 		out.Attribute = "a"
-	}
-	if out.Bins <= 0 {
-		out.Bins = 10
 	}
 	return out
 }
@@ -86,10 +78,10 @@ func RunQuality(c *Cluster, cfg QualityConfig) (*QualityResult, error) {
 	cfg = cfg.withDefaults()
 	rng := rand.New(rand.NewSource(cfg.Seed + 1))
 	res := &QualityResult{
-		Similarity: metrics.NewHistogram(0, 1, cfg.Bins),
+		Similarity: metrics.NewHistogram(0, 1, similarityBins),
 		Recall:     &metrics.CDF{},
 	}
-	warmup := int(float64(cfg.Queries) * cfg.WarmupFrac)
+	warmup := int(float64(cfg.Queries) * workload.DefaultWarmupFrac)
 	domLo, domHi := int64(workload.DefaultDomainLo), int64(workload.DefaultDomainHi)
 	if u, ok := cfg.Workload.(*workload.Uniform); ok {
 		domLo, domHi = u.Lo, u.Hi

@@ -32,12 +32,13 @@ type RestartConfig struct {
 	Durable bool
 	// Dir is the victim's data directory (required when Durable).
 	Dir string
-	// RepairRounds is how many cluster-wide anti-entropy rounds run
-	// after the rejoin before the final accounting (default 3).
-	RepairRounds int
 	// Seed drives all randomness.
 	Seed int64
 }
+
+// restartRepairRounds is how many cluster-wide anti-entropy rounds run
+// after the rejoin before the final accounting.
+const restartRepairRounds = 3
 
 func (cfg *RestartConfig) withDefaults() RestartConfig {
 	out := *cfg
@@ -49,9 +50,6 @@ func (cfg *RestartConfig) withDefaults() RestartConfig {
 	}
 	if out.Replicas <= 0 {
 		out.Replicas = 2
-	}
-	if out.RepairRounds <= 0 {
-		out.RepairRounds = 3
 	}
 	return out
 }
@@ -67,7 +65,7 @@ type RestartResult struct {
 	// Backfilled were absent after replay but resupplied by arc reclaim
 	// and anti-entropy once the peer rejoined.
 	Backfilled int
-	// Lost are still missing after RepairRounds of repair.
+	// Lost are still missing after restartRepairRounds of repair.
 	Lost int
 	// Recovery is the WAL replay summary (zero for a cold restart);
 	// Recovery.Elapsed is the recovery latency.
@@ -143,7 +141,7 @@ func RunRestart(cfg RestartConfig) (*RestartResult, error) {
 	if err := c.admit(revived); err != nil {
 		return nil, fmt.Errorf("sim: rejoin after restart: %w", err)
 	}
-	for r := 0; r < cfg.RepairRounds; r++ {
+	for r := 0; r < restartRepairRounds; r++ {
 		c.RepairReplicas()
 		c.Stabilize(1)
 	}

@@ -14,16 +14,16 @@ type RetryConfig struct {
 	// Attempts is the total number of tries per call (default 3).
 	Attempts int
 	// BaseDelay is the pause before the first retry; it doubles on each
-	// subsequent retry up to MaxDelay, with ±50% jitter. Zero means no
-	// pause — appropriate for in-memory simulations; live deployments
-	// should set a small delay so the ring has time to repair.
+	// subsequent retry up to 1s, with ±50% jitter. Zero means no pause —
+	// appropriate for in-memory simulations; live deployments should set
+	// a small delay so the ring has time to repair.
 	BaseDelay time.Duration
-	// MaxDelay caps the exponential backoff (default 1s when BaseDelay is
-	// set).
-	MaxDelay time.Duration
 	// Seed makes the jitter deterministic; 0 seeds from 1.
 	Seed int64
 }
+
+// maxRetryDelay caps the exponential backoff.
+const maxRetryDelay = time.Second
 
 // metRetries counts retry attempts process-wide: route.retries in the
 // Default registry, beside chord's route.* lookup counters.
@@ -46,9 +46,6 @@ type RetryCaller struct {
 func NewRetryCaller(inner Caller, cfg RetryConfig) *RetryCaller {
 	if cfg.Attempts <= 0 {
 		cfg.Attempts = 3
-	}
-	if cfg.MaxDelay <= 0 {
-		cfg.MaxDelay = time.Second
 	}
 	seed := cfg.Seed
 	if seed == 0 {
@@ -91,8 +88,8 @@ func (r *RetryCaller) retry(do func() error) error {
 			if delay > 0 {
 				time.Sleep(r.jitter(delay))
 				delay *= 2
-				if delay > r.cfg.MaxDelay {
-					delay = r.cfg.MaxDelay
+				if delay > maxRetryDelay {
+					delay = maxRetryDelay
 				}
 			}
 		}

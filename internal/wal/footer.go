@@ -113,6 +113,21 @@ func appendFooter(b []byte, x *segIndex) []byte {
 	return append(b, tr[:]...)
 }
 
+// parseTrailer decodes the trailer tr read at the end of a size-byte
+// segment: the footer's offset and length, checked against the magic
+// and against ending exactly where the trailer starts.
+func parseTrailer(tr []byte, size int64) (footerOff, footerLen int64, err error) {
+	if string(tr[12:16]) != string(magicIdx) {
+		return 0, 0, fmt.Errorf("%w: trailer magic", ErrCorrupt)
+	}
+	footerOff = int64(binary.LittleEndian.Uint64(tr[0:8]))
+	footerLen = int64(binary.LittleEndian.Uint32(tr[8:12]))
+	if footerOff < 0 || footerLen < 5 || footerOff+footerLen+segTrailerLen != size {
+		return 0, 0, fmt.Errorf("%w: trailer bounds (footer at %d+%d, file %d)", ErrCorrupt, footerOff, footerLen, size)
+	}
+	return footerOff, footerLen, nil
+}
+
 func appendBloom(b []byte, f *bloom) []byte {
 	b = transport.AppendUvarint(b, f.m)
 	b = transport.AppendUvarint(b, uint64(f.k))

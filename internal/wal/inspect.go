@@ -2,7 +2,6 @@ package wal
 
 import (
 	"bytes"
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"os"
@@ -164,15 +163,12 @@ func verifyFooter(data []byte, recStart, footerStart int64, records int) error {
 	if int64(len(data)) < footerStart+segTrailerLen {
 		return fmt.Errorf("missing footer (%d byte(s) after seal)", int64(len(data))-footerStart)
 	}
-	tr := data[len(data)-segTrailerLen:]
-	if !bytes.Equal(tr[12:16], magicIdx) {
-		return fmt.Errorf("trailer magic mismatch")
+	footerOff, footerLen, err := parseTrailer(data[len(data)-segTrailerLen:], int64(len(data)))
+	if err != nil {
+		return err
 	}
-	footerOff := int64(binary.LittleEndian.Uint64(tr[0:8]))
-	footerLen := int64(binary.LittleEndian.Uint32(tr[8:12]))
-	if footerOff != footerStart || footerLen < 5 || footerOff+footerLen+segTrailerLen != int64(len(data)) {
-		return fmt.Errorf("trailer bounds (footer at %d+%d, seal ends at %d, file %d)",
-			footerOff, footerLen, footerStart, len(data))
+	if footerOff != footerStart {
+		return fmt.Errorf("footer at %d, seal ends at %d", footerOff, footerStart)
 	}
 	x, err := parseFooter(data[footerOff:footerOff+footerLen], recStart, footerOff)
 	if err != nil {
@@ -240,7 +236,9 @@ func (l *Log) BackupSegment(dstDir string) (seq uint64, copied int64, err error)
 		if err := syncDir(dstDir); err != nil {
 			return seq, 0, err
 		}
-		// Prune older backups: the newest verified segment subsumes them.
+		// Prune older backups, and the temps of interrupted ones: the
+		// newest verified segment subsumes them.
+		removeTemps(dstDir)
 		if _, segSeqs, err := scanDir(dstDir); err == nil {
 			for _, s := range segSeqs {
 				if s < seq {
@@ -256,9 +254,11 @@ func (l *Log) BackupSegment(dstDir string) (seq uint64, copied int64, err error)
 // RestoreSegment installs a sealed-segment file (e.g. from a backup
 // directory) into an empty data directory, fully verified, so the next
 // `peerd -data-dir` boot recovers from it. src may be the segment file
-// itself or a directory holding one (the newest valid one wins).
+// itself or a directory holding one (the newest valid one wins). It
+// never modifies src.
 func RestoreSegment(src, dstDir string) (seq uint64, records int, err error) {
-	path := src
+	var data []byte
+	var recs []Record
 	if fi, err := os.Stat(src); err == nil && fi.IsDir() {
 		_, segSeqs, err := scanDir(src)
 		if err != nil {
@@ -267,23 +267,20 @@ func RestoreSegment(src, dstDir string) (seq uint64, records int, err error) {
 		if len(segSeqs) == 0 {
 			return 0, 0, fmt.Errorf("wal: restore: no segment files in %s", src)
 		}
-		path = segPath(src, segSeqs[len(segSeqs)-1])
-	}
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return 0, 0, fmt.Errorf("wal: restore: %w", err)
-	}
-	if len(data) < len(magicSEG) || !bytes.Equal(data[:len(magicSEG)], magicSEG) {
-		return 0, 0, fmt.Errorf("wal: restore: %s is not a segment file", path)
-	}
-	c := transport.NewCursor(data[len(magicSEG):])
-	seq = c.Uvarint()
-	if c.Err != nil || seq == 0 {
-		return 0, 0, fmt.Errorf("wal: restore: torn segment header in %s", path)
-	}
-	recs, err := ParseSegment(data, seq)
-	if err != nil {
-		return seq, 0, fmt.Errorf("wal: restore verify: %w", err)
+		var newest error
+		for i := len(segSeqs) - 1; i >= 0; i-- {
+			if seq, data, recs, err = readSegmentFile(segPath(src, segSeqs[i])); err == nil {
+				break
+			}
+			if newest == nil {
+				newest = err
+			}
+		}
+		if err != nil {
+			return 0, 0, fmt.Errorf("wal: restore: no valid segment in %s (newest: %w)", src, newest)
+		}
+	} else if seq, data, recs, err = readSegmentFile(src); err != nil {
+		return seq, 0, err
 	}
 	if err := os.MkdirAll(dstDir, 0o755); err != nil {
 		return seq, 0, fmt.Errorf("wal: restore: %w", err)
@@ -312,4 +309,24 @@ func RestoreSegment(src, dstDir string) (seq uint64, records int, err error) {
 		return seq, 0, err
 	}
 	return seq, len(recs), nil
+}
+
+// readSegmentFile reads and fully verifies the sealed segment at path.
+func readSegmentFile(path string) (seq uint64, data []byte, recs []Record, err error) {
+	data, err = os.ReadFile(path)
+	if err != nil {
+		return 0, nil, nil, fmt.Errorf("wal: restore: %w", err)
+	}
+	if len(data) < len(magicSEG) || !bytes.Equal(data[:len(magicSEG)], magicSEG) {
+		return 0, nil, nil, fmt.Errorf("wal: restore: %s is not a segment file", path)
+	}
+	c := transport.NewCursor(data[len(magicSEG):])
+	seq = c.Uvarint()
+	if c.Err != nil || seq == 0 {
+		return 0, nil, nil, fmt.Errorf("wal: restore: torn segment header in %s", path)
+	}
+	if recs, err = ParseSegment(data, seq); err != nil {
+		return seq, nil, nil, fmt.Errorf("wal: restore verify: %w", err)
+	}
+	return seq, data, recs, nil
 }

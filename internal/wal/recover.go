@@ -98,6 +98,7 @@ func Open(opt Options, st *store.Store) (*Log, Recovery, error) {
 	sp := trace.New("wal.recover")
 	defer sp.End()
 
+	removeTemps(opt.Dir)
 	walSeqs, segSeqs, err := scanDir(opt.Dir)
 	if err != nil {
 		return nil, rec, err
@@ -270,8 +271,8 @@ func Open(opt Options, st *store.Store) (*Log, Recovery, error) {
 	return l, rec, nil
 }
 
-// scanDir lists WAL and segment sequence numbers in ascending order,
-// deleting stray temp files from an interrupted compaction.
+// scanDir lists WAL and segment sequence numbers in ascending order. It
+// only reads the directory; its writer clears stray temps (removeTemps).
 func scanDir(dir string) (walSeqs, segSeqs []uint64, err error) {
 	entries, err := os.ReadDir(dir)
 	if err != nil {
@@ -279,10 +280,6 @@ func scanDir(dir string) (walSeqs, segSeqs []uint64, err error) {
 	}
 	for _, e := range entries {
 		name := e.Name()
-		if strings.HasSuffix(name, ".tmp") {
-			os.Remove(filepath.Join(dir, name))
-			continue
-		}
 		var seq uint64
 		switch {
 		case strings.HasPrefix(name, "wal-") && strings.HasSuffix(name, ".log"):
@@ -298,4 +295,17 @@ func scanDir(dir string) (walSeqs, segSeqs []uint64, err error) {
 	sort.Slice(walSeqs, func(i, j int) bool { return walSeqs[i] < walSeqs[j] })
 	sort.Slice(segSeqs, func(i, j int) bool { return segSeqs[i] < segSeqs[j] })
 	return walSeqs, segSeqs, nil
+}
+
+// removeTemps deletes the *.tmp files an interrupted segment, backup or
+// restore write left in dir. Only the directory's one writer may call it:
+// a reader (walctl verify on a live peer's backup directory) could
+// otherwise delete a file the writer is about to rename into place.
+func removeTemps(dir string) {
+	entries, _ := os.ReadDir(dir) // unreadable: scanDir reports it
+	for _, e := range entries {
+		if strings.HasSuffix(e.Name(), ".tmp") {
+			os.Remove(filepath.Join(dir, e.Name()))
+		}
+	}
 }

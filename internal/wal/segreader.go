@@ -118,13 +118,12 @@ func (r *SegmentReader) loadFooter() (*segIndex, error) {
 	if _, err := r.f.ReadAt(tr[:], r.size-segTrailerLen); err != nil {
 		return nil, fmt.Errorf("%w: trailer read: %v", ErrCorrupt, err)
 	}
-	if string(tr[12:16]) != string(magicIdx) {
-		return nil, fmt.Errorf("%w: trailer magic", ErrCorrupt)
+	footerOff, footerLen, err := parseTrailer(tr[:], r.size)
+	if err != nil {
+		return nil, err
 	}
-	footerOff := int64(binary.LittleEndian.Uint64(tr[0:8]))
-	footerLen := int64(binary.LittleEndian.Uint32(tr[8:12]))
-	if footerOff <= r.recStart || footerLen < 5 || footerOff+footerLen+segTrailerLen != r.size {
-		return nil, fmt.Errorf("%w: trailer bounds", ErrCorrupt)
+	if footerOff <= r.recStart {
+		return nil, fmt.Errorf("%w: footer at %d, records start at %d", ErrCorrupt, footerOff, r.recStart)
 	}
 	data := make([]byte, footerLen)
 	if _, err := r.f.ReadAt(data, footerOff); err != nil {

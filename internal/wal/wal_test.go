@@ -489,3 +489,79 @@ func TestBackupSegment(t *testing.T) {
 		t.Errorf("restored store differs: %d buckets, want %d", len(got), len(want))
 	}
 }
+
+// TestReadersLeaveDirAlone: InspectDir and RestoreSegment only read the
+// directory they are handed, which may be a live peer's backup mirror
+// whose writer is about to rename a .tmp into place; and a restore from
+// a directory takes the newest segment that verifies, not just the
+// newest file.
+func TestReadersLeaveDirAlone(t *testing.T) {
+	src := t.TempDir()
+	st, lg, _ := openStore(t, src, Options{})
+	for i := 0; i < 12; i++ {
+		st.Put(uint32(i), testPart(i))
+	}
+	if err := lg.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	if err := lg.Close(); err != nil {
+		t.Fatal(err)
+	}
+	_, segSeqs, err := scanDir(src)
+	if err != nil || len(segSeqs) != 1 {
+		t.Fatalf("closed log left segments %v (%v), want one", segSeqs, err)
+	}
+	seq := segSeqs[0]
+	good, err := os.ReadFile(segPath(src, seq))
+	if err != nil {
+		t.Fatal(err)
+	}
+	goodName := filepath.Base(segPath(src, seq))
+	newer := filepath.Base(segPath(src, seq+5))
+	tmpName := newer + ".tmp"
+
+	inspect := func(dir string) (uint64, error) {
+		_, err := InspectDir(dir, nil)
+		return 0, err
+	}
+	restore := func(dir string) (uint64, error) {
+		got, recs, err := RestoreSegment(dir, t.TempDir())
+		if err == nil && recs != 12 {
+			err = fmt.Errorf("restored %d records, want 12", recs)
+		}
+		return got, err
+	}
+	for _, tc := range []struct {
+		name    string
+		files   map[string][]byte
+		op      func(dir string) (uint64, error)
+		wantSeq uint64 // 0: the op reports no segment
+		wantErr bool
+	}{
+		{"inspect keeps a writer's temp", map[string][]byte{goodName: good, tmpName: good[:len(good)/2]}, inspect, 0, false},
+		{"restore keeps a writer's temp", map[string][]byte{goodName: good, tmpName: good[:len(good)/2]}, restore, seq, false},
+		{"restore skips a garbage newest segment", map[string][]byte{goodName: good, newer: []byte("garbage")}, restore, seq, false},
+		{"restore skips a torn newest segment", map[string][]byte{goodName: good, newer: good[:len(good)/2]}, restore, seq, false},
+		{"restore fails with no valid segment", map[string][]byte{newer: []byte("garbage")}, restore, 0, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			for name, data := range tc.files {
+				if err := os.WriteFile(filepath.Join(dir, name), data, 0o644); err != nil {
+					t.Fatal(err)
+				}
+			}
+			before := files(t, dir)
+			got, err := tc.op(dir)
+			if (err != nil) != tc.wantErr {
+				t.Fatalf("err = %v, want error %v", err, tc.wantErr)
+			}
+			if got != tc.wantSeq {
+				t.Errorf("segment %d, want %d", got, tc.wantSeq)
+			}
+			if after := files(t, dir); !reflect.DeepEqual(after, before) {
+				t.Errorf("directory changed: %v, was %v", after, before)
+			}
+		})
+	}
+}

@@ -43,12 +43,6 @@ type LiveConfig struct {
 	// instead of always the owner. It needs Replicas > 0: StartPeer
 	// refuses it without.
 	LoadAware bool
-	// HotReplicas is the replica-set size for popular buckets (owner
-	// included; default 2*(Replicas+1)).
-	HotReplicas int
-	// HotThreshold is the decayed probe count promoting a bucket to
-	// HotReplicas copies (default replica.DefaultHotThreshold).
-	HotThreshold uint64
 	// Stabilize controls the chord maintenance cadence; zero values use
 	// chord defaults.
 	Stabilize chord.MaintainerConfig
@@ -114,9 +108,6 @@ type LiveConfig struct {
 	// finished query at or over it is pinned in the slow ring (default
 	// flight.DefaultSlowThreshold, 25ms). Effective unless FlightOff.
 	SlowThreshold time.Duration
-	// FlightKeep is the capacity of each pinned flight-recorder ring —
-	// slow, top-K, errored, hop-heavy (default flight.DefaultKeep).
-	FlightKeep int
 	// FlightOff disables the always-on flight recorder. Queries then run
 	// on the nil-span fast path with zero recording overhead, and the
 	// /debug/slow and /debug/flight surfaces serve nothing.
@@ -174,8 +165,6 @@ func StartPeer(listenAddr, bootstrap string, cfg LiveConfig) (*LivePeer, error) 
 			Schema:        cfg.Schema,
 			Replicas:      cfg.Replicas,
 			LoadAware:     cfg.LoadAware,
-			HotReplicas:   cfg.HotReplicas,
-			HotThreshold:  cfg.HotThreshold,
 			SigCache:      cfg.SigCache,
 			CacheCapacity: cfg.MemLimit,
 		},
@@ -185,7 +174,7 @@ func StartPeer(listenAddr, bootstrap string, cfg LiveConfig) (*LivePeer, error) 
 		// The flight recorder is on by default: tail-based keeps are the
 		// point — no flag should be needed to have captured the slow query
 		// that already happened.
-		hc.Flight = &flight.Config{SlowThreshold: cfg.SlowThreshold, Keep: cfg.FlightKeep}
+		hc.Flight = &flight.Config{SlowThreshold: cfg.SlowThreshold}
 	}
 	if cfg.DataDir != "" {
 		mode, err := wal.ParseFsyncMode(orDefault(cfg.Fsync, "always"))

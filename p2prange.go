@@ -108,8 +108,6 @@ type Config struct {
 	Seed int64
 	// Schema is required for SQL execution; optional for raw range use.
 	Schema *Schema
-	// UsePeerIndex enables the Section 5.3 per-peer index extension.
-	UsePeerIndex bool
 	// Replicas pushes each stored descriptor to that many ring successors
 	// so peer crashes do not lose cached descriptors. Setting it enables
 	// the replica subsystem (versioned copies, anti-entropy repair,
@@ -119,15 +117,6 @@ type Config struct {
 	// instead of always the owner. It needs Replicas > 0: New refuses it
 	// without.
 	LoadAware bool
-	// HotReplicas is the replica-set size for popular buckets (owner
-	// included; default 2*(Replicas+1)).
-	HotReplicas int
-	// HotThreshold is the decayed probe count promoting a bucket to
-	// HotReplicas copies (default replica.DefaultHotThreshold).
-	HotThreshold uint64
-	// CacheCapacity bounds each peer's descriptor cache with LRU
-	// eviction; 0 means unbounded (the paper's model).
-	CacheCapacity int
 	// SigCache bounds each peer's signature cache: the identifiers of
 	// recently hashed ranges, so a repeated range skips rehashing. 0
 	// disables the cache.
@@ -166,16 +155,12 @@ func New(cfg Config) (*System, error) {
 	cluster, err := sim.NewCluster(sim.ClusterConfig{
 		N: cfg.Peers,
 		Peer: peer.Config{
-			Scheme:        scheme,
-			Measure:       cfg.Measure,
-			Schema:        cfg.Schema,
-			UsePeerIndex:  cfg.UsePeerIndex,
-			Replicas:      cfg.Replicas,
-			LoadAware:     cfg.LoadAware,
-			HotReplicas:   cfg.HotReplicas,
-			HotThreshold:  cfg.HotThreshold,
-			CacheCapacity: cfg.CacheCapacity,
-			SigCache:      cfg.SigCache,
+			Scheme:    scheme,
+			Measure:   cfg.Measure,
+			Schema:    cfg.Schema,
+			Replicas:  cfg.Replicas,
+			LoadAware: cfg.LoadAware,
+			SigCache:  cfg.SigCache,
 		},
 	})
 	if err != nil {

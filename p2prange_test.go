@@ -7,9 +7,12 @@ import (
 	"strings"
 	"testing"
 
+	"p2prange/internal/metrics"
 	"p2prange/internal/query"
 	"p2prange/internal/rangeset"
 	"p2prange/internal/relation"
+	"p2prange/internal/sim"
+	"p2prange/internal/store"
 )
 
 func newTestSystem(t *testing.T, cfg Config) *System {
@@ -341,7 +344,84 @@ func TestSQLSourcePaths(t *testing.T) {
 					t.Errorf("%s run: %d row(s), want %d:\ngot  %v\nwant %v", run, len(got), len(exp), got, exp)
 				}
 			}
+			auditHolders(t, sys.cluster)
 		})
+	}
+}
+
+// TestCoveredHitPublishesNothing repeats a select that a cached wider
+// partition covers without matching exactly. Only a fallback to the base
+// materializes data at the querier, so only a fallback may publish it as
+// a holder: a covered answer must store no descriptor, and a repeat must
+// never find a descriptor it cannot fetch and fall back again.
+func TestCoveredHitPublishesNothing(t *testing.T) {
+	schema := relation.MedicalSchema()
+	rels, err := relation.GenerateMedical(relation.MedicalConfig{
+		Patients: 200, Physicians: 10, Diagnoses: 500, Seed: 6,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sys := newTestSystem(t, Config{Peers: 16, Measure: MatchContainment, Schema: schema})
+	for _, r := range rels {
+		if err := sys.AddBase(r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	run := func(lo, hi int) (fallbacks, stores uint64) {
+		t.Helper()
+		sql := fmt.Sprintf("SELECT patient_id, age FROM Patient WHERE %d <= age AND age <= %d", lo, hi)
+		plan, err := buildPlan(schema, sql)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := query.Execute(plan, schema, query.NewRelationSource(rels))
+		if err != nil {
+			t.Fatal(err)
+		}
+		before := metrics.Default.Snapshot()
+		res, err := sys.Query(sql)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, exp := sortedRows(res.Rows), sortedRows(want.Rows); !reflect.DeepEqual(got, exp) {
+			t.Errorf("[%d,%d]: %d row(s), want %d", lo, hi, len(got), len(exp))
+		}
+		d := metrics.Default.Snapshot().Sub(before)
+		return d.Counters["peer.fallbacks"], d.Counters["peer.stores"]
+	}
+	if f, s := run(30, 50); f != 1 || s != 5 {
+		t.Errorf("cold [30,50]: %d fallback(s), %d store(s); want 1 and one per identifier (5)", f, s)
+	}
+	for i := 1; i <= 3; i++ {
+		if f, s := run(30, 49); f != 0 || s != 0 {
+			t.Errorf("covered [30,49] #%d: %d fallback(s), %d store(s); want none", i, f, s)
+		}
+	}
+	auditHolders(t, sys.cluster)
+}
+
+// auditHolders walks every bucket of the ring and fetches each
+// descriptor from the holder it names: a peer serves what it advertises.
+// Descriptors whose holder has left the ring are skipped.
+func auditHolders(t *testing.T, c *sim.Cluster) {
+	t.Helper()
+	live := make(map[string]bool, len(c.Peers))
+	for _, h := range c.Peers {
+		live[h.Addr()] = true
+	}
+	fetcher := c.Peers[0]
+	for _, h := range c.Peers {
+		for _, id := range h.Store().IDs() {
+			for _, d := range h.Store().Bucket(id) {
+				if !live[d.Holder] {
+					continue
+				}
+				if _, err := fetcher.FetchData(store.Match{Partition: d}, nil); err != nil {
+					t.Errorf("bucket %08x at %s: %s: %v", id, h.Addr(), d, err)
+				}
+			}
+		}
 	}
 }
 
