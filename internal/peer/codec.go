@@ -237,25 +237,35 @@ func AppendTuples(b []byte, ts []relation.Tuple) []byte {
 	return b
 }
 
-// ParseTuples decodes AppendTuples' encoding. Both counts are checked
-// against the remaining payload before anything is allocated for them;
-// an empty list decodes as nil. Errors latch into c.Err.
+// ParseTuples decodes AppendTuples' encoding. The tuples are windows
+// into chunked value slabs, not one allocation each. Both counts are
+// checked against the remaining payload before anything is allocated for
+// them, and a chunk is sized for the rest of the list at the current
+// tuple's arity but never beyond the values the payload left can hold
+// (each takes at least one byte) nor beyond PreallocHint; a longer
+// tuple grows its chunk by append. An empty list decodes as nil, an
+// empty tuple as nil. Errors latch into c.Err.
 func ParseTuples(c *transport.Cursor) []relation.Tuple {
 	n := c.Count()
 	if c.Err != nil || n == 0 {
 		return nil
 	}
 	ts := make([]relation.Tuple, 0, transport.PreallocHint(n))
+	var slab []relation.Value
 	for i := uint64(0); i < n && c.Err == nil; i++ {
 		m := c.Count()
-		var t relation.Tuple
-		if m > 0 {
-			t = make(relation.Tuple, 0, transport.PreallocHint(m))
+		if m == 0 {
+			ts = append(ts, nil)
+			continue
 		}
+		if uint64(cap(slab)-len(slab)) < m {
+			slab = make([]relation.Value, 0, transport.PreallocHint(min((n-i)*m, uint64(c.Len()))))
+		}
+		start := len(slab)
 		for j := uint64(0); j < m && c.Err == nil; j++ {
-			t = append(t, parseValue(c))
+			slab = append(slab, parseValue(c))
 		}
-		ts = append(ts, t)
+		ts = append(ts, slab[start:len(slab):len(slab)])
 	}
 	return ts
 }

@@ -374,3 +374,71 @@ func FuzzBulkParse(f *testing.F) {
 		}
 	})
 }
+
+// TestParseTuplesSlabWindows decodes tuples of mixed arities — empty
+// ones, one wider than PreallocHint allows a chunk, and ones that spill
+// into a fresh chunk — and checks each is its own window: equal to what
+// was encoded, and appending to one never writes into the next. Every
+// truncation of the payload must then fail cleanly.
+func TestParseTuplesSlabWindows(t *testing.T) {
+	wide := make(relation.Tuple, 1500)
+	for i := range wide {
+		wide[i] = relation.IntVal(int64(i))
+	}
+	in := []relation.Tuple{
+		{relation.IntVal(1), relation.StrVal("Ann"), relation.IntVal(42)},
+		nil,
+		{relation.StrVal("x")},
+		wide,
+		{relation.DateVal(1971, 3, 9), relation.IntVal(-7)},
+		nil,
+		{relation.IntVal(1 << 62), relation.StrVal(""), relation.StrVal("tail"), relation.IntVal(0)},
+	}
+	for i := 0; i < 600; i++ {
+		in = append(in, relation.Tuple{relation.IntVal(int64(i)), relation.StrVal(fmt.Sprint(i))})
+	}
+	b := AppendTuples(nil, in)
+	c := transport.NewCursor(b)
+	out := ParseTuples(c)
+	if c.Err != nil || c.Len() != 0 {
+		t.Fatalf("decode: err %v, %d byte(s) left", c.Err, c.Len())
+	}
+	if !reflect.DeepEqual(out, in) {
+		t.Fatal("decoded tuples differ from the encoded ones")
+	}
+	for i := range out {
+		_ = append(out[i], relation.IntVal(99))
+	}
+	if !reflect.DeepEqual(out, in) {
+		t.Fatal("appending to one decoded tuple wrote into another")
+	}
+	for cut := 0; cut < len(b); cut++ {
+		c := transport.NewCursor(b[:cut])
+		ParseTuples(c)
+		if c.Err == nil {
+			t.Fatalf("payload cut to %d of %d bytes decoded without error", cut, len(b))
+		}
+	}
+}
+
+// BenchmarkFetchDataDecode decodes a FetchDataResp of 100 Patient tuples,
+// the reply of a typical partition fetch. `make benchguard` pins its
+// allocations: the tuple list, one value slab and each name string — not
+// one allocation per tuple.
+func BenchmarkFetchDataDecode(b *testing.B) {
+	rels, err := relation.GenerateMedical(relation.MedicalConfig{Patients: 100, Physicians: 5, Diagnoses: 10, Seed: 1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	resp := FetchDataResp{Found: true, Data: wireRelation{Relation: "Patient", Tuples: rels["Patient"].Tuples}}
+	buf := appendFetchDataResp(nil, &resp)
+	cur := transport.NewCursor(buf)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		cur.Reset(buf)
+		if out := parseFetchDataResp(cur); cur.Err != nil || len(out.Data.Tuples) != 100 {
+			b.Fatalf("decode: %d tuples, err %v", len(out.Data.Tuples), cur.Err)
+		}
+	}
+}

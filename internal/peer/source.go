@@ -78,10 +78,13 @@ func (s *DataSource) Fetch(rel, attribute string, req rangeset.Range, sp *trace.
 		if inter, ok := rg.Intersect(lr.Match.Partition.Range); ok {
 			d, err := s.Peer.FetchData(lr.Match, sp)
 			if err == nil {
-				data, covered = d, inter
 				if sp.On() {
 					sp.Eventf("fetch", "%d tuple(s) from %s", len(d.Tuples), lr.Match.Partition.Holder)
 				}
+				d, err = within(d, attribute, lr.Match.Partition.Range, req)
+			}
+			if err == nil {
+				data, covered = d, inter
 			} else if s.Base == nil {
 				return nil, rangeset.Range{}, err
 			}
@@ -129,7 +132,25 @@ func (s *DataSource) Fetch(rel, attribute string, req rangeset.Range, sp *trace.
 	if _, err := s.Peer.Publish(storeDescriptor(part, s.Peer.Addr()), sp); err != nil {
 		return nil, rangeset.Range{}, err
 	}
-	return full, req, nil
+	// The executor gets its own header over the tuples, so a join index
+	// it keeps on them does not stay with the cached partition.
+	data, err = within(&relation.Relation{Schema: full.Schema, Tuples: full.Tuples}, attribute, probe, req)
+	if err != nil {
+		return nil, rangeset.Range{}, err
+	}
+	return data, req, nil
+}
+
+// within returns the tuples of data, a partition of range of, that lie
+// inside req, as query.Source requires: data itself when of lies inside
+// req, else a filtered copy. A holder's partition reaches beyond the
+// request when it is a covering superset, and a base fetch does when the
+// probe was padded.
+func within(data *relation.Relation, attribute string, of, req rangeset.Range) (*relation.Relation, error) {
+	if req.ContainsRange(of) {
+		return data, nil
+	}
+	return data.SelectRange(attribute, req)
 }
 
 // FetchAll implements query.Source; full scans always go to the base.

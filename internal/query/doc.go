@@ -25,15 +25,22 @@
 // index directly. Each hash join builds over the new relation: a map
 // from join key to the first matching tuple plus a next-index chain, so
 // a probe emits its matches in table order and the output is row-major,
-// as a nested loop over the FROM relations would emit it.
+// as a nested loop over the FROM relations would emit it. The build side
+// is indexed once per base relation, not once per query: the index
+// (relation.JoinIndex) stays with the relation, safe for concurrent
+// queries, until Insert or SortBy changes it.
+//
+// Source.Fetch returns only the tuples inside the requested range — a
+// source that fetched a broader partition filters it — so the executor
+// uses each fetched leaf as it comes, without a copy.
 //
 // Join, DISTINCT and GROUP BY keys are typed, never formatted text. A
 // one-column key is the relation.Value itself, whose == is Value.Equal.
-// A wider key is the concatenation, per column, of the kind byte, the
-// 8-byte integer, the string's uvarint length and its bytes, appended
-// into a reused buffer; every field has a fixed or stated length, so no
-// string content (a '|' or ';', say) can make two different rows share a
-// key.
+// A wider key is the concatenation, per column, of relation.AppendKey's
+// encoding — the kind byte, the 8-byte integer, the string's uvarint
+// length and its bytes — appended into a reused buffer; every field has
+// a fixed or stated length, so no string content (a '|' or ';', say) can
+// make two different rows share a key.
 //
 // # Observability
 //

@@ -1,7 +1,6 @@
 package query
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"sort"
@@ -25,11 +24,14 @@ var (
 // by locating a cached partition through the DHT; a base-table source
 // reads the relation at its origin peer. Implementations may return tuples
 // covering only part of rg (an approximate match); covered reports the
-// range actually covered so the executor can compute recall. Half-open
-// plan ranges (math.MinInt64 / math.MaxInt64 endpoints) must be clamped by
-// the implementation to the attribute's domain. Fetch records its work
-// (the DHT lookup, for peer.DataSource) on sp, which is nil when the
-// execution is untraced; sources with nothing to record ignore it.
+// range actually covered so the executor can compute recall. Fetch
+// returns only tuples whose attribute lies inside rg — a source that
+// fetched a broader partition filters it — and the executor uses them as
+// they come, without a copy. Half-open plan ranges (math.MinInt64 /
+// math.MaxInt64 endpoints) must be clamped by the implementation to the
+// attribute's domain. Fetch records its work (the DHT lookup, for
+// peer.DataSource) on sp, which is nil when the execution is untraced;
+// sources with nothing to record ignore it.
 type Source interface {
 	Fetch(rel, attribute string, rg rangeset.Range, sp *trace.Span) (data *relation.Relation, covered rangeset.Range, err error)
 	// FetchAll returns the whole relation (no pushed-down select).
@@ -86,12 +88,6 @@ func ExecuteTraced(plan *Plan, schema *relation.Schema, src Source, sp *trace.Sp
 				res.ScanRecall[key] = scan.Range.Recall(covered)
 			} else {
 				res.ScanRecall[key] = 0
-			}
-			// The fetched partition may be broader than requested; keep
-			// only tuples inside the requested range.
-			data, err = data.SelectRange(scan.Attribute, scan.Range)
-			if err != nil {
-				return nil, err
 			}
 		} else {
 			metFullScans.Inc()
@@ -323,8 +319,10 @@ func colIndex(schema *relation.Schema, c ColRef) (int, error) {
 
 // hashJoin joins the rows of stage i-1 with table, the relation of slot
 // i, on probe[k] = build[k] for every k: cells of the joined rows against
-// columns of table. With no predicates it degrades to a cross product.
-// Output is row-major over rows, each row's matches in table order.
+// columns of table. The build side is table's kept JoinIndex, so a base
+// relation is indexed once, not once per query. With no predicates it
+// degrades to a cross product. Output is row-major over rows, each row's
+// matches in table order.
 func hashJoin(rows []row, i int, table *relation.Relation, probe []cell, build []int) []row {
 	if table == nil {
 		return nil
@@ -347,21 +345,21 @@ func hashJoin(rows []row, i int, table *relation.Relation, probe []cell, build [
 		}
 		return window(slab, i+1)
 	}
-	ix := newJoinIndex(table.Tuples, build)
+	ix := table.JoinIndex(build)
 	var buf []byte
 	for _, r := range rows {
-		var j int32
-		if ix.one != nil {
-			j = ix.one[r[probe[0].slot][probe[0].col]]
+		var j int
+		if len(probe) == 1 {
+			j = ix.Head(r[probe[0].slot][probe[0].col])
 		} else {
 			buf = buf[:0]
 			for _, c := range probe {
-				buf = appendKey(buf, r[c.slot][c.col])
+				buf = relation.AppendKey(buf, r[c.slot][c.col])
 			}
-			j = ix.many[string(buf)]
+			j = ix.HeadKey(buf)
 		}
-		for ; j != 0; j = ix.next[j-1] {
-			emit(r, table.Tuples[j-1])
+		for ; j >= 0; j = ix.Next(j) {
+			emit(r, table.Tuples[j])
 		}
 	}
 	return window(slab, i+1)
@@ -374,56 +372,6 @@ func window(slab []relation.Tuple, w int) []row {
 		rows[k] = slab[k*w : (k+1)*w : (k+1)*w]
 	}
 	return rows
-}
-
-// joinIndex chains a build table's tuples by join key. The key's map
-// entry is 1 + the index of its first tuple, and next[t] 1 + the index
-// of the tuple after t with the same key (0 ends the chain), so walking a
-// chain visits the key's tuples in table order. A one-column key is the
-// relation.Value itself (one); a wider key is its appendKey encoding
-// (many).
-type joinIndex struct {
-	one  map[relation.Value]int32
-	many map[string]int32
-	next []int32
-}
-
-func newJoinIndex(tuples []relation.Tuple, cols []int) joinIndex {
-	ix := joinIndex{next: make([]int32, len(tuples))}
-	if len(cols) == 1 {
-		ix.one = make(map[relation.Value]int32, len(tuples))
-	} else {
-		ix.many = make(map[string]int32, len(tuples))
-	}
-	// Walk backwards, pushing each tuple onto the front of its chain.
-	var buf []byte
-	for t := len(tuples) - 1; t >= 0; t-- {
-		if ix.one != nil {
-			v := tuples[t][cols[0]]
-			ix.next[t] = ix.one[v]
-			ix.one[v] = int32(t + 1)
-			continue
-		}
-		buf = buf[:0]
-		for _, c := range cols {
-			buf = appendKey(buf, tuples[t][c])
-		}
-		ix.next[t] = ix.many[string(buf)]
-		ix.many[string(buf)] = int32(t + 1)
-	}
-	return ix
-}
-
-// appendKey appends v's key encoding to buf: the kind byte, the 8-byte
-// integer, the string's uvarint length, then its bytes. Every field has a
-// known or stated length, so concatenated keys are equal exactly when
-// their values are equal in turn (relation.Value.Equal): no string
-// content can forge a column boundary.
-func appendKey(buf []byte, v relation.Value) []byte {
-	buf = append(buf, byte(v.Kind))
-	buf = binary.BigEndian.AppendUint64(buf, uint64(v.Int))
-	buf = binary.AppendUvarint(buf, uint64(len(v.Str)))
-	return append(buf, v.Str...)
 }
 
 // distinct returns the indexes of the first occurrence of each distinct
@@ -442,7 +390,7 @@ func distinct(rows []relation.Tuple) []int {
 		} else {
 			buf = buf[:0]
 			for _, v := range r {
-				buf = appendKey(buf, v)
+				buf = relation.AppendKey(buf, v)
 			}
 			if _, dup := many[string(buf)]; dup {
 				continue

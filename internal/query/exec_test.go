@@ -2,14 +2,17 @@ package query
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"reflect"
 	"slices"
 	"sort"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
+	"p2prange/internal/rangeset"
 	"p2prange/internal/relation"
 )
 
@@ -565,4 +568,146 @@ func BenchmarkExecuteJoin(b *testing.B) {
 			b.Fatalf("execute: %d rows, %v", len(res.Rows), err)
 		}
 	}
+}
+
+// TestJoinSeesInsertAndSortBy joins against a build relation, then
+// inserts into it and re-sorts it: each later join must see the new
+// tuple and the new order, not the index the first join kept.
+func TestJoinSeesInsertAndSortBy(t *testing.T) {
+	schema := relation.MedicalSchema()
+	rels := make(map[string]*relation.Relation)
+	for _, name := range []string{"Patient", "Diagnosis"} {
+		rs, _ := schema.Relation(name)
+		rels[name] = relation.NewRelation(rs)
+	}
+	insert := func(rel string, tu relation.Tuple) {
+		t.Helper()
+		if err := rels[rel].Insert(tu); err != nil {
+			t.Fatal(err)
+		}
+	}
+	insert("Patient", relation.Tuple{relation.IntVal(1), relation.StrVal("Ann"), relation.IntVal(40)})
+	insert("Diagnosis", relation.Tuple{relation.IntVal(1), relation.StrVal("Flu"), relation.IntVal(9), relation.IntVal(1)})
+	insert("Diagnosis", relation.Tuple{relation.IntVal(1), relation.StrVal("Cold"), relation.IntVal(3), relation.IntVal(2)})
+	const sql = "SELECT diagnosis FROM Patient, Diagnosis WHERE Patient.patient_id = Diagnosis.patient_id"
+	diagnoses := func() []string {
+		var out []string
+		for _, r := range runSQL(t, schema, rels, sql).Rows {
+			out = append(out, r[0].Str)
+		}
+		return out
+	}
+	if got := diagnoses(); !slices.Equal(got, []string{"Flu", "Cold"}) {
+		t.Fatalf("first join = %v, want [Flu Cold]", got)
+	}
+	insert("Diagnosis", relation.Tuple{relation.IntVal(1), relation.StrVal("Gout"), relation.IntVal(5), relation.IntVal(3)})
+	if got := diagnoses(); !slices.Equal(got, []string{"Flu", "Cold", "Gout"}) {
+		t.Errorf("after Insert = %v, want [Flu Cold Gout]", got)
+	}
+	if err := rels["Diagnosis"].SortBy("physician_id"); err != nil {
+		t.Fatal(err)
+	}
+	if got := diagnoses(); !slices.Equal(got, []string{"Cold", "Gout", "Flu"}) {
+		t.Errorf("after SortBy = %v, want [Cold Gout Flu] (physician order)", got)
+	}
+}
+
+// TestRelationSourceFetchesOnlyTheRequest pins the Source contract the
+// executor relies on: RelationSource.Fetch returns exactly the tuples
+// whose attribute lies inside the request — bounded, half-open either
+// way, or missing the domain on either side — indexed or not.
+func TestRelationSourceFetchesOnlyTheRequest(t *testing.T) {
+	rels, err := relation.GenerateMedical(relation.MedicalConfig{Patients: 300, Physicians: 5, Diagnoses: 10, Seed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := rels["Patient"]
+	dom, err := p.AttributeRange("age")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ranges := []rangeset.Range{
+		{Lo: 30, Hi: 50},
+		{Lo: 65, Hi: math.MaxInt64},
+		{Lo: math.MinInt64, Hi: 20},
+		{Lo: math.MinInt64, Hi: dom.Lo - 1},
+		{Lo: dom.Hi + 1, Hi: math.MaxInt64},
+		{Lo: math.MinInt64, Hi: math.MaxInt64},
+	}
+	src := NewRelationSource(rels)
+	for _, indexed := range []bool{false, true} {
+		if indexed {
+			if err := p.BuildIndex("age"); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for _, rg := range ranges {
+			data, _, err := src.Fetch("Patient", "age", rg, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := 0
+			for _, tu := range p.Tuples {
+				if rg.Contains(tu[2].Int) {
+					want++
+				}
+			}
+			for _, tu := range data.Tuples {
+				if !rg.Contains(tu[2].Int) {
+					t.Fatalf("indexed=%v %v: fetched age %d outside the request", indexed, rg, tu[2].Int)
+				}
+			}
+			if len(data.Tuples) != want {
+				t.Errorf("indexed=%v %v: fetched %d tuple(s), want %d", indexed, rg, len(data.Tuples), want)
+			}
+		}
+	}
+}
+
+// TestConcurrentJoinsShareOneBuildIndex runs one join from eight
+// goroutines at once, each through its own source over the same base
+// relations — the benchmark's eight peers sharing one *Relation. They
+// race for the one join index Diagnosis keeps; under -race the lazy build
+// and its readers must be clean, and every answer must equal the
+// sequential one computed over a separate copy.
+func TestConcurrentJoinsShareOneBuildIndex(t *testing.T) {
+	gen := func() map[string]*relation.Relation {
+		rels, err := relation.GenerateMedical(relation.MedicalConfig{Patients: 500, Physicians: 10, Diagnoses: 500, Seed: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return rels
+	}
+	shared, ref := gen(), gen()
+	schema := relation.MedicalSchema()
+	const sql = "SELECT Patient.name, Diagnosis.diagnosis FROM Patient, Diagnosis WHERE 30 <= age AND age <= 50 AND Patient.patient_id = Diagnosis.patient_id"
+	want := runSQL(t, schema, ref, sql).Rows
+	if len(want) == 0 {
+		t.Fatal("reference join is empty; the case tests nothing")
+	}
+	q, err := Parse(sql)
+	if err != nil {
+		t.Fatal(err)
+	}
+	plan, err := BuildPlan(q, schema)
+	if err != nil {
+		t.Fatal(err)
+	}
+	start := make(chan struct{})
+	var wg sync.WaitGroup
+	for i := 0; i < 8; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			<-start
+			res, err := Execute(plan, schema, NewRelationSource(shared))
+			if err != nil {
+				t.Errorf("goroutine %d: %v", i, err)
+			} else if !reflect.DeepEqual(res.Rows, want) {
+				t.Errorf("goroutine %d: %d row(s) differ from the sequential %d", i, len(res.Rows), len(want))
+			}
+		}()
+	}
+	close(start)
+	wg.Wait()
 }

@@ -21,19 +21,25 @@ func NewRelationSource(rels map[string]*relation.Relation) *RelationSource {
 	return &RelationSource{Rels: rels}
 }
 
-// Fetch implements Source by selecting from the base relation; a local
-// selection has nothing to trace, so sp is ignored.
+// Fetch implements Source by selecting the request's clamp to the
+// domain from the base relation; a local selection has nothing to trace,
+// so sp is ignored.
 func (s *RelationSource) Fetch(rel, attribute string, rg rangeset.Range, _ *trace.Span) (*relation.Relation, rangeset.Range, error) {
 	r, ok := s.Rels[rel]
 	if !ok {
 		return nil, rangeset.Range{}, fmt.Errorf("%w: %s", ErrNoSource, rel)
 	}
-	rg = ClampToDomain(r, attribute, rg)
-	data, err := r.SelectRange(attribute, rg)
+	clamped := ClampToDomain(r, attribute, rg)
+	if !rg.ContainsRange(clamped) {
+		// The request misses the domain, and its clamp is the one domain
+		// value next to it: no tuple lies inside the request.
+		return relation.NewRelation(r.Schema), clamped, nil
+	}
+	data, err := r.SelectRange(attribute, clamped)
 	if err != nil {
 		return nil, rangeset.Range{}, err
 	}
-	return data, rg, nil
+	return data, clamped, nil
 }
 
 // FetchAll implements Source.

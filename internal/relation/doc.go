@@ -17,7 +17,10 @@
 // Partition pairs a range descriptor with its materialized tuples;
 // Relation.Partition slices a base relation by attribute range, backed by
 // optional per-column sorted indexes (BuildIndex) so the data source
-// materializes partitions in O(log n + k). CSV read/write supports moving
-// relations in and out of live deployments (rangeql \dump/\load, peerd
-// -publish).
+// materializes partitions in O(log n + k) and reads an attribute's domain
+// in O(1). A relation also keeps the hash-join indexes built over it
+// (JoinIndex), so a base relation on the build side of many joins is
+// indexed once; Insert and SortBy drop both kinds. CSV read/write
+// supports moving relations in and out of live deployments (rangeql
+// \dump/\load, peerd -publish).
 package relation

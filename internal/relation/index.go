@@ -32,23 +32,32 @@ func (r *Relation) BuildIndex(attribute string) error {
 
 // Indexed reports whether the attribute currently has a valid index.
 func (r *Relation) Indexed(attribute string) bool {
-	_, ok := r.indexes[attribute]
+	_, ok := r.sortedIndex(attribute)
 	return ok
 }
 
-// selectViaIndex gathers the tuples in rg using the sorted index.
-func (r *Relation) selectViaIndex(attribute string, ci int, rg rangeset.Range) *Relation {
-	idx := r.indexes[attribute]
+// sortedIndex returns the attribute's sorted index, unless there is none
+// or it no longer covers the tuples (they were replaced, not inserted).
+func (r *Relation) sortedIndex(attribute string) ([]int, bool) {
+	idx, ok := r.indexes[attribute]
+	return idx, ok && len(idx) == len(r.Tuples)
+}
+
+// selectViaIndex gathers the tuples in rg using the sorted index idx
+// over column ci.
+func (r *Relation) selectViaIndex(idx []int, ci int, rg rangeset.Range) *Relation {
 	lo := sort.Search(len(idx), func(i int) bool {
 		return r.Tuples[idx[i]][ci].Ordinal() >= rg.Lo
 	})
+	hi := lo + sort.Search(len(idx)-lo, func(i int) bool {
+		return r.Tuples[idx[lo+i]][ci].Ordinal() > rg.Hi
+	})
 	out := NewRelation(r.Schema)
-	for i := lo; i < len(idx); i++ {
-		t := r.Tuples[idx[i]]
-		if t[ci].Ordinal() > rg.Hi {
-			break
+	if hi > lo {
+		out.Tuples = make([]Tuple, hi-lo)
+		for i := range out.Tuples {
+			out.Tuples[i] = r.Tuples[idx[lo+i]]
 		}
-		out.Tuples = append(out.Tuples, t)
 	}
 	return out
 }

@@ -4,6 +4,8 @@ import (
 	"errors"
 	"fmt"
 	"sort"
+	"sync"
+	"sync/atomic"
 	"time"
 
 	"p2prange/internal/rangeset"
@@ -190,13 +192,17 @@ func (s *Schema) Relations() []string { return append([]string(nil), s.order...)
 type Tuple []Value
 
 // Relation is a materialized set of tuples under one schema. Optional
-// sorted indexes (BuildIndex) accelerate SelectRange; mutating the
-// relation invalidates them.
+// sorted indexes (BuildIndex) accelerate SelectRange and AttributeRange,
+// and hash joins keep their build-side index with the relation
+// (JoinIndex); Insert and SortBy invalidate both.
 type Relation struct {
 	Schema *RelationSchema
 	Tuples []Tuple
 
 	indexes map[string][]int // attribute -> tuple positions sorted by ordinal
+
+	joinMu sync.Mutex                   // serializes JoinIndex builds
+	joins  atomic.Pointer[[]*JoinIndex] // copy-on-write; nil when none built
 }
 
 // ErrNoColumn reports a reference to a column absent from the schema.
@@ -221,6 +227,7 @@ func (r *Relation) Insert(t Tuple) error {
 	}
 	r.Tuples = append(r.Tuples, t)
 	r.indexes = nil // any index is now stale
+	r.dropJoins()
 	return nil
 }
 
@@ -234,20 +241,31 @@ func (r *Relation) SelectRange(attribute string, rg rangeset.Range) (*Relation, 
 	if !ok {
 		return nil, fmt.Errorf("%w: %s.%s", ErrNoColumn, r.Schema.Name, attribute)
 	}
-	if _, indexed := r.indexes[attribute]; indexed {
-		return r.selectViaIndex(attribute, i, rg), nil
+	if idx, indexed := r.sortedIndex(attribute); indexed {
+		return r.selectViaIndex(idx, i, rg), nil
 	}
-	out := NewRelation(r.Schema)
+	// Count first, so the selection is one exact allocation.
+	n := 0
 	for _, t := range r.Tuples {
 		if rg.Contains(t[i].Ordinal()) {
-			out.Tuples = append(out.Tuples, t)
+			n++
+		}
+	}
+	out := NewRelation(r.Schema)
+	if n > 0 {
+		out.Tuples = make([]Tuple, 0, n)
+		for _, t := range r.Tuples {
+			if rg.Contains(t[i].Ordinal()) {
+				out.Tuples = append(out.Tuples, t)
+			}
 		}
 	}
 	return out, nil
 }
 
 // AttributeRange returns the [min, max] ordinal of the attribute across
-// all tuples, for padding clamps and workload domains.
+// all tuples, for padding clamps and workload domains. An indexed
+// attribute reads its index's first and last entries; any other scans.
 func (r *Relation) AttributeRange(attribute string) (rangeset.Range, error) {
 	i, ok := r.Schema.ColIndex(attribute)
 	if !ok {
@@ -255,6 +273,12 @@ func (r *Relation) AttributeRange(attribute string) (rangeset.Range, error) {
 	}
 	if len(r.Tuples) == 0 {
 		return rangeset.Range{}, errors.New("relation: empty relation has no attribute range")
+	}
+	if idx, ok := r.sortedIndex(attribute); ok {
+		return rangeset.Range{
+			Lo: r.Tuples[idx[0]][i].Ordinal(),
+			Hi: r.Tuples[idx[len(idx)-1]][i].Ordinal(),
+		}, nil
 	}
 	lo, hi := r.Tuples[0][i].Ordinal(), r.Tuples[0][i].Ordinal()
 	for _, t := range r.Tuples[1:] {
@@ -279,6 +303,7 @@ func (r *Relation) SortBy(attribute string) error {
 		return r.Tuples[a][i].Ordinal() < r.Tuples[b][i].Ordinal()
 	})
 	r.indexes = nil // tuple positions changed
+	r.dropJoins()
 	return nil
 }
 

@@ -2,6 +2,7 @@ package relation
 
 import (
 	"errors"
+	"reflect"
 	"testing"
 	"time"
 
@@ -345,5 +346,97 @@ func TestIndexUnknownColumn(t *testing.T) {
 	r := NewRelation(&RelationSchema{Name: "T", Columns: []Column{{Name: "a", Type: TInt}}})
 	if err := r.BuildIndex("nope"); err == nil {
 		t.Error("unknown column indexed")
+	}
+}
+
+// TestIndexedAttributeRangeMatchesScan checks that an indexed attribute's
+// domain, read from the index ends, equals the scan's on every column of
+// every medical relation, and that a stale index is never read.
+func TestIndexedAttributeRangeMatchesScan(t *testing.T) {
+	rels, err := GenerateMedical(MedicalConfig{Patients: 300, Physicians: 10, Diagnoses: 300, Seed: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range rels {
+		for _, col := range r.Schema.Columns {
+			scan, err := r.AttributeRange(col.Name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := r.BuildIndex(col.Name); err != nil {
+				t.Fatal(err)
+			}
+			indexed, err := r.AttributeRange(col.Name)
+			if err != nil || indexed != scan {
+				t.Errorf("%s.%s: indexed domain %v (%v), scan %v", r.Schema.Name, col.Name, indexed, err, scan)
+			}
+		}
+	}
+	// Replacing the tuples without Insert leaves an index of the wrong
+	// length: it must be ignored, not read out of range.
+	r := rels["Patient"]
+	r.Tuples = r.Tuples[:1]
+	dom, err := r.AttributeRange("age")
+	if want := r.Tuples[0][2].Int; err != nil || dom.Lo != want || dom.Hi != want {
+		t.Errorf("domain over one tuple = %v (%v), want [%d,%d]", dom, err, want, want)
+	}
+}
+
+// TestJoinIndexKeptUntilMutation checks that JoinIndex builds once per
+// column list and is reused, that Insert and SortBy drop it, and that a
+// relation whose tuple slice was replaced builds a fresh one.
+func TestJoinIndexKeptUntilMutation(t *testing.T) {
+	r := NewRelation(testSchema(t))
+	for _, id := range []int64{5, 1, 5} {
+		if err := r.Insert(Tuple{IntVal(id), StrVal("n"), DateVal(2000, time.January, 1)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	chain := func(ix *JoinIndex, v Value) []int {
+		var at []int
+		for j := ix.Head(v); j >= 0; j = ix.Next(j) {
+			at = append(at, j)
+		}
+		return at
+	}
+	ix := r.JoinIndex([]int{0})
+	if got := chain(ix, IntVal(5)); !reflect.DeepEqual(got, []int{0, 2}) {
+		t.Fatalf("chain of 5 = %v, want [0 2] (table order)", got)
+	}
+	if r.JoinIndex([]int{0}) != ix {
+		t.Error("second JoinIndex on the same columns rebuilt the index")
+	}
+	wide := r.JoinIndex([]int{0, 1})
+	if r.JoinIndex([]int{0}) != ix || r.JoinIndex([]int{0, 1}) != wide {
+		t.Error("a second column list evicted the first")
+	}
+	key := AppendKey(AppendKey(nil, IntVal(1)), StrVal("n"))
+	if j := wide.HeadKey(key); j != 1 || wide.Next(j) != -1 {
+		t.Errorf("wide key (1, n) heads at %d, want 1 alone", j)
+	}
+
+	if err := r.Insert(Tuple{IntVal(5), StrVal("m"), DateVal(2001, time.January, 1)}); err != nil {
+		t.Fatal(err)
+	}
+	ix2 := r.JoinIndex([]int{0})
+	if ix2 == ix {
+		t.Fatal("Insert kept the join index")
+	}
+	if got := chain(ix2, IntVal(5)); !reflect.DeepEqual(got, []int{0, 2, 3}) {
+		t.Errorf("after Insert, chain of 5 = %v, want [0 2 3]", got)
+	}
+	if err := r.SortBy("id"); err != nil {
+		t.Fatal(err)
+	}
+	ix3 := r.JoinIndex([]int{0})
+	if ix3 == ix2 {
+		t.Fatal("SortBy kept the join index")
+	}
+	if got := chain(ix3, IntVal(5)); !reflect.DeepEqual(got, []int{1, 2, 3}) {
+		t.Errorf("after SortBy, chain of 5 = %v, want [1 2 3]", got)
+	}
+	r.Tuples = append([]Tuple(nil), r.Tuples[1:]...)
+	if got := chain(r.JoinIndex([]int{0}), IntVal(5)); !reflect.DeepEqual(got, []int{0, 1, 2}) {
+		t.Errorf("after replacing Tuples, chain of 5 = %v, want [0 1 2]", got)
 	}
 }

@@ -16,10 +16,15 @@
 //
 // A nil *Span is the disabled tracer: every method no-ops and performs no
 // allocation, so instrumented code threads spans unconditionally through
-// hot paths. The only discipline call sites need: guard event-string
-// construction (fmt.Sprintf, Eventf's variadic boxing) behind On(), so a
-// disabled trace never formats anything. BenchmarkDisabledSpan pins the
-// 0 allocs/op contract.
+// hot paths. Call sites guard event-string construction (fmt.Sprintf,
+// Eventf's variadic boxing) behind On(), so a nil span never formats
+// anything. BenchmarkDisabledSpan pins the 0 allocs/op contract.
+//
+// That guard keeps formatting off a hot path only where spans are nil:
+// simulated peers, and live peers whose flight recorder is off. A live
+// peer's flight recorder gives every root a span, so On() is true for
+// every live query, and Eventf formats on every one, kept or not
+// (ROADMAP item 11 tracks making events lazy).
 package trace
 
 import (

@@ -2,14 +2,17 @@ package p2prange
 
 import (
 	"errors"
+	"fmt"
 	"path/filepath"
 	"reflect"
+	"sync"
 	"testing"
 	"time"
 
 	"p2prange/internal/chord"
 	"p2prange/internal/metrics"
 	"p2prange/internal/peer"
+	"p2prange/internal/query"
 	"p2prange/internal/relation"
 	"p2prange/internal/transport"
 	"p2prange/internal/wal"
@@ -319,4 +322,70 @@ func TestLiveBackupTo(t *testing.T) {
 	if got := lp2.StoredPartitions(); got != stored || stored == 0 {
 		t.Errorf("peer restored from the backup holds %d descriptors, want %d", got, stored)
 	}
+}
+
+// TestLiveConcurrentJoinsShareOneBase matches the benchmark's SQL shape:
+// eight live peers register the same base relation objects, then all of
+// them join Patient ranges with the whole Diagnosis relation at once,
+// through the DHT, the shared join index and the shared base snapshot.
+// Every answer must equal the reference. (The peers' RPCs order most of
+// their work, so TestConcurrentJoinsShareOneBuildIndex in internal/query
+// is the one that lets -race see the index build itself contended.)
+func TestLiveConcurrentJoinsShareOneBase(t *testing.T) {
+	peers := liveRing(t, 8)
+	gen := func() map[string]*relation.Relation {
+		rels, err := relation.GenerateMedical(relation.MedicalConfig{
+			Patients: 300, Physicians: 10, Diagnoses: 300, Seed: 3,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return rels
+	}
+	// The reference runs over its own copy, so it cannot build the
+	// shared relation's index before the peers race for it.
+	shared, ref := gen(), gen()
+	for _, p := range peers {
+		for _, r := range shared {
+			if err := p.AddBase(r); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	schema := relation.MedicalSchema()
+	var sqls []string
+	var want [][]string
+	for _, ages := range [][2]int{{30, 50}, {30, 49}, {20, 35}, {60, 80}} {
+		sql := fmt.Sprintf("SELECT Patient.name, Diagnosis.diagnosis FROM Patient, Diagnosis "+
+			"WHERE %d <= age AND age <= %d AND Patient.patient_id = Diagnosis.patient_id", ages[0], ages[1])
+		plan, err := buildPlan(schema, sql)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := query.Execute(plan, schema, query.NewRelationSource(ref))
+		if err != nil || len(res.Rows) == 0 {
+			t.Fatalf("reference %q: %d row(s), %v", sql, len(res.Rows), err)
+		}
+		sqls = append(sqls, sql)
+		want = append(want, sortedRows(res.Rows))
+	}
+	var wg sync.WaitGroup
+	for i, p := range peers {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for k := range sqls {
+				q := (i + k) % len(sqls)
+				res, err := p.Query(sqls[q])
+				if err != nil {
+					t.Errorf("peer %d: %v", i, err)
+					return
+				}
+				if got := sortedRows(res.Rows); !reflect.DeepEqual(got, want[q]) {
+					t.Errorf("peer %d, query %d: %d row(s), want %d", i, q, len(got), len(want[q]))
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }

@@ -29,19 +29,22 @@ type node struct {
 }
 
 // bases holds the base relations SQL falls back to: the paper's "go to
-// the source".
+// the source". add replaces the source snapshot copy-on-write, so every
+// query shares the one current snapshot instead of copying the map.
 type bases struct {
-	mu   sync.RWMutex
-	rels map[string]*relation.Relation
+	mu  sync.RWMutex
+	src *query.RelationSource
 }
 
-func newBases() *bases { return &bases{rels: make(map[string]*relation.Relation)} }
+func newBases() *bases {
+	return &bases{src: query.NewRelationSource(map[string]*relation.Relation{})}
+}
 
 // get returns a registered base relation by name.
 func (b *bases) get(name string) (*relation.Relation, bool) {
 	b.mu.RLock()
 	defer b.mu.RUnlock()
-	r, ok := b.rels[name]
+	r, ok := b.src.Rels[name]
 	return r, ok
 }
 
@@ -50,10 +53,10 @@ func (b *bases) get(name string) (*relation.Relation, bool) {
 func (b *bases) source() query.Source {
 	b.mu.RLock()
 	defer b.mu.RUnlock()
-	if len(b.rels) == 0 {
+	if len(b.src.Rels) == 0 {
 		return nil
 	}
-	return query.NewRelationSource(maps.Clone(b.rels))
+	return b.src
 }
 
 var errNoSchema = errors.New("p2prange: a Schema is required for SQL and relational data")
@@ -142,17 +145,21 @@ func (b *bases) add(schema *relation.Schema, r *relation.Relation) error {
 		return fmt.Errorf("p2prange: relation %q not in the global schema", r.Schema.Name)
 	}
 	// Index orderable columns so partition materialization at the data
-	// source is O(log n + k) per fetch.
+	// source is O(log n + k) per fetch. A relation already indexed — one
+	// object registered with several peers — keeps its indexes: other
+	// peers' queries may be reading them.
 	for _, col := range r.Schema.Columns {
-		if col.Type != relation.TString {
+		if col.Type != relation.TString && !r.Indexed(col.Name) {
 			if err := r.BuildIndex(col.Name); err != nil {
 				return err
 			}
 		}
 	}
 	b.mu.Lock()
-	b.rels[r.Schema.Name] = r
-	b.mu.Unlock()
+	defer b.mu.Unlock()
+	rels := maps.Clone(b.src.Rels)
+	rels[r.Schema.Name] = r
+	b.src = query.NewRelationSource(rels)
 	return nil
 }
 

@@ -349,6 +349,94 @@ func TestSQLSourcePaths(t *testing.T) {
 	}
 }
 
+// TestAddBaseReplacementReachesJoins joins Patient with Diagnosis, then
+// registers a different Diagnosis relation under the same name: the next
+// join must read the new relation, not the join index the first one
+// kept on the old.
+func TestAddBaseReplacementReachesJoins(t *testing.T) {
+	sys := newMedicalSystem(t)
+	const sql = `SELECT Patient.name, Diagnosis.diagnosis FROM Patient, Diagnosis
+		WHERE 30 <= age AND age <= 50 AND Patient.patient_id = Diagnosis.patient_id`
+	plan, err := buildPlan(sys.cfg.Schema, sql)
+	if err != nil {
+		t.Fatal(err)
+	}
+	patients, _ := sys.Base("Patient")
+	var last []string
+	for _, seed := range []int64{6, 7} {
+		rels, err := relation.GenerateMedical(relation.MedicalConfig{
+			Patients: 200, Physicians: 10, Diagnoses: 500, Seed: seed,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := sys.AddBase(rels["Diagnosis"]); err != nil {
+			t.Fatal(err)
+		}
+		want, err := query.Execute(plan, sys.cfg.Schema, query.NewRelationSource(map[string]*relation.Relation{
+			"Patient": patients, "Diagnosis": rels["Diagnosis"],
+		}))
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := sys.Query(sql)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := sortedRows(res.Rows)
+		if exp := sortedRows(want.Rows); len(exp) == 0 || !reflect.DeepEqual(got, exp) {
+			t.Fatalf("Diagnosis of seed %d: %d row(s), want %d", seed, len(got), len(exp))
+		}
+		if reflect.DeepEqual(got, last) {
+			t.Fatalf("Diagnosis of seed %d joins like the relation it replaced; the case tests nothing", seed)
+		}
+		last = got
+	}
+}
+
+// TestAddBaseOfSharedRelationsWhileQuerying registers the relation
+// objects one system is querying with a second system, again and again,
+// as a benchmark ring registers one set with every peer. Registering an
+// indexed relation must leave alone the indexes the first system's
+// queries read (-race checks).
+func TestAddBaseOfSharedRelationsWhileQuerying(t *testing.T) {
+	schema := relation.MedicalSchema()
+	rels, err := relation.GenerateMedical(relation.MedicalConfig{
+		Patients: 200, Physicians: 10, Diagnoses: 500, Seed: 6,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	a := newTestSystem(t, Config{Peers: 8, Seed: 5, Schema: schema})
+	b := newTestSystem(t, Config{Peers: 8, Seed: 6, Schema: schema})
+	for _, r := range rels {
+		if err := a.AddBase(r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	start, done := make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(done)
+		<-start
+		for i := 0; i < 20; i++ {
+			for _, r := range rels {
+				if err := b.AddBase(r); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}
+	}()
+	close(start)
+	for lo := 20; lo < 40; lo++ {
+		if _, err := a.Query(fmt.Sprintf("SELECT patient_id FROM Patient WHERE %d <= age AND age <= %d", lo, lo+20)); err != nil {
+			t.Error(err)
+			break
+		}
+	}
+	<-done
+}
+
 // TestCoveredHitPublishesNothing repeats a select that a cached wider
 // partition covers without matching exactly. Only a fallback to the base
 // materializes data at the querier, so only a fallback may publish it as
