@@ -8,6 +8,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"p2prange/internal/chord"
 	"p2prange/internal/rangeset"
 )
 
@@ -631,7 +632,7 @@ func (s *Store) ExtractArc(from, to ID) map[ID][]Partition {
 	defer s.mu.Unlock()
 	out := make(map[ID][]Partition)
 	for id, bucket := range s.buckets {
-		if betweenRightIncl(from, to, id) {
+		if chord.BetweenRightIncl(from, to, id) {
 			out[id] = bucket
 			s.count -= len(bucket)
 			delete(s.buckets, id)
@@ -789,15 +790,4 @@ func (s *Store) MissingFrom(offered Digest) map[ID][]string {
 		}
 	}
 	return missing
-}
-
-// betweenRightIncl mirrors chord.BetweenRightIncl without importing chord.
-func betweenRightIncl(a, b, x ID) bool {
-	if x == b {
-		return true
-	}
-	if a < b {
-		return a < x && x < b
-	}
-	return x > a || x < b
 }

@@ -9,6 +9,7 @@ import (
 	"sync"
 	"testing"
 
+	"p2prange/internal/chord"
 	"p2prange/internal/rangeset"
 )
 
@@ -333,13 +334,13 @@ func TestExtractAbsorbConservation(t *testing.T) {
 		moved := s.ExtractArc(from, to)
 		movedCount := 0
 		for id, bucket := range moved {
-			if !betweenRightIncl(from, to, id) {
+			if !chord.BetweenRightIncl(from, to, id) {
 				t.Fatalf("extracted id %08x outside arc (%08x,%08x]", id, from, to)
 			}
 			movedCount += len(bucket)
 		}
 		for _, id := range s.IDs() {
-			if betweenRightIncl(from, to, id) && from != to {
+			if chord.BetweenRightIncl(from, to, id) && from != to {
 				t.Fatalf("id %08x on arc (%08x,%08x] left behind", id, from, to)
 			}
 		}

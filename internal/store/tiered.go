@@ -1,6 +1,7 @@
 package store
 
 import (
+	"p2prange/internal/chord"
 	"p2prange/internal/metrics"
 	"p2prange/internal/rangeset"
 	"p2prange/internal/trace"
@@ -163,7 +164,7 @@ func (s *Store) journalPutLocked(id ID, p Partition) {
 // the seal, masking the segment's records for it.
 func (s *Store) arcDeadLocked(id ID) bool {
 	for _, at := range s.arcTombs {
-		if betweenRightIncl(at.from, at.to, id) {
+		if chord.BetweenRightIncl(at.from, at.to, id) {
 			return true
 		}
 	}

@@ -6,6 +6,7 @@ import (
 	"sort"
 	"testing"
 
+	"p2prange/internal/chord"
 	"p2prange/internal/rangeset"
 )
 
@@ -79,7 +80,7 @@ func (f *fakeSeg) Scan(fn func(ID, Partition) error) error {
 
 func (f *fakeSeg) ScanArc(from, to ID, fn func(ID, Partition) error) error {
 	return f.Scan(func(id ID, p Partition) error {
-		if from != to && !betweenRightIncl(from, to, id) {
+		if from != to && !chord.BetweenRightIncl(from, to, id) {
 			return nil
 		}
 		return fn(id, p)

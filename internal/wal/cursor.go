@@ -58,6 +58,15 @@ func (c Cursor) IsZero() bool { return c.Seq == 0 && c.Off == 0 }
 
 func (c Cursor) String() string { return fmt.Sprintf("%d:%d", c.Seq, c.Off) }
 
+// at returns the file offset c names: Off, or the first record's offset
+// (just past the file header) when Off is 0.
+func (c Cursor) at() int64 {
+	if c.Off == 0 {
+		return headerLen(c.Seq)
+	}
+	return c.Off
+}
+
 // ErrCursorGone reports a cursor whose WAL file is no longer retained
 // (folded into a segment and deleted, or evicted for retention budget)
 // or that does not name a valid record boundary. The only way forward
@@ -142,7 +151,7 @@ func (l *Log) ReadEntries(c Cursor, maxBytes int) (data []byte, next Cursor, err
 		if c.Seq < active {
 			limit = -1 // rotated files are immutable; read to their size
 		}
-		chunk, n, _, rerr := readWALRange(walPath(l.dir, c.Seq), c.Seq, c.Off, limit, maxBytes)
+		chunk, n, rerr := readWALRange(walPath(l.dir, c.Seq), c.at(), limit, maxBytes)
 		if errors.Is(rerr, errWALFileMissing) {
 			l.mu.Lock()
 			segSeq := l.segSeq
@@ -165,84 +174,62 @@ func (l *Log) ReadEntries(c Cursor, maxBytes int) (data []byte, next Cursor, err
 		if n > 0 {
 			metShipReads.Inc()
 			metShipBytes.Add(uint64(n))
-			start := c.Off
-			if start == 0 {
-				start = headerLen(c.Seq)
-			}
-			return chunk[:n], Cursor{Seq: c.Seq, Off: start + int64(n)}, nil
+			return chunk[:n], Cursor{Seq: c.Seq, Off: c.at() + int64(n)}, nil
 		}
 		if c.Seq == active {
 			// Caught up. Normalize the offset so the caller's next poll
 			// starts at a real boundary.
-			start := c.Off
-			if start == 0 {
-				start = headerLen(c.Seq)
-			}
-			return nil, Cursor{Seq: c.Seq, Off: start}, nil
+			return nil, Cursor{Seq: c.Seq, Off: c.at()}, nil
 		}
 		// End of a rotated file: hand off to the next one.
 		c = Cursor{Seq: c.Seq + 1}
 	}
 }
 
-// readWALRange reads framed records from one WAL file starting at off
-// (0 = first record), stopping at limit (-1 = file size) or ~maxBytes,
-// whichever comes first, and CRC-walks them. It returns the raw bytes,
-// the length of the valid record prefix, and the record count. A
-// missing file or a cursor that does not land on a valid record is
-// ErrCursorGone.
-func readWALRange(path string, seq uint64, off, limit int64, maxBytes int) ([]byte, int, int, error) {
+// readWALRange reads framed records from one WAL file starting at off,
+// stopping at limit (-1 = file size) or ~maxBytes, whichever comes
+// first, and CRC-walks them. It returns the raw bytes and the length of
+// their valid record prefix: a tear inside the committed region ends the
+// prefix there, and the next call, landing on the tear, reports
+// ErrCursorGone, forcing a reseed past the damage. A missing file or a
+// cursor that does not land on a valid record is ErrCursorGone.
+func readWALRange(path string, off, limit int64, maxBytes int) ([]byte, int, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		if os.IsNotExist(err) {
-			return nil, 0, 0, errWALFileMissing
+			return nil, 0, errWALFileMissing
 		}
-		return nil, 0, 0, fmt.Errorf("wal: ship read: %w", err)
+		return nil, 0, fmt.Errorf("wal: ship read: %w", err)
 	}
 	defer f.Close()
-	if off == 0 {
-		off = headerLen(seq)
-	}
 	if limit < 0 {
 		fi, err := f.Stat()
 		if err != nil {
-			return nil, 0, 0, fmt.Errorf("wal: ship read: %w", err)
+			return nil, 0, fmt.Errorf("wal: ship read: %w", err)
 		}
 		limit = fi.Size()
 	}
 	if off > limit {
 		// Past the durable end of this file: the follower believed bytes
 		// the owner no longer has (or the cursor is garbage). Reseed.
-		return nil, 0, 0, ErrCursorGone
+		return nil, 0, ErrCursorGone
 	}
-	want := limit - off
-	truncated := false
-	if want > int64(maxBytes) {
-		want = int64(maxBytes)
-		truncated = true
-	}
+	want := min(limit-off, int64(maxBytes))
 	if want == 0 {
-		return nil, 0, 0, nil
+		return nil, 0, nil
 	}
 	buf := make([]byte, want)
 	m, err := f.ReadAt(buf, off)
 	if err != nil && (m < len(buf)) {
-		return nil, 0, 0, fmt.Errorf("wal: ship read: %w", err)
+		return nil, 0, fmt.Errorf("wal: ship read: %w", err)
 	}
-	recs := 0
-	n, werr := WalkBuffer(buf, func(Record) error { recs++; return nil })
+	n, werr := WalkBuffer(buf, func(Record) error { return nil })
 	if n == 0 && werr != nil {
 		// Not a record boundary, or the record at the cursor is damaged.
 		// Either way this cursor cannot be served.
-		return nil, 0, 0, ErrCursorGone
+		return nil, 0, ErrCursorGone
 	}
-	if n < len(buf) && werr != nil && !truncated {
-		// A tear inside the committed region of the file. The valid prefix
-		// is still good — ship it; the next call lands on the tear and
-		// reports ErrCursorGone, forcing a reseed past the damage.
-		return buf, n, recs, nil
-	}
-	return buf, n, recs, nil
+	return buf, n, nil
 }
 
 // Servable reports whether ReadEntries can serve cursor c without a
@@ -276,11 +263,7 @@ func (l *Log) Lag(c Cursor) int64 {
 		return 0
 	}
 	if c.Seq == end.Seq {
-		off := c.Off
-		if off == 0 {
-			off = headerLen(c.Seq)
-		}
-		return end.Off - off
+		return end.Off - c.at()
 	}
 	var lag int64
 	for seq := c.Seq; seq < end.Seq; seq++ {
@@ -288,11 +271,9 @@ func (l *Log) Lag(c Cursor) int64 {
 		if err != nil {
 			continue
 		}
-		size := fi.Size()
-		if seq == c.Seq && c.Off > 0 {
-			size -= c.Off
-		} else {
-			size -= headerLen(seq)
+		size := fi.Size() - headerLen(seq)
+		if seq == c.Seq {
+			size = fi.Size() - c.at()
 		}
 		if size > 0 {
 			lag += size

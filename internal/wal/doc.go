@@ -37,6 +37,14 @@
 // prefix twice is harmless because restore goes through store.Put's
 // version-monotone admission rule.
 //
+// Each piece of the format has one owner, so every reader (boot, folds,
+// the read path, shipping, walctl) applies the same rules: checkFrame
+// checks a record frame; readWAL reads a WAL file; decodeSegment decodes
+// a segment's record stream (parseSegment wraps it for an image held in
+// memory); indexBuilder builds a footer's index and blooms and
+// readFooter checks one; installFile puts a whole file in place (tmp,
+// fsync, rename, directory fsync).
+//
 // docs/DURABILITY.md specifies the on-disk format byte by byte and
 // includes the operator runbook for data directories, backups, and
 // post-crash triage.

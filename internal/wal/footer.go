@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
+	"io"
 
 	"p2prange/internal/store"
 	"p2prange/internal/transport"
@@ -62,14 +63,15 @@ type segIndex struct {
 	ids     *bloom // over bucket ids
 }
 
-// seek returns the largest indexed offset whose id is <= want — the
-// position a walk for bucket `want` starts from. Returns start when the
-// index is empty or every entry is above want.
-func (x *segIndex) seek(want store.ID, start int64) int64 {
+// seek returns where a walk for the ids above after starts: the offset
+// of the last index entry whose id is at most after, or start when there
+// is none. A bucket's records can straddle an index entry, so a walk for
+// bucket id starts at seek(id-1), never at an entry holding id itself.
+func (x *segIndex) seek(after, start int64) int64 {
 	lo, hi := 0, len(x.entries)
 	for lo < hi {
 		mid := (lo + hi) / 2
-		if x.entries[mid].id <= want {
+		if int64(x.entries[mid].id) <= after {
 			lo = mid + 1
 		} else {
 			hi = mid
@@ -79,6 +81,38 @@ func (x *segIndex) seek(want store.ID, start int64) int64 {
 		return start
 	}
 	return x.entries[lo-1].off
+}
+
+// indexBuilder is the one index builder: fed every put record of a
+// segment in file order, it makes the sparse index (one entry per
+// segIndexEvery records, the first record always included) and both
+// blooms. Compaction writes the footer from it, and SegmentReader
+// rebuilds a damaged footer with it.
+type indexBuilder struct {
+	x      segIndex
+	hashes []uint64 // per record: its (id, key) hash, then its id hash
+}
+
+// add takes the put record of bucket id with identity key, framed at off.
+func (b *indexBuilder) add(off int64, id store.ID, key string) {
+	if b.x.count%segIndexEvery == 0 {
+		b.x.entries = append(b.x.entries, indexEntry{id: id, off: off})
+	}
+	b.hashes = append(b.hashes, hashIDKey(uint32(id), key), hashID(uint32(id)))
+	b.x.count++
+}
+
+// finish returns the index of the records added, for a segment whose
+// seal record starts at dataEnd.
+func (b *indexBuilder) finish(dataEnd int64) *segIndex {
+	x := &b.x
+	x.dataEnd = dataEnd
+	x.keys, x.ids = newBloom(x.count), newBloom(x.count)
+	for i := 0; i < len(b.hashes); i += 2 {
+		x.keys.add(b.hashes[i])
+		x.ids.add(b.hashes[i+1])
+	}
+	return x
 }
 
 // appendFooter serializes x (footer body + crc + trailer) to b. The
@@ -113,19 +147,57 @@ func appendFooter(b []byte, x *segIndex) []byte {
 	return append(b, tr[:]...)
 }
 
-// parseTrailer decodes the trailer tr read at the end of a size-byte
-// segment: the footer's offset and length, checked against the magic
-// and against ending exactly where the trailer starts.
-func parseTrailer(tr []byte, size int64) (footerOff, footerLen int64, err error) {
+// readFooter is the one footer check, for SegmentReader's open and for
+// walctl verify alike: it finds the footer through the trailer at the end
+// of the size-byte segment ra whose records start at recStart, checks the
+// trailer's magic and bounds and the footer's checksum and contents
+// (parseFooter), and checks that the seal record it points at fills the
+// gap up to the footer and carries its count. Any failure is ErrCorrupt:
+// the reader then rebuilds the index from the records instead.
+func readFooter(ra io.ReaderAt, recStart, size int64) (*segIndex, error) {
+	if size < recStart+segTrailerLen {
+		return nil, fmt.Errorf("%w: no room for trailer", ErrCorrupt)
+	}
+	var tr [segTrailerLen]byte
+	if _, err := ra.ReadAt(tr[:], size-segTrailerLen); err != nil {
+		return nil, fmt.Errorf("%w: trailer read: %v", ErrCorrupt, err)
+	}
 	if string(tr[12:16]) != string(magicIdx) {
-		return 0, 0, fmt.Errorf("%w: trailer magic", ErrCorrupt)
+		return nil, fmt.Errorf("%w: trailer magic", ErrCorrupt)
 	}
-	footerOff = int64(binary.LittleEndian.Uint64(tr[0:8]))
-	footerLen = int64(binary.LittleEndian.Uint32(tr[8:12]))
-	if footerOff < 0 || footerLen < 5 || footerOff+footerLen+segTrailerLen != size {
-		return 0, 0, fmt.Errorf("%w: trailer bounds (footer at %d+%d, file %d)", ErrCorrupt, footerOff, footerLen, size)
+	footerOff := int64(binary.LittleEndian.Uint64(tr[0:8]))
+	footerLen := int64(binary.LittleEndian.Uint32(tr[8:12]))
+	if footerOff <= recStart || footerLen < 5 || footerOff+footerLen+segTrailerLen != size {
+		return nil, fmt.Errorf("%w: trailer bounds (footer at %d+%d, records from %d, file %d)",
+			ErrCorrupt, footerOff, footerLen, recStart, size)
 	}
-	return footerOff, footerLen, nil
+	data := make([]byte, footerLen)
+	if _, err := ra.ReadAt(data, footerOff); err != nil {
+		return nil, fmt.Errorf("%w: footer read: %v", ErrCorrupt, err)
+	}
+	x, err := parseFooter(data, recStart, footerOff)
+	if err != nil {
+		return nil, err
+	}
+	// The footer's checksum protects the footer; the seal it points at
+	// ties it to the record stream. Both must agree on the count.
+	sealLen := footerOff - x.dataEnd
+	if sealLen < 6 || sealLen > 32 {
+		return nil, fmt.Errorf("%w: seal bounds", ErrCorrupt)
+	}
+	seal := make([]byte, sealLen)
+	if _, err := ra.ReadAt(seal, x.dataEnd); err != nil {
+		return nil, fmt.Errorf("%w: seal read: %v", ErrCorrupt, err)
+	}
+	if _, err := WalkBuffer(seal, func(rec Record) error {
+		if rec.Op != opSeal || rec.Count != uint64(x.count) {
+			return fmt.Errorf("%w: footer/seal mismatch", ErrCorrupt)
+		}
+		return nil
+	}); err != nil {
+		return nil, err
+	}
+	return x, nil
 }
 
 func appendBloom(b []byte, f *bloom) []byte {

@@ -2,6 +2,7 @@ package wal
 
 import (
 	"errors"
+	"os"
 	"reflect"
 	"testing"
 
@@ -103,6 +104,53 @@ func FuzzSegmentFooterParse(f *testing.F) {
 			!reflect.DeepEqual(x.entries, x2.entries) ||
 			!reflect.DeepEqual(x.keys, x2.keys) || !reflect.DeepEqual(x.ids, x2.ids) {
 			t.Errorf("footer changed across a round trip:\nfirst:  %+v\nsecond: %+v", x, x2)
+		}
+	})
+}
+
+// FuzzSegmentImage feeds arbitrary bytes to the one segment-image
+// decoder through both of its doors: ParseSegment (boot, snapshot seed,
+// backup) and InspectDir (walctl verify). ParseSegment must never panic,
+// and it must accept an image exactly when verify finds its record
+// stream undamaged. A damaged footer is not a rejection: boot survives
+// it with an index rebuild, so it lands in FooterDamage, not Damage.
+func FuzzSegmentImage(f *testing.F) {
+	dir, _ := seedSegment(f, 30)
+	pristine, err := os.ReadFile(segPath(dir, 1))
+	if err != nil {
+		f.Fatal(err)
+	}
+	empty := f.TempDir()
+	lg, _, err := Open(Options{Dir: empty}, store.New())
+	if err != nil {
+		f.Fatal(err)
+	}
+	if err := lg.Checkpoint(); err != nil {
+		f.Fatal(err)
+	}
+	lg.Crash()
+	sealedEmpty, err := os.ReadFile(segPath(empty, 1))
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(pristine)
+	f.Add(sealedEmpty)
+	f.Add(pristine[:len(pristine)/2])
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) > 1<<16 {
+			return
+		}
+		_, perr := ParseSegment(data, 1)
+		dir := t.TempDir()
+		if err := os.WriteFile(segPath(dir, 1), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		rep, err := InspectDir(dir, nil)
+		if err != nil || len(rep.Files) != 1 {
+			t.Fatalf("InspectDir = %+v, %v; want one file", rep.Files, err)
+		}
+		if damage := rep.Files[0].Damage; (perr == nil) != (damage == "") {
+			t.Fatalf("ParseSegment error %v, verify damage %q", perr, damage)
 		}
 	})
 }

@@ -6,8 +6,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-
-	"p2prange/internal/transport"
 )
 
 // Offline inspection (walctl) and segment backup/restore. Everything
@@ -73,32 +71,27 @@ func InspectDir(dir string, dump func(file string, r Record)) (DirReport, error)
 }
 
 func inspectWAL(dir string, seq uint64, dump func(string, Record)) FileReport {
-	path := walPath(dir, seq)
-	fr := FileReport{Name: filepath.Base(path), Kind: "wal", Seq: seq}
-	data, err := os.ReadFile(path)
-	if err != nil {
-		fr.Damage = err.Error()
-		return fr
-	}
-	fr.Bytes = int64(len(data))
-	body, err := parseHeader(data, magicWAL, seq)
-	if err != nil {
-		fr.Damage = err.Error()
-		return fr
-	}
-	n, werr := WalkBuffer(body, func(r Record) error {
+	fr := FileReport{Name: filepath.Base(walPath(dir, seq)), Kind: "wal", Seq: seq}
+	size, end, err := readWAL(dir, seq, func(r Record) error {
 		fr.Records++
 		if dump != nil {
 			dump(fr.Name, r)
 		}
 		return nil
 	})
-	if werr != nil {
-		fr.Damage = fmt.Sprintf("%v (%d trailing byte(s) after last valid record)", werr, len(body)-n)
+	fr.Bytes = size
+	switch {
+	case err == nil:
+	case end == 0: // unreadable, or a bad header
+		fr.Damage = err.Error()
+	default:
+		fr.Damage = fmt.Sprintf("%v (%d trailing byte(s) after last valid record)", err, size-end)
 	}
 	return fr
 }
 
+// inspectSegment checks a segment exactly as boot and the read path do:
+// the record stream through parseSegment, the footer through readFooter.
 func inspectSegment(dir string, seq uint64, dump func(string, Record)) FileReport {
 	path := segPath(dir, seq)
 	fr := FileReport{Name: filepath.Base(path), Kind: "segment", Seq: seq}
@@ -108,76 +101,19 @@ func inspectSegment(dir string, seq uint64, dump func(string, Record)) FileRepor
 		return fr
 	}
 	fr.Bytes = int64(len(data))
-	body, err := parseHeader(data, magicSEG, seq)
-	if err != nil {
-		fr.Damage = err.Error()
-		return fr
-	}
-	recStart := int64(len(data) - len(body))
-
-	// Record stream: every frame CRC-checked up to and including the
-	// seal, exactly the boot acceptance test.
-	sealed := false
-	var sealEnd int64
-	var count uint64
-	n, werr := WalkBuffer(body, func(r Record) error {
-		if r.Op == opSeal {
-			sealed, count = true, r.Count
-			return errSealStop
-		}
-		fr.Records++
-		if dump != nil {
+	puts, err := parseSegment(data, seq)
+	fr.Records = len(puts)
+	if dump != nil {
+		for _, r := range puts {
 			dump(fr.Name, r)
 		}
-		return nil
-	})
-	sealEnd = recStart + int64(n)
-	switch {
-	case werr != nil && !errors.Is(werr, errSealStop):
-		fr.Damage = werr.Error()
-		return fr
-	case !sealed:
-		fr.Damage = "unsealed segment"
-		return fr
-	case count != uint64(fr.Records):
-		fr.Damage = fmt.Sprintf("seal count %d, walked %d records", count, fr.Records)
-		return fr
 	}
-	// The seal frame itself: WalkBuffer stops at its start when fn
-	// aborts, but it already CRC-validated the frame — just measure it to
-	// find where the footer begins.
-	c := transport.NewCursor(data[sealEnd:])
-	length := c.Uvarint()
-	hdr := len(data[sealEnd:]) - c.Len()
-	footerStart := sealEnd + int64(hdr) + int64(length)
-	if ferr := verifyFooter(data, recStart, footerStart, fr.Records); ferr != nil {
-		fr.FooterDamage = ferr.Error()
+	if err != nil {
+		fr.Damage = err.Error()
+	} else if _, err := readFooter(bytes.NewReader(data), headerLen(seq), fr.Bytes); err != nil {
+		fr.FooterDamage = err.Error()
 	}
 	return fr
-}
-
-// verifyFooter checks the index/bloom footer between footerStart and
-// EOF: trailer magic and bounds, footer checksum, decoded contents, and
-// the record count cross-check against the walked stream.
-func verifyFooter(data []byte, recStart, footerStart int64, records int) error {
-	if int64(len(data)) < footerStart+segTrailerLen {
-		return fmt.Errorf("missing footer (%d byte(s) after seal)", int64(len(data))-footerStart)
-	}
-	footerOff, footerLen, err := parseTrailer(data[len(data)-segTrailerLen:], int64(len(data)))
-	if err != nil {
-		return err
-	}
-	if footerOff != footerStart {
-		return fmt.Errorf("footer at %d, seal ends at %d", footerOff, footerStart)
-	}
-	x, err := parseFooter(data[footerOff:footerOff+footerLen], recStart, footerOff)
-	if err != nil {
-		return err
-	}
-	if x.count != records {
-		return fmt.Errorf("footer count %d, walked %d records", x.count, records)
-	}
-	return nil
 }
 
 // BackupSegment copies the newest sealed segment into dstDir — chunked
@@ -221,19 +157,7 @@ func (l *Log) BackupSegment(dstDir string) (seq uint64, copied int64, err error)
 		if _, err := ParseSegment(img, seq); err != nil {
 			return seq, 0, fmt.Errorf("wal: backup verify: %w", err)
 		}
-		tmp := dst + ".tmp"
-		if err := os.WriteFile(tmp, img, 0o644); err != nil {
-			return seq, 0, fmt.Errorf("wal: backup write: %w", err)
-		}
-		if f, err := os.Open(tmp); err == nil {
-			f.Sync()
-			f.Close()
-		}
-		if err := os.Rename(tmp, dst); err != nil {
-			os.Remove(tmp)
-			return seq, 0, fmt.Errorf("wal: backup rename: %w", err)
-		}
-		if err := syncDir(dstDir); err != nil {
+		if err := installFile(dst, img); err != nil {
 			return seq, 0, err
 		}
 		// Prune older backups, and the temps of interrupted ones: the
@@ -293,40 +217,24 @@ func RestoreSegment(src, dstDir string) (seq uint64, records int, err error) {
 		return seq, 0, fmt.Errorf("wal: restore: %s is not empty (%d wal, %d segment file(s)) — refusing to overwrite a live data dir",
 			dstDir, len(walSeqs), len(segSeqs))
 	}
-	tmp := segPath(dstDir, seq) + ".tmp"
-	if err := os.WriteFile(tmp, data, 0o644); err != nil {
-		return seq, 0, fmt.Errorf("wal: restore write: %w", err)
-	}
-	if f, err := os.Open(tmp); err == nil {
-		f.Sync()
-		f.Close()
-	}
-	if err := os.Rename(tmp, segPath(dstDir, seq)); err != nil {
-		os.Remove(tmp)
-		return seq, 0, fmt.Errorf("wal: restore rename: %w", err)
-	}
-	if err := syncDir(dstDir); err != nil {
+	if err := installFile(segPath(dstDir, seq), data); err != nil {
 		return seq, 0, err
 	}
 	return seq, len(recs), nil
 }
 
-// readSegmentFile reads and fully verifies the sealed segment at path.
+// readSegmentFile reads and fully verifies the sealed segment at path,
+// taking its sequence number from its header.
 func readSegmentFile(path string) (seq uint64, data []byte, recs []Record, err error) {
 	data, err = os.ReadFile(path)
 	if err != nil {
 		return 0, nil, nil, fmt.Errorf("wal: restore: %w", err)
 	}
-	if len(data) < len(magicSEG) || !bytes.Equal(data[:len(magicSEG)], magicSEG) {
-		return 0, nil, nil, fmt.Errorf("wal: restore: %s is not a segment file", path)
+	if seq, _, err = splitHeader(data, magicSEG); err == nil {
+		recs, err = ParseSegment(data, seq)
 	}
-	c := transport.NewCursor(data[len(magicSEG):])
-	seq = c.Uvarint()
-	if c.Err != nil || seq == 0 {
-		return 0, nil, nil, fmt.Errorf("wal: restore: torn segment header in %s", path)
-	}
-	if recs, err = ParseSegment(data, seq); err != nil {
-		return seq, nil, nil, fmt.Errorf("wal: restore verify: %w", err)
+	if err != nil {
+		return seq, nil, nil, fmt.Errorf("wal: restore verify %s: %w", path, err)
 	}
 	return seq, data, recs, nil
 }

@@ -1,6 +1,7 @@
 package wal
 
 import (
+	"encoding/binary"
 	"fmt"
 	"hash/crc32"
 
@@ -165,23 +166,12 @@ func WalkBuffer(data []byte, fn func(Record) error) (int, error) {
 func walkRecordsWith(c *transport.Cursor, data []byte, fn func(Record) error) (int, error) {
 	off := 0
 	for off < len(data) {
-		c.Reset(data[off:])
-		length := c.Uvarint()
-		if c.Err != nil {
-			return off, fmt.Errorf("%w: torn length prefix", ErrCorrupt)
+		body, size, err := checkFrame(data[off:])
+		if err != nil {
+			return off, err
 		}
-		if length < 5 || length > MaxRecord {
-			return off, fmt.Errorf("%w: record length %d", ErrCorrupt, length)
-		}
-		if uint64(c.Len()) < length {
-			return off, fmt.Errorf("%w: torn record (%d of %d bytes)", ErrCorrupt, c.Len(), length)
-		}
-		hdr := len(data[off:]) - c.Len() // bytes the length prefix consumed
-		frame := data[off+hdr : off+hdr+int(length)]
-		sum := uint32(frame[0]) | uint32(frame[1])<<8 | uint32(frame[2])<<16 | uint32(frame[3])<<24
-		body := frame[4:]
-		if crc32.Checksum(body, crcTable) != sum {
-			return off, fmt.Errorf("%w: checksum mismatch", ErrCorrupt)
+		if body == nil {
+			return off, fmt.Errorf("%w: torn record (%d byte(s) left)", ErrCorrupt, len(data)-off)
 		}
 		c.Reset(body)
 		rec, err := ParseRecord(c)
@@ -191,7 +181,32 @@ func walkRecordsWith(c *transport.Cursor, data []byte, fn func(Record) error) (i
 		if err := fn(rec); err != nil {
 			return off, err
 		}
-		off += hdr + int(length)
+		off += size
 	}
 	return off, nil
+}
+
+// checkFrame is the one frame check, for in-memory walks (WalkBuffer)
+// and windowed segment walks (walkFrames) alike: it bounds the length
+// prefix at the start of b and verifies the checksum of the body that
+// follows. It returns the body and the frame's size in bytes. When b
+// ends before the frame does, body is nil and size is the frame's size
+// (0 when the length prefix itself is cut).
+func checkFrame(b []byte) (body []byte, size int, err error) {
+	length, ln := binary.Uvarint(b)
+	if ln == 0 {
+		return nil, 0, nil
+	}
+	if ln < 0 || length < 5 || length > MaxRecord {
+		return nil, 0, fmt.Errorf("%w: record length %d", ErrCorrupt, length)
+	}
+	size = ln + int(length)
+	if len(b) < size {
+		return nil, size, nil
+	}
+	frame := b[ln:size]
+	if crc32.Checksum(frame[4:], crcTable) != binary.LittleEndian.Uint32(frame) {
+		return nil, 0, fmt.Errorf("%w: checksum mismatch", ErrCorrupt)
+	}
+	return frame[4:], size, nil
 }

@@ -1,6 +1,7 @@
 package wal
 
 import (
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -173,25 +174,18 @@ func Open(opt Options, st *store.Store) (*Log, Recovery, error) {
 			os.Remove(walPath(opt.Dir, seq))
 			continue
 		}
-		path := walPath(opt.Dir, seq)
-		data, err := os.ReadFile(path)
-		if err != nil {
-			return fail(fmt.Errorf("wal: %w", err))
-		}
-		body, herr := parseHeader(data, magicWAL, seq)
 		applied := 0
-		var off int
-		var werr error
-		if herr == nil {
-			off, werr = WalkBuffer(body, func(r Record) error {
-				applied++
-				return apply(r)
-			})
+		_, end, err := readWAL(opt.Dir, seq, func(r Record) error {
+			applied++
+			return apply(r)
+		})
+		if err != nil && !errors.Is(err, ErrCorrupt) {
+			return fail(fmt.Errorf("wal: %w", err))
 		}
 		rec.WALFiles++
 		rec.Replayed += applied
 		sp.Eventf("replay", "wal %d: %d records", seq, applied)
-		if herr == nil && werr == nil {
+		if err == nil {
 			continue
 		}
 		// Torn or corrupt record: truncate this file at the last valid
@@ -200,12 +194,13 @@ func Open(opt Options, st *store.Store) (*Log, Recovery, error) {
 		// so nothing acknowledged lives past this point in this file.
 		rec.TornTail = true
 		metTornTails.Inc()
-		if herr != nil {
-			sp.Eventf("torn", "wal %d: %v — dropping file", seq, herr)
+		path := walPath(opt.Dir, seq)
+		if end == 0 {
+			sp.Eventf("torn", "wal %d: %v — dropping file", seq, err)
 			os.Remove(path)
 		} else {
-			sp.Eventf("torn", "wal %d: %v — truncated at %d records", seq, werr, applied)
-			if terr := os.Truncate(path, int64(len(data)-len(body)+off)); terr != nil {
+			sp.Eventf("torn", "wal %d: %v — truncated at %d records", seq, err, applied)
+			if terr := os.Truncate(path, end); terr != nil {
 				return fail(fmt.Errorf("wal: truncate torn tail: %w", terr))
 			}
 		}

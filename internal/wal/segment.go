@@ -4,9 +4,11 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"io"
 	"os"
 	"sort"
 
+	"p2prange/internal/chord"
 	"p2prange/internal/store"
 	"p2prange/internal/transport"
 )
@@ -49,18 +51,27 @@ func createFile(path string, magic []byte, seq uint64) (*os.File, error) {
 // parseHeader checks data's magic and sequence number and returns the
 // record region that follows.
 func parseHeader(data, magic []byte, wantSeq uint64) ([]byte, error) {
+	seq, body, err := splitHeader(data, magic)
+	if err == nil && seq != wantSeq {
+		err = fmt.Errorf("%w: header seq %d, filename says %d", ErrCorrupt, seq, wantSeq)
+	}
+	return body, err
+}
+
+// splitHeader checks data's magic and returns the header's sequence
+// number (never 0: files are numbered from 1) and the record region that
+// follows. Restore reads a segment's sequence number this way, since the
+// name of a file an operator hands it proves nothing.
+func splitHeader(data, magic []byte) (uint64, []byte, error) {
 	if len(data) < len(magic) || !bytes.Equal(data[:len(magic)], magic) {
-		return nil, fmt.Errorf("%w: bad file magic", ErrCorrupt)
+		return 0, nil, fmt.Errorf("%w: bad file magic", ErrCorrupt)
 	}
 	c := transport.NewCursor(data[len(magic):])
 	seq := c.Uvarint()
-	if c.Err != nil {
-		return nil, fmt.Errorf("%w: torn header", ErrCorrupt)
+	if c.Err != nil || seq == 0 {
+		return 0, nil, fmt.Errorf("%w: torn header", ErrCorrupt)
 	}
-	if seq != wantSeq {
-		return nil, fmt.Errorf("%w: header seq %d, filename says %d", ErrCorrupt, seq, wantSeq)
-	}
-	return data[len(data)-c.Len():], nil
+	return seq, data[len(data)-c.Len():], nil
 }
 
 // foldState is the in-memory image a fold builds: bucket id -> descriptor
@@ -92,23 +103,30 @@ func (st foldState) apply(r Record) {
 		}
 	case OpDropArc:
 		for id := range st {
-			if onArcRightIncl(r.From, r.To, id) {
+			if chord.BetweenRightIncl(r.From, r.To, id) {
 				delete(st, id)
 			}
 		}
 	}
 }
 
-// onArcRightIncl reports whether x lies on the ring arc (from, to]
-// (mirrors store's betweenRightIncl, including from==to = whole circle).
-func onArcRightIncl(from, to, x store.ID) bool {
-	if x == to {
-		return true
+// readWAL is the one reader of WAL files, for recovery, folds and
+// walctl verify: it reads WAL file seq in dir, checks its header and
+// calls fn with each valid record in order. It returns the file's size
+// and the offset just past the last valid record, which is 0 when the
+// header itself is bad. Damage (a bad header, a torn or corrupt record)
+// is an ErrCorrupt error; any other error is the read's or fn's own.
+func readWAL(dir string, seq uint64, fn func(Record) error) (size, end int64, err error) {
+	data, err := os.ReadFile(walPath(dir, seq))
+	if err != nil {
+		return 0, 0, err
 	}
-	if from < to {
-		return from < x && x < to
+	body, err := parseHeader(data, magicWAL, seq)
+	if err != nil {
+		return int64(len(data)), 0, err
 	}
-	return x > from || x < to
+	n, err := WalkBuffer(body, fn)
+	return int64(len(data)), int64(len(data) - len(body) + n), err
 }
 
 // foldFiles builds the fold state from segment segSeq (if any) plus the
@@ -131,31 +149,24 @@ func foldFiles(dir string, segSeq, upto uint64) (foldState, int, error) {
 		folded += len(recs)
 	}
 	for seq := segSeq + 1; seq <= upto; seq++ {
-		data, err := os.ReadFile(walPath(dir, seq))
-		if os.IsNotExist(err) {
-			continue
-		}
-		if err != nil {
-			return nil, 0, fmt.Errorf("wal: fold: %w", err)
-		}
-		recs, err := parseHeader(data, magicWAL, seq)
-		if err != nil {
-			return nil, 0, fmt.Errorf("wal: fold wal %d: %w", seq, err)
-		}
-		n, _ := WalkBuffer(recs, func(r Record) error {
+		_, end, err := readWAL(dir, seq, func(r Record) error {
 			state.apply(r)
 			folded++
 			return nil
 		})
-		_ = n // a torn tail ends this file's records; later files still fold
+		// A missing file was never written, and a torn tail only ends its
+		// file's records: the fold goes on. A bad header or a failed read
+		// fails it.
+		if err != nil && !os.IsNotExist(err) && (end == 0 || !errors.Is(err, ErrCorrupt)) {
+			return nil, 0, fmt.Errorf("wal: fold wal %d: %w", seq, err)
+		}
 	}
 	return state, folded, nil
 }
 
-// writeSegment writes state as sealed segment seq, atomically: records
-// go to a .tmp file, which is fsynced and renamed into place, then the
-// directory is fsynced. Output order is deterministic (ascending bucket
-// id, then key) so identical states produce identical files.
+// writeSegment writes state as sealed segment seq, atomically
+// (installFile). Output order is deterministic (ascending bucket id, then
+// key) so identical states produce identical files.
 func writeSegment(dir string, seq uint64, state foldState) error {
 	ids := make([]store.ID, 0, len(state))
 	for id := range state {
@@ -169,7 +180,7 @@ func writeSegment(dir string, seq uint64, state foldState) error {
 	}
 	buf := append([]byte(nil), magicSEG...)
 	buf = transport.AppendUvarint(buf, seq)
-	x := &segIndex{keys: newBloom(total), ids: newBloom(total)}
+	ib := indexBuilder{hashes: make([]uint64, 0, 2*total)}
 	for _, id := range ids {
 		bucket := state[id]
 		keys := make([]string, 0, len(bucket))
@@ -178,53 +189,21 @@ func writeSegment(dir string, seq uint64, state foldState) error {
 		}
 		sort.Strings(keys)
 		for _, k := range keys {
-			p := bucket[k]
-			if x.count%segIndexEvery == 0 {
-				x.entries = append(x.entries, indexEntry{id: id, off: int64(len(buf))})
-			}
-			x.keys.add(hashIDKey(uint32(id), k))
-			x.ids.add(hashID(uint32(id)))
-			buf = AppendFramed(buf, &Record{Op: OpPut, ID: id, Part: p})
-			x.count++
+			ib.add(int64(len(buf)), id, k)
+			buf = AppendFramed(buf, &Record{Op: OpPut, ID: id, Part: bucket[k]})
 		}
 	}
-	x.dataEnd = int64(len(buf))
+	x := ib.finish(int64(len(buf)))
 	buf = AppendFramed(buf, &Record{Op: opSeal, Count: uint64(x.count)})
 	// The footer (sparse index + blooms + locator trailer) rides after the
 	// seal: the seal stays the commit point, the footer only accelerates
 	// reads and is rebuilt from a scan if damaged (segreader.go).
 	buf = appendFooter(buf, x)
-
-	tmp := segPath(dir, seq) + ".tmp"
-	f, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
-	if err != nil {
-		return fmt.Errorf("wal: segment tmp: %w", err)
-	}
-	if _, err := f.Write(buf); err == nil {
-		err = f.Sync()
-	}
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	if err != nil {
-		os.Remove(tmp)
-		return fmt.Errorf("wal: segment write: %w", err)
-	}
-	if err := os.Rename(tmp, segPath(dir, seq)); err != nil {
-		os.Remove(tmp)
-		return fmt.Errorf("wal: segment rename: %w", err)
-	}
-	return syncDir(dir)
+	return installFile(segPath(dir, seq), buf)
 }
 
-// errSealStop ends a segment walk cleanly at the seal record.
-var errSealStop = errors.New("wal: seal reached")
-
-// loadSegment reads sealed segment seq and returns its put records. The
-// record stream is all-or-nothing: any framing failure, a missing seal,
-// or a seal count mismatch rejects the whole file. Bytes after the seal
-// are the footer (index + blooms, possibly damaged) and are ignored —
-// the seal is the commit point, the footer only accelerates reads.
+// loadSegment reads sealed segment seq and returns its put records, with
+// ParseSegment's all-or-nothing contract.
 func loadSegment(dir string, seq uint64) ([]Record, error) {
 	data, err := os.ReadFile(segPath(dir, seq))
 	if err != nil {
@@ -240,32 +219,60 @@ func loadSegment(dir string, seq uint64) ([]Record, error) {
 // snapshot-seeded follower proves the bytes it received are exactly a
 // bootable segment before applying them.
 func ParseSegment(data []byte, seq uint64) ([]Record, error) {
-	recs, err := parseHeader(data, magicSEG, seq)
+	puts, err := parseSegment(data, seq)
+	if err != nil {
+		return nil, err
+	}
+	return puts, nil
+}
+
+// parseSegment is the one decoder of a segment image held in memory,
+// behind ParseSegment, walctl verify and restore: the header, then
+// decodeSegment over the records. It returns the put records read before
+// any damage, and the damage (nil for a bootable image). Bytes after the
+// seal are the footer (index + blooms, possibly damaged) and are not
+// read: the seal is the commit point, the footer only accelerates reads.
+func parseSegment(data []byte, seq uint64) ([]Record, error) {
+	body, err := parseHeader(data, magicSEG, seq)
 	if err != nil {
 		return nil, err
 	}
 	var puts []Record
-	sealed := false
-	_, err = WalkBuffer(recs, func(r Record) error {
-		switch r.Op {
-		case opSeal:
-			if r.Count != uint64(len(puts)) {
-				return fmt.Errorf("%w: seal count %d, have %d records", ErrCorrupt, r.Count, len(puts))
-			}
-			sealed = true
-			return errSealStop
-		case OpPut:
-			puts = append(puts, r)
-		default:
-			return fmt.Errorf("%w: op %d in segment", ErrCorrupt, r.Op)
-		}
-		return nil
+	_, err = decodeSegment(bytes.NewReader(data), int64(len(data)-len(body)), int64(len(data)), func(_ int64, r Record) {
+		puts = append(puts, r)
 	})
-	if err != nil && !errors.Is(err, errSealStop) {
-		return nil, err
+	return puts, err
+}
+
+// decodeSegment is the one decoder of a segment's record stream, in
+// memory (parseSegment) or on disk (SegmentReader's index rebuild). It
+// walks the records in [recStart, end) of ra and calls put with each put
+// record and its offset, up to the seal record, which must carry the put
+// count; it returns the seal's offset. A frame or body that fails its
+// check, any other op, a count mismatch or a missing seal is ErrCorrupt,
+// and put has then seen exactly the records before the damage.
+func decodeSegment(ra io.ReaderAt, recStart, end int64, put func(off int64, r Record)) (int64, error) {
+	puts, sealAt := uint64(0), int64(-1)
+	err := walkFrames(ra, recStart, end, func(off int64, body []byte, c *transport.Cursor) (bool, error) {
+		c.Reset(body)
+		r, err := ParseRecord(c)
+		switch {
+		case err != nil:
+			return false, err
+		case r.Op == OpPut:
+			put(off, r)
+			puts++
+			return false, nil
+		case r.Op != opSeal:
+			return false, fmt.Errorf("%w: op %d in segment", ErrCorrupt, r.Op)
+		case r.Count != puts:
+			return false, fmt.Errorf("%w: seal count %d, have %d records", ErrCorrupt, r.Count, puts)
+		}
+		sealAt = off
+		return true, nil
+	})
+	if err == nil && sealAt < 0 {
+		err = fmt.Errorf("%w: unsealed segment", ErrCorrupt)
 	}
-	if !sealed {
-		return nil, fmt.Errorf("%w: unsealed segment", ErrCorrupt)
-	}
-	return puts, nil
+	return sealAt, err
 }

@@ -3,7 +3,6 @@ package wal
 import (
 	"encoding/binary"
 	"fmt"
-	"hash/crc32"
 	"io"
 	"os"
 	"strconv"
@@ -59,11 +58,13 @@ var walkerPool = sync.Pool{New: func() any {
 }}
 
 // OpenSegmentReader opens sealed segment seq in dir for read-through.
-// A valid footer makes this O(footer bytes); a damaged or missing footer
-// falls back to a full streaming scan that rebuilds the index and bloom
-// filters in memory (counted in wal.seg_index_rebuilds). Either way the
-// seal record is verified — an unsealed or mid-stream-corrupt segment is
-// rejected entirely, exactly as loadSegment would.
+// A valid footer makes this O(footer bytes): readFooter checks the seal
+// record the footer points at, and damage inside the record stream
+// surfaces later, as a counted read error (wal.seg_read_errors) on the
+// walk that meets it. A damaged or missing footer falls back to a full
+// streaming decode that rebuilds the index and bloom filters in memory
+// (counted in wal.seg_index_rebuilds) and rejects an unsealed or
+// mid-stream-corrupt segment entirely, exactly as loadSegment would.
 func OpenSegmentReader(dir string, seq uint64) (*SegmentReader, error) {
 	path := segPath(dir, seq)
 	f, err := os.Open(path)
@@ -92,7 +93,7 @@ func OpenSegmentReader(dir string, seq uint64) (*SegmentReader, error) {
 	}
 	r.recStart = int64(len(hdr) - len(rest))
 
-	if x, err := r.loadFooter(); err == nil {
+	if x, err := readFooter(f, r.recStart, r.size); err == nil {
 		r.idx = x
 	} else {
 		metSegRebuilds.Inc()
@@ -107,117 +108,39 @@ func OpenSegmentReader(dir string, seq uint64) (*SegmentReader, error) {
 	return r, nil
 }
 
-// loadFooter locates the footer via the fixed trailer at EOF, checks its
-// checksum and bounds, and cross-checks the seal record it points at.
-// Any failure is ErrCorrupt: the caller rebuilds instead.
-func (r *SegmentReader) loadFooter() (*segIndex, error) {
-	if r.size < r.recStart+segTrailerLen {
-		return nil, fmt.Errorf("%w: no room for trailer", ErrCorrupt)
-	}
-	var tr [segTrailerLen]byte
-	if _, err := r.f.ReadAt(tr[:], r.size-segTrailerLen); err != nil {
-		return nil, fmt.Errorf("%w: trailer read: %v", ErrCorrupt, err)
-	}
-	footerOff, footerLen, err := parseTrailer(tr[:], r.size)
-	if err != nil {
-		return nil, err
-	}
-	if footerOff <= r.recStart {
-		return nil, fmt.Errorf("%w: footer at %d, records start at %d", ErrCorrupt, footerOff, r.recStart)
-	}
-	data := make([]byte, footerLen)
-	if _, err := r.f.ReadAt(data, footerOff); err != nil {
-		return nil, fmt.Errorf("%w: footer read: %v", ErrCorrupt, err)
-	}
-	x, err := parseFooter(data, r.recStart, footerOff)
-	if err != nil {
-		return nil, err
-	}
-	// The footer's checksum protects the footer; the seal it points at
-	// ties it to the record stream. Both must agree on the count.
-	sealLen := footerOff - x.dataEnd
-	if sealLen < 6 || sealLen > 32 {
-		return nil, fmt.Errorf("%w: seal bounds", ErrCorrupt)
-	}
-	seal := make([]byte, sealLen)
-	if _, err := r.f.ReadAt(seal, x.dataEnd); err != nil {
-		return nil, fmt.Errorf("%w: seal read: %v", ErrCorrupt, err)
-	}
-	sealed := false
-	n, err := WalkBuffer(seal, func(rec Record) error {
-		if rec.Op != opSeal || rec.Count != uint64(x.count) {
-			return fmt.Errorf("%w: footer/seal mismatch", ErrCorrupt)
-		}
-		sealed = true
-		return nil
-	})
-	if err != nil || !sealed || n != len(seal) {
-		if err == nil {
-			err = fmt.Errorf("%w: seal record", ErrCorrupt)
-		}
-		return nil, err
-	}
-	return x, nil
-}
-
-// rebuildIndex scans every record from the top, verifying frames and
-// checksums, and rebuilds the sparse index and bloom filters the footer
-// would have held. Bytes after the seal (the damaged footer) are never
-// examined. This is the recovery guarantee for the read path: a torn
-// footer costs one full-segment scan at open, never a wrong answer.
+// rebuildIndex decodes every record from the top (decodeSegment) and
+// rebuilds the sparse index and bloom filters the footer would have held.
+// Bytes after the seal (the damaged footer) are never examined. This is
+// the recovery guarantee for the read path: a torn footer costs one
+// full-segment scan at open, never a wrong answer.
 func (r *SegmentReader) rebuildIndex() (*segIndex, error) {
-	x := &segIndex{}
-	var keyHashes, idHashes []uint64
-	sealed := false
-	err := r.walk(r.recStart, r.size, func(off int64, body []byte, c *transport.Cursor) (bool, error) {
-		c.Reset(body)
-		rec, err := ParseRecord(c)
-		if err != nil {
-			return false, err
-		}
-		switch rec.Op {
-		case opSeal:
-			if rec.Count != uint64(x.count) {
-				return false, fmt.Errorf("%w: seal count %d, have %d records", ErrCorrupt, rec.Count, x.count)
-			}
-			sealed = true
-			x.dataEnd = off
-			return true, nil
-		case OpPut:
-			if x.count%segIndexEvery == 0 {
-				x.entries = append(x.entries, indexEntry{id: rec.ID, off: off})
-			}
-			keyHashes = append(keyHashes, hashIDKey(uint32(rec.ID), rec.Part.Key()))
-			idHashes = append(idHashes, hashID(uint32(rec.ID)))
-			x.count++
-			return false, nil
-		default:
-			return false, fmt.Errorf("%w: op %d in segment", ErrCorrupt, rec.Op)
-		}
+	var ib indexBuilder
+	dataEnd, err := decodeSegment(segReads{r.f}, r.recStart, r.size, func(off int64, rec Record) {
+		ib.add(off, rec.ID, rec.Part.Key())
 	})
 	if err != nil {
 		return nil, err
 	}
-	if !sealed {
-		return nil, fmt.Errorf("%w: unsealed segment", ErrCorrupt)
-	}
-	x.keys = newBloom(x.count)
-	for _, h := range keyHashes {
-		x.keys.add(h)
-	}
-	x.ids = newBloom(x.count)
-	for _, h := range idHashes {
-		x.ids.add(h)
-	}
-	return x, nil
+	return ib.finish(dataEnd), nil
 }
 
-// walk parses framed records in [from, end), calling fn with each
-// record's absolute offset, checksum-verified body, and the walker's
-// reusable cursor. fn returning stop=true ends the walk cleanly. The
-// body (and anything the cursor views into it) is only valid during the
-// call.
-func (r *SegmentReader) walk(from, end int64, fn func(off int64, body []byte, c *transport.Cursor) (bool, error)) error {
+// segReads is a segment file as the read path reads it: what walks read
+// through it counts in wal.seg_read_bytes (the footer reads at open do
+// not).
+type segReads struct{ f *os.File }
+
+func (s segReads) ReadAt(p []byte, off int64) (int, error) {
+	n, err := s.f.ReadAt(p, off)
+	metSegReadBytes.Add(uint64(n))
+	return n, err
+}
+
+// walkFrames walks the framed records in [from, end) of ra through a
+// pooled window, checking each frame (checkFrame), and calls fn with each
+// record's absolute offset, its body and the walker's reusable cursor.
+// fn returning stop=true ends the walk cleanly. The body (and anything
+// the cursor views into it) is only valid during the call.
+func walkFrames(ra io.ReaderAt, from, end int64, fn func(off int64, body []byte, c *transport.Cursor) (bool, error)) error {
 	w := walkerPool.Get().(*segWalker)
 	defer walkerPool.Put(w)
 
@@ -230,8 +153,7 @@ func (r *SegmentReader) walk(from, end int64, fn func(off int64, body []byte, c 
 		if at+want > end {
 			want = end - at
 		}
-		m, err := r.f.ReadAt(w.buf[:want], at)
-		metSegReadBytes.Add(uint64(m))
+		m, err := ra.ReadAt(w.buf[:want], at)
 		if int64(m) < want {
 			if err == nil {
 				err = io.ErrUnexpectedEOF
@@ -247,34 +169,18 @@ func (r *SegmentReader) walk(from, end int64, fn func(off int64, body []byte, c 
 		if abs >= end {
 			return nil
 		}
-		length, ln := binary.Uvarint(w.buf[i:n])
-		if ln == 0 { // length prefix incomplete in window
-			if base+int64(n) >= end {
-				return fmt.Errorf("%w: torn length prefix", ErrCorrupt)
+		body, size, err := checkFrame(w.buf[i:n])
+		if err != nil {
+			return err
+		}
+		if body == nil { // the frame runs past the window
+			if base+int64(n) >= end || abs+int64(size) > end {
+				return fmt.Errorf("%w: torn record", ErrCorrupt)
 			}
-			if err := fill(abs, 2*binary.MaxVarintLen64); err != nil {
+			if err := fill(abs, size); err != nil {
 				return err
 			}
 			continue
-		}
-		if ln < 0 || length < 5 || length > MaxRecord {
-			return fmt.Errorf("%w: record length %d", ErrCorrupt, length)
-		}
-		total := ln + int(length)
-		if abs+int64(total) > end {
-			return fmt.Errorf("%w: torn record", ErrCorrupt)
-		}
-		if i+total > n {
-			if err := fill(abs, total); err != nil {
-				return err
-			}
-			continue
-		}
-		frame := w.buf[i+ln : i+total]
-		sum := uint32(frame[0]) | uint32(frame[1])<<8 | uint32(frame[2])<<16 | uint32(frame[3])<<24
-		body := frame[4:]
-		if crc32.Checksum(body, crcTable) != sum {
-			return fmt.Errorf("%w: checksum mismatch", ErrCorrupt)
 		}
 		stop, err := fn(abs, body, w.c)
 		if err != nil {
@@ -283,7 +189,7 @@ func (r *SegmentReader) walk(from, end int64, fn func(off int64, body []byte, c 
 		if stop {
 			return nil
 		}
-		i += total
+		i += size
 	}
 }
 
@@ -332,7 +238,7 @@ func (r *SegmentReader) find(id store.ID, key string, out *store.Partition) (boo
 	}
 	metSegReads.Inc()
 	found := false
-	err := r.walk(r.idx.seek(id, r.recStart), r.idx.dataEnd, func(off int64, body []byte, c *transport.Cursor) (bool, error) {
+	err := walkFrames(segReads{r.f}, r.idx.seek(int64(id)-1, r.recStart), r.idx.dataEnd, func(_ int64, body []byte, c *transport.Cursor) (bool, error) {
 		c.Reset(body)
 		if op := c.Uvarint(); op != uint64(OpPut) {
 			return false, fmt.Errorf("%w: op %d in segment", ErrCorrupt, op)
@@ -401,95 +307,46 @@ func (r *SegmentReader) Bucket(id store.ID, fn func(store.Partition) error) erro
 		metSegBloomSkip.Inc()
 		return nil
 	}
-	metSegReads.Inc()
-	err := r.walk(r.idx.seek(id, r.recStart), r.idx.dataEnd, func(off int64, body []byte, c *transport.Cursor) (bool, error) {
-		c.Reset(body)
-		rec, err := ParseRecord(c)
-		if err != nil {
-			return false, err
-		}
-		if rec.ID < id {
-			return false, nil
-		}
-		if rec.ID > id {
-			return true, nil
-		}
-		return false, fn(rec.Part)
-	})
-	if err != nil {
-		metSegReadErrs.Inc()
-	}
-	return err
+	return r.scan(int64(id)-1, id, func(_ store.ID, p store.Partition) error { return fn(p) })
 }
 
 // Scan calls fn for every descriptor in the segment, in (id, key) order.
 func (r *SegmentReader) Scan(fn func(store.ID, store.Partition) error) error {
-	metSegReads.Inc()
-	err := r.walk(r.recStart, r.idx.dataEnd, func(off int64, body []byte, c *transport.Cursor) (bool, error) {
-		c.Reset(body)
-		rec, err := ParseRecord(c)
-		if err != nil {
-			return false, err
-		}
-		return false, fn(rec.ID, rec.Part)
-	})
-	if err != nil {
-		metSegReadErrs.Inc()
-	}
-	return err
+	return r.scan(-1, ^store.ID(0), fn)
 }
 
 // ScanArc calls fn for every descriptor whose bucket lies on the ring
 // arc (from, to] (from == to means the whole circle), using the index to
 // skip to the arc's start. A wrapping arc is two bounded walks.
 func (r *SegmentReader) ScanArc(from, to store.ID, fn func(store.ID, store.Partition) error) error {
-	if from == to {
+	switch {
+	case from == to:
 		return r.Scan(fn)
-	}
-	if from < to {
-		return r.scanIDRange(from, to, fn)
+	case from < to:
+		return r.scan(int64(from), to, fn)
 	}
 	// Wrapping arc: (from, maxID] then [0, to].
-	if err := r.scanIDRange(from, ^store.ID(0), fn); err != nil {
+	if err := r.scan(int64(from), ^store.ID(0), fn); err != nil {
 		return err
 	}
-	return r.scanIDRange0(to, fn)
+	return r.scan(-1, to, fn)
 }
 
-// scanIDRange walks ids in (fromExcl, toIncl], fromExcl < toIncl assumed
-// (or toIncl == maxID).
-func (r *SegmentReader) scanIDRange(fromExcl, toIncl store.ID, fn func(store.ID, store.Partition) error) error {
+// scan is the one id-range walk, behind Bucket, Scan and ScanArc: one
+// counted read (wal.seg_reads) from the index entry at or before after,
+// calling fn for every descriptor with after < id <= last, in (id, key)
+// order. after -1 starts at the first record.
+func (r *SegmentReader) scan(after int64, last store.ID, fn func(store.ID, store.Partition) error) error {
 	metSegReads.Inc()
-	err := r.walk(r.idx.seek(fromExcl, r.recStart), r.idx.dataEnd, func(off int64, body []byte, c *transport.Cursor) (bool, error) {
+	err := walkFrames(segReads{r.f}, r.idx.seek(after, r.recStart), r.idx.dataEnd, func(_ int64, body []byte, c *transport.Cursor) (bool, error) {
 		c.Reset(body)
 		rec, err := ParseRecord(c)
-		if err != nil {
+		switch {
+		case err != nil:
 			return false, err
-		}
-		if rec.ID <= fromExcl {
+		case int64(rec.ID) <= after:
 			return false, nil
-		}
-		if rec.ID > toIncl {
-			return true, nil
-		}
-		return false, fn(rec.ID, rec.Part)
-	})
-	if err != nil {
-		metSegReadErrs.Inc()
-	}
-	return err
-}
-
-// scanIDRange0 walks ids in [0, toIncl].
-func (r *SegmentReader) scanIDRange0(toIncl store.ID, fn func(store.ID, store.Partition) error) error {
-	metSegReads.Inc()
-	err := r.walk(r.recStart, r.idx.dataEnd, func(off int64, body []byte, c *transport.Cursor) (bool, error) {
-		c.Reset(body)
-		rec, err := ParseRecord(c)
-		if err != nil {
-			return false, err
-		}
-		if rec.ID > toIncl {
+		case rec.ID > last:
 			return true, nil
 		}
 		return false, fn(rec.ID, rec.Part)

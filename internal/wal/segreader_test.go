@@ -8,6 +8,7 @@ import (
 	"sort"
 	"testing"
 
+	"p2prange/internal/chord"
 	"p2prange/internal/store"
 )
 
@@ -143,7 +144,7 @@ func TestSegmentReaderScanArc(t *testing.T) {
 		from, to := arc[0], arc[1]
 		exp := make(map[store.ID][]store.Partition)
 		for id, b := range want {
-			if from == to || betweenRightInclTest(from, to, id) {
+			if from == to || chord.BetweenRightIncl(from, to, id) {
 				exp[id] = b
 			}
 		}
@@ -166,15 +167,52 @@ func TestSegmentReaderScanArc(t *testing.T) {
 	}
 }
 
-// betweenRightInclTest mirrors chord arc membership (from, to].
-func betweenRightInclTest(a, b, x store.ID) bool {
-	if x == b {
-		return true
+// TestSegmentBucketAcrossIndexStride pins where a bucket walk starts:
+// a bucket holding more descriptors than the index stride owns several
+// index entries, and its first records lie before the last of them. A
+// walk that starts at the last entry holding the id misses every record
+// of the bucket before that entry.
+func TestSegmentBucketAcrossIndexStride(t *testing.T) {
+	dir := t.TempDir()
+	st := store.New()
+	lg, _, err := Open(Options{Dir: dir}, st)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if a < b {
-		return a < x && x < b
+	const big, n = store.ID(7), 2*segIndexEvery + 5
+	st.Put(big-1, testPart(-1))
+	for i := 0; i < n; i++ {
+		st.Put(big, testPart(i))
 	}
-	return x > a || x < b
+	st.Put(big+1, testPart(-2))
+	if err := lg.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	if err := lg.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	lg.Crash()
+	r, err := OpenSegmentReader(dir, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	if len(r.idx.entries) < 3 {
+		t.Fatalf("%d index entries, want the bucket to span several", len(r.idx.entries))
+	}
+	got := 0
+	if err := r.Bucket(big, func(store.Partition) error { got++; return nil }); err != nil || got != n {
+		t.Errorf("Bucket = %d descriptors, %v; want %d", got, err, n)
+	}
+	for i := 0; i < n; i++ {
+		if _, ok, err := r.Get(big, testPart(i).Key()); err != nil || !ok {
+			t.Fatalf("Get(%d, %s) = %v, %v", big, testPart(i).Key(), ok, err)
+		}
+	}
+	got = 0
+	if err := r.ScanArc(big-1, big, func(store.ID, store.Partition) error { got++; return nil }); err != nil || got != n {
+		t.Errorf("ScanArc = %d descriptors, %v; want %d", got, err, n)
+	}
 }
 
 // segmentGeometry reads the pristine segment's byte layout: where the
@@ -204,6 +242,25 @@ func segmentGeometry(t *testing.T, dir string) (path string, pristine []byte, da
 	return path, pristine, dataEnd, sealEnd
 }
 
+// verifyAgreesWithOpen pins "footer valid" to one definition: walctl
+// verify (InspectDir) reports a damaged record stream exactly when
+// OpenSegmentReader rejects the segment, and a damaged footer exactly
+// when the open had to rebuild the index.
+func verifyAgreesWithOpen(t *testing.T, dir string, r *SegmentReader, openErr error) {
+	t.Helper()
+	rep, err := InspectDir(dir, nil)
+	if err != nil || len(rep.Files) != 1 {
+		t.Fatalf("InspectDir = %+v, %v; want one file", rep.Files, err)
+	}
+	fr := rep.Files[0]
+	if (fr.Damage == "") != (openErr == nil) {
+		t.Fatalf("%s: verify damage %q, open error %v", fr.Name, fr.Damage, openErr)
+	}
+	if openErr == nil && (fr.FooterDamage == "") != !r.Rebuilt() {
+		t.Fatalf("%s: verify footer damage %q, open rebuilt %v", fr.Name, fr.FooterDamage, r.Rebuilt())
+	}
+}
+
 // TestSegmentFooterTruncateEveryOffset cuts the segment at every byte
 // offset from the seal record to EOF. A cut inside the seal must reject
 // the segment (the commit point is gone); a cut at or past the seal's end
@@ -220,6 +277,7 @@ func TestSegmentFooterTruncateEveryOffset(t *testing.T) {
 			t.Fatal(err)
 		}
 		r, err := OpenSegmentReader(workDir, 1)
+		verifyAgreesWithOpen(t, workDir, r, err)
 		if cut < sealEnd {
 			if err == nil {
 				r.Close()
@@ -256,6 +314,7 @@ func TestSegmentFooterBitFlipEveryOffset(t *testing.T) {
 			t.Fatal(err)
 		}
 		r, err := OpenSegmentReader(workDir, 1)
+		verifyAgreesWithOpen(t, workDir, r, err)
 		if pos < sealEnd {
 			if err == nil {
 				r.Close()
@@ -278,7 +337,8 @@ func TestSegmentFooterBitFlipEveryOffset(t *testing.T) {
 
 // TestSegmentRebuiltIndexMatchesFooter opens the same segment via the
 // footer and via a forced rebuild and compares the indexes they serve
-// from: same count, same seal offset, same sparse entries.
+// from: same count, same seal offset, same sparse entries, same key and
+// id bloom bits.
 func TestSegmentRebuiltIndexMatchesFooter(t *testing.T) {
 	dir, _ := seedSegment(t, 200) // > segIndexEvery so the index has several entries
 	r, err := OpenSegmentReader(dir, 1)
@@ -296,6 +356,12 @@ func TestSegmentRebuiltIndexMatchesFooter(t *testing.T) {
 	}
 	if !reflect.DeepEqual(rebuilt.entries, r.idx.entries) {
 		t.Errorf("rebuild: %d index entries, footer %d", len(rebuilt.entries), len(r.idx.entries))
+	}
+	if !reflect.DeepEqual(rebuilt.keys, r.idx.keys) {
+		t.Errorf("rebuild: key bloom differs from the footer's")
+	}
+	if !reflect.DeepEqual(rebuilt.ids, r.idx.ids) {
+		t.Errorf("rebuild: id bloom differs from the footer's")
 	}
 }
 

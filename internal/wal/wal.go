@@ -528,6 +528,34 @@ func segPath(dir string, seq uint64) string {
 	return filepath.Join(dir, fmt.Sprintf("seg-%016x.seg", seq))
 }
 
+// installFile is the one installer of a whole file (a sealed segment, a
+// backup, a restore): data goes to a .tmp sibling of path, which is
+// fsynced and renamed into place, then the directory is fsynced. A crash
+// leaves the old directory or the new file, never a torn one; a failed
+// step removes the .tmp and returns its error.
+func installFile(path string, data []byte) error {
+	tmp := path + ".tmp"
+	f, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
+	if err != nil {
+		return fmt.Errorf("wal: install: %w", err)
+	}
+	_, err = f.Write(data)
+	if err == nil {
+		err = f.Sync()
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = os.Rename(tmp, path)
+	}
+	if err != nil {
+		os.Remove(tmp)
+		return fmt.Errorf("wal: install %s: %w", filepath.Base(path), err)
+	}
+	return syncDir(filepath.Dir(path))
+}
+
 // syncDir fsyncs a directory so renames and creates within it are
 // durable.
 func syncDir(dir string) error {
