@@ -64,16 +64,23 @@ metriccheck:
 # encode+decode round trip, a segment point read (bloom check +
 # sparse-index probe + record walk, hit and miss), the log-shipping
 # entry-apply path (CRC walk + decode + idempotent store re-apply) and
-# the disabled flight recorder must all stay at 0 allocs/op; recording
-# into the flight recorder stays within an amortized 16 allocs/op. The
+# the disabled flight recorder must all stay at 0 allocs/op. Recording
+# one query into the flight recorder (a root with one child and one
+# event, finished into the rings) takes 4 allocs/op, pinned at 5 (it took
+# 6 when events were formatted and stored one object each). A
+# recorder-on serve round trip (a Remote span with one batch and three
+# best events, encoded once, parsed from a response frame and grafted as
+# bytes) takes 9, pinned at 11: the tree, the fragment, its copy out of
+# the frame and six boxed event arguments (35 when fragments were
+# rebuilt span by span). The
 # local SQL join (a Patient age range joined with all 1,500 Diagnosis
 # tuples) formats no key, builds no per-row map and reuses the join index
 # Diagnosis keeps: 15 allocs/op measured, pinned at 18 (a 20% margin; the
 # executor that rebuilt the index per join took 40, the fmt-keyed one
 # 8,765). Decoding a 100-tuple FetchDataResp (Patient tuples) allocates
-# the tuple list, one value slab and each name string, not one slab per
-# tuple: 102 allocs/op measured, pinned at 122 (per-tuple decoding took
-# 201).
+# the tuple list, one value slab and one string its names are cut from:
+# 3 allocs/op measured, pinned at 4 (a string per name took 102,
+# per-tuple decoding 201).
 #
 # One row per guard, package:benchmark:lines:max:name — at least `lines`
 # result lines of the benchmark must report at most `max` allocs/op
@@ -85,9 +92,10 @@ BENCHGUARDS = \
 	./internal/wal:BenchmarkSegmentProbe:2:0:segment_probe_hit_and_miss \
 	./internal/ship:BenchmarkShipApply:1:0:ship_entry_apply \
 	./internal/flight:BenchmarkFlightOff:1:0:disabled_flight_recorder \
-	./internal/flight:BenchmarkFlightRecord:1:16:flight_recording_amortized \
+	./internal/flight:BenchmarkFlightRecord:1:5:flight_recording_amortized \
+	./internal/transport:BenchmarkServeFragment:1:11:recorder-on_serve_round_trip \
 	./internal/query:BenchmarkExecuteJoin:1:18:sql_hash_join \
-	./internal/peer:BenchmarkFetchDataDecode:1:122:fetch-data_decode_100_tuples
+	./internal/peer:BenchmarkFetchDataDecode:1:4:fetch-data_decode_100_tuples
 
 benchguard:
 	@for row in $(BENCHGUARDS); do \

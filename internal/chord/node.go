@@ -21,7 +21,18 @@ type Ref struct {
 func (r Ref) IsZero() bool { return r.Addr == "" }
 
 // String formats the ref as id@addr.
-func (r Ref) String() string { return FmtID(r.ID) + "@" + r.Addr }
+func (r Ref) String() string { return string(r.Append(make([]byte, 0, 9+len(r.Addr)))) }
+
+// Append appends String's text to dst: the ID as eight hex digits (as
+// FmtID prints it), '@', then the address.
+func (r Ref) Append(dst []byte) []byte {
+	const hex = "0123456789abcdef"
+	for shift := 28; shift >= 0; shift -= 4 {
+		dst = append(dst, hex[r.ID>>shift&0xf])
+	}
+	dst = append(dst, '@')
+	return append(dst, r.Addr...)
+}
 
 // Errors returned by the protocol layer.
 var (

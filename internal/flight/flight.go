@@ -14,9 +14,13 @@
 // trace layer already pins at 0 allocs/op (BenchmarkFlightOff). An
 // enabled recorder allocates the span tree the query builds anyway plus
 // one Entry, and retention is pointer-moves into fixed-size rings — no
-// tree is ever copied, kept or not (BenchmarkFlightRecord pins the
-// amortized bound). Memory is ring sizes × tree size, with tree size
-// itself capped by trace.MaxSpanItems/MaxTraceSpans.
+// tree is ever copied, kept or not, and none is recycled, since a kept
+// tree and a caller's own root stay readable (BenchmarkFlightRecord pins
+// the bound). A tree records its events and grafted serve fragments into
+// one byte buffer (package trace), so it costs a few objects per span
+// and none per event, whether it is read or not. Memory is ring sizes ×
+// tree size, with tree size itself capped by
+// trace.MaxSpanItems/MaxTraceSpans.
 package flight
 
 import (

@@ -3,6 +3,7 @@ package flight
 import (
 	"errors"
 	"fmt"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -179,5 +180,74 @@ func BenchmarkFlightRecord(b *testing.B) {
 		ps.Event("owner", "deadbeef hops=1")
 		ps.End()
 		r.Finish("lookup", sp, 1, nil)
+	}
+}
+
+// TestConcurrentRecordFinishRender runs the always-on recorder's worst
+// interleaving under -race: workers open children, record formatted
+// events and graft serve fragments on one trace while the recorder
+// finishes it and another goroutine renders the tree and exports it.
+// The finished tree must hold every entry exactly once.
+func TestConcurrentRecordFinishRender(t *testing.T) {
+	r := New(Config{})
+	root := r.Start("lookup Patient.age [30,50]")
+	const workers, perWorker = 4, 50
+
+	var writers, readers sync.WaitGroup
+	stop := make(chan struct{})
+	readers.Add(1)
+	go func() {
+		defer readers.Done()
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			_ = root.Tree(true)
+			_ = root.Export()
+			for _, e := range r.Entries(RingRecent) {
+				_ = e.Root.String()
+			}
+		}
+	}()
+	for w := 0; w < workers; w++ {
+		writers.Add(1)
+		go func(w int) {
+			defer writers.Done()
+			for i := 0; i < perWorker; i++ {
+				bs := root.Childf("batch @peer%d: %d probe(s)", w, 1)
+				sp := trace.Remote(bs.Context("origin"), "serve FindBestBatch")
+				sp.Eventf("best", "id=%08x score=%.3f", uint32(w<<16|i), 1.0)
+				sp.End()
+				bs.GraftFragments(sp.Fragment())
+				bs.Eventf("match", "probe %d: worker %d", i, w)
+				bs.End()
+			}
+		}(w)
+	}
+	time.Sleep(time.Millisecond)
+	r.Finish(KindLookup, root, 0, nil)
+	writers.Wait()
+	close(stop)
+	readers.Wait()
+
+	tree := root.Tree(false)
+	for w := 0; w < workers; w++ {
+		if got := strings.Count(tree, fmt.Sprintf("batch @peer%d: 1 probe(s)\n", w)); got != perWorker {
+			t.Errorf("worker %d: %d batch spans in the tree, want %d", w, got, perWorker)
+		}
+	}
+	if got := strings.Count(tree, "serve FindBestBatch\n"); got != workers*perWorker {
+		t.Errorf("%d grafted serve spans, want %d", got, workers*perWorker)
+	}
+	if got := strings.Count(tree, "score=1.000\n"); got != workers*perWorker {
+		t.Errorf("%d grafted events, want %d", got, workers*perWorker)
+	}
+	if w := root.Export(); len(w.Items) != workers*perWorker {
+		t.Errorf("export has %d items, want %d", len(w.Items), workers*perWorker)
+	}
+	if e := r.Entries(RingRecent); len(e) != 1 || e[0].Root != root {
+		t.Errorf("recent ring = %v, want the finished root", names(e))
 	}
 }

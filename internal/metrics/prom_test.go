@@ -97,7 +97,7 @@ func TestHistogramExemplar(t *testing.T) {
 	h := r.IntHistogram("peer.lookup_us")
 	h.Observe(3)     // bucket [2,3]
 	h.Observe(40000) // bucket [32768,65535]
-	h.SetExemplar(40000, "000000000000002a")
+	h.SetExemplar(40000, 0x2a)
 
 	s := h.Snapshot()
 	if s.Count != 2 {

@@ -4,6 +4,8 @@ import (
 	"math/bits"
 	"sync"
 	"sync/atomic"
+
+	"p2prange/internal/flight"
 )
 
 // This file is the unified metrics registry: named counters, gauges, and
@@ -77,7 +79,7 @@ func (g *Gauge) Value() int64 {
 type IntHistogram struct {
 	buckets   [65]atomic.Uint64 // indexed by bits.Len64(value)
 	sum       atomic.Uint64
-	exemplars [65]atomic.Pointer[Exemplar]
+	exemplars [65]atomic.Pointer[exemplar]
 }
 
 // Observe records one value.
@@ -98,14 +100,21 @@ type Exemplar struct {
 	TraceID string `json:"trace_id"`
 }
 
+// exemplar is an Exemplar as recorded: the trace ID stays a number until
+// a snapshot formats it.
+type exemplar struct {
+	value, traceID uint64
+}
+
 // SetExemplar pins (v, traceID) as the exemplar of v's bucket, replacing
 // any previous one. It does not count an observation — the caller already
-// Observed v (or chose not to); exemplars are annotation, not data.
-func (h *IntHistogram) SetExemplar(v uint64, traceID string) {
-	if h == nil || traceID == "" {
+// Observed v (or chose not to); exemplars are annotation, not data. A
+// zero trace ID (no trace) pins nothing.
+func (h *IntHistogram) SetExemplar(v, traceID uint64) {
+	if h == nil || traceID == 0 {
 		return
 	}
-	h.exemplars[bits.Len64(v)].Store(&Exemplar{Value: v, TraceID: traceID})
+	h.exemplars[bits.Len64(v)].Store(&exemplar{value: v, traceID: traceID})
 }
 
 // HistBucket is one non-empty power-of-two bucket of a histogram
@@ -138,7 +147,10 @@ func (h *IntHistogram) Snapshot() HistSnapshot {
 		if c == 0 {
 			continue
 		}
-		b := HistBucket{Count: c, Exemplar: h.exemplars[i].Load()}
+		b := HistBucket{Count: c}
+		if e := h.exemplars[i].Load(); e != nil {
+			b.Exemplar = &Exemplar{Value: e.value, TraceID: flight.TraceIDString(e.traceID)}
+		}
 		if i > 0 {
 			b.Lo = 1 << (i - 1)
 			b.Hi = 1<<i - 1

@@ -212,14 +212,19 @@ func appendValue(b []byte, v relation.Value) []byte {
 	return b
 }
 
-func parseValue(c *transport.Cursor) relation.Value {
+// parseValue decodes one value. Its string is cut from text, the unread
+// bytes of c's frame when c had len(text) bytes left, converted once.
+func parseValue(c *transport.Cursor, text string) relation.Value {
 	h := c.Uvarint()
 	v := relation.Value{Kind: relation.Type(h >> 2)}
 	if h&valueHasInt != 0 {
 		v.Int = c.Varint()
 	}
 	if h&valueHasStr != 0 {
-		v.Str = c.BulkString()
+		b := c.Bytes()
+		if end := len(text) - c.Len(); c.Err == nil {
+			v.Str = text[end-len(b) : end]
+		}
 	}
 	return v
 }
@@ -238,13 +243,16 @@ func AppendTuples(b []byte, ts []relation.Tuple) []byte {
 }
 
 // ParseTuples decodes AppendTuples' encoding. The tuples are windows
-// into chunked value slabs, not one allocation each. Both counts are
-// checked against the remaining payload before anything is allocated for
-// them, and a chunk is sized for the rest of the list at the current
-// tuple's arity but never beyond the values the payload left can hold
-// (each takes at least one byte) nor beyond PreallocHint; a longer
-// tuple grows its chunk by append. An empty list decodes as nil, an
-// empty tuple as nil. Errors latch into c.Err.
+// into chunked value slabs, not one allocation each, and their strings
+// are substrings of one string: the frame's bytes from the list to the
+// end of the frame, converted once. A retained tuple therefore pins the
+// text of the whole reply it arrived in (from the list on). Both counts
+// are checked against the remaining payload before anything is
+// allocated for them, and a chunk is sized for the rest of the list at
+// the current tuple's arity but never beyond the values the payload left
+// can hold (each takes at least one byte) nor beyond PreallocHint; a
+// longer tuple grows its chunk by append. An empty list decodes as nil,
+// an empty tuple as nil. Errors latch into c.Err.
 func ParseTuples(c *transport.Cursor) []relation.Tuple {
 	n := c.Count()
 	if c.Err != nil || n == 0 {
@@ -252,6 +260,7 @@ func ParseTuples(c *transport.Cursor) []relation.Tuple {
 	}
 	ts := make([]relation.Tuple, 0, transport.PreallocHint(n))
 	var slab []relation.Value
+	var text string
 	for i := uint64(0); i < n && c.Err == nil; i++ {
 		m := c.Count()
 		if m == 0 {
@@ -261,9 +270,12 @@ func ParseTuples(c *transport.Cursor) []relation.Tuple {
 		if uint64(cap(slab)-len(slab)) < m {
 			slab = make([]relation.Value, 0, transport.PreallocHint(min((n-i)*m, uint64(c.Len()))))
 		}
+		if text == "" {
+			text = string(c.Rest())
+		}
 		start := len(slab)
 		for j := uint64(0); j < m && c.Err == nil; j++ {
-			slab = append(slab, parseValue(c))
+			slab = append(slab, parseValue(c, text))
 		}
 		ts = append(ts, slab[start:len(slab):len(slab)])
 	}

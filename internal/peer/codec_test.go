@@ -423,8 +423,8 @@ func TestParseTuplesSlabWindows(t *testing.T) {
 
 // BenchmarkFetchDataDecode decodes a FetchDataResp of 100 Patient tuples,
 // the reply of a typical partition fetch. `make benchguard` pins its
-// allocations: the tuple list, one value slab and each name string — not
-// one allocation per tuple.
+// allocations: the tuple list, one value slab and the one string every
+// name is cut from — not one allocation per tuple or per name.
 func BenchmarkFetchDataDecode(b *testing.B) {
 	rels, err := relation.GenerateMedical(relation.MedicalConfig{Patients: 100, Physicians: 5, Diagnoses: 10, Seed: 1})
 	if err != nil {

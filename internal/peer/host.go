@@ -75,7 +75,7 @@ func Boot(cfg HostConfig) (*Host, error) {
 		fc := *cfg.Flight
 		fc.Exemplar = func(kind string, us, id uint64) {
 			if kind == flight.KindLookup {
-				metLookupUS.SetExemplar(us, flight.TraceIDString(id))
+				metLookupUS.SetExemplar(us, id)
 			}
 		}
 		p.SetFlight(flight.New(fc))

@@ -138,6 +138,8 @@ type Peer struct {
 	replica *replica.Manager // non-nil when Config.Replicas > 0
 	served  atomic.Int64     // bucket probes answered by this peer
 	flight  atomic.Pointer[flight.Recorder]
+	// serveNames names the serve span of each serveKinds entry.
+	serveNames [len(serveKinds)]string
 
 	mu   sync.RWMutex
 	data map[string]*relation.Partition // materialized partitions by Key()
@@ -162,6 +164,9 @@ func New(addr string, caller transport.Caller, cfg Config) (*Peer, error) {
 		store:  st,
 		caller: caller,
 		data:   make(map[string]*relation.Partition),
+	}
+	for i, kind := range serveKinds {
+		p.serveNames[i] = "serve " + kind + " @" + addr
 	}
 	// Route LSH hashing through the signer: range-efficient minima always
 	// (identifiers are bit-identical to the naive path), plus the
@@ -225,17 +230,17 @@ func (p *Peer) Ref() chord.Ref { return p.node.Ref() }
 // A zero context serves untraced. Chord routing RPCs stay untraced —
 // routing is iterative, so every hop is already visible on the querying
 // side.
-func (p *Peer) Handle(tc trace.Context, req any) (any, []trace.Wire, error) {
+func (p *Peer) Handle(tc trace.Context, req any) (any, []byte, error) {
 	if resp, handled, err := transport.DispatchChord(p.node, req); handled {
 		return resp, nil, err
 	}
 	var sp *trace.Span
 	var local bool // span opened by the flight recorder, not the caller
 	rec := p.flight.Load()
-	if kind := serveKind(req); kind != "" {
+	if kind := serveKind(req); kind >= 0 {
 		switch {
 		case tc.Sampled:
-			sp = trace.Remote(tc, fmt.Sprintf("serve %s @%s", kind, p.Addr()))
+			sp = trace.Remote(tc, p.serveNames[kind])
 			sp.Event("from", tc.Caller)
 		case rec.On():
 			// No sampled context arrived, but the flight recorder is on:
@@ -243,7 +248,7 @@ func (p *Peer) Handle(tc trace.Context, req any) (any, []trace.Wire, error) {
 			// slow or errored. The span stays off the wire — the caller
 			// did not ask for a fragment.
 			local = true
-			sp = rec.Start(fmt.Sprintf("serve %s @%s", kind, p.Addr()))
+			sp = rec.Start(p.serveNames[kind])
 			if tc.Caller != "" {
 				sp.Event("from", tc.Caller)
 			}
@@ -256,27 +261,32 @@ func (p *Peer) Handle(tc trace.Context, req any) (any, []trace.Wire, error) {
 		if local {
 			return resp, nil, err
 		}
-		return resp, []trace.Wire{sp.Export()}, err
+		// Encoded once, after Finish: the transport carries these bytes
+		// as they are and the caller grafts them as bytes.
+		return resp, sp.Fragment(), err
 	}
 	return resp, nil, err
 }
 
-// serveKind names the traced protocol messages; other requests (handoff,
-// arc transfer, aux protocols) serve without a span.
-func serveKind(req any) string {
+// serveKinds names the traced protocol messages, indexed by serveKind.
+var serveKinds = [...]string{"FindBestBatch", "Store", "Sync", "Load", "FetchData"}
+
+// serveKind returns req's index in serveKinds, or -1 for requests that
+// serve without a span (handoff, arc transfer, aux protocols).
+func serveKind(req any) int {
 	switch req.(type) {
 	case FindBestBatchReq:
-		return "FindBestBatch"
+		return 0
 	case StoreReq:
-		return "Store"
+		return 1
 	case replica.SyncReq:
-		return "Sync"
+		return 2
 	case replica.LoadReq:
-		return "Load"
+		return 3
 	case FetchDataReq:
-		return "FetchData"
+		return 4
 	}
-	return ""
+	return -1
 }
 
 // handle serves one non-chord request, annotating sp (which may be nil)
@@ -539,7 +549,7 @@ func (p *Peer) Lookup(rel, attribute string, q rangeset.Range, cache bool, sp *t
 		metProbes.Inc()
 		var ps *trace.Span
 		if sp.On() {
-			ps = sp.Child(fmt.Sprintf("probe %d/%d id=%08x", i+1, len(ids), id))
+			ps = sp.Childf("probe %d/%d id=%08x", i+1, len(ids), id)
 		}
 		owner, hops, err := p.node.Lookup(id, &memo, ps)
 		ps.End()
@@ -647,7 +657,7 @@ func (p *Peer) probeBatch(req FindBestBatchReq, idx []int, target chord.Ref, own
 	metBatches.Inc()
 	var bs *trace.Span
 	if sp.On() {
-		bs = sp.Child(fmt.Sprintf("batch @%s: %d probe(s)", target.Addr, len(idx)))
+		bs = sp.Childf("batch @%s: %d probe(s)", target.Addr, len(idx))
 	}
 	defer bs.End()
 	resp, err := p.callCtx(target.Addr, req, bs)
@@ -761,7 +771,7 @@ func (p *Peer) Publish(part store.Partition, sp *trace.Span) ([]int, error) {
 	for i, id := range ids {
 		var ps *trace.Span
 		if sp.On() {
-			ps = sp.Child(fmt.Sprintf("publish %d/%d id=%08x", i+1, len(ids), id))
+			ps = sp.Childf("publish %d/%d id=%08x", i+1, len(ids), id)
 		}
 		owner, h, err := p.node.Lookup(id, &memo, ps)
 		if err != nil {
@@ -788,14 +798,14 @@ func (p *Peer) Publish(part store.Partition, sp *trace.Span) ([]int, error) {
 func (p *Peer) callCtx(addr string, req any, sp *trace.Span) (any, error) {
 	tc := sp.Context(p.Addr())
 	var resp any
-	var spans []trace.Wire
+	var frags []byte
 	var err error
 	if addr == p.Addr() {
-		resp, spans, err = p.Handle(tc, req)
+		resp, frags, err = p.Handle(tc, req)
 	} else {
-		resp, spans, err = transport.CallCtx(p.caller, addr, tc, req)
+		resp, frags, err = transport.CallCtx(p.caller, addr, tc, req)
 	}
-	sp.GraftAll(spans)
+	sp.GraftFragments(frags)
 	return resp, err
 }
 

@@ -653,7 +653,7 @@ type sentReq struct {
 	req  any
 }
 
-func (c *countingCaller) CallCtx(addr string, tc trace.Context, req any) (any, []trace.Wire, error) {
+func (c *countingCaller) CallCtx(addr string, tc trace.Context, req any) (any, []byte, error) {
 	c.mu.Lock()
 	c.sent = append(c.sent, sentReq{addr, req})
 	if _, ok := req.(FindBestBatchReq); ok && c.killNext {

@@ -61,7 +61,7 @@ func (s *DataSource) Fetch(rel, attribute string, req rangeset.Range, sp *trace.
 	}
 	var ls *trace.Span
 	if sp.On() {
-		ls = sp.Child(fmt.Sprintf("lookup %s.%s %s", rel, attribute, probe))
+		ls = sp.Childf("lookup %s.%s %s", rel, attribute, probe)
 	}
 	// The lookup caches nothing: a descriptor names this peer as the
 	// probe range's holder, and only the fallback below materializes that

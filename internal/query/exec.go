@@ -75,7 +75,7 @@ func ExecuteTraced(plan *Plan, schema *relation.Schema, src Source, sp *trace.Sp
 			metScans.Inc()
 			var ss *trace.Span
 			if sp.On() {
-				ss = sp.Child(fmt.Sprintf("scan %s.%s %s", scan.Relation, scan.Attribute, scan.Range))
+				ss = sp.Childf("scan %s.%s %s", scan.Relation, scan.Attribute, scan.Range)
 			}
 			var covered rangeset.Range
 			data, covered, err = src.Fetch(scan.Relation, scan.Attribute, scan.Range, ss)

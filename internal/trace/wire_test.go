@@ -1,6 +1,7 @@
 package trace
 
 import (
+	"bytes"
 	"fmt"
 	"strings"
 	"sync"
@@ -42,8 +43,8 @@ func TestRemote(t *testing.T) {
 	if r.parent != s.spanID {
 		t.Errorf("remote parent = %d, want caller span %d", r.parent, s.spanID)
 	}
-	if r.budget == nil || r.budget == s.budget {
-		t.Error("remote span must carry its own fresh budget")
+	if r.t == s.t || r.t.budget.Load() != MaxTraceSpans-1 {
+		t.Error("remote span must carry its own tree and fresh budget")
 	}
 }
 
@@ -80,10 +81,7 @@ func TestExportGraftRoundTrip(t *testing.T) {
 	}
 
 	// The grafted copy keeps the remote duration.
-	local.mu.Lock()
-	grafted := local.items[0].child
-	local.mu.Unlock()
-	if grafted.Duration() <= 0 {
+	if grafted := local.Export().Items[0].Child; grafted.DurUS <= 0 {
 		t.Error("graft dropped the remote duration")
 	}
 }
@@ -91,7 +89,7 @@ func TestExportGraftRoundTrip(t *testing.T) {
 func TestGraftIgnoresEmptyAndNil(t *testing.T) {
 	var nilSpan *Span
 	nilSpan.Graft(Wire{Name: "x"}) // must not panic
-	nilSpan.GraftAll([]Wire{{Name: "x"}})
+	nilSpan.GraftFragments(AppendFragments(nil, Wire{Name: "x"}))
 
 	s := New("root")
 	s.Graft(Wire{}) // zero fragment: the nil-span export
@@ -105,15 +103,14 @@ func TestSpanItemCap(t *testing.T) {
 	for i := 0; i < MaxSpanItems+10; i++ {
 		s.Event("e", "d")
 	}
-	s.mu.Lock()
-	n := len(s.items)
-	last := s.items[n-1]
-	s.mu.Unlock()
+	items := s.Export().Items
+	n := len(items)
+	last := items[n-1]
 	if n != MaxSpanItems+1 {
 		t.Errorf("items = %d, want cap %d plus one marker", n, MaxSpanItems+1)
 	}
-	if last.kind != "truncated" {
-		t.Errorf("last item = %q, want truncated marker", last.kind)
+	if last.Kind != "truncated" {
+		t.Errorf("last item = %q, want truncated marker", last.Kind)
 	}
 }
 
@@ -132,11 +129,10 @@ func TestTraceSpanBudget(t *testing.T) {
 	if n != MaxTraceSpans-1 {
 		t.Errorf("budget allowed %d descendants, want %d", n, MaxTraceSpans-1)
 	}
-	s.mu.Lock()
-	last := s.items[len(s.items)-1]
-	s.mu.Unlock()
-	if last.kind != "truncated" || !strings.Contains(last.detail, "budget") {
-		t.Errorf("deepest span marker = %q/%q, want budget truncation", last.kind, last.detail)
+	items := s.Export().Items
+	last := items[len(items)-1]
+	if last.Kind != "truncated" || !strings.Contains(last.Detail, "budget") {
+		t.Errorf("deepest span marker = %q/%q, want budget truncation", last.Kind, last.Detail)
 	}
 
 	// Grafting onto an exhausted trace degrades to a no-op, not growth.
@@ -180,5 +176,36 @@ func TestConcurrentGraft(t *testing.T) {
 	}
 	if got := strings.Count(tree, "hop: local"); got != workers*perWorker {
 		t.Errorf("%d local events, want %d", got, workers*perWorker)
+	}
+}
+
+// TestFragmentMatchesExport pins the serve path's one encoding: a tree
+// encoded straight from its buffer (Fragment) has exactly the bytes of
+// its exported Wire encoded field by field, grafted subtrees and texts
+// long enough to need a two-byte length included.
+func TestFragmentMatchesExport(t *testing.T) {
+	r := Remote(New("root").Context("caller"), "serve FindBestBatch @b:2")
+	r.Event("from", "caller")
+	c := r.Childf("seg.read %s", strings.Repeat("n", 130))
+	c.Eventf("scan", "bucket %08x: %d disk candidate(s)", uint32(0xbeef), 3)
+	c.End()
+	inner := Remote(c.Context("b:2"), "serve Load @c:3")
+	inner.Event("load", "7")
+	inner.End()
+	c.GraftFragments(inner.Fragment())
+	r.Eventf("best", "id=%08x %s", uint32(7), strings.Repeat("d", 200))
+	r.End()
+	r.dur = 5 * time.Millisecond
+
+	got, want := r.Fragment(), AppendFragments(nil, r.Export())
+	if !bytes.Equal(got, want) {
+		t.Fatalf("Fragment() = %x\nexported  = %x", got, want)
+	}
+	local := New("query")
+	local.GraftFragments(got)
+	var g strings.Builder
+	local.Export().Items[0].Child.render(&g, "", "", false)
+	if w := r.Tree(false); g.String() != w {
+		t.Errorf("grafted tree renders\n%s\nwant\n%s", g.String(), w)
 	}
 }

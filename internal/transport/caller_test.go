@@ -10,7 +10,7 @@ import (
 // serveEcho is a Handler that reports the context it received on seen
 // and, when that context is sampled, returns one "serve echo" fragment.
 func serveEcho(seen chan<- trace.Context) Handler {
-	return func(tc trace.Context, req any) (any, []trace.Wire, error) {
+	return func(tc trace.Context, req any) (any, []byte, error) {
 		seen <- tc
 		sp := trace.Remote(tc, "serve echo")
 		if sp == nil {
@@ -18,7 +18,7 @@ func serveEcho(seen chan<- trace.Context) Handler {
 		}
 		sp.Event("from", tc.Caller)
 		sp.End()
-		return echoResp{Msg: req.(echoReq).Msg}, []trace.Wire{sp.Export()}, nil
+		return echoResp{Msg: req.(echoReq).Msg}, sp.Fragment(), nil
 	}
 }
 
@@ -27,10 +27,10 @@ func serveEcho(seen chan<- trace.Context) Handler {
 type failFirst struct {
 	inner  Caller
 	failed bool
-	lost   []trace.Wire
+	lost   []byte
 }
 
-func (f *failFirst) CallCtx(addr string, tc trace.Context, req any) (any, []trace.Wire, error) {
+func (f *failFirst) CallCtx(addr string, tc trace.Context, req any) (any, []byte, error) {
 	resp, spans, err := f.inner.CallCtx(addr, tc, req)
 	if !f.failed {
 		f.failed = true
@@ -38,6 +38,22 @@ func (f *failFirst) CallCtx(addr string, tc trace.Context, req any) (any, []trac
 		return nil, spans, netErrf("transport: synthetic response loss")
 	}
 	return resp, spans, err
+}
+
+// decodeFragments decodes a fragment list the way a reader of a grafted
+// tree sees it, failing the test on bytes the frame parser would refuse.
+func decodeFragments(t testing.TB, frags []byte) []trace.Wire {
+	t.Helper()
+	if size, _, err := trace.ScanFragments(frags); err != nil || size != len(frags) {
+		t.Fatalf("fragments %x do not decode: %d of %d bytes, %v", frags, size, len(frags), err)
+	}
+	root := trace.New("decode")
+	root.GraftFragments(frags)
+	var ws []trace.Wire
+	for _, it := range root.Export().Items {
+		ws = append(ws, *it.Child)
+	}
+	return ws
 }
 
 // TestCallerContract pins the one Caller contract on every
@@ -82,10 +98,11 @@ func TestCallerContract(t *testing.T) {
 			if r, ok := resp.(echoResp); !ok || r.Msg != "hi" {
 				t.Errorf("resp = %#v", resp)
 			}
-			if len(spans) != 1 {
-				t.Fatalf("got %d fragments, want 1", len(spans))
+			ws := decodeFragments(t, spans)
+			if len(ws) != 1 {
+				t.Fatalf("got %d fragments, want 1", len(ws))
 			}
-			w := spans[0]
+			w := ws[0]
 			if w.Name != "serve echo" || w.TraceID != sampled.TraceID || w.Parent != sampled.SpanID {
 				t.Errorf("fragment = %+v, want serve echo under trace %x span %x", w, sampled.TraceID, sampled.SpanID)
 			}
@@ -116,14 +133,15 @@ func TestCallerContract(t *testing.T) {
 		}
 		<-seen
 		<-seen
-		if len(inner.lost) != 1 {
-			t.Fatalf("failed attempt produced %d fragments, want 1", len(inner.lost))
+		lost, got := decodeFragments(t, inner.lost), decodeFragments(t, spans)
+		if len(lost) != 1 {
+			t.Fatalf("failed attempt produced %d fragments, want 1", len(lost))
 		}
-		if len(spans) != 1 {
-			t.Fatalf("got %d fragments, want only the successful attempt's 1", len(spans))
+		if len(got) != 1 {
+			t.Fatalf("got %d fragments, want only the successful attempt's 1", len(got))
 		}
-		if spans[0].SpanID == inner.lost[0].SpanID {
-			t.Errorf("returned the failed attempt's fragment %+v", spans[0])
+		if got[0].SpanID == lost[0].SpanID {
+			t.Errorf("returned the failed attempt's fragment %+v", got[0])
 		}
 	})
 

@@ -302,6 +302,10 @@ func (c *Cursor) Bytes() []byte {
 	return b
 }
 
+// Rest returns the unread bytes as a view into the frame buffer, valid
+// only until the next frame is read, like Bytes.
+func (c *Cursor) Rest() []byte { return c.data[c.off:] }
+
 // String reads a length-prefixed string, interned so repeated values
 // (relation names, addresses) are decoded without allocating. Bulk data
 // (tuple values, descriptor keys, join keys) must use BulkString, so it
@@ -382,7 +386,7 @@ type frame struct {
 	id    uint64 // correlation id matching responses to in-flight requests
 	tc    *trace.Context
 	err   string
-	spans []trace.Wire
+	frags []byte // an encoded span fragment list, carried verbatim
 	body  any
 }
 
@@ -398,7 +402,7 @@ func appendFrame(b []byte, f *frame) ([]byte, error) {
 	if f.err != "" {
 		flags |= flagErr
 	}
-	if len(f.spans) > 0 {
+	if len(f.frags) > 0 {
 		flags |= flagSpans
 	}
 	b = append(b, flags)
@@ -411,10 +415,7 @@ func appendFrame(b []byte, f *frame) ([]byte, error) {
 		b = AppendString(b, f.err)
 	}
 	if flags&flagSpans != 0 {
-		b = AppendUvarint(b, uint64(len(f.spans)))
-		for i := range f.spans {
-			b = appendWire(b, &f.spans[i])
-		}
+		b = append(b, f.frags...)
 	}
 	if f.body == nil {
 		return AppendUvarint(b, tagNil), nil
@@ -470,19 +471,18 @@ func parseFrame(c *Cursor) (frame, error) {
 	if flags&flagErr != 0 {
 		f.err = c.String()
 	}
-	if flags&flagSpans != 0 {
-		n := c.Count()
-		if c.Err != nil {
-			return f, c.Err
+	if flags&flagSpans != 0 && c.Err == nil {
+		// The fragment list is checked in place and kept as bytes (a copy:
+		// the payload buffer is reused for the next frame). It is decoded
+		// only if the grafted tree is read.
+		size, n, err := trace.ScanFragments(c.data[c.off:])
+		if err != nil {
+			return f, fmt.Errorf("%w: %v", ErrBadFrame, err)
 		}
-		f.spans = make([]trace.Wire, 0, PreallocHint(n))
-		for i := uint64(0); i < n && c.Err == nil; i++ {
-			w, err := parseWire(c, 0)
-			if err != nil {
-				return f, err
-			}
-			f.spans = append(f.spans, w)
+		if n > 0 {
+			f.frags = append([]byte(nil), c.data[c.off:c.off+size]...)
 		}
+		c.off += size
 	}
 	tag := c.Uvarint()
 	if c.Err != nil {
@@ -510,67 +510,6 @@ func parseFrame(c *Cursor) (frame, error) {
 		return f, c.Err
 	}
 	return f, nil
-}
-
-// --- trace span fragments ---
-
-// maxWireDepth bounds span-tree recursion so a malicious frame cannot
-// blow the stack.
-const maxWireDepth = 64
-
-func appendWire(b []byte, w *trace.Wire) []byte {
-	b = AppendUvarint(b, w.TraceID)
-	b = AppendUvarint(b, w.Parent)
-	b = AppendUvarint(b, w.SpanID)
-	b = AppendString(b, w.Name)
-	b = AppendVarint(b, w.DurUS)
-	b = AppendUvarint(b, uint64(len(w.Items)))
-	for i := range w.Items {
-		it := &w.Items[i]
-		b = AppendString(b, it.Kind)
-		b = AppendString(b, it.Detail)
-		if it.Child != nil {
-			b = append(b, 1)
-			b = appendWire(b, it.Child)
-		} else {
-			b = append(b, 0)
-		}
-	}
-	return b
-}
-
-func parseWire(c *Cursor, depth int) (trace.Wire, error) {
-	var w trace.Wire
-	if depth > maxWireDepth {
-		return w, fmt.Errorf("%w: span tree too deep", ErrBadFrame)
-	}
-	w.TraceID = c.Uvarint()
-	w.Parent = c.Uvarint()
-	w.SpanID = c.Uvarint()
-	w.Name = c.String()
-	w.DurUS = c.Varint()
-	n := c.Count()
-	if c.Err != nil {
-		return w, c.Err
-	}
-	for i := uint64(0); i < n; i++ {
-		var it trace.WireItem
-		it.Kind = c.String()
-		it.Detail = c.String()
-		hasChild := c.Bool()
-		if c.Err != nil {
-			return w, c.Err
-		}
-		if hasChild {
-			child, err := parseWire(c, depth+1)
-			if err != nil {
-				return w, err
-			}
-			it.Child = &child
-		}
-		w.Items = append(w.Items, it)
-	}
-	return w, c.Err
 }
 
 // --- chord RPC codecs ---

@@ -6,9 +6,10 @@
 // There is one signature per side. Caller.CallCtx sends a request with
 // an internal/trace Context and returns the response plus any span
 // fragments the remote side recorded; a Handler receives that context
-// and returns the fragments for the transport to piggyback home. A zero
-// context is an untraced call: no context rides the wire and no
-// fragments come back. The package function CallCtx wraps a Caller with
+// and returns the fragments for the transport to piggyback home. The
+// fragments are one encoded byte slice (trace.Span.Fragment), which both
+// transports carry as it is. A zero context is an untraced call: no
+// context rides the wire and no fragments come back. The package function CallCtx wraps a Caller with
 // the transport.call_us timer; the peer protocol issues its calls there.
 //
 // Two implementations are provided. The in-memory Memory network gives the

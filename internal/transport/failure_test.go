@@ -21,7 +21,7 @@ type flakyCaller struct {
 	err      error
 }
 
-func (f *flakyCaller) CallCtx(string, trace.Context, any) (any, []trace.Wire, error) {
+func (f *flakyCaller) CallCtx(string, trace.Context, any) (any, []byte, error) {
 	f.mu.Lock()
 	f.calls++
 	n := f.calls

@@ -106,16 +106,16 @@ func (f *FaultCaller) decide(addr string) (fail bool, err error) {
 // CallCtx implements Caller with fault injection around the wrapped
 // caller. An injected response loss also discards the remote span
 // fragments — just as a real lost response would.
-func (f *FaultCaller) CallCtx(addr string, tc trace.Context, req any) (any, []trace.Wire, error) {
+func (f *FaultCaller) CallCtx(addr string, tc trace.Context, req any) (any, []byte, error) {
 	fail, err := f.decide(addr)
 	if err != nil {
 		return nil, nil, err
 	}
-	resp, spans, err := f.inner.CallCtx(addr, tc, req)
+	resp, frags, err := f.inner.CallCtx(addr, tc, req)
 	if fail && err == nil {
 		return nil, nil, netErrf("transport: injected response loss from %s", addr)
 	}
-	return resp, spans, err
+	return resp, frags, err
 }
 
 var _ Caller = (*FaultCaller)(nil)

@@ -58,9 +58,9 @@ func (m *Memory) Calls() uint64 {
 }
 
 // CallCtx implements Caller: the handler runs in the caller's goroutine,
-// with the context passed straight through and fragments returned
-// directly — the in-memory analogue of envelope piggybacking.
-func (m *Memory) CallCtx(addr string, tc trace.Context, req any) (any, []trace.Wire, error) {
+// with the context passed straight through and the handler's fragment
+// bytes returned as they are — the same bytes TCP carries.
+func (m *Memory) CallCtx(addr string, tc trace.Context, req any) (any, []byte, error) {
 	metCalls.Inc()
 	m.mu.RLock()
 	h, ok := m.handlers[addr]

@@ -333,7 +333,7 @@ func (m *muxConn) readLoop() {
 		delete(m.pending, f.id)
 		m.pmu.Unlock()
 		if ch != nil {
-			ch <- muxResult{env: envelope{Body: f.body, Err: f.err, Spans: f.spans}}
+			ch <- muxResult{env: envelope{Body: f.body, Err: f.err, Frags: f.frags}}
 		}
 	}
 }
@@ -457,11 +457,11 @@ func (c *TCPCaller) mux(addr string) (*muxConn, error) {
 
 // safeHandle runs the handler, converting a panic into a handler error
 // so one bad request cannot take down the whole serving process.
-func safeHandle(h Handler, tc trace.Context, req any) (resp any, spans []trace.Wire, err error) {
+func safeHandle(h Handler, tc trace.Context, req any) (resp any, frags []byte, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			metPanics.Inc()
-			resp, spans = nil, nil
+			resp, frags = nil, nil
 			err = fmt.Errorf("transport: handler panicked: %v", r)
 		}
 	}()
@@ -491,8 +491,8 @@ func (s *TCPServer) serveBinary(conn net.Conn, br *bufio.Reader) {
 	var wg sync.WaitGroup
 	tasks := make(chan binaryTask)
 	run := func(t binaryTask) {
-		resp, spans, herr := safeHandle(s.handler, t.tc, t.body)
-		out := frame{kind: kindResponse, id: t.id, spans: spans, body: resp}
+		resp, frags, herr := safeHandle(s.handler, t.tc, t.body)
+		out := frame{kind: kindResponse, id: t.id, frags: frags, body: resp}
 		if herr != nil {
 			out.err = herr.Error()
 		}

@@ -5,6 +5,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"encoding/gob"
+	"encoding/hex"
 	"errors"
 	"io"
 	"net"
@@ -15,6 +16,7 @@ import (
 	"time"
 
 	"p2prange/internal/chord"
+	"p2prange/internal/rangeset"
 	"p2prange/internal/trace"
 )
 
@@ -42,10 +44,10 @@ func sampleFrames(t testing.TB) [][]byte {
 		frame{kind: kindRequest, id: 9,
 			tc:   &trace.Context{TraceID: 0xfeed, SpanID: 0xbeef, Sampled: true, Caller: "10.0.0.1:4000"},
 			body: echoReq{Msg: "traced"}},
-		frame{kind: kindResponse, id: 10, spans: []trace.Wire{{
+		frame{kind: kindResponse, id: 10, frags: trace.AppendFragments(nil, trace.Wire{
 			TraceID: 1, Parent: 2, SpanID: 3, Name: "serve", DurUS: 42,
 			Items: []trace.WireItem{{Kind: "event", Detail: "hit"}},
-		}}},
+		})},
 	)
 	out := make([][]byte, 0, len(frames))
 	for i := range frames {
@@ -132,8 +134,13 @@ func FuzzFrameParse(f *testing.F) {
 		if err != nil {
 			return
 		}
-		if len(fr.spans) == 0 {
-			fr.spans = nil // flagSpans with count 0 decodes as empty, encodes as absent
+		if fr.frags != nil {
+			// Whatever fragment list the parser accepts must graft,
+			// render and export.
+			root := trace.New("fuzz")
+			root.GraftFragments(fr.frags)
+			_ = root.Tree(true)
+			_ = root.Export()
 		}
 		again, err := appendFrame(nil, &fr)
 		if err != nil {
@@ -369,7 +376,7 @@ func TestHelloIsTheProtocolCheck(t *testing.T) {
 			t.Fatal(err)
 		}
 		var handled atomic.Int32
-		srv := ServeTCP(ln, func(tc trace.Context, req any) (any, []trace.Wire, error) {
+		srv := ServeTCP(ln, func(tc trace.Context, req any) (any, []byte, error) {
 			handled.Add(1)
 			return echoHandler(tc, req)
 		})
@@ -573,5 +580,86 @@ func TestMissingCodecsListsUncodedTypes(t *testing.T) {
 	missing := MissingCodecs()
 	if len(missing) != 1 || missing[0] != reflect.TypeOf(uncodedMsg{}).String() {
 		t.Errorf("MissingCodecs() = %v, want just the uncoded test type", missing)
+	}
+}
+
+// goldenFragment is a two-level serve fragment: a serve span with events
+// on both sides of a nested child span that has its own event.
+var goldenFragment = trace.Wire{
+	TraceID: 0x1234, Parent: 0x55, SpanID: 0x9a,
+	Name: "serve FindBestBatch @10.0.0.2:7001", DurUS: 1500,
+	Items: []trace.WireItem{
+		{Kind: "from", Detail: "10.0.0.1:7001"},
+		{Kind: "batch", Detail: "2 probe(s)"},
+		{Child: &trace.Wire{
+			TraceID: 0x1234, Parent: 0x9a, SpanID: 0x9b, Name: "seg.read", DurUS: 300,
+			Items: []trace.WireItem{{Kind: "scan", Detail: "bucket 0000beef: 3 disk candidate(s)"}},
+		}},
+		{Kind: "best", Detail: "id=0000beef [30,50] score=1.000"},
+	},
+}
+
+// TestFrameFragmentGolden pins the exact bytes of a response frame that
+// carries a two-level span fragment, so a change to how fragments are
+// stored or passed cannot change what goes on the wire.
+func TestFrameFragmentGolden(t *testing.T) {
+	const want = "012a0401b424559a012273657276652046696e6442657374" +
+		"4261746368204031302e302e302e323a37303031b8170404" +
+		"66726f6d0d31302e302e302e313a37303031000562617463" +
+		"680a322070726f626528732900000001b4249a019b010873" +
+		"65672e72656164d80401047363616e246275636b65742030" +
+		"303030626565663a2033206469736b2063616e6469646174" +
+		"652873290004626573741f69643d3030303062656566205b" +
+		"33302c35305d2073636f72653d312e30303000e907026f6b"
+	f := frame{kind: kindResponse, id: 42, frags: trace.AppendFragments(nil, goldenFragment), body: echoResp{Msg: "ok"}}
+	b, err := appendFrame(nil, &f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := hex.EncodeToString(b); got != want {
+		t.Errorf("fragment frame bytes changed:\ngot  %s\nwant %s", got, want)
+	}
+	back, err := parseFrame(NewCursor(b))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ws := decodeFragments(t, back.frags); len(ws) != 1 || !reflect.DeepEqual(ws[0], goldenFragment) {
+		t.Errorf("fragment decoded as %+v, want %+v", ws, goldenFragment)
+	}
+}
+
+// BenchmarkServeFragment is one recorder-on serve round trip as the
+// flight recorder pays it on every sampled RPC: the owner opens a Remote
+// span, records one batch event and three best events, encodes the
+// fragment once, and the caller parses the response frame and grafts
+// the fragment under its batch span.
+func BenchmarkServeFragment(b *testing.B) {
+	ids := [3]uint32{0xcf7d4f9f, 0x69c1a38f, 0x86e9e0fd}
+	rg := rangeset.Range{Lo: 30, Hi: 50}
+	var parent *trace.Span
+	var buf []byte
+	cur := NewCursor(nil)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if i%1024 == 0 {
+			// Keep the caller's tree under the span item cap.
+			parent = trace.New("lookup").Child("batch @10.0.0.2:7001: 3 probe(s)")
+		}
+		tc := parent.Context("10.0.0.1:7001")
+		sp := trace.Remote(tc, "serve FindBestBatch @10.0.0.2:7001")
+		sp.Event("from", tc.Caller)
+		sp.Eventf("batch", "%d probe(s)", len(ids))
+		for _, id := range ids {
+			sp.Eventf("best", "id=%08x %s score=%.3f", id, rg, 1.0)
+		}
+		sp.End()
+		f := frame{kind: kindResponse, id: uint64(i), frags: sp.Fragment()}
+		buf, _ = appendFrame(buf[:0], &f)
+		cur.Reset(buf)
+		back, err := parseFrame(cur)
+		if err != nil {
+			b.Fatal(err)
+		}
+		parent.GraftFragments(back.frags)
 	}
 }

@@ -59,20 +59,20 @@ func NewRetryCaller(inner Caller, cfg RetryConfig) *RetryCaller {
 // the same context; the fragments of the attempt that succeeds are the
 // ones returned, so a retried call never grafts a failed attempt's
 // partial subtree twice.
-func (r *RetryCaller) CallCtx(addr string, tc trace.Context, req any) (any, []trace.Wire, error) {
+func (r *RetryCaller) CallCtx(addr string, tc trace.Context, req any) (any, []byte, error) {
 	var (
 		resp  any
-		spans []trace.Wire
+		frags []byte
 	)
 	err := r.retry(func() error {
 		var e error
-		resp, spans, e = r.inner.CallCtx(addr, tc, req)
+		resp, frags, e = r.inner.CallCtx(addr, tc, req)
 		return e
 	})
 	if err != nil && Retryable(err) {
 		return nil, nil, err // all attempts failed in transit
 	}
-	return resp, spans, err
+	return resp, frags, err
 }
 
 // retry runs do with the configured attempt and backoff policy. It

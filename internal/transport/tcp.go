@@ -41,13 +41,13 @@ func MissingCodecs() []string {
 
 // envelope frames one request or response on the wire. TC carries the
 // caller's trace context on requests (nil when unsampled, so untraced
-// traffic pays no encoding cost); Spans carries completed remote span
-// fragments back on responses.
+// traffic pays no encoding cost); Frags carries the encoded fragment
+// list of completed remote spans back on responses.
 type envelope struct {
 	Body  any
 	Err   string
 	TC    *trace.Context
-	Spans []trace.Wire
+	Frags []byte
 }
 
 // TCPServer serves a Handler on a TCP listener, one reader goroutine per
@@ -161,7 +161,7 @@ func NewTCPCaller() *TCPCaller {
 // request envelope and remote span fragments come back on the response.
 // A transport-level failure kills the connection so the next call to
 // that address re-dials.
-func (c *TCPCaller) CallCtx(addr string, tc trace.Context, req any) (any, []trace.Wire, error) {
+func (c *TCPCaller) CallCtx(addr string, tc trace.Context, req any) (any, []byte, error) {
 	env := envelope{Body: req}
 	if tc.Sampled {
 		env.TC = &tc
@@ -171,9 +171,9 @@ func (c *TCPCaller) CallCtx(addr string, tc trace.Context, req any) (any, []trac
 		return nil, nil, err
 	}
 	if resp.Err != "" {
-		return resp.Body, resp.Spans, &RemoteError{Msg: resp.Err}
+		return resp.Body, resp.Frags, &RemoteError{Msg: resp.Err}
 	}
-	return resp.Body, resp.Spans, nil
+	return resp.Body, resp.Frags, nil
 }
 
 // roundTrip sends one envelope over addr's multiplexed connection and

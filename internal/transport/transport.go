@@ -27,35 +27,38 @@ var (
 )
 
 // Caller issues a request to the node at addr and returns its response,
-// propagating the trace context tc and carrying back any span fragments
-// the remote side recorded. A zero tc is an untraced call: nothing extra
-// rides the wire and no fragments return. Requests and responses are
-// plain values; over TCP each concrete type needs a binary codec
+// propagating the trace context tc and carrying back the span fragments
+// the remote side recorded, as the encoded fragment list the handler
+// returned (see trace.Span.Fragment; graft it with
+// trace.Span.GraftFragments). A zero tc is an untraced call: nothing
+// extra rides the wire and no fragments return. Requests and responses
+// are plain values; over TCP each concrete type needs a binary codec
 // registered with RegisterCodec.
 type Caller interface {
-	CallCtx(addr string, tc trace.Context, req any) (any, []trace.Wire, error)
+	CallCtx(addr string, tc trace.Context, req any) (any, []byte, error)
 }
 
 // Handler serves requests arriving at one node. It receives the caller's
-// trace context and returns the response value, any span fragments
-// recorded while serving (for the transport to piggyback on the
-// response), or an error the transport carries back to the caller. An
-// unsampled (zero) context serves untraced and returns no fragments.
-type Handler func(tc trace.Context, req any) (any, []trace.Wire, error)
+// trace context and returns the response value, the span fragments
+// recorded while serving as an encoded fragment list (nil for none; the
+// transports carry the bytes verbatim), or an error the transport
+// carries back to the caller. An unsampled (zero) context serves
+// untraced and returns no fragments.
+type Handler func(tc trace.Context, req any) (any, []byte, error)
 
 // CallCtx issues a call through c, timing it into transport.call_us.
 // Sampled calls also pin their trace ID to the latency bucket as an
 // exemplar. The peer protocol issues its calls here; chord maintenance
 // and other auxiliary traffic call c.CallCtx directly and stay untimed.
-func CallCtx(c Caller, addr string, tc trace.Context, req any) (any, []trace.Wire, error) {
+func CallCtx(c Caller, addr string, tc trace.Context, req any) (any, []byte, error) {
 	start := time.Now()
-	resp, spans, err := c.CallCtx(addr, tc, req)
+	resp, frags, err := c.CallCtx(addr, tc, req)
 	us := uint64(time.Since(start).Microseconds())
 	metCallUS.Observe(us)
 	if tc.Sampled {
-		metCallUS.SetExemplar(us, fmt.Sprintf("%016x", tc.TraceID))
+		metCallUS.SetExemplar(us, tc.TraceID)
 	}
-	return resp, spans, err
+	return resp, frags, err
 }
 
 // ErrUnknownAddr is returned by the in-memory network for addresses with

@@ -46,7 +46,7 @@ var echoHandler = untraced(func(req any) (any, error) {
 // untraced lifts a plain request handler to a Handler that ignores the
 // trace context and returns no fragments.
 func untraced(h func(req any) (any, error)) Handler {
-	return func(_ trace.Context, req any) (any, []trace.Wire, error) {
+	return func(_ trace.Context, req any) (any, []byte, error) {
 		resp, err := h(req)
 		return resp, nil, err
 	}

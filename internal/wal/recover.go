@@ -128,6 +128,14 @@ func Open(opt Options, st *store.Store) (*Log, Recovery, error) {
 		}
 		if rec.ReadThrough {
 			r, err := OpenSegmentReader(opt.Dir, seq)
+			if err == nil && !r.Rebuilt() {
+				// A valid footer vouches only for the seal it points at:
+				// walk the records once, so a damaged record region is
+				// rejected whole here too, as loadSegment rejects it.
+				if err = r.checkRecords(); err != nil {
+					r.Close()
+				}
+			}
 			if err != nil {
 				rec.BadSegments++
 				sp.Eventf("segment", "skip seg %d: %v", seq, err)

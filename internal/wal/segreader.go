@@ -61,10 +61,11 @@ var walkerPool = sync.Pool{New: func() any {
 // A valid footer makes this O(footer bytes): readFooter checks the seal
 // record the footer points at, and damage inside the record stream
 // surfaces later, as a counted read error (wal.seg_read_errors) on the
-// walk that meets it. A damaged or missing footer falls back to a full
-// streaming decode that rebuilds the index and bloom filters in memory
-// (counted in wal.seg_index_rebuilds) and rejects an unsealed or
-// mid-stream-corrupt segment entirely, exactly as loadSegment would.
+// walk that meets it (boot walks the records once first: checkRecords).
+// A damaged or missing footer falls back to a full streaming decode that
+// rebuilds the index and bloom filters in memory (counted in
+// wal.seg_index_rebuilds) and rejects an unsealed or mid-stream-corrupt
+// segment entirely, exactly as loadSegment would.
 func OpenSegmentReader(dir string, seq uint64) (*SegmentReader, error) {
 	path := segPath(dir, seq)
 	f, err := os.Open(path)
@@ -122,6 +123,19 @@ func (r *SegmentReader) rebuildIndex() (*segIndex, error) {
 		return nil, err
 	}
 	return ib.finish(dataEnd), nil
+}
+
+// checkRecords walks the record stream once (decodeSegment) and checks
+// that it ends at the seal the index points at. Boot calls it for a
+// segment opened through its footer, which checks only that seal; the
+// walk reads the file directly, so it is not read-path traffic and does
+// not count in wal.seg_read_bytes.
+func (r *SegmentReader) checkRecords() error {
+	sealAt, err := decodeSegment(r.f, r.recStart, r.size, func(int64, Record) {})
+	if err == nil && sealAt != r.idx.dataEnd {
+		err = fmt.Errorf("%w: records end at %d, footer's seal at %d", ErrCorrupt, sealAt, r.idx.dataEnd)
+	}
+	return err
 }
 
 // segReads is a segment file as the read path reads it: what walks read

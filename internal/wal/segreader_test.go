@@ -446,3 +446,49 @@ func benchmarkSegmentGet(b *testing.B, indexed bool) {
 		}
 	}
 }
+
+// TestReadThroughBootRejectsDamagedRecords flips every byte of a small
+// segment's record region, from its first record up to the seal, and
+// boots a bounded (read-through) store over each copy. The footer still
+// validates, since it vouches only for the seal, so only boot's walk of
+// the record stream can see the damage: the segment must be rejected
+// whole, as the memory boot rejects it. The walk reads the file directly,
+// so it does not count as segment read traffic.
+func TestReadThroughBootRejectsDamagedRecords(t *testing.T) {
+	dir, _ := seedSegment(t, 6)
+	path, pristine, dataEnd, _ := segmentGeometry(t, dir)
+	r, err := OpenSegmentReader(dir, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	recStart := r.recStart
+	r.Close()
+
+	boot := func(data []byte) Recovery {
+		t.Helper()
+		workDir := t.TempDir()
+		if err := os.WriteFile(filepath.Join(workDir, filepath.Base(path)), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		lg, rec, err := Open(Options{Dir: workDir}, store.NewBounded(4))
+		if err != nil {
+			t.Fatalf("Open: %v", err)
+		}
+		lg.Close()
+		return rec
+	}
+	readBytes := metSegReadBytes.Value()
+	if rec := boot(pristine); rec.BadSegments != 0 || rec.SegmentSeq != 1 || !rec.ReadThrough || rec.IndexRebuilt {
+		t.Fatalf("pristine segment: %+v, want it adopted through its footer", rec)
+	}
+	if got := metSegReadBytes.Value() - readBytes; got != 0 {
+		t.Errorf("boot's record walk counted %d segment read bytes, want 0", got)
+	}
+	for pos := recStart; pos < dataEnd; pos++ {
+		mut := append([]byte(nil), pristine...)
+		mut[pos] ^= 0x41
+		if rec := boot(mut); rec.BadSegments != 1 || rec.SegmentSeq != 0 {
+			t.Fatalf("flip at %d of records [%d,%d): %+v, want the segment rejected", pos, recStart, dataEnd, rec)
+		}
+	}
+}
