@@ -95,7 +95,8 @@ BENCHGUARDS = \
 	./internal/flight:BenchmarkFlightRecord:1:5:flight_recording_amortized \
 	./internal/transport:BenchmarkServeFragment:1:11:recorder-on_serve_round_trip \
 	./internal/query:BenchmarkExecuteJoin:1:18:sql_hash_join \
-	./internal/peer:BenchmarkFetchDataDecode:1:4:fetch-data_decode_100_tuples
+	./internal/peer:BenchmarkFetchDataDecode:1:4:fetch-data_decode_100_tuples \
+	./internal/chord:BenchmarkLookupOwnList:1:0:lookup_resolved_from_own_successor_list
 
 benchguard:
 	@for row in $(BENCHGUARDS); do \

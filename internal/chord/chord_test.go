@@ -125,10 +125,10 @@ func (m *memClient) Predecessor(addr string) (Ref, error) {
 	return n.HandlePredecessor()
 }
 
-func (m *memClient) RouteTable(addr string) ([]Ref, error) {
+func (m *memClient) RouteTable(addr string) (RouteTable, error) {
 	n, err := m.get(addr)
 	if err != nil {
-		return nil, err
+		return RouteTable{}, err
 	}
 	return n.HandleRouteTable()
 }
@@ -164,7 +164,7 @@ func (m *memClient) SuccessorList(addr string) ([]Ref, error) {
 
 // buildRing creates n nodes on a shared memClient and installs converged
 // state.
-func buildRing(t *testing.T, n int) ([]*Node, *memClient) {
+func buildRing(t testing.TB, n int) ([]*Node, *memClient) {
 	t.Helper()
 	client := newMemClient()
 	nodes := make([]*Node, 0, n)

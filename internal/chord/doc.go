@@ -10,14 +10,18 @@
 // from it (its successor).
 //
 // Lookups route iteratively via finger tables in O(log N) hops — the path
-// lengths Figs. 12(a)/12(b) measure (mean ~= 0.5*log2 N, with the full
-// hop-count distribution collected through internal/metrics). Each remote
-// hop is one round trip: the hop's route table (Node.HandleRouteTable)
-// carries its successor and its closest-preceding candidates, so the
-// origin reads both the ownership check and the next hop from one answer.
-// A RouteMemo shares the fetched tables among the l lookups of one query
-// or publish, so each intermediate peer is asked once per operation; the
-// memo never outlives the operation.
+// lengths Figs. 12(a)/12(b) measure (mean ~= 0.5*log2 N − 0.5, with the
+// full hop-count distribution collected through internal/metrics). Every
+// hop, the origin included, is read from its route table (a RouteTable:
+// the node's successor list and its closest-preceding candidates). An
+// identifier on the arc the successor list covers resolves there to the
+// entry that owns it; any other forwards to the closest preceding
+// candidate. The origin builds its own table from its state; a remote
+// hop's table is one round trip (Node.HandleRouteTable). A RouteMemo
+// shares the fetched tables among the l lookups of one query or publish,
+// so each intermediate peer is asked once per operation; the memo never
+// outlives the operation. The chord.route_rpcs counter counts the
+// fetches, and chord.maint_rpcs the calls ring maintenance makes.
 //
 // The package provides the live protocol — join, stabilize, notify,
 // fix-fingers over a pluggable transport — plus a fast static-ring

@@ -163,22 +163,22 @@ func TestLookupDeadOwnerReroutes(t *testing.T) {
 // scriptClient returns canned protocol answers, for driving Lookup into
 // states only reachable through mid-lookup mutation on a live ring.
 type scriptClient struct {
-	tbl  map[string][]Ref // route tables: successor, then candidates
+	tbl  map[string]RouteTable
 	pred map[string]Ref
 }
 
-func (s *scriptClient) RouteTable(addr string) ([]Ref, error) {
+func (s *scriptClient) RouteTable(addr string) (RouteTable, error) {
 	if t, ok := s.tbl[addr]; ok {
 		return t, nil
 	}
-	return nil, ErrUnreachable
+	return RouteTable{}, ErrUnreachable
 }
 func (s *scriptClient) Successor(addr string) (Ref, error) {
 	t, err := s.RouteTable(addr)
 	if err != nil {
 		return Ref{}, err
 	}
-	return t[0], nil
+	return t.Succs[0], nil
 }
 func (s *scriptClient) Predecessor(addr string) (Ref, error) {
 	if r, ok := s.pred[addr]; ok {
@@ -205,7 +205,7 @@ func TestLookupStaleStateHopAccounting(t *testing.T) {
 	sRef := Ref{ID: 240, Addr: "s"}
 	client := &scriptClient{
 		// Stale: t's only candidate is itself although s covers id.
-		tbl:  map[string][]Ref{"t": {sRef, tRef}},
+		tbl:  map[string]RouteTable{"t": {Succs: []Ref{sRef}, Cands: []Ref{tRef}}},
 		pred: map[string]Ref{"s": {ID: 245, Addr: "q"}},
 	}
 	n := NewNode("origin", client, Config{})

@@ -14,12 +14,13 @@ import (
 const maxLookupSteps = 2 * M
 
 // The Default-registry chord.* family: the per-lookup hop-count
-// distribution (the Fig. 12 quantity, live). The route.* counters are
-// the failure-handling side of the same lookups: issued, failed, and
-// hops rerouted around an unreachable node (the transport package adds
-// route.retries).
+// distribution (the Fig. 12 quantity, live) and the RPCs routing and
+// maintenance send. The route.* counters are the failure-handling side
+// of the same lookups: issued, failed, and hops rerouted around an
+// unreachable node (the transport package adds route.retries).
 var (
 	metChordHops     = metrics.Default.IntHistogram("chord.hops")
+	metRouteRPCs     = metrics.Default.Counter("chord.route_rpcs")
 	metRouteLookups  = metrics.Default.Counter("route.lookups")
 	metRouteFailed   = metrics.Default.Counter("route.failed_lookups")
 	metRouteRerouted = metrics.Default.Counter("route.rerouted")
@@ -32,28 +33,33 @@ var (
 // the operation that made it — it is never refreshed — and is not safe
 // for concurrent use. A nil *RouteMemo memoises nothing.
 type RouteMemo struct {
-	tables map[ID][]Ref
+	tables map[ID]RouteTable
 }
 
-// table returns cur's route table, from m when an earlier lookup of the
-// same operation fetched it, else by RPC. Only a successful, well-formed
+// table returns cur's route table: this node's own, built into local
+// from its state with no RPC; else from m when an earlier lookup of the
+// same operation fetched it; else by RPC. Only a successful, well-formed
 // fetch is remembered.
-func (n *Node) table(cur Ref, m *RouteMemo) ([]Ref, error) {
+func (n *Node) table(cur Ref, m *RouteMemo, local []Ref) (RouteTable, error) {
+	if cur.ID == n.ref.ID {
+		return n.routeTable(local), nil
+	}
 	if m != nil {
 		if tbl, ok := m.tables[cur.ID]; ok {
 			return tbl, nil
 		}
 	}
+	metRouteRPCs.Inc()
 	tbl, err := n.client.RouteTable(cur.Addr)
 	if err != nil {
-		return nil, err
+		return RouteTable{}, err
 	}
-	if len(tbl) == 0 {
-		return nil, fmt.Errorf("chord: empty route table from %s", cur)
+	if len(tbl.Succs) == 0 {
+		return RouteTable{}, fmt.Errorf("chord: empty route table from %s", cur)
 	}
 	if m != nil {
 		if m.tables == nil {
-			m.tables = make(map[ID][]Ref)
+			m.tables = make(map[ID]RouteTable)
 		}
 		m.tables[cur.ID] = tbl
 	}
@@ -67,12 +73,14 @@ func (n *Node) table(cur Ref, m *RouteMemo) ([]Ref, error) {
 // to the owner and excluding the originating node. This is the quantity
 // the paper plots in Fig. 12.
 //
-// Each remote hop costs one round trip: the hop's route table carries
-// both its successor and its closest-preceding candidates. Fetched
-// tables are kept in memo (which may be nil) for the other lookups of
-// the same operation; a remembered table stands in for a fresh fetch,
-// so on a ring that does not change mid-operation only the RPC count
-// differs.
+// Every hop, this node included, is read the same way from its route
+// table: an identifier on the arc its successor list covers resolves to
+// the list entry that owns it, anything else forwards to the hop's
+// closest preceding candidate. A remote hop's table costs one round
+// trip. Fetched tables are kept in memo (which may be nil) for the other
+// lookups of the same operation; a remembered table stands in for a
+// fresh fetch, so on a ring that does not change mid-operation only the
+// RPC count differs.
 //
 // When an RPC to the next hop fails at the transport level and rerouting
 // is enabled (Config.DisableRerouting false), the hop is marked suspect
@@ -104,70 +112,59 @@ func (n *Node) route(id ID, memo *RouteMemo, sp *trace.Span) (Ref, int, error) {
 	if n.Owns(id) {
 		return n.ref, 0, nil
 	}
-	if owner, hops, ok := n.routeViaSuccessorList(id, sp); ok {
-		return owner, hops, nil
-	}
+	var local [M + 2*DefaultSuccessors]Ref
 	// from is the node whose routing table pointed us at cur; when cur
 	// turns out to be dead, from's successor list is the detour map.
 	from := n.ref
 	cur := n.ref
 	hops := 0
 	for step := 0; step < maxLookupSteps; step++ {
-		var succ Ref
-		var tbl []Ref
-		if cur.ID == n.ref.ID {
-			succ = n.successor()
-		} else {
-			var err error
-			tbl, err = n.table(cur, memo)
-			if err != nil {
-				owner, next, rerr := n.handleDeadHop(from, cur, id, err, sp)
-				if rerr != nil {
-					return Ref{}, hops, fmt.Errorf("chord: lookup %s via %s: %w", FmtID(id), cur, rerr)
-				}
-				if !owner.IsZero() {
-					return owner, hops + 1, nil
-				}
-				cur = next
-				hops++
-				continue
+		tbl, err := n.table(cur, memo, local[:0])
+		if err != nil {
+			owner, next, rerr := n.handleDeadHop(from, cur, id, err, sp)
+			if rerr != nil {
+				return Ref{}, hops, fmt.Errorf("chord: lookup %s via %s: %w", FmtID(id), cur, rerr)
 			}
-			succ = tbl[0]
-		}
-		if BetweenRightIncl(cur.ID, succ.ID, id) {
-			if succ.ID == cur.ID {
-				return succ, hops, nil // owner already reached
+			if !owner.IsZero() {
+				return owner, hops + 1, nil
 			}
-			if n.reroute && succ.ID != n.ref.ID && n.Suspect(succ.ID) {
-				// The owner itself is suspected dead (e.g. a call to it
-				// just failed); its arc has passed to the next live
-				// successor, so detour instead of handing back a corpse.
-				owner, next, rerr := n.routeAround(cur, succ, id, sp)
-				if rerr != nil {
-					return Ref{}, hops, fmt.Errorf("chord: lookup %s past %s: %w", FmtID(id), succ, rerr)
-				}
-				if !owner.IsZero() {
-					return owner, hops + 1, nil
-				}
-				cur = next
-				hops++
-				continue
+			cur = next
+			hops++
+			continue
+		}
+		owner, dead := n.listOwner(cur, tbl.Succs, id)
+		switch {
+		case owner.ID == cur.ID && !owner.IsZero():
+			return cur, hops, nil // the list wrapped: cur owns id
+		case !owner.IsZero():
+			if sp.On() {
+				sp.Eventf("shortcut", "%s via successor list", owner)
 			}
-			return succ, hops + 1, nil // final hop to the owner
+			return owner, hops + 1, nil // final hop to the owner
+		case !dead.IsZero():
+			// The owner itself is suspected dead (e.g. a call to it
+			// just failed); its arc has passed to the next live
+			// successor, so detour instead of handing back a corpse.
+			owner, next, rerr := n.routeAround(cur, dead, id, sp)
+			if rerr != nil {
+				return Ref{}, hops, fmt.Errorf("chord: lookup %s past %s: %w", FmtID(id), dead, rerr)
+			}
+			if !owner.IsZero() {
+				return owner, hops + 1, nil
+			}
+			cur = next
+			hops++
+			continue
 		}
-		var next Ref
-		if tbl == nil {
-			next, _ = n.HandleClosestPreceding(id)
-		} else {
-			next = firstBetween(tbl[1:], cur, id)
-		}
+		next := firstBetween(tbl.Cands, cur, id)
 		if next.ID == cur.ID {
 			// cur knows no closer node, so its successor should own id —
 			// but the ownership check above failed, meaning cur's state is
 			// stale. Ask succ directly whether it owns id instead of
 			// wandering the ring successor-by-successor, which inflated
 			// the hop count by revisiting the final edge.
-			if succ.ID == cur.ID {
+			succ := tbl.Succs[0]
+			if succ.ID == cur.ID || succ.IsZero() {
 				return Ref{}, hops, fmt.Errorf("%w: stuck at %s for %s", ErrNotFound, cur, FmtID(id))
 			}
 			if n.ownsRemote(succ, id) {
@@ -191,30 +188,37 @@ func (n *Node) route(id ID, memo *RouteMemo, sp *trace.Span) (Ref, int, error) {
 	return Ref{}, hops, fmt.Errorf("%w: routing loop resolving %s", ErrNotFound, FmtID(id))
 }
 
-// routeViaSuccessorList resolves ids falling on the arc the successor
-// list covers without any RPC: stabilization maintains our r nearest
-// successors, whose consecutive pairs (succs[i-1], succs[i]] are known
-// ownership segments (Stoica et al. §6.3 use the list the same way).
-// A hit is one hop — the query forwards straight to the owner instead
-// of walking the ring. The fast path declines — reporting ok=false so
-// the caller runs the full iterative loop — as soon as it meets a
-// suspect entry, because a dead successor's arc has already passed to
-// the next live node and only routeAround can pick it.
-func (n *Node) routeViaSuccessorList(id ID, sp *trace.Span) (Ref, int, bool) {
-	prev := n.ref
-	for _, s := range n.SuccessorList() {
-		if s.IsZero() || (n.reroute && s.ID != n.ref.ID && n.Suspect(s.ID)) {
-			return Ref{}, 0, false
+// listOwner reads id's owner off cur's successor list: consecutive
+// entries bound known ownership arcs, so id in (cur, s₀] or
+// (sᵢ₋₁, sᵢ] makes sᵢ the owner (Stoica et al. §6.3 use the list the
+// same way). On a ring smaller than the list the list ends at cur, and
+// an id on that last arc resolves to cur itself. The scan stops at the
+// first zero entry or entry this node suspects, because a dead node's
+// arc has already passed to the next live one and only routeAround can
+// pick it: when that entry is cur's successor and id is on its arc, it
+// comes back as dead. Both results are zero when id lies beyond what
+// the list can vouch for.
+func (n *Node) listOwner(cur Ref, succs []Ref, id ID) (owner, dead Ref) {
+	prev := cur
+	for i, s := range succs {
+		if s.IsZero() {
+			break
+		}
+		if n.reroute && s.ID != n.ref.ID && s.ID != cur.ID && n.Suspect(s.ID) {
+			if i == 0 && BetweenRightIncl(prev.ID, s.ID, id) {
+				return Ref{}, s
+			}
+			break
 		}
 		if BetweenRightIncl(prev.ID, s.ID, id) {
-			if sp.On() {
-				sp.Eventf("shortcut", "%s via successor list", s)
-			}
-			return s, 1, true
+			return s, Ref{}
+		}
+		if s.ID == cur.ID {
+			break
 		}
 		prev = s
 	}
-	return Ref{}, 0, false
+	return Ref{}, Ref{}
 }
 
 // handleDeadHop decides what to do after an RPC to cur failed. For

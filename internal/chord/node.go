@@ -53,10 +53,10 @@ type Client interface {
 	Successor(addr string) (Ref, error)
 	// Predecessor returns the target's predecessor, or ErrNoPredecessor.
 	Predecessor(addr string) (Ref, error)
-	// RouteTable returns the target's successor followed by its routing
-	// candidates in closest-preceding scan order (see
-	// Node.HandleRouteTable): everything one lookup hop needs from it.
-	RouteTable(addr string) ([]Ref, error)
+	// RouteTable returns the target's successor list and its routing
+	// candidates (see Node.HandleRouteTable): everything one lookup hop
+	// needs from it.
+	RouteTable(addr string) (RouteTable, error)
 	// FindSuccessor resolves the node owning id, recursing as needed.
 	FindSuccessor(addr string, id ID) (Ref, error)
 	// Notify tells the target that self may be its predecessor.
@@ -74,7 +74,7 @@ type Handler interface {
 	HandleSuccessor() (Ref, error)
 	HandlePredecessor() (Ref, error)
 	HandleClosestPreceding(id ID) (Ref, error)
-	HandleRouteTable() ([]Ref, error)
+	HandleRouteTable() (RouteTable, error)
 	HandleFindSuccessor(id ID) (Ref, error)
 	HandleNotify(candidate Ref) error
 	HandlePing() error
@@ -225,7 +225,14 @@ func (n *Node) FaultTolerant() bool { return n.reroute }
 
 // metChordSuspects counts suspect markings process-wide (Default
 // registry), the live signal of how much churn routing is seeing.
-var metChordSuspects = metrics.Default.Counter("chord.suspects")
+// metMaintRPCs counts the client calls ring maintenance makes
+// (Stabilize, the successor-list refresh, FixFinger and the
+// FindSuccessor forwards it sets off, CheckPredecessor), so the
+// protocol's own calls are transport.calls minus it.
+var (
+	metChordSuspects = metrics.Default.Counter("chord.suspects")
+	metMaintRPCs     = metrics.Default.Counter("chord.maint_rpcs")
+)
 
 // MarkSuspect excludes a node from routing decisions until SuspectTTL
 // elapses. Called when an RPC to the node fails at the transport level.
@@ -252,16 +259,17 @@ func (n *Node) MarkSuspect(id ID) {
 func (n *Node) Suspect(id ID) bool {
 	n.smu.Lock()
 	defer n.smu.Unlock()
-	return n.suspectLocked(id, time.Now())
+	return n.suspectLocked(id)
 }
 
 // suspectLocked is Suspect with smu held, forgetting an expired entry.
-func (n *Node) suspectLocked(id ID, now time.Time) bool {
+// It reads the clock only for a node it has an entry for.
+func (n *Node) suspectLocked(id ID) bool {
 	exp, ok := n.suspects[id]
 	if !ok {
 		return false
 	}
-	if n.susTTL >= 0 && now.After(exp) {
+	if n.susTTL >= 0 && time.Now().After(exp) {
 		delete(n.suspects, id)
 		return false
 	}
@@ -311,10 +319,9 @@ func (n *Node) candidates(dst []Ref) []Ref {
 	defer n.mu.RUnlock()
 	n.smu.Lock()
 	defer n.smu.Unlock()
-	now := time.Now()
 	base := len(dst)
 	add := func(r Ref) {
-		if r.IsZero() || (len(dst) > base && dst[len(dst)-1] == r) || n.suspectLocked(r.ID, now) {
+		if r.IsZero() || (len(dst) > base && dst[len(dst)-1] == r) || n.suspectLocked(r.ID) {
 			return
 		}
 		dst = append(dst, r)
@@ -347,13 +354,41 @@ func (n *Node) HandleClosestPreceding(id ID) (Ref, error) {
 	return firstBetween(n.candidates(buf[:0]), n.ref, id), nil
 }
 
-// HandleRouteTable implements Handler: the successor followed by the
+// RouteTable is one node's routing state as a lookup hop reads it: the
+// successor list, whose consecutive entries bound known ownership arcs,
+// and the closest-preceding candidates, which pick the next hop when
+// the identifier lies beyond the list.
+type RouteTable struct {
+	// Succs is the raw successor list in ring order. On a ring smaller
+	// than the list it ends at the node itself.
+	Succs []Ref
+	// Cands are the routing candidates in closest-preceding scan order
+	// (see candidates).
+	Cands []Ref
+}
+
+// routeTable returns the node's route table, built into buf's storage.
+func (n *Node) routeTable(buf []Ref) RouteTable {
+	n.mu.RLock()
+	buf = append(buf[:0], n.succs...)
+	n.mu.RUnlock()
+	k := len(buf)
+	buf = n.candidates(buf)
+	return RouteTable{Succs: buf[:k:k], Cands: buf[k:]}
+}
+
+// HandleRouteTable implements Handler: the successor list and the
 // candidates, so a remote lookup reads both its ownership check and its
-// next hop for any identifier from one round trip.
-func (n *Node) HandleRouteTable() ([]Ref, error) {
-	var buf [1 + M + DefaultSuccessors]Ref
-	tbl := n.candidates(append(buf[:0], n.successor()))
-	return append([]Ref(nil), tbl...), nil
+// next hop for any identifier from one round trip. Both share one
+// allocation of exactly their size.
+func (n *Node) HandleRouteTable() (RouteTable, error) {
+	var buf [M + 2*DefaultSuccessors]Ref
+	tbl := n.routeTable(buf[:0])
+	k := len(tbl.Succs)
+	out := make([]Ref, k+len(tbl.Cands))
+	copy(out, tbl.Succs)
+	copy(out[k:], tbl.Cands)
+	return RouteTable{Succs: out[:k:k], Cands: out[k:]}, nil
 }
 
 // HandleFindSuccessor implements Handler: resolve the owner of id,
@@ -370,6 +405,7 @@ func (n *Node) HandleFindSuccessor(id ID) (Ref, error) {
 	if next.ID == n.ref.ID {
 		return succ, nil // we are the closest known; our successor owns id
 	}
+	metMaintRPCs.Inc()
 	return n.client.FindSuccessor(next.Addr, id)
 }
 
@@ -425,9 +461,11 @@ func (n *Node) Stabilize() error {
 		}
 	}
 	if succ.ID != n.ref.ID {
+		metMaintRPCs.Inc()
 		x, err := n.client.Predecessor(succ.Addr)
 		switch {
 		case err == nil && !x.IsZero() && Between(n.ref.ID, succ.ID, x.ID):
+			metMaintRPCs.Inc()
 			if n.client.Ping(x.Addr) == nil {
 				succ = x
 				n.setSuccessor(succ)
@@ -443,6 +481,7 @@ func (n *Node) Stabilize() error {
 		}
 	}
 	if succ.ID != n.ref.ID {
+		metMaintRPCs.Inc()
 		if err := n.client.Notify(succ.Addr, n.ref); err != nil {
 			return err
 		}
@@ -457,6 +496,7 @@ func (n *Node) failoverSuccessor() (Ref, bool) {
 		if s.IsZero() || s.ID == n.ref.ID {
 			continue
 		}
+		metMaintRPCs.Inc()
 		if n.client.Ping(s.Addr) == nil {
 			n.setSuccessor(s)
 			return s, true
@@ -473,6 +513,7 @@ func (n *Node) refreshSuccessorList(head Ref) {
 	list = append(list, head)
 	cur := head
 	for len(list) < n.nsucc && cur.ID != n.ref.ID {
+		metMaintRPCs.Inc()
 		next, err := n.client.Successor(cur.Addr)
 		if err != nil || next.IsZero() {
 			break
@@ -507,6 +548,7 @@ func (n *Node) CheckPredecessor() {
 	if !ok {
 		return
 	}
+	metMaintRPCs.Inc()
 	if err := n.client.Ping(p.Addr); err != nil {
 		n.mu.Lock()
 		if n.pred.ID == p.ID {

@@ -20,8 +20,9 @@ type (
 	// Lookups read the same answer from RouteTableReq; this request is
 	// served for ring-convergence checks.
 	ClosestPrecedingReq struct{ ID chord.ID }
-	// RouteTableReq asks a node for its successor and routing
-	// candidates, answered with RefsResp: one lookup hop's round trip.
+	// RouteTableReq asks a node for its successor list and routing
+	// candidates, answered with RouteTableResp: one lookup hop's round
+	// trip.
 	RouteTableReq struct{}
 	// FindSuccessorReq asks a node to resolve the owner of ID recursively.
 	FindSuccessorReq struct{ ID chord.ID }
@@ -36,6 +37,10 @@ type (
 	RefResp struct{ Ref chord.Ref }
 	// RefsResp carries an ordered list of node references back.
 	RefsResp struct{ Refs []chord.Ref }
+	// RouteTableResp carries a node's route table back: its successor
+	// list in ring order, then its candidates in closest-preceding scan
+	// order (chord.RouteTable).
+	RouteTableResp struct{ Succs, Cands []chord.Ref }
 	// OKResp acknowledges a request with no payload.
 	OKResp struct{}
 )
@@ -44,7 +49,7 @@ func init() {
 	for _, v := range []any{
 		SuccessorReq{}, PredecessorReq{}, ClosestPrecedingReq{},
 		FindSuccessorReq{}, NotifyReq{}, PingReq{}, SuccessorListReq{},
-		RefResp{}, RefsResp{}, OKResp{}, RouteTableReq{},
+		RefResp{}, RefsResp{}, OKResp{}, RouteTableReq{}, RouteTableResp{},
 	} {
 		RegisterType(v)
 	}
@@ -88,9 +93,18 @@ func (c ChordClient) ClosestPreceding(addr string, id chord.ID) (chord.Ref, erro
 	return c.refCall(addr, ClosestPrecedingReq{ID: id})
 }
 
-// RouteTable implements chord.Client.
-func (c ChordClient) RouteTable(addr string) ([]chord.Ref, error) {
-	return c.refsCall(addr, RouteTableReq{})
+// RouteTable implements chord.Client. A peer that answers with any
+// other response type fails the call instead of being misread.
+func (c ChordClient) RouteTable(addr string) (chord.RouteTable, error) {
+	resp, _, err := c.Caller.CallCtx(addr, trace.Context{}, RouteTableReq{})
+	if err != nil {
+		return chord.RouteTable{}, mapChordErr(err)
+	}
+	rt, ok := resp.(RouteTableResp)
+	if !ok {
+		return chord.RouteTable{}, BadRequest(resp)
+	}
+	return chord.RouteTable(rt), nil
 }
 
 // FindSuccessor implements chord.Client.
@@ -170,8 +184,8 @@ func DispatchChord(h chord.Handler, req any) (resp any, handled bool, err error)
 		refs, err := h.HandleSuccessorList()
 		return RefsResp{Refs: refs}, true, err
 	case RouteTableReq:
-		refs, err := h.HandleRouteTable()
-		return RefsResp{Refs: refs}, true, err
+		tbl, err := h.HandleRouteTable()
+		return RouteTableResp(tbl), true, err
 	default:
 		return nil, false, nil
 	}

@@ -86,6 +86,7 @@ const (
 	tagRefsResp            uint64 = 16
 	tagOKResp              uint64 = 17
 	tagRouteTableReq       uint64 = 18
+	tagRouteTableResp      uint64 = 19
 
 	// TagPeerBase is the first tag reserved for the peer protocol
 	// (internal/peer registers its codecs there).
@@ -574,25 +575,42 @@ func init() {
 		})
 	RegisterCodec(tagRefsResp, RefsResp{}, DirResponse,
 		func(b []byte, v any) []byte {
-			refs := v.(RefsResp).Refs
-			b = AppendUvarint(b, uint64(len(refs)))
-			for _, r := range refs {
-				b = appendRef(b, r)
-			}
-			return b
+			return appendRefs(b, v.(RefsResp).Refs)
 		},
 		func(c *Cursor) (any, error) {
-			n := c.Count()
-			if c.Err != nil {
-				return nil, c.Err
-			}
-			var resp RefsResp
-			if n > 0 {
-				resp.Refs = make([]chord.Ref, 0, PreallocHint(n))
-			}
-			for i := uint64(0); i < n && c.Err == nil; i++ {
-				resp.Refs = append(resp.Refs, parseRef(c))
-			}
-			return resp, c.Err
+			return RefsResp{Refs: parseRefs(c)}, c.Err
 		})
+	RegisterCodec(tagRouteTableResp, RouteTableResp{}, DirResponse,
+		func(b []byte, v any) []byte {
+			rt := v.(RouteTableResp)
+			return appendRefs(appendRefs(b, rt.Succs), rt.Cands)
+		},
+		func(c *Cursor) (any, error) {
+			var rt RouteTableResp
+			rt.Succs = parseRefs(c)
+			rt.Cands = parseRefs(c)
+			return rt, c.Err
+		})
+}
+
+// appendRefs encodes a ref list: a count, then each ref.
+func appendRefs(b []byte, refs []chord.Ref) []byte {
+	b = AppendUvarint(b, uint64(len(refs)))
+	for _, r := range refs {
+		b = appendRef(b, r)
+	}
+	return b
+}
+
+// parseRefs decodes what appendRefs wrote; an empty list is nil.
+func parseRefs(c *Cursor) []chord.Ref {
+	n := c.Count()
+	if c.Err != nil || n == 0 {
+		return nil
+	}
+	refs := make([]chord.Ref, 0, PreallocHint(n))
+	for i := uint64(0); i < n && c.Err == nil; i++ {
+		refs = append(refs, parseRef(c))
+	}
+	return refs
 }

@@ -63,6 +63,23 @@ func frameLimit(kind byte) int {
 	return MaxFrame
 }
 
+// maxRetainedBuf bounds the capacity a connection keeps in a reusable
+// read or write buffer between frames. Routine frames (routing tables,
+// probe batches, stores, replica pushes) fit well under it and reuse
+// one buffer; a buffer grown past it for a rare bulk frame (a
+// FetchDataResp or TransferArcResp) is dropped once that frame is done,
+// so one large reply does not pin its size for the connection's life.
+const maxRetainedBuf = 64 << 10
+
+// retain returns b emptied for reuse, or nil when its capacity is over
+// maxRetainedBuf.
+func retain(b []byte) []byte {
+	if cap(b) > maxRetainedBuf {
+		return nil
+	}
+	return b[:0]
+}
+
 // maxQueuedWrite bounds the bytes parked in a groupWriter behind an
 // in-flight flush. Writers beyond it block (backpressure) instead of
 // growing the queue, so a remote that stops reading pins at most
@@ -115,14 +132,13 @@ func (g *groupWriter) writeFrame(f *frame, timeout time.Duration) error {
 	}
 	scratch = scratch[:prefixRoom]
 	scratch, err := appendFrame(scratch, f)
+	g.scratch = retain(scratch)
 	if err != nil {
-		g.scratch = scratch[:0]
 		g.mu.Unlock()
 		return fmt.Errorf("%w: %w", errEncode, err)
 	}
 	payload := len(scratch) - prefixRoom
 	if limit := frameLimit(f.kind); payload > limit {
-		g.scratch = scratch[:0]
 		g.mu.Unlock()
 		return fmt.Errorf("%w: frame of %d bytes exceeds limit %d", errEncode, payload, limit)
 	}
@@ -130,7 +146,6 @@ func (g *groupWriter) writeFrame(f *frame, timeout time.Duration) error {
 	n := binary.PutUvarint(pfx[:], uint64(payload))
 	copy(scratch[prefixRoom-n:prefixRoom], pfx[:n])
 	g.queued = append(g.queued, scratch[prefixRoom-n:]...)
-	g.scratch = scratch[:0]
 	if g.flushing {
 		// The flusher's drain loop will pick this frame up; if its write
 		// fails the connection dies and every waiter hears about it.
@@ -147,12 +162,13 @@ func (g *groupWriter) writeFrame(f *frame, timeout time.Duration) error {
 		}
 		_, werr := g.conn.Write(data)
 		g.mu.Lock()
-		g.spare = data[:0]
+		g.spare = retain(data)
 		if werr != nil {
 			g.err = werr
 		}
 		g.cond.Broadcast()
 	}
+	g.queued = retain(g.queued)
 	g.flushing = false
 	g.cond.Broadcast()
 	err = g.err
@@ -181,10 +197,10 @@ func readUvarint(br *bufio.Reader) (uint64, int, error) {
 }
 
 // readFramePayload reads one length-prefixed frame payload into *rbuf
-// (grown once, reused across frames), rejecting declared lengths above
-// max before allocating. consumed counts bytes read before any error,
-// so a timeout at a frame boundary is distinguishable from a torn
-// frame.
+// (reused across frames up to maxRetainedBuf; a larger one is
+// allocated for its frame alone), rejecting declared lengths above max
+// before allocating. consumed counts bytes read before any error, so a
+// timeout at a frame boundary is distinguishable from a torn frame.
 func readFramePayload(br *bufio.Reader, rbuf *[]byte, max uint64) (payload []byte, consumed int, err error) {
 	length, n, err := readUvarint(br)
 	if err != nil {
@@ -200,7 +216,7 @@ func readFramePayload(br *bufio.Reader, rbuf *[]byte, max uint64) (payload []byt
 		buf = buf[:length]
 	}
 	m, err := io.ReadFull(br, buf)
-	*rbuf = buf
+	*rbuf = retain(buf)
 	if err != nil {
 		return nil, n + m, err
 	}

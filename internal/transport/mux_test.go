@@ -10,6 +10,7 @@ import (
 	"io"
 	"net"
 	"reflect"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -84,7 +85,8 @@ func TestFrameRoundTripRegistered(t *testing.T) {
 
 // TestRouteTableCodecRoundTrip pins the one-round-trip routing hop on
 // the wire: RouteTableReq crosses in a request frame as its bare tag, and
-// the multi-ref RefsResp that answers it comes back ref for ref, in order.
+// the RouteTableResp that answers it comes back list for list, ref for
+// ref, in order.
 func TestRouteTableCodecRoundTrip(t *testing.T) {
 	refs := []chord.Ref{
 		{ID: 0x9e3779b9, Addr: "10.0.0.2:7001"},
@@ -94,8 +96,9 @@ func TestRouteTableCodecRoundTrip(t *testing.T) {
 	}
 	cases := []frame{
 		{kind: kindRequest, id: 1, body: RouteTableReq{}},
-		{kind: kindResponse, id: 1, body: RefsResp{Refs: refs}},
-		{kind: kindResponse, id: 2, body: RefsResp{Refs: refs[:1]}},
+		{kind: kindResponse, id: 1, body: RouteTableResp{Succs: refs[:2], Cands: refs}},
+		{kind: kindResponse, id: 2, body: RouteTableResp{Succs: refs[:1]}},
+		{kind: kindResponse, id: 3, body: RefsResp{Refs: refs}},
 	}
 	for i := range cases {
 		payload, err := appendFrame(nil, &cases[i])
@@ -109,6 +112,47 @@ func TestRouteTableCodecRoundTrip(t *testing.T) {
 		if !reflect.DeepEqual(got.body, cases[i].body) {
 			t.Errorf("case %d: body %#v, want %#v", i, got.body, cases[i].body)
 		}
+	}
+}
+
+// TestRouteTableFrameGolden pins the exact bytes of a route-table round
+// trip: the request (kind, id, flags, tag 18) and a response (tag 19,
+// then the successor list and the candidates, each a count and
+// id/address pairs), so a codec change cannot silently change the wire.
+// A peer that predates tag 19 rejects the response as an unknown tag.
+func TestRouteTableFrameGolden(t *testing.T) {
+	a := chord.Ref{ID: 0x0b3371f0, Addr: "10.0.0.2:4000"}
+	b := chord.Ref{ID: 0x90d9e78d, Addr: "10.0.0.3:4000"}
+	cases := []struct {
+		f    frame
+		want string
+	}{
+		{frame{kind: kindRequest, id: 5, body: RouteTableReq{}}, "00050012"},
+		{frame{kind: kindResponse, id: 5, body: RouteTableResp{Succs: []chord.Ref{a, b}, Cands: []chord.Ref{b}}},
+			"01050013" +
+				"02" + "f0e3cd59" + "0d31302e302e302e323a34303030" + "8dcfe78609" + "0d31302e302e302e333a34303030" +
+				"01" + "8dcfe78609" + "0d31302e302e302e333a34303030"},
+	}
+	for _, c := range cases {
+		b, err := appendFrame(nil, &c.f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := hex.EncodeToString(b); got != c.want {
+			t.Errorf("%T frame bytes changed:\ngot  %s\nwant %s", c.f.body, got, c.want)
+		}
+		back, err := parseFrame(NewCursor(b))
+		if err != nil || !reflect.DeepEqual(back.body, c.f.body) {
+			t.Errorf("%T frame parsed as %#v, %v", c.f.body, back.body, err)
+		}
+	}
+
+	resp, _ := hex.DecodeString(cases[1].want)
+	entry := codecByTag[tagRouteTableResp]
+	delete(codecByTag, tagRouteTableResp)
+	defer func() { codecByTag[tagRouteTableResp] = entry }()
+	if _, err := parseFrame(NewCursor(resp)); !errors.Is(err, ErrBadFrame) {
+		t.Errorf("response parsed without the tag 19 codec: %v, want ErrBadFrame", err)
 	}
 }
 
@@ -237,6 +281,52 @@ func TestFrameRejectsWrongDirectionTag(t *testing.T) {
 		if _, err := parseFrame(NewCursor(payload)); !errors.Is(err, ErrBadFrame) {
 			t.Errorf("case %d: wrong-direction tag parsed with err = %v, want ErrBadFrame", i, err)
 		}
+	}
+}
+
+// TestConnectionBuffersDropLargeFrames: after one 1 MiB frame crosses a
+// connection, neither its writer's encode and flush buffers nor its
+// reader's frame buffer keeps more than maxRetainedBuf, while a routine
+// frame afterwards reuses the buffer it is given.
+func TestConnectionBuffersDropLargeFrames(t *testing.T) {
+	client, server := net.Pipe()
+	defer client.Close()
+	defer server.Close()
+	g := &groupWriter{conn: client}
+	small := frame{kind: kindResponse, id: 2, body: echoResp{Msg: "ok"}}
+	sent := make(chan error, 1)
+	go func() {
+		f := frame{kind: kindResponse, id: 1, body: echoResp{Msg: strings.Repeat("x", 1<<20)}}
+		if err := g.writeFrame(&f, 0); err != nil {
+			sent <- err
+			return
+		}
+		sent <- g.writeFrame(&small, 0)
+	}()
+	br := bufio.NewReader(server)
+	var rbuf []byte
+	payload, _, err := readFramePayload(br, &rbuf, MaxRespFrame)
+	if err != nil || len(payload) < 1<<20 {
+		t.Fatalf("read the 1 MiB frame: %d bytes, %v", len(payload), err)
+	}
+	if cap(rbuf) > maxRetainedBuf {
+		t.Errorf("reader keeps a %d-byte buffer after the large frame, cap %d", cap(rbuf), maxRetainedBuf)
+	}
+	if _, _, err := readFramePayload(br, &rbuf, MaxRespFrame); err != nil {
+		t.Fatal(err)
+	}
+	if err := <-sent; err != nil {
+		t.Fatal(err)
+	}
+	g.mu.Lock()
+	for name, b := range map[string][]byte{"scratch": g.scratch, "spare": g.spare, "queued": g.queued} {
+		if cap(b) > maxRetainedBuf {
+			t.Errorf("writer keeps a %d-byte %s buffer after the large frame, cap %d", cap(b), name, maxRetainedBuf)
+		}
+	}
+	g.mu.Unlock()
+	if cap(rbuf) == 0 || cap(g.scratch) == 0 {
+		t.Errorf("routine frame left no reusable buffer: reader %d, writer %d bytes", cap(rbuf), cap(g.scratch))
 	}
 }
 

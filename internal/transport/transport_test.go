@@ -263,11 +263,27 @@ func TestChordRPCAdapterMemory(t *testing.T) {
 	if err != nil || ref.ID != b.ID() {
 		t.Errorf("FindSuccessor = %v, %v", ref, err)
 	}
-	// RouteTable through the adapter: a's successor, then its candidates.
+	// RouteTable through the adapter: a's successor list, which wraps to
+	// a on a two-node ring, then its candidates.
 	want, _ := a.HandleRouteTable()
 	tbl, err := client.RouteTable("a")
-	if err != nil || len(tbl) < 2 || tbl[0].ID != b.ID() || !reflect.DeepEqual(tbl, want) {
+	if err != nil || len(tbl.Succs) != 2 || tbl.Succs[0].ID != b.ID() || tbl.Succs[1].ID != a.ID() ||
+		len(tbl.Cands) == 0 || !reflect.DeepEqual(tbl, want) {
 		t.Errorf("RouteTable = %v, %v; want %v", tbl, err, want)
+	}
+}
+
+// TestRouteTableFromOlderPeerFails: a peer built before RouteTableResp
+// answers RouteTableReq with a RefsResp. The client must fail the call
+// loudly rather than read the list as a route table and misroute.
+func TestRouteTableFromOlderPeerFails(t *testing.T) {
+	mem := NewMemory()
+	mem.Register("old", untraced(func(req any) (any, error) {
+		return RefsResp{Refs: []chord.Ref{{ID: 7, Addr: "x"}}}, nil
+	}))
+	tbl, err := ChordClient{Caller: mem}.RouteTable("old")
+	if !errors.Is(err, ErrBadRequest) || errors.Is(err, chord.ErrUnreachable) {
+		t.Errorf("RouteTable from a pre-RouteTableResp peer = %v, %v; want an ErrBadRequest that is not ErrUnreachable", tbl, err)
 	}
 }
 
