@@ -28,8 +28,10 @@
 // constructor used by internal/sim for the large rings of Figs. 11-12.
 //
 // Nodes keep successor lists, and routing is failure-aware: when a finger
-// is unreachable, lookup detours through the successor list instead of
-// failing, and counts the reroute in the route.rerouted counter of the
+// is unreachable, lookup detours through the successor list of the hop
+// that pointed at it instead of failing — the list that hop's route
+// table already carried, so a detour fetches no list of its own — and
+// counts the reroute in the route.rerouted counter of the
 // internal/metrics Default registry. Config.DisableRerouting exposes the
 // fault-model ablation of the churn figure.
 //

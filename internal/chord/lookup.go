@@ -114,14 +114,16 @@ func (n *Node) route(id ID, memo *RouteMemo, sp *trace.Span) (Ref, int, error) {
 	}
 	var local [M + 2*DefaultSuccessors]Ref
 	// from is the node whose routing table pointed us at cur; when cur
-	// turns out to be dead, from's successor list is the detour map.
+	// turns out to be dead, from's successor list (fromSuccs, held from
+	// that table) is the detour map.
 	from := n.ref
+	var fromSuccs []Ref
 	cur := n.ref
 	hops := 0
 	for step := 0; step < maxLookupSteps; step++ {
 		tbl, err := n.table(cur, memo, local[:0])
 		if err != nil {
-			owner, next, rerr := n.handleDeadHop(from, cur, id, err, sp)
+			owner, next, rerr := n.handleDeadHop(from, fromSuccs, cur, id, err, sp)
 			if rerr != nil {
 				return Ref{}, hops, fmt.Errorf("chord: lookup %s via %s: %w", FmtID(id), cur, rerr)
 			}
@@ -145,7 +147,7 @@ func (n *Node) route(id ID, memo *RouteMemo, sp *trace.Span) (Ref, int, error) {
 			// The owner itself is suspected dead (e.g. a call to it
 			// just failed); its arc has passed to the next live
 			// successor, so detour instead of handing back a corpse.
-			owner, next, rerr := n.routeAround(cur, dead, id, sp)
+			owner, next, rerr := n.routeAround(cur, tbl.Succs, dead, id, sp)
 			if rerr != nil {
 				return Ref{}, hops, fmt.Errorf("chord: lookup %s past %s: %w", FmtID(id), dead, rerr)
 			}
@@ -170,7 +172,7 @@ func (n *Node) route(id ID, memo *RouteMemo, sp *trace.Span) (Ref, int, error) {
 			if n.ownsRemote(succ, id) {
 				return succ, hops + 1, nil
 			}
-			from = cur
+			from, fromSuccs = cur, tbl.Succs
 			cur = succ
 			hops++
 			if sp.On() {
@@ -178,7 +180,7 @@ func (n *Node) route(id ID, memo *RouteMemo, sp *trace.Span) (Ref, int, error) {
 			}
 			continue
 		}
-		from = cur
+		from, fromSuccs = cur, tbl.Succs
 		cur = next
 		hops++
 		if sp.On() {
@@ -223,10 +225,11 @@ func (n *Node) listOwner(cur Ref, succs []Ref, id ID) (owner, dead Ref) {
 
 // handleDeadHop decides what to do after an RPC to cur failed. For
 // transport-level failures with rerouting enabled it marks cur suspect
-// and picks a detour from from's successor list; either the detour entry
-// already owns id (owner is non-zero) or the lookup should continue from
-// next. Handler-side errors and disabled rerouting surface as rerr.
-func (n *Node) handleDeadHop(from, cur Ref, id ID, err error, sp *trace.Span) (owner, next Ref, rerr error) {
+// and picks a detour from from's successor list fromSuccs (nil when from
+// is this node); either the detour entry already owns id (owner is
+// non-zero) or the lookup should continue from next. Handler-side errors
+// and disabled rerouting surface as rerr.
+func (n *Node) handleDeadHop(from Ref, fromSuccs []Ref, cur Ref, id ID, err error, sp *trace.Span) (owner, next Ref, rerr error) {
 	if !errors.Is(err, ErrUnreachable) {
 		return Ref{}, Ref{}, err
 	}
@@ -237,35 +240,22 @@ func (n *Node) handleDeadHop(from, cur Ref, id ID, err error, sp *trace.Span) (o
 	if !n.reroute {
 		return Ref{}, Ref{}, err
 	}
-	return n.routeAround(from, cur, id, sp)
+	return n.routeAround(from, fromSuccs, cur, id, sp)
 }
 
 // routeAround consults from's successor list for a live node to continue
 // a lookup that hit the dead node. Dead successors transfer their arc to
 // the next live entry, so if the first live entry s satisfies
 // id ∈ (from, s] then s is the owner; otherwise the lookup resumes at s.
-// Each candidate is pinged before the detour commits to it — a reroute
-// must not hand back, or hop to, another corpse.
-func (n *Node) routeAround(from, dead Ref, id ID, sp *trace.Span) (owner, next Ref, rerr error) {
+// list is from's successor list, held from the route table that pointed
+// at the dead node, so a detour costs no extra round trip; it is nil only
+// when from is this node, whose list is read from its own state. Each
+// candidate is pinged before the detour commits to it — a reroute must
+// not hand back, or hop to, another corpse.
+func (n *Node) routeAround(from Ref, list []Ref, dead Ref, id ID, sp *trace.Span) (owner, next Ref, rerr error) {
 	metRouteRerouted.Inc()
-	var list []Ref
-	if from.ID == n.ref.ID {
+	if list == nil {
 		list = n.SuccessorList()
-	} else {
-		var err error
-		list, err = n.client.SuccessorList(from.Addr)
-		if err != nil {
-			if !errors.Is(err, ErrUnreachable) {
-				return Ref{}, Ref{}, err
-			}
-			// The pointer's source died too: fall back to our own list.
-			n.MarkSuspect(from.ID)
-			if sp.On() {
-				sp.Eventf("suspect", "%s unreachable", from)
-			}
-			from = n.ref
-			list = n.SuccessorList()
-		}
 	}
 	for _, s := range list {
 		if s.IsZero() || s.ID == dead.ID || s.ID == from.ID || n.Suspect(s.ID) {

@@ -284,11 +284,13 @@ func TestLookupListWrapsToCur(t *testing.T) {
 }
 
 // countClient counts the calls a node's lookups make, by method and
-// target address.
+// target address, and keeps the addresses route tables were fetched
+// from in call order.
 type countClient struct {
 	*memClient
-	mu    sync.Mutex
-	calls map[string]map[string]int
+	mu     sync.Mutex
+	calls  map[string]map[string]int
+	tables []string
 }
 
 func newCountClient(m *memClient) *countClient {
@@ -308,10 +310,14 @@ func (c *countClient) reset() {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.calls = make(map[string]map[string]int)
+	c.tables = nil
 }
 
 func (c *countClient) RouteTable(addr string) (RouteTable, error) {
 	c.count("RouteTable", addr)
+	c.mu.Lock()
+	c.tables = append(c.tables, addr)
+	c.mu.Unlock()
 	return c.memClient.RouteTable(addr)
 }
 
@@ -333,6 +339,92 @@ func (c *countClient) SuccessorList(addr string) ([]Ref, error) {
 func (c *countClient) Ping(addr string) error {
 	c.count("Ping", addr)
 	return c.memClient.Ping(addr)
+}
+
+// TestDetourReusesHeldSuccessorList: a lookup that detours around a dead
+// node reads the detour from the successor list of the route table it
+// already holds, never fetching that list again. Two detours on a
+// 50-node ring, each from a remote hop's table: past a suspected owner
+// that heads the hop's list, and past a next hop whose route-table
+// fetch fails. Each resolves to the dead node's live successor with no
+// SuccessorList call.
+func TestDetourReusesHeldSuccessorList(t *testing.T) {
+	nodes, mem := buildRing(t, 50)
+	byAddr := make(map[string]*Node, len(nodes))
+	for _, n := range nodes {
+		byAddr[n.Addr()] = n
+	}
+	// liveOwner is id's owner once dead is gone.
+	liveOwner := func(dead Ref, id ID) Ref {
+		survivors := make([]*Node, 0, len(nodes)-1)
+		for _, n := range nodes {
+			if n.ID() != dead.ID {
+				survivors = append(survivors, n)
+			}
+		}
+		return ownerOf(survivors, id)
+	}
+	// detour runs origin's lookup of id with dead down, suspected by the
+	// origin up front or not, and checks the answer and the calls made.
+	detour := func(origin *Node, dead Ref, suspect bool, id ID) {
+		t.Helper()
+		mem.setDown(dead.Addr, true)
+		defer mem.setDown(dead.Addr, false)
+		if suspect {
+			origin.MarkSuspect(dead.ID)
+		}
+		cc := newCountClient(mem)
+		prev := origin.client
+		origin.client = cc
+		defer func() { origin.client = prev }()
+		got, _, err := origin.Lookup(id, nil, nil)
+		if err != nil {
+			t.Fatalf("Lookup(%s) past %s: %v", FmtID(id), dead, err)
+		}
+		if want := liveOwner(dead, id); got != want {
+			t.Errorf("Lookup(%s) past %s = %s, want its live successor %s", FmtID(id), dead, got, want)
+		}
+		if n := len(cc.calls["SuccessorList"]); n != 0 {
+			t.Errorf("detour past %s fetched successor lists from %v, want none", dead, cc.calls["SuccessorList"])
+		}
+	}
+
+	rng := rand.New(rand.NewSource(23))
+	var suspectDone, deadHopDone bool
+	for tries := 0; tries < 10000 && !(suspectDone && deadHopDone); tries++ {
+		origin := nodes[rng.Intn(len(nodes))]
+		id := rng.Uint32()
+		owner := ownerOf(nodes, id)
+		cc := newCountClient(mem)
+		origin.client = cc
+		_, _, err := origin.Lookup(id, nil, nil)
+		origin.client = mem
+		if err != nil {
+			t.Fatal(err)
+		}
+		path := cc.tables
+		if len(path) == 0 {
+			continue // resolved from the origin's own list
+		}
+		last := byAddr[path[len(path)-1]]
+		if !suspectDone && last.SuccessorList()[0] == owner {
+			// The last remote hop's list starts with the owner: with
+			// the owner suspected, that hop's table sends the lookup
+			// round it.
+			detour(origin, owner, true, id)
+			suspectDone = true
+			continue
+		}
+		if !deadHopDone && len(path) >= 2 && path[1] != owner.Addr {
+			// The second remote hop dies: its table fetch fails and the
+			// first hop's list, held from its table, is the detour map.
+			detour(origin, byAddr[path[1]].Ref(), false, id)
+			deadHopDone = true
+		}
+	}
+	if !suspectDone || !deadHopDone {
+		t.Fatalf("no lookup to detour: suspected owner %v, dead hop %v", suspectDone, deadHopDone)
+	}
 }
 
 // TestLookupMemoOneTablePerIntermediate checks the per-operation memo on

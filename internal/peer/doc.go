@@ -9,9 +9,14 @@
 // each, asks every owner for its bucket's best match under the configured
 // measure (Sec. 5.2: Jaccard or containment), and returns the overall
 // best. It is the one implementation of the protocol: every probe
-// travels in a FindBestBatchReq, one per distinct owner, or one per probe
-// under load-aware replica selection. "If none of the match is exact, also store the computed partition
-// at the peers holding the computed identifiers" — the cache=true path.
+// travels in a FindBestBatchReq, one per distinct target (its owner, or
+// under load-aware replica selection the least-loaded member of its
+// replica set). Batches go out one after another, and once one returns
+// an exact match (score 1, the maximum of both measures) the lookup
+// sends no more: no later answer could replace it, so the result is the
+// one probing all l buckets gives. "If none of the match is exact, also
+// store the computed partition at the peers holding the computed
+// identifiers" — the cache=true path.
 // Publish is the data-side half: a peer holding a materialized partition
 // registers its descriptor under the same l identifiers.
 //
@@ -41,7 +46,8 @@
 // Lookup, Publish and FetchData take an internal/trace Span that records
 // the signature-cache outcome, one child span per probe with its chord
 // hops and detours, one per batch round trip with the grafted serve span
-// and the per-probe matches, and store/fallback decisions. A nil span
+// and the per-probe matches, a "stop" event when an exact match leaves
+// batches unsent, and store/fallback decisions. A nil span
 // traces nothing and costs nothing. Every protocol call goes through
 // callCtx, which sends the span's context (zero when nil) and grafts the
 // returned serve spans; Handle, the peer's one transport.Handler, opens

@@ -517,21 +517,25 @@ func checkRange(q rangeset.Range) error {
 
 // Lookup runs the paper's query-side protocol for a range selection on
 // relation.attribute: hash to l identifiers, route to each owner, collect
-// best matches, and return the overall best. When cache is true and no
-// exact match (score 1) exists, the query range is also recorded at the l
-// owners — "If none of the match is exact, also store the computed
-// partition at the peers holding the computed identifiers."
+// best matches, and return the overall best. When cache is true and the
+// best match is not the query's own range, the query range is also
+// recorded at the l owners — "If none of the match is exact, also store
+// the computed partition at the peers holding the computed identifiers."
 //
 // The l probes share one chord.RouteMemo, so each intermediate peer's
 // route table is fetched once per lookup. Each probe then gets a target:
 // its owner, or with load-aware routing the least-loaded member of its
 // bucket's replica set, chosen by one replica.Manager.Rank load round
 // for the whole lookup. Probes bound for the same target share one
-// FindBestBatchReq round trip. sp (which may be nil) records the
-// signature-cache outcome, one child span per probe holding its chord
-// routing, a "select" child span holding the load round, one child span
-// per batch round trip carrying the remote serve span and the per-probe
-// outcomes, and the store decision.
+// FindBestBatchReq round trip, and the batches go out in order of each
+// target's first probe until one returns an exact match (score 1): merge
+// keeps the first strict best, so no later answer could replace it, and
+// Match, Found, Hops and Stored are what probing all l buckets gives.
+// sp (which may be nil) records the signature-cache outcome, one child
+// span per probe holding its chord routing, a "select" child span
+// holding the load round, one child span per batch round trip carrying
+// the remote serve span and the per-probe outcomes, a "stop" event when
+// an exact match leaves batches unsent, and the store decision.
 // Traced or not, the wire protocol is the same, so the flight recorder's
 // always-sampled root changes no RPC count.
 func (p *Peer) Lookup(rel, attribute string, q rangeset.Range, cache bool, sp *trace.Span) (LookupResult, error) {
@@ -546,7 +550,6 @@ func (p *Peer) Lookup(rel, attribute string, q rangeset.Range, cache bool, sp *t
 	res.Hops = make([]int, 0, len(ids))
 	var memo chord.RouteMemo
 	for i, id := range ids {
-		metProbes.Inc()
 		var ps *trace.Span
 		if sp.On() {
 			ps = sp.Childf("probe %d/%d id=%08x", i+1, len(ids), id)
@@ -595,6 +598,10 @@ func (p *Peer) Lookup(rel, attribute string, q rangeset.Range, cache bool, sp *t
 		batchIDs[k] = ids[i]
 	}
 	for lo := 0; lo < len(order); {
+		if res.final() {
+			sp.Event("stop", "exact match")
+			break
+		}
 		hi := lo + 1
 		for hi < len(order) && targets[order[hi]].ID == targets[order[lo]].ID {
 			hi++
@@ -652,9 +659,11 @@ func refSeen(seen []chord.Ref, r chord.Ref) bool {
 // at a time; a probe no candidate answers falls back to its own owner
 // call, where callOwner re-resolves a dead owner. owners[i] then records
 // the owner that answered, so the store-on-miss phase lands at owners,
-// never replicas.
+// never replicas. Probing one at a time stops, like the batches, once
+// res holds an exact match.
 func (p *Peer) probeBatch(req FindBestBatchReq, idx []int, target chord.Ref, owners []chord.Ref, ranked [][]replica.Candidate, res *LookupResult, sp *trace.Span) error {
 	metBatches.Inc()
+	metProbes.Add(uint64(len(idx)))
 	var bs *trace.Span
 	if sp.On() {
 		bs = sp.Childf("batch @%s: %d probe(s)", target.Addr, len(idx))
@@ -686,6 +695,10 @@ func (p *Peer) probeBatch(req FindBestBatchReq, idx []int, target chord.Ref, own
 	}
 	failed := []chord.ID{target.ID}
 	for j, i := range idx {
+		if res.final() {
+			bs.Event("stop", "exact match")
+			break
+		}
 		one := req
 		one.IDs = req.IDs[j : j+1]
 		if p.probeCandidates(one, i, owners[i], ranked, &failed, res, bs) {
@@ -736,6 +749,13 @@ func (p *Peer) probeCandidates(req FindBestBatchReq, i int, owner chord.Ref, ran
 	}
 	replica.Settle(i+1, owner, cands, -1, sp)
 	return false
+}
+
+// final reports whether the running best scores 1, the maximum of both
+// measures: merge keeps the first strict best, so no later answer can
+// replace it, and the lookup stops probing.
+func (res *LookupResult) final() bool {
+	return res.Found && res.Match.Score >= 1
 }
 
 // merge folds probe i's answer into the running best, noting it on sp.

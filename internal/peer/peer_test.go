@@ -752,8 +752,12 @@ func TestLoadAwareLookupBatchesByTarget(t *testing.T) {
 // back to the owner path.
 func TestLoadAwareTargetKilledMidLookup(t *testing.T) {
 	peers, cc := loadAwareCluster(t)
-	q := rangeset.Range{Lo: 300, Hi: 340}
-	if _, err := peers[0].Publish(store.Partition{Relation: "R", Attribute: "a", Range: q}, nil); err != nil {
+	// The lookup range is one value wider than the published one, so no
+	// answer scores 1 and the lookup never stops early: every probe of
+	// the killed batch is still sent.
+	pub := rangeset.Range{Lo: 300, Hi: 340}
+	q := rangeset.Range{Lo: 300, Hi: 341}
+	if _, err := peers[0].Publish(store.Partition{Relation: "R", Attribute: "a", Range: pub}, nil); err != nil {
 		t.Fatal(err)
 	}
 	fallbacks := metrics.Default.Counter("replica.fallbacks")
@@ -777,7 +781,7 @@ func TestLoadAwareTargetKilledMidLookup(t *testing.T) {
 		if killed == "" {
 			continue // every probe was the querier's own: nothing to kill
 		}
-		if !lr.Found || lr.Match.Partition.Range != q {
+		if !lr.Found || lr.Match.Partition.Range != pub {
 			t.Fatalf("lookup after %s died found %+v, want the published range", killed, lr.Match)
 		}
 		if got := fallbacks.Value() - before; got != 0 {

@@ -47,3 +47,41 @@ func TestLookupRouteRPCBudget(t *testing.T) {
 		t.Errorf("%.3f route-table fetches per lookup, budget %.2f", perLookup, budget)
 	}
 }
+
+// TestExactHitProbeBudget is the probe-batch gate for exact hits: on a
+// converged 8-peer ring, 50 seeded published ranges, each looked up
+// exactly from rotating origins, cost exactly one FindBestBatch round
+// trip apiece. The first batch already holds the published range with
+// score 1, and a lookup stops probing once it has an exact match; a
+// change that resumes probing after one fails here rather than on the
+// next benchmark run.
+func TestExactHitProbeBudget(t *testing.T) {
+	const (
+		peers  = 8
+		ranges = 50
+	)
+	c, err := NewCluster(ClusterConfig{N: peers, Peer: peer.Config{Scheme: testScheme(t)}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	rng := rand.New(rand.NewSource(53))
+	catalog, err := c.publishCatalog(ranges, rng, 53)
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := metrics.Default.Snapshot()
+	for i, part := range catalog {
+		res, err := c.Peers[i%peers].Lookup("R", "a", part.Range, false, nil)
+		if err != nil {
+			t.Fatalf("lookup %d of %v: %v", i, part.Range, err)
+		}
+		if !res.Found || res.Match.Partition.Range != part.Range || res.Match.Score != 1 {
+			t.Fatalf("lookup %d of published %v found %+v (found=%v)", i, part.Range, res.Match, res.Found)
+		}
+	}
+	d := metrics.Default.Snapshot().Sub(before).Counters
+	if got := d["peer.batches"]; got != ranges {
+		t.Errorf("%d probe batches for %d exact hits, want one each", got, ranges)
+	}
+}

@@ -71,6 +71,13 @@ func frameLimit(kind byte) int {
 // so one large reply does not pin its size for the connection's life.
 const maxRetainedBuf = 64 << 10
 
+// connReadBuf sizes the buffered reader at each end of a connection
+// (the client's readLoop and the server's serveConn). Most routine
+// frames fit in it; a larger frame is read straight into its frame
+// buffer by io.ReadFull, so the size sets only how many reads a small
+// frame costs, while every open connection pins one at each end.
+const connReadBuf = 4 << 10
+
 // retain returns b emptied for reuse, or nil when its capacity is over
 // maxRetainedBuf.
 func retain(b []byte) []byte {
@@ -307,7 +314,7 @@ func (m *muxConn) fail(err error) {
 // idle connection disarms the deadline; a stale expiry racing a newer
 // call re-arms to that call's deadline instead of failing it.
 func (m *muxConn) readLoop() {
-	br := bufio.NewReaderSize(m.conn, 32<<10)
+	br := bufio.NewReaderSize(m.conn, connReadBuf)
 	cur := &Cursor{in: &interner{}}
 	var rbuf []byte
 	for {

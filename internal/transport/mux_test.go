@@ -287,7 +287,8 @@ func TestFrameRejectsWrongDirectionTag(t *testing.T) {
 // TestConnectionBuffersDropLargeFrames: after one 1 MiB frame crosses a
 // connection, neither its writer's encode and flush buffers nor its
 // reader's frame buffer keeps more than maxRetainedBuf, while a routine
-// frame afterwards reuses the buffer it is given.
+// frame afterwards reuses the buffer it is given; and frames far larger
+// than the connection read buffer round-trip over TCP.
 func TestConnectionBuffersDropLargeFrames(t *testing.T) {
 	client, server := net.Pipe()
 	defer client.Close()
@@ -327,6 +328,29 @@ func TestConnectionBuffersDropLargeFrames(t *testing.T) {
 	g.mu.Unlock()
 	if cap(rbuf) == 0 || cap(g.scratch) == 0 {
 		t.Errorf("routine frame left no reusable buffer: reader %d, writer %d bytes", cap(rbuf), cap(g.scratch))
+	}
+
+	// Over TCP, frames of 64 KiB and 1 MiB, each many times connReadBuf,
+	// cross both buffered readers, the server's as a request and the
+	// client's as the echoed response, and a routine call follows on the
+	// same connection.
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := ServeTCP(ln, echoHandler)
+	defer srv.Close()
+	caller := NewTCPCaller()
+	defer caller.Close()
+	for _, size := range []int{64 << 10, 1 << 20, 2} {
+		msg := strings.Repeat("y", size)
+		resp, err := call(caller, srv.Addr(), echoReq{Msg: msg})
+		if err != nil {
+			t.Fatalf("%d-byte round trip: %v", size, err)
+		}
+		if got, ok := resp.(echoResp); !ok || got.Msg != msg {
+			t.Fatalf("%d-byte round trip came back altered (%T)", size, resp)
+		}
 	}
 }
 

@@ -105,7 +105,7 @@ func (s *TCPServer) serveConn(conn net.Conn) {
 		delete(s.conns, conn)
 		s.mu.Unlock()
 	}()
-	br := bufio.NewReaderSize(conn, 32<<10)
+	br := bufio.NewReaderSize(conn, connReadBuf)
 	var hello [len(binaryMagic)]byte
 	if _, err := io.ReadFull(br, hello[:]); err != nil || hello != binaryMagic {
 		return

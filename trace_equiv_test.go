@@ -67,19 +67,21 @@ func TestStitchedTreeTransportEquivalence(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// The querying peer must not own every probed identifier, or the tree
-	// has no remote serve span to compare. The in-memory twin has the same
-	// ring, so it names the owners without touching the live one.
+	// The querying peer must not own q's first identifier: its batch goes
+	// first, and the [30,50] descriptor contains q, so an exact (score 1)
+	// answer there would end the lookup with no remote serve span to
+	// compare. The in-memory twin has the same ring, so it names the
+	// owners without touching the live one.
 	q, _ := NewRange(30, 49)
 	origin := -1
 	for i := range mem.Peers {
-		if !ownsEvery(t, mem.Peers[i], q) {
+		if !ownsFirst(t, mem.Peers[i], q) {
 			origin = i
 			break
 		}
 	}
 	if origin < 0 {
-		t.Fatal("one peer owns every identifier of q in a six-peer ring")
+		t.Fatal("every peer owns q's first identifier")
 	}
 	_, found, liveTr, err := peers[origin].LookupTraced("Patient", "age", q, false)
 	if err != nil {
@@ -156,11 +158,13 @@ func TestFlightTailSamplingEquivalence(t *testing.T) {
 	// partition-cache state the other would then route around.
 	q, _ := NewRange(30, 49)
 
-	// The acceptance bar below needs a remote owner, but on random ports
-	// one peer can own every identifier of q. At most one peer can, so
-	// its neighbour in the list cannot.
+	// The acceptance bar below needs a remote serve span, but on random
+	// ports the origin can own q's first identifier; its own batch then
+	// goes first, and since [30,50] contains q that batch can answer
+	// exactly and end the lookup. Exactly one peer owns that identifier,
+	// so its neighbour in the list does not.
 	origin := peers[4]
-	if ownsEvery(t, origin.node.Host, q) {
+	if ownsFirst(t, origin.node.Host, q) {
 		origin = peers[5]
 	}
 	rec := origin.Flight()
@@ -219,17 +223,13 @@ func TestFlightTailSamplingEquivalence(t *testing.T) {
 	}
 }
 
-// ownsEvery reports whether p owns every identifier of q.
-func ownsEvery(t *testing.T, p *peer.Host, q Range) bool {
+// ownsFirst reports whether p owns q's first identifier, whose owner a
+// lookup from p (load-aware routing off) sends its first batch to.
+func ownsFirst(t *testing.T, p *peer.Host, q Range) bool {
 	t.Helper()
-	for _, id := range p.Identifiers(q) {
-		owner, _, err := p.RouteOwner(id)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if owner.ID != p.Node().ID() {
-			return false
-		}
+	owner, _, err := p.RouteOwner(p.Identifiers(q)[0])
+	if err != nil {
+		t.Fatal(err)
 	}
-	return true
+	return owner.ID == p.Node().ID()
 }

@@ -39,9 +39,11 @@ func TestLookupTraceGolden(t *testing.T) {
 
 	// The tree shows the coalesced wire protocol: one routing child per
 	// probe, then one batch round trip per distinct owner carrying the
-	// grafted serve span and the per-probe outcomes. This is the same
-	// path untraced lookups take, so the flight recorder's always-sampled
-	// root changes no RPC count.
+	// grafted serve span and the per-probe outcomes, until a batch
+	// returns an exact match: the first one here does, so the lookup
+	// stops and the other three owners are never asked. This is the
+	// same path untraced lookups take, so the flight recorder's
+	// always-sampled root changes no RPC count.
 	const want = `lookup Patient.age [30,50] from 10.0.0.0:4000
 ├─ sig: miss
 ├─ probe 1/5 id=cf7d4f9f
@@ -63,26 +65,7 @@ func TestLookupTraceGolden(t *testing.T) {
 │  │  ├─ batch: 1 probe(s)
 │  │  └─ best: id=cf7d4f9f [30,50] score=1.000
 │  └─ match: probe 1: [30,50] score=1.000
-├─ batch @10.0.0.0:4000: 2 probe(s)
-│  ├─ serve FindBestBatch @10.0.0.0:4000
-│  │  ├─ from: 10.0.0.0:4000
-│  │  ├─ batch: 2 probe(s)
-│  │  ├─ best: id=69c1a38f [30,50] score=1.000
-│  │  └─ best: id=61cd1ab1 [30,50] score=1.000
-│  ├─ match: probe 2: [30,50] score=1.000
-│  └─ match: probe 5: [30,50] score=1.000
-├─ batch @10.0.0.3:4000: 1 probe(s)
-│  ├─ serve FindBestBatch @10.0.0.3:4000
-│  │  ├─ from: 10.0.0.0:4000
-│  │  ├─ batch: 1 probe(s)
-│  │  └─ best: id=86e9e0fd [30,50] score=1.000
-│  └─ match: probe 3: [30,50] score=1.000
-├─ batch @10.0.0.4:4000: 1 probe(s)
-│  ├─ serve FindBestBatch @10.0.0.4:4000
-│  │  ├─ from: 10.0.0.0:4000
-│  │  ├─ batch: 1 probe(s)
-│  │  └─ best: id=4cec38e0 [30,50] score=1.000
-│  └─ match: probe 4: [30,50] score=1.000
+├─ stop: exact match
 └─ store: skipped (exact match)
 `
 	if got := tr.Tree(false); got != want {
@@ -105,8 +88,9 @@ func TestLoadAwareLookupTraceGolden(t *testing.T) {
 	if err := sys.Publish(PartitionInfo{Relation: "Patient", Attribute: "age", Range: rg}); err != nil {
 		t.Fatal(err)
 	}
-	// On an idle ring every gauge ties, so each probe goes to its owner
-	// and probes 2 and 5, both owned by 10.0.0.0, share one batch.
+	// On an idle ring every gauge ties, so each probe's target is its
+	// owner; the first batch answers with the exact match, so the rest
+	// are never sent.
 	const first = `lookup Patient.age [30,50] from 10.0.0.0:4000
 ├─ sig: miss
 ├─ probe 1/5 id=cf7d4f9f
@@ -135,35 +119,12 @@ func TestLoadAwareLookupTraceGolden(t *testing.T) {
 │  │  └─ best: id=cf7d4f9f [30,50] score=1.000
 │  ├─ replica: probe 1: served by 0b3371f0@10.0.0.2:4000 load=0 (candidate 1/3)
 │  └─ match: probe 1: [30,50] score=1.000
-├─ batch @10.0.0.0:4000: 2 probe(s)
-│  ├─ serve FindBestBatch @10.0.0.0:4000
-│  │  ├─ from: 10.0.0.0:4000
-│  │  ├─ batch: 2 probe(s)
-│  │  ├─ best: id=69c1a38f [30,50] score=1.000
-│  │  └─ best: id=61cd1ab1 [30,50] score=1.000
-│  ├─ replica: probe 2: served by 7dceec98@10.0.0.0:4000 load=0 (candidate 1/3)
-│  ├─ match: probe 2: [30,50] score=1.000
-│  ├─ replica: probe 5: served by 7dceec98@10.0.0.0:4000 load=0 (candidate 1/3)
-│  └─ match: probe 5: [30,50] score=1.000
-├─ batch @10.0.0.3:4000: 1 probe(s)
-│  ├─ serve FindBestBatch @10.0.0.3:4000
-│  │  ├─ from: 10.0.0.0:4000
-│  │  ├─ batch: 1 probe(s)
-│  │  └─ best: id=86e9e0fd [30,50] score=1.000
-│  ├─ replica: probe 3: served by 90d9e78d@10.0.0.3:4000 load=0 (candidate 1/3)
-│  └─ match: probe 3: [30,50] score=1.000
-├─ batch @10.0.0.4:4000: 1 probe(s)
-│  ├─ serve FindBestBatch @10.0.0.4:4000
-│  │  ├─ from: 10.0.0.0:4000
-│  │  ├─ batch: 1 probe(s)
-│  │  └─ best: id=4cec38e0 [30,50] score=1.000
-│  ├─ replica: probe 4: served by 534daff3@10.0.0.4:4000 load=0 (candidate 1/3)
-│  └─ match: probe 4: [30,50] score=1.000
+├─ stop: exact match
 └─ store: skipped (exact match)
 `
-	// The first lookup loaded the owners it probed, so the second, from
-	// another peer, diverts probes 2, 3 and 5 to the idle successor
-	// 10.0.0.7, which serves all three in one batch.
+	// The first lookup loaded the one owner it probed, 10.0.0.2, so the
+	// second, from another peer, diverts probe 1 to its idle replica
+	// 10.0.0.1, whose exact answer again ends the lookup.
 	const second = `lookup Patient.age [30,50] from 10.0.0.6:4000
 ├─ sig: miss
 ├─ probe 1/5 id=cf7d4f9f
@@ -183,10 +144,10 @@ func TestLoadAwareLookupTraceGolden(t *testing.T) {
 │  └─ owner: 7dceec98@10.0.0.0:4000 hops=1
 ├─ select
 │  ├─ replica: probe 1: 3 candidate(s), least loaded 2b45b454@10.0.0.1:4000 load=0
-│  ├─ replica: probe 2: 3 candidate(s), least loaded a64194af@10.0.0.7:4000 load=0
-│  ├─ replica: probe 3: 3 candidate(s), least loaded a64194af@10.0.0.7:4000 load=0
-│  ├─ replica: probe 4: 3 candidate(s), least loaded 534daff3@10.0.0.4:4000 load=1
-│  └─ replica: probe 5: 3 candidate(s), least loaded a64194af@10.0.0.7:4000 load=0
+│  ├─ replica: probe 2: 3 candidate(s), least loaded 7dceec98@10.0.0.0:4000 load=0
+│  ├─ replica: probe 3: 3 candidate(s), least loaded 90d9e78d@10.0.0.3:4000 load=0
+│  ├─ replica: probe 4: 3 candidate(s), least loaded 534daff3@10.0.0.4:4000 load=0
+│  └─ replica: probe 5: 3 candidate(s), least loaded 7dceec98@10.0.0.0:4000 load=0
 ├─ batch @10.0.0.1:4000: 1 probe(s)
 │  ├─ serve FindBestBatch @10.0.0.1:4000
 │  │  ├─ from: 10.0.0.6:4000
@@ -194,26 +155,7 @@ func TestLoadAwareLookupTraceGolden(t *testing.T) {
 │  │  └─ best: id=cf7d4f9f [30,50] score=1.000
 │  ├─ replica: probe 1: served by 2b45b454@10.0.0.1:4000 load=0 (candidate 1/3)
 │  └─ match: probe 1: [30,50] score=1.000
-├─ batch @10.0.0.7:4000: 3 probe(s)
-│  ├─ serve FindBestBatch @10.0.0.7:4000
-│  │  ├─ from: 10.0.0.6:4000
-│  │  ├─ batch: 3 probe(s)
-│  │  ├─ best: id=69c1a38f [30,50] score=1.000
-│  │  ├─ best: id=86e9e0fd [30,50] score=1.000
-│  │  └─ best: id=61cd1ab1 [30,50] score=1.000
-│  ├─ replica: probe 2: served by a64194af@10.0.0.7:4000 load=0 (candidate 1/3)
-│  ├─ match: probe 2: [30,50] score=1.000
-│  ├─ replica: probe 3: served by a64194af@10.0.0.7:4000 load=0 (candidate 1/3)
-│  ├─ match: probe 3: [30,50] score=1.000
-│  ├─ replica: probe 5: served by a64194af@10.0.0.7:4000 load=0 (candidate 1/3)
-│  └─ match: probe 5: [30,50] score=1.000
-├─ batch @10.0.0.4:4000: 1 probe(s)
-│  ├─ serve FindBestBatch @10.0.0.4:4000
-│  │  ├─ from: 10.0.0.6:4000
-│  │  ├─ batch: 1 probe(s)
-│  │  └─ best: id=4cec38e0 [30,50] score=1.000
-│  ├─ replica: probe 4: served by 534daff3@10.0.0.4:4000 load=1 (candidate 1/3)
-│  └─ match: probe 4: [30,50] score=1.000
+├─ stop: exact match
 └─ store: skipped (exact match)
 `
 	for i, want := range []string{first, second} {
