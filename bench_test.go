@@ -8,12 +8,10 @@ package p2prange
 // ablation benchmarks cover the design choices DESIGN.md calls out.
 
 import (
-	"fmt"
 	"math/rand"
 	"testing"
 
 	"p2prange/internal/chord"
-	"p2prange/internal/djoin"
 	"p2prange/internal/experiments"
 	"p2prange/internal/minhash"
 	"p2prange/internal/peer"
@@ -93,10 +91,6 @@ func BenchmarkAblationWorkloads(b *testing.B) { benchFigure(b, "workloads") }
 
 // BenchmarkCompareDHTs regenerates the Chord-vs-CAN substrate comparison.
 func BenchmarkCompareDHTs(b *testing.B) { benchFigure(b, "dht") }
-
-// BenchmarkDistributedJoinExperiment regenerates the DHT-join workload
-// distribution comparison.
-func BenchmarkDistributedJoinExperiment(b *testing.B) { benchFigure(b, "join") }
 
 // BenchmarkAblationCapacity regenerates the cache-capacity ablation.
 func BenchmarkAblationCapacity(b *testing.B) { benchFigure(b, "capacity") }
@@ -300,38 +294,4 @@ func min64(a, b int64) int64 {
 		return a
 	}
 	return b
-}
-
-// BenchmarkDistributedJoin measures the full DHT hash join of the
-// medical Patient and Diagnosis relations on a 16-peer ring.
-func BenchmarkDistributedJoin(b *testing.B) {
-	scheme, err := sim.Scheme(minhash.ApproxMinWise, 1)
-	if err != nil {
-		b.Fatal(err)
-	}
-	c, err := sim.NewCluster(sim.ClusterConfig{N: 16, Peer: peer.Config{Scheme: scheme}})
-	if err != nil {
-		b.Fatal(err)
-	}
-	for _, p := range c.Peers {
-		djoin.NewService(p.Peer)
-	}
-	rels, err := relation.GenerateMedical(relation.MedicalConfig{
-		Patients: 200, Physicians: 10, Diagnoses: 500, Seed: 2,
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		res, err := djoin.Run(c.Peers[0].Peer, fmt.Sprintf("b%d", i),
-			djoin.Input{Holder: c.Peers[1].Peer, Rel: rels["Patient"], Key: "patient_id"},
-			djoin.Input{Holder: c.Peers[2].Peer, Rel: rels["Diagnosis"], Key: "patient_id"})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if res.Len() == 0 {
-			b.Fatal("empty join")
-		}
-	}
 }

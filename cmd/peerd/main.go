@@ -17,26 +17,22 @@
 // the descriptors it held instead of an empty store. See
 // docs/DURABILITY.md for the on-disk format and operator runbook.
 //
-// A durable peer can also ship its log: -follow OWNER tails that peer's
-// WAL (seeding from its sealed segment when too far behind) so this
-// peer's store converges to a byte-identical image of the owner's;
-// -ship-retain bounds the WAL bytes kept for follower cursors; and
-// -backup-to mirrors every sealed segment into a directory that
-// cmd/walctl can verify and restore offline.
+// A durable replicated peer pushes its WAL delta to its replica
+// successors; -ship-retain bounds the WAL bytes kept past a fold for
+// their cursors. -backup-to mirrors every sealed segment into a
+// directory that cmd/walctl can verify and restore offline.
 //
 // With -debug-addr the daemon also serves an HTTP debug endpoint:
-// /debug/vars (expvar JSON including the full p2prange metrics snapshot —
-// route.*, sig.*, chord.*, peer.*, transport.* families), /debug/pprof
-// (the standard net/http/pprof profiles), /metrics (JSON snapshot),
-// /metrics/prom (Prometheus text format with p50/p95/p99 histogram
-// summaries), /status (the peer's NodeStatus for rangetop), and /healthz
-// (readiness, 200 once ring stabilization settles). See
-// docs/OBSERVABILITY.md for the metric catalogue and scraping examples.
+// /status (the peer's NodeStatus, with its full metrics snapshot, for
+// rangetop), /metrics/prom (Prometheus text format with p50/p95/p99
+// histogram summaries), /healthz (readiness, 200 once ring
+// stabilization settles), /debug/pprof (the standard net/http/pprof
+// profiles) and /debug/{slow,flight,events}. See docs/OBSERVABILITY.md
+// for the metric catalogue and scraping examples.
 package main
 
 import (
 	"encoding/json"
-	"expvar"
 	"flag"
 	"fmt"
 	"log"
@@ -77,7 +73,7 @@ func main() {
 		retries    = flag.Int("retries", 3, "RPC attempts per call (1 disables transport retries)")
 		drop       = flag.Float64("drop", 0, "inject per-RPC drop probability in [0,1] (resilience testing)")
 		sigCache   = flag.Int("sigcache", 256, "signature-cache capacity (ranges); 0 disables")
-		debugAddr  = flag.String("debug-addr", "", "serve /debug/vars (expvar) and /debug/pprof on this address (empty disables)")
+		debugAddr  = flag.String("debug-addr", "", "serve /status, /metrics/prom, /healthz and /debug/pprof on this address (empty disables)")
 
 		replicas    = flag.Int("replicas", 0, "successor copies per stored descriptor; 0 disables replication")
 		loadAware   = flag.Bool("load-aware", false, "route probes to the least-loaded live replica (needs -replicas)")
@@ -88,8 +84,7 @@ func main() {
 		compactEvery = flag.Int("compact-every", 0, "fold WAL into a segment after this many records (0: default 4096; <0 disables)")
 		memLimit     = flag.Int("mem-limit", 0, "max descriptors resident in memory; with -data-dir overflow is served from segments (read-through), without it overflow is dropped (LRU); 0 unbounded")
 
-		follow     = flag.String("follow", "", "tail that peer's WAL (log shipping): seed from its segment, then apply its record stream")
-		shipRetain = flag.Int64("ship-retain", 0, "WAL bytes kept past a fold for follower cursors (0: 64MiB default; <0 retains nothing)")
+		shipRetain = flag.Int64("ship-retain", 0, "WAL bytes kept past a fold for replica push cursors; a dropped cursor costs a digest round (0: 64MiB default; <0 retains nothing)")
 		backupTo   = flag.String("backup-to", "", "mirror every sealed segment into this directory (restore with walctl restore)")
 
 		slowThreshold = flag.Duration("slow-threshold", 0, "flight recorder slow-query cutoff (0: 25ms default)")
@@ -120,7 +115,6 @@ func main() {
 		Fsync:         *fsync,
 		CompactEvery:  *compactEvery,
 		MemLimit:      *memLimit,
-		Follow:        *follow,
 		ShipRetain:    *shipRetain,
 		BackupTo:      *backupTo,
 		SlowThreshold: *slowThreshold,
@@ -149,9 +143,6 @@ func main() {
 			log.Printf("peerd: read-through on: resident cap %d descriptors, %d on segment (index rebuilt: %v)",
 				*memLimit, rec.SegmentRecords, rec.IndexRebuilt)
 		}
-	}
-	if *follow != "" {
-		log.Printf("peerd: following %s (log shipping)", *follow)
 	}
 	if *debugAddr != "" {
 		startDebugServer(*debugAddr, lp)
@@ -202,35 +193,13 @@ func main() {
 	}
 }
 
-// startDebugServer exposes the observability endpoints on addr: expvar's
-// /debug/vars carrying the full Default-registry snapshot under the
-// "p2prange" key plus peer identity/state under "peerd", and pprof's
-// /debug/pprof (registered by the net/http/pprof import).
+// startDebugServer exposes the observability endpoints on addr: /status
+// carries the peer's self-description and its full metrics snapshot,
+// /metrics/prom the same registry for Prometheus, and pprof's
+// /debug/pprof is registered by the net/http/pprof import.
 func startDebugServer(addr string, lp *p2prange.LivePeer) {
-	expvar.Publish("p2prange", expvar.Func(func() any {
-		return metrics.Default.Snapshot()
-	}))
-	expvar.Publish("peerd", expvar.Func(func() any {
-		s := metrics.Default.Snapshot()
-		return map[string]any{
-			"ref":       lp.Ref().String(),
-			"successor": lp.Successor().String(),
-			"stored":    lp.StoredPartitions(),
-			"lookups":   s.Counters["route.lookups"],
-			"retries":   s.Counters["route.retries"],
-			"rerouted":  s.Counters["route.rerouted"],
-		}
-	}))
-	// /metrics serves the bare registry snapshot for tools that do not
-	// want to peel the expvar envelope.
-	http.HandleFunc("/metrics", func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Content-Type", "application/json")
-		enc := json.NewEncoder(w)
-		enc.SetIndent("", "  ")
-		enc.Encode(metrics.Default.Snapshot())
-	})
-	// /metrics/prom serves the same registry in Prometheus text format,
-	// each histogram with p50/p95/p99 summary gauges.
+	// /metrics/prom serves the registry in Prometheus text format, each
+	// histogram with p50/p95/p99 summary gauges.
 	http.HandleFunc("/metrics/prom", func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 		metrics.Default.Snapshot().WritePrometheus(w)
@@ -295,7 +264,7 @@ func startDebugServer(addr string, lp *p2prange.LivePeer) {
 		enc.Encode(out)
 	})
 	go func() {
-		log.Printf("peerd: debug endpoint on http://%s/debug/vars (pprof at /debug/pprof; /metrics, /metrics/prom, /status, /healthz, /debug/slow, /debug/flight, /debug/events)", addr)
+		log.Printf("peerd: debug endpoint on http://%s/status (pprof at /debug/pprof; /metrics/prom, /healthz, /debug/slow, /debug/flight, /debug/events)", addr)
 		if err := http.ListenAndServe(addr, nil); err != nil {
 			log.Printf("peerd: debug server: %v", err)
 		}

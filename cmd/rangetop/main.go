@@ -167,11 +167,10 @@ func render(v obs.ClusterView, prev map[string]obs.NodeStatus, errs []string, cl
 	}
 	g := v.Global
 	if g.Counters["ship.push_records"]+g.Counters["ship.applied_records"]+
-		g.Counters["ship.snapshot_seeds"]+g.Counters["replica.ship_synced"] > 0 {
-		fmt.Fprintf(&b, "  ship     pushed=%d applied=%d seeds=%d resets=%d digest-fallbacks=%d max-lag=%s\n",
+		g.Counters["replica.ship_synced"] > 0 {
+		fmt.Fprintf(&b, "  ship     pushed=%d applied=%d resets=%d digest-fallbacks=%d\n",
 			g.Counters["ship.push_records"], g.Counters["ship.applied_records"],
-			g.Counters["ship.snapshot_seeds"], g.Counters["ship.cursor_resets"],
-			g.Counters["replica.ship_fallbacks"], fmtBytes(g.Gauges["ship.max_lag_bytes"]))
+			g.Counters["ship.push_resets"], g.Counters["replica.ship_fallbacks"])
 	}
 	b.WriteString("\n")
 
@@ -189,11 +188,6 @@ func render(v obs.ClusterView, prev map[string]obs.NodeStatus, errs []string, cl
 		if !n.Stable {
 			state = "stabilizing"
 		}
-		if n.Ship != nil {
-			// Follower peers show who they tail and where the state
-			// machine sits (snapshot seed vs record tail).
-			state += fmt.Sprintf("  %s←%s", n.Ship.State, n.Ship.Owner)
-		}
 		// Worst recent query from the peer's flight recorder — the cell
 		// that answers "which peer is hurting" before anyone greps logs.
 		worst := "-"
@@ -206,19 +200,11 @@ func render(v obs.ClusterView, prev map[string]obs.NodeStatus, errs []string, cl
 		}
 		fmt.Fprintf(&b, "  %-22s %-10s %8d %8s %8d %8s %9s  %s\n",
 			n.Addr, id, n.Stored, dStored, n.Served, dServed, worst, state)
-		if d := n.Durable; d != nil && (len(d.Followers) > 0 || d.RetainedBytes > 0) {
-			// Retention pressure and per-follower lag, indented under
-			// the owning peer.
+		if d := n.Durable; d != nil && d.RetainedBytes > 0 {
+			// Retention pressure from push cursors, indented under the
+			// owning peer.
 			fmt.Fprintf(&b, "  %24s wal=%s seg=%s retained=%s\n", "",
 				fmtBytes(d.WALBytes), fmtBytes(d.SegmentBytes), fmtBytes(d.RetainedBytes))
-			for _, f := range d.Followers {
-				phase := "tail"
-				if f.Snapshot {
-					phase = "snapshot"
-				}
-				fmt.Fprintf(&b, "  %24s follower %s cursor=%d:%d lag=%s (%s)\n", "",
-					f.Addr, f.Seq, f.Off, fmtBytes(f.LagBytes), phase)
-			}
 		}
 	}
 	renderEvents(&b, nodes)

@@ -63,7 +63,8 @@ func ChurnResilience(p Params) (*Table, error) {
 		"restart rows: %d descriptors published, 1 peer crashed and restarted (cold vs WAL replay); "+
 		"resident rows: 1 durable peer rebooted with its memory capped at the named fraction of the working set, "+
 		"overflow served from the sealed segment — recall%% is byte-identity against the unbounded reboot; "+
-		"ship rows: a follower missing %d of %d writes converges by digest exchange vs WAL tail vs snapshot+tail — "+
+		"ship rows: a replica missing %d of %d writes converges by digest exchange vs push-tail (the owner's pusher ships its WAL delta) "+
+		"vs push-reset (retention dropped the push cursor, so a digest round closes the gap) — "+
 		"ident is byte-identity against local recovery of the owner's directory",
 		lookups, n, lookups, shipMissed, lookups+shipMissed)
 	// Every durable row gets its own data directory under one root.
@@ -168,15 +169,16 @@ func ChurnResilience(p Params) (*Table, error) {
 		)
 	}
 
-	// Ship ablation: a follower that synced once, missed a small batch
-	// of writes, and converges again three ways. sync-recs is what moved
-	// (records or pushed descriptors), sync-rows the digest's version-
-	// vector rows (the O(store) term the log-shipping path eliminates),
-	// ident the byte-identity shadow check against local recovery.
-	for _, mode := range []string{sim.ShipModeDigest, sim.ShipModeTail, sim.ShipModeSnapshot} {
+	// Ship ablation: a replica the owner's pusher synced once, that
+	// missed a small batch of writes, and converges again three ways.
+	// sync-recs is what moved (pushed records or digest-pushed
+	// descriptors), sync-rows the digest's version-vector rows (the
+	// O(store) term the push path eliminates), ident the byte-identity
+	// shadow check against local recovery.
+	for _, mode := range []string{sim.ShipModeDigest, sim.ShipModeTail, sim.ShipModeReset} {
 		res, err := sim.RunShip(sim.ShipConfig{
 			Base: lookups, Missed: shipMissed, Mode: mode,
-			OwnerDir: dir("ship-owner-" + mode), FollowerDir: dir("ship-follower-" + mode), Seed: p.Seed,
+			OwnerDir: dir("ship-owner-" + mode), ReplicaDir: dir("ship-replica-" + mode), Seed: p.Seed,
 		})
 		if err != nil {
 			return nil, err
@@ -186,7 +188,7 @@ func ChurnResilience(p Params) (*Table, error) {
 			ident = "yes"
 		}
 		rows := "-"
-		if mode == sim.ShipModeDigest {
+		if res.DigestRows > 0 {
 			rows = fmt.Sprintf("%d", res.DigestRows)
 		}
 		t.AddRow(

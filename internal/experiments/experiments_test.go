@@ -32,7 +32,7 @@ func runQuick(t *testing.T, id string) *Table {
 func TestRegistryComplete(t *testing.T) {
 	want := []string{
 		"5", "6a", "6b", "7", "8", "9", "10", "11a", "11b", "12a", "12b",
-		"kl", "peeridx", "workloads", "exact", "padding", "flood", "dht", "join", "capacity", "vnodes", "churn",
+		"kl", "peeridx", "workloads", "exact", "padding", "flood", "dht", "capacity", "vnodes", "churn",
 		"load",
 	}
 	for _, id := range want {
@@ -237,20 +237,6 @@ func TestCompareDHTsShape(t *testing.T) {
 	if len(table.Rows) >= 2 {
 		if cell(t, table, 1, 1) < cell(t, table, 0, 1)-0.5 {
 			t.Error("chord mean fell sharply as N grew")
-		}
-	}
-}
-
-func TestDistributedJoinShape(t *testing.T) {
-	table := runQuick(t, "join")
-	for i := range table.Rows {
-		maxPeer := cell(t, table, i, 4)
-		central := cell(t, table, i, 5)
-		if maxPeer >= central {
-			t.Errorf("row %d: distributed max-peer load %g >= centralized %g", i, maxPeer, central)
-		}
-		if pairs := cell(t, table, i, 1); pairs <= 0 {
-			t.Errorf("row %d: no joined pairs", i)
 		}
 	}
 }

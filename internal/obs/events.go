@@ -8,7 +8,7 @@ import (
 
 // The cluster event journal: a severity-tagged, bounded ring of the
 // *rare* things a cluster does — suspect markings, replica promotions,
-// WAL seals and retention drops, snapshot seeds, recovery summaries —
+// WAL seals and retention drops, recovery summaries —
 // that metrics only count and logs scroll away. Instrumented packages
 // emit into the process-wide Events journal (mirroring metrics.Default),
 // live peers surface it at /debug/events and in /status, and a durable

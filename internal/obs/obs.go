@@ -41,9 +41,6 @@ type NodeStatus struct {
 	// Durable describes the peer's write-ahead log, when one is attached
 	// (peerd -data-dir). Nil for memory-only peers.
 	Durable *DurableStatus `json:"durable,omitempty"`
-	// Ship describes this peer's log-shipping follower, when it tails
-	// another peer's WAL (peerd -follow). Nil otherwise.
-	Ship *ShipStatus `json:"ship,omitempty"`
 	// Flight summarizes the peer's always-on flight recorder. Nil only
 	// when recording is disabled (peerd -flight-off).
 	Flight *FlightStatus `json:"flight,omitempty"`
@@ -116,40 +113,12 @@ type DurableStatus struct {
 	WALBytes     int64 `json:"wal_bytes"`
 	SegmentBytes int64 `json:"segment_bytes"`
 	// RetainedBytes is the part of WALBytes kept past a fold only for
-	// follower cursors (log shipping) — retention pressure. Bounded by
-	// peerd -ship-retain.
+	// replica push cursors — retention pressure. Bounded by peerd
+	// -ship-retain.
 	RetainedBytes int64 `json:"retained_bytes,omitempty"`
-	// OldestWALSeq is the oldest WAL file still on disk; a follower
-	// cursor before it must reseed from the segment.
+	// OldestWALSeq is the oldest WAL file still on disk; a push cursor
+	// before it falls back to a digest round.
 	OldestWALSeq uint64 `json:"oldest_wal_seq,omitempty"`
-	// Followers lists the log-shipping subscribers this peer serves,
-	// with their replication lag.
-	Followers []FollowerStatus `json:"followers,omitempty"`
-}
-
-// FollowerStatus is one log-shipping subscriber as seen by the owner:
-// where its cursor points and how far behind the durable tail it is.
-type FollowerStatus struct {
-	Addr     string `json:"addr"`
-	Seq      uint64 `json:"seq"`
-	Off      int64  `json:"off"`
-	LagBytes int64  `json:"lag_bytes"`
-	// Snapshot marks a follower still streaming the seed segment.
-	Snapshot bool `json:"snapshot,omitempty"`
-}
-
-// ShipStatus is the follower-side view when this peer tails another
-// peer's WAL (peerd -follow): the subscription state machine position
-// and its lifetime apply counters.
-type ShipStatus struct {
-	Owner     string `json:"owner"`
-	State     string `json:"state"` // idle | snapshot | tail
-	Seq       uint64 `json:"seq"`
-	Off       int64  `json:"off"`
-	Applied   uint64 `json:"applied_records"`
-	Snapshots uint64 `json:"snapshots"`
-	Resets    uint64 `json:"resets"`
-	LastError string `json:"last_error,omitempty"`
 }
 
 // ClusterView is the aggregated state of a whole cluster at one instant.

@@ -10,14 +10,12 @@ import (
 	"p2prange/internal/obs"
 	"p2prange/internal/replica"
 	"p2prange/internal/ship"
-	"p2prange/internal/trace"
 	"p2prange/internal/transport"
 	"p2prange/internal/wal"
 )
 
 // HostConfig assembles one node. The zero value of each optional field
-// gives the paper's peer: no flight recorder, a memory-only store, no
-// followed owner.
+// gives the paper's peer: no flight recorder and a memory-only store.
 type HostConfig struct {
 	Addr   string           // transport address; its hash is the chord ID
 	Caller transport.Caller // the node's view of the network
@@ -27,9 +25,6 @@ type HostConfig struct {
 	// WAL makes the store durable when WAL.Dir is set. Boot sets
 	// OnRetainDrop, and runs WAL.OnSeal, if any, after its seal event.
 	WAL wal.Options
-	// Follow, when set, builds a Follower of that owner's WAL; the caller
-	// decides when it runs.
-	Follow string
 }
 
 // Host is one assembled node: the protocol peer plus what a process
@@ -39,8 +34,8 @@ type HostConfig struct {
 //
 //   - build: New, plus the flight recorder unless it is off;
 //   - recover: wal.Open into the store when a data directory is set;
-//   - wire: the ship service as an aux handler, WAL shipping to
-//     replicas and the follower;
+//   - wire: the ship service as an aux handler and WAL shipping to
+//     replicas;
 //
 // (those three are Boot), then
 //
@@ -50,10 +45,9 @@ type HostConfig struct {
 //   - stop: Crash or Close.
 type Host struct {
 	*Peer
-	Log      *wal.Log       // nil when memory-only
-	Recovery wal.Recovery   // what boot-time replay found
-	Ship     *ship.Service  // the shipping protocol's owner and receiver side
-	Follower *ship.Follower // nil unless HostConfig.Follow
+	Log      *wal.Log      // nil when memory-only
+	Recovery wal.Recovery  // what boot-time replay found
+	Ship     *ship.Service // the receiver of replica pushes
 
 	unserve func()
 }
@@ -85,7 +79,7 @@ func Boot(cfg HostConfig) (*Host, error) {
 			return nil, err
 		}
 	}
-	h.wire(cfg.Follow, cfg.WAL.Dir)
+	h.wire()
 	return h, nil
 }
 
@@ -105,12 +99,12 @@ func (h *Host) recover(opts wal.Options) error {
 			mirror(seq)
 		}
 	}
-	opts.OnRetainDrop = func(follower string, c wal.Cursor) {
+	opts.OnRetainDrop = func(name string, c wal.Cursor) {
 		// The operator should know when the retention budget, not the
-		// follower's own pace, forces a full reseed.
-		log.Printf("p2prange: %s: ship-retain budget dropped follower %s at %s; it will reseed from the segment",
-			addr, follower, c)
-		obs.Events.Emitf(obs.SevWarn, "wal", "%s retention budget dropped follower %s at %s: it must reseed from the segment", addr, follower, c)
+		// successor's own pace, forces a digest round.
+		log.Printf("p2prange: %s: ship-retain budget dropped pin %s at %s; the next sync to that successor falls back to a digest round",
+			addr, name, c)
+		obs.Events.Emitf(obs.SevWarn, "wal", "%s retention budget dropped pin %s at %s: the next sync to that successor falls back to a digest round", addr, name, c)
 	}
 	lg, rec, err := wal.Open(opts, h.Store())
 	if err != nil {
@@ -127,15 +121,14 @@ func (h *Host) recover(opts wal.Options) error {
 	return nil
 }
 
-// wire attaches log shipping. Every node answers the receiving half
-// (pushed record batches from a replica owner); with a WAL it also
-// serves the full protocol, and replica anti-entropy ships the WAL
-// delta to full-replica successors (see replica.Shipper) instead of a
-// digest walk, which stays the repair of last resort. Only records this
-// node owns ship onward — replicated copies must not cascade
-// replica-to-replica.
-func (h *Host) wire(follow, dir string) {
-	h.Ship = ship.NewService(ship.ServiceConfig{Log: h.Log, Store: h.Store()})
+// wire attaches replica push. Every node answers the receiving half
+// (pushed record batches from a replica owner); with a WAL, replica
+// anti-entropy also ships the WAL delta to full-replica successors (see
+// replica.Shipper) instead of a digest walk, which stays the repair of
+// last resort. Only records this node owns ship onward — replicated
+// copies must not cascade replica-to-replica.
+func (h *Host) wire() {
+	h.Ship = ship.NewService(h.Store())
 	h.RegisterAux(h.Ship.Handle)
 	if h.Log != nil && h.replica != nil {
 		pusher := ship.NewPusher(h.Log, h.Addr(), func(r wal.Record) bool {
@@ -150,22 +143,6 @@ func (h *Host) wire(follow, dir string) {
 			Retain: pusher.Retain,
 		})
 	}
-	if follow == "" {
-		return
-	}
-	h.Follower = ship.NewFollower(ship.FollowerConfig{
-		Owner: follow,
-		Self:  h.Addr(),
-		Call: func(req any) (any, error) {
-			resp, _, err := h.caller.CallCtx(follow, trace.Context{}, req)
-			return resp, err
-		},
-		// Full-fidelity apply — puts, evicts, arc drops — through the
-		// store with its journal attached, so the follower's own WAL
-		// records exactly what a local recovery would replay.
-		Store: h.Store(),
-		Dir:   dir,
-	})
 }
 
 // ServeMemory registers the node on an in-memory network.
@@ -181,8 +158,7 @@ func (h *Host) ServeTCP(ln net.Listener) {
 }
 
 // Status describes the node for the observability plane: identity,
-// ring links, load and, where present, its WAL, followers, flight
-// recorder and followed owner. Readiness, metrics and events belong to
+// ring links, load and, where present, its WAL and flight recorder. Readiness, metrics and events belong to
 // the process, which adds them.
 func (h *Host) Status() obs.NodeStatus {
 	st := obs.NodeStatus{
@@ -213,15 +189,6 @@ func (h *Host) Status() obs.NodeStatus {
 		if rec.ReadThrough {
 			st.Durable.Resident = h.Store().MemLen()
 		}
-		for _, f := range h.Ship.Followers() {
-			st.Durable.Followers = append(st.Durable.Followers, obs.FollowerStatus{
-				Addr:     f.Addr,
-				Seq:      f.Cursor.Seq,
-				Off:      f.Cursor.Off,
-				LagBytes: f.LagBytes,
-				Snapshot: f.Snapshot,
-			})
-		}
 	}
 	if f := h.Flight(); f.On() {
 		fs := f.Stats()
@@ -234,19 +201,6 @@ func (h *Host) Status() obs.NodeStatus {
 			WorstUS:         fs.WorstUS,
 			WorstName:       fs.WorstName,
 			WorstTraceID:    fs.WorstTraceID,
-		}
-	}
-	if h.Follower != nil {
-		fs := h.Follower.Stats()
-		st.Ship = &obs.ShipStatus{
-			Owner:     fs.Owner,
-			State:     fs.State,
-			Seq:       fs.Cursor.Seq,
-			Off:       fs.Cursor.Off,
-			Applied:   fs.Applied,
-			Snapshots: fs.Snapshots,
-			Resets:    fs.Resets,
-			LastError: fs.LastError,
 		}
 	}
 	return st
@@ -275,13 +229,10 @@ func (h *Host) Crash() {
 	h.unserve()
 }
 
-// Close shuts the node down: the follower stops, the node leaves the
-// network, and the WAL checkpoints and closes, so the next boot recovers
-// from a sealed segment alone.
+// Close shuts the node down: the node leaves the network, and the WAL
+// checkpoints and closes, so the next boot recovers from a sealed
+// segment alone.
 func (h *Host) Close() {
-	if h.Follower != nil {
-		h.Follower.Stop()
-	}
 	h.unserve()
 	if h.Log != nil {
 		h.Log.Close()

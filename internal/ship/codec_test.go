@@ -13,22 +13,6 @@ import (
 // registry dispatches, keyed by concrete type.
 func encodeMsg(v any) ([]byte, error) {
 	switch r := v.(type) {
-	case SubscribeReq:
-		return appendSubscribeReq(nil, &r), nil
-	case SubscribeResp:
-		return appendSubscribeResp(nil, &r), nil
-	case EntriesReq:
-		return appendEntriesReq(nil, &r), nil
-	case EntriesResp:
-		return appendEntriesResp(nil, &r), nil
-	case SnapshotChunkReq:
-		return appendSnapshotChunkReq(nil, &r), nil
-	case SnapshotChunkResp:
-		return appendSnapshotChunkResp(nil, &r), nil
-	case CursorAckReq:
-		return appendCursorAckReq(nil, &r), nil
-	case CursorAckResp:
-		return nil, nil
 	case ApplyReq:
 		return appendApplyReq(nil, &r), nil
 	case ApplyResp:
@@ -41,22 +25,6 @@ func decodeMsg(proto any, b []byte) (any, error) {
 	c := transport.NewCursor(b)
 	var v any
 	switch proto.(type) {
-	case SubscribeReq:
-		v = parseSubscribeReq(c)
-	case SubscribeResp:
-		v = parseSubscribeResp(c)
-	case EntriesReq:
-		v = parseEntriesReq(c)
-	case EntriesResp:
-		v = parseEntriesResp(c)
-	case SnapshotChunkReq:
-		v = parseSnapshotChunkReq(c)
-	case SnapshotChunkResp:
-		v = parseSnapshotChunkResp(c)
-	case CursorAckReq:
-		v = parseCursorAckReq(c)
-	case CursorAckResp:
-		v = CursorAckResp{}
 	case ApplyReq:
 		v = parseApplyReq(c)
 	case ApplyResp:
@@ -73,24 +41,31 @@ func decodeMsg(proto any, b []byte) (any, error) {
 	return v, nil
 }
 
-// FuzzShipFrameParse throws arbitrary bytes at every shipping-protocol
-// parser. The contract for hostile frames: latch an error or decode to
-// a value that re-encodes equivalently — never panic, and never
-// allocate beyond the actual bytes present (the data copies in
-// parseData are bounded by the frame length because Cursor.Bytes
-// returns a view, not a count-trusted allocation).
+// FuzzShipFrameParse throws arbitrary bytes at the shipping-protocol
+// parsers, and every request that decodes at the push receiver. The
+// contract for hostile frames: latch an error or decode to a value that
+// re-encodes equivalently — never panic, and never allocate beyond the
+// actual bytes present (the data copies in parseData are bounded by the
+// frame length because Cursor.Bytes returns a view, not a count-trusted
+// allocation). The receiver walks a pushed batch's records itself, so
+// the seeds carry every record op it must skip or apply, and torn
+// batches it must refuse.
 func FuzzShipFrameParse(f *testing.F) {
-	batch := wal.AppendFramed(nil, &wal.Record{Op: wal.OpPut, ID: 5, Part: store.Partition{
-		Relation: "R", Attribute: "a", Holder: "h:1", Version: 2, Origin: "o:1"}})
+	put := wal.Record{Op: wal.OpPut, ID: 5, Part: store.Partition{
+		Relation: "R", Attribute: "a", Holder: "h:1", Version: 2, Origin: "o:1"}}
+	evict := wal.Record{Op: wal.OpEvict, ID: 5, Key: "R|a|0|0|h:1"}
+	drop := wal.Record{Op: wal.OpDropArc, From: 7, To: 9}
+	batch := wal.AppendFramed(nil, &put)
+	mixed := wal.AppendFramed(wal.AppendFramed(append([]byte(nil), batch...), &evict), &drop)
 	seeds := []any{
-		SubscribeReq{Follower: "f:1", Cursor: wal.Cursor{Seq: 2, Off: 64}},
-		SubscribeResp{Tail: true, Next: wal.Cursor{Seq: 2, Off: 64}, SnapSeq: 1, SnapSize: 4096},
-		EntriesReq{Follower: "f:1", Cursor: wal.Cursor{Seq: 1, Off: 9}, MaxBytes: 65536},
-		EntriesResp{Data: batch, Next: wal.Cursor{Seq: 1, Off: 99}, More: true},
-		SnapshotChunkReq{Follower: "f:1", Seq: 3, Off: 8192, MaxBytes: 1024},
-		SnapshotChunkResp{Data: []byte{9, 8, 7}, CRC: ChunkCRC([]byte{9, 8, 7}), Total: 777},
-		CursorAckReq{Follower: "f:1", Cursor: wal.Cursor{Seq: 4, Off: 2}},
 		ApplyReq{Origin: "o:1", Data: batch},
+		ApplyReq{Origin: "o:1"}, // the pusher's empty token round
+		ApplyReq{Origin: "o:1", Data: wal.AppendFramed(nil, &evict)},
+		ApplyReq{Origin: "o:1", Data: wal.AppendFramed(nil, &drop)},
+		ApplyReq{Origin: "o:1", Data: mixed},
+		ApplyReq{Origin: "o:1", Data: mixed[:len(mixed)-1]}, // torn
+		ApplyReq{Data: batch},
+		ApplyResp{Token: 1 << 63, Applied: 64},
 		ApplyResp{Token: 3, Applied: 9},
 	}
 	for _, s := range seeds {
@@ -103,11 +78,7 @@ func FuzzShipFrameParse(f *testing.F) {
 			f.Add(b[:len(b)/2])
 		}
 	}
-	protos := []any{
-		SubscribeReq{}, SubscribeResp{}, EntriesReq{}, EntriesResp{},
-		SnapshotChunkReq{}, SnapshotChunkResp{}, CursorAckReq{},
-		ApplyReq{}, ApplyResp{},
-	}
+	protos := []any{ApplyReq{}, ApplyResp{}}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) > 1<<16 {
 			return
@@ -132,18 +103,19 @@ func FuzzShipFrameParse(f *testing.F) {
 			if err != nil || string(b2) != string(b3) {
 				t.Fatalf("%T: encoding not stable across a round trip", proto)
 			}
+			if req, ok := v.(ApplyReq); ok {
+				NewService(store.New()).Handle(req) // must refuse or apply, never panic
+			}
 		}
 	})
 }
 
-// BenchmarkShipApply measures the follower's entry-apply hot path: CRC
-// walk + record decode + idempotent store re-apply of one shipped
-// batch through wal.StoreRestorer (the follower's applier), the work
-// done per byte for the whole catch-up stream. `make benchguard`
-// asserts 0 allocs/op: parsing interns strings, and re-applying an
-// already-present descriptor takes the first-wins rejection path
-// without copying.
-func BenchmarkShipApply(b *testing.B) {
+// BenchmarkPushApply measures the push receiver's hot path:
+// Service.Handle(ApplyReq) re-applying a 64-record batch — CRC walk,
+// record decode and the store's first-wins rejection of descriptors it
+// already holds — the work a replica does per pushed batch once it is
+// in sync. `make benchguard` pins its allocations.
+func BenchmarkPushApply(b *testing.B) {
 	st := store.New()
 	var batch []byte
 	for i := 0; i < 64; i++ {
@@ -153,16 +125,16 @@ func BenchmarkShipApply(b *testing.B) {
 		batch = wal.AppendFramed(batch, &r)
 		st.Put(r.ID, r.Part) // pre-apply: the benchmark measures re-apply
 	}
-	apply := wal.StoreRestorer(st)
-	w := wal.NewWalker()
-	if n, err := w.Walk(batch, apply); err != nil || n != len(batch) {
-		b.Fatalf("walk broken before measuring: n=%d err=%v", n, err)
+	svc := NewService(st)
+	var req any = ApplyReq{Origin: "o:1", Data: batch}
+	if resp, _, err := svc.Handle(req); err != nil || resp.(ApplyResp).Applied != 64 {
+		b.Fatalf("apply broken before measuring: resp=%v err=%v", resp, err)
 	}
 	b.ReportAllocs()
 	b.SetBytes(int64(len(batch)))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := w.Walk(batch, apply); err != nil {
+		if _, _, err := svc.Handle(req); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -1,10 +1,7 @@
 package ship
 
 import (
-	"errors"
 	"fmt"
-	"os"
-	"path/filepath"
 	"reflect"
 	"sort"
 	"strings"
@@ -27,12 +24,12 @@ func testPart(i int) store.Partition {
 	}
 }
 
-// ownerPeer is one durable peer under test: store, WAL, and the ship
-// service bound to them.
+// ownerPeer is one durable peer under test: a store journaling into its
+// WAL.
 type ownerPeer struct {
+	dir string
 	st  *store.Store
 	lg  *wal.Log
-	svc *Service
 }
 
 func newOwner(t *testing.T, dir string, opt wal.Options) *ownerPeer {
@@ -46,18 +43,9 @@ func newOwner(t *testing.T, dir string, opt wal.Options) *ownerPeer {
 	if err != nil {
 		t.Fatalf("Open: %v", err)
 	}
-	o := &ownerPeer{st: st, lg: lg, svc: NewService(ServiceConfig{Log: lg, Store: st})}
+	o := &ownerPeer{dir: dir, st: st, lg: lg}
 	t.Cleanup(func() { o.lg.Close() })
 	return o
-}
-
-// call adapts the service's aux handler into the Follower's Call shape.
-func (o *ownerPeer) call(req any) (any, error) {
-	resp, handled, err := o.svc.Handle(req)
-	if !handled {
-		return nil, fmt.Errorf("unhandled request %T", req)
-	}
-	return resp, err
 }
 
 // put writes one descriptor through the journaled path and commits.
@@ -69,31 +57,18 @@ func (o *ownerPeer) put(t *testing.T, i int) {
 	}
 }
 
-// followerPeer is a follower with its own durable store, applying
-// shipped records through the same journaled path recovery uses.
-type followerPeer struct {
-	st *store.Store
-	lg *wal.Log
-	fl *Follower
-}
-
-func newFollowerPeer(t *testing.T, dir string, call func(any) (any, error)) *followerPeer {
-	t.Helper()
+// newReceiver is a memory-only push receiver: its store and the call a
+// Pusher ships through.
+func newReceiver() (*store.Store, func(any) (any, error)) {
 	st := store.New()
-	lg, _, err := wal.Open(wal.Options{Dir: dir, CompactEvery: -1}, st)
-	if err != nil {
-		t.Fatalf("Open follower: %v", err)
+	svc := NewService(st)
+	return st, func(req any) (any, error) {
+		resp, handled, err := svc.Handle(req)
+		if !handled {
+			return nil, fmt.Errorf("unhandled %T", req)
+		}
+		return resp, err
 	}
-	f := &followerPeer{st: st, lg: lg}
-	f.fl = NewFollower(FollowerConfig{
-		Owner: "owner",
-		Self:  "follower:1",
-		Call:  call,
-		Store: st,
-		Dir:   dir,
-	})
-	t.Cleanup(func() { f.lg.Close() })
-	return f
 }
 
 // fingerprint renders a store's full content — every bucket, every
@@ -112,7 +87,7 @@ func fingerprint(st *store.Store) string {
 }
 
 // recoverDir replays a data directory into a fresh store — the local
-// recovery a shipped store must be byte-identical to.
+// recovery a pushed store must be byte-identical to.
 func recoverDir(t *testing.T, dir string) *store.Store {
 	t.Helper()
 	st := store.New()
@@ -124,97 +99,111 @@ func recoverDir(t *testing.T, dir string) *store.Store {
 	return st
 }
 
-// TestShipTailConvergence drives the happy path: a follower tails the
-// owner's WAL and converges, and a later catch-up costs O(new records),
-// not O(store).
-func TestShipTailConvergence(t *testing.T) {
-	o := newOwner(t, t.TempDir(), wal.Options{})
-	for i := 0; i < 60; i++ {
+// TestPusherRetentionPinsSurviveFold: a push pin keeps the folded WAL
+// files on disk (within budget), so the next round ships exactly the
+// records written across the fold, with no reset.
+func TestPusherRetentionPinsSurviveFold(t *testing.T) {
+	o := newOwner(t, t.TempDir(), wal.Options{}) // default 64MiB budget
+	recv, call := newReceiver()
+	pusher := NewPusher(o.lg, "owner", nil)
+	pusher.SyncTo("recv", call) // baseline
+	for i := 0; i < 40; i++ {
 		o.put(t, i)
 	}
-	o.st.Delete(store.ID(3), testPart(2).Key())
-	if err := o.lg.Commit(); err != nil {
-		t.Fatal(err)
+	if n, ok := pusher.SyncTo("recv", call); !ok || n != 40 {
+		t.Fatalf("first push: (%d, %v), want (40, true)", n, ok)
+	}
+	pin, pinned := o.lg.Pins()["push:recv"]
+	if !pinned {
+		t.Fatalf("no push pin after a round: %v", o.lg.Pins())
 	}
 
-	f := newFollowerPeer(t, t.TempDir(), o.call)
-	n, err := f.fl.CatchUp()
-	if err != nil {
-		t.Fatalf("CatchUp: %v", err)
-	}
-	if n == 0 {
-		t.Fatal("caught up without applying anything")
-	}
-	if got, want := fingerprint(f.st), fingerprint(o.st); got != want {
-		t.Fatalf("follower store diverges after tail:\n got %d bytes\nwant %d bytes", len(got), len(want))
-	}
-
-	// Incremental: N new writes must ship ~N records, independent of
-	// the 60 already replicated.
-	for i := 100; i < 110; i++ {
-		o.put(t, i)
-	}
-	n, err = f.fl.CatchUp()
-	if err != nil {
-		t.Fatalf("incremental CatchUp: %v", err)
-	}
-	if n != 10 {
-		t.Errorf("incremental catch-up applied %d records, want exactly the 10 new ones", n)
-	}
-	if fingerprint(f.st) != fingerprint(o.st) {
-		t.Error("follower store diverges after incremental tail")
-	}
-	// The follower's own recovery path must reproduce the same store:
-	// shipped records went through the journal.
-	f.lg.Close()
-	if got, want := fingerprint(recoverDir(t, f.fl.cfg.Dir)), fingerprint(o.st); got != want {
-		t.Error("follower's OWN recovery diverges from the shipped state")
-	}
-}
-
-// TestShipSnapshotSeed forces the reseed path: the owner folds with
-// retention disabled, so a zero-cursor follower must stream the sealed
-// segment and then tail from the seal point. The shipped store must be
-// byte-identical to a local recovery of the owner's directory.
-func TestShipSnapshotSeed(t *testing.T) {
-	dir := t.TempDir()
-	o := newOwner(t, dir, wal.Options{ShipRetain: -1})
-	for i := 0; i < 80; i++ {
+	for i := 40; i < 60; i++ {
 		o.put(t, i)
 	}
 	if err := o.lg.Checkpoint(); err != nil {
-		t.Fatalf("Checkpoint: %v", err)
+		t.Fatal(err)
 	}
-	// Post-fold writes: the tail the snapshot hands off to.
-	for i := 200; i < 220; i++ {
+	for i := 60; i < 80; i++ {
 		o.put(t, i)
 	}
-
-	f := newFollowerPeer(t, t.TempDir(), o.call)
-	if _, err := f.fl.CatchUp(); err != nil {
-		t.Fatalf("CatchUp: %v", err)
+	resets := metPushResets.Value()
+	n, ok := pusher.SyncTo("recv", call)
+	if !ok || n != 40 {
+		t.Errorf("push across pinned fold: (%d, %v), want exactly the 40 written across it, ok", n, ok)
 	}
-	if st := f.fl.Stats(); st.Snapshots == 0 {
-		t.Error("zero-cursor follower behind a fold should have seeded from the segment")
+	if got := metPushResets.Value() - resets; got != 0 {
+		t.Errorf("pinned push reset %d time(s) across the fold", got)
 	}
-	if fingerprint(f.st) != fingerprint(o.st) {
-		t.Fatal("follower store diverges after snapshot+tail")
+	if next := o.lg.Pins()["push:recv"]; !pin.Less(next) {
+		t.Errorf("pin did not advance past the fold: %s -> %s", pin, next)
 	}
-	o.lg.Close()
-	if got, want := fingerprint(f.st), fingerprint(recoverDir(t, dir)); got != want {
-		t.Fatal("snapshot+tail follower is not byte-identical to local recovery")
+	if fingerprint(recv) != fingerprint(o.st) {
+		t.Fatal("receiver diverges across pinned fold")
 	}
 }
 
-// TestShipCompactionRacingSubscriber runs a follower tail loop
-// concurrently with owner writes and folds (run under -race by make
-// check). Retention pinning must hand the follower across each seal
-// point without skipping or duplicating records: at the end the stores
-// are identical.
-func TestShipCompactionRacingSubscriber(t *testing.T) {
-	dir := t.TempDir()
-	o := newOwner(t, dir, wal.Options{})
-	f := newFollowerPeer(t, t.TempDir(), o.call)
+// TestPusherRetentionResetsCursor: with retention off, a fold drops the
+// push pin (reported by name through OnRetainDrop), the next round
+// cannot vouch for the receiver and counts a reset, and the round after
+// it ships incrementally again.
+func TestPusherRetentionResetsCursor(t *testing.T) {
+	var mu sync.Mutex
+	var dropped []string
+	o := newOwner(t, t.TempDir(), wal.Options{ShipRetain: -1, OnRetainDrop: func(name string, _ wal.Cursor) {
+		mu.Lock()
+		dropped = append(dropped, name)
+		mu.Unlock()
+	}})
+	_, call := newReceiver()
+	pusher := NewPusher(o.lg, "owner", nil)
+	pusher.SyncTo("recv", call) // baseline
+	for i := 0; i < 40; i++ {
+		o.put(t, i)
+	}
+	if n, ok := pusher.SyncTo("recv", call); !ok || n != 40 {
+		t.Fatalf("first push: (%d, %v), want (40, true)", n, ok)
+	}
+
+	for i := 40; i < 90; i++ {
+		o.put(t, i)
+	}
+	if err := o.lg.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	mu.Lock()
+	if len(dropped) != 1 || dropped[0] != "push:recv" {
+		t.Errorf("retention drops = %v, want [push:recv]", dropped)
+	}
+	mu.Unlock()
+
+	resets := metPushResets.Value()
+	if n, ok := pusher.SyncTo("recv", call); ok || n != 0 {
+		t.Fatalf("push after retention outran the cursor: (%d, %v), want (0, false)", n, ok)
+	}
+	if got := metPushResets.Value() - resets; got != 1 {
+		t.Errorf("ship.push_resets moved by %d, want 1", got)
+	}
+
+	// The digest round owns the gap; what lands after it ships again.
+	for i := 90; i < 95; i++ {
+		o.put(t, i)
+	}
+	if n, ok := pusher.SyncTo("recv", call); !ok || n != 5 {
+		t.Fatalf("push after the reset: (%d, %v), want (5, true)", n, ok)
+	}
+}
+
+// TestPusherRacingCompaction runs push rounds concurrently with owner
+// writes and folds (run under -race by make check). Retention pinning
+// must hand the pusher across each seal point without skipping a
+// record: at the end the receiver is digest-equal to the owner and
+// byte-identical to a local recovery of its directory.
+func TestPusherRacingCompaction(t *testing.T) {
+	o := newOwner(t, t.TempDir(), wal.Options{})
+	recv, call := newReceiver()
+	pusher := NewPusher(o.lg, "owner", nil)
+	pusher.SyncTo("recv", call) // baseline
 
 	done := make(chan struct{})
 	var wg sync.WaitGroup
@@ -227,10 +216,7 @@ func TestShipCompactionRacingSubscriber(t *testing.T) {
 				return
 			default:
 			}
-			if _, err := f.fl.CatchUp(); err != nil {
-				t.Errorf("CatchUp during compaction: %v", err)
-				return
-			}
+			pusher.SyncTo("recv", call)
 		}
 	}()
 
@@ -244,184 +230,24 @@ func TestShipCompactionRacingSubscriber(t *testing.T) {
 	}
 	close(done)
 	wg.Wait()
-	if t.Failed() {
-		return
+	if _, ok := pusher.SyncTo("recv", call); !ok {
+		t.Fatal("final push after racing folds did not converge")
 	}
-	if _, err := f.fl.CatchUp(); err != nil {
-		t.Fatalf("final CatchUp: %v", err)
-	}
-	if fingerprint(f.st) != fingerprint(o.st) {
-		t.Fatal("follower diverges after racing folds")
+	if missing := recv.MissingFrom(o.st.Digest(nil)); len(missing) != 0 {
+		t.Fatalf("receiver still missing %d bucket(s) after racing folds", len(missing))
 	}
 	o.lg.Close()
-	if fingerprint(f.st) != fingerprint(recoverDir(t, dir)) {
-		t.Fatal("follower is not byte-identical to local recovery after racing folds")
-	}
-}
-
-// TestShipFollowerCrashMidSnapshot kills the follower partway through a
-// snapshot stream and restarts it with the same directory: the part
-// file resumes (no restart from zero), and the finished store matches
-// local recovery.
-func TestShipFollowerCrashMidSnapshot(t *testing.T) {
-	ownerDir := t.TempDir()
-	o := newOwner(t, ownerDir, wal.Options{ShipRetain: -1})
-	for i := 0; i < 150; i++ {
-		o.put(t, i)
-	}
-	if err := o.lg.Checkpoint(); err != nil {
-		t.Fatal(err)
-	}
-
-	followDir := t.TempDir()
-	// First incarnation: the transport dies after a few snapshot chunks.
-	chunks := 0
-	errCut := errors.New("owner crashed mid-stream")
-	cut := func(req any) (any, error) {
-		if r, ok := req.(SnapshotChunkReq); ok {
-			chunks++
-			if chunks > 2 {
-				return nil, errCut
-			}
-			// Tiny chunks so the cut lands mid-segment.
-			r.MaxBytes = 512
-			req = r
-		}
-		return o.call(req)
-	}
-	f1 := newFollowerPeer(t, followDir, cut)
-	if _, err := f1.fl.CatchUp(); !errors.Is(err, errCut) {
-		t.Fatalf("CatchUp through a dying transport: err=%v, want the cut", err)
-	}
-	parts, _ := filepath.Glob(filepath.Join(followDir, "ship-seg-*.part"))
-	if len(parts) != 1 {
-		t.Fatalf("after mid-snapshot crash: %d part files, want 1", len(parts))
-	}
-	if fi, err := os.Stat(parts[0]); err != nil || fi.Size() == 0 {
-		t.Fatalf("part file empty or missing: %v", err)
-	}
-	f1.lg.Close()
-
-	// Second incarnation, same directory: must resume, not restart.
-	f2Store := store.New()
-	f2 := NewFollower(FollowerConfig{
-		Owner: "owner", Self: "follower:1", Call: o.call,
-		Store: f2Store,
-		Dir:   followDir,
-	})
-	if _, err := f2.CatchUp(); err != nil {
-		t.Fatalf("resumed CatchUp: %v", err)
-	}
-	if st := f2.Stats(); st.Resumes == 0 {
-		t.Error("second incarnation should have resumed the part file")
-	}
-	if fingerprint(f2Store) != fingerprint(o.st) {
-		t.Fatal("resumed follower diverges from owner")
-	}
-	o.lg.Close()
-	if fingerprint(f2Store) != fingerprint(recoverDir(t, ownerDir)) {
-		t.Fatal("resumed follower is not byte-identical to local recovery")
-	}
-}
-
-// TestShipRetentionResetsCursor pins the reseed state machine: a
-// follower that stalls past the retention budget gets Reset from
-// EntriesReq, resubscribes from zero, seeds the segment, and still
-// converges exactly.
-func TestShipRetentionResetsCursor(t *testing.T) {
-	dir := t.TempDir()
-	o := newOwner(t, dir, wal.Options{ShipRetain: -1})
-	for i := 0; i < 40; i++ {
-		o.put(t, i)
-	}
-
-	f := newFollowerPeer(t, t.TempDir(), o.call)
-	if _, err := f.fl.CatchUp(); err != nil {
-		t.Fatal(err)
-	}
-
-	// The follower stalls; the owner writes on and folds twice. With
-	// retention off, the follower's cursor now pre-dates the oldest
-	// retained WAL byte. (Unpin first — a live pin would otherwise
-	// hold the files within budget; a stalled real follower is
-	// eventually evicted the same way.)
-	o.lg.Unpin("follower:1")
-	for i := 40; i < 90; i++ {
-		o.put(t, i)
-	}
-	if err := o.lg.Checkpoint(); err != nil {
-		t.Fatal(err)
-	}
-	for i := 90; i < 120; i++ {
-		o.put(t, i)
-	}
-	if err := o.lg.Checkpoint(); err != nil {
-		t.Fatal(err)
-	}
-
-	if _, err := f.fl.CatchUp(); err != nil {
-		t.Fatalf("CatchUp after retention outran cursor: %v", err)
-	}
-	st := f.fl.Stats()
-	if st.Resets == 0 && st.Snapshots == 0 {
-		t.Error("expected a cursor reset or reseed after retention dropped the tail")
-	}
-	if fingerprint(f.st) != fingerprint(o.st) {
-		t.Fatal("follower diverges after retention-forced reseed")
-	}
-}
-
-// TestShipRetentionPinsSurviveFold is the opposite case: an active
-// follower's pin keeps the folded WAL files on disk (within budget), so
-// its tail continues across the fold with no reset and no reseed.
-func TestShipRetentionPinsSurviveFold(t *testing.T) {
-	o := newOwner(t, t.TempDir(), wal.Options{}) // default 64MiB budget
-	for i := 0; i < 40; i++ {
-		o.put(t, i)
-	}
-	f := newFollowerPeer(t, t.TempDir(), o.call)
-	if _, err := f.fl.CatchUp(); err != nil {
-		t.Fatal(err)
-	}
-
-	for i := 40; i < 80; i++ {
-		o.put(t, i)
-	}
-	if err := o.lg.Checkpoint(); err != nil {
-		t.Fatal(err)
-	}
-	n, err := f.fl.CatchUp()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n != 40 {
-		t.Errorf("tail across pinned fold applied %d records, want 40", n)
-	}
-	st := f.fl.Stats()
-	if st.Resets != 0 || st.Snapshots != 0 {
-		t.Errorf("pinned follower should tail across the fold untouched; resets=%d snapshots=%d",
-			st.Resets, st.Snapshots)
-	}
-	if fingerprint(f.st) != fingerprint(o.st) {
-		t.Fatal("follower diverges across pinned fold")
+	if fingerprint(recv) != fingerprint(recoverDir(t, o.dir)) {
+		t.Fatal("receiver is not byte-identical to local recovery after racing folds")
 	}
 }
 
 // TestPusherShipFirstSync exercises the replica-sync half: baseline on
 // first pairing, incremental pushes after, restart detection via the
-// boot token, and retention-outrun fallback.
+// boot token.
 func TestPusherShipFirstSync(t *testing.T) {
 	o := newOwner(t, t.TempDir(), wal.Options{})
-	recv := store.New()
-	recvSvc := NewService(ServiceConfig{Store: recv}) // memory-only receiver
-	call := func(req any) (any, error) {
-		resp, handled, err := recvSvc.Handle(req)
-		if !handled {
-			return nil, fmt.Errorf("unhandled %T", req)
-		}
-		return resp, err
-	}
-
+	recv, call := newReceiver()
 	pusher := NewPusher(o.lg, "owner", nil)
 
 	// Round 1: fresh pairing — must demand a digest round and baseline.
@@ -452,8 +278,7 @@ func TestPusherShipFirstSync(t *testing.T) {
 
 	// Receiver restarts (new Service = new boot token, empty store):
 	// the pusher must refuse to vouch and fall back.
-	recv = store.New()
-	recvSvc = NewService(ServiceConfig{Store: recv})
+	_, call = newReceiver()
 	if _, ok := pusher.SyncTo("recv", call); ok {
 		t.Fatal("push to restarted receiver claimed convergence")
 	}
@@ -469,12 +294,7 @@ func TestPusherShipFirstSync(t *testing.T) {
 // filter (buckets this peer does not own) are never pushed onward.
 func TestPusherFilter(t *testing.T) {
 	o := newOwner(t, t.TempDir(), wal.Options{})
-	recv := store.New()
-	recvSvc := NewService(ServiceConfig{Store: recv})
-	call := func(req any) (any, error) {
-		resp, _, err := recvSvc.Handle(req)
-		return resp, err
-	}
+	recv, call := newReceiver()
 	pusher := NewPusher(o.lg, "owner", func(r wal.Record) bool { return r.ID%2 == 0 })
 	pusher.SyncTo("recv", call) // baseline
 	for i := 0; i < 20; i++ {
@@ -493,32 +313,26 @@ func TestPusherFilter(t *testing.T) {
 	}
 }
 
-// TestServiceRejectsHostileRequests pins the owner-side guards: missing
-// identity and corrupt pushed batches are bad requests, not crashes,
-// and do not wedge the service for well-formed peers.
+// TestServiceRejectsHostileRequests pins the receiver-side guards:
+// corrupt pushed batches are bad requests, not crashes, and do not
+// wedge the service for well-formed peers.
 func TestServiceRejectsHostileRequests(t *testing.T) {
-	o := newOwner(t, t.TempDir(), wal.Options{})
-	o.put(t, 1)
-
-	if _, err := o.call(SubscribeReq{}); err == nil {
-		t.Error("anonymous subscribe accepted")
-	}
-	if _, err := o.call(EntriesReq{Cursor: wal.Cursor{Seq: 1}}); err == nil {
-		t.Error("anonymous entries request accepted")
-	}
-	if _, err := o.call(ApplyReq{Origin: "evil", Data: []byte("not a wal record")}); err == nil {
+	recv, call := newReceiver()
+	if _, err := call(ApplyReq{Origin: "evil", Data: []byte("not a wal record")}); err == nil {
 		t.Error("corrupt pushed batch accepted")
 	}
-	// A put record with a valid frame but applied through a nil-Apply
-	// service must error cleanly too.
-	empty := NewService(ServiceConfig{})
+	// A put record with a valid frame but applied through a service with
+	// no store must error cleanly too.
+	empty := NewService(nil)
 	rec := wal.Record{Op: wal.OpPut, ID: 1, Part: testPart(1)}
-	if _, _, err := empty.Handle(ApplyReq{Origin: "x", Data: wal.AppendFramed(nil, &rec)}); err == nil {
+	batch := wal.AppendFramed(nil, &rec)
+	if _, _, err := empty.Handle(ApplyReq{Origin: "x", Data: batch}); err == nil {
 		t.Error("apply-incapable service accepted a pushed batch")
 	}
-	// The service still works for honest followers afterwards.
-	if _, err := o.call(SubscribeReq{Follower: "good"}); err != nil {
-		t.Errorf("honest subscribe after hostile traffic: %v", err)
+	// The service still works for honest pushers afterwards.
+	resp, err := call(ApplyReq{Origin: "good", Data: batch})
+	if err != nil || resp.(ApplyResp).Applied != 1 || recv.Len() != 1 {
+		t.Errorf("honest push after hostile traffic: resp=%v err=%v stored=%d", resp, err, recv.Len())
 	}
 }
 
@@ -527,17 +341,8 @@ func TestServiceRejectsHostileRequests(t *testing.T) {
 func TestShipCodecRoundTrips(t *testing.T) {
 	data := wal.AppendFramed(nil, &wal.Record{Op: wal.OpPut, ID: 9, Part: testPart(9)})
 	msgs := []any{
-		SubscribeReq{Follower: "f:1", Cursor: wal.Cursor{Seq: 3, Off: 999}},
-		SubscribeResp{Tail: true, Reseed: true, Next: wal.Cursor{Seq: 4, Off: 17}, SnapSeq: 3, SnapSize: 1 << 20},
-		EntriesReq{Follower: "f:1", Cursor: wal.Cursor{Seq: 2, Off: 10}, MaxBytes: 4096},
-		EntriesResp{Data: data, Next: wal.Cursor{Seq: 2, Off: 300}, More: true},
-		EntriesResp{Reset: true},
-		SnapshotChunkReq{Follower: "f:1", Seq: 7, Off: 4096, MaxBytes: 512},
-		SnapshotChunkResp{Data: []byte{1, 2, 3}, CRC: ChunkCRC([]byte{1, 2, 3}), Total: 12345},
-		SnapshotChunkResp{Gone: true},
-		CursorAckReq{Follower: "f:1", Cursor: wal.Cursor{Seq: 5, Off: 42}, Leave: true},
-		CursorAckResp{},
 		ApplyReq{Origin: "o:1", Data: data},
+		ApplyReq{Origin: "o:1"},
 		ApplyResp{Token: 77, Applied: 12},
 	}
 	for _, in := range msgs {

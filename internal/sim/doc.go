@@ -9,7 +9,7 @@
 // the address perturbed until IDs are unique — and places them on a
 // converged chord ring sharing one LSH scheme, with the flight recorder
 // off. ClusterConfig.Host adjusts one peer's assembly: a data directory
-// makes it durable, a followed owner makes it a log-shipping follower.
+// makes it durable, and its WAL options set compaction and retention.
 // Join/Leave/Crash drive churn through the real join, graceful-leave,
 // and stabilization paths and the hosts' own Crash and Close stages, so
 // the availability experiments measure the actual repair machinery
@@ -25,6 +25,9 @@
 // record load distribution and lookup path lengths. The durable drivers
 // — RunRestart, RunResident and RunShip, the churn figure's restart,
 // resident and ship rows — boot their durable peers through the same
-// cluster. The internal/experiments package composes these into the
+// cluster. RunShip drives the owner's replica pusher (ship.Pusher) by
+// hand against a durable replica, so each catch-up mode — digest
+// exchange, push-tail, push-reset plus a digest round — is costed in
+// frames and checked for byte-identity against local recovery. The internal/experiments package composes these into the
 // figure-by-figure tables rangebench prints.
 package sim

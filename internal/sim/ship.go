@@ -17,48 +17,48 @@ import (
 	"p2prange/internal/workload"
 )
 
-// Ship ablation: one durable owner, one durable follower that synced
-// once and then missed Missed writes, and three ways to converge again —
-// the digest anti-entropy exchange (cost scales with the whole store),
-// tailing the owner's WAL from the follower's cursor (cost scales with
-// the missed writes), and snapshot seeding (the segment stream a
-// follower takes when retention outran its cursor). Every mode ends with
-// a byte-identity check against a local recovery of the owner's data
-// directory: a shipped store must be indistinguishable from a recovered
+// Ship ablation: one durable owner, one durable replica that the
+// owner's pusher synced once and that then missed Missed writes, and
+// three ways to converge again — the digest anti-entropy exchange (cost
+// scales with the whole store), the pusher shipping the owner's WAL
+// from the replica's cursor (cost scales with the missed writes), and
+// the push reset the pusher takes when retention outran that cursor,
+// which hands the gap to a digest round. Every mode ends with a
+// byte-identity check against a local recovery of the owner's data
+// directory: a replica store must be indistinguishable from a recovered
 // one.
 
 // Ship catch-up modes.
 const (
 	// ShipModeDigest converges by the replica subsystem's digest
 	// exchange: the owner's full version vector crosses the wire, the
-	// follower answers with what it lacks, the owner pushes those
+	// replica answers with what it lacks, the owner pushes those
 	// descriptors. O(store) rows regardless of how few writes were
 	// missed.
 	ShipModeDigest = "digest"
-	// ShipModeTail converges by shipping WAL records from the
-	// follower's cursor. O(missed) records; the rest of the store never
-	// moves.
-	ShipModeTail = "tail"
-	// ShipModeSnapshot folds the owner's WAL (retention keeps nothing)
-	// before the follower returns, forcing the snapshot path: stream
-	// the sealed segment, then tail from the seal point. O(store)
-	// bytes, but self-contained — it needs no WAL history at all.
-	ShipModeSnapshot = "snapshot"
+	// ShipModeTail converges by the pusher shipping WAL records from
+	// the replica's cursor. O(missed) records; the rest of the store
+	// never moves.
+	ShipModeTail = "push-tail"
+	// ShipModeReset folds the owner's WAL (retention keeps nothing)
+	// before the pusher runs, so the replica's cursor is gone: the
+	// pusher reports a reset and a digest round closes the gap.
+	ShipModeReset = "push-reset"
 )
 
 // ShipConfig parameterizes one catch-up run.
 type ShipConfig struct {
-	// Base is the descriptor count both sides hold before the follower
-	// disconnects (default 400).
+	// Base is the descriptor count both sides hold before the replica
+	// falls behind (default 400).
 	Base int
-	// Missed is how many writes land while the follower is away
+	// Missed is how many writes land while the replica is behind
 	// (default 50).
 	Missed int
 	// Mode is one of the ShipMode constants.
 	Mode string
-	// OwnerDir and FollowerDir are the two data directories (required;
+	// OwnerDir and ReplicaDir are the two data directories (required;
 	// both stores journal every mutation).
-	OwnerDir, FollowerDir string
+	OwnerDir, ReplicaDir string
 	// Seed drives the workload.
 	Seed int64
 }
@@ -78,53 +78,55 @@ func (cfg *ShipConfig) withDefaults() ShipConfig {
 type ShipResult struct {
 	// Held is the owner's descriptor count after all writes.
 	Held int
-	// SyncRecords is how many records (tail/snapshot) or pushed
-	// descriptors (digest) the catch-up moved.
+	// SyncRecords is how many pushed records and digest-pushed
+	// descriptors the catch-up moved.
 	SyncRecords int
-	// SyncBytes is the payload bytes the catch-up moved: entry batches
-	// and segment chunks for the shipping modes, encoded digests plus
-	// pushed descriptors for the digest mode.
+	// SyncBytes is the frame bytes the catch-up moved: push requests
+	// and their answers, plus the digest exchange and its descriptor
+	// pushes, each priced at the binary frame a peer sends.
 	SyncBytes int64
 	// DigestRows is the version-vector row count the digest exchange
-	// carried (0 for the shipping modes) — the O(store) term.
+	// carried (0 for push-tail) — the O(store) term.
 	DigestRows int
-	// Snapshots counts snapshot seeds taken (snapshot mode expects 1).
-	Snapshots int
+	// Resets counts push rounds that could not vouch for the replica
+	// and handed the gap to a digest round (push-reset expects 1).
+	Resets int
 	// Elapsed is the catch-up wall time.
 	Elapsed time.Duration
-	// Identical reports the byte-identity shadow check: the follower's
+	// Identical reports the byte-identity shadow check: the replica's
 	// store renders exactly like a store recovered locally from the
 	// owner's data directory.
 	Identical bool
 }
 
-// RunShip publishes Base descriptors to a durable owner, syncs a durable
-// follower, disconnects it, lands Missed more writes, then converges by
-// cfg.Mode and accounts for the cost.
+// RunShip publishes Base descriptors to a durable owner, pushes them to
+// a durable replica, lands Missed more writes the replica does not see,
+// then converges by cfg.Mode and accounts for the cost.
 func RunShip(cfg ShipConfig) (*ShipResult, error) {
 	cfg = cfg.withDefaults()
-	if cfg.OwnerDir == "" || cfg.FollowerDir == "" {
-		return nil, fmt.Errorf("sim: ShipConfig.OwnerDir and FollowerDir are required")
+	if cfg.OwnerDir == "" || cfg.ReplicaDir == "" {
+		return nil, fmt.Errorf("sim: ShipConfig.OwnerDir and ReplicaDir are required")
+	}
+	switch cfg.Mode {
+	case ShipModeDigest, ShipModeTail, ShipModeReset:
+	default:
+		return nil, fmt.Errorf("sim: unknown ship mode %q", cfg.Mode)
 	}
 
-	// Owner and follower are two durable peers on one network, and the
-	// follower tails the owner. Snapshot mode retains no WAL past a
-	// fold, so the follower's cursor is dead the moment the owner
-	// compacts; the other modes keep the default retention budget. A
-	// third peer, booted last, recovers the owner's directory for the
-	// shadow check.
-	dirs := []string{cfg.OwnerDir, cfg.FollowerDir, cfg.OwnerDir}
+	// Owner and replica are two durable peers on one network. Reset
+	// mode retains no WAL past a fold, so the push cursor is dead the
+	// moment the owner compacts; the other modes keep the default
+	// retention budget. A third peer, booted last, recovers the owner's
+	// directory for the shadow check.
+	dirs := []string{cfg.OwnerDir, cfg.ReplicaDir, cfg.OwnerDir}
 	c, err := NewCluster(ClusterConfig{
 		N:     2,
 		Peer:  peer.Config{Scheme: minhash.NewExactScheme()},
-		Addrs: []string{"owner", "follower"},
+		Addrs: []string{"owner", "replica"},
 		Host: func(i int, hc *peer.HostConfig) {
 			hc.WAL = wal.Options{Dir: dirs[i], CompactEvery: -1}
-			switch {
-			case i == 0 && cfg.Mode == ShipModeSnapshot:
+			if i == 0 && cfg.Mode == ShipModeReset {
 				hc.WAL.ShipRetain = -1
-			case i == 1:
-				hc.Follow = "owner"
 			}
 		},
 	})
@@ -132,11 +134,27 @@ func RunShip(cfg ShipConfig) (*ShipResult, error) {
 		return nil, err
 	}
 	defer c.Close()
-	owner, follower := c.Peers[0], c.Peers[1]
-	ost, fst, fl := owner.Store(), follower.Store(), follower.Follower
+	owner, repl := c.Peers[0], c.Peers[1]
+	ost, rst := owner.Store(), repl.Store()
 
-	// Publish the shared base, converge the follower, then disconnect
-	// it (drop its retention pin, as a stopping follower does).
+	// The pusher's calls are priced at the frames they send and receive.
+	var pushBytes int64
+	call := func(req any) (any, error) {
+		resp, err := owner.Call(repl.Ref(), req)
+		if err != nil {
+			return nil, err
+		}
+		for _, msg := range []any{req, resp} {
+			n, err := transport.FrameSize(msg)
+			if err != nil {
+				return nil, err
+			}
+			pushBytes += int64(n)
+		}
+		return resp, nil
+	}
+	pusher := ship.NewPusher(owner.Log, owner.Addr(), nil)
+
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	gen := workload.NewUniform(workload.DefaultDomainLo, workload.DefaultDomainHi, cfg.Seed+1)
 	publish := func(n int) error {
@@ -147,22 +165,23 @@ func RunShip(cfg ShipConfig) (*ShipResult, error) {
 		}
 		return ost.Commit()
 	}
+
+	// Pair before the base lands, so the base itself ships incrementally
+	// and the replica holds exactly the owner's store.
+	pusher.SyncTo(repl.Addr(), call)
 	if err := publish(cfg.Base); err != nil {
 		return nil, err
 	}
-	if _, err := fl.CatchUp(); err != nil {
-		return nil, fmt.Errorf("sim: initial sync: %w", err)
-	}
-	if _, err := follower.Call(owner.Ref(), ship.CursorAckReq{Follower: follower.Addr(), Leave: true}); err != nil {
-		return nil, err
+	if _, ok := pusher.SyncTo(repl.Addr(), call); !ok {
+		return nil, fmt.Errorf("sim: initial push did not converge")
 	}
 
-	// The gap: Missed writes the follower never sees. Snapshot mode
-	// folds afterward, destroying the WAL history the cursor points at.
+	// The gap: Missed writes the replica never sees. Reset mode folds
+	// afterward, destroying the WAL history the push cursor points at.
 	if err := publish(cfg.Missed); err != nil {
 		return nil, err
 	}
-	if cfg.Mode == ShipModeSnapshot {
+	if cfg.Mode == ShipModeReset {
 		if err := owner.Log.Checkpoint(); err != nil {
 			return nil, err
 		}
@@ -174,63 +193,63 @@ func RunShip(cfg ShipConfig) (*ShipResult, error) {
 	}
 
 	start := time.Now()
-	switch cfg.Mode {
-	case ShipModeDigest:
-		// The replica exchange, costed message by message: the owner's
-		// full digest out, the missing-keys answer back, one replica
-		// StoreReq push per lacking descriptor. Each is priced at the
-		// binary frame a peer actually sends.
-		digest := ost.Digest(nil)
-		for _, vv := range digest {
-			res.DigestRows += len(vv)
+	if cfg.Mode != ShipModeDigest {
+		pushBytes = 0
+		n, ok := pusher.SyncTo(repl.Addr(), call)
+		res.SyncRecords, res.SyncBytes = n, pushBytes
+		if !ok {
+			res.Resets++
 		}
-		missing := fst.MissingFrom(digest)
-		sent := []any{replica.SyncReq{Digest: digest}, replica.SyncResp{Missing: missing}}
-		for id, keys := range missing {
-			for _, key := range keys {
-				p, held := ost.Get(id, key)
-				if !held {
-					continue
-				}
-				sent = append(sent, peer.StoreReq{ID: id, Partition: p, Replica: true})
-				fst.Put(id, p)
-				res.SyncRecords++
-			}
-		}
-		for _, msg := range sent {
-			n, err := transport.FrameSize(msg)
-			if err != nil {
-				return nil, err
-			}
-			res.SyncBytes += int64(n)
-		}
-		if err := fst.Commit(); err != nil {
+	}
+	if cfg.Mode != ShipModeTail {
+		if err := digestRound(ost, rst, res); err != nil {
 			return nil, err
 		}
-	case ShipModeTail, ShipModeSnapshot:
-		before := fl.Stats()
-		if _, err := fl.CatchUp(); err != nil {
-			return nil, fmt.Errorf("sim: catch-up: %w", err)
-		}
-		after := fl.Stats()
-		res.SyncRecords = int(after.Applied - before.Applied)
-		res.SyncBytes = int64(after.Bytes - before.Bytes)
-		res.Snapshots = int(after.Snapshots - before.Snapshots)
-	default:
-		return nil, fmt.Errorf("sim: unknown ship mode %q", cfg.Mode)
 	}
 	res.Elapsed = time.Since(start)
 
 	// Shadow check: recover the owner's directory into a fresh peer and
-	// demand the follower renders identically, byte for byte.
+	// demand the replica renders identically, byte for byte.
 	shadow, err := c.boot(2, "shadow")
 	if err != nil {
 		return nil, fmt.Errorf("sim: shadow recovery: %w", err)
 	}
-	res.Identical = storeFingerprint(fst) == storeFingerprint(shadow.Store())
+	res.Identical = storeFingerprint(rst) == storeFingerprint(shadow.Store())
 	shadow.Close()
 
 	return res, nil
+}
+
+// digestRound runs the replica exchange from ost to rst, costed message
+// by message: the owner's full digest out, the missing-keys answer back,
+// one replica StoreReq push per lacking descriptor. Each is priced at
+// the binary frame a peer actually sends.
+func digestRound(ost, rst *store.Store, res *ShipResult) error {
+	digest := ost.Digest(nil)
+	for _, vv := range digest {
+		res.DigestRows += len(vv)
+	}
+	missing := rst.MissingFrom(digest)
+	sent := []any{replica.SyncReq{Digest: digest}, replica.SyncResp{Missing: missing}}
+	for id, keys := range missing {
+		for _, key := range keys {
+			p, held := ost.Get(id, key)
+			if !held {
+				continue
+			}
+			sent = append(sent, peer.StoreReq{ID: id, Partition: p, Replica: true})
+			rst.Put(id, p)
+			res.SyncRecords++
+		}
+	}
+	for _, msg := range sent {
+		n, err := transport.FrameSize(msg)
+		if err != nil {
+			return err
+		}
+		res.SyncBytes += int64(n)
+	}
+	return rst.Commit()
 }
 
 // storeFingerprint renders a store's full content — every bucket, every

@@ -26,7 +26,7 @@ type ClusterConfig struct {
 	// chord IDs and ring geometry — as a live TCP cluster.
 	Addrs []string
 	// Host, when set, adjusts peer i's assembly before it boots: a data
-	// directory, a followed owner, or a caller wrapping the in-memory
+	// directory and its WAL options, or a caller wrapping the in-memory
 	// network (transport.NewFaultCaller, NewRetryCaller). Peers that join
 	// later get the index they are appended at.
 	Host func(i int, hc *peer.HostConfig)

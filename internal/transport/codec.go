@@ -97,12 +97,10 @@ const (
 	TagReplicaBase uint64 = 48
 
 	// TagShipBase is the first tag reserved for the log-shipping protocol
-	// (internal/ship registers its codecs there).
+	// (internal/ship registers its codecs there). Tags 64–71 once carried
+	// the standby follower's messages and 80–83 the DHT hash join's; both
+	// ranges are retired and never reused.
 	TagShipBase uint64 = 64
-
-	// TagDjoinBase is the first tag reserved for the distributed-join
-	// protocol (internal/djoin registers its codecs there).
-	TagDjoinBase uint64 = 80
 )
 
 // EncodeFunc appends v's payload encoding to b and returns the extended

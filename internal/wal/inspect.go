@@ -2,7 +2,6 @@ package wal
 
 import (
 	"bytes"
-	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -116,43 +115,34 @@ func inspectSegment(dir string, seq uint64, dump func(string, Record)) FileRepor
 	return fr
 }
 
-// BackupSegment copies the newest sealed segment into dstDir — chunked
-// through the same reader snapshot seeding uses, verified as a complete
-// bootable segment before the rename, older backups pruned after. A
-// no-op (seq, 0, nil) when dstDir already holds a verified copy or no
-// segment exists yet. The result doubles as a restore source for
-// `walctl restore`.
+// BackupSegment copies the newest sealed segment into dstDir — read
+// whole, verified as a complete bootable segment before the rename,
+// older backups pruned after. A no-op (seq, 0, nil) when dstDir already
+// holds a copy of the same size or no segment exists yet. The result
+// doubles as a restore source for `walctl restore`.
 func (l *Log) BackupSegment(dstDir string) (seq uint64, copied int64, err error) {
 	for attempt := 0; attempt < 3; attempt++ {
-		var size int64
-		var ok bool
-		seq, size, ok = l.SegmentInfo()
-		if !ok {
+		l.mu.Lock()
+		seq = l.segSeq
+		l.mu.Unlock()
+		if seq == 0 {
 			return 0, 0, nil
 		}
-		dst := segPath(dstDir, seq)
-		if fi, err := os.Stat(dst); err == nil && fi.Size() == size {
-			return seq, 0, nil
+		src, dst := segPath(l.dir, seq), segPath(dstDir, seq)
+		if fi, err := os.Stat(src); err == nil {
+			if di, err := os.Stat(dst); err == nil && di.Size() == fi.Size() {
+				return seq, 0, nil
+			}
+		}
+		img, err := os.ReadFile(src)
+		if os.IsNotExist(err) {
+			continue // a fold replaced it mid-copy; retry against the new one
+		}
+		if err != nil {
+			return seq, 0, fmt.Errorf("wal: backup: %w", err)
 		}
 		if err := os.MkdirAll(dstDir, 0o755); err != nil {
 			return seq, 0, fmt.Errorf("wal: backup: %w", err)
-		}
-		img := make([]byte, 0, size)
-		gone := false
-		for off := int64(0); off < size; {
-			chunk, total, err := l.ReadSegmentChunk(seq, off, 1<<20)
-			if errors.Is(err, ErrSegmentGone) || (err == nil && total != size) {
-				gone = true // compaction replaced it mid-copy; retry against the new one
-				break
-			}
-			if err != nil {
-				return seq, 0, err
-			}
-			img = append(img, chunk...)
-			off += int64(len(chunk))
-		}
-		if gone {
-			continue
 		}
 		if _, err := ParseSegment(img, seq); err != nil {
 			return seq, 0, fmt.Errorf("wal: backup verify: %w", err)

@@ -154,16 +154,10 @@ func AppendFramed(b []byte, r *Record) []byte {
 // clean end returns a nil error; a torn or corrupt tail returns the
 // describing error with the offset still pointing at the last good
 // record, so callers can truncate there. fn returning an error aborts
-// the walk (and is returned verbatim). Recovery, compaction, walctl and
-// the shipping appliers all parse with it.
+// the walk (and is returned verbatim). Recovery, compaction, walctl, the
+// pusher and the push receiver all parse with it.
 func WalkBuffer(data []byte, fn func(Record) error) (int, error) {
-	return walkRecordsWith(transport.NewCursor(nil), data, fn)
-}
-
-// walkRecordsWith is WalkBuffer over a caller-owned cursor, so hot
-// paths (the follower's shipped-batch apply) can reuse one cursor and
-// its interner across calls.
-func walkRecordsWith(c *transport.Cursor, data []byte, fn func(Record) error) (int, error) {
+	c := transport.NewCursor(nil)
 	off := 0
 	for off < len(data) {
 		body, size, err := checkFrame(data[off:])

@@ -53,8 +53,7 @@ type Recovery struct {
 // StoreRestorer adapts a store into a record applier: puts restore
 // descriptors with their version and origin stamps intact (so
 // anti-entropy later backfills only what is genuinely missing), evicts
-// and arc-drops replay removals. Open replays through it; a log-shipping
-// follower applies shipped records through it.
+// and arc-drops replay removals. Open replays through it.
 func StoreRestorer(s *store.Store) func(Record) error {
 	return func(r Record) error {
 		switch r.Op {

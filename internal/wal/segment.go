@@ -213,11 +213,11 @@ func loadSegment(dir string, seq uint64) ([]Record, error) {
 }
 
 // ParseSegment validates a full sealed-segment image (as read from disk
-// or reassembled from streamed snapshot chunks) and returns its put
-// records. Same all-or-nothing contract as booting from the file: every
-// record CRC-checked, seal present, seal count matching. This is how a
-// snapshot-seeded follower proves the bytes it received are exactly a
-// bootable segment before applying them.
+// or copied for a backup) and returns its put records. Same
+// all-or-nothing contract as booting from the file: every record
+// CRC-checked, seal present, seal count matching. This is how a backup
+// or restore proves the bytes it holds are exactly a bootable segment
+// before installing them.
 func ParseSegment(data []byte, seq uint64) ([]Record, error) {
 	puts, err := parseSegment(data, seq)
 	if err != nil {

@@ -74,18 +74,19 @@ type Options struct {
 	// automatic compaction (Checkpoint still compacts on demand).
 	CompactEvery int
 	// ShipRetain caps the bytes of folded WAL files kept on disk for
-	// pinned follower cursors (log shipping). Zero means
-	// DefaultShipRetain; negative retains nothing (folded files are
-	// deleted eagerly, the pre-shipping behavior).
+	// pinned push cursors (replica sync). Zero means DefaultShipRetain;
+	// negative retains nothing (folded files are deleted eagerly, the
+	// pre-shipping behavior).
 	ShipRetain int64
 	// OnSeal is called after each successful compaction with the new
 	// segment's sequence number, on the compaction goroutine, holding no
 	// wal locks. Used to mirror sealed segments into a backup directory.
 	OnSeal func(seq uint64)
 	// OnRetainDrop is called when a fold (or the ShipRetain budget)
-	// deleted WAL files a follower cursor still pinned, forcing that
-	// follower onto the snapshot path. Compaction goroutine, no locks.
-	OnRetainDrop func(follower string, c Cursor)
+	// deleted WAL files a push cursor still pinned (name is the pin's,
+	// push:<addr>): the next sync to that successor falls back to a
+	// digest round. Compaction goroutine, no locks.
+	OnRetainDrop func(name string, c Cursor)
 }
 
 // ErrClosed reports use of a closed log.
@@ -128,7 +129,7 @@ type Log struct {
 	sinceFold  int               // records in WAL files not yet folded into a segment
 	compactErr string            // last compaction failure, for Stats
 	durableOff int64             // committed byte size of the active WAL file
-	pins       map[string]Cursor // follower retention reservations (cursor.go)
+	pins       map[string]Cursor // push-cursor retention reservations (cursor.go)
 	retained   map[uint64]int64  // folded WAL files kept for pins: seq -> size
 }
 
@@ -237,7 +238,7 @@ func (l *Log) flushLocked() {
 			l.durable = target
 		}
 		// Advance the shipping watermark: these bytes are now safe to
-		// stream to followers. Rotation cannot interleave with a flush
+		// push to replicas. Rotation cannot interleave with a flush
 		// (compaction drains first), so the offset tracks l.f.
 		l.durableOff += int64(len(buf))
 	}
@@ -378,11 +379,11 @@ func (l *Log) compactOnce() error {
 			firstErr = err
 		}
 	}
-	// Retention: folded WAL files pinned by a follower cursor survive the
-	// fold (within the ShipRetain budget) so the follower keeps tailing
+	// Retention: folded WAL files pinned by a push cursor survive the
+	// fold (within the ShipRetain budget) so the pusher keeps reading
 	// the same byte stream across the fold; the rest are deleted as
-	// before. A pin the budget evicts strands its follower on the
-	// snapshot path — reported via OnRetainDrop.
+	// before. A pin the budget evicts sends its successor back to a
+	// digest round — reported via OnRetainDrop.
 	candidates := make(map[uint64]int64)
 	for seq := segSeq + 1; seq <= oldSeq; seq++ {
 		if fi, err := os.Stat(walPath(l.dir, seq)); err == nil {
@@ -392,7 +393,7 @@ func (l *Log) compactOnce() error {
 	l.mu.Lock()
 	// Publish the new segment before deleting its inputs: a shipping
 	// reader that finds a WAL file missing classifies it by segSeq
-	// (<= segSeq: folded away, reseed; > segSeq: never existed, skip),
+	// (<= segSeq: folded away, cursor gone; > segSeq: never existed, skip),
 	// so the flip must happen first.
 	l.segSeq = oldSeq
 	remove, dropped := l.retentionLocked(candidates)
@@ -405,10 +406,10 @@ func (l *Log) compactOnce() error {
 	if err := syncDir(l.dir); err != nil && firstErr == nil {
 		firstErr = err
 	}
-	for follower, c := range dropped {
+	for name, c := range dropped {
 		metRetainDrops.Inc()
 		if l.onRetainDrop != nil {
-			l.onRetainDrop(follower, c)
+			l.onRetainDrop(name, c)
 		}
 	}
 

@@ -77,23 +77,16 @@ type LiveConfig struct {
 	// records (default wal.DefaultCompactEvery); negative disables
 	// automatic compaction. Effective only with DataDir.
 	CompactEvery int
-	// Follow subscribes this peer to another peer's WAL (log shipping):
-	// it seeds from the owner's sealed segment when too far behind, then
-	// tails the acked record stream, applying each record through the
-	// same journaled path recovery uses — a shipped store is
-	// byte-identical to a locally recovered one. The value is the
-	// owner's transport address. Usually combined with DataDir so the
-	// copy is itself durable. See docs/DURABILITY.md.
-	Follow string
 	// ShipRetain bounds the extra WAL bytes kept past a fold only to let
-	// follower cursors keep tailing (0: default 64MiB; negative retains
-	// nothing — every fold forces followers onto the snapshot path).
-	// Effective only with DataDir.
+	// replica push cursors keep reading (0: default 64MiB; negative
+	// retains nothing). When a fold or this budget drops a cursor's
+	// files, the next sync to that successor falls back to a digest
+	// round and counts ship.push_resets. Effective only with DataDir.
 	ShipRetain int64
 	// BackupTo mirrors every sealed segment into that directory — once
-	// at startup and after each fold — using the same chunked,
-	// CRC-verified reader the shipping protocol streams. Restore with
-	// `walctl restore`. Effective only with DataDir.
+	// at startup and after each fold — verified as a bootable segment
+	// before it is installed. Restore with `walctl restore`. Effective
+	// only with DataDir.
 	BackupTo string
 	// MemLimit bounds the descriptor store to that many resident
 	// descriptors. With DataDir set it also turns on segment
@@ -168,7 +161,6 @@ func StartPeer(listenAddr, bootstrap string, cfg LiveConfig) (*LivePeer, error) 
 			SigCache:      cfg.SigCache,
 			CacheCapacity: cfg.MemLimit,
 		},
-		Follow: cfg.Follow,
 	}
 	if !cfg.FlightOff {
 		// The flight recorder is on by default: tail-based keeps are the
@@ -246,9 +238,6 @@ func StartPeer(listenAddr, bootstrap string, cfg LiveConfig) (*LivePeer, error) 
 		mcfg.Repair = func() { h.RepairReplicas() }
 	}
 	lp.maintainer = chord.StartMaintainer(h.Node(), mcfg)
-	if h.Follower != nil {
-		h.Follower.Run()
-	}
 	if h.Log != nil && cfg.BackupTo != "" {
 		// Startup backup: whatever segment recovery booted from is
 		// mirrored even if the process never folds again.
@@ -495,7 +484,7 @@ func (lp *LivePeer) Leave() error {
 	return handoffErr
 }
 
-// Close stops maintenance, the follower, the server, and client
+// Close stops maintenance, the server, and client
 // connections without the graceful hand-off, then checkpoints and
 // closes the write-ahead log (if any) so the next boot recovers from a
 // sealed segment alone. With BackupTo it returns once that segment is
